@@ -2152,7 +2152,7 @@ let () =
   match args with
   | [] -> List.iter (run_experiment ~out) experiments
   | [ "pipeline-smoke" ] -> pipeline_smoke ()
-  | [ "regions-smoke" ] -> regions_bench ~reps:3 ~sample_cap:512 ()
+  | [ "regions-smoke" ] -> regions_bench ~reps:7 ~sample_cap:512 ()
   | [ "list" ] ->
       List.iter (fun (name, _) -> Format.fprintf ppf "%s@." name) experiments
   | names ->

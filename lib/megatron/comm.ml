@@ -83,41 +83,4 @@ let send_recv t ~src ~dst ~bytes =
     ();
   sync_clocks [ sdev; ddev ]
 
-(* Fanout-K tree reduction over the fleet's topology plan: every merge
-   node gathers its children's partial summaries onto the node's owner
-   rank (the first child's owner), paying one peer transfer per non-owner
-   child, level by level.  Reuses Pasta.Fleet.plan so the communication
-   model and the fleet aggregation walk the identical tree. *)
-let reduce_tree t ~(plan : Pasta.Fleet.plan) ~bytes =
-  if plan.Pasta.Fleet.pl_leaves <> ranks t then
-    invalid_arg "Comm.reduce_tree: plan leaves must equal rank count";
-  let owners = ref (Array.init (ranks t) (fun i -> i)) in
-  let transfers = ref 0 in
-  List.iter
-    (fun level ->
-      let prev = !owners in
-      let next =
-        Array.map
-          (fun node ->
-            match node.Pasta.Fleet.pn_children with
-            | [] -> 0
-            | root_child :: rest ->
-                let dst = prev.(root_child) in
-                List.iter
-                  (fun child ->
-                    let src = prev.(child) in
-                    if src <> dst then begin
-                      incr transfers;
-                      send_recv t ~src ~dst ~bytes
-                    end)
-                  rest;
-                dst)
-          level
-      in
-      owners := next)
-    plan.Pasta.Fleet.pl_levels;
-  sync_clocks
-    (Array.to_list (Array.map (fun r -> r.ctx.Dlfw.Ctx.device) t.ranks_));
-  !transfers
-
 let destroy t = Array.iter (fun r -> Dlfw.Tensor.release r.buffer) t.ranks_

@@ -30,13 +30,5 @@ val send_recv : t -> src:int -> dst:int -> bytes:int -> unit
 (** Point-to-point activation transfer between two ranks (rank = index in
     the creation list). *)
 
-val reduce_tree : t -> plan:Pasta.Fleet.plan -> bytes:int -> int
-(** Model a fanout-K tree reduction over the fleet's topology
-    ({!Pasta.Fleet.plan}; its leaf count must equal the rank count): each
-    merge node gathers [bytes] from every non-owner child onto the node's
-    owner rank, level by level, then all clocks synchronize.  Returns the
-    number of peer transfers charged — [ranks - 1] regardless of fanout,
-    but fanout shapes the critical path. *)
-
 val destroy : t -> unit
 (** Release the communication buffers. *)

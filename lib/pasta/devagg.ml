@@ -2,9 +2,9 @@
 
    Mirrors the paper's GPU-resident reduction (Fig. 2b): each shard — one
    generation chunk — reduces its records into per-object counts, a block
-   histogram and coalesced address intervals, independently and on any
-   domain; the shards then merge in deterministic chunk order at kernel
-   end.  Summary-only tools consume the merged result and never see raw
+   histogram and a per-region tally, independently and on any domain; the
+   shards then merge in deterministic chunk order at kernel end.
+   Summary-only tools consume the merged result and never see raw
    records.  All per-count quantities are weighted by record weight, i.e.
    they are exact true-access counts, not sample counts. *)
 
@@ -15,7 +15,6 @@ let block_bytes = 2 * 1024 * 1024
 type shard = {
   s_objects : (int, Objmap.obj * int) Hashtbl.t;  (* obj_key -> (obj, weight) *)
   s_blocks : (int, int) Hashtbl.t;  (* block index -> weight *)
-  s_intervals : (int * int) list;  (* sorted disjoint [base, limit) *)
   s_regions : (int * int) list;  (* batch region index -> weight *)
   s_records : int;
   s_weight : int;
@@ -25,7 +24,6 @@ type shard = {
 type summary = {
   objects : (Objmap.obj * int) list;
   blocks : (int * int) list;
-  coalesced : (int * int) list;
   regions : (int * int) list;
   sampled_records : int;
   true_accesses : int;
@@ -33,160 +31,39 @@ type summary = {
   est_rate : float;
 }
 
-(* Fuse overlapping or adjacent [base, limit) pairs of a base-sorted list. *)
-let fuse = function
-  | [] -> []
-  | (b0, l0) :: rest ->
-      let acc, cur =
-        List.fold_left
-          (fun (acc, (cb, cl)) (b, l) ->
-            if b <= cl then (acc, (cb, max cl l)) else ((cb, cl) :: acc, (b, l)))
-          ([], (b0, l0))
-          rest
-      in
-      List.rev (cur :: acc)
+(* Weighted tallies shared by every merge flavour.  Sums are
+   order-insensitive, and [finish] emits every list sorted by key, so a
+   summary never depends on hash iteration order or on how the records
+   were grouped into shards, accumulators or devices. *)
+let bump tbl k w = Hashtbl.replace tbl k (w + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
-(* Merge two base-sorted interval lists, preserving base order. *)
-let rec merge_sorted a b =
-  match (a, b) with
-  | [], l | l, [] -> l
-  | ((ab, _) as x) :: a', ((bb, _) as y) :: b' ->
-      if (ab : int) <= bb then x :: merge_sorted a' b else y :: merge_sorted a b'
+let bump_obj tbl key obj w =
+  match Hashtbl.find_opt tbl key with
+  | Some (o, acc) -> Hashtbl.replace tbl key (o, acc + w)
+  | None -> Hashtbl.add tbl key (obj, w)
 
-(* In-place quicksort of [a.(lo..hi)] with primitive int comparisons;
-   [Array.sort compare] would pay a polymorphic-compare call per
-   comparison, which dominates the whole reduction. *)
-let rec qsort (a : int array) lo hi =
-  if hi - lo < 16 then
-    for i = lo + 1 to hi do
-      let v = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > v do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- v
-    done
-  else begin
-    let x = a.(lo) and y = a.(lo + ((hi - lo) / 2)) and z = a.(hi) in
-    let pivot = max (min x y) (min (max x y) z) in
-    let i = ref lo and j = ref hi in
-    while !i <= !j do
-      while a.(!i) < pivot do
-        incr i
-      done;
-      while a.(!j) > pivot do
-        decr j
-      done;
-      if !i <= !j then begin
-        let t = a.(!i) in
-        a.(!i) <- a.(!j);
-        a.(!j) <- t;
-        incr i;
-        decr j
-      end
-    done;
-    if lo < !j then qsort a lo !j;
-    if !i < hi then qsort a !i hi
-  end
+let sorted_pairs tbl =
+  List.sort
+    (fun ((a, _) : int * int) (b, _) -> compare a b)
+    (Hashtbl.fold (fun k w acc -> (k, w) :: acc) tbl [])
 
-let is_sorted (a : int array) n =
-  let ok = ref true in
-  let i = ref 1 in
-  while !ok && !i < n do
-    if a.(!i - 1) > a.(!i) then ok := false;
-    incr i
-  done;
-  !ok
-
-(* Merge the sorted pair runs [lo, mid) and [mid, hi) — pair indices over
-   flat [base, limit) storage — from [src] into [dst], lexicographically
-   and stably. *)
-let merge_runs (src : int array) (dst : int array) lo mid hi =
-  let i = ref lo and j = ref mid and k = ref lo in
-  while !i < mid && !j < hi do
-    let ib = src.(2 * !i) and il = src.((2 * !i) + 1) in
-    let jb = src.(2 * !j) and jl = src.((2 * !j) + 1) in
-    if ib < jb || (ib = jb && il <= jl) then begin
-      dst.(2 * !k) <- ib;
-      dst.((2 * !k) + 1) <- il;
-      incr i
-    end
-    else begin
-      dst.(2 * !k) <- jb;
-      dst.((2 * !k) + 1) <- jl;
-      incr j
-    end;
-    incr k
-  done;
-  if !i < mid then Array.blit src (2 * !i) dst (2 * !k) (2 * (mid - !i))
-  else if !j < hi then Array.blit src (2 * !j) dst (2 * !k) (2 * (hi - !j))
-
-(* Lexicographic sort of [base, limit) pairs stored flat as
-   [a.(2i), a.(2i+1)], by natural (run-detecting) bottom-up merge using
-   caller-provided scratch ([scratch] >= 2*npairs ints, [bounds] and
-   [bounds2] >= npairs+1 each — contents ignored, clobbered).  The input
-   here is always a concatenation of a few long already-sorted segments —
-   per-chunk coalesced runs, one group per worker — which is exactly the
-   shape that drives quicksort's median-of-three pivots quadratic, and
-   that a run merge sorts in O(n log runs).  Already-sorted input is
-   detected for free (one run, no work). *)
-let sort_pairs_in ~(bounds : int array) ~(bounds2 : int array)
-    ~(scratch : int array) (a : int array) npairs =
-  if npairs > 1 then begin
-    let nruns = ref 1 in
-    bounds.(0) <- 0;
-    for i = 1 to npairs - 1 do
-      let pb = a.(2 * (i - 1)) and b = a.(2 * i) in
-      if pb > b || (pb = b && a.((2 * (i - 1)) + 1) > a.((2 * i) + 1)) then begin
-        bounds.(!nruns) <- i;
-        incr nruns
-      end
-    done;
-    if !nruns > 1 then begin
-      bounds.(!nruns) <- npairs;
-      let src = ref a and dst = ref scratch in
-      let bs = ref bounds and bd = ref bounds2 in
-      let n = ref !nruns in
-      while !n > 1 do
-        let m = ref 0 and r = ref 0 in
-        while !r < !n do
-          if !r + 1 < !n then begin
-            merge_runs !src !dst (!bs).(!r) (!bs).(!r + 1) (!bs).(!r + 2);
-            (!bd).(!m) <- (!bs).(!r);
-            incr m;
-            r := !r + 2
-          end
-          else begin
-            let lo = (!bs).(!r) and hi = (!bs).(!r + 1) in
-            Array.blit !src (2 * lo) !dst (2 * lo) (2 * (hi - lo));
-            (!bd).(!m) <- lo;
-            incr m;
-            incr r
-          end
-        done;
-        (!bd).(!m) <- npairs;
-        n := !m;
-        let ts = !src in
-        src := !dst;
-        dst := ts;
-        let tb = !bs in
-        bs := !bd;
-        bd := tb
-      done;
-      if !src != a then Array.blit !src 0 a 0 (2 * npairs)
-    end
-  end
-
-(* Access sizes fit comfortably below this, so an interval packs into one
-   immediate int as [addr * pack + size]; sorting the packed array orders
-   by (addr, size) without boxing anything. *)
-let ival_pack = 8192
+let finish ~est_rate ~objects ~blocks ~regions ~records ~weight ~writes =
+  {
+    objects =
+      List.sort
+        (fun (a, _) (b, _) -> compare (Objmap.obj_key a) (Objmap.obj_key b))
+        (Hashtbl.fold (fun _ ow acc -> ow :: acc) objects []);
+    blocks = sorted_pairs blocks;
+    regions = sorted_pairs regions;
+    sampled_records = records;
+    true_accesses = weight;
+    writes;
+    est_rate;
+  }
 
 let aggregate view (b : W.batch) =
   let objects = Hashtbl.create 16 and blocks = Hashtbl.create 32 in
   let weight = ref 0 and writes = ref 0 in
-  let ivals = Array.make (max 1 b.W.b_len) 0 in
   (* Generation chunks have strong locality — long runs of records hit the
      same object and the same 2 MiB block — so both tallies are run-length
      accumulated and only touch their hashtable when the run breaks.  The
@@ -196,19 +73,8 @@ let aggregate view (b : W.batch) =
   let memo_obj = ref (Objmap.Unknown 0) in
   let cur_key = ref min_int and cur_obj = ref (Objmap.Unknown 0) and cur_w = ref 0 in
   let cur_blk = ref min_int and cur_blk_w = ref 0 in
-  let flush_obj () =
-    if !cur_w > 0 then begin
-      let key = !cur_key in
-      match Hashtbl.find_opt objects key with
-      | Some (o, acc) -> Hashtbl.replace objects key (o, acc + !cur_w)
-      | None -> Hashtbl.add objects key (!cur_obj, !cur_w)
-    end
-  in
-  let flush_blk () =
-    if !cur_blk_w > 0 then
-      Hashtbl.replace blocks !cur_blk
-        (!cur_blk_w + Option.value ~default:0 (Hashtbl.find_opt blocks !cur_blk))
-  in
+  let flush_obj () = if !cur_w > 0 then bump_obj objects !cur_key !cur_obj !cur_w in
+  let flush_blk () = if !cur_blk_w > 0 then bump blocks !cur_blk !cur_blk_w in
   for i = 0 to b.W.b_len - 1 do
     let addr = Bigarray.Array1.unsafe_get b.W.addrs i
     and w = Bigarray.Array1.unsafe_get b.W.weights i in
@@ -240,41 +106,13 @@ let aggregate view (b : W.batch) =
       cur_blk_w := w
     end;
     weight := !weight + w;
-    if Bigarray.Array1.unsafe_get b.W.writes i <> 0 then writes := !writes + w;
-    ivals.(i) <-
-      (addr * ival_pack)
-      + min (ival_pack - 1) (Bigarray.Array1.unsafe_get b.W.sizes i)
+    if Bigarray.Array1.unsafe_get b.W.writes i <> 0 then writes := !writes + w
   done;
   flush_obj ();
   flush_blk ();
-  let intervals =
-    let n = b.W.b_len in
-    if n = 0 then []
-    else begin
-      (* Sequential chunks arrive already sorted; only strided/random
-         layouts pay for the sort. *)
-      if not (is_sorted ivals n) then qsort ivals 0 (n - 1);
-      (* One coalescing pass over the sorted packed endpoints. *)
-      let out = ref [] in
-      let cb = ref (ivals.(0) / ival_pack) in
-      let cl = ref (!cb + (ivals.(0) mod ival_pack)) in
-      for i = 1 to n - 1 do
-        let base = ivals.(i) / ival_pack in
-        let limit = base + (ivals.(i) mod ival_pack) in
-        if base <= !cl then cl := max !cl limit
-        else begin
-          out := (!cb, !cl) :: !out;
-          cb := base;
-          cl := limit
-        end
-      done;
-      List.rev ((!cb, !cl) :: !out)
-    end
-  in
   {
     s_objects = objects;
     s_blocks = blocks;
-    s_intervals = intervals;
     (* One generation chunk belongs to exactly one kernel memory region
        ([b_region]), so the per-region weighted tally is one pair — the
        weights, not the record count, so sampled runs stay unbiased. *)
@@ -284,84 +122,34 @@ let aggregate view (b : W.batch) =
     s_writes = !writes;
   }
 
-(* Shared by every merge flavour: weighted per-region tallies summed into
-   [tbl], emitted sorted by region index. *)
-let region_tally_add tbl l =
-  List.iter
-    (fun (r, w) ->
-      Hashtbl.replace tbl r (w + Option.value ~default:0 (Hashtbl.find_opt tbl r)))
-    l
-
-let region_tally_sorted tbl =
-  List.sort
-    (fun ((a, _) : int * int) (b, _) -> compare a b)
-    (Hashtbl.fold (fun r w acc -> (r, w) :: acc) tbl [])
-
 let merge ?(est_rate = 1.0) shards =
   let objects = Hashtbl.create 32 and blocks = Hashtbl.create 64 in
   let regions = Hashtbl.create 8 in
-  let intervals = ref [] and records = ref 0 and weight = ref 0 and writes = ref 0 in
+  let records = ref 0 and weight = ref 0 and writes = ref 0 in
   Array.iter
     (fun s ->
-      (* Accumulating sums is order-insensitive, and the sorted output below
-         makes the result independent of hash iteration order. *)
-      Hashtbl.iter
-        (fun key (obj, w) ->
-          match Hashtbl.find_opt objects key with
-          | Some (o, acc) -> Hashtbl.replace objects key (o, acc + w)
-          | None -> Hashtbl.add objects key (obj, w))
-        s.s_objects;
-      Hashtbl.iter
-        (fun blk w ->
-          Hashtbl.replace blocks blk (w + Option.value ~default:0 (Hashtbl.find_opt blocks blk)))
-        s.s_blocks;
-      (* Each shard's intervals are sorted and disjoint, so a linear merge
-         keeps the accumulator sorted without ever re-sorting. *)
-      intervals := merge_sorted s.s_intervals !intervals;
-      region_tally_add regions s.s_regions;
+      Hashtbl.iter (fun key (obj, w) -> bump_obj objects key obj w) s.s_objects;
+      Hashtbl.iter (bump blocks) s.s_blocks;
+      List.iter (fun (r, w) -> bump regions r w) s.s_regions;
       records := !records + s.s_records;
       weight := !weight + s.s_weight;
       writes := !writes + s.s_writes)
     shards;
-  {
-    objects =
-      List.sort
-        (fun (a, _) (b, _) -> compare (Objmap.obj_key a) (Objmap.obj_key b))
-        (Hashtbl.fold (fun _ ow acc -> ow :: acc) objects []);
-    blocks =
-      List.sort
-        (fun ((a, _) : int * int) (b, _) -> compare a b)
-        (Hashtbl.fold (fun b w acc -> (b, w) :: acc) blocks []);
-    coalesced = fuse !intervals;
-    regions = region_tally_sorted regions;
-    sampled_records = !records;
-    true_accesses = !weight;
-    writes = !writes;
-    est_rate;
-  }
+  finish ~est_rate ~objects ~blocks ~regions ~records:!records ~weight:!weight
+    ~writes:!writes
 
 (* ---- Per-domain accumulators (columnar hot path) --------------------- *)
 
 (* One accumulator per worker domain, reused across every chunk that worker
    reduces (and, via {!accum_reset}, across kernels): batches flush their
-   run-length tallies into persistent hashtables and their {e per-chunk
-   coalesced} intervals into a growable flat pair array, so the interval
-   lists, the fresh per-chunk hashtables and the quadratic [merge_sorted]
-   accumulation of [aggregate]+[merge] all disappear.  Everything is merged
-   exactly once per kernel in [merge_accums].
+   run-length tallies into persistent hashtables, so the fresh per-chunk
+   tables of [aggregate]+[merge] disappear.  Everything is merged exactly
+   once per kernel in [merge_accums].
 
-   Coalescing per chunk before appending matters: generation chunks are
-   usually address-sorted already, so the per-chunk pass is a sort-free
-   linear scan that shrinks ~10^3 records to a handful of intervals —
-   deferring raw records to kernel end would force a full O(n log n) sort
-   of the concatenation there, which is never sorted across chunks.
-
-   Determinism: the interval multiset, the weighted tallies and the count
-   sums are all independent of which worker reduced which chunk, and
-   [merge_accums] sorts before producing output, so the summary is
-   byte-identical to the per-chunk [aggregate]+[merge] path at any domain
-   count — coalescing computes connected components under the same
-   overlap-or-touch closure whichever way the records are grouped. *)
+   Determinism: the weighted tallies and the count sums are independent
+   of which worker reduced which chunk, and [finish] sorts before
+   producing output, so the summary is byte-identical to the per-chunk
+   [aggregate]+[merge] path at any domain count. *)
 
 (* Mutable table cells: tallies bump in place instead of re-inserting a
    fresh (value, bucket-cons) pair per run flush — access streams that
@@ -370,27 +158,21 @@ let merge ?(est_rate = 1.0) shards =
 type ocell = { oc_obj : Objmap.obj; mutable oc_w : int }
 type bcell = { mutable bc_w : int }
 
+let bcell tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some c -> c
+  | None ->
+      let c = { bc_w = 0 } in
+      Hashtbl.add tbl key c;
+      c
+
 type accum = {
   a_objects : (int, ocell) Hashtbl.t;
   a_blocks : (int, bcell) Hashtbl.t;
   a_regions : (int, bcell) Hashtbl.t;  (* batch region index -> weight *)
-  mutable a_ivals : int array;
-      (* coalesced [base, limit) pairs, flat: a_ivals.(2k), a_ivals.(2k+1).
-         Unlike the packed per-record form, a coalesced interval can span
-         an arbitrary number of records, so limits need their own slot. *)
-  mutable a_nivals : int;  (* ints used in [a_ivals]; always even *)
-  mutable a_scratch : int array;  (* per-chunk packed records, reused *)
   mutable a_records : int;
   mutable a_weight : int;
   mutable a_writes : int;
-  (* Merge arena, used through the {e first} accumulator of the array
-     handed to [merge_accums] and reused every kernel, so the per-kernel
-     merge allocates no arrays (the output summary's lists are the only
-     per-kernel allocation left). *)
-  mutable a_cat : int array;  (* concatenated pairs (multi-accum merges only) *)
-  mutable a_sscratch : int array;  (* run-merge scratch, 2*npairs ints *)
-  mutable a_bounds : int array;  (* run boundaries, npairs+1 ints *)
-  mutable a_bounds2 : int array;
 }
 
 let accum_create () =
@@ -398,29 +180,10 @@ let accum_create () =
     a_objects = Hashtbl.create 32;
     a_blocks = Hashtbl.create 64;
     a_regions = Hashtbl.create 8;
-    a_ivals = Array.make 512 0;
-    a_nivals = 0;
-    a_scratch = Array.make W.chunk_records 0;
     a_records = 0;
     a_weight = 0;
     a_writes = 0;
-    a_cat = [||];
-    a_sscratch = [||];
-    a_bounds = [||];
-    a_bounds2 = [||];
   }
-
-(* Reusable buffer sizing: double until [need] fits, never zeroing live
-   contents (callers overwrite before reading). *)
-let ensure_ints arr need =
-  if Array.length arr >= need then arr
-  else begin
-    let cap = ref (max 512 (Array.length arr)) in
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    Array.make !cap 0
-  end
 
 (* [Hashtbl.clear] keeps the grown bucket arrays, so a reused accumulator
    reaches its steady-state footprint after the first kernel and stops
@@ -429,27 +192,11 @@ let accum_reset acc =
   Hashtbl.clear acc.a_objects;
   Hashtbl.clear acc.a_blocks;
   Hashtbl.clear acc.a_regions;
-  acc.a_nivals <- 0;
   acc.a_records <- 0;
   acc.a_weight <- 0;
   acc.a_writes <- 0
 
-let accum_reserve acc extra =
-  let need = acc.a_nivals + extra in
-  if need > Array.length acc.a_ivals then begin
-    let cap = ref (2 * Array.length acc.a_ivals) in
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    let grown = Array.make !cap 0 in
-    Array.blit acc.a_ivals 0 grown 0 acc.a_nivals;
-    acc.a_ivals <- grown
-  end
-
 let accum_add acc view (b : W.batch) =
-  if Array.length acc.a_scratch < b.W.b_len then
-    acc.a_scratch <- Array.make (max b.W.b_len (2 * Array.length acc.a_scratch)) 0;
-  let ivals = acc.a_scratch in
   let weight = ref 0 and writes = ref 0 in
   (* Same run-length accumulation as [aggregate], flushing into the
      accumulator's persistent tables instead of fresh per-chunk ones. *)
@@ -506,14 +253,7 @@ let accum_add acc view (b : W.batch) =
         bc0 := c
       end
       else begin
-        let c =
-          match Hashtbl.find_opt acc.a_blocks key with
-          | Some c -> c
-          | None ->
-              let c = { bc_w = 0 } in
-              Hashtbl.add acc.a_blocks key c;
-              c
-        in
+        let c = bcell acc.a_blocks key in
         c.bc_w <- c.bc_w + !cur_blk_w;
         bc1_key := !bc0_key;
         bc1 := !bc0;
@@ -522,14 +262,7 @@ let accum_add acc view (b : W.batch) =
       end
     end
   in
-  let addrs = b.W.addrs
-  and weights = b.W.weights
-  and wflags = b.W.writes
-  and sizes = b.W.sizes in
-  (* Sortedness of the packed column is tracked while packing — one flag
-     update per record instead of a separate full scan afterwards. *)
-  let sorted = ref true in
-  let prev_packed = ref min_int in
+  let addrs = b.W.addrs and weights = b.W.weights and wflags = b.W.writes in
   for i = 0 to b.W.b_len - 1 do
     let addr = Bigarray.Array1.unsafe_get addrs i
     and w = Bigarray.Array1.unsafe_get weights i in
@@ -561,55 +294,14 @@ let accum_add acc view (b : W.batch) =
       cur_blk_w := w
     end;
     weight := !weight + w;
-    if Bigarray.Array1.unsafe_get wflags i <> 0 then writes := !writes + w;
-    let packed =
-      (addr * ival_pack) + min (ival_pack - 1) (Bigarray.Array1.unsafe_get sizes i)
-    in
-    if packed < !prev_packed then sorted := false;
-    prev_packed := packed;
-    Array.unsafe_set ivals i packed
+    if Bigarray.Array1.unsafe_get wflags i <> 0 then writes := !writes + w
   done;
   flush_obj ();
   flush_blk ();
-  let n = b.W.b_len in
-  if n > 0 then begin
-    (* Sequential chunks arrive already sorted; only strided/random
-       layouts pay for the sort. *)
-    if not !sorted then qsort ivals 0 (n - 1);
-    (* Coalesce the chunk and append the surviving [base, limit) pairs. *)
-    accum_reserve acc (2 * n);
-    let out = acc.a_ivals in
-    let k = ref acc.a_nivals in
-    let cb = ref (Array.unsafe_get ivals 0 / ival_pack) in
-    let cl = ref (!cb + (Array.unsafe_get ivals 0 mod ival_pack)) in
-    for i = 1 to n - 1 do
-      let p = Array.unsafe_get ivals i in
-      let base = p / ival_pack in
-      let limit = base + (p mod ival_pack) in
-      if base <= !cl then (if limit > !cl then cl := limit)
-      else begin
-        out.(!k) <- !cb;
-        out.(!k + 1) <- !cl;
-        k := !k + 2;
-        cb := base;
-        cl := limit
-      end
-    done;
-    out.(!k) <- !cb;
-    out.(!k + 1) <- !cl;
-    acc.a_nivals <- !k + 2
-  end;
   (* The batch header carries the chunk's region index, so the per-region
      weighted tally costs one hashtable bump per batch, not per record. *)
   if !weight > 0 then begin
-    let c =
-      match Hashtbl.find_opt acc.a_regions b.W.b_region with
-      | Some c -> c
-      | None ->
-          let c = { bc_w = 0 } in
-          Hashtbl.add acc.a_regions b.W.b_region c;
-          c
-    in
+    let c = bcell acc.a_regions b.W.b_region in
     c.bc_w <- c.bc_w + !weight
   end;
   acc.a_records <- acc.a_records + b.W.b_len;
@@ -620,89 +312,17 @@ let merge_accums ?(est_rate = 1.0) accums =
   let objects = Hashtbl.create 32 and blocks = Hashtbl.create 64 in
   let regions = Hashtbl.create 8 in
   let records = ref 0 and weight = ref 0 and writes = ref 0 in
-  let total = Array.fold_left (fun n a -> n + a.a_nivals) 0 accums in
-  let a0 = accums.(0) in
-  (* Single-accumulator merges (one worker lane) sort [a0]'s own pair
-     buffer in place — no concatenation copy; the buffer is dead after
-     this merge anyway ([accum_reset] empties it before the next kernel).
-     Multi-accumulator merges concatenate into the reused arena. *)
-  let ivals =
-    if Array.length accums = 1 then a0.a_ivals
-    else begin
-      a0.a_cat <- ensure_ints a0.a_cat total;
-      let filled = ref 0 in
-      Array.iter
-        (fun a ->
-          Array.blit a.a_ivals 0 a0.a_cat !filled a.a_nivals;
-          filled := !filled + a.a_nivals)
-        accums;
-      a0.a_cat
-    end
-  in
   Array.iter
     (fun a ->
-      Hashtbl.iter
-        (fun key (c : ocell) ->
-          match Hashtbl.find_opt objects key with
-          | Some (o, acc) -> Hashtbl.replace objects key (o, acc + c.oc_w)
-          | None -> Hashtbl.add objects key (c.oc_obj, c.oc_w))
-        a.a_objects;
-      Hashtbl.iter
-        (fun blk (c : bcell) ->
-          Hashtbl.replace blocks blk
-            (c.bc_w + Option.value ~default:0 (Hashtbl.find_opt blocks blk)))
-        a.a_blocks;
-      Hashtbl.iter
-        (fun r (c : bcell) ->
-          Hashtbl.replace regions r
-            (c.bc_w + Option.value ~default:0 (Hashtbl.find_opt regions r)))
-        a.a_regions;
+      Hashtbl.iter (fun key (c : ocell) -> bump_obj objects key c.oc_obj c.oc_w) a.a_objects;
+      Hashtbl.iter (fun blk (c : bcell) -> bump blocks blk c.bc_w) a.a_blocks;
+      Hashtbl.iter (fun r (c : bcell) -> bump regions r c.bc_w) a.a_regions;
       records := !records + a.a_records;
       weight := !weight + a.a_weight;
       writes := !writes + a.a_writes)
     accums;
-  (* The single pair sort makes the interval multiset canonical, so worker
-     assignment and arrival order cannot leak into the output.  Chunks were
-     coalesced on the way in, so this sorts intervals, not records. *)
-  let coalesced =
-    let npairs = total / 2 in
-    if npairs = 0 then []
-    else begin
-      a0.a_sscratch <- ensure_ints a0.a_sscratch (2 * npairs);
-      a0.a_bounds <- ensure_ints a0.a_bounds (npairs + 1);
-      a0.a_bounds2 <- ensure_ints a0.a_bounds2 (npairs + 1);
-      sort_pairs_in ~bounds:a0.a_bounds ~bounds2:a0.a_bounds2
-        ~scratch:a0.a_sscratch ivals npairs;
-      let out = ref [] in
-      let cb = ref ivals.(0) and cl = ref ivals.(1) in
-      for i = 1 to npairs - 1 do
-        let base = ivals.(2 * i) and limit = ivals.((2 * i) + 1) in
-        if base <= !cl then (if limit > !cl then cl := limit)
-        else begin
-          out := (!cb, !cl) :: !out;
-          cb := base;
-          cl := limit
-        end
-      done;
-      List.rev ((!cb, !cl) :: !out)
-    end
-  in
-  {
-    objects =
-      List.sort
-        (fun (a, _) (b, _) -> compare (Objmap.obj_key a) (Objmap.obj_key b))
-        (Hashtbl.fold (fun _ ow acc -> ow :: acc) objects []);
-    blocks =
-      List.sort
-        (fun ((a, _) : int * int) (b, _) -> compare a b)
-        (Hashtbl.fold (fun b w acc -> (b, w) :: acc) blocks []);
-    coalesced;
-    regions = region_tally_sorted regions;
-    sampled_records = !records;
-    true_accesses = !weight;
-    writes = !writes;
-    est_rate;
-  }
+  finish ~est_rate ~objects ~blocks ~regions ~records:!records ~weight:!weight
+    ~writes:!writes
 
 (* Summary-level merge, for hierarchical (fleet) reduction: combine
    already-merged per-device summaries into one.  All counts are sums and
@@ -713,24 +333,13 @@ let merge_accums ?(est_rate = 1.0) accums =
 let merge_summaries ?est_rate summaries =
   let objects = Hashtbl.create 64 and blocks = Hashtbl.create 128 in
   let regions = Hashtbl.create 8 in
-  let intervals = ref [] and records = ref 0 and weight = ref 0 and writes = ref 0 in
+  let records = ref 0 and weight = ref 0 and writes = ref 0 in
   let rate_num = ref 0.0 in
   List.iter
     (fun s ->
-      List.iter
-        (fun (obj, w) ->
-          let key = Objmap.obj_key obj in
-          match Hashtbl.find_opt objects key with
-          | Some (o, acc) -> Hashtbl.replace objects key (o, acc + w)
-          | None -> Hashtbl.add objects key (obj, w))
-        s.objects;
-      List.iter
-        (fun (blk, w) ->
-          Hashtbl.replace blocks blk
-            (w + Option.value ~default:0 (Hashtbl.find_opt blocks blk)))
-        s.blocks;
-      intervals := merge_sorted s.coalesced !intervals;
-      region_tally_add regions s.regions;
+      List.iter (fun (obj, w) -> bump_obj objects (Objmap.obj_key obj) obj w) s.objects;
+      List.iter (fun (blk, w) -> bump blocks blk w) s.blocks;
+      List.iter (fun (r, w) -> bump regions r w) s.regions;
       records := !records + s.sampled_records;
       weight := !weight + s.true_accesses;
       writes := !writes + s.writes;
@@ -741,37 +350,19 @@ let merge_summaries ?est_rate summaries =
     | Some r -> r
     | None -> if !records = 0 then 1.0 else !rate_num /. float_of_int !records
   in
-  {
-    objects =
-      List.sort
-        (fun (a, _) (b, _) -> compare (Objmap.obj_key a) (Objmap.obj_key b))
-        (Hashtbl.fold (fun _ ow acc -> ow :: acc) objects []);
-    blocks =
-      List.sort
-        (fun ((a, _) : int * int) (b, _) -> compare a b)
-        (Hashtbl.fold (fun b w acc -> (b, w) :: acc) blocks []);
-    coalesced = fuse !intervals;
-    regions = region_tally_sorted regions;
-    sampled_records = !records;
-    true_accesses = !weight;
-    writes = !writes;
-    est_rate;
-  }
+  finish ~est_rate ~objects ~blocks ~regions ~records:!records ~weight:!weight
+    ~writes:!writes
 
 (* Structural validation for failure-aware merge nodes.  Every record of a
-   well-formed summary lands in exactly one object and one block, so both
-   tallies must sum to [true_accesses]; output lists must be sorted with
-   positive counts.  A summary corrupted in flight (bit flips on the
-   counts, shuffled lists) fails one of these and the merge node drops it
-   instead of poisoning the reduction. *)
+   well-formed summary lands in exactly one object, one block and one
+   region, so each tally must sum to [true_accesses]; output lists must be
+   sorted with positive counts.  A summary corrupted in flight (bit flips
+   on the counts, shuffled lists) fails one of these and the merge node
+   drops it instead of poisoning the reduction. *)
 let validate s =
   let rec sorted_pos prev = function
     | [] -> true
     | (k, w) :: rest -> w > 0 && k > prev && sorted_pos k rest
-  in
-  let rec intervals_ok prev = function
-    | [] -> true
-    | (b, l) :: rest -> b >= prev && l > b && intervals_ok l rest
   in
   let osum = List.fold_left (fun acc (_, w) -> acc + w) 0 s.objects in
   let bsum = List.fold_left (fun acc (_, w) -> acc + w) 0 s.blocks in
@@ -791,8 +382,6 @@ let validate s =
   then Error "object list unsorted or non-positive"
   else if not (sorted_pos min_int s.blocks) then
     Error "block list unsorted or non-positive"
-  else if not (intervals_ok min_int s.coalesced) then
-    Error "coalesced intervals unsorted or empty"
   else if not (Float.is_finite s.est_rate) || s.est_rate <= 0.0 || s.est_rate > 1.0
   then Error "est_rate outside (0, 1]"
   else Ok ()
@@ -807,11 +396,10 @@ let rel_stderr s =
 
 let pp ppf s =
   Format.fprintf ppf
-    "@[<v>%d objects, %d hot blocks, %d coalesced extents; %d records standing for %d \
-     accesses (%d writes)@]"
-    (List.length s.objects) (List.length s.blocks)
-    (List.length s.coalesced)
-    s.sampled_records s.true_accesses s.writes;
+    "@[<v>%d objects, %d hot blocks; %d records standing for %d accesses (%d \
+     writes)@]"
+    (List.length s.objects) (List.length s.blocks) s.sampled_records
+    s.true_accesses s.writes;
   if s.est_rate < 1.0 then
     Format.fprintf ppf " [estimate, rate %.3f, ±%.1f%%]" s.est_rate
       (100.0 *. rel_stderr s)

@@ -1,11 +1,13 @@
 (** Device-side partial aggregation of access batches.
 
-    The parallel preprocessing path reduces each generation chunk into a
-    {!shard} — per-object weighted counts (through an {!Objmap.view}
-    snapshot), a [block_bytes]-granular access histogram and coalesced
-    address intervals — then {!merge}s the shards in deterministic chunk
-    order.  Aggregation is pure with respect to shared state, so shards can
-    be computed on any domain; the merged {!summary} is identical for every
+    The parallel preprocessing path reduces each generation chunk into
+    weighted tallies — per-object counts (through an {!Objmap.view}
+    snapshot), a [block_bytes]-granular access histogram and a per-region
+    count — and merges them once per kernel into one {!summary}.  The
+    columnar hot path keeps one {!accum} per worker domain; the per-chunk
+    {!shard} + {!merge} path is the reference aggregator it must match.
+    Aggregation is pure with respect to shared state, so chunks can be
+    reduced on any domain; the merged {!summary} is identical for every
     domain count.  Counts are weighted, i.e. exact true-access totals. *)
 
 val block_bytes : int
@@ -19,7 +21,6 @@ val aggregate : Objmap.view -> Gpusim.Warp.batch -> shard
 type summary = {
   objects : (Objmap.obj * int) list;  (** weighted counts, sorted by object key *)
   blocks : (int * int) list;  (** (block index, weighted count), sorted *)
-  coalesced : (int * int) list;  (** disjoint touched extents, sorted *)
   regions : (int * int) list;
       (** (kernel memory-region index, weighted count), sorted: each
           generation chunk carries its region in the batch header, so the
@@ -43,31 +44,28 @@ val merge : ?est_rate:float -> shard array -> summary
 
 type accum
 (** A per-worker-domain accumulator for the columnar hot path: reused
-    across every chunk the worker reduces, it appends packed intervals to
-    a preallocated flat array and weighted tallies to persistent tables.
+    across every chunk the worker reduces, it holds nothing but weighted
+    tally tables (objects, blocks, regions) and three running counts.
     NOT safe for concurrent use — one accumulator per worker. *)
 
 val accum_create : unit -> accum
 
 val accum_reset : accum -> unit
 (** Empty the accumulator for reuse on the next kernel while keeping its
-    grown tables and buffers, so a long-lived accumulator reaches a
-    steady-state footprint and stops allocating. *)
+    grown tables, so a long-lived accumulator reaches a steady-state
+    footprint and stops allocating. *)
 
 val accum_add : accum -> Objmap.view -> Gpusim.Warp.batch -> unit
-(** Reduce one batch into the accumulator: run-length tallies into the
-    persistent tables, plus a per-chunk coalesce (sort-free for the usual
-    address-sorted chunks) whose surviving intervals are appended to a
-    flat pair buffer.  No per-chunk table or list allocations. *)
+(** Reduce one batch into the accumulator: one pass over the columns,
+    run-length tallies bumped in place in the persistent tables.  No
+    per-chunk table or list allocations. *)
 
 val merge_accums : ?est_rate:float -> accum array -> summary
-(** Merge per-worker accumulators once per kernel: sums the tallies,
-    sorts the concatenated {e already per-chunk-coalesced} intervals —
-    intervals, not records — and coalesces them in a single pass.
-    Byte-identical to [merge (Array.map (aggregate view) batches)] for
-    the same records, at any domain count — coalescing computes the same
-    connected components under the same overlap-or-touch closure
-    whichever way the records are grouped. *)
+(** Merge per-worker accumulators once per kernel: sums the tally tables
+    and emits each list sorted by key.  Byte-identical to
+    [merge (Array.map (aggregate view) batches)] for the same records, at
+    any domain count — sums do not depend on which worker reduced which
+    chunk. *)
 
 val merge_summaries : ?est_rate:float -> summary list -> summary
 (** Combine already-merged summaries into one — the merge-node primitive
@@ -79,8 +77,8 @@ val merge_summaries : ?est_rate:float -> summary list -> summary
 val validate : summary -> (unit, string) result
 (** Structural integrity check for failure-aware merge nodes: object,
     block and region weights must each sum to [true_accesses], output
-    lists must be sorted with positive counts, intervals disjoint,
-    [est_rate] in (0, 1].  [Error] names the violated invariant. *)
+    lists must be sorted with positive counts, [est_rate] in (0, 1].
+    [Error] names the violated invariant. *)
 
 val rel_stderr : summary -> float
 (** Relative standard error of the summary's weighted totals,

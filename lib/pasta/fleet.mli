@@ -28,9 +28,8 @@
 
 (** {2 Reduction topology}
 
-    The topology is pure data so communication layers (e.g.
-    [Megatron.Comm.reduce_tree]) can reuse it to model the same reduction
-    over real interconnects. *)
+    The topology is pure data: stable for (leaves, fanout), so the
+    reduction and anything that reports on it walk the identical tree. *)
 
 type plan_node = {
   pn_id : int;  (** level-major ordinal, stable for (leaves, fanout) *)

@@ -180,6 +180,8 @@ type t = {
   mutable dev_accums : Devagg.accum array;
       (* per-worker aggregation state, reused across kernels; sized to the
          pool on first parallel flush *)
+  region_metrics : (string, Metric.counter * Metric.gauge) Hashtbl.t;
+      (* region label -> its (slices, time) series handles *)
   mutable buffered_records : int;  (* records currently in [buf] *)
   mutable incidents : Event.t list; (* most recent first *)
   mutable last_time_us : float;
@@ -213,6 +215,7 @@ let create ?range ?buffer_capacity ?overflow_policy ?label ~device () =
     columnar = Config.columnar ();
     legacy_batch_noted = false;
     dev_accums = [||];
+    region_metrics = Hashtbl.create 16;
     buffered_records = 0;
     incidents = [];
     last_time_us = 0.0;
@@ -457,6 +460,27 @@ let buffer_item t item =
   Telemetry.sample_ring_occupancy t.buffered_records;
   Telemetry.end_span Telemetry.Ring
 
+(* Region-labelled series are find-or-create in the registry, which costs
+   a key build, the registry lock and a string hash per call.  The label
+   set is bounded by the instrumentation pass's span vocabulary, so each
+   label's handles are looked up once per processor and cached. *)
+let region_metrics t label =
+  match Hashtbl.find_opt t.region_metrics label with
+  | Some handles -> handles
+  | None ->
+      let labels = ("region", label) :: backend_labels t.device t.label in
+      let slices =
+        Metric.counter t.ctr.reg ~help:"intra-kernel region exits observed"
+          ~labels "pasta_region_slices"
+      in
+      let time =
+        Metric.gauge t.ctr.reg
+          ~help:"cumulative kernel time attributed to the region" ~labels
+          "pasta_region_time_us"
+      in
+      Hashtbl.add t.region_metrics label (slices, time);
+      (slices, time)
+
 let submit t ~time_us payload =
   Telemetry.begin_span Telemetry.Dispatch "proc.submit";
   tap t ~time_us (Sk_event payload);
@@ -472,19 +496,9 @@ let submit t ~time_us payload =
          kernel reaches the tool before its on_kernel_end. *)
       flush_records t
   | Event.Region_exit { span; _ } ->
-      (* Region-labelled series are find-or-create: the label set is
-         bounded by the instrumentation pass's span vocabulary. *)
-      let labels =
-        ("region", span.Event.rg_label) :: backend_labels t.device t.label
-      in
-      Metric.incr
-        (Metric.counter t.ctr.reg ~help:"intra-kernel region exits observed"
-           ~labels "pasta_region_slices");
-      Metric.add_gauge
-        (Metric.gauge t.ctr.reg
-           ~help:"cumulative kernel time attributed to the region"
-           ~labels "pasta_region_time_us")
-        span.Event.rg_time_us
+      let slices, time = region_metrics t span.Event.rg_label in
+      Metric.incr slices;
+      Metric.add_gauge time span.Event.rg_time_us
   | _ -> ());
   if in_range t payload then
     dispatch t { Event.device = t.device; time_us; payload };
@@ -633,16 +647,17 @@ let flush_parallel_summary t ~time_us (info : Event.kernel_info) =
         (* Columnar path: one accumulator per worker slot, merged exactly
            once per kernel.  [run_sharded] guarantees a slot is never
            executed by two domains at once, so the accumulators need no
-           locks; [merge_accums] sorts before emitting, so the summary
-           does not depend on the chunk-to-worker assignment. *)
+           locks; [merge_accums] sums the tallies and sorts before
+           emitting, so the summary does not depend on the
+           chunk-to-worker assignment. *)
         let want =
           match t.pool with
           | Some p -> Pasta_util.Domain_pool.parallelism p
           | None -> 1
         in
         (* Accumulators live as long as the processor: kernel N reuses the
-           tables and buffers kernel N-1 grew, so steady state allocates
-           nothing per kernel beyond the summary itself. *)
+           tables kernel N-1 grew, so steady state allocates nothing per
+           kernel beyond the summary itself. *)
         let accums =
           if Array.length t.dev_accums <> want then begin
             t.dev_accums <- Array.init want (fun _ -> Devagg.accum_create ());

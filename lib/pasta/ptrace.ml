@@ -42,8 +42,13 @@ let magic = "PTRC"
    bumps again.  The writer starts a fresh chunk whenever the backend id
    changes, keeping every chunk single-backend: a corrupt chunk then
    costs ops of exactly one backend, which is what lets a tolerant
-   reader skip one backend's damage without touching the others. *)
-let version = 4
+   reader skip one backend's damage without touching the others.
+
+   v5: Device_summary lost its coalesced-interval pair list, which no
+   consumer read; the payload now carries objects, then the [blocks] and
+   [regions] pair lists.  Dropping a field changes an existing encoding,
+   so the version bumps and v4 files are refused. *)
+let version = 5
 
 (* ------------------------------------------------------------------ *)
 (* Encoding primitives                                                 *)
@@ -501,15 +506,12 @@ let get_obj c =
   | 2 -> Objmap.Unknown (get_z c)
   | n -> corrupt "bad object tag %d" n
 
-(* Summary pair lists ([blocks], [coalesced]) are sorted by their first
+(* Summary pair lists ([blocks], [regions]) are sorted by their first
    component: first components are stored as zigzag deltas from the
-   previous entry, second components relative to their own first (for
-   [coalesced] that turns an absolute interval end into its short
-   length).  The [coalesced] intervals of a strided kernel are perfectly
-   periodic — constant (start delta, length) repeated thousands of times
-   — so the writer counts maximal constant runs and switches to a
-   run-length form when it is smaller; a plain delta form remains for
-   irregular data. *)
+   previous entry, second components relative to their own first.  The
+   writer counts maximal runs of a constant (key delta, offset) pair and
+   switches to a run-length form when that is smaller; a plain delta form
+   remains for irregular data. *)
 let pairs_plain = 0
 
 let pairs_rle = 1
@@ -616,7 +618,6 @@ let put_summary buf (s : Devagg.summary) =
       put_z buf w)
     s.Devagg.objects;
   put_pair_list buf s.Devagg.blocks;
-  put_pair_list buf s.Devagg.coalesced;
   put_pair_list buf s.Devagg.regions;
   put_u buf s.Devagg.sampled_records;
   put_u buf s.Devagg.true_accesses;
@@ -632,7 +633,6 @@ let get_summary c =
         (o, w))
   in
   let blocks = get_pair_list c in
-  let coalesced = get_pair_list c in
   let regions = get_pair_list c in
   let sampled_records = get_u c in
   let true_accesses = get_u c in
@@ -641,7 +641,6 @@ let get_summary c =
   {
     Devagg.objects;
     blocks;
-    coalesced;
     regions;
     sampled_records;
     true_accesses;

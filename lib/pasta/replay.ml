@@ -130,7 +130,7 @@ type multi_outcome = {
    header backend-table entry, ops routed to their backend's processor by
    the per-op backend-id column, in recorded order.  A trace with an
    empty table (a solo capture) replays through a single backend-0
-   processor, so [run_multi] subsumes [run] for v4 files. *)
+   processor, so [run_multi] subsumes [run] for every readable file. *)
 let run_multi ?mode ?range ~tool path =
   let hdr = Ptrace.read_header_of_file path in
   let entries =

@@ -27,25 +27,3 @@ let detach t =
 
 let timelines t = List.map (fun e -> (Gpusim.Device.id e.device, e.mem)) t.entries
 let instrumented_devices t = List.length t.entries
-
-(* Fleet view: the per-rank sessions rendered the way Pasta.Fleet names
-   shards — device id order, one line each — so a multi-GPU timeline run
-   and a fleet run read the same in health output. *)
-let pp_fleet_view ppf t =
-  let entries =
-    List.sort
-      (fun a b -> compare (Gpusim.Device.id a.device) (Gpusim.Device.id b.device))
-      t.entries
-  in
-  Format.fprintf ppf "multi-gpu fleet view: %d instrumented device%s@."
-    (List.length entries)
-    (if List.length entries = 1 then "" else "s");
-  List.iter
-    (fun e ->
-      Format.fprintf ppf
-        "  device %3d: peak %.0f bytes, %d allocs, %d frees@."
-        (Gpusim.Device.id e.device)
-        (Mem_timeline.peak_bytes e.mem)
-        (Mem_timeline.alloc_events e.mem)
-        (Mem_timeline.free_events e.mem))
-    entries

@@ -19,8 +19,3 @@ val timelines : t -> (int * Mem_timeline.t) list
 (** (device id, timeline tool state). *)
 
 val instrumented_devices : t -> int
-
-val pp_fleet_view : Format.formatter -> t -> unit
-(** Per-device one-liners in device-id order (peak bytes, alloc/free
-    events) — the same shard-per-line shape {!Pasta.Fleet}'s report uses,
-    so multi-GPU and fleet health sections read alike. *)

@@ -106,7 +106,6 @@ let g_obj =
 let g_summary =
   let* objects = QCheck.Gen.small_list (QCheck.Gen.pair g_obj g_nat) in
   let* blocks = QCheck.Gen.small_list (QCheck.Gen.pair g_nat g_nat) in
-  let* coalesced = QCheck.Gen.small_list (QCheck.Gen.pair g_addr g_nat) in
   let* regions = QCheck.Gen.small_list (QCheck.Gen.pair g_nat g_nat) in
   let* sampled_records = g_nat in
   let* true_accesses = g_nat in
@@ -116,7 +115,6 @@ let g_summary =
     {
       Pasta.Devagg.objects;
       blocks;
-      coalesced;
       regions;
       sampled_records;
       true_accesses;
@@ -316,18 +314,22 @@ let test_roundtrip_file () =
   check_int "nothing skipped" 0 stats.Pasta.Ptrace.r_chunks_skipped;
   Sys.remove path
 
-let corrupt_byte path off =
+(* Rewrite one byte of a file in place ([off] < 0 counts from the end);
+   returns the file length. *)
+let map_byte path off f =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
   let b = Bytes.create len in
   really_input ic b 0 len;
   close_in ic;
   let off = if off < 0 then len + off else off in
-  Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0xFF));
+  Bytes.set b off (Char.chr (f (Char.code (Bytes.get b off))));
   let oc = open_out_bin path in
   output_bytes oc b;
   close_out oc;
   len
+
+let corrupt_byte path off = map_byte path off (fun c -> c lxor 0xFF)
 
 let test_crc_corruption () =
   let path = temp_trace () in
@@ -479,6 +481,30 @@ let test_stat_diff_on_corrupt () =
   Sys.remove a;
   Sys.remove b
 
+(* The compatibility rule's gate: a real capture relabelled as v4 (the
+   encoding whose Device_summary still carried an interval list) is
+   refused with the typed error in both modes — tolerant mode skips
+   corrupt chunks, never an unknown version. *)
+let test_version_gate () =
+  check_int "this build writes v5" 5 Pasta.Ptrace.version;
+  let path = temp_trace () in
+  let (_ : Pasta.Session.result) = live_run ~domains:1 path in
+  let (_ : int) =
+    map_byte path 4 (* right after the "PTRC" magic *) (fun v ->
+        check_int "version byte follows the magic" Pasta.Ptrace.version v;
+        4)
+  in
+  List.iter
+    (fun (name, mode) ->
+      match count_ops ~mode path with
+      | exception Pasta.Ptrace.Corrupt msg ->
+          Alcotest.(check string)
+            (name ^ " mode refuses v4")
+            "unsupported .ptrace version 4 (expected 5)" msg
+      | _ -> Alcotest.failf "%s mode read a v4 trace" name)
+    [ ("strict", Pasta.Ptrace.Strict); ("tolerant", Pasta.Ptrace.Tolerant) ];
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Mixed-backend capture & replay                                      *)
 (* ------------------------------------------------------------------ *)
@@ -596,6 +622,8 @@ let suite =
       test_replay_deterministic;
     Alcotest.test_case "stat/diff on a corrupted trace" `Quick
       test_stat_diff_on_corrupt;
+    Alcotest.test_case "v4 header refused in strict and tolerant mode" `Quick
+      test_version_gate;
     Alcotest.test_case "mixed-backend live vs replay: byte-identical" `Quick
       test_mixed_live_vs_replay;
     Alcotest.test_case "mixed-backend corruption isolated to one backend"

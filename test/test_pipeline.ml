@@ -206,41 +206,33 @@ let test_batch_vs_per_record_equivalence () =
 (* Merged summary invariants                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_summary_weight_sums () =
+(* Every live summary must pass the structural check fleet merge nodes
+   apply: objects, blocks and regions are three tallies of the same
+   records, each summing to the total, and every list is sorted with
+   positive counts.  Sharding and merging must not lose or double-count
+   at any domain count. *)
+let test_summary_validates domains () =
+  Pasta.Config.set "ACCEL_PROF_DOMAINS" (string_of_int domains);
   let device = Gpusim.Device.create Gpusim.Arch.a100 in
   let ctx = Dlfw.Ctx.create device in
-  let summaries = ref 0 and bad = ref 0 in
+  let summaries = ref 0 and errors = ref [] in
   let tool =
     {
       (Pasta.Tool.default ~fine_grained:Pasta.Tool.Gpu_parallel "sums") with
       Pasta.Tool.on_device_summary =
-        (fun _ s ->
+        (fun info s ->
           incr summaries;
-          let osum =
-            List.fold_left (fun a (_, w) -> a + w) 0 s.Pasta.Devagg.objects
-          and bsum =
-            List.fold_left (fun a (_, w) -> a + w) 0 s.Pasta.Devagg.blocks
-          in
-          (* Objects, blocks and the total are three tallies of the same
-             records; sharding and merging must not lose or double-count. *)
-          if osum <> s.Pasta.Devagg.true_accesses then incr bad;
-          if bsum <> s.Pasta.Devagg.true_accesses then incr bad;
+          let fail msg = errors := (info.Pasta.Event.name ^ ": " ^ msg) :: !errors in
+          (match Pasta.Devagg.validate s with Ok () -> () | Error e -> fail e);
           if s.Pasta.Devagg.sampled_records > s.Pasta.Devagg.true_accesses then
-            incr bad;
-          (* Coalesced intervals must come out sorted and disjoint. *)
-          let rec sorted = function
-            | (b, l) :: ((b', _) :: _ as rest) ->
-                b < l && l < b' && sorted rest
-            | [ (b, l) ] -> b < l
-            | [] -> true
-          in
-          if not (sorted s.Pasta.Devagg.coalesced) then incr bad)
+            fail "more records than accesses");
     }
   in
   let (), _ = Pasta.Session.run ~sample_cap:128 ~tool device (bert_inference ctx) in
   Dlfw.Ctx.destroy ctx;
+  Pasta.Config.unset "ACCEL_PROF_DOMAINS";
   check_bool "summaries flowed" true (!summaries > 0);
-  check_int "invariant violations" 0 !bad
+  Alcotest.(check (list string)) "invariant violations" [] (List.rev !errors)
 
 (* ------------------------------------------------------------------ *)
 (* Range-filter accounting                                             *)
@@ -272,6 +264,7 @@ let suite =
     ("identical output at 1/2/8 domains", `Quick, test_determinism_across_domains);
     ("identical output under faults", `Quick, test_determinism_under_faults);
     ("batched = per-record stream", `Quick, test_batch_vs_per_record_equivalence);
-    ("summary weight sums", `Quick, test_summary_weight_sums);
+    ("live summaries validate (1 domain)", `Quick, test_summary_validates 1);
+    ("live summaries validate (2 domains)", `Quick, test_summary_validates 2);
     ("range-filter accounting adds up", `Quick, test_filtered_accounting);
   ]

@@ -319,6 +319,42 @@ let test_ptrace_payload_roundtrip () =
         };
     ]
 
+(* Each Region_exit bumps its label's slice counter and time gauge.  The
+   processor caches the two handles per label, so the exposition must read
+   exactly as find-or-create registration leaves it: one counter and one
+   gauge per label, region label first, labels in first-seen order. *)
+let test_region_metric_series () =
+  let p = Pasta.Processor.create ~device:0 () in
+  let exit label rg_time_us =
+    Pasta.Processor.submit p ~time_us:0.0
+      (Pasta.Event.Region_exit
+         {
+           kernel = sample_ki;
+           span = { sample_span with Pasta.Event.rg_label = label; rg_time_us };
+         })
+  in
+  exit "prologue" 1.0;
+  exit "compute" 2.5;
+  exit "prologue" 0.5;
+  let region_lines =
+    String.split_on_char '\n'
+      (Pasta_util.Metric.to_prometheus (Pasta.Processor.metrics p))
+    |> List.filter (fun l -> Astring_contains.contains l "pasta_region_")
+  in
+  Alcotest.(check (list string))
+    "region series"
+    [
+      "# HELP pasta_region_slices intra-kernel region exits observed";
+      "# TYPE pasta_region_slices counter";
+      "pasta_region_slices{region=\"prologue\",device=\"0\"} 2";
+      "pasta_region_slices{region=\"compute\",device=\"0\"} 1";
+      "# HELP pasta_region_time_us cumulative kernel time attributed to the region";
+      "# TYPE pasta_region_time_us gauge";
+      "pasta_region_time_us{region=\"prologue\",device=\"0\"} 1.500000";
+      "pasta_region_time_us{region=\"compute\",device=\"0\"} 2.500000";
+    ]
+    region_lines
+
 (* ------------------------------------------------------------------ *)
 (* Per-region weighted tallies stay unbiased under thinning            *)
 (* ------------------------------------------------------------------ *)
@@ -442,6 +478,8 @@ let suite =
       test_replay_latency_exact;
     Alcotest.test_case "ptrace region payload round-trip" `Quick
       test_ptrace_payload_roundtrip;
+    Alcotest.test_case "region metric series per label" `Quick
+      test_region_metric_series;
     qtest prop_region_weights_unbiased;
     Alcotest.test_case "ACCEL_PROF_REGIONS parsing" `Quick
       test_regions_knob_parsing;
