@@ -34,11 +34,9 @@ type probe = { probe_name : string; on_event : event -> unit }
 
 type instrument = {
   instr_name : string;
-  materialize : bool;
   on_kernel_entry : launch_info -> unit;
   on_region : launch_info -> Kernel.region -> unit;
-  on_access : launch_info -> Warp.access -> unit;
-  on_access_batch : (launch_info -> Warp.batch -> unit) option;
+  on_batch : (launch_info -> Warp.batch -> unit) option;
   on_kernel_exit : launch_info -> exec_stats -> unit;
 }
 
@@ -257,12 +255,13 @@ let launch t ?(stream = 0) kernel =
   in
   let kernel_t0 = Clock.now_us t.clock in
   Clock.advance_us t.clock duration;
-  let true_accesses =
-    match t.instrument with
-    | None -> Kernel.total_accesses kernel
-    | Some i ->
-        List.iter (fun r -> i.on_region info r) kernel.Kernel.regions;
-        if i.materialize then begin
+  (match t.instrument with
+  | None -> ()
+  | Some i -> (
+      List.iter (fun r -> i.on_region info r) kernel.Kernel.regions;
+      match i.on_batch with
+      | None -> ()
+      | Some on_batch ->
           (* Chunked generation: the chunk layout and every per-chunk RNG
              stream are pure functions of (kernel, sample cap, grid_id), so
              running the chunks inline or on a pool of any size yields the
@@ -314,15 +313,9 @@ let launch t ?(stream = 0) kernel =
               | _ -> ());
               (* Thinning can empty a chunk; delivering a zero-record batch
                  would only burn ring-buffer and dispatch work. *)
-              if Warp.batch_len b > 0 then
-                match i.on_access_batch with
-                | Some fb -> fb info b
-                | None -> Warp.iter_batch b ~f:(fun a -> i.on_access info a))
-            results;
-          Kernel.total_accesses kernel
-        end
-        else Kernel.total_accesses kernel
-  in
+              if Warp.batch_len b > 0 then on_batch info b)
+            results));
+  let true_accesses = Kernel.total_accesses kernel in
   let stats = { duration_us = duration; true_accesses; faulted_pages = !faulted } in
   (match t.instrument with Some i -> i.on_kernel_exit info stats | None -> ());
   emit_regions t info ~t0:kernel_t0 ~wall:stats.duration_us;

@@ -55,16 +55,14 @@ type probe = { probe_name : string; on_event : event -> unit }
 
 type instrument = {
   instr_name : string;
-  materialize : bool;
-      (** when true, sampled per-access records are generated and fed to
-          [on_access]; when false only region aggregates are reported *)
   on_kernel_entry : launch_info -> unit;
   on_region : launch_info -> Kernel.region -> unit;
-  on_access : launch_info -> Warp.access -> unit;
-  on_access_batch : (launch_info -> Warp.batch -> unit) option;
-      (** when set, materialized records arrive as packed {!Warp.batch}es
-          (in deterministic (region, chunk) order) instead of one
-          [on_access] call per record *)
+  on_batch : (launch_info -> Warp.batch -> unit) option;
+      (** the device's one record channel: when set, sampled per-access
+          records are generated and arrive as packed {!Warp.batch}es, in
+          deterministic (region, chunk) order, after every [on_region] of
+          the launch; [None] generates no records, so only region
+          aggregates are reported *)
   on_kernel_exit : launch_info -> exec_stats -> unit;
 }
 

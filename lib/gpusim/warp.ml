@@ -248,6 +248,22 @@ let fill_chunk ~rng ~warp_size spec =
     writes;
   }
 
+let sub b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > b.b_len then invalid_arg "Warp.sub";
+  if pos = 0 && len = b.b_len then b
+  else
+    (* [Array1.sub] is a zero-copy view of the same buffer. *)
+    let view col = Bigarray.Array1.sub col pos len in
+    {
+      b with
+      b_len = len;
+      addrs = view b.addrs;
+      sizes = view b.sizes;
+      warps = view b.warps;
+      weights = view b.weights;
+      writes = view b.writes;
+    }
+
 (* ---- Probabilistic thinning with inverse-probability reweighting ----- *)
 
 let thin ~rng ~rate b =
@@ -282,17 +298,7 @@ let thin ~rng ~rate b =
         incr kept
       end
     done;
-    let n = !kept in
-    (* [Array1.sub] is a zero-copy view of the same buffer. *)
-    {
-      b with
-      b_len = n;
-      addrs = Bigarray.Array1.sub addrs 0 n;
-      sizes = Bigarray.Array1.sub sizes 0 n;
-      warps = Bigarray.Array1.sub warps 0 n;
-      weights = Bigarray.Array1.sub weights 0 n;
-      writes = Bigarray.Array1.sub writes 0 n;
-    }
+    sub { b with addrs; sizes; warps; weights; writes } ~pos:0 ~len:!kept
   end
 
 let generate ~rng ~warp_size ~max_records_per_region k ~f =

@@ -76,6 +76,11 @@ val batch_weight : batch -> int
 val batch_get : batch -> int -> access
 val iter_batch : batch -> f:(access -> unit) -> unit
 
+val sub : batch -> pos:int -> len:int -> batch
+(** [sub b ~pos ~len] is records [pos] to [pos + len - 1] of [b], as a
+    zero-copy view sharing [b]'s columns ([b] itself when that is all of
+    it).  Raises [Invalid_argument] outside [0, batch_len b). *)
+
 val batch_of_arrays :
   region:int ->
   chunk:int ->

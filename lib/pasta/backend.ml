@@ -215,7 +215,7 @@ let enable_fine_grained t mode =
              per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
            })
   | Tool.Cpu_nvbit, S_nvbit s ->
-      Vendor.Nvbit.instrument_memory s ~on_record:(access_feeder t) ()
+      Vendor.Nvbit.instrument_memory s ~on_batch:(batch_feeder t) ()
   | Tool.Instruction_level, S_sanitizer s ->
       Vendor.Sanitizer.patch_module s
         (Vendor.Sanitizer.Instruction_analysis

@@ -38,8 +38,11 @@ val enable_fine_grained : t -> Tool.fine_grained -> unit
       ROCProfiler or OpenCL kernel patching) feeding
       {!Processor.submit_region} / {!Processor.flush_kernel_summary};
     - [Cpu_sanitizer]: Sanitizer host-buffer tracing feeding
-      {!Processor.submit_access};
-    - [Cpu_nvbit]: NVBit memory tracing (requires an [Nvbit] backend);
+      {!Processor.submit_access_batch} ({!Processor.submit_access} when
+      batch delivery is off);
+    - [Cpu_nvbit]: NVBit memory tracing (requires an [Nvbit] backend)
+      feeding each channel-buffer flush to
+      {!Processor.submit_access_batch};
     - [No_fine_grained]: nothing.
 
     Raises [Invalid_argument] on unsupported backend/model combinations. *)

@@ -76,7 +76,8 @@ val guard_cooldown_kernels : unit -> int
     out before a half-open probe (default 25). *)
 
 val buffer_capacity : unit -> int
-(** [ACCEL_PROF_BUFFER_CAP]: bounded record-buffer capacity (default 4096). *)
+(** [ACCEL_PROF_BUFFER_CAP]: bounded record-buffer capacity in items, a
+    packed batch being one item (default 4096). *)
 
 val overflow_policy : unit -> Pasta_util.Ring_buffer.overflow
 (** [ACCEL_PROF_OVERFLOW_POLICY]: drop-oldest | drop-newest | block
@@ -87,10 +88,10 @@ val watchdog_us : unit -> float
     watchdog flags a stuck kernel (default 1e6 us). *)
 
 val batch_delivery : unit -> bool
-(** [ACCEL_PROF_BATCH_DELIVERY]: deliver host-analyzed records to the
-    processor as packed batches (default).  Setting it to [0]/[off]
-    restores the legacy one-callback-per-record path — same results,
-    higher overhead; kept as an A/B switch for overhead studies. *)
+(** [ACCEL_PROF_BATCH_DELIVERY]: deliver Sanitizer host-analyzed records
+    to the processor as packed batches (default; NVBit always does).
+    [0]/[off] restores the legacy one-callback-per-record path — same
+    results, higher overhead; kept as an A/B switch for overhead studies. *)
 
 val columnar : unit -> bool
 (** [ACCEL_PROF_COLUMNAR]: use the zero-copy columnar hot path — direct

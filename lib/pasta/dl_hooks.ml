@@ -12,8 +12,15 @@ let attach device ~processor =
       op_name = "pasta-op-" ^ suffix;
     }
   in
+  (* Observers are process-global and device ids repeat across
+     concurrently profiled devices (every served job's device is id 0),
+     so an event counts only if it was raised on the attaching thread. *)
+  let owner = Thread.id (Thread.self ()) in
+  let mine device_id =
+    device_id = Gpusim.Device.id device && Thread.id (Thread.self ()) = owner
+  in
   Dlfw.Callbacks.add_memory_observer t.mem_name (fun ev ->
-      if ev.Dlfw.Callbacks.device_id = Gpusim.Device.id device then begin
+      if mine ev.Dlfw.Callbacks.device_id then begin
         let time_us = Gpusim.Device.now_us device in
         let payload =
           if ev.Dlfw.Callbacks.size_delta >= 0 then
@@ -37,7 +44,7 @@ let attach device ~processor =
         Processor.submit processor ~time_us payload
       end);
   Dlfw.Callbacks.add_op_observer t.op_name (fun ev ->
-      if ev.Dlfw.Callbacks.device_id = Gpusim.Device.id device then
+      if mine ev.Dlfw.Callbacks.device_id then
         Processor.submit processor ~time_us:(Gpusim.Device.now_us device)
           (Event.Operator
              {

@@ -99,12 +99,17 @@ let cat_describe_of_index = function
 let reg = Metric.create ()
 let registry () = reg
 
+(* Wall microseconds and Gc minor/major words.  An all-float record is
+   stored flat, so updating a field writes in place instead of boxing a
+   fresh float: the Basic-level span path stays allocation-free. *)
+type clocks = { mutable wall : float; mutable minor : float; mutable major : float }
+
+let zero_clocks () = { wall = 0.0; minor = 0.0; major = 0.0 }
+
 type tool_slot = {
   ts_name : string;
-  mutable ts_self_us : float;
+  ts_used : clocks;  (* self time and words allocated while on top *)
   mutable ts_calls : int;
-  mutable ts_minor_w : float;  (* minor words allocated while on top *)
-  mutable ts_major_w : float;  (* major words allocated while on top *)
   ts_hist : Metric.histogram;  (* per-callback latency, observed in Full *)
 }
 
@@ -122,10 +127,8 @@ let tool_slot name =
           let s =
             {
               ts_name = name;
-              ts_self_us = 0.0;
+              ts_used = zero_clocks ();
               ts_calls = 0;
-              ts_minor_w = 0.0;
-              ts_major_w = 0.0;
               ts_hist =
                 Metric.histogram reg
                   ~help:"tool callback latency, microseconds"
@@ -140,10 +143,8 @@ let tool_slot name =
 let dummy_slot =
   {
     ts_name = "";
-    ts_self_us = 0.0;
+    ts_used = zero_clocks ();
     ts_calls = 0;
-    ts_minor_w = 0.0;
-    ts_major_w = 0.0;
     ts_hist = Metric.histogram (Metric.create ()) ~samples:1 "dummy";
   }
 
@@ -155,8 +156,6 @@ type frame = {
   mutable f_cat : int;
   mutable f_slot : tool_slot;
   mutable f_name : string;
-  mutable f_t0 : float;
-  mutable f_sim0 : float;
 }
 
 let stack_cap = 64
@@ -165,37 +164,36 @@ type ctx = {
   cx_id : int;  (* domain id at creation *)
   mutable cx_dev : int;  (* device this context is profiling, -1 none *)
   stack : frame array;
+  t0 : float array;  (* per-frame wall start, us, indexed like [stack] *)
+  sim0 : float array;  (* per-frame simulated-clock start, us *)
   mutable depth : int;
   mutable skipped : int;  (* virtual frames beyond [stack_cap] *)
-  mutable last : float;   (* wall time of the last attribution switch *)
+  last : clocks;  (* readings at the last attribution switch *)
   self : float array;     (* per-category self time, us *)
   counts : int array;     (* per-category completed spans *)
   self_minor : float array;  (* per-category minor words allocated *)
   self_major : float array;  (* per-category major words allocated *)
-  mutable last_minor : float;  (* Gc minor-words reading at the last switch *)
-  mutable last_major : float;
   mutable mismatches : int;
   mutable spans : int;    (* spans recorded to the store (Full) *)
 }
 
-let make_frame () =
-  { f_cat = 0; f_slot = dummy_slot; f_name = ""; f_t0 = 0.0; f_sim0 = 0.0 }
+let make_frame () = { f_cat = 0; f_slot = dummy_slot; f_name = "" }
 
 let make_ctx () =
-  let minor0, _, major0 = Gc.counters () in
+  let minor, _, major = Gc.counters () in
   {
     cx_id = (Domain.self () :> int);
     cx_dev = -1;
     stack = Array.init stack_cap (fun _ -> make_frame ());
+    t0 = Array.make stack_cap 0.0;
+    sim0 = Array.make stack_cap 0.0;
     depth = 0;
     skipped = 0;
-    last = now_us ();
+    last = { wall = now_us (); minor; major };
     self = Array.make cat_count 0.0;
     counts = Array.make cat_count 0;
     self_minor = Array.make cat_count 0.0;
     self_major = Array.make cat_count 0.0;
-    last_minor = minor0;
-    last_major = major0;
     mismatches = 0;
     spans = 0;
   }
@@ -249,9 +247,9 @@ let occ_samples () =
 
 (* --- The span discipline ----------------------------------------------- *)
 
-let charge c now =
-  let dt = now -. c.last in
-  c.last <- now;
+let[@inline] charge c now =
+  let dt = now -. c.last.wall in
+  c.last.wall <- now;
   (* Gc words are attributed under exactly the same stack discipline as
      wall time, so per-stage allocation (the zero-copy proof) sums to the
      domain's total by construction.  Reading the Gc counters costs real
@@ -260,9 +258,9 @@ let charge c now =
      a Full-level feature (the columns read 0 at Basic). *)
   if !lvl > 1 then begin
     let minor, _, major = Gc.counters () in
-    let dmin = minor -. c.last_minor and dmaj = major -. c.last_major in
-    c.last_minor <- minor;
-    c.last_major <- major;
+    let dmin = minor -. c.last.minor and dmaj = major -. c.last.major in
+    c.last.minor <- minor;
+    c.last.major <- major;
     if c.depth = 0 then begin
       c.self_minor.(0) <- c.self_minor.(0) +. dmin;
       c.self_major.(0) <- c.self_major.(0) +. dmaj
@@ -274,8 +272,9 @@ let charge c now =
         c.self_major.(f.f_cat) <- c.self_major.(f.f_cat) +. dmaj
       end
       else begin
-        f.f_slot.ts_minor_w <- f.f_slot.ts_minor_w +. dmin;
-        f.f_slot.ts_major_w <- f.f_slot.ts_major_w +. dmaj
+        let u = f.f_slot.ts_used in
+        u.minor <- u.minor +. dmin;
+        u.major <- u.major +. dmaj
       end
     end
   end;
@@ -283,23 +282,26 @@ let charge c now =
   else begin
     let f = c.stack.(c.depth - 1) in
     if f.f_cat >= 0 then c.self.(f.f_cat) <- c.self.(f.f_cat) +. dt
-    else f.f_slot.ts_self_us <- f.f_slot.ts_self_us +. dt
+    else f.f_slot.ts_used.wall <- f.f_slot.ts_used.wall +. dt
   end
 
-let push c cat slot name now =
+let[@inline] push c cat slot name now =
   if c.skipped > 0 || c.depth >= stack_cap then c.skipped <- c.skipped + 1
   else begin
-    let f = c.stack.(c.depth) in
+    let i = c.depth in
+    let f = c.stack.(i) in
     f.f_cat <- cat;
     f.f_slot <- slot;
     f.f_name <- name;
-    f.f_t0 <- now;
-    f.f_sim0 <- !sim_now;
-    c.depth <- c.depth + 1
+    c.t0.(i) <- now;
+    c.sim0.(i) <- !sim_now;
+    c.depth <- i + 1
   end
 
-let record_span c (f : frame) now =
+(* Record the just-popped frame [i] (now [c.depth = i]). *)
+let record_span c i now =
   c.spans <- c.spans + 1;
+  let f = c.stack.(i) in
   let cat_name =
     if f.f_cat >= 0 then cat_label_of_index f.f_cat else "tool"
   in
@@ -311,28 +313,29 @@ let record_span c (f : frame) now =
       sp_tid = c.cx_id;
       sp_dev = c.cx_dev;
       sp_depth = c.depth;
-      sp_wall0_us = f.f_t0;
-      sp_dur_us = now -. f.f_t0;
-      sp_sim0_us = f.f_sim0;
+      sp_wall0_us = c.t0.(i);
+      sp_dur_us = now -. c.t0.(i);
+      sp_sim0_us = c.sim0.(i);
       sp_sim1_us = !sim_now;
     }
 
 (* Pop the top frame if it matches [cat]/[slot]; a mismatched or missing
    begin is counted, never raised — instrumentation must not be able to
    take the pipeline down. *)
-let pop c cat slot now =
+let[@inline] pop c cat slot now =
   if c.skipped > 0 then c.skipped <- c.skipped - 1
   else if c.depth = 0 then c.mismatches <- c.mismatches + 1
   else begin
-    let f = c.stack.(c.depth - 1) in
-    c.depth <- c.depth - 1;
+    let i = c.depth - 1 in
+    let f = c.stack.(i) in
+    c.depth <- i;
     if f.f_cat = cat && (cat >= 0 || f.f_slot == slot) then begin
       if cat >= 0 then c.counts.(cat) <- c.counts.(cat) + 1
       else begin
         f.f_slot.ts_calls <- f.f_slot.ts_calls + 1;
-        if !lvl > 1 then Metric.observe f.f_slot.ts_hist (now -. f.f_t0)
+        if !lvl > 1 then Metric.observe f.f_slot.ts_hist (now -. c.t0.(i))
       end;
-      if !lvl > 1 then record_span c f now
+      if !lvl > 1 then record_span c i now
     end
     else c.mismatches <- c.mismatches + 1
   end
@@ -382,25 +385,25 @@ let reset () =
   let c = ctx () in
   let now = now_us () in
   epoch := now;
-  c.last <- now;
+  c.last.wall <- now;
   c.depth <- 0;
   c.skipped <- 0;
   Array.fill c.self 0 cat_count 0.0;
   Array.fill c.counts 0 cat_count 0;
   Array.fill c.self_minor 0 cat_count 0.0;
   Array.fill c.self_major 0 cat_count 0.0;
-  (let minor0, _, major0 = Gc.counters () in
-   c.last_minor <- minor0;
-   c.last_major <- major0);
+  (let minor, _, major = Gc.counters () in
+   c.last.minor <- minor;
+   c.last.major <- major);
   c.mismatches <- 0;
   c.spans <- 0;
   Mutex.lock slots_mu;
   Hashtbl.iter
     (fun _ s ->
-      s.ts_self_us <- 0.0;
-      s.ts_calls <- 0;
-      s.ts_minor_w <- 0.0;
-      s.ts_major_w <- 0.0)
+      s.ts_used.wall <- 0.0;
+      s.ts_used.minor <- 0.0;
+      s.ts_used.major <- 0.0;
+      s.ts_calls <- 0)
     slots;
   Mutex.unlock slots_mu;
   Metric.reset reg;
@@ -424,10 +427,10 @@ let tool_rows () =
   let rows =
     Hashtbl.fold
       (fun _ s acc ->
-        if s.ts_calls > 0 || s.ts_self_us > 0.0 then
-          { row_label = "tool:" ^ s.ts_name; row_self_us = s.ts_self_us;
-            row_count = s.ts_calls; row_minor_words = s.ts_minor_w;
-            row_major_words = s.ts_major_w }
+        if s.ts_calls > 0 || s.ts_used.wall > 0.0 then
+          { row_label = "tool:" ^ s.ts_name; row_self_us = s.ts_used.wall;
+            row_count = s.ts_calls; row_minor_words = s.ts_used.minor;
+            row_major_words = s.ts_used.major }
           :: acc
         else acc)
       slots []
@@ -605,7 +608,7 @@ let sync_metrics () =
       Metric.set_gauge
         (Metric.gauge reg ~help:"self wall time per tool"
            ~labels:[ ("tool", s.ts_name) ] "pasta_tool_self_us")
-        s.ts_self_us;
+        s.ts_used.wall;
       Metric.set
         (Metric.counter reg ~help:"guarded tool callback invocations"
            ~labels:[ ("tool", s.ts_name) ] "pasta_tool_calls")

@@ -26,6 +26,10 @@ type t = {
   mutable peak_usage : int;
   mutable live_direct : int; (* non-pool runtime allocations *)
   current : (int, int) Hashtbl.t; (* obj_key -> obj_bytes for the running kernel *)
+  mutable last_key : int;
+  mutable last_bytes : int;
+      (* the pair last inserted into [current]; consecutive records nearly
+         always resolve to the same object, and re-inserting it is a no-op *)
   mutable est_rate_min : float;
       (* lowest sampling rate behind any consumed summary; < 1.0 means the
          working sets are sample-based estimates *)
@@ -40,6 +44,8 @@ let create ?(variant = Gpu) () =
     peak_usage = 0;
     live_direct = 0;
     current = Hashtbl.create 32;
+    last_key = -1;
+    last_bytes = -1;
     est_rate_min = 1.0;
   }
 
@@ -51,6 +57,8 @@ let push_footprint t bytes = t.footprints <- float_of_int bytes :: t.footprints
 let finish_kernel_cpu t =
   let total = Hashtbl.fold (fun _ bytes acc -> acc + bytes) t.current 0 in
   Hashtbl.reset t.current;
+  t.last_key <- -1;
+  t.last_bytes <- -1;
   push_footprint t total
 
 let track_usage t (ev : Pasta.Event.t) =
@@ -157,8 +165,12 @@ let tool t =
   | Cpu_sanitizer | Cpu_nvbit ->
       let touch addr =
         let obj = Pasta.Objmap.resolve t.own_objmap addr in
-        Hashtbl.replace t.current (Pasta.Objmap.obj_key obj)
-          (Pasta.Objmap.obj_bytes obj)
+        let key = Pasta.Objmap.obj_key obj and bytes = Pasta.Objmap.obj_bytes obj in
+        if key <> t.last_key || bytes <> t.last_bytes then begin
+          Hashtbl.replace t.current key bytes;
+          t.last_key <- key;
+          t.last_bytes <- bytes
+        end
       in
       {
         base with

@@ -434,6 +434,34 @@ let test_live_vs_replay domains () =
     (String.equal live replayed);
   Sys.remove path
 
+(* The NVBit-CPU model: records leave the device through the host-flushed
+   channel buffer and reach a per-record tool through the ring.  The trace
+   must carry them so a replay reproduces the live report exactly. *)
+let test_nvbit_live_vs_replay () =
+  let path = temp_trace () in
+  let mk () =
+    Pasta_tools.Memory_charact.tool
+      (Pasta_tools.Memory_charact.create
+         ~variant:Pasta_tools.Memory_charact.Cpu_nvbit ())
+  in
+  let device = Gpusim.Device.create Gpusim.Arch.a100 in
+  let ctx = Dlfw.Ctx.create device in
+  let (), result =
+    Pasta.Session.run ~sample_cap:256 ~capture:path ~tool:(mk ()) device
+      (bert_inference ctx)
+  in
+  Dlfw.Ctx.destroy ctx;
+  let live = Format.asprintf "%t" result.Pasta.Session.report in
+  let health = result.Pasta.Session.health in
+  check_bool "live run saw kernels" true (result.Pasta.Session.kernels > 0);
+  let o = Pasta.Replay.run ~mode:Pasta.Ptrace.Strict ~tool:(mk ()) path in
+  check_int "replay drove every recorded op"
+    health.Pasta.Session.events_recorded o.Pasta.Replay.ops_replayed;
+  Alcotest.(check string)
+    "replayed NVBit report byte-identical to live" live
+    (Format.asprintf "%t" o.Pasta.Replay.report);
+  Sys.remove path
+
 (* Same recording analyzed twice must agree with itself, and a trace must
    diff as identical to its own copy (chunk layout differences aside, two
    live runs in one process legitimately differ — global operator
@@ -618,6 +646,8 @@ let suite =
       `Quick (test_live_vs_replay 1);
     Alcotest.test_case "live vs replay: byte-identical report (4 domains)"
       `Quick (test_live_vs_replay 4);
+    Alcotest.test_case "NVBit-CPU live vs replay: byte-identical report" `Quick
+      test_nvbit_live_vs_replay;
     Alcotest.test_case "replay determinism + stat/diff round-trip" `Quick
       test_replay_deterministic;
     Alcotest.test_case "stat/diff on a corrupted trace" `Quick

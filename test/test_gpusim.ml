@@ -354,14 +354,13 @@ let test_device_sample_cap () =
   Device.set_instrument d
     {
       Device.instr_name = "count";
-      materialize = true;
       on_kernel_entry = ignore;
       on_region = (fun _ _ -> ());
-      on_access =
-        (fun _ a ->
-          incr records;
-          weight := !weight + a.Warp.weight);
-      on_access_batch = None;
+      on_batch =
+        Some
+          (fun _ b ->
+            records := !records + Warp.batch_len b;
+            weight := !weight + Warp.batch_weight b);
       on_kernel_exit = (fun _ _ -> ());
     };
   let stats = Device.launch d k in

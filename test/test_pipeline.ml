@@ -252,6 +252,61 @@ let test_filtered_accounting () =
   check_int "delivered + filtered = total" all
     (part + h.Pasta.Session.accesses_filtered)
 
+(* ------------------------------------------------------------------ *)
+(* The NVBit-CPU record path                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything a Cpu_nvbit tool can observe, as text: every dispatched
+   event's kind and timestamp bits, every record's fields in delivery
+   order, and the final simulated clock.  The digest below pins it, so a
+   change to how records travel from the NVBit channel buffer to the tool
+   cannot reorder, re-time, drop or re-charge any of them unnoticed. *)
+let nvbit_callback_log ?buffer_cap () =
+  Option.iter
+    (fun n -> Pasta.Config.set "ACCEL_PROF_BUFFER_CAP" (string_of_int n))
+    buffer_cap;
+  let device = Gpusim.Device.create Gpusim.Arch.a100 in
+  let ctx = Dlfw.Ctx.create device in
+  let log = Buffer.create (1 lsl 20) in
+  let tool =
+    {
+      (Pasta.Tool.default ~fine_grained:Pasta.Tool.Cpu_nvbit "nvbit-log") with
+      Pasta.Tool.on_event =
+        (fun ev ->
+          Printf.bprintf log "E %s %h\n"
+            (Pasta.Event.kind_name ev.Pasta.Event.payload)
+            ev.Pasta.Event.time_us);
+      on_access =
+        (fun info a ->
+          Printf.bprintf log "A %d %x %d %b %d %x %d\n" info.Pasta.Event.grid_id
+            a.Pasta.Event.addr a.Pasta.Event.size a.Pasta.Event.write
+            a.Pasta.Event.warp a.Pasta.Event.pc a.Pasta.Event.weight);
+    }
+  in
+  let (), _ =
+    Pasta.Session.run ~sample_cap:64 ~tool device (fun () ->
+        let m = Dlfw.Runner.build ctx "BERT" in
+        Dlfw.Runner.run ctx m ~mode:Dlfw.Runner.Inference ~iters:1)
+  in
+  Dlfw.Ctx.destroy ctx;
+  Pasta.Config.unset "ACCEL_PROF_BUFFER_CAP";
+  Printf.bprintf log "T %h\n" (Gpusim.Device.now_us device);
+  Buffer.contents log
+
+let test_nvbit_callback_digest () =
+  let pinned = "bbd86af15fc31833f88ca1f5fb40a250" in
+  let log = nvbit_callback_log () in
+  check_bool "records reached the tool" true
+    (Astring_contains.contains log "\nA ");
+  Alcotest.(check string)
+    "NVBit-CPU callback stream digest" pinned
+    (Digest.to_hex (Digest.string log));
+  (* A tiny ring under the lossless block policy stalls the producer over
+     and over; the tool must still see the identical stream. *)
+  Alcotest.(check string)
+    "same stream through a 16-item ring" pinned
+    (Digest.to_hex (Digest.string (nvbit_callback_log ~buffer_cap:16 ())))
+
 let suite =
   [
     ("pool map preserves index order", `Quick, test_pool_map_order);
@@ -267,4 +322,5 @@ let suite =
     ("live summaries validate (1 domain)", `Quick, test_summary_validates 1);
     ("live summaries validate (2 domains)", `Quick, test_summary_validates 2);
     ("range-filter accounting adds up", `Quick, test_filtered_accounting);
+    ("NVBit-CPU callback stream pinned", `Quick, test_nvbit_callback_digest);
   ]

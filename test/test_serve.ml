@@ -164,6 +164,39 @@ let test_concurrent_matches_solo () =
         (exp_counters = s.Serve.counters))
     (List.combine expected got)
 
+(* Framework observers are process-global, and every served job's device
+   has id 0, so the device id alone cannot tell tenants apart.  A
+   deterministic form of the cross-feed: while a session is attached on
+   this thread, a second thread runs AN on another id-0 device that has
+   no session.  None of its framework events may reach the session. *)
+let test_framework_events_stay_on_thread () =
+  let run_an ctx =
+    let m = Dlfw.Runner.build ctx "AN" in
+    Dlfw.Runner.run ctx m ~mode:Dlfw.Runner.Inference ~iters:1
+  in
+  let counters ~intruder =
+    let device = Gpusim.Device.create Gpusim.Arch.a100 in
+    let ctx = Dlfw.Ctx.create device in
+    let tool = Pasta_tools.Kernel_freq.tool (Pasta_tools.Kernel_freq.create ()) in
+    let s = Pasta.Session.attach ~tool device in
+    if intruder then
+      Thread.join
+        (Thread.create
+           (fun () ->
+             let other = Dlfw.Ctx.create (Gpusim.Device.create Gpusim.Arch.a100) in
+             run_an other;
+             Dlfw.Ctx.destroy other)
+           ());
+    run_an ctx;
+    let r = Pasta.Session.detach s in
+    Dlfw.Ctx.destroy ctx;
+    Pasta_util.Metric.counter_samples r.Pasta.Session.metrics
+  in
+  let alone = counters ~intruder:false in
+  Alcotest.(check bool)
+    "counter samples unchanged by another thread's id-0 device" true
+    (alone = counters ~intruder:true)
+
 let test_quarantine_contained () =
   Pasta_tools.Tools.register_all ();
   (* A tool that fails on every kernel end: the victim tenant's guard
@@ -309,6 +342,8 @@ let suite =
     qtest prop_request_wire_roundtrip;
     Alcotest.test_case "N concurrent tenants == solo runs, byte for byte" `Slow
       test_concurrent_matches_solo;
+    Alcotest.test_case "framework events stay on the attaching thread" `Quick
+      test_framework_events_stay_on_thread;
     Alcotest.test_case "one tenant's quarantine leaves others untouched" `Slow
       test_quarantine_contained;
     Alcotest.test_case "admission control and cancellation" `Slow

@@ -319,6 +319,65 @@ let test_off_is_inert () =
         a.T.at_rows;
       check_int "no spans recorded" 0 (T.spans_recorded ()))
 
+(* The Basic level is documented as allocation-free: begin/end pairs must
+   leave the minor heap alone, for layer spans and tool spans alike. *)
+let test_basic_spans_allocate_nothing () =
+  with_level "basic" (fun () ->
+      let slot = T.tool_slot "alloc_probe" in
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        T.begin_span T.Handler "alloc.probe";
+        T.end_span T.Handler;
+        T.begin_tool slot;
+        T.end_tool slot
+      done;
+      let words = Gc.minor_words () -. before in
+      if words >= 100.0 then
+        Alcotest.failf "20000 Basic span pairs allocated %.0f minor words" words;
+      check_int "stack drained" 0 (T.depth ());
+      check_int "no mismatches" 0 (T.mismatches ()))
+
+(* Span counts are deterministic, so they guard the NVBit-CPU path's
+   framework cost without timing noise: records cross the handler,
+   processor and ring as flushed batches, a few spans per batch, while the
+   tool still gets its per-record callbacks. *)
+let test_nvbit_layers_span_per_batch () =
+  with_level "basic" (fun () ->
+      let records = ref 0 in
+      let base =
+        Pasta_tools.Memory_charact.tool
+          (Pasta_tools.Memory_charact.create
+             ~variant:Pasta_tools.Memory_charact.Cpu_nvbit ())
+      in
+      let tool =
+        {
+          base with
+          Pasta.Tool.on_access =
+            (fun info a ->
+              incr records;
+              base.Pasta.Tool.on_access info a);
+        }
+      in
+      let device = Gpusim.Device.create Gpusim.Arch.a100 in
+      let ctx = Dlfw.Ctx.create device in
+      let (), _ = Pasta.Session.run ~sample_cap:256 ~tool device (bert_inference ctx) in
+      Dlfw.Ctx.destroy ctx;
+      let a = T.attribution () in
+      let count label =
+        match List.find_opt (fun r -> r.T.row_label = label) a.T.at_rows with
+        | Some r -> r.T.row_count
+        | None -> 0
+      in
+      check_bool "records flowed" true (!records > 1000);
+      List.iter
+        (fun label ->
+          let spans = count label in
+          if 4 * spans >= !records then
+            Alcotest.failf "%s opened %d spans for %d records" label spans !records)
+        [ "handler (vendor adapt)"; "processor (dispatch)"; "ring buffer" ];
+      check_bool "tool called at least twice per record" true
+        (count "tool:memory_charact" >= 2 * !records))
+
 (* A tool whose kernel-begin callback burns visible wall time and then
    raises: the guard must still charge that time to the tool, and the
    span stack must stay balanced through the exception path. *)
@@ -650,6 +709,10 @@ let suite =
     Alcotest.test_case "attribution rows sum to the window" `Quick
       test_rows_sum_to_total;
     Alcotest.test_case "level off attributes nothing" `Quick test_off_is_inert;
+    Alcotest.test_case "basic spans allocate nothing" `Quick
+      test_basic_spans_allocate_nothing;
+    Alcotest.test_case "NVBit records cross the layers per batch" `Quick
+      test_nvbit_layers_span_per_batch;
     Alcotest.test_case "quarantined tool time is attributed" `Quick
       test_quarantined_tool_attributed;
     qtest prop_span_stack;

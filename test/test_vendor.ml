@@ -153,7 +153,7 @@ let test_nvbit_instrument () =
   let nv = Vendor.Nvbit.attach d in
   let weight = ref 0 in
   Vendor.Nvbit.instrument_memory nv
-    ~on_record:(fun _ a -> weight := !weight + a.Warp.weight)
+    ~on_batch:(fun _ b -> weight := !weight + Warp.batch_weight b)
     ();
   let k = mk_kernel d ~bytes:8192 ~accesses:777 in
   ignore (Device.launch d k);
@@ -161,6 +161,48 @@ let test_nvbit_instrument () =
   check_int "kernel parsed on first launch" 1 (Vendor.Nvbit.functions_parsed nv);
   ignore (Device.launch d k);
   check_int "second launch reuses parse" 1 (Vendor.Nvbit.functions_parsed nv)
+
+(* 250 weight-1 records through a channel that holds 100 true accesses:
+   flushes land right after records 100 and 200 and the kernel exit
+   flushes the last 50.  Each flush charges the device clock before its
+   records reach the host, and the views cover the batch in order. *)
+let test_nvbit_flush_split () =
+  let run ?buffer_records () =
+    let d = mk_device () in
+    Device.set_sample_cap d 256;
+    let nv = Vendor.Nvbit.attach d in
+    let deliveries = ref [] in
+    Vendor.Nvbit.instrument_memory nv ?buffer_records
+      ~on_batch:(fun _ b ->
+        let addrs = List.init (Warp.batch_len b) (fun i -> (Warp.batch_get b i).Warp.addr) in
+        let p = Vendor.Nvbit.phases nv in
+        deliveries :=
+          (Warp.batch_weight b, Device.now_us d, p.Vendor.Phases.transfer_us, addrs)
+          :: !deliveries)
+      ();
+    let k = mk_kernel d ~bytes:8192 ~accesses:250 in
+    let before = Device.now_us d in
+    ignore (Device.launch d k);
+    (before, List.rev !deliveries)
+  in
+  let before, split = run ~buffer_records:100 () in
+  Alcotest.(check (list int))
+    "flushes split the batch at records 100 and 200" [ 100; 100; 50 ]
+    (List.map (fun (w, _, _, _) -> w) split);
+  let (_ : float * float) =
+    List.fold_left
+      (fun (prev_now, prev_transfer) (_, now, transfer, _) ->
+        check_bool "clock advanced before the delivery" true (now > prev_now);
+        check_bool "flush charged before the delivery" true (transfer > prev_transfer);
+        (now, transfer))
+      (before, 0.0) split
+  in
+  let _, whole = run () in
+  check_int "a roomy channel flushes once, at kernel exit" 1 (List.length whole);
+  Alcotest.(check (list int))
+    "views concatenate to the unsplit record stream"
+    (List.concat_map (fun (_, _, _, a) -> a) whole)
+    (List.concat_map (fun (_, _, _, a) -> a) split)
 
 let test_nvbit_costlier_than_sanitizer () =
   (* Same workload, both CPU-analysis models: NVBit must cost more
@@ -188,7 +230,7 @@ let test_nvbit_costlier_than_sanitizer () =
   let t_nvbit =
     run (fun d ->
         let nv = Vendor.Nvbit.attach d in
-        Vendor.Nvbit.instrument_memory nv ~on_record:(fun _ _ -> ()) ())
+        Vendor.Nvbit.instrument_memory nv ~on_batch:(fun _ _ -> ()) ())
   in
   check_bool "nvbit slower than sanitizer" true (t_nvbit > t_cs)
 
@@ -314,6 +356,7 @@ let suite =
     ("sanitizer invalid buffer", `Quick, test_sanitizer_invalid_buffer);
     ("nvbit parse cache", `Quick, test_nvbit_parse_cache);
     ("nvbit instrument", `Quick, test_nvbit_instrument);
+    ("nvbit flush splits batches", `Quick, test_nvbit_flush_split);
     ("nvbit costlier than sanitizer", `Quick, test_nvbit_costlier_than_sanitizer);
     ("nvbit opcode counts", `Quick, test_nvbit_opcode_counts);
     ("nvbit events", `Quick, test_nvbit_events);
