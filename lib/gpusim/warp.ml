@@ -76,6 +76,13 @@ type batch = {
 
 let batch_len b = b.b_len
 
+let batch_bytes b =
+  Bigarray.Array1.size_in_bytes b.addrs
+  + Bigarray.Array1.size_in_bytes b.sizes
+  + Bigarray.Array1.size_in_bytes b.warps
+  + Bigarray.Array1.size_in_bytes b.weights
+  + Bigarray.Array1.size_in_bytes b.writes
+
 let batch_weight b =
   let s = ref 0 in
   for i = 0 to b.b_len - 1 do

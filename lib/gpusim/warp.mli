@@ -70,6 +70,11 @@ type batch = private {
     [b_len], never by the underlying buffer size. *)
 
 val batch_len : batch -> int
+
+val batch_bytes : batch -> int
+(** Bytes the five columns occupy: what a decoder allocates to
+    materialize the batch. *)
+
 val batch_weight : batch -> int
 (** Sum of record weights, i.e. the true accesses the batch stands for. *)
 

@@ -47,8 +47,14 @@ let magic = "PTRC"
    v5: Device_summary lost its coalesced-interval pair list, which no
    consumer read; the payload now carries objects, then the [blocks] and
    [regions] pair lists.  Dropping a field changes an existing encoding,
-   so the version bumps and v4 files are refused. *)
-let version = 5
+   so the version bumps and v4 files are refused.
+
+   v6: batch columns are written as their first value plus first
+   differences (see [put_int_col]); simulated addresses and warp ids are
+   arithmetic progressions, so most columns shrink to a single constant.
+   The column bytes change, so the version bumps and v5 files are
+   refused. *)
+let version = 6
 
 (* ------------------------------------------------------------------ *)
 (* Encoding primitives                                                 *)
@@ -87,9 +93,12 @@ let get_byte c =
   c.c_pos <- c.c_pos + 1;
   b
 
+(* A value must stay below 2^62: the ninth byte may carry only bits 56-61,
+   because bit 62 is the sign bit of a native int and a continuation would
+   need a tenth byte. *)
 let rec get_u_slow c acc shift =
   let b = get_byte c in
-  if shift > 56 then corrupt "varint too long";
+  if shift = 56 && b > 0x3f then corrupt "varint out of range";
   let acc = acc lor ((b land 0x7f) lsl shift) in
   if b land 0x80 = 0 then acc else get_u_slow c acc (shift + 7)
 
@@ -118,7 +127,7 @@ let get_bool c = get_byte c <> 0
 
 let get_str c =
   let len = get_u c in
-  if c.c_pos + len > c.c_limit then corrupt "truncated string";
+  if len > c.c_limit - c.c_pos then corrupt "truncated string";
   let s = String.sub c.c_s c.c_pos len in
   c.c_pos <- c.c_pos + len;
   s
@@ -205,13 +214,32 @@ let get_kernel_info_body c =
 
 (* Per-chunk kernel interning.  The encoder keys on [grid_id] (launch ids
    are unique per device, and every kernel_info of a launch is structurally
-   identical); the decoder keeps slots in definition order. *)
+   identical); the decoder keeps slots in definition order.  Each context
+   also owns the int scratch that batch-column differences go through
+   when they are not constant (see [put_col]); it grows on demand and is
+   reused by every later batch. *)
 
-type intern = { by_grid : (int, int) Hashtbl.t; mutable next : int }
-type extern = { by_slot : (int, Event.kernel_info) Hashtbl.t; mutable count : int }
+type intern = {
+  by_grid : (int, int) Hashtbl.t;
+  mutable next : int;
+  mutable enc_diffs : int array;
+}
 
-let intern () = { by_grid = Hashtbl.create 32; next = 0 }
-let extern () = { by_slot = Hashtbl.create 32; count = 0 }
+type extern = {
+  by_slot : (int, Event.kernel_info) Hashtbl.t;
+  mutable count : int;
+  mutable dec_diffs : int array;
+}
+
+let intern () = { by_grid = Hashtbl.create 32; next = 0; enc_diffs = [||] }
+let extern () = { by_slot = Hashtbl.create 32; count = 0; dec_diffs = [||] }
+
+(* A new chunk starts a new interning scope; the scratch survives. *)
+let reset_intern it =
+  Hashtbl.reset it.by_grid;
+  it.next <- 0
+
+let grow a n = if Array.length a >= n then a else Array.make n 0
 
 let put_kernel it buf (k : Event.kernel_info) =
   match Hashtbl.find_opt it.by_grid k.Event.grid_id with
@@ -251,96 +279,96 @@ let get_access c =
   let weight = get_u c in
   { Event.addr; size; write; pc; warp; weight }
 
-(* Integer-column codec for batch payloads.  Simulated columns are
-   heavily structured — sizes are constant, weights take at most two
-   values, warp ids and address deltas are run- or two-valued — so the
-   writer picks, per column, whichever of four encodings is smallest:
+(* Integer-column codec.  Each encoded column starts with a varint tag:
 
-     tag 0 (raw)      len varints, one per element
+     tag 0 (raw)      n varints, one per element
      tag 1 (rle)      varint run count, then (value, run length) pairs
      tag 2 (two)      two varint values, then 1 bit per element
      tag 3 (const)    a single varint value
 
-   Values must be non-negative (zigzag first for signed columns). *)
+   Values must be non-negative; batch columns feed it zigzag differences
+   (see [put_int_col]). *)
 let col_raw = 0
 let col_rle = 1
 let col_two = 2
 let col_const = 3
 
-(* Generic over the element accessor, so the same codec serves both plain
-   int arrays (the delta scratch) and the batch's Bigarray columns — the
-   live capture path reads columns in place, with no boxed copy on the
-   encode side. *)
-let put_colf buf ~(get : int -> int) len =
-  if len = 0 then put_u buf col_raw
-  else begin
-    let v0 = get 0 in
-    let second = ref v0 in
-    let distinct = ref 1 in
-    let runs = ref 1 in
-    let prev = ref v0 in
-    for i = 1 to len - 1 do
-      let v = get i in
-      if v <> !prev then incr runs;
-      prev := v;
-      if !distinct = 1 then begin
-        if v <> v0 then begin
-          second := v;
-          distinct := 2
-        end
-      end
-      else if !distinct = 2 && v <> v0 && v <> !second then distinct := 3
-    done;
+let rec varint_bytes n = if n < 0x80 then 1 else 1 + varint_bytes (n lsr 7)
+
+(* Write [a.(0 .. n-1)], which the caller has found not to be constant
+   (n >= 2).  A two-valued column takes the two-valued form unless rle is
+   smaller (a progression with one break is three runs, far smaller than
+   a bitmap); otherwise rle is taken when it is no larger than the
+   smallest raw encoding, one byte per element. *)
+let put_col buf (a : int array) n =
+  let v0 = a.(0) in
+  let second = ref v0 and distinct = ref 1 in
+  let runs = ref 1 and run_start = ref 0 and rle_bytes = ref 0 in
+  for i = 1 to n - 1 do
+    let v = Array.unsafe_get a i in
+    let prev = Array.unsafe_get a (i - 1) in
+    if v <> prev then begin
+      incr runs;
+      rle_bytes := !rle_bytes + varint_bytes prev + varint_bytes (i - !run_start);
+      run_start := i
+    end;
     if !distinct = 1 then begin
-      put_u buf col_const;
-      put_u buf v0
+      if v <> v0 then begin
+        second := v;
+        distinct := 2
+      end
     end
-    else if !distinct = 2 then begin
-      put_u buf col_two;
-      put_u buf v0;
-      put_u buf !second;
-      let nbytes = (len + 7) / 8 in
-      let bits = Bytes.make nbytes '\000' in
-      for i = 0 to len - 1 do
-        if get i = !second then
-          Bytes.unsafe_set bits (i / 8)
-            (Char.unsafe_chr
-               (Char.code (Bytes.unsafe_get bits (i / 8)) lor (1 lsl (i mod 8))))
+    else if !distinct = 2 && v <> v0 && v <> !second then distinct := 3
+  done;
+  let rle_bytes =
+    !rle_bytes + varint_bytes (Array.unsafe_get a (n - 1))
+    + varint_bytes (n - !run_start)
+    + varint_bytes !runs
+  in
+  let two_bytes = varint_bytes v0 + varint_bytes !second + ((n + 7) / 8) in
+  if !distinct <= 2 && two_bytes <= rle_bytes then begin
+    put_u buf col_two;
+    put_u buf v0;
+    put_u buf !second;
+    (* LSB-first, a byte per 8 elements; a set bit selects [second] *)
+    let byte = ref 0 in
+    for i = 0 to n - 1 do
+      if Array.unsafe_get a i <> v0 then byte := !byte lor (1 lsl (i land 7));
+      if i land 7 = 7 || i = n - 1 then begin
+        Buffer.add_char buf (Char.unsafe_chr !byte);
+        byte := 0
+      end
+    done
+  end
+  else if rle_bytes <= n then begin
+    put_u buf col_rle;
+    put_u buf !runs;
+    let i = ref 0 in
+    while !i < n do
+      let v = Array.unsafe_get a !i in
+      let j = ref (!i + 1) in
+      while !j < n && Array.unsafe_get a !j = v do
+        incr j
       done;
-      Buffer.add_bytes buf bits
-    end
-    else if 4 * !runs <= len then begin
-      put_u buf col_rle;
-      put_u buf !runs;
-      let i = ref 0 in
-      while !i < len do
-        let v = get !i in
-        let j = ref !i in
-        while !j < len && get !j = v do
-          incr j
-        done;
-        put_u buf v;
-        put_u buf (!j - !i);
-        i := !j
-      done
-    end
-    else begin
-      put_u buf col_raw;
-      for i = 0 to len - 1 do
-        put_u buf (get i)
-      done
-    end
+      put_u buf v;
+      put_u buf (!j - !i);
+      i := !j
+    done
+  end
+  else begin
+    put_u buf col_raw;
+    for i = 0 to n - 1 do
+      put_u buf (Array.unsafe_get a i)
+    done
   end
 
-let put_col buf (a : int array) len = put_colf buf ~get:(Array.unsafe_get a) len
-
-(* Decode one column through an element setter — columns decode straight
-   into their final Bigarray storage, no intermediate int array. *)
-let get_colf c ~(set : int -> int -> unit) len =
-  match get_u c with
+(* Decode [n] elements of a column whose tag is [tag] into [a], which
+   holds at least [n].  The constant form is the caller's fast path. *)
+let get_col c tag (a : int array) n =
+  match tag with
   | 0 (* raw *) ->
-      for i = 0 to len - 1 do
-        set i (get_u c)
+      for i = 0 to n - 1 do
+        Array.unsafe_set a i (get_u c)
       done
   | 1 (* rle *) ->
       let nruns = get_u c in
@@ -348,34 +376,134 @@ let get_colf c ~(set : int -> int -> unit) len =
       for _ = 1 to nruns do
         let v = get_u c in
         let r = get_u c in
-        if r <= 0 || r > len - !filled then corrupt "bad column run";
-        for i = !filled to !filled + r - 1 do
-          set i v
-        done;
+        if r <= 0 || r > n - !filled then corrupt "bad column run";
+        Array.fill a !filled r v;
         filled := !filled + r
       done;
-      if !filled <> len then corrupt "column rle covers %d of %d" !filled len
+      if !filled <> n then corrupt "column rle covers %d of %d" !filled n
   | 2 (* two *) ->
       let v0 = get_u c in
       let v1 = get_u c in
-      let nbytes = (len + 7) / 8 in
-      if c.c_pos + nbytes > c.c_limit then corrupt "truncated column bits";
-      for i = 0 to len - 1 do
-        set i
+      let nbytes = (n + 7) / 8 in
+      if nbytes > c.c_limit - c.c_pos then corrupt "truncated column bits";
+      for i = 0 to n - 1 do
+        Array.unsafe_set a i
           (if
-             Char.code (String.unsafe_get c.c_s (c.c_pos + (i / 8)))
-             land (1 lsl (i mod 8))
+             Char.code (String.unsafe_get c.c_s (c.c_pos + (i lsr 3)))
+             land (1 lsl (i land 7))
              <> 0
            then v1
            else v0)
       done;
       c.c_pos <- c.c_pos + nbytes
-  | 3 (* const *) ->
-      let v = get_u c in
-      for i = 0 to len - 1 do
-        set i v
-      done
   | n -> corrupt "bad column tag %d" n
+
+let get_diffs ex c tag n =
+  let s = grow ex.dec_diffs n in
+  ex.dec_diffs <- s;
+  get_col c tag s n;
+  s
+
+(* Batch columns (v6): the first value as a zigzag varint, then the
+   [len - 1] zigzag first differences through the column codec.
+   Simulated addresses and warp ids are arithmetic progressions, so the
+   differences are almost always one constant: one pass over the column
+   finds the common step, and the scratch is written only from the point
+   where the progression breaks.  Differences must lie in [-2^61, 2^61).
+
+   Element access compiles inline only when the Bigarray kind is static
+   (there is no flambda to specialize a generic loop), so the four loops
+   below are written once for [int_col] and once for [size_col]. *)
+
+let put_step buf step =
+  put_u buf col_const;
+  put_z buf step
+
+(* The encoder's scratch for [n] differences, its first [upto] filled
+   with [step] (the progression before it broke). *)
+let steps_scratch it ~step ~upto n =
+  let s = grow it.enc_diffs n in
+  it.enc_diffs <- s;
+  Array.fill s 0 upto (zigzag step);
+  s
+
+let put_int_col it buf (a : Gpusim.Warp.int_col) len =
+  if len > 0 then begin
+    put_z buf (Bigarray.Array1.unsafe_get a 0);
+    let step = if len > 1 then Bigarray.Array1.(unsafe_get a 1 - unsafe_get a 0) else 0 in
+    let i = ref 2 in
+    while !i < len && Bigarray.Array1.(unsafe_get a !i - unsafe_get a (!i - 1)) = step do
+      incr i
+    done;
+    if !i >= len then put_step buf step
+    else begin
+      let s = steps_scratch it ~step ~upto:(!i - 1) (len - 1) in
+      for j = !i to len - 1 do
+        Array.unsafe_set s (j - 1)
+          (zigzag Bigarray.Array1.(unsafe_get a j - unsafe_get a (j - 1)))
+      done;
+      put_col buf s (len - 1)
+    end
+  end
+
+let put_size_col it buf (a : Gpusim.Warp.size_col) len =
+  if len > 0 then begin
+    put_z buf (Bigarray.Array1.unsafe_get a 0);
+    let step = if len > 1 then Bigarray.Array1.(unsafe_get a 1 - unsafe_get a 0) else 0 in
+    let i = ref 2 in
+    while !i < len && Bigarray.Array1.(unsafe_get a !i - unsafe_get a (!i - 1)) = step do
+      incr i
+    done;
+    if !i >= len then put_step buf step
+    else begin
+      let s = steps_scratch it ~step ~upto:(!i - 1) (len - 1) in
+      for j = !i to len - 1 do
+        Array.unsafe_set s (j - 1)
+          (zigzag Bigarray.Array1.(unsafe_get a j - unsafe_get a (j - 1)))
+      done;
+      put_col buf s (len - 1)
+    end
+  end
+
+(* A constant step refills the progression; any other form is decoded
+   into the scratch and prefix-summed. *)
+let get_int_col ex c (a : Gpusim.Warp.int_col) len =
+  if len > 0 then begin
+    let v = ref (get_z c) in
+    Bigarray.Array1.unsafe_set a 0 !v;
+    match get_u c with
+    | 3 (* const *) ->
+        let step = get_z c in
+        for i = 1 to len - 1 do
+          v := !v + step;
+          Bigarray.Array1.unsafe_set a i !v
+        done
+    | tag ->
+        let s = get_diffs ex c tag (len - 1) in
+        for i = 1 to len - 1 do
+          v := !v + unzigzag (Array.unsafe_get s (i - 1));
+          Bigarray.Array1.unsafe_set a i !v
+        done
+  end
+
+let get_size_col ex c (a : Gpusim.Warp.size_col) len =
+  if len > 0 then begin
+    let v = ref (get_z c) in
+    Bigarray.Array1.unsafe_set a 0 !v;
+    match get_u c with
+    | 3 (* const *) ->
+        let step = get_z c in
+        for i = 1 to len - 1 do
+          v := !v + step;
+          Bigarray.Array1.unsafe_set a i !v
+        done
+    | tag ->
+        let s = get_diffs ex c tag (len - 1) in
+        for i = 1 to len - 1 do
+          v := !v + unzigzag (Array.unsafe_get s (i - 1));
+          Bigarray.Array1.unsafe_set a i !v
+        done
+  end
 
 (* Upper bound on a decoded batch: generated batches hold at most
    {!Gpusim.Warp.chunk_records} records, but column compression means a
@@ -383,28 +511,17 @@ let get_colf c ~(set : int -> int -> unit) len =
    able to force absurd allocations. *)
 let max_batch_len = 1 lsl 22
 
-let put_batch buf (b : Gpusim.Warp.batch) =
+let put_batch it buf (b : Gpusim.Warp.batch) =
   let module W = Gpusim.Warp in
   put_u buf b.W.b_region;
   put_u buf b.W.b_chunk;
   put_u buf b.W.b_pc;
   put_u buf b.W.b_len;
   let len = b.W.b_len in
-  (* Addresses go through zigzag deltas first: generation chunks are
-     mostly monotone with near-constant stride, so the delta column
-     collapses under the column codec even when absolute addresses are
-     large. *)
-  let deltas = Array.make (max len 1) 0 in
-  let prev = ref 0 in
-  for i = 0 to len - 1 do
-    let a = Bigarray.Array1.unsafe_get b.W.addrs i in
-    Array.unsafe_set deltas i (zigzag (a - !prev));
-    prev := a
-  done;
-  put_col buf deltas len;
-  put_colf buf ~get:(fun i -> Bigarray.Array1.unsafe_get b.W.sizes i) len;
-  put_colf buf ~get:(fun i -> Bigarray.Array1.unsafe_get b.W.warps i) len;
-  put_colf buf ~get:(fun i -> Bigarray.Array1.unsafe_get b.W.weights i) len;
+  put_int_col it buf b.W.addrs len;
+  put_size_col it buf b.W.sizes len;
+  put_int_col it buf b.W.warps len;
+  put_int_col it buf b.W.weights len;
   (* Write flags: constant for the whole batch in the common case, else
      one bit per record.  Nonzero flags all map to 1 either way. *)
   let first_write = len > 0 && b.W.writes.{0} <> 0 in
@@ -429,7 +546,7 @@ let put_batch buf (b : Gpusim.Warp.batch) =
     Buffer.add_bytes buf bits
   end
 
-let get_batch c =
+let get_batch ex c =
   let region = get_u c in
   let chunk = get_u c in
   let pc = get_u c in
@@ -440,19 +557,13 @@ let get_batch c =
      batch adopts them zero-copy ([batch_of_columns]): replay hands the
      processor the very buffers the decoder filled. *)
   let addrs = W.alloc_int_col len in
-  get_colf c ~set:(fun i v -> Bigarray.Array1.unsafe_set addrs i v) len;
-  (* prefix-sum the zigzag deltas back into absolute addresses in place *)
-  let prev = ref 0 in
-  for i = 0 to len - 1 do
-    prev := !prev + unzigzag (Bigarray.Array1.unsafe_get addrs i);
-    Bigarray.Array1.unsafe_set addrs i !prev
-  done;
+  get_int_col ex c addrs len;
   let sizes = W.alloc_size_col len in
-  get_colf c ~set:(fun i v -> Bigarray.Array1.unsafe_set sizes i v) len;
+  get_size_col ex c sizes len;
   let warps = W.alloc_int_col len in
-  get_colf c ~set:(fun i v -> Bigarray.Array1.unsafe_set warps i v) len;
+  get_int_col ex c warps len;
   let weights = W.alloc_int_col len in
-  get_colf c ~set:(fun i v -> Bigarray.Array1.unsafe_set weights i v) len;
+  get_int_col ex c weights len;
   let writes = W.alloc_flag_col len in
   (match get_u c with
   | 3 (* const *) ->
@@ -788,7 +899,7 @@ let put_payload it buf (p : Event.payload) =
   | Event.Access_batch { kernel; batch } ->
       put_u buf 9;
       put_kernel it buf kernel;
-      put_batch buf batch
+      put_batch it buf batch
   | Event.Device_summary { kernel; summary } ->
       put_u buf 10;
       put_kernel it buf kernel;
@@ -905,7 +1016,7 @@ let get_payload ex c : Event.payload =
       Event.Global_access { kernel; access }
   | 9 ->
       let kernel = get_kernel ex c in
-      let batch = get_batch c in
+      let batch = get_batch ex c in
       Event.Access_batch { kernel; batch }
   | 10 ->
       let kernel = get_kernel ex c in
@@ -991,7 +1102,7 @@ let put_op it buf ~time_us ?(backend = 0) (op : Processor.sink_op) =
       put_access buf a
   | Processor.Sk_batch (k, b) ->
       put_kernel it buf k;
-      put_batch buf b
+      put_batch it buf b
   | Processor.Sk_region (k, r) ->
       put_kernel it buf k;
       put_region buf r
@@ -1017,7 +1128,7 @@ let get_op ex c =
         Processor.Sk_access (k, a)
     | 2 ->
         let k = get_kernel ex c in
-        let b = get_batch c in
+        let b = get_batch ex c in
         Processor.Sk_batch (k, b)
     | 3 ->
         let k = get_kernel ex c in
@@ -1084,8 +1195,9 @@ type writer = {
   w_oc : out_channel;
   w_buf : Buffer.t;
   w_chunk_bytes : int;
-  mutable w_intern : intern;
+  w_intern : intern;
   mutable w_chunk_ops : int;
+  mutable w_chunk_decoded : int;  (* batch-column bytes the chunk decodes to *)
   mutable w_chunk_backend : int;
   mutable w_ops : int;
   mutable w_bytes : int;
@@ -1117,6 +1229,7 @@ let create_writer ?chunk_bytes ?(meta = "") ?(backends = []) ~device path =
     w_chunk_bytes = chunk_bytes;
     w_intern = intern ();
     w_chunk_ops = 0;
+    w_chunk_decoded = 0;
     w_chunk_backend = 0;
     w_ops = 0;
     w_bytes = Buffer.length hdr;
@@ -1137,8 +1250,15 @@ let flush_chunk w =
     w.w_chunks <- w.w_chunks + 1;
     Buffer.clear w.w_buf;
     w.w_chunk_ops <- 0;
-    w.w_intern <- intern ()
+    w.w_chunk_decoded <- 0;
+    reset_intern w.w_intern
   end
+
+let op_batch_bytes = function
+  | Processor.Sk_batch (_, b) | Processor.Sk_event (Event.Access_batch { batch = b; _ })
+    ->
+      Gpusim.Warp.batch_bytes b
+  | _ -> 0
 
 let write_op w ~time_us ?(backend = 0) op =
   if w.w_closed then invalid_arg "Ptrace.write_op: writer is closed";
@@ -1148,8 +1268,16 @@ let write_op w ~time_us ?(backend = 0) op =
   w.w_chunk_backend <- backend;
   put_op w.w_intern w.w_buf ~time_us ~backend op;
   w.w_chunk_ops <- w.w_chunk_ops + 1;
+  w.w_chunk_decoded <- w.w_chunk_decoded + op_batch_bytes op;
   w.w_ops <- w.w_ops + 1;
-  if Buffer.length w.w_buf >= w.w_chunk_bytes then flush_chunk w
+  (* The reader materializes a whole chunk before applying any of it, so
+     the decoded size is bounded as well as the encoded one: v6 columns
+     compress so well that encoded bytes alone would let one chunk hold
+     half a run. *)
+  if
+    Buffer.length w.w_buf >= w.w_chunk_bytes
+    || w.w_chunk_decoded >= w.w_chunk_bytes
+  then flush_chunk w
 
 let close_writer w =
   if not w.w_closed then begin
@@ -1185,28 +1313,36 @@ let input_u ic =
   let n = ref 0 and shift = ref 0 and continue = ref true in
   while !continue do
     let b = Char.code (input_char ic) in
-    if !shift > 56 then corrupt "varint too long";
+    if !shift = 56 && b > 0x3f then corrupt "varint out of range";
     n := !n lor ((b land 0x7f) lsl !shift);
     shift := !shift + 7;
     continue := b land 0x80 <> 0
   done;
   !n
 
+(* Bytes of the file not yet read.  Every length field is checked
+   against it before anything of that length is allocated, so a corrupt
+   length cannot exhaust memory. *)
+let input_left ic = in_channel_length ic - pos_in ic
+
 let read_header ic =
   let m = really_input_string ic (String.length magic) in
   if m <> magic then corrupt "bad magic %S (not a .ptrace file)" m;
   let v = Char.code (input_char ic) in
   if v <> version then corrupt "unsupported .ptrace version %d (expected %d)" v version;
+  let input_str () =
+    let len = input_u ic in
+    if len > input_left ic then corrupt "truncated header";
+    really_input_string ic len
+  in
   let device = input_u ic in
-  let meta_len = input_u ic in
-  let meta = really_input_string ic meta_len in
+  let meta = input_str () in
   let nbackends = input_u ic in
   let backends =
     List.init nbackends (fun _ ->
         let b_id = input_u ic in
         let b_device = input_u ic in
-        let label_len = input_u ic in
-        let b_label = really_input_string ic label_len in
+        let b_label = input_str () in
         { b_id; b_device; b_label })
   in
   { h_version = v; h_device = device; h_meta = meta; h_backends = backends }
@@ -1269,17 +1405,23 @@ let read_file_ext ?(mode = Strict) ?pool path ~f =
         | Tolerant -> stats.r_chunks_skipped <- stats.r_chunks_skipped + 1
       in
       let chunk_index = ref 0 in
+      (* A frame that ends past the end of the file, or whose length
+         fields do not decode, is a broken tail: there is no next frame to
+         resynchronize on, so tolerant mode skips it and stops. *)
       let next_frame () =
         match input_u ic with
         | exception End_of_file -> `Eof
+        | exception Corrupt msg -> `Broken msg
         | payload_len -> (
             match
               let declared_ops = input_u ic in
               let crc_bytes = really_input_string ic 4 in
-              let payload = really_input_string ic payload_len in
-              (declared_ops, crc_bytes, payload)
+              (* a payload past the end of the file is a truncated one *)
+              if payload_len > input_left ic then raise End_of_file;
+              (declared_ops, crc_bytes, really_input_string ic payload_len)
             with
-            | exception End_of_file -> `Truncated
+            | exception End_of_file -> `Broken "truncated chunk"
+            | exception Corrupt msg -> `Broken msg
             | declared_ops, crc_bytes, payload ->
                 let expect =
                   Int32.to_int (String.get_int32_le crc_bytes 0) land 0xFFFFFFFF
@@ -1305,8 +1447,8 @@ let read_file_ext ?(mode = Strict) ?pool path ~f =
             while (not !eof) && !nframes < window do
               match next_frame () with
               | `Eof -> eof := true
-              | `Truncated ->
-                  tail_failure := Some "truncated chunk";
+              | `Broken msg ->
+                  tail_failure := Some msg;
                   eof := true
               | `Chunk (declared_ops, expect, payload) ->
                   frames := (!chunk_index, declared_ops, expect, payload) :: !frames;
@@ -1324,8 +1466,8 @@ let read_file_ext ?(mode = Strict) ?pool path ~f =
           while not !eof do
             match next_frame () with
             | `Eof -> eof := true
-            | `Truncated ->
-                fail_or_skip "truncated chunk";
+            | `Broken msg ->
+                fail_or_skip msg;
                 eof := true
             | `Chunk (declared_ops, expect, payload) ->
                 apply

@@ -21,7 +21,9 @@
 
 exception Corrupt of string
 (** Raised on malformed input: bad magic, unsupported version, CRC
-    mismatch, framing violation or truncation. *)
+    mismatch, framing violation or truncation.  A length field larger
+    than what is left of the file, or a varint that reaches bit 62, is
+    refused this way before anything is allocated. *)
 
 val version : int
 (** Format version this build writes and reads. *)
@@ -44,8 +46,11 @@ val create_writer :
   writer
 (** [create_writer ~device path] opens [path] and writes the header.
     [chunk_bytes] (default {!Config.trace_chunk_bytes}) bounds capture
-    memory: the op buffer is flushed as a framed chunk whenever it
-    reaches that size, and at {!close_writer}.  [backends] (default
+    and replay memory: the op buffer is flushed as a framed chunk as soon
+    as its encoded ops, or the batch columns they decode to
+    ({!Gpusim.Warp.batch_bytes}), reach that size, and at
+    {!close_writer}.  A reader decodes a whole chunk before applying it,
+    so the decoded bound is what it materializes at once.  [backends] (default
     empty — a solo capture) is the mixed-backend table recorded in the
     header; replay uses it to recreate one processor per backend. *)
 

@@ -2,41 +2,42 @@ type t = int
 
 (* Slicing-by-8: table.(0) is the classic byte-at-a-time table; table.(k)
    advances a byte through k additional zero bytes, so one loop iteration
-   folds eight input bytes into the running CRC with eight table reads. *)
+   folds eight input bytes into the running CRC with eight table reads.
+   Built at module initialization, not lazily: trace chunks are checksummed
+   on several domains at once, and a lazy value forced concurrently raises
+   [CamlinternalLazy.Undefined]. *)
 let table =
-  lazy
-    (let t0 =
-       Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
-             else c := !c lsr 1
-           done;
-           !c)
-     in
-     let tabs = Array.make 8 t0 in
-     for k = 1 to 7 do
-       tabs.(k) <-
-         Array.init 256 (fun n ->
-             let prev = tabs.(k - 1).(n) in
-             t0.(prev land 0xFF) lxor (prev lsr 8))
-     done;
-     tabs)
+  let t0 =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
+          else c := !c lsr 1
+        done;
+        !c)
+  in
+  let tabs = Array.make 8 t0 in
+  for k = 1 to 7 do
+    tabs.(k) <-
+      Array.init 256 (fun n ->
+          let prev = tabs.(k - 1).(n) in
+          t0.(prev land 0xFF) lxor (prev lsr 8))
+  done;
+  tabs
 
 let init = 0xFFFFFFFF
 
 let update_bytes t b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.update_bytes";
-  let tabs = Lazy.force table in
-  let t0 = Array.unsafe_get tabs 0
-  and t1 = Array.unsafe_get tabs 1
-  and t2 = Array.unsafe_get tabs 2
-  and t3 = Array.unsafe_get tabs 3
-  and t4 = Array.unsafe_get tabs 4
-  and t5 = Array.unsafe_get tabs 5
-  and t6 = Array.unsafe_get tabs 6
-  and t7 = Array.unsafe_get tabs 7 in
+  let t0 = Array.unsafe_get table 0
+  and t1 = Array.unsafe_get table 1
+  and t2 = Array.unsafe_get table 2
+  and t3 = Array.unsafe_get table 3
+  and t4 = Array.unsafe_get table 4
+  and t5 = Array.unsafe_get table 5
+  and t6 = Array.unsafe_get table 6
+  and t7 = Array.unsafe_get table 7 in
   let c = ref t in
   let i = ref pos in
   let stop = pos + len in

@@ -73,16 +73,53 @@ let g_access =
   let* weight = QCheck.Gen.int_range 1 100_000 in
   QCheck.Gen.return { Pasta.Event.addr; size; write; pc; warp; weight }
 
+(* Batch columns come in the shapes the v6 column codec tells apart: a
+   constant, an arithmetic progression (either direction), two-valued
+   differences, a few runs, and random values, each within [0, hi]. *)
+let g_column ~hi len =
+  let open QCheck.Gen in
+  let value = int_range 0 hi in
+  oneof
+    [
+      map (Array.make len) value;
+      (let* step = int_range (-hi / len) (hi / len) in
+       let span = abs step * (len - 1) in
+       let* start =
+         if step >= 0 then int_range 0 (hi - span) else int_range span hi
+       in
+       return (Array.init len (fun i -> start + (i * step))));
+      (let bound = hi / (2 * len) in
+       let* d0 = int_range (-bound) bound in
+       let* d1 = int_range (-bound) bound in
+       let* picks = array_repeat len bool in
+       let a = Array.make len (hi / 2) in
+       for i = 1 to len - 1 do
+         a.(i) <- (a.(i - 1) + if picks.(i) then d1 else d0)
+       done;
+       return a);
+      (let* cuts = list_size (int_range 1 3) (int_range 1 (max 1 (len - 1))) in
+       let* vs = array_repeat 4 value in
+       return
+         (Array.init len (fun i ->
+              vs.(List.length (List.filter (fun c -> c <= i) cuts)))));
+      array_repeat len value;
+    ]
+
 let g_batch =
-  let* len = QCheck.Gen.int_range 1 64 in
+  let* len =
+    QCheck.Gen.oneof [ QCheck.Gen.int_range 1 3; QCheck.Gen.int_range 1 2048 ]
+  in
   let* region = QCheck.Gen.int_range 0 31 in
   let* chunk = QCheck.Gen.int_range 0 255 in
   let* pc = g_nat in
-  let* addrs = QCheck.Gen.array_repeat len g_addr in
-  let* sizes = QCheck.Gen.array_repeat len (QCheck.Gen.int_range 1 16) in
-  let* warps = QCheck.Gen.array_repeat len (QCheck.Gen.int_range 0 2047) in
-  let* weights = QCheck.Gen.array_repeat len (QCheck.Gen.int_range 1 100_000) in
-  let* wbits = QCheck.Gen.array_repeat len QCheck.Gen.bool in
+  let* addrs = g_column ~hi:(1 lsl 47) len in
+  let* sizes = g_column ~hi:0xFFFF len in
+  let* warps = g_column ~hi:(1 lsl 47) len in
+  let* weights = g_column ~hi:(1 lsl 47) len in
+  let* wbits =
+    QCheck.Gen.(
+      oneof [ map (Array.make len) bool; array_repeat len bool ])
+  in
   let writes =
     Bytes.init len (fun i -> if wbits.(i) then '\001' else '\000')
   in
@@ -264,6 +301,73 @@ let prop_roundtrip =
     (fun p ->
       Pasta.Ptrace.payload_of_string (Pasta.Ptrace.payload_to_string p) = p)
 
+let g_batch_payload =
+  QCheck.Gen.map2
+    (fun kernel batch -> Pasta.Event.Access_batch { kernel; batch })
+    g_info g_batch
+
+let print_batch_payload = function
+  | Pasta.Event.Access_batch { batch; _ } ->
+      Printf.sprintf "batch of %d" (Gpusim.Warp.batch_len batch)
+  | p -> Pasta.Event.kind_name p
+
+(* A position uniform over any string shorter than 2^30, taken modulo
+   its length ([QCheck.Gen.nat] favours the first few bytes). *)
+let g_pos = QCheck.Gen.int_bound (1 lsl 30)
+
+(* Every column shape round-trips, and decoding never trusts the bytes:
+   the same payload with a few bytes overwritten decodes to something or
+   raises [Corrupt], and nothing else escapes (a declared length past
+   [max_batch_len] is refused before any column is allocated). *)
+let prop_batch_columns =
+  let g =
+    QCheck.Gen.pair g_batch_payload
+      (QCheck.Gen.list_size (QCheck.Gen.int_range 1 8)
+         (QCheck.Gen.pair g_pos (QCheck.Gen.int_range 0 255)))
+  in
+  QCheck.Test.make
+    ~name:"ptrace batch columns round-trip; mutated ones raise only Corrupt"
+    ~count:300
+    (QCheck.make g ~print:(fun (p, _) -> print_batch_payload p))
+    (fun (p, edits) ->
+      let s = Pasta.Ptrace.payload_to_string p in
+      let b = Bytes.of_string s in
+      List.iter
+        (fun (pos, v) -> Bytes.set b (pos mod Bytes.length b) (Char.chr v))
+        edits;
+      Pasta.Ptrace.payload_of_string s = p
+      &&
+      match Pasta.Ptrace.payload_of_string (Bytes.to_string b) with
+      | _ -> true
+      | exception Pasta.Ptrace.Corrupt _ -> true)
+
+(* The common simulated case — addresses, warp ids and every other column
+   in arithmetic progression — encodes as first values plus one step per
+   column, so the payload does not grow with the batch. *)
+let test_progression_batch_size () =
+  let info = QCheck.Gen.generate1 ~rand:(Random.State.make [| 7 |]) g_info in
+  let encoded n =
+    let b =
+      Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:64
+        ~addrs:(Array.init n (fun i -> 0x7F00_0000_0000 + (4 * i)))
+        ~sizes:(Array.make n 4)
+        ~warps:(Array.init n (fun i -> i))
+        ~weights:(Array.make n 3) ~writes:(Bytes.make n '\000')
+    in
+    let p = Pasta.Event.Access_batch { kernel = info; batch = b } in
+    let s = Pasta.Ptrace.payload_to_string p in
+    check_bool
+      (Printf.sprintf "%d-record batch round-trips" n)
+      true
+      (Pasta.Ptrace.payload_of_string s = p);
+    String.length s
+  in
+  let small = encoded 2 and large = encoded 1024 in
+  check_bool
+    (Printf.sprintf "1024 records take %d bytes, 2 records %d" large small)
+    true
+    (large - small <= 1)
+
 (* The oneof above samples; this walks every constructor explicitly so a
    broken branch can't hide behind generator luck. *)
 let test_roundtrip_each_constructor () =
@@ -382,6 +486,38 @@ let test_bad_payload_string () =
   match Pasta.Ptrace.payload_of_string "\xff\xff\xff" with
   | exception Pasta.Ptrace.Corrupt _ -> ()
   | _ -> Alcotest.fail "garbage must not decode"
+
+(* Unsigned LEB128, the format's varint, over all 63 bits of [n]. *)
+let leb128 n =
+  let b = Buffer.create 10 in
+  let n = ref n in
+  while !n land lnot 0x7F <> 0 do
+    Buffer.add_char b (Char.chr (!n land 0x7F lor 0x80));
+    n := !n lsr 7
+  done;
+  Buffer.add_char b (Char.chr !n);
+  Buffer.contents b
+
+(* A varint whose ninth byte sets bit 62 would decode to a negative int.
+   Both payloads below once escaped as [Invalid_argument]: a driver-call
+   name length (from [String.sub]) and a kernel's argument count (from
+   [List.init]). *)
+let test_sign_bit_varints () =
+  let sign = leb128 (1 lsl 62) in
+  check_int "the crafted varint is nine bytes" 9 (String.length sign);
+  List.iter
+    (fun (what, payload) ->
+      match Pasta.Ptrace.payload_of_string payload with
+      | exception Pasta.Ptrace.Corrupt _ -> ()
+      | exception e -> Alcotest.failf "%s: %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s decoded" what)
+    [
+      ("name length", "\000" ^ sign);
+      ( "argument count",
+        (* kernel launch, new descriptor, ids 0, empty name, 1x1x1 grid
+           and block, no shared memory *)
+        "\002\000\000\000\000\000\001\001\001\001\001\001\000" ^ sign );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Live vs replay                                                      *)
@@ -509,27 +645,196 @@ let test_stat_diff_on_corrupt () =
   Sys.remove a;
   Sys.remove b
 
-(* The compatibility rule's gate: a real capture relabelled as v4 (the
-   encoding whose Device_summary still carried an interval list) is
-   refused with the typed error in both modes — tolerant mode skips
-   corrupt chunks, never an unknown version. *)
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+let write_all path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let varint_len s off =
+  let i = ref off in
+  while Char.code s.[!i] land 0x80 <> 0 do
+    incr i
+  done;
+  !i - off + 1
+
+(* [s] with the varint at [off] replaced by the encoding of [n]. *)
+let splice_varint s off n =
+  let rest = off + varint_len s off in
+  String.sub s 0 off ^ leb128 n ^ String.sub s rest (String.length s - rest)
+
+(* Length fields are checked against the bytes left in the file before
+   anything is allocated.  On a real capture: a first frame claiming 2^59
+   payload bytes is a truncated chunk (strict raises, tolerant skips it
+   and stops), and a header meta length past the end of the file or with
+   the sign bit set is a truncated header in every reader. *)
+let test_length_fields () =
+  let path = temp_trace () in
+  let (_ : Pasta.Session.result) = live_run ~domains:1 path in
+  let pristine = read_all path in
+  let hdr = Pasta.Ptrace.read_header_of_file path in
+  check_int "solo capture" 0 (List.length hdr.Pasta.Ptrace.h_backends);
+  let meta_off = 5 + varint_len pristine 5 (* magic, version, device *) in
+  let frame_off =
+    meta_off + varint_len pristine meta_off
+    + String.length hdr.Pasta.Ptrace.h_meta
+    + 1 (* empty backend table *)
+  in
+  write_all path (splice_varint pristine frame_off (1 lsl 59));
+  (match count_ops ~mode:Pasta.Ptrace.Strict path with
+  | exception Pasta.Ptrace.Corrupt msg ->
+      Alcotest.(check string) "strict names the truncation" "truncated chunk" msg
+  | _ -> Alcotest.fail "strict read a frame longer than the file");
+  let n, stats = count_ops ~mode:Pasta.Ptrace.Tolerant path in
+  check_int "tolerant stops at the broken frame" 0 n;
+  check_int "and counts it skipped" 1 stats.Pasta.Ptrace.r_chunks_skipped;
+  List.iter
+    (fun len ->
+      write_all path (splice_varint pristine meta_off len);
+      (match Pasta.Ptrace.read_header_of_file path with
+      | exception Pasta.Ptrace.Corrupt _ -> ()
+      | _ -> Alcotest.failf "header with meta length %#x parsed" len);
+      List.iter
+        (fun mode ->
+          match count_ops ~mode path with
+          | exception Pasta.Ptrace.Corrupt _ -> ()
+          | _ -> Alcotest.failf "trace with meta length %#x read" len)
+        [ Pasta.Ptrace.Strict; Pasta.Ptrace.Tolerant ])
+    [ 1 lsl 59; 1 lsl 62 ];
+  Sys.remove path
+
+(* The reader's mutation property: a small real capture with 1-8 bytes
+   overwritten, or cut short, reads as Ok or [Corrupt] in both modes (and
+   through the parallel decode window) — never another exception. *)
+let small_capture =
+  lazy
+    (let path = temp_trace () in
+     let (_ : Pasta.Session.result) = live_run ~domains:1 path in
+     let s = read_all path in
+     Sys.remove path;
+     s)
+
+let prop_mutated_capture =
+  let g =
+    QCheck.Gen.(
+      oneof
+        [
+          map
+            (fun l -> `Overwrite l)
+            (list_size (int_range 1 8) (pair g_pos (int_range 0 255)));
+          map (fun n -> `Truncate n) g_pos;
+        ])
+  in
+  let print = function
+    | `Overwrite l ->
+        String.concat ", "
+          (List.map (fun (pos, v) -> Printf.sprintf "@%d := %d" pos v) l)
+    | `Truncate n -> Printf.sprintf "truncate at %d" n
+  in
+  QCheck.Test.make ~name:"mutated capture reads as Ok or Corrupt" ~count:150
+    (QCheck.make g ~print)
+    (fun m ->
+      let pristine = Lazy.force small_capture in
+      let len = String.length pristine in
+      let mutated =
+        match m with
+        | `Overwrite l ->
+            let b = Bytes.of_string pristine in
+            List.iter (fun (pos, v) -> Bytes.set b (pos mod len) (Char.chr v)) l;
+            Bytes.to_string b
+        | `Truncate n -> String.sub pristine 0 (n mod len)
+      in
+      let path = temp_trace () in
+      write_all path mutated;
+      let pool = Pasta_util.Domain_pool.global ~size:2 in
+      let reads =
+        [
+          (fun () -> ignore (Pasta.Ptrace.read_header_of_file path));
+          (fun () -> ignore (count_ops ~mode:Pasta.Ptrace.Strict path));
+          (fun () -> ignore (count_ops ~mode:Pasta.Ptrace.Tolerant path));
+          (fun () ->
+            ignore
+              (Pasta.Ptrace.read_file ~mode:Pasta.Ptrace.Tolerant ~pool path
+                 ~f:(fun ~time_us:_ _ -> ())));
+        ]
+      in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          List.iter
+            (fun read -> try read () with Pasta.Ptrace.Corrupt _ -> ())
+            reads;
+          true))
+
+(* Chunks are bounded by decoded size too: v6 columns compress a
+   progression batch to a few bytes, yet the reader materializes a whole
+   chunk at once.  With the bound, no chunk decodes to more than
+   [chunk_bytes] plus one batch. *)
+let test_chunk_decoded_bound () =
+  let path = temp_trace () in
+  let chunk_bytes = 65536 and n = 1024 in
+  let kernel =
+    QCheck.Gen.generate1 ~rand:(Random.State.make [| 11 |]) g_info
+  in
+  let batch i =
+    Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:i ~pc:64
+      ~addrs:(Array.init n (fun j -> 0x7F00_0000_0000 + (4 * ((i * n) + j))))
+      ~sizes:(Array.make n 4)
+      ~warps:(Array.init n (fun j -> j))
+      ~weights:(Array.make n 1) ~writes:(Bytes.make n '\000')
+  in
+  let w = Pasta.Ptrace.create_writer ~chunk_bytes ~device:0 path in
+  let total = ref 0 in
+  for i = 0 to 99 do
+    let b = batch i in
+    total := !total + Gpusim.Warp.batch_bytes b;
+    Pasta.Ptrace.write_op w ~time_us:(float_of_int i)
+      (Pasta.Processor.Sk_batch (kernel, b))
+  done;
+  Pasta.Ptrace.close_writer w;
+  let one = Gpusim.Warp.batch_bytes (batch 0) in
+  let chunks = Pasta.Ptrace.writer_chunks w in
+  check_bool
+    (Printf.sprintf "%d chunks hold %d decoded bytes" chunks !total)
+    true
+    (chunks >= !total / (chunk_bytes + one));
+  let read = ref 0 in
+  let _, stats =
+    Pasta.Ptrace.read_file ~mode:Pasta.Ptrace.Strict path ~f:(fun ~time_us op ->
+        (match op with
+        | Pasta.Processor.Sk_batch (k, b) ->
+            check_bool "kernel reads back" true (k = kernel);
+            check_bool
+              (Printf.sprintf "batch %d reads back" !read)
+              true
+              (b = batch (int_of_float time_us))
+        | _ -> Alcotest.fail "only batches were written");
+        incr read)
+  in
+  check_int "every op reads back" 100 !read;
+  check_int "every chunk intact" chunks stats.Pasta.Ptrace.r_chunks;
+  Sys.remove path
+
+(* The compatibility rule's gate: a real capture relabelled as v5 (the
+   encoding whose batch columns were not difference-coded) is refused
+   with the typed error in both modes — tolerant mode skips corrupt
+   chunks, never an unknown version. *)
 let test_version_gate () =
-  check_int "this build writes v5" 5 Pasta.Ptrace.version;
+  check_int "this build writes v6" 6 Pasta.Ptrace.version;
   let path = temp_trace () in
   let (_ : Pasta.Session.result) = live_run ~domains:1 path in
   let (_ : int) =
     map_byte path 4 (* right after the "PTRC" magic *) (fun v ->
         check_int "version byte follows the magic" Pasta.Ptrace.version v;
-        4)
+        5)
   in
   List.iter
     (fun (name, mode) ->
       match count_ops ~mode path with
       | exception Pasta.Ptrace.Corrupt msg ->
           Alcotest.(check string)
-            (name ^ " mode refuses v4")
-            "unsupported .ptrace version 4 (expected 5)" msg
-      | _ -> Alcotest.failf "%s mode read a v4 trace" name)
+            (name ^ " mode refuses v5")
+            "unsupported .ptrace version 5 (expected 6)" msg
+      | _ -> Alcotest.failf "%s mode read a v5 trace" name)
     [ ("strict", Pasta.Ptrace.Strict); ("tolerant", Pasta.Ptrace.Tolerant) ];
   Sys.remove path
 
@@ -633,6 +938,9 @@ let test_mixed_corruption_isolated () =
 let suite =
   [
     qtest prop_roundtrip;
+    qtest prop_batch_columns;
+    Alcotest.test_case "progression batch encodes in constant size" `Quick
+      test_progression_batch_size;
     Alcotest.test_case "round-trip per constructor" `Quick
       test_roundtrip_each_constructor;
     Alcotest.test_case "multi-chunk file round-trip" `Quick test_roundtrip_file;
@@ -642,6 +950,8 @@ let suite =
       test_truncated_file;
     Alcotest.test_case "truncated header" `Quick test_truncated_header;
     Alcotest.test_case "garbage payload string" `Quick test_bad_payload_string;
+    Alcotest.test_case "varints reaching the sign bit are corruption" `Quick
+      test_sign_bit_varints;
     Alcotest.test_case "live vs replay: byte-identical report (1 domain)"
       `Quick (test_live_vs_replay 1);
     Alcotest.test_case "live vs replay: byte-identical report (4 domains)"
@@ -652,8 +962,13 @@ let suite =
       test_replay_deterministic;
     Alcotest.test_case "stat/diff on a corrupted trace" `Quick
       test_stat_diff_on_corrupt;
-    Alcotest.test_case "v4 header refused in strict and tolerant mode" `Quick
+    Alcotest.test_case "v5 header refused in strict and tolerant mode" `Quick
       test_version_gate;
+    Alcotest.test_case "corrupt length fields are typed errors" `Quick
+      test_length_fields;
+    qtest prop_mutated_capture;
+    Alcotest.test_case "chunks bounded by decoded batch bytes" `Quick
+      test_chunk_decoded_bound;
     Alcotest.test_case "mixed-backend live vs replay: byte-identical" `Quick
       test_mixed_live_vs_replay;
     Alcotest.test_case "mixed-backend corruption isolated to one backend"
