@@ -493,6 +493,11 @@ let run_multi_backends ~specs ~mk_tool ~capture ~capture_meta ~mode ~iters
   mr.Pasta.Session.mr_report Format.std_formatter;
   `Ok ()
 
+(* A knob with an enumerated value set refuses a misspelling
+   ([Pasta.Config.validate]): report it as an error before any work. *)
+let with_valid_knobs f =
+  match Pasta.Config.validate () with Error msg -> `Error (false, msg) | Ok () -> f ()
+
 (* Shared workload driver for `accelprof MODEL` and `accelprof record`.
    [capture] streams the main session's op stream to a .ptrace file;
    [default_tool] lets `record` fall back to the passthrough capture tool
@@ -529,6 +534,7 @@ let run_workload ?capture ?default_tool tool_name gpu mode iters sample_cap
   Pasta.Telemetry.refresh_level ();
   Pasta.Telemetry.reset ();
   if strict_fleet then Pasta.Config.set "ACCEL_PROF_STRICT_FLEET" "1";
+  with_valid_knobs @@ fun () ->
   if devices < 1 then `Error (true, "--devices must be >= 1")
   else if devices > 1 then
     run_fleet ~devices ~fanout:fleet_fanout
@@ -772,6 +778,7 @@ let run_replay path tools tolerant devices fleet_fanout strict_fleet
     (fun s -> Pasta.Config.set "ACCEL_PROF_FAULT_SEED" (Int64.to_string s))
     fault_seed;
   if strict_fleet then Pasta.Config.set "ACCEL_PROF_STRICT_FLEET" "1";
+  with_valid_knobs @@ fun () ->
   if devices > 1 then begin
     (* IN.ptrace is the prefix a fleet `record --devices N` wrote; the
        cascade (same seed, same fault schedule) is rebuilt offline from

@@ -101,8 +101,8 @@ let batch_get b i =
   }
 
 let iter_batch b ~f =
-  (* The per-record fallback spends its life in this loop, so read the
-     columns unchecked — [i] is bounded by [b_len], which every
+  (* Record-at-a-time consumers spend their life in this loop, so read
+     the columns unchecked — [i] is bounded by [b_len], which every
      constructor checks against the column dims. *)
   for i = 0 to b.b_len - 1 do
     f

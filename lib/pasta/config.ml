@@ -143,10 +143,21 @@ let buffer_capacity () =
   | Some n when n > 0 -> n
   | _ -> 4096
 
+(* An enumerated knob refuses a value outside its set rather than quietly
+   running with the default.  An empty value counts as unset. *)
+let invalid_knob key v accepted =
+  invalid_arg (Printf.sprintf "%s=%S is not one of: %s" key v accepted)
+
 let overflow_policy () =
-  match Option.bind (get "ACCEL_PROF_OVERFLOW_POLICY") Pasta_util.Ring_buffer.overflow_of_string with
-  | Some p -> p
-  | None -> Pasta_util.Ring_buffer.Block
+  match get "ACCEL_PROF_OVERFLOW_POLICY" with
+  | None | Some "" -> Pasta_util.Ring_buffer.Block
+  | Some v -> (
+      match Pasta_util.Ring_buffer.overflow_of_string v with
+      | Some p -> p
+      | None ->
+          invalid_knob "ACCEL_PROF_OVERFLOW_POLICY" v
+            "drop-oldest (drop_oldest, oldest), drop-newest (drop_newest, \
+             newest), block (stall)")
 
 let watchdog_us () =
   match Option.bind (get "ACCEL_PROF_WATCHDOG_US") float_of_string_opt with
@@ -172,10 +183,24 @@ let domains () =
 (* --- Intra-kernel region profiling knob --- *)
 
 let regions () =
-  match Option.map String.lowercase_ascii (get "ACCEL_PROF_REGIONS") with
-  | Some ("fine" | "full" | "2") -> Gpusim.Instrpass.Fine
-  | Some ("coarse" | "1" | "on" | "true" | "yes") -> Gpusim.Instrpass.Coarse
-  | Some _ | None -> Gpusim.Instrpass.Off
+  match get "ACCEL_PROF_REGIONS" with
+  | None -> Gpusim.Instrpass.Off
+  | Some v -> (
+      match String.lowercase_ascii v with
+      | "" | "off" | "0" | "false" | "no" -> Gpusim.Instrpass.Off
+      | "coarse" | "1" | "on" | "true" | "yes" -> Gpusim.Instrpass.Coarse
+      | "fine" | "full" | "2" -> Gpusim.Instrpass.Fine
+      | _ ->
+          invalid_knob "ACCEL_PROF_REGIONS" v
+            "off (0, false, no), coarse (1, on, true, yes), fine (full, 2)")
+
+let validate () =
+  match
+    ignore (overflow_policy ());
+    ignore (regions ())
+  with
+  | () -> Ok ()
+  | exception Invalid_argument msg -> Error msg
 
 let inject_faults () =
   match get "ACCEL_PROF_INJECT_FAULTS" with

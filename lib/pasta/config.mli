@@ -81,7 +81,12 @@ val buffer_capacity : unit -> int
 
 val overflow_policy : unit -> Pasta_util.Ring_buffer.overflow
 (** [ACCEL_PROF_OVERFLOW_POLICY]: drop-oldest | drop-newest | block
-    (default block, which is lossless). *)
+    (default block, which is lossless; also when set to the empty
+    string).  Unlike the numeric robustness knobs, a value outside that
+    set (and the aliases {!Pasta_util.Ring_buffer.overflow_of_string}
+    accepts) raises [Invalid_argument] naming the knob, the value and the
+    accepted spellings: a misspelled policy must not silently run as
+    [block]. *)
 
 val watchdog_us : unit -> float
 (** [ACCEL_PROF_WATCHDOG_US]: kernel duration above which the session
@@ -109,11 +114,19 @@ val domains : unit -> int
 
 val regions : unit -> Gpusim.Instrpass.granularity
 (** [ACCEL_PROF_REGIONS]: intra-kernel region instrumentation level.
-    [off] (the default, also any unrecognized value) inserts no probes and
-    keeps runs byte-identical to an uninstrumented session;
-    [coarse]/[on]/[1] probes prologue, body and epilogue;
+    [off]/[0]/[false]/[no] (the default, also when unset or empty) inserts
+    no probes and keeps runs byte-identical to an uninstrumented session;
+    [coarse]/[on]/[1]/[true]/[yes] probes prologue, body and epilogue;
     [fine]/[full]/[2] additionally splits the body per memory region,
-    shared-memory block and barrier ({!Gpusim.Instrpass}). *)
+    shared-memory block and barrier ({!Gpusim.Instrpass}).  Any other
+    value raises [Invalid_argument] naming the knob, the value and the
+    accepted spellings. *)
+
+val validate : unit -> (unit, string) result
+(** Parse every knob that refuses bad values ({!overflow_policy},
+    {!regions}) as the calling thread resolves them.  [Error] carries the
+    refusal's message.  The CLI calls it before doing any work; the serve
+    daemon calls it inside a job's overlay at submit time. *)
 
 val inject_faults : unit -> bool
 (** [ACCEL_PROF_INJECT_FAULTS]: enable deterministic fault injection for

@@ -72,6 +72,10 @@ type t = {
   mutable window_failures : int; (* resets when the breaker closes *)
   mutable total : int;
   mutable quarantined_since : int option; (* kernel ordinal at trip *)
+  closed : bool Atomic.t;
+      (* [quarantined_since = None], readable without [mu]: a callback on
+         a closed breaker takes no lock.  Written under [mu] together with
+         [quarantined_since], by [set_quarantined] only. *)
   mutable kernels : int;
   mutable quarantines : int;
   mutable reinstated : int;
@@ -102,6 +106,7 @@ let create ?threshold ?cooldown_kernels ?(on_failure = fun _ -> ()) ~on_trip too
     window_failures = 0;
     total = 0;
     quarantined_since = None;
+    closed = Atomic.make true;
     kernels = 0;
     quarantines = 0;
     reinstated = 0;
@@ -121,6 +126,11 @@ let locked t f =
 
 let tool t = t.the_tool
 
+(* Caller holds [t.mu]. *)
+let set_quarantined t since =
+  t.quarantined_since <- since;
+  Atomic.set t.closed (Option.is_none since)
+
 let cooldown_elapsed t =
   match t.quarantined_since with
   | None -> false
@@ -132,94 +142,98 @@ let state_locked t =
   | None -> Closed
   | Some _ -> if cooldown_elapsed t then Half_open else Quarantined
 
-let state t = locked t (fun () -> state_locked t)
+let state t =
+  if Atomic.get t.closed then Closed else locked t (fun () -> state_locked t)
+
 let note_kernel t = locked t (fun () -> t.kernels <- t.kernels + 1)
 
-(* Caller holds [t.mu].  The [on_failure] callback is the caller's to fire
-   after releasing the lock. *)
-let record_failure_locked t cb =
-  let i = callback_index cb in
-  t.failures.(i) <- t.failures.(i) + 1;
-  t.total <- t.total + 1;
-  t.window_failures <- t.window_failures + 1
+(* A callback raised.  Count the failure and decide, under the lock,
+   whether it trips the breaker: a failed half-open probe always
+   re-quarantines for another full cooldown; otherwise only the caller
+   that crosses the threshold while the breaker is still closed trips it,
+   so a burst of concurrent failures trips once.  A failed report never
+   trips — quarantine silences event-path callbacks only. *)
+let failed t cb ~probe =
+  let tripped =
+    locked t (fun () ->
+        let i = callback_index cb in
+        t.failures.(i) <- t.failures.(i) + 1;
+        t.total <- t.total + 1;
+        t.window_failures <- t.window_failures + 1;
+        if
+          probe
+          || cb <> Report
+             && t.window_failures >= t.threshold
+             && t.quarantined_since = None
+        then begin
+          set_quarantined t (Some t.kernels);
+          t.quarantines <- t.quarantines + 1;
+          Some t.window_failures
+        end
+        else None)
+  in
+  t.on_failure cb;
+  Option.iter (fun failures -> t.on_trip ~failures) tripped
 
-(* Run the callback inside the tool's telemetry span.  A raising callback
-   still gets its wall time charged to the tool — that is exactly the time
-   a misbehaving (soon-quarantined) tool cost the pipeline. *)
-let timed t f =
-  Telemetry.begin_tool t.slot;
+(* Run one callback and settle its outcome.  Telemetry counts the call
+   here, whether or not it raises; its wall time goes to the enclosing
+   tool frame. *)
+let run t cb f ~probe =
+  Telemetry.count_call t.slot;
   match f t.the_tool with
-  | () -> Telemetry.end_tool t.slot
+  | () ->
+      if probe then
+        locked t (fun () ->
+            set_quarantined t None;
+            t.window_failures <- 0;
+            t.reinstated <- t.reinstated + 1)
+  | exception _ -> failed t cb ~probe
+
+let call_in_frame t cb f =
+  if Atomic.get t.closed then run t cb f ~probe:false
+  else
+    match
+      locked t (fun () ->
+          match state_locked t with
+          | Quarantined ->
+              t.suppressed <- t.suppressed + 1;
+              None
+          | Half_open ->
+              (* Claim the probe: re-arm the quarantine clock so concurrent
+                 callers observe [Quarantined] and suppress until this one
+                 probe resolves.  One probe decides — success reinstates,
+                 failure re-quarantines for another full cooldown. *)
+              set_quarantined t (Some t.kernels);
+              Some true
+          | Closed -> Some false)
+    with
+    | None -> ()
+    | Some probe -> run t cb f ~probe
+
+(* A raising callback still gets its wall time charged to the tool — that
+   is exactly the time a misbehaving (soon-quarantined) tool cost the
+   pipeline. *)
+let framed t body =
+  Telemetry.begin_tool t.slot;
+  match body () with
+  | v ->
+      Telemetry.end_tool t.slot;
+      v
   | exception e ->
       Telemetry.end_tool t.slot;
       raise e
 
-let call t cb f =
-  let action =
-    locked t (fun () ->
-        match state_locked t with
-        | Quarantined ->
-            t.suppressed <- t.suppressed + 1;
-            `Skip
-        | Half_open ->
-            (* Claim the probe: re-arm the quarantine clock so concurrent
-               callers observe [Quarantined] and suppress until this one
-               probe resolves.  One probe decides — success reinstates,
-               failure re-quarantines for another full cooldown. *)
-            t.quarantined_since <- Some t.kernels;
-            `Probe
-        | Closed -> `Run)
-  in
-  match action with
-  | `Skip -> ()
-  | `Probe -> (
-      match timed t f with
-      | () ->
-          locked t (fun () ->
-              t.quarantined_since <- None;
-              t.window_failures <- 0;
-              t.reinstated <- t.reinstated + 1)
-      | exception _ ->
-          let failures =
-            locked t (fun () ->
-                record_failure_locked t cb;
-                t.quarantined_since <- Some t.kernels;
-                t.quarantines <- t.quarantines + 1;
-                t.window_failures)
-          in
-          t.on_failure cb;
-          t.on_trip ~failures)
-  | `Run -> (
-      match timed t f with
-      | () -> ()
-      | exception _ -> (
-          let tripped =
-            locked t (fun () ->
-                record_failure_locked t cb;
-                (* Only the caller that crosses the threshold while the
-                   breaker is still closed trips it — a concurrent failure
-                   racing past the threshold must not double-trip. *)
-                if t.window_failures >= t.threshold && t.quarantined_since = None
-                then begin
-                  t.quarantined_since <- Some t.kernels;
-                  t.quarantines <- t.quarantines + 1;
-                  Some t.window_failures
-                end
-                else None)
-          in
-          t.on_failure cb;
-          match tripped with
-          | Some failures -> t.on_trip ~failures
-          | None -> ()))
+let call t cb f = framed t (fun () -> call_in_frame t cb f)
 
 let guarded_report t ppf =
-  match timed t (fun tool -> tool.Tool.report ppf) with
-  | () -> ()
-  | exception e ->
-      locked t (fun () -> record_failure_locked t Report);
-      t.on_failure Report;
-      Format.fprintf ppf "tool %s: report failed (%s)@." t.the_tool.Tool.name
-        (Printexc.to_string e)
+  framed t (fun () ->
+      Telemetry.count_call t.slot;
+      match t.the_tool.Tool.report ppf with
+      | () -> ()
+      | exception e ->
+          failed t Report ~probe:false;
+          Format.fprintf ppf "tool %s: report failed (%s)@."
+            t.the_tool.Tool.name (Printexc.to_string e))
 
 let total_failures t = locked t (fun () -> t.total)
 

@@ -12,12 +12,15 @@
 
     The guard never raises and never lets a tool exception escape.
 
-    The breaker is domain-safe: state transitions are serialized by an
-    internal mutex, so concurrent callers (fleet shards, tests racing
-    quarantine against half-open probes) observe a linearizable state
-    machine — at most one half-open probe is in flight, and a burst of
-    concurrent failures trips the breaker exactly once.  Tool callbacks and
-    the [on_trip]/[on_failure] hooks always run outside the lock. *)
+    The breaker is domain-safe.  A callback on a closed breaker takes no
+    lock: it reads an atomic mirror of the closed state and runs.  Every
+    state transition (trip, half-open probe, reinstatement) and every
+    failure is still serialized by an internal mutex, so concurrent callers
+    (fleet shards, tests racing quarantine against half-open probes)
+    observe a linearizable state machine — at most one half-open probe is
+    in flight, and a burst of concurrent failures trips the breaker exactly
+    once.  Tool callbacks and the [on_trip]/[on_failure] hooks always run
+    outside the lock. *)
 
 type callback =
   | On_event
@@ -60,8 +63,23 @@ val note_kernel : t -> unit
 (** Advance the cooldown clock; call once per kernel launch observed. *)
 
 val call : t -> callback -> (Tool.t -> unit) -> unit
-(** Run one callback under the breaker.  Quarantined: no-op (counted as
-    suppressed).  Cooldown elapsed: the call is the half-open probe. *)
+(** Run one callback under the breaker, in its own tool frame: [call g cb
+    f] is [framed g (fun () -> call_in_frame g cb f)]. *)
+
+val framed : t -> (unit -> 'a) -> 'a
+(** [framed g body] runs [body] inside one telemetry frame of [g]'s tool
+    ({!Telemetry.begin_tool}/{!Telemetry.end_tool}): the wall time of
+    [body], raising or not, is charged to the tool.  A site that runs
+    many callbacks in a row — the per-record delivery of a batch — opens
+    one frame around all of them, so the clock is read twice per frame
+    rather than twice per callback. *)
+
+val call_in_frame : t -> callback -> (Tool.t -> unit) -> unit
+(** Run one callback under the breaker, with no clock read; call it
+    inside {!framed}.  Quarantined: no-op (counted as suppressed).
+    Cooldown elapsed: the call is the half-open probe.  A callback that
+    runs is counted with {!Telemetry.count_call}; its exception is caught
+    and counted, never re-raised. *)
 
 val guarded_report : t -> Format.formatter -> unit
 (** The tool's report, exception-safe; always attempted (quarantine only

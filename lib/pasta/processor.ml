@@ -283,13 +283,16 @@ let overflow_policy t = t.policy
 let guard_call t cb f =
   match t.guard with None -> () | Some g -> Guard.call g cb f
 
+let count_dispatch t g =
+  match Guard.state g with
+  | Guard.Quarantined -> Metric.incr t.ctr.c_events_suppressed
+  | Guard.Closed | Guard.Half_open -> Metric.incr t.ctr.c_events_dispatched
+
 let dispatch t (ev : Event.t) =
   match t.guard with
   | None -> ()
   | Some g ->
-      (match Guard.state g with
-      | Guard.Quarantined -> Metric.incr t.ctr.c_events_suppressed
-      | Guard.Closed | Guard.Half_open -> Metric.incr t.ctr.c_events_dispatched);
+      count_dispatch t g;
       Guard.call g Guard.On_event (fun tool -> tool.Tool.on_event ev);
       (match ev.Event.payload with
       | Event.Kernel_launch { info; phase = `Begin } ->
@@ -366,24 +369,19 @@ let in_range t payload =
 
 (* --- Bounded record buffer (paper Fig. 2a's device trace buffer) --- *)
 
-let mem_access_of_warp (a : Gpusim.Warp.access) =
-  {
-    Event.addr = a.Gpusim.Warp.addr;
-    size = a.Gpusim.Warp.size;
-    write = a.Gpusim.Warp.write;
-    pc = a.Gpusim.Warp.pc;
-    warp = a.Gpusim.Warp.warp_id;
-    weight = a.Gpusim.Warp.weight;
-  }
-
-let deliver_record t (info, access, time_us) =
-  dispatch t
-    {
-      Event.device = t.device;
-      time_us;
-      payload = Event.Global_access { kernel = info; access };
-    };
-  guard_call t Guard.On_access (fun tool -> tool.Tool.on_access info access)
+(* One record of the paper's CS-CPU/NVBit model: a Global_access
+   [on_event], then [on_access] — the event [dispatch] would deliver, with
+   its dispatched/suppressed count.  Runs inside the caller's tool frame. *)
+let deliver_access t g info access time_us =
+  count_dispatch t g;
+  Guard.call_in_frame g Guard.On_event (fun tool ->
+      tool.Tool.on_event
+        {
+          Event.device = t.device;
+          time_us;
+          payload = Event.Global_access { kernel = info; access };
+        });
+  Guard.call_in_frame g Guard.On_access (fun tool -> tool.Tool.on_access info access)
 
 let deliver_batch t info batch time_us =
   let columns_aware, batch_aware =
@@ -421,13 +419,33 @@ let deliver_batch t info batch time_us =
         | None -> ())
   end
   else
-    (* Per-record fallback: exactly the legacy event stream — one
-       Global_access dispatch and one on_access call per record. *)
-    Gpusim.Warp.iter_batch batch ~f:(fun a ->
-        deliver_record t (info, mem_access_of_warp a, time_us))
+    match t.guard with
+    | None -> ()
+    | Some g ->
+        (* Per-record fallback: exactly the legacy event stream, one
+           [deliver_access] per record, all inside one tool frame.  The
+           columns are read unchecked: every batch constructor checks
+           [b_len] against their dims. *)
+        let module W = Gpusim.Warp in
+        Guard.framed g (fun () ->
+            for i = 0 to batch.W.b_len - 1 do
+              deliver_access t g info
+                {
+                  Event.addr = Bigarray.Array1.unsafe_get batch.W.addrs i;
+                  size = Bigarray.Array1.unsafe_get batch.W.sizes i;
+                  write = Bigarray.Array1.unsafe_get batch.W.writes i <> 0;
+                  pc = batch.W.b_pc;
+                  warp = Bigarray.Array1.unsafe_get batch.W.warps i;
+                  weight = Bigarray.Array1.unsafe_get batch.W.weights i;
+                }
+                time_us
+            done)
 
 let deliver_item t = function
-  | B_one (info, access, time_us) -> deliver_record t (info, access, time_us)
+  | B_one (info, access, time_us) -> (
+      match t.guard with
+      | None -> ()
+      | Some g -> Guard.framed g (fun () -> deliver_access t g info access time_us))
   | B_batch (info, batch, time_us) -> deliver_batch t info batch time_us
 
 let flush_records t =

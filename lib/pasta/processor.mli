@@ -175,7 +175,7 @@ val submit_access_batch :
     with [on_access_batch] receives the batch as-is (one {!Event.Access_batch}
     event); any other tool gets the legacy per-record stream — one
     [Global_access] event and [on_access] call per record, in batch
-    order. *)
+    order, all inside one tool frame ({!Guard.framed}) per batch. *)
 
 val flush_parallel_summary : t -> time_us:float -> Event.kernel_info -> unit
 (** Kernel-end reduction for [Gpu_parallel] tools: drain the finishing

@@ -61,18 +61,27 @@ module Proto = struct
       | Some v -> Ok v
       | None -> Error (Printf.sprintf "submit: missing or ill-typed %S" name)
     in
+    (* An optional field may be absent; a present one must be well typed,
+       never silently dropped. *)
+    let opt name field =
+      match Njson.mem name j with
+      | None -> Ok None
+      | Some _ -> Result.map Option.some (req name (field name j))
+    in
     let ( let* ) = Result.bind in
     let* tenant = req "tenant" (Njson.str_field "tenant" j) in
     let* model = req "model" (Njson.str_field "model" j) in
-    let tool = Njson.str_field "tool" j in
+    let* tool = opt "tool" Njson.str_field in
+    let* mode = opt "mode" Njson.str_field in
     let* train =
-      match Njson.str_field "mode" j with
+      match mode with
       | None | Some "inference" -> Ok false
       | Some "train" -> Ok true
       | Some m -> Error (Printf.sprintf "submit: unknown mode %S" m)
     in
-    let iters = Njson.int_field "iters" j in
-    let gpu = Option.value (Njson.str_field "gpu" j) ~default:"a100" in
+    let* iters = opt "iters" Njson.int_field in
+    let* gpu = opt "gpu" Njson.str_field in
+    let gpu = Option.value gpu ~default:"a100" in
     let* knobs =
       match Njson.mem "knobs" j with
       | None -> Ok []
@@ -86,8 +95,8 @@ module Proto = struct
           conv [] kvs
       | Some _ -> Error "submit: knobs must be an object"
     in
-    let deadline_us = Njson.float_field "deadline_us" j in
-    let trace = Njson.str_field "trace" j in
+    let* deadline_us = opt "deadline_us" Njson.float_field in
+    let* trace = opt "trace" Njson.str_field in
     Ok { tenant; model; tool; train; iters; gpu; knobs; deadline_us; trace }
 
   let request_of_json j =
@@ -419,7 +428,7 @@ let validate (s : Proto.submit) =
           (Printf.sprintf
              "knob %S is not session-scoped; tenants may only override: %s" k
              (String.concat ", " Config.session_knob_keys))
-    | None -> Ok ()
+    | None -> Config.with_overlay s.Proto.knobs Config.validate
 
 let submit t (spec : Proto.submit) =
   match validate spec with

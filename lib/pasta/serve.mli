@@ -51,8 +51,10 @@ module Proto : sig
 
   val request_to_json : request -> Pasta_util.Njson.t
   val request_of_json : Pasta_util.Njson.t -> (request, string) Stdlib.result
-  (** Total inverse of {!request_to_json} (property-tested); unknown
-      ["op"]s and missing fields yield [Error]. *)
+  (** Total inverse of {!request_to_json} (property-tested, also over
+      mutated request lines); unknown ["op"]s, missing fields, and
+      optional fields that are present but ill-typed or out of range
+      yield [Error]. *)
 end
 
 (** {1 Job lifecycle} *)

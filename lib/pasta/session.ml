@@ -90,6 +90,9 @@ let watchdog_counter = Atomic.make 0
    knob. *)
 let attach_impl ?backend ?range ?sample_cap ?sample_rate ?overhead_budget
     ?faults ?capture ?capture_meta ?label ?(auto_capture = true) ~tool device =
+  (* Enumerated knobs raise on a bad value: read them before anything is
+     attached, so a refusal leaves the device untouched. *)
+  let regions = Config.regions () in
   let kind =
     match backend with
     | Some k -> k
@@ -158,7 +161,7 @@ let attach_impl ?backend ?range ?sample_cap ?sample_rate ?overhead_budget
      instrumentation granularity for the session; [Off] (the default)
      leaves the device untouched and runs byte-identical. *)
   let saved_regions = Gpusim.Device.regions device in
-  (match Config.regions () with
+  (match regions with
   | Gpusim.Instrpass.Off -> ()
   | g -> Gpusim.Device.set_regions device g);
   (* Adaptive sampling: a fixed rate or an overhead budget (argument or

@@ -7,7 +7,9 @@ module Span_buf = Pasta_util.Span_buf
    1. Cheap enough to leave on.  The [basic] level does exactly two
       wall-clock reads per span and a handful of field writes into
       preallocated state — no allocation, no hashing, no locks on the
-      begin/end path.
+      begin/end path.  A tool callback costs one counter increment
+      ([count_call]); the clock is read by the tool frame around it,
+      which a per-record site opens once per batch.
    2. Exact attribution.  Self time is kept as a stack discipline: every
       wall-clock interval between two instrumentation points is charged to
       whichever span (or the simulate/workload root) was on top when it
@@ -109,8 +111,8 @@ let zero_clocks () = { wall = 0.0; minor = 0.0; major = 0.0 }
 type tool_slot = {
   ts_name : string;
   ts_used : clocks;  (* self time and words allocated while on top *)
-  mutable ts_calls : int;
-  ts_hist : Metric.histogram;  (* per-callback latency, observed in Full *)
+  mutable ts_calls : int;  (* callbacks run, from [count_call] *)
+  ts_hist : Metric.histogram;  (* per-frame latency, observed in Full *)
 }
 
 let slots : (string, tool_slot) Hashtbl.t = Hashtbl.create 8
@@ -131,7 +133,7 @@ let tool_slot name =
               ts_calls = 0;
               ts_hist =
                 Metric.histogram reg
-                  ~help:"tool callback latency, microseconds"
+                  ~help:"tool frame latency, microseconds"
                   ~labels:[ ("tool", name) ] "pasta_tool_callback_us";
             }
           in
@@ -331,10 +333,7 @@ let[@inline] pop c cat slot now =
     c.depth <- i;
     if f.f_cat = cat && (cat >= 0 || f.f_slot == slot) then begin
       if cat >= 0 then c.counts.(cat) <- c.counts.(cat) + 1
-      else begin
-        f.f_slot.ts_calls <- f.f_slot.ts_calls + 1;
-        if !lvl > 1 then Metric.observe f.f_slot.ts_hist (now -. c.t0.(i))
-      end;
+      else if !lvl > 1 then Metric.observe f.f_slot.ts_hist (now -. c.t0.(i));
       if !lvl > 1 then record_span c i now
     end
     else c.mismatches <- c.mismatches + 1
@@ -371,6 +370,11 @@ let end_tool slot =
     charge c now;
     pop c (-1) slot now
   end
+
+(* A callback is counted, not timed: its wall time goes to whichever tool
+   frame encloses it, so a frame around a whole batch reads the clock
+   twice however many callbacks run inside. *)
+let count_call slot = if !lvl > 0 then slot.ts_calls <- slot.ts_calls + 1
 
 (* --- Test hooks --------------------------------------------------------- *)
 

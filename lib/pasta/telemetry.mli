@@ -11,10 +11,15 @@
     Levels ([ACCEL_PROF_TELEMETRY]):
     - [Off] — every instrumentation point is a single int load.
     - [Basic] (default) — self-time attribution only: two clock reads and a
-      few field writes per span, no allocation.
+      few field writes per span or tool frame, no allocation.  Tool
+      callbacks inside a frame are counted ({!count_call}), not timed, so a
+      per-record delivery site that opens one frame per batch reads the
+      clock twice per frame, not per callback.
     - [Full] — additionally records finished spans into a bounded cyclic
-      store, feeds per-tool latency histograms and samples ring-buffer
-      occupancy, for Chrome-trace / Prometheus export.
+      store, feeds per-tool frame-latency histograms
+      ([pasta_tool_callback_us] observes one sample per tool frame) and
+      samples ring-buffer occupancy, for Chrome-trace / Prometheus
+      export.
 
     Unbalanced begin/end pairs are counted ({!mismatches}), never raised:
     instrumentation must not be able to take the pipeline down. *)
@@ -50,12 +55,14 @@ val begin_span : cat -> string -> unit
 
 val end_span : cat -> unit
 
-(** {2 Tool spans}
+(** {2 Tool frames}
 
     Per-tool attribution uses preregistered slots so the per-callback path
-    does no hashing; {!Guard} holds its tool's slot and wraps every
-    callback, which is what attributes quarantine-provoking (raising)
-    callbacks to the tool that caused them. *)
+    does no hashing; {!Guard} holds its tool's slot and runs every
+    callback inside a tool frame ({!Guard.framed}), which is what
+    attributes quarantine-provoking (raising) callbacks to the tool that
+    caused them.  A frame may hold many callbacks; each one that runs is
+    counted with {!count_call}. *)
 
 type tool_slot
 
@@ -64,6 +71,13 @@ val tool_slot : string -> tool_slot
 
 val begin_tool : tool_slot -> unit
 val end_tool : tool_slot -> unit
+(** Open / close a tool frame: the wall time in between (less nested
+    spans) is the tool's self time. *)
+
+val count_call : tool_slot -> unit
+(** Count one guarded callback run for the tool (no clock read).  This,
+    not the number of frames, is the tool row's {!row.row_count} and the
+    [pasta_tool_calls] counter. *)
 
 val note_sim_us : float -> unit
 (** Mirror of the simulated clock, stamped onto spans; fed by the
@@ -91,7 +105,9 @@ val reset : unit -> unit
 type row = {
   row_label : string;  (** layer description or ["tool:<name>"] *)
   row_self_us : float;
-  row_count : int;  (** completed spans (layer) or callback calls (tool) *)
+  row_count : int;
+      (** completed spans (layer), or guarded callbacks run (tool) — one
+          per {!count_call}, however many tool frames enclosed them *)
   row_minor_words : float;
       (** Gc minor words allocated while this row was the innermost open
           span — attributed under the same stack discipline as self time.

@@ -252,15 +252,20 @@ let mem k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
 let str_field k v = match mem k v with Some (Str s) -> Some s | _ -> None
 
+(* An integral float converts only inside [int]'s range, [-2^62, 2^62):
+   [int_of_float] wraps anything outside it (an id of 2^63 read as 0). *)
 let int_field k v =
   match mem k v with
   | Some (Int i) -> Some i
-  | Some (Float f) when Float.is_integer f -> Some (int_of_float f)
+  | Some (Float f) when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+      Some (int_of_float f)
   | _ -> None
 
+(* Non-finite values are refused: the printer renders them as [null], so
+   they could not survive a round trip. *)
 let float_field k v =
   match mem k v with
-  | Some (Float f) -> Some f
+  | Some (Float f) when Float.is_finite f -> Some f
   | Some (Int i) -> Some (float_of_int i)
   | _ -> None
 

@@ -29,7 +29,9 @@ val of_string_opt : string -> t option
 
     Each returns [None] when the value is not an object, the key is
     absent, or the field has the wrong type.  [int_field] accepts an
-    integral float; [float_field] accepts an int. *)
+    integral float inside [int]'s range [\[-2^62, 2^62)], and nothing
+    else; [float_field] accepts an int, and refuses a non-finite float
+    (one that overflowed while parsing, such as [1e999]). *)
 
 val mem : string -> t -> t option
 val str_field : string -> t -> string option

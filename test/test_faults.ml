@@ -172,6 +172,26 @@ let test_block_is_lossless () =
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
     delivered
 
+(* A misspelled policy used to run silently as [block]. *)
+let test_overflow_policy_knob () =
+  let module R = Pasta_util.Ring_buffer in
+  let parse v =
+    Pasta.Config.set "ACCEL_PROF_OVERFLOW_POLICY" v;
+    Fun.protect
+      ~finally:(fun () -> Pasta.Config.unset "ACCEL_PROF_OVERFLOW_POLICY")
+      Pasta.Config.overflow_policy
+  in
+  check_bool "drop-oldest" true (parse "drop-oldest" = R.Drop_oldest);
+  check_bool "newest alias" true (parse "newest" = R.Drop_newest);
+  check_bool "case-insensitive" true (parse "BLOCK" = R.Block);
+  check_bool "unset is block" true (Pasta.Config.overflow_policy () = R.Block);
+  match parse "drop-oldset" with
+  | _ -> Alcotest.fail "a misspelled policy must be refused"
+  | exception Invalid_argument msg ->
+      check_bool "the refusal names the knob, the value and a spelling" true
+        (List.for_all (Astring_contains.contains msg)
+           [ "ACCEL_PROF_OVERFLOW_POLICY"; "drop-oldset"; "drop-oldest" ])
+
 (* ---- Fault injection: deterministic, and survivable ---- *)
 
 let fault_run seed =
@@ -286,4 +306,5 @@ let suite =
     ("fault seed changes the stream", `Quick, test_fault_seed_matters);
     ("stuck kernel trips the watchdog", `Quick, test_stuck_kernel_trips_watchdog);
     ("injector cleared after session", `Quick, test_faults_cleared_after_session);
+    ("unknown overflow policy is refused", `Quick, test_overflow_policy_knob);
   ]

@@ -439,7 +439,13 @@ let test_regions_knob_parsing () =
   check_bool "full alias" true (parse "full" = I.Fine);
   check_bool "coarse" true (parse "coarse" = I.Coarse);
   check_bool "on alias" true (parse "on" = I.Coarse);
-  check_bool "junk is off" true (parse "sideways" = I.Off);
+  check_bool "off" true (parse "off" = I.Off);
+  (match parse "sideways" with
+  | _ -> Alcotest.fail "junk must be refused"
+  | exception Invalid_argument msg ->
+      check_bool "junk is refused, naming the knob and the value" true
+        (Astring_contains.contains msg "ACCEL_PROF_REGIONS"
+        && Astring_contains.contains msg "sideways"));
   check_bool "unset is off" true (Pasta.Config.regions () = I.Off)
 
 let test_off_by_default () =

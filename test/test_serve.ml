@@ -77,6 +77,82 @@ let prop_request_wire_roundtrip =
       (not (String.contains line '\n'))
       && Proto.request_of_json (Njson.of_string line) = Ok r)
 
+(* Out-of-range numbers and present-but-ill-typed optional fields are
+   typed errors: an id of 2^63 used to decode as 0, 2^62 as -2^62, and a
+   deadline of 1e999 as infinity, which re-encodes as null. *)
+let test_codec_typed_errors () =
+  let decode line = Proto.request_of_json (Njson.of_string line) in
+  let submit field = Printf.sprintf {|{"op":"submit","tenant":"t","model":"AN",%s}|} field in
+  List.iter
+    (fun line ->
+      match decode line with
+      | Error _ -> ()
+      | Ok r ->
+          Alcotest.failf "%s decoded as %s" line
+            (Njson.to_string (Proto.request_to_json r)))
+    [
+      {|{"op":"status","id":9223372036854775807}|};
+      {|{"op":"status","id":4611686018427387904}|};
+      {|{"op":"cancel","id":4.611686018427387904e18}|};
+      {|{"op":"result","id":1.5}|};
+      submit {|"iters":1e300|};
+      submit {|"iters":2.5|};
+      submit {|"deadline_us":1e999|};
+      submit {|"deadline_us":-1e999|};
+      submit {|"tool":5|};
+      submit {|"gpu":null|};
+      submit {|"trace":["t.ptrace"]|};
+      submit {|"mode":true|};
+    ];
+  let expect line want =
+    if decode line <> Ok want then Alcotest.failf "%s must decode" line
+  in
+  expect {|{"op":"status","id":4611686018427387903}|} (Proto.Status max_int);
+  expect {|{"op":"status","id":-4.611686018427387904e18}|} (Proto.Status min_int);
+  expect {|{"op":"result","id":7.0}|} (Proto.Result 7)
+
+(* 1-6 byte overwrites, insertions or truncations of valid request lines.
+   Replacement bytes lean on the characters JSON gives meaning to, so the
+   mutants reach the number, string and structure paths of the decoder. *)
+let gen_mutated_line =
+  QCheck.Gen.(
+    let meaningful = {|0123456789eE.+-"\:,{}[] nultrfa|} in
+    let byte =
+      frequency
+        [
+          (3, map (String.get meaningful) (int_bound (String.length meaningful - 1)));
+          (1, char);
+        ]
+    in
+    let edit s =
+      let n = String.length s in
+      let* pos = int_bound (max 0 (n - 1)) in
+      let* c = byte in
+      frequency
+        [
+          (4, return (String.mapi (fun i d -> if i = pos then c else d) s));
+          ( 4,
+            return (String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (n - pos))
+          );
+          (1, return (String.sub s 0 pos));
+        ]
+    in
+    let rec edits k s = if k = 0 || s = "" then return s else edit s >>= edits (k - 1) in
+    let* r = gen_request in
+    let* k = int_range 1 6 in
+    edits k (Njson.to_string (Proto.request_to_json r)))
+
+let prop_mutated_lines =
+  QCheck.Test.make ~count:20000
+    ~name:"mutated request lines decode to Ok or Error, and every Ok round-trips"
+    (QCheck.make gen_mutated_line ~print:(Printf.sprintf "%S"))
+    (fun line ->
+      match Option.map Proto.request_of_json (Njson.of_string_opt line) with
+      | None | Some (Error _) -> true
+      | Some (Ok r) ->
+          let line' = Njson.to_string (Proto.request_to_json r) in
+          Proto.request_of_json (Njson.of_string line') = Ok r)
+
 (* --- shared helpers ----------------------------------------------------- *)
 
 let spec ?(tenant = "t") ?(model = "AN") ?tool ?(train = false) ?(iters = 1)
@@ -326,6 +402,16 @@ let test_submit_validation () =
     (spec ~tool:"kernel_freq" ~knobs:[ ("ACCEL_PROF_TELEMETRY", "full") ] ());
   expect_error "unknown gpu"
     { (spec ~tool:"kernel_freq" ()) with Proto.gpu = "warp9" };
+  List.iter
+    (fun (knob, value) ->
+      match
+        Serve.submit t (spec ~tool:"kernel_freq" ~knobs:[ (knob, value) ] ())
+      with
+      | Error msg ->
+          if not (Astring_contains.contains msg knob) then
+            Alcotest.failf "the refusal of %s=%s does not name it: %s" knob value msg
+      | Ok _ -> Alcotest.failf "%s=%s should be rejected" knob value)
+    [ ("ACCEL_PROF_OVERFLOW_POLICY", "drop-oldset"); ("ACCEL_PROF_REGIONS", "sideways") ];
   Serve.shutdown t
 
 (* --- socket endpoint ---------------------------------------------------- *)
@@ -351,4 +437,7 @@ let suite =
     Alcotest.test_case "deadline aborts at a kernel boundary" `Quick test_deadline;
     Alcotest.test_case "submit-time validation" `Quick test_submit_validation;
     Alcotest.test_case "socket + HTTP scrape smoke" `Slow test_socket_smoke;
+    Alcotest.test_case "out-of-range and ill-typed fields are typed errors" `Quick
+      test_codec_typed_errors;
+    qtest prop_mutated_lines;
   ]

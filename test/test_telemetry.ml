@@ -24,20 +24,42 @@ let with_level name f =
       T.refresh_level ())
     f
 
+(* The count of an attribution row: completed spans for a layer, guarded
+   callbacks run for a ["tool:<name>"] row; 0 when the row is absent. *)
+let row_count label =
+  match List.find_opt (fun r -> r.T.row_label = label) (T.attribution ()).T.at_rows with
+  | Some r -> r.T.row_count
+  | None -> 0
+
 (* ------------------------------------------------------------------ *)
 (* Span-stack discipline (qcheck)                                      *)
 (* ------------------------------------------------------------------ *)
 
 let cats = [| T.Handler; T.Dispatch; T.Ring; T.Devagg |]
 
-type op = Begin of int | End of int
+(* Two tool slots; a [Batch] drives the slot's guard the way per-record
+   delivery does: one frame, [n] counted callbacks inside it. *)
+let tool_names = [| "prop_tool_a"; "prop_tool_b" |]
+
+type op =
+  | Begin of int
+  | End of int
+  | Begin_tool of int
+  | End_tool of int
+  | Batch of int * int
 
 let g_op =
+  let cat = QCheck.Gen.int_range 0 (Array.length cats - 1) in
+  let slot = QCheck.Gen.int_range 0 (Array.length tool_names - 1) in
   QCheck.Gen.(
-    map2
-      (fun b i -> if b then Begin i else End i)
-      bool
-      (int_range 0 (Array.length cats - 1)))
+    frequency
+      [
+        (3, map (fun i -> Begin i) cat);
+        (3, map (fun i -> End i) cat);
+        (1, map (fun s -> Begin_tool s) slot);
+        (1, map (fun s -> End_tool s) slot);
+        (1, map2 (fun s n -> Batch (s, n)) slot (int_range 0 5));
+      ])
 
 let g_ops = QCheck.Gen.(list_size (int_range 0 200) g_op)
 
@@ -46,35 +68,51 @@ let print_ops ops =
     (List.map
        (function
          | Begin i -> Printf.sprintf "B%d" i
-         | End i -> Printf.sprintf "E%d" i)
+         | End i -> Printf.sprintf "E%d" i
+         | Begin_tool s -> Printf.sprintf "BT%d" s
+         | End_tool s -> Printf.sprintf "ET%d" s
+         | Batch (s, n) -> Printf.sprintf "F%d*%d" s n)
        ops)
 
-(* Reference model of the stack discipline: a bounded stack of category
-   indices with a skip counter past the capacity and a mismatch counter
-   for unbalanced or mislabeled ends.  Mirrors telemetry.ml exactly. *)
+(* Reference model of the stack discipline: a bounded stack of frame
+   codes (category [i], tool slot [s] as [-1 - s]) with a skip counter
+   past the capacity and a mismatch counter for unbalanced or mislabeled
+   ends.  Callbacks are counted per slot whatever the stack holds.
+   Mirrors telemetry.ml exactly. *)
 let model_apply ops =
   let cap = 64 in
   let stack = ref [] and depth = ref 0 and skipped = ref 0 in
   let mismatches = ref 0 in
+  let calls = Array.make (Array.length tool_names) 0 in
+  let push code =
+    if !skipped > 0 || !depth >= cap then incr skipped
+    else begin
+      stack := code :: !stack;
+      incr depth
+    end
+  in
+  let pop code =
+    if !skipped > 0 then decr skipped
+    else if !depth = 0 then incr mismatches
+    else begin
+      let top = List.hd !stack in
+      stack := List.tl !stack;
+      decr depth;
+      if top <> code then incr mismatches
+    end
+  in
   List.iter
     (function
-      | Begin i ->
-          if !skipped > 0 || !depth >= cap then incr skipped
-          else begin
-            stack := i :: !stack;
-            incr depth
-          end
-      | End i ->
-          if !skipped > 0 then decr skipped
-          else if !depth = 0 then incr mismatches
-          else begin
-            let top = List.hd !stack in
-            stack := List.tl !stack;
-            decr depth;
-            if top <> i then incr mismatches
-          end)
+      | Begin i -> push i
+      | End i -> pop i
+      | Begin_tool s -> push (-1 - s)
+      | End_tool s -> pop (-1 - s)
+      | Batch (s, n) ->
+          push (-1 - s);
+          calls.(s) <- calls.(s) + n;
+          pop (-1 - s))
     ops;
-  (!depth + !skipped, !mismatches)
+  (!depth + !skipped, !mismatches, calls)
 
 let prop_span_stack =
   QCheck.Test.make ~count:300
@@ -82,13 +120,32 @@ let prop_span_stack =
     (QCheck.make ~print:print_ops g_ops)
     (fun ops ->
       with_level "full" (fun () ->
+          let guards =
+            Array.map
+              (fun name ->
+                Pasta.Guard.create
+                  ~on_trip:(fun ~failures:_ -> ())
+                  (Pasta.Tool.default name))
+              tool_names
+          in
+          let slots = Array.map T.tool_slot tool_names in
           List.iter
             (function
               | Begin i -> T.begin_span cats.(i) "prop"
-              | End i -> T.end_span cats.(i))
+              | End i -> T.end_span cats.(i)
+              | Begin_tool s -> T.begin_tool slots.(s)
+              | End_tool s -> T.end_tool slots.(s)
+              | Batch (s, n) ->
+                  let g = guards.(s) in
+                  Pasta.Guard.framed g (fun () ->
+                      for _ = 1 to n do
+                        Pasta.Guard.call_in_frame g Pasta.Guard.On_access ignore
+                      done))
             ops;
-          let depth, mismatches = model_apply ops in
-          T.depth () = depth && T.mismatches () = mismatches))
+          let depth, mismatches, calls = model_apply ops in
+          T.depth () = depth
+          && T.mismatches () = mismatches
+          && Array.for_all2 (fun name n -> row_count ("tool:" ^ name) = n) tool_names calls))
 
 let prop_balanced_no_mismatch =
   QCheck.Test.make ~count:200
@@ -337,46 +394,120 @@ let test_basic_spans_allocate_nothing () =
       check_int "stack drained" 0 (T.depth ());
       check_int "no mismatches" 0 (T.mismatches ()))
 
+(* One BERT run, at sample cap 256, of the NVBit-CPU memory_charact tool
+   as [wrap] rewires it.  Telemetry state is NOT reset here. *)
+let nvbit_memory_charact_run wrap =
+  let base = Pasta_tools.Memory_charact.(tool (create ~variant:Cpu_nvbit ())) in
+  let device = Gpusim.Device.create Gpusim.Arch.a100 in
+  let ctx = Dlfw.Ctx.create device in
+  let (), r =
+    Pasta.Session.run ~sample_cap:256 ~tool:(wrap base) device (bert_inference ctx)
+  in
+  Dlfw.Ctx.destroy ctx;
+  r
+
 (* Span counts are deterministic, so they guard the NVBit-CPU path's
    framework cost without timing noise: records cross the handler,
-   processor and ring as flushed batches, a few spans per batch, while the
-   tool still gets its per-record callbacks. *)
+   processor and ring as flushed batches, a few spans per batch, and the
+   tool's per-record callbacks run inside one tool frame per batch.  At
+   [full] the recorded spans show the frames directly. *)
 let test_nvbit_layers_span_per_batch () =
-  with_level "basic" (fun () ->
-      let records = ref 0 in
-      let base =
-        Pasta_tools.Memory_charact.tool
-          (Pasta_tools.Memory_charact.create
-             ~variant:Pasta_tools.Memory_charact.Cpu_nvbit ())
-      in
-      let tool =
-        {
-          base with
-          Pasta.Tool.on_access =
-            (fun info a ->
-              incr records;
-              base.Pasta.Tool.on_access info a);
-        }
-      in
-      let device = Gpusim.Device.create Gpusim.Arch.a100 in
-      let ctx = Dlfw.Ctx.create device in
-      let (), _ = Pasta.Session.run ~sample_cap:256 ~tool device (bert_inference ctx) in
-      Dlfw.Ctx.destroy ctx;
-      let a = T.attribution () in
-      let count label =
-        match List.find_opt (fun r -> r.T.row_label = label) a.T.at_rows with
-        | Some r -> r.T.row_count
-        | None -> 0
-      in
-      check_bool "records flowed" true (!records > 1000);
-      List.iter
-        (fun label ->
-          let spans = count label in
-          if 4 * spans >= !records then
-            Alcotest.failf "%s opened %d spans for %d records" label spans !records)
-        [ "handler (vendor adapt)"; "processor (dispatch)"; "ring buffer" ];
-      check_bool "tool called at least twice per record" true
-        (count "tool:memory_charact" >= 2 * !records))
+  List.iter
+    (fun level ->
+      with_level level (fun () ->
+          let records = ref 0 in
+          let (_ : Pasta.Session.result) =
+            nvbit_memory_charact_run (fun base ->
+                {
+                  base with
+                  Pasta.Tool.on_access =
+                    (fun info a ->
+                      incr records;
+                      base.Pasta.Tool.on_access info a);
+                })
+          in
+          check_bool "records flowed" true (!records > 1000);
+          List.iter
+            (fun label ->
+              let spans = row_count label in
+              if 4 * spans >= !records then
+                Alcotest.failf "%s: %s opened %d spans for %d records" level label
+                  spans !records)
+            [ "handler (vendor adapt)"; "processor (dispatch)"; "ring buffer" ];
+          check_bool "tool called at least twice per record" true
+            (row_count "tool:memory_charact" >= 2 * !records);
+          if level = "full" then begin
+            let buf = T.span_buffer () in
+            check_int "span store kept every span" 0 (Pasta_util.Span_buf.dropped buf);
+            let frames = ref 0 in
+            Pasta_util.Span_buf.iter buf (fun sp ->
+                if sp.Pasta_util.Span_buf.sp_cat = "tool" then incr frames);
+            if 4 * !frames >= !records then
+              Alcotest.failf "the tool opened %d frames for %d records" !frames
+                !records
+          end))
+    [ "basic"; "full" ]
+
+(* The breaker on the per-record path: an NVBit-CPU tool whose on_event
+   and on_access raise on a fixed schedule trips, sits out its cooldown
+   and is reinstated many times over one BERT run.  Everything the run
+   reports about that is deterministic, so it is pinned exactly, at both
+   span-recording levels. *)
+let scheduled_failures_run level =
+  with_level level (fun () ->
+      Pasta.Config.set "ACCEL_PROF_GUARD_THRESHOLD" "5";
+      Pasta.Config.set "ACCEL_PROF_GUARD_COOLDOWN_KERNELS" "3";
+      Fun.protect
+        ~finally:(fun () ->
+          Pasta.Config.unset "ACCEL_PROF_GUARD_THRESHOLD";
+          Pasta.Config.unset "ACCEL_PROF_GUARD_COOLDOWN_KERNELS")
+        (fun () ->
+          let events = ref 0 and accesses = ref 0 in
+          let every n counter =
+            incr counter;
+            if !counter mod n = 0 then failwith "scheduled failure"
+          in
+          let r =
+            nvbit_memory_charact_run (fun base ->
+                {
+                  base with
+                  Pasta.Tool.on_event =
+                    (fun ev ->
+                      every 307 events;
+                      base.Pasta.Tool.on_event ev);
+                  on_access =
+                    (fun info a ->
+                      every 211 accesses;
+                      base.Pasta.Tool.on_access info a);
+                })
+          in
+          let report = Format.asprintf "%t" r.Pasta.Session.report in
+          let h = r.Pasta.Session.health in
+          Printf.sprintf
+            "md5=%s dispatched=%d suppressed=%d failures=[%s] quarantines=%d \
+             reinstated=%d tool_calls=%d depth=%d mismatches=%d"
+            (Digest.to_hex (Digest.string report))
+            r.Pasta.Session.events_dispatched h.Pasta.Session.events_suppressed
+            (String.concat ";"
+               (List.map
+                  (fun (cb, n) -> Printf.sprintf "%s:%d" cb n)
+                  h.Pasta.Session.failures_by_callback))
+            h.Pasta.Session.quarantines h.Pasta.Session.reinstated
+            (row_count "tool:memory_charact")
+            (T.depth ()) (T.mismatches ())))
+
+let test_per_record_breaker_pinned () =
+  let pinned =
+    "md5=e2f0babb65485d99a9550fd503b4253c dispatched=6390 suppressed=14834 \
+     failures=[on_event:20;on_access:30] quarantines=10 reinstated=9 \
+     tool_calls=12779 depth=0 mismatches=0"
+  in
+  List.iter
+    (fun level ->
+      check_string
+        (Printf.sprintf "per-record breaker accounting at %s" level)
+        pinned (scheduled_failures_run level))
+    [ "basic"; "full" ]
 
 (* A tool whose kernel-begin callback burns visible wall time and then
    raises: the guard must still charge that time to the tool, and the
@@ -727,4 +858,6 @@ let suite =
       (test_replay_metric_counts 1);
     Alcotest.test_case "live vs replay metric counts, 4 domains" `Quick
       (test_replay_metric_counts 4);
+    Alcotest.test_case "per-record breaker accounting is pinned" `Quick
+      test_per_record_breaker_pinned;
   ]
