@@ -23,11 +23,7 @@ type event =
   | Memset of { addr : int; bytes : int; value : int; stream : int }
   | Launch_begin of launch_info
   | Launch_end of launch_info * exec_stats
-  | Region_probe of {
-      info : launch_info;
-      span : Instrpass.timed;
-      phase : [ `Enter | `Exit ];
-    }
+  | Region_probe of { info : launch_info; spans : Instrpass.timed array }
   | Sync of [ `Device | `Stream of int ]
 
 type probe = { probe_name : string; on_event : event -> unit }
@@ -37,6 +33,7 @@ type instrument = {
   on_kernel_entry : launch_info -> unit;
   on_region : launch_info -> Kernel.region -> unit;
   on_batch : (launch_info -> Warp.batch -> unit) option;
+  reduce_only : bool;
   on_kernel_exit : launch_info -> exec_stats -> unit;
 }
 
@@ -201,21 +198,18 @@ let memset t ~addr ~bytes ~value ?(stream = 0) () =
   Clock.advance_us t.clock (Costmodel.memset_time_us t.arch ~bytes);
   emit t (Memset { addr; bytes; value; stream })
 
-(* Region probes bracket each span of the instrumentation pass.  They
-   are emitted after the launch's execution has been charged and never
-   advance the clock themselves: with regions off the simulated timeline
-   — and hence every analysis that ignores region events — is
+(* One region probe carries every span of the instrumentation pass for
+   the launch.  It is emitted after the launch's execution has been
+   charged and never advances the clock: with regions off the simulated
+   timeline — and hence every analysis that ignores region events — is
    byte-identical to a run without the pass. *)
 let emit_regions t info ~t0 ~wall =
   match t.regions with
   | Instrpass.Off -> ()
-  | g ->
-      let spans = Instrpass.timeline t.arch info.kernel g ~t0 ~wall in
-      Array.iter
-        (fun span ->
-          emit t (Region_probe { info; span; phase = `Enter });
-          emit t (Region_probe { info; span; phase = `Exit }))
-        spans
+  | g -> (
+      match Instrpass.timeline t.arch info.kernel g ~t0 ~wall with
+      | [||] -> ()
+      | spans -> emit t (Region_probe { info; spans }))
 
 let launch t ?(stream = 0) kernel =
   let api =
@@ -268,7 +262,22 @@ let launch t ?(stream = 0) kernel =
              same batches.  The merge below walks the plan order, giving
              downstream consumers one deterministic record stream. *)
           let specs = Warp.plan ~max_records_per_region:t.sample_cap kernel in
-          let nspecs = Array.length specs in
+          let warp_size = t.arch.Arch.warp_size in
+          let corrupts =
+            match t.faults with
+            | Some f -> (Faults.rates f).Faults.corrupt_access > 0.0
+            | None -> false
+          in
+          (* A consumer that only reduces records to tallies can take a
+             closed-form chunk as its descriptor, built here in O(1) —
+             unless thinning or corruption would change its records.  Only
+             the other chunks are filled, on the pool when there is one. *)
+          let described =
+            if i.reduce_only && t.sample_rate >= 1.0 && not corrupts then Warp.closed_form
+            else fun _ -> false
+          in
+          let dense = Array.of_seq (Seq.filter (fun s -> not (described s)) (Array.to_seq specs)) in
+          let ndense = Array.length dense in
           let corrupt =
             match t.faults with
             | Some f ->
@@ -278,12 +287,12 @@ let launch t ?(stream = 0) kernel =
           in
           let rate = t.sample_rate in
           let gen idx =
-            let spec = specs.(idx) in
+            let spec = dense.(idx) in
             let rng =
               Pasta_util.Det_rng.of_key t.key_seed
                 [| info.grid_id; spec.Warp.cs_region_idx; spec.Warp.cs_chunk |]
             in
-            let b = Warp.fill_chunk ~rng ~warp_size:t.arch.Arch.warp_size spec in
+            let b = Warp.fill_chunk ~rng ~warp_size spec in
             let b =
               if rate >= 1.0 then b
               else
@@ -302,19 +311,30 @@ let launch t ?(stream = 0) kernel =
           in
           let results =
             match t.pool with
-            | Some p when Pasta_util.Domain_pool.size p > 1 && nspecs > 1 ->
-                Pasta_util.Domain_pool.map p nspecs gen
-            | _ -> Array.init nspecs gen
+            | Some p when Pasta_util.Domain_pool.size p > 1 && ndense > 1 ->
+                Pasta_util.Domain_pool.map p ndense gen
+            | _ -> Array.init ndense gen
           in
+          let deliver (b, corrupted) =
+            (match t.faults with
+            | Some f when corrupted > 0 -> Faults.note_corrupted f corrupted
+            | _ -> ());
+            (* Thinning can empty a chunk; delivering a zero-record batch
+               would only burn ring-buffer and dispatch work. *)
+            if Warp.batch_len b > 0 then on_batch info b
+          in
+          (* Merge in plan order: dense results in their turn, descriptors
+             between them. *)
+          let next = ref 0 in
           Array.iter
-            (fun (b, corrupted) ->
-              (match t.faults with
-              | Some f when corrupted > 0 -> Faults.note_corrupted f corrupted
-              | _ -> ());
-              (* Thinning can empty a chunk; delivering a zero-record batch
-                 would only burn ring-buffer and dispatch work. *)
-              if Warp.batch_len b > 0 then on_batch info b)
-            results));
+            (fun spec ->
+              if described spec then
+                on_batch info (Warp.describe ~warp_size spec)
+              else begin
+                deliver results.(!next);
+                incr next
+              end)
+            specs));
   let true_accesses = Kernel.total_accesses kernel in
   let stats = { duration_us = duration; true_accesses; faulted_pages = !faulted } in
   (match t.instrument with Some i -> i.on_kernel_exit info stats | None -> ());

@@ -39,16 +39,12 @@ type event =
   | Memset of { addr : int; bytes : int; value : int; stream : int }
   | Launch_begin of launch_info
   | Launch_end of launch_info * exec_stats
-  | Region_probe of {
-      info : launch_info;
-      span : Instrpass.timed;
-      phase : [ `Enter | `Exit ];
-    }
-      (** intra-kernel region boundary from the instrumentation pass
-          ({!Instrpass}); emitted in pc order, enter/exit per span,
-          between the launch's execution and its [Launch_end].  Exempt
-          from fault-injected drop/duplicate so the spans always
-          partition the kernel wall time exactly. *)
+  | Region_probe of { info : launch_info; spans : Instrpass.timed array }
+      (** the launch's intra-kernel regions from the instrumentation
+          pass ({!Instrpass}), in pc order, each an enter/exit pair;
+          emitted once per launch, between its execution and its
+          [Launch_end].  Exempt from fault-injected drop/duplicate so the
+          spans always partition the kernel wall time exactly. *)
   | Sync of [ `Device | `Stream of int ]
 
 type probe = { probe_name : string; on_event : event -> unit }
@@ -59,10 +55,17 @@ type instrument = {
   on_region : launch_info -> Kernel.region -> unit;
   on_batch : (launch_info -> Warp.batch -> unit) option;
       (** the device's one record channel: when set, sampled per-access
-          records are generated and arrive as packed {!Warp.batch}es, in
-          deterministic (region, chunk) order, after every [on_region] of
-          the launch; [None] generates no records, so only region
-          aggregates are reported *)
+          records are generated and arrive as {!Warp.batch}es, one per
+          generation chunk, in deterministic (region, chunk) order, after
+          every [on_region] of the launch; [None] generates no records,
+          so only region aggregates are reported *)
+  reduce_only : bool;
+      (** [on_batch] only reduces records to weighted tallies, reading
+          them through {!Warp.cols} or a descriptor walker.  Then, at
+          sample rate 1.0 and with no injector corrupting records, each
+          closed-form chunk ({!Warp.closed_form}) arrives as a descriptor
+          built in O(1) instead of filled columns; every other chunk is
+          filled, thinned and corrupted as usual *)
   on_kernel_exit : launch_info -> exec_stats -> unit;
 }
 
@@ -103,8 +106,8 @@ val sample_rate : t -> float
 
 val set_regions : t -> Instrpass.granularity -> unit
 (** Intra-kernel region instrumentation level (default [Off]).  At
-    [Coarse] and [Fine] every launch additionally emits
-    [Region_probe] events whose spans partition the launch's
+    [Coarse] and [Fine] every launch additionally emits a
+    [Region_probe] event whose spans partition the launch's
     [duration_us] exactly ({!Instrpass.timeline}).  Region emission
     never advances the device clock, so the simulated timeline is
     identical at every granularity. *)
@@ -133,9 +136,9 @@ val faults : t -> Faults.t option
 
     With a {!Pasta_util.Domain_pool} installed, materialized record
     generation (and fault corruption of those records) shards across the
-    pool by region-chunk.  Chunk layout and per-chunk RNG streams are
-    independent of the pool size, so output is byte-identical with or
-    without a pool. *)
+    pool by region-chunk; descriptors ([reduce_only]) are built inline.
+    Chunk layout and per-chunk RNG streams are independent of the pool
+    size, so output is byte-identical with or without a pool. *)
 
 val set_pool : t -> Pasta_util.Domain_pool.t -> unit
 val clear_pool : t -> unit

@@ -97,6 +97,13 @@ let corrupt_batch ~rates ~seed ~grid_id (b : Warp.batch) =
         (Int64.logxor seed 0x3C6EF372FE94F82BL)
         [| grid_id; b.Warp.b_region; b.Warp.b_chunk |]
     in
+    (* A descriptor's [cols] are a fresh copy, so corrupting them would
+       silently corrupt nothing. *)
+    (match b.Warp.b_shape with
+    | Warp.Descriptor _ ->
+        invalid_arg "Faults.corrupt_batch: a descriptor has no columns to corrupt"
+    | Warp.Dense _ -> ());
+    let c = Warp.cols b in
     let corrupted = ref 0 in
     for i = 0 to b.Warp.b_len - 1 do
       if Pasta_util.Det_rng.prob rng rates.corrupt_access then begin
@@ -104,9 +111,9 @@ let corrupt_batch ~rates ~seed ~grid_id (b : Warp.batch) =
         match Pasta_util.Det_rng.int rng 3 with
         | 0 ->
             let bit = Pasta_util.Det_rng.int rng 40 in
-            b.Warp.addrs.{i} <- b.Warp.addrs.{i} lxor (1 lsl bit)
-        | 1 -> b.Warp.sizes.{i} <- 1 lsl Pasta_util.Det_rng.int rng 12
-        | _ -> b.Warp.writes.{i} <- (if b.Warp.writes.{i} = 0 then 1 else 0)
+            c.Warp.addrs.{i} <- c.Warp.addrs.{i} lxor (1 lsl bit)
+        | 1 -> c.Warp.sizes.{i} <- 1 lsl Pasta_util.Det_rng.int rng 12
+        | _ -> c.Warp.writes.{i} <- (if c.Warp.writes.{i} = 0 then 1 else 0)
       end
     done;
     !corrupted

@@ -56,7 +56,9 @@ val corrupt_batch : rates:rates -> seed:int64 -> grid_id:int -> Warp.batch -> in
     [(seed, grid_id, b.b_region, b.b_chunk)], and returns how many records
     were corrupted.  Stateless and domain-safe: the same faults hit the
     same records for any domain count.  Callers account the returned count
-    with {!note_corrupted} during the ordered merge. *)
+    with {!note_corrupted} during the ordered merge.  Raises
+    [Invalid_argument] on a descriptor ({!Warp.shape}) when
+    [rates.corrupt_access > 0]: it has no columns to corrupt in place. *)
 
 val note_corrupted : t -> int -> unit
 (** Add [n] to the injector's corrupted-access total. *)

@@ -44,19 +44,22 @@ type timed = {
    non-negative.  Deliberately *not* seeded by grid id, stream, device or
    anything dynamic: the id must survive capture/replay and identify the
    same static code range across runs. *)
+let mix h b = (h lxor (b land 0xff)) * 0x01000193 land 0x3FFFFFFFFFFFFFFF
+
+(* The hash state after the kernel name, shared by all its spans. *)
+let name_hash kernel_name =
+  String.fold_left (fun h c -> mix h (Char.code c)) 0x811c9dc5 kernel_name
+
+let span_id ~name_hash ~start_pc ~end_pc =
+  let h = mix name_hash start_pc in
+  let h = mix h (start_pc lsr 8) in
+  let h = mix h (start_pc lsr 16) in
+  let h = mix h end_pc in
+  let h = mix h (end_pc lsr 8) in
+  mix h (end_pc lsr 16) land max_int
+
 let region_id ~kernel_name ~start_pc ~end_pc =
-  let h = ref 0x811c9dc5 in
-  let mix b =
-    h := (!h lxor (b land 0xff)) * 0x01000193 land 0x3FFFFFFFFFFFFFFF
-  in
-  String.iter (fun c -> mix (Char.code c)) kernel_name;
-  mix start_pc;
-  mix (start_pc lsr 8);
-  mix (start_pc lsr 16);
-  mix end_pc;
-  mix (end_pc lsr 8);
-  mix (end_pc lsr 16);
-  !h land max_int
+  span_id ~name_hash:(name_hash kernel_name) ~start_pc ~end_pc
 
 (* --- exact partition ---------------------------------------------- *)
 
@@ -149,7 +152,7 @@ let plan_fine (arch : Arch.t) (k : Kernel.t) =
       push
         {
           sp_label =
-            Printf.sprintf "gmem[%d]%s" i (if r.Kernel.write then ".st" else ".ld");
+            "gmem[" ^ string_of_int i ^ if r.Kernel.write then "].st" else "].ld";
           sp_start_pc = start_pc;
           sp_end_pc = start_pc + (2 * pc_step);
           sp_mem_region = i;
@@ -267,14 +270,14 @@ let plan arch k = function
 let timeline arch (k : Kernel.t) g ~t0 ~wall =
   let spans = Array.of_list (plan arch k g) in
   let durations = exact_partition ~total:wall (Array.map (fun s -> s.sp_weight) spans) in
+  let name_hash = name_hash k.Kernel.name in
   let start = ref t0 in
   Array.mapi
     (fun i s ->
       let d = durations.(i) in
       let t =
         {
-          t_id = region_id ~kernel_name:k.Kernel.name ~start_pc:s.sp_start_pc
-              ~end_pc:s.sp_end_pc;
+          t_id = span_id ~name_hash ~start_pc:s.sp_start_pc ~end_pc:s.sp_end_pc;
           t_label = s.sp_label;
           t_start_pc = s.sp_start_pc;
           t_end_pc = s.sp_end_pc;

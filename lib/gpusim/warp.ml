@@ -9,36 +9,6 @@ type access = {
 
 let access_size = 4
 
-let region_records ~rng ~warp_size ~max_records (r : Kernel.region) ~pc ~f =
-  if r.accesses = 0 then ()
-  else begin
-    let n = min r.accesses max_records in
-    let base_weight = r.accesses / n and extra = r.accesses mod n in
-    let span = max 1 (r.bytes - access_size) in
-    for i = 0 to n - 1 do
-      let offset =
-        match r.pattern with
-        | Kernel.Sequential ->
-            (* Spread evenly so the samples cover the whole extent. *)
-            span * i / n
-        | Kernel.Strided stride ->
-            let s = max access_size stride in
-            s * i mod span
-        | Kernel.Random -> Pasta_util.Det_rng.int rng span
-      in
-      let warp_id = i * warp_size mod max warp_size (span / access_size) / warp_size in
-      f
-        {
-          addr = r.base + offset;
-          size = access_size;
-          write = r.write;
-          warp_id;
-          pc;
-          weight = (base_weight + if i < extra then 1 else 0);
-        }
-    done
-  end
-
 (* ---- Chunked generation into packed columnar batches ----------------- *)
 
 (* Fixed shard size, deliberately independent of how many domains will run
@@ -62,11 +32,7 @@ let alloc_size_col n : size_col =
 let alloc_flag_col n : flag_col =
   Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout n
 
-type batch = {
-  b_region : int;
-  b_chunk : int;
-  b_pc : int;
-  b_len : int;
+type cols = {
   addrs : int_col;
   sizes : size_col;
   warps : int_col;
@@ -74,45 +40,131 @@ type batch = {
   writes : flag_col;  (* one 0/1 element per record *)
 }
 
+type chunk_spec = {
+  cs_region : Kernel.region;
+  cs_region_idx : int;
+  cs_pc : int;
+  cs_n : int;  (* sampled records in the whole region *)
+  cs_chunk : int;
+  cs_start : int;  (* first record index of this chunk *)
+  cs_len : int;
+}
+
+(* A descriptor's records follow from its spec in closed form, so it
+   carries no columns; [cols] builds them on demand. *)
+type dense = cols
+type shape = Dense of dense | Descriptor of { spec : chunk_spec; warp_size : int }
+
+type batch = {
+  b_region : int;
+  b_chunk : int;
+  b_pc : int;
+  b_len : int;
+  b_shape : shape;
+}
+
 let batch_len b = b.b_len
 
-let batch_bytes b =
-  Bigarray.Array1.size_in_bytes b.addrs
-  + Bigarray.Array1.size_in_bytes b.sizes
-  + Bigarray.Array1.size_in_bytes b.warps
-  + Bigarray.Array1.size_in_bytes b.weights
-  + Bigarray.Array1.size_in_bytes b.writes
+(* Three native-int columns, a 16-bit size and an 8-bit write flag. *)
+let record_bytes = (3 * (Sys.word_size / 8)) + 2 + 1
+
+let batch_bytes b = b.b_len * record_bytes
+
+(* ---- The sampling formulas ------------------------------------------ *)
+
+let span (r : Kernel.region) = max 1 (r.Kernel.bytes - access_size)
+let step stride = max access_size stride
+
+(* Record [i] of [n] weighs [accesses / n], plus one for the first
+   [accesses mod n] records, so a region's weights sum to its exact
+   access count. *)
+let weight_range spec i j =
+  let a = spec.cs_region.Kernel.accesses and n = spec.cs_n in
+  ((a / n) * (j - i)) + max 0 (min j (a mod n) - i)
+
+let fill_cols ?rng ~warp_size spec =
+  let r = spec.cs_region in
+  let n = spec.cs_n and len = spec.cs_len and start = spec.cs_start in
+  let base = r.Kernel.base and span = span r in
+  let base_weight = r.Kernel.accesses / n and extra = r.Kernel.accesses mod n in
+  let addrs = alloc_int_col len
+  and sizes = alloc_size_col len
+  and warps = alloc_int_col len
+  and weights = alloc_int_col len
+  and writes = alloc_flag_col len in
+  Bigarray.Array1.fill sizes access_size;
+  Bigarray.Array1.fill writes (if r.Kernel.write then 1 else 0);
+  (* [Sequential] spreads records evenly over the extent, [Strided] walks
+     it in its step, wrapping; [Random] draws from the chunk-keyed stream,
+     so the values do not depend on which domain — or in which order —
+     chunks execute. *)
+  (match r.Kernel.pattern with
+  | Kernel.Sequential ->
+      for j = 0 to len - 1 do
+        Bigarray.Array1.unsafe_set addrs j (base + (span * (start + j) / n))
+      done
+  | Kernel.Strided stride ->
+      let s = step stride in
+      for j = 0 to len - 1 do
+        Bigarray.Array1.unsafe_set addrs j (base + (s * (start + j) mod span))
+      done
+  | Kernel.Random ->
+      let rng =
+        match rng with
+        | Some g -> g
+        | None -> invalid_arg "Warp: a Random region needs a fill stream"
+      in
+      for j = 0 to len - 1 do
+        Bigarray.Array1.unsafe_set addrs j (base + Pasta_util.Det_rng.int rng span)
+      done);
+  let warp_wrap = max warp_size (span / access_size) in
+  for j = 0 to len - 1 do
+    let i = start + j in
+    Bigarray.Array1.unsafe_set warps j (i * warp_size mod warp_wrap / warp_size);
+    Bigarray.Array1.unsafe_set weights j (base_weight + if i < extra then 1 else 0)
+  done;
+  { addrs; sizes; warps; weights; writes }
+
+let cols b =
+  match b.b_shape with
+  | Dense c -> c
+  | Descriptor { spec; warp_size } -> fill_cols ~warp_size spec
 
 let batch_weight b =
-  let s = ref 0 in
-  for i = 0 to b.b_len - 1 do
-    s := !s + Bigarray.Array1.unsafe_get b.weights i
-  done;
-  !s
+  match b.b_shape with
+  | Descriptor { spec; _ } -> weight_range spec spec.cs_start (spec.cs_start + spec.cs_len)
+  | Dense c ->
+      let s = ref 0 in
+      for i = 0 to b.b_len - 1 do
+        s := !s + Bigarray.Array1.unsafe_get c.weights i
+      done;
+      !s
 
 let batch_get b i =
+  let c = cols b in
   {
-    addr = b.addrs.{i};
-    size = b.sizes.{i};
-    write = b.writes.{i} <> 0;
-    warp_id = b.warps.{i};
+    addr = c.addrs.{i};
+    size = c.sizes.{i};
+    write = c.writes.{i} <> 0;
+    warp_id = c.warps.{i};
     pc = b.b_pc;
-    weight = b.weights.{i};
+    weight = c.weights.{i};
   }
 
 let iter_batch b ~f =
   (* Record-at-a-time consumers spend their life in this loop, so read
      the columns unchecked — [i] is bounded by [b_len], which every
      constructor checks against the column dims. *)
+  let c = cols b in
   for i = 0 to b.b_len - 1 do
     f
       {
-        addr = Bigarray.Array1.unsafe_get b.addrs i;
-        size = Bigarray.Array1.unsafe_get b.sizes i;
-        write = Bigarray.Array1.unsafe_get b.writes i <> 0;
-        warp_id = Bigarray.Array1.unsafe_get b.warps i;
+        addr = Bigarray.Array1.unsafe_get c.addrs i;
+        size = Bigarray.Array1.unsafe_get c.sizes i;
+        write = Bigarray.Array1.unsafe_get c.writes i <> 0;
+        warp_id = Bigarray.Array1.unsafe_get c.warps i;
         pc = b.b_pc;
-        weight = Bigarray.Array1.unsafe_get b.weights i;
+        weight = Bigarray.Array1.unsafe_get c.weights i;
       }
   done
 
@@ -130,17 +182,8 @@ let batch_of_columns ~region ~chunk ~pc ~(addrs : int_col) ~(sizes : size_col)
     || Bigarray.Array1.dim writes <> len
   then invalid_arg "Warp.batch_of_columns: column lengths differ";
   check_header ~who:"Warp.batch_of_columns" ~region ~chunk ~pc;
-  {
-    b_region = region;
-    b_chunk = chunk;
-    b_pc = pc;
-    b_len = len;
-    addrs;
-    sizes;
-    warps;
-    weights;
-    writes;
-  }
+  let c = { addrs; sizes; warps; weights; writes } in
+  { b_region = region; b_chunk = chunk; b_pc = pc; b_len = len; b_shape = Dense c }
 
 let batch_of_arrays ~region ~chunk ~pc ~addrs ~sizes ~warps ~weights ~writes =
   let len = Array.length addrs in
@@ -151,45 +194,32 @@ let batch_of_arrays ~region ~chunk ~pc ~addrs ~sizes ~warps ~weights ~writes =
     || Bytes.length writes <> len
   then invalid_arg "Warp.batch_of_arrays: array lengths differ";
   check_header ~who:"Warp.batch_of_arrays" ~region ~chunk ~pc;
-  let c_addrs = alloc_int_col len
-  and c_sizes = alloc_size_col len
-  and c_warps = alloc_int_col len
-  and c_weights = alloc_int_col len
-  and c_writes = alloc_flag_col len in
+  let c =
+    {
+      addrs = alloc_int_col len;
+      sizes = alloc_size_col len;
+      warps = alloc_int_col len;
+      weights = alloc_int_col len;
+      writes = alloc_flag_col len;
+    }
+  in
   for i = 0 to len - 1 do
-    c_addrs.{i} <- addrs.(i);
-    c_sizes.{i} <- sizes.(i);
-    c_warps.{i} <- warps.(i);
-    c_weights.{i} <- weights.(i);
-    c_writes.{i} <- (if Bytes.get writes i <> '\000' then 1 else 0)
+    c.addrs.{i} <- addrs.(i);
+    c.sizes.{i} <- sizes.(i);
+    c.warps.{i} <- warps.(i);
+    c.weights.{i} <- weights.(i);
+    c.writes.{i} <- (if Bytes.get writes i <> '\000' then 1 else 0)
   done;
-  {
-    b_region = region;
-    b_chunk = chunk;
-    b_pc = pc;
-    b_len = len;
-    addrs = c_addrs;
-    sizes = c_sizes;
-    warps = c_warps;
-    weights = c_weights;
-    writes = c_writes;
-  }
-
-type chunk_spec = {
-  cs_region : Kernel.region;
-  cs_region_idx : int;
-  cs_pc : int;
-  cs_n : int;  (* sampled records in the whole region *)
-  cs_chunk : int;
-  cs_start : int;  (* first record index of this chunk *)
-  cs_len : int;
-}
+  { b_region = region; b_chunk = chunk; b_pc = pc; b_len = len; b_shape = Dense c }
 
 let plan ~max_records_per_region k =
   let specs = ref [] in
   List.iteri
     (fun ri (r : Kernel.region) ->
       if r.accesses > 0 then begin
+        (* PCs match the SASS listing: region [ri]'s access instruction is
+           the second of its access block, after a 3-instruction
+           prologue. *)
         let pc = (3 + (2 * ri) + 1) * 16 in
         let n = min r.accesses max_records_per_region in
         let chunks = (n + chunk_records - 1) / chunk_records in
@@ -212,64 +242,58 @@ let plan ~max_records_per_region k =
     k.Kernel.regions;
   Array.of_list (List.rev !specs)
 
-let fill_chunk ~rng ~warp_size spec =
-  let r = spec.cs_region in
-  let n = spec.cs_n and len = spec.cs_len in
-  let base_weight = r.Kernel.accesses / n and extra = r.Kernel.accesses mod n in
-  let span = max 1 (r.Kernel.bytes - access_size) in
-  let addrs = alloc_int_col len
-  and sizes = alloc_size_col len
-  and warps = alloc_int_col len
-  and weights = alloc_int_col len
-  and writes = alloc_flag_col len in
-  Bigarray.Array1.fill sizes access_size;
-  Bigarray.Array1.fill writes (if r.Kernel.write then 1 else 0);
-  for j = 0 to len - 1 do
-    let i = spec.cs_start + j in
-    (* Same sampling formulas as [region_records]; [Random] draws from the
-       chunk-keyed stream so the values do not depend on which domain — or
-       in which order — chunks execute.  Records land in the columns
-       directly; no intermediate [access] values are built. *)
-    let offset =
-      match r.Kernel.pattern with
-      | Kernel.Sequential -> span * i / n
-      | Kernel.Strided stride ->
-          let s = max access_size stride in
-          s * i mod span
-      | Kernel.Random -> Pasta_util.Det_rng.int rng span
-    in
-    Bigarray.Array1.unsafe_set addrs j (r.Kernel.base + offset);
-    Bigarray.Array1.unsafe_set warps j
-      (i * warp_size mod max warp_size (span / access_size) / warp_size);
-    Bigarray.Array1.unsafe_set weights j (base_weight + if i < extra then 1 else 0)
-  done;
+let header spec shape =
   {
     b_region = spec.cs_region_idx;
     b_chunk = spec.cs_chunk;
     b_pc = spec.cs_pc;
-    b_len = len;
-    addrs;
-    sizes;
-    warps;
-    weights;
-    writes;
+    b_len = spec.cs_len;
+    b_shape = shape;
   }
+
+let fill_chunk ~rng ~warp_size spec = header spec (Dense (fill_cols ~rng ~warp_size spec))
+
+(* The walker that reduces a descriptor (Devagg) counts 2 MiB blocks as
+   [addr / block], which only names contiguous address intervals for
+   non-negative addresses. *)
+let closed_form spec =
+  match spec.cs_region.Kernel.pattern with
+  | Kernel.Sequential | Kernel.Strided _ -> spec.cs_region.Kernel.base >= 0
+  | Kernel.Random -> false
+
+let describe ~warp_size spec =
+  if not (closed_form spec) then invalid_arg "Warp.describe: no closed form";
+  header spec (Descriptor { spec; warp_size })
 
 let sub b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > b.b_len then invalid_arg "Warp.sub";
   if pos = 0 && len = b.b_len then b
   else
-    (* [Array1.sub] is a zero-copy view of the same buffer. *)
-    let view col = Bigarray.Array1.sub col pos len in
-    {
-      b with
-      b_len = len;
-      addrs = view b.addrs;
-      sizes = view b.sizes;
-      warps = view b.warps;
-      weights = view b.weights;
-      writes = view b.writes;
-    }
+    match b.b_shape with
+    | Descriptor { spec; warp_size } ->
+        {
+          b with
+          b_len = len;
+          b_shape =
+            Descriptor
+              { spec = { spec with cs_start = spec.cs_start + pos; cs_len = len }; warp_size };
+        }
+    | Dense c ->
+        (* [Array1.sub] is a zero-copy view of the same buffer. *)
+        let view col = Bigarray.Array1.sub col pos len in
+        {
+          b with
+          b_len = len;
+          b_shape =
+            Dense
+              {
+                addrs = view c.addrs;
+                sizes = view c.sizes;
+                warps = view c.warps;
+                weights = view c.weights;
+                writes = view c.writes;
+              };
+        }
 
 (* ---- Probabilistic thinning with inverse-probability reweighting ----- *)
 
@@ -277,6 +301,7 @@ let thin ~rng ~rate b =
   if rate >= 1.0 then b
   else begin
     let rate = Float.max rate 1e-6 in
+    let c = cols b in
     let addrs = alloc_int_col b.b_len
     and sizes = alloc_size_col b.b_len
     and warps = alloc_int_col b.b_len
@@ -292,29 +317,18 @@ let thin ~rng ~rate b =
          is a pure function of the stream [rng] was derived from.  Kept
          records compact straight into the output columns in one pass. *)
       if Pasta_util.Det_rng.prob rng rate then begin
-        let scaled = float_of_int b.weights.{i} /. rate in
+        let scaled = float_of_int c.weights.{i} /. rate in
         let base = int_of_float (Float.floor scaled) in
         let frac = scaled -. float_of_int base in
         let w = base + if Pasta_util.Det_rng.prob rng frac then 1 else 0 in
         let j = !kept in
-        addrs.{j} <- b.addrs.{i};
-        sizes.{j} <- b.sizes.{i};
-        warps.{j} <- b.warps.{i};
+        addrs.{j} <- c.addrs.{i};
+        sizes.{j} <- c.sizes.{i};
+        warps.{j} <- c.warps.{i};
         weights.{j} <- w;
-        writes.{j} <- b.writes.{i};
+        writes.{j} <- c.writes.{i};
         incr kept
       end
     done;
-    sub { b with addrs; sizes; warps; weights; writes } ~pos:0 ~len:!kept
+    sub { b with b_shape = Dense { addrs; sizes; warps; weights; writes } } ~pos:0 ~len:!kept
   end
-
-let generate ~rng ~warp_size ~max_records_per_region k ~f =
-  (* PCs must match the SASS listing: region i's access instruction is the
-     second instruction of its access block, after a 3-instruction
-     prologue. *)
-  List.iteri
-    (fun i r ->
-      let pc = (3 + (2 * i) + 1) * 16 in
-      region_records ~rng ~warp_size ~max_records:max_records_per_region r ~pc ~f)
-    k.Kernel.regions;
-  Kernel.total_accesses k

@@ -50,41 +50,78 @@ val alloc_flag_col : int -> flag_col
 (** Fresh uninitialized columns of the given length (for decoders filling
     every element). *)
 
-type batch = private {
-  b_region : int;  (** region index within the kernel *)
-  b_chunk : int;  (** chunk index within the region *)
-  b_pc : int;  (** PC shared by every record of the region *)
-  b_len : int;
+type cols = {
   addrs : int_col;
   sizes : size_col;
   warps : int_col;
   weights : int_col;
   writes : flag_col;  (** one 0/1 element per record *)
 }
-(** A packed struct-of-arrays chunk of sampled records.  The header fields
-    are immutable; the Bigarray columns are shared, not copied, by every
-    consumer downstream (zero-copy).  Ownership rule: after a batch is
-    handed to the processor, the *fault injector* ({!Faults}) is the only
-    writer; tools must treat columns as read-only.  A batch produced by
-    {!thin} may be a sub-view of a longer buffer — always bound loops by
-    [b_len], never by the underlying buffer size. *)
+(** The five record columns of a batch, struct-of-arrays. *)
+
+type chunk_spec = private {
+  cs_region : Kernel.region;
+  cs_region_idx : int;
+  cs_pc : int;
+  cs_n : int;  (** sampled records in the whole region *)
+  cs_chunk : int;
+  cs_start : int;  (** first record index covered by this chunk *)
+  cs_len : int;
+}
+(** One generation chunk: records [cs_start] to [cs_start + cs_len - 1] of
+    a region sampled into [cs_n] records. *)
+
+type dense
+(** A dense batch's columns, reachable through {!cols}. *)
+
+type shape = private
+  | Dense of dense
+  | Descriptor of { spec : chunk_spec; warp_size : int }
+      (** the chunk's records are exactly those {!fill_chunk} would
+          generate for [spec]; its columns are built only when {!cols} is
+          asked for them *)
+(** How a batch holds its records. *)
+
+type batch = private {
+  b_region : int;  (** region index within the kernel *)
+  b_chunk : int;  (** chunk index within the region *)
+  b_pc : int;  (** PC shared by every record of the region *)
+  b_len : int;
+  b_shape : shape;
+}
+(** A chunk of sampled records.  The header fields are immutable.  The
+    records are reachable only through {!cols}, so no consumer can read a
+    descriptor's absent columns by accident.  A dense batch's Bigarray
+    columns are shared, not copied, by every consumer downstream
+    (zero-copy).  Ownership rule: after a batch is handed to the
+    processor, the {e fault injector} ({!Faults}) is the only writer;
+    tools must treat columns as read-only.  A batch produced by {!thin}
+    or {!sub} may be a sub-view of a longer buffer — always bound loops
+    by [b_len], never by the underlying buffer size. *)
+
+val cols : batch -> cols
+(** The batch's columns: a dense batch's own (shared) columns, or fresh
+    columns built from a descriptor with {!fill_chunk}'s formulas.  Never
+    mutates the batch, so a descriptor may be read from any domain. *)
 
 val batch_len : batch -> int
 
 val batch_bytes : batch -> int
-(** Bytes the five columns occupy: what a decoder allocates to
-    materialize the batch. *)
+(** Bytes the five columns occupy (or would, for a descriptor): what a
+    decoder allocates to materialize the batch. *)
 
 val batch_weight : batch -> int
-(** Sum of record weights, i.e. the true accesses the batch stands for. *)
+(** Sum of record weights, i.e. the true accesses the batch stands for.
+    A descriptor's is computed in closed form, without building columns. *)
 
 val batch_get : batch -> int -> access
 val iter_batch : batch -> f:(access -> unit) -> unit
 
 val sub : batch -> pos:int -> len:int -> batch
-(** [sub b ~pos ~len] is records [pos] to [pos + len - 1] of [b], as a
-    zero-copy view sharing [b]'s columns ([b] itself when that is all of
-    it).  Raises [Invalid_argument] outside [0, batch_len b). *)
+(** [sub b ~pos ~len] is records [pos] to [pos + len - 1] of [b] ([b]
+    itself when that is all of it): a zero-copy view sharing a dense
+    [b]'s columns, or the narrower descriptor.  Raises [Invalid_argument]
+    outside [0, batch_len b). *)
 
 val batch_of_arrays :
   region:int ->
@@ -96,7 +133,7 @@ val batch_of_arrays :
   weights:int array ->
   writes:Bytes.t ->
   batch
-(** Rebuild a batch from boxed parts — the stable compatibility
+(** Rebuild a dense batch from boxed parts — the stable compatibility
     constructor tests and synthetic producers use.  Validates that every
     array has the same length and that the header fields are non-negative;
     the arrays are *copied* into fresh columns (callers keep ownership of
@@ -117,47 +154,56 @@ val batch_of_columns :
     references.  Validates equal column lengths and non-negative header
     fields. *)
 
-type chunk_spec = private {
-  cs_region : Kernel.region;
-  cs_region_idx : int;
-  cs_pc : int;
-  cs_n : int;  (** sampled records in the whole region *)
-  cs_chunk : int;
-  cs_start : int;  (** first record index covered by this chunk *)
-  cs_len : int;
-}
-
 val plan : max_records_per_region:int -> Kernel.t -> chunk_spec array
 (** [plan ~max_records_per_region k] lists the generation chunks of [k] in
-    (region, chunk) order; empty regions yield no chunks. *)
+    (region, chunk) order; empty regions yield no chunks.  A region with
+    [accesses] dynamic accesses is sampled into
+    [n = min accesses max_records_per_region] records, so every non-empty
+    region yields at least one record and object-coverage analyses never
+    miss a touched region. *)
+
+(** {2 The sampling formulas}
+
+    Record [i] (of [n]) of region [r] lies at [r.base + offset i], where
+    [offset i] is [span r * i / n] for [Sequential] (spread evenly over
+    the extent), [step s * i mod span r] for [Strided s] (walking in the
+    step, wrapping), and a uniform draw from [\[0, span r)] for [Random].
+    It weighs [accesses / n], plus one for [i < accesses mod n], so a
+    region's weights sum to its exact access count. *)
+
+val span : Kernel.region -> int
+(** [max 1 (r.bytes - 4)], 4 being the bytes per access: every record
+    offset lies in [\[0, span r)]. *)
+
+val step : int -> int
+(** [step s] is the byte step of a [Strided s] region, [max 4 s]. *)
+
+val weight_range : chunk_spec -> int -> int -> int
+(** [weight_range spec i j] is the summed weight of region records [i] to
+    [j - 1] of [spec]'s region. *)
 
 val fill_chunk : rng:Pasta_util.Det_rng.t -> warp_size:int -> chunk_spec -> batch
-(** [fill_chunk ~rng ~warp_size spec] materializes the records of one chunk.
-    Addresses follow the same sampling formulas as {!generate}; [Random]
-    regions draw from [rng], which callers must derive per chunk with
-    [Det_rng.of_key]. Safe to call from any domain. *)
+(** [fill_chunk ~rng ~warp_size spec] materializes the records of one chunk
+    as dense columns.  [Random] regions draw from [rng], which callers
+    must derive per chunk with [Det_rng.of_key]. Safe to call from any
+    domain. *)
+
+val closed_form : chunk_spec -> bool
+(** The chunk's records follow from its spec alone: a [Sequential] or
+    [Strided] region at a non-negative base. *)
+
+val describe : warp_size:int -> chunk_spec -> batch
+(** [describe ~warp_size spec] is the descriptor of the chunk
+    [fill_chunk] would fill, in O(1).  Raises [Invalid_argument] unless
+    [closed_form spec]. *)
 
 val thin : rng:Pasta_util.Det_rng.t -> rate:float -> batch -> batch
 (** [thin ~rng ~rate b] keeps each record of [b] independently with
     probability [rate] and rescales surviving weights by [1/rate] using
     randomized rounding, so the expectation of every weighted statistic is
     unchanged (inverse-probability weighting with integer weights).  [rate
-    >= 1.0] returns [b] itself, physically unchanged.  Callers must derive
-    [rng] per chunk with [Det_rng.of_key] (with a salt distinct from the
-    fill stream) so thinning is deterministic for any domain count and
-    leaves the fill draws untouched. *)
-
-val generate :
-  rng:Pasta_util.Det_rng.t ->
-  warp_size:int ->
-  max_records_per_region:int ->
-  Kernel.t ->
-  f:(access -> unit) ->
-  int
-(** [generate ~rng ~warp_size ~max_records_per_region k ~f] calls [f] on
-    each sampled record and returns the kernel's true total access count.
-    Sampled addresses follow the region's pattern: [Sequential] spreads
-    records uniformly over the extent, [Strided s] walks in stride [s]
-    (wrapping), [Random] draws uniformly.  Every non-empty region yields at
-    least one record, so object-coverage analyses never miss a touched
-    region. *)
+    >= 1.0] returns [b] itself, physically unchanged; below that the
+    result is dense.  Callers must derive [rng] per chunk with
+    [Det_rng.of_key] (with a salt distinct from the fill stream) so
+    thinning is deterministic for any domain count and leaves the fill
+    draws untouched. *)

@@ -45,8 +45,7 @@ let require_nvidia device name =
    pump; dispatch time inside the processor is charged to its own layer by
    the telemetry stack discipline. *)
 let pump t payloads =
-  let time_us = D.now_us t.device in
-  List.iter (fun p -> Processor.submit t.processor ~time_us p) payloads
+  Processor.submit_all t.processor ~time_us:(D.now_us t.device) payloads
 
 let attach kind device ~processor =
   match kind with
@@ -164,6 +163,13 @@ let batch_feeder t (info : D.launch_info) (b : Gpusim.Warp.batch) =
     b;
   Telemetry.end_span Telemetry.Handler
 
+let batches_feeder t (info : D.launch_info) batches =
+  Telemetry.begin_span Telemetry.Handler "handler.batches";
+  Processor.submit_access_batches t.processor ~time_us:(D.now_us t.device)
+    (Event.kernel_info_of_launch info)
+    batches;
+  Telemetry.end_span Telemetry.Handler
+
 let parallel_completion_feeder t (info : D.launch_info) (_ : D.exec_stats) =
   Telemetry.begin_span Telemetry.Handler "handler.parallel_complete";
   Processor.flush_parallel_summary t.processor ~time_us:(D.now_us t.device)
@@ -199,7 +205,10 @@ let enable_fine_grained t mode =
         (Vendor.Sanitizer.Parallel_analysis
            {
              map_bytes;
-             on_batch = batch_feeder t;
+             (* A capture writes every column of every batch: keep those
+                columns dense, filled on the pool. *)
+             descriptors = not (Processor.capturing t.processor);
+             on_batches = batches_feeder t;
              on_kernel_complete = parallel_completion_feeder t;
            })
   | Tool.Gpu_parallel, _ ->

@@ -75,9 +75,10 @@ let aggregate view (b : W.batch) =
   let cur_blk = ref min_int and cur_blk_w = ref 0 in
   let flush_obj () = if !cur_w > 0 then bump_obj objects !cur_key !cur_obj !cur_w in
   let flush_blk () = if !cur_blk_w > 0 then bump blocks !cur_blk !cur_blk_w in
+  let c = W.cols b in
   for i = 0 to b.W.b_len - 1 do
-    let addr = Bigarray.Array1.unsafe_get b.W.addrs i
-    and w = Bigarray.Array1.unsafe_get b.W.weights i in
+    let addr = Bigarray.Array1.unsafe_get c.W.addrs i
+    and w = Bigarray.Array1.unsafe_get c.W.weights i in
     let obj =
       if addr >= !memo_base && addr < !memo_limit then !memo_obj
       else
@@ -106,7 +107,7 @@ let aggregate view (b : W.batch) =
       cur_blk_w := w
     end;
     weight := !weight + w;
-    if Bigarray.Array1.unsafe_get b.W.writes i <> 0 then writes := !writes + w
+    if Bigarray.Array1.unsafe_get c.W.writes i <> 0 then writes := !writes + w
   done;
   flush_obj ();
   flush_blk ();
@@ -166,6 +167,8 @@ let bcell tbl key =
       Hashtbl.add tbl key c;
       c
 
+let no_obj = Objmap.Unknown 0
+
 type accum = {
   a_objects : (int, ocell) Hashtbl.t;
   a_blocks : (int, bcell) Hashtbl.t;
@@ -173,9 +176,35 @@ type accum = {
   mutable a_records : int;
   mutable a_weight : int;
   mutable a_writes : int;
+  (* Run state of the batch being reduced.  The resolve memo is the last
+     known object resolved in this batch; it is reset per batch, because
+     which object an address inside a tensor-within-allocation resolves
+     to depends on it.  The open object run and block run flush into the
+     tables when their key changes. *)
+  mutable memo_base : int;
+  mutable memo_limit : int;
+  mutable memo_obj : Objmap.obj;
+  mutable run_key : int;
+  mutable run_obj : Objmap.obj;
+  mutable run_w : int;
+  mutable blk : int;
+  mutable blk_w : int;
+  (* Two-slot rotation cache over the cells runs flush into: interleaved
+     streams (A,B,A,B,...) flush on every record, and the cache turns
+     those flushes into a compare and an in-place bump — no hashing.
+     Cleared with the tables. *)
+  mutable oc0_key : int;
+  mutable oc0 : ocell;
+  mutable oc1_key : int;
+  mutable oc1 : ocell;
+  mutable bc0_key : int;
+  mutable bc0 : bcell;
+  mutable bc1_key : int;
+  mutable bc1 : bcell;
 }
 
 let accum_create () =
+  let oc = { oc_obj = no_obj; oc_w = 0 } and bc = { bc_w = 0 } in
   {
     a_objects = Hashtbl.create 32;
     a_blocks = Hashtbl.create 64;
@@ -183,6 +212,22 @@ let accum_create () =
     a_records = 0;
     a_weight = 0;
     a_writes = 0;
+    memo_base = min_int;
+    memo_limit = min_int;
+    memo_obj = no_obj;
+    run_key = min_int;
+    run_obj = no_obj;
+    run_w = 0;
+    blk = min_int;
+    blk_w = 0;
+    oc0_key = min_int;
+    oc0 = oc;
+    oc1_key = min_int;
+    oc1 = oc;
+    bc0_key = min_int;
+    bc0 = bc;
+    bc1_key = min_int;
+    bc1 = bc;
   }
 
 (* [Hashtbl.clear] keeps the grown bucket arrays, so a reused accumulator
@@ -194,119 +239,179 @@ let accum_reset acc =
   Hashtbl.clear acc.a_regions;
   acc.a_records <- 0;
   acc.a_weight <- 0;
-  acc.a_writes <- 0
+  acc.a_writes <- 0;
+  acc.oc0_key <- min_int;
+  acc.oc1_key <- min_int;
+  acc.bc0_key <- min_int;
+  acc.bc1_key <- min_int
 
-let accum_add acc view (b : W.batch) =
-  let weight = ref 0 and writes = ref 0 in
-  (* Same run-length accumulation as [aggregate], flushing into the
-     accumulator's persistent tables instead of fresh per-chunk ones. *)
-  let memo_base = ref min_int and memo_limit = ref min_int in
-  let memo_obj = ref (Objmap.Unknown 0) in
-  let cur_key = ref min_int and cur_obj = ref (Objmap.Unknown 0) and cur_w = ref 0 in
-  let cur_blk = ref min_int and cur_blk_w = ref 0 in
-  (* Two-slot rotation cache over the cells the runs land in: interleaved
-     streams (A,B,A,B,...) flush on every record, and the cache turns
-     those flushes into a compare and an in-place bump — no hashing. *)
-  let oc0_key = ref min_int and oc0 = ref { oc_obj = Objmap.Unknown 0; oc_w = 0 } in
-  let oc1_key = ref min_int and oc1 = ref !oc0 in
-  let bc0_key = ref min_int and bc0 = ref { bc_w = 0 } in
-  let bc1_key = ref min_int and bc1 = ref !bc0 in
-  let flush_obj () =
-    if !cur_w > 0 then begin
-      let key = !cur_key in
-      if key = !oc0_key then !oc0.oc_w <- !oc0.oc_w + !cur_w
-      else if key = !oc1_key then begin
-        let c = !oc1 in
-        c.oc_w <- c.oc_w + !cur_w;
-        oc1_key := !oc0_key;
-        oc1 := !oc0;
-        oc0_key := key;
-        oc0 := c
-      end
-      else begin
-        let c =
+let flush_obj acc =
+  if acc.run_w > 0 then begin
+    let key = acc.run_key in
+    if key = acc.oc0_key then acc.oc0.oc_w <- acc.oc0.oc_w + acc.run_w
+    else begin
+      let c =
+        if key = acc.oc1_key then acc.oc1
+        else
           match Hashtbl.find_opt acc.a_objects key with
           | Some c -> c
           | None ->
-              let c = { oc_obj = !cur_obj; oc_w = 0 } in
+              let c = { oc_obj = acc.run_obj; oc_w = 0 } in
               Hashtbl.add acc.a_objects key c;
               c
-        in
-        c.oc_w <- c.oc_w + !cur_w;
-        oc1_key := !oc0_key;
-        oc1 := !oc0;
-        oc0_key := key;
-        oc0 := c
-      end
+      in
+      c.oc_w <- c.oc_w + acc.run_w;
+      acc.oc1_key <- acc.oc0_key;
+      acc.oc1 <- acc.oc0;
+      acc.oc0_key <- key;
+      acc.oc0 <- c
     end
-  in
-  let flush_blk () =
-    if !cur_blk_w > 0 then begin
-      let key = !cur_blk in
-      if key = !bc0_key then !bc0.bc_w <- !bc0.bc_w + !cur_blk_w
-      else if key = !bc1_key then begin
-        let c = !bc1 in
-        c.bc_w <- c.bc_w + !cur_blk_w;
-        bc1_key := !bc0_key;
-        bc1 := !bc0;
-        bc0_key := key;
-        bc0 := c
-      end
-      else begin
-        let c = bcell acc.a_blocks key in
-        c.bc_w <- c.bc_w + !cur_blk_w;
-        bc1_key := !bc0_key;
-        bc1 := !bc0;
-        bc0_key := key;
-        bc0 := c
-      end
+  end
+
+let flush_blk acc =
+  if acc.blk_w > 0 then begin
+    let key = acc.blk in
+    if key = acc.bc0_key then acc.bc0.bc_w <- acc.bc0.bc_w + acc.blk_w
+    else begin
+      let c = if key = acc.bc1_key then acc.bc1 else bcell acc.a_blocks key in
+      c.bc_w <- c.bc_w + acc.blk_w;
+      acc.bc1_key <- acc.bc0_key;
+      acc.bc1 <- acc.bc0;
+      acc.bc0_key <- key;
+      acc.bc0 <- c
     end
+  end
+
+(* The one run consumer: [w] weight of consecutive records that all
+   resolved to [obj] (keyed [key]) in block [blk].  The dense scan feeds
+   one record at a time, the descriptor walker a whole run at once; a
+   run extends the open runs whose key it shares, and since feeding
+   records one by one or summed gives the same state, both producers
+   leave the same tallies. *)
+let feed acc key obj blk w =
+  if key = acc.run_key then acc.run_w <- acc.run_w + w
+  else begin
+    flush_obj acc;
+    acc.run_key <- key;
+    acc.run_obj <- obj;
+    acc.run_w <- w
+  end;
+  if blk = acc.blk then acc.blk_w <- acc.blk_w + w
+  else begin
+    flush_blk acc;
+    acc.blk <- blk;
+    acc.blk_w <- w
+  end
+
+(* Resolve through the batch's memo, refreshing it on a known object. *)
+let resolve acc view addr =
+  if addr >= acc.memo_base && addr < acc.memo_limit then acc.memo_obj
+  else
+    match Objmap.resolve_view view addr with
+    | Objmap.Unknown _ as u -> u
+    | obj ->
+        let base = Objmap.obj_key obj in
+        acc.memo_base <- base;
+        acc.memo_limit <- base + Objmap.obj_bytes obj;
+        acc.memo_obj <- obj;
+        obj
+
+(* The first address past [addr] that may resolve differently or fall
+   in another block: the memo's limit when [addr] resolved through it
+   (an unknown address leaves the memo alone, so only [addr] itself is
+   sure to resolve the same), capped at the next block boundary.
+   Addresses are non-negative ({!Gpusim.Warp.closed_form}). *)
+let run_limit acc addr =
+  let obj_limit =
+    if addr >= acc.memo_base && addr < acc.memo_limit then acc.memo_limit else addr + 1
   in
-  let addrs = b.W.addrs and weights = b.W.weights and wflags = b.W.writes in
-  for i = 0 to b.W.b_len - 1 do
+  min obj_limit (((addr / block_bytes) + 1) * block_bytes)
+
+let ceil_div a b = (a + b - 1) / b
+
+(* Reduce a descriptor by arithmetic into the runs the record scan of
+   its columns would form.  The chunk splits into address-monotone
+   segments: all of a [Sequential] chunk, each stride wrap of a
+   [Strided] one.  Within a segment, a run starts at record [i], resolves
+   its address, and extends to the first record at or past
+   [run_limit]. *)
+let add_descriptor acc view (spec : W.chunk_spec) =
+  let r = spec.W.cs_region in
+  let base = r.Gpusim.Kernel.base and span = W.span r and n = spec.W.cs_n in
+  let stop = spec.W.cs_start + spec.W.cs_len in
+  (match r.Gpusim.Kernel.pattern with
+  | Gpusim.Kernel.Sequential ->
+      (* Record [i] is at [base + span*i/n]: the first record at or past
+         [base + d] (for [0 < d <= span]) is [ceil (d*n / span)]. *)
+      let i = ref spec.W.cs_start in
+      while !i < stop do
+        let addr = base + (span * !i / n) in
+        let obj = resolve acc view addr in
+        let d = min (run_limit acc addr - base) span in
+        let j = min stop (ceil_div (d * n) span) in
+        feed acc (Objmap.obj_key obj) obj (addr / block_bytes) (W.weight_range spec !i j);
+        i := j
+      done
+  | Gpusim.Kernel.Strided stride ->
+      (* Record [i] is at [base + s*i mod span].  A segment starting at
+         [i0] with offset [off0] holds [(span-1-off0)/s + 1] records at
+         offsets [off0 + s*k]. *)
+      let s = W.step stride in
+      let i = ref spec.W.cs_start in
+      while !i < stop do
+        let i0 = !i and off0 = s * !i mod span in
+        let seg_stop = min stop (i0 + ((span - 1 - off0) / s) + 1) in
+        while !i < seg_stop do
+          let addr = base + off0 + (s * (!i - i0)) in
+          let obj = resolve acc view addr in
+          let d = min (run_limit acc addr - base) span in
+          let j = min seg_stop (i0 + ceil_div (d - off0) s) in
+          feed acc (Objmap.obj_key obj) obj (addr / block_bytes)
+            (W.weight_range spec !i j);
+          i := j
+        done
+      done
+  | Gpusim.Kernel.Random -> invalid_arg "Devagg: a Random region has no descriptor");
+  let weight = W.weight_range spec spec.W.cs_start stop in
+  if r.Gpusim.Kernel.write then acc.a_writes <- acc.a_writes + weight;
+  weight
+
+let add_dense acc view (c : W.cols) len =
+  let weight = ref 0 and writes = ref 0 in
+  let addrs = c.W.addrs and weights = c.W.weights and wflags = c.W.writes in
+  for i = 0 to len - 1 do
     let addr = Bigarray.Array1.unsafe_get addrs i
     and w = Bigarray.Array1.unsafe_get weights i in
-    let obj =
-      if addr >= !memo_base && addr < !memo_limit then !memo_obj
-      else
-        match Objmap.resolve_view view addr with
-        | Objmap.Unknown _ as u -> u
-        | obj ->
-            let base = Objmap.obj_key obj in
-            memo_base := base;
-            memo_limit := base + Objmap.obj_bytes obj;
-            memo_obj := obj;
-            obj
-    in
-    let key = Objmap.obj_key obj in
-    if key = !cur_key then cur_w := !cur_w + w
-    else begin
-      flush_obj ();
-      cur_key := key;
-      cur_obj := obj;
-      cur_w := w
-    end;
-    let blk = addr / block_bytes in
-    if blk = !cur_blk then cur_blk_w := !cur_blk_w + w
-    else begin
-      flush_blk ();
-      cur_blk := blk;
-      cur_blk_w := w
-    end;
+    let obj = resolve acc view addr in
+    feed acc (Objmap.obj_key obj) obj (addr / block_bytes) w;
     weight := !weight + w;
     if Bigarray.Array1.unsafe_get wflags i <> 0 then writes := !writes + w
   done;
-  flush_obj ();
-  flush_blk ();
+  acc.a_writes <- acc.a_writes + !writes;
+  !weight
+
+let accum_add acc view (b : W.batch) =
+  acc.memo_base <- min_int;
+  acc.memo_limit <- min_int;
+  acc.run_key <- min_int;
+  acc.run_w <- 0;
+  acc.blk <- min_int;
+  acc.blk_w <- 0;
+  let weight =
+    match b.W.b_shape with
+    | W.Descriptor { spec; _ } -> add_descriptor acc view spec
+    | W.Dense _ -> add_dense acc view (W.cols b) b.W.b_len
+  in
+  flush_obj acc;
+  flush_blk acc;
   (* The batch header carries the chunk's region index, so the per-region
      weighted tally costs one hashtable bump per batch, not per record. *)
-  if !weight > 0 then begin
+  if weight > 0 then begin
     let c = bcell acc.a_regions b.W.b_region in
-    c.bc_w <- c.bc_w + !weight
+    c.bc_w <- c.bc_w + weight
   end;
   acc.a_records <- acc.a_records + b.W.b_len;
-  acc.a_weight <- acc.a_weight + !weight;
-  acc.a_writes <- acc.a_writes + !writes
+  acc.a_weight <- acc.a_weight + weight
 
 let merge_accums ?(est_rate = 1.0) accums =
   let objects = Hashtbl.create 32 and blocks = Hashtbl.create 64 in

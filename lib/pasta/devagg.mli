@@ -16,7 +16,9 @@ val block_bytes : int
 type shard
 
 val aggregate : Objmap.view -> Gpusim.Warp.batch -> shard
-(** Reduce one batch.  Safe to call concurrently from worker domains. *)
+(** Reduce one batch by scanning its records (a descriptor's through
+    {!Gpusim.Warp.cols}).  Safe to call concurrently from worker
+    domains. *)
 
 type summary = {
   objects : (Objmap.obj * int) list;  (** weighted counts, sorted by object key *)
@@ -56,9 +58,14 @@ val accum_reset : accum -> unit
     footprint and stops allocating. *)
 
 val accum_add : accum -> Objmap.view -> Gpusim.Warp.batch -> unit
-(** Reduce one batch into the accumulator: one pass over the columns,
-    run-length tallies bumped in place in the persistent tables.  No
-    per-chunk table or list allocations. *)
+(** Reduce one batch into the accumulator as {e runs}: maximal stretches
+    of consecutive records that resolve to the same object (through a
+    resolve memo kept per batch) or fall in the same block, each bumping
+    its tally once in the persistent tables.  A dense batch yields its
+    runs by a scan of its columns; a descriptor
+    ({!Gpusim.Warp.shape}) yields exactly the same runs by arithmetic,
+    one step per object limit, block boundary or stride wrap, without
+    building columns.  Nothing is allocated per record or per run. *)
 
 val merge_accums : ?est_rate:float -> accum array -> summary
 (** Merge per-worker accumulators once per kernel: sums the tally tables

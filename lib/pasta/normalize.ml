@@ -56,24 +56,24 @@ let end_summary (s : D.exec_stats) =
   }
 
 (* Intra-kernel region spans arrive on three vendor planes (Sanitizer
-   region callbacks, the ROCm marker plane, OpenCL command markers) with
-   identical timing payloads. *)
-let region_payloads info (span : Gpusim.Instrpass.timed) phase =
+   region callbacks, one per launch; the ROCm marker plane and OpenCL
+   command markers, one per boundary) with identical timing payloads. *)
+let region_span (span : Gpusim.Instrpass.timed) =
   let module I = Gpusim.Instrpass in
-  let span =
-    {
-      Event.rg_id = span.I.t_id;
-      rg_label = span.I.t_label;
-      rg_start_pc = span.I.t_start_pc;
-      rg_end_pc = span.I.t_end_pc;
-      rg_mem_region = span.I.t_mem_region;
-      rg_start_us = span.I.t_start_us;
-      rg_time_us = span.I.t_time_us;
-      rg_bytes = span.I.t_bytes;
-      rg_flops = span.I.t_flops;
-    }
-  in
-  let kernel = Event.kernel_info_of_launch info in
+  {
+    Event.rg_id = span.I.t_id;
+    rg_label = span.I.t_label;
+    rg_start_pc = span.I.t_start_pc;
+    rg_end_pc = span.I.t_end_pc;
+    rg_mem_region = span.I.t_mem_region;
+    rg_start_us = span.I.t_start_us;
+    rg_time_us = span.I.t_time_us;
+    rg_bytes = span.I.t_bytes;
+    rg_flops = span.I.t_flops;
+  }
+
+let region_payloads info span phase =
+  let kernel = Event.kernel_info_of_launch info and span = region_span span in
   match phase with
   | `Enter -> [ Event.Region_enter { kernel; span } ]
   | `Exit -> [ Event.Region_exit { kernel; span } ]
@@ -102,7 +102,13 @@ let of_sanitizer (cb : Vendor.Sanitizer.callback) =
           { addr = alloc.Gpusim.Device_mem.base; bytes = alloc.Gpusim.Device_mem.bytes };
       ]
   | Sync_cb scope -> [ Event.Synchronization { scope } ]
-  | Region_cb { info; span; phase } -> region_payloads info span phase
+  | Region_cb { info; spans } ->
+      let kernel = Event.kernel_info_of_launch info in
+      Array.fold_right
+        (fun s acc ->
+          let span = region_span s in
+          Event.Region_enter { kernel; span } :: Event.Region_exit { kernel; span } :: acc)
+        spans []
 
 let of_nvbit (ev : Vendor.Nvbit.cuda_event) =
   match ev with

@@ -272,6 +272,8 @@ let clear_pool t = t.pool <- None
 let set_sink t f = t.sink <- Some f
 let clear_sink t = t.sink <- None
 
+let capturing t = t.sink <> None
+
 let tap t ~time_us op =
   match t.sink with None -> () | Some f -> f ~time_us op
 let guard t = t.guard
@@ -427,16 +429,17 @@ let deliver_batch t info batch time_us =
            columns are read unchecked: every batch constructor checks
            [b_len] against their dims. *)
         let module W = Gpusim.Warp in
+        let c = W.cols batch in
         Guard.framed g (fun () ->
             for i = 0 to batch.W.b_len - 1 do
               deliver_access t g info
                 {
-                  Event.addr = Bigarray.Array1.unsafe_get batch.W.addrs i;
-                  size = Bigarray.Array1.unsafe_get batch.W.sizes i;
-                  write = Bigarray.Array1.unsafe_get batch.W.writes i <> 0;
+                  Event.addr = Bigarray.Array1.unsafe_get c.W.addrs i;
+                  size = Bigarray.Array1.unsafe_get c.W.sizes i;
+                  write = Bigarray.Array1.unsafe_get c.W.writes i <> 0;
                   pc = batch.W.b_pc;
-                  warp = Bigarray.Array1.unsafe_get batch.W.warps i;
-                  weight = Bigarray.Array1.unsafe_get batch.W.weights i;
+                  warp = Bigarray.Array1.unsafe_get c.W.warps i;
+                  weight = Bigarray.Array1.unsafe_get c.W.weights i;
                 }
                 time_us
             done)
@@ -456,8 +459,9 @@ let flush_records t =
   Telemetry.end_span Telemetry.Ring;
   List.iter (deliver_item t) items
 
-let buffer_item t item =
-  Telemetry.begin_span Telemetry.Ring "ring.push";
+(* One push with its drop/stall accounting, inside the caller's Ring
+   span. *)
+let push_item t item =
   (match Ring_buffer.push_overflow t.buf ~overflow:t.policy item with
   | `Stored -> t.buffered_records <- t.buffered_records + buffered_count item
   | `Evicted old ->
@@ -475,7 +479,11 @@ let buffer_item t item =
       let (_ : bool) = Ring_buffer.push t.buf item in
       t.buffered_records <- buffered_count item);
   Metric.max_gauge t.ctr.g_records_buffered_peak (float_of_int t.buffered_records);
-  Telemetry.sample_ring_occupancy t.buffered_records;
+  Telemetry.sample_ring_occupancy t.buffered_records
+
+let buffer_item t item =
+  Telemetry.begin_span Telemetry.Ring "ring.push";
+  push_item t item;
   Telemetry.end_span Telemetry.Ring
 
 (* Region-labelled series are find-or-create in the registry, which costs
@@ -499,8 +507,7 @@ let region_metrics t label =
       Hashtbl.add t.region_metrics label (slices, time);
       (slices, time)
 
-let submit t ~time_us payload =
-  Telemetry.begin_span Telemetry.Dispatch "proc.submit";
+let submit_one t ~time_us payload =
   tap t ~time_us (Sk_event payload);
   Metric.incr t.ctr.c_events_seen;
   t.last_time_us <- time_us;
@@ -519,8 +526,17 @@ let submit t ~time_us payload =
       Metric.add_gauge time span.Event.rg_time_us
   | _ -> ());
   if in_range t payload then
-    dispatch t { Event.device = t.device; time_us; payload };
-  Telemetry.end_span Telemetry.Dispatch
+    dispatch t { Event.device = t.device; time_us; payload }
+
+let submit_all t ~time_us payloads =
+  match payloads with
+  | [] -> ()
+  | payloads ->
+      Telemetry.begin_span Telemetry.Dispatch "proc.submit";
+      List.iter (submit_one t ~time_us) payloads;
+      Telemetry.end_span Telemetry.Dispatch
+
+let submit t ~time_us payload = submit_all t ~time_us [ payload ]
 
 let submit_region t (info : Event.kernel_info) ~base ~extent ~accesses ~written =
   tap t ~time_us:t.last_time_us
@@ -594,16 +610,24 @@ let submit_access t ~time_us (info : Event.kernel_info) access =
   else Metric.incr t.ctr.c_accesses_filtered;
   Telemetry.end_span Telemetry.Dispatch
 
-let submit_access_batch t ~time_us (info : Event.kernel_info) batch =
+let submit_access_batches t ~time_us (info : Event.kernel_info) batches =
   Telemetry.begin_span Telemetry.Dispatch "proc.submit_batch";
-  tap t ~time_us (Sk_batch (info, batch));
-  let len = Gpusim.Warp.batch_len batch in
-  Metric.add t.ctr.c_events_seen len;
   t.last_time_us <- time_us;
-  if Range.active t.range ~grid_id:info.Event.grid_id then
-    buffer_item t (B_batch (info, batch, time_us))
-  else Metric.add t.ctr.c_accesses_filtered len;
+  let active = Range.active t.range ~grid_id:info.Event.grid_id in
+  if active then Telemetry.begin_span Telemetry.Ring "ring.push";
+  List.iter
+    (fun batch ->
+      tap t ~time_us (Sk_batch (info, batch));
+      let len = Gpusim.Warp.batch_len batch in
+      Metric.add t.ctr.c_events_seen len;
+      if active then push_item t (B_batch (info, batch, time_us))
+      else Metric.add t.ctr.c_accesses_filtered len)
+    batches;
+  if active then Telemetry.end_span Telemetry.Ring;
   Telemetry.end_span Telemetry.Dispatch
+
+let submit_access_batch t ~time_us info batch =
+  submit_access_batches t ~time_us info [ batch ]
 
 (* Deliver a device summary to the tool.  Called with a freshly merged
    aggregate on the live path, and with the recorded aggregate when a
@@ -686,13 +710,27 @@ let flush_parallel_summary t ~time_us (info : Event.kernel_info) =
             t.dev_accums
           end
         in
+        let is_dense b =
+          match b.Gpusim.Warp.b_shape with
+          | Gpusim.Warp.Dense _ -> true
+          | Gpusim.Warp.Descriptor _ -> false
+        in
+        let ndense = Array.fold_left (fun n b -> if is_dense b then n + 1 else n) 0 batches in
         (match t.pool with
-        | Some p when want > 1 && Array.length batches > 1 ->
-            Pasta_util.Domain_pool.run_sharded p (Array.length batches)
-              (fun ~worker i -> Devagg.accum_add accums.(worker) view batches.(i))
-        | _ ->
-            let acc = accums.(0) in
-            Array.iter (Devagg.accum_add acc view) batches);
+        | Some p when want > 1 && ndense > 1 ->
+            (* Only batches that carry records fan out.  Descriptors
+               reduce by arithmetic in slot 0 first, never while the
+               caller works slot 0 in the pool pass. *)
+            let dense = ref [] in
+            Array.iter
+              (fun b ->
+                if is_dense b then dense := b :: !dense
+                else Devagg.accum_add accums.(0) view b)
+              batches;
+            let dense = Array.of_list (List.rev !dense) in
+            Pasta_util.Domain_pool.run_sharded p ndense (fun ~worker i ->
+                Devagg.accum_add accums.(worker) view dense.(i))
+        | _ -> Array.iter (Devagg.accum_add accums.(0) view) batches);
         Devagg.merge_accums ~est_rate:t.cur_rate accums
       end
       else begin

@@ -140,6 +140,9 @@ val set_sink : t -> (time_us:float -> sink_op -> unit) -> unit
 
 val clear_sink : t -> unit
 
+val capturing : t -> bool
+(** A trace-capture tap is installed. *)
+
 val incidents : t -> Event.t list
 (** Supervision incidents ({!Event.Tool_quarantined} so far) in emission
     order. *)
@@ -152,6 +155,10 @@ val submit : t -> time_us:float -> Event.payload -> unit
     range filter; tool dispatch respects it.  A kernel-end event first
     drains the bounded record buffer so every record of the finishing
     kernel reaches the tool before its [on_kernel_end]. *)
+
+val submit_all : t -> time_us:float -> Event.payload list -> unit
+(** Feed the events one vendor callback normalized to, in order, under
+    one Dispatch span: each exactly as {!submit} would. *)
 
 val submit_region :
   t -> Event.kernel_info -> base:int -> extent:int -> accesses:int -> written:bool -> unit
@@ -168,14 +175,23 @@ val submit_access : t -> time_us:float -> Event.kernel_info -> Event.mem_access 
     {!flush_records}); the overflow policy decides what happens when the
     producer outruns the drain points. *)
 
+val submit_access_batches :
+  t -> time_us:float -> Event.kernel_info -> Gpusim.Warp.batch list -> unit
+(** Feed one hand-off of packed record batches, in order, under one
+    Dispatch span and (when in range) one Ring span.  Each batch is tapped
+    to the sink as its own [Sk_batch] op and counts every record in
+    [events_seen]; in-range batches enter the bounded buffer whole, one
+    push each with the overflow policy's accounting.  At delivery a tool
+    with [on_access_batch] receives each batch as-is (one
+    {!Event.Access_batch} event); any other tool gets the legacy
+    per-record stream — one [Global_access] event and [on_access] call
+    per record, in batch order, all inside one tool frame
+    ({!Guard.framed}) per batch. *)
+
 val submit_access_batch :
   t -> time_us:float -> Event.kernel_info -> Gpusim.Warp.batch -> unit
-(** Feed one packed record batch.  Counts every record in [events_seen];
-    in-range batches enter the bounded buffer whole.  At delivery a tool
-    with [on_access_batch] receives the batch as-is (one {!Event.Access_batch}
-    event); any other tool gets the legacy per-record stream — one
-    [Global_access] event and [on_access] call per record, in batch
-    order, all inside one tool frame ({!Guard.framed}) per batch. *)
+(** [submit_access_batch t ~time_us info b] is
+    [submit_access_batches t ~time_us info [b]]. *)
 
 val flush_parallel_summary : t -> time_us:float -> Event.kernel_info -> unit
 (** Kernel-end reduction for [Gpu_parallel] tools: drain the finishing

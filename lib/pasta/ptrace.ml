@@ -517,17 +517,17 @@ let put_batch it buf (b : Gpusim.Warp.batch) =
   put_u buf b.W.b_chunk;
   put_u buf b.W.b_pc;
   put_u buf b.W.b_len;
-  let len = b.W.b_len in
-  put_int_col it buf b.W.addrs len;
-  put_size_col it buf b.W.sizes len;
-  put_int_col it buf b.W.warps len;
-  put_int_col it buf b.W.weights len;
+  let len = b.W.b_len and c = W.cols b in
+  put_int_col it buf c.W.addrs len;
+  put_size_col it buf c.W.sizes len;
+  put_int_col it buf c.W.warps len;
+  put_int_col it buf c.W.weights len;
   (* Write flags: constant for the whole batch in the common case, else
      one bit per record.  Nonzero flags all map to 1 either way. *)
-  let first_write = len > 0 && b.W.writes.{0} <> 0 in
+  let first_write = len > 0 && c.W.writes.{0} <> 0 in
   let all_same = ref true in
   for i = 1 to len - 1 do
-    if Bigarray.Array1.unsafe_get b.W.writes i <> 0 <> first_write then
+    if Bigarray.Array1.unsafe_get c.W.writes i <> 0 <> first_write then
       all_same := false
   done;
   if !all_same then begin
@@ -539,7 +539,7 @@ let put_batch it buf (b : Gpusim.Warp.batch) =
     let nbytes = (len + 7) / 8 in
     let bits = Bytes.make nbytes '\000' in
     for i = 0 to len - 1 do
-      if Bigarray.Array1.unsafe_get b.W.writes i <> 0 then
+      if Bigarray.Array1.unsafe_get c.W.writes i <> 0 then
         Bytes.set bits (i / 8)
           (Char.chr (Char.code (Bytes.get bits (i / 8)) lor (1 lsl (i mod 8))))
     done;

@@ -655,8 +655,30 @@ let http_response ?(content_type = "text/plain; version=0.0.4") body =
   Printf.sprintf "HTTP/1.0 200 OK\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n%s"
     content_type (String.length body) body
 
+(* Request lines longer than this are refused, never buffered whole. *)
+let max_line_bytes = 1 lsl 20
+
+(* [input_line] with a length cap: [`Too_long prefix] carries the first
+   [max_line_bytes] bytes and leaves the rest of the line unread. *)
+let read_line ic =
+  let b = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents b)
+    | _ when Buffer.length b >= max_line_bytes -> `Too_long (Buffer.contents b)
+    | c ->
+        Buffer.add_char b c;
+        go ()
+    | exception End_of_file -> if Buffer.length b = 0 then `Eof else `Line (Buffer.contents b)
+  in
+  go ()
+
+let is_http_get line = String.starts_with ~prefix:"GET " line
+
 (* Serve one accepted connection: either a one-shot HTTP GET (Prometheus
-   scrape) or an NDJSON request loop that runs until the client closes. *)
+   scrape) or an NDJSON request loop that runs until the client closes.
+   An over-long NDJSON line gets one error reply and an over-long HTTP
+   line none; either way the connection closes. *)
 let handle_conn t ~shutdown_hook fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -664,49 +686,55 @@ let handle_conn t ~shutdown_hook fd =
     (try flush oc with _ -> ());
     try Unix.close fd with _ -> ()
   in
+  let reply j =
+    output_string oc (Njson.to_string j);
+    output_char oc '\n';
+    flush oc
+  in
+  let too_long () =
+    reply (error_json (Printf.sprintf "request line exceeds %d bytes" max_line_bytes))
+  in
   Fun.protect ~finally (fun () ->
-      match input_line ic with
-      | exception End_of_file -> ()
-      | first when String.length first >= 4 && String.sub first 0 4 = "GET " -> (
+      match read_line ic with
+      | `Eof -> ()
+      | `Too_long first -> if not (is_http_get first) then too_long ()
+      | `Line first when is_http_get first -> (
           (* Drain the request headers, then answer and close. *)
-          (try
-             while
-               match input_line ic with "" | "\r" -> false | _ -> true
-             do
-               ()
-             done
-           with End_of_file -> ());
+          let rec headers () =
+            match read_line ic with
+            | `Line ("" | "\r") | `Eof -> true
+            | `Line _ -> headers ()
+            | `Too_long _ -> false
+          in
           let path =
             match String.split_on_char ' ' first with
             | _ :: p :: _ -> p
             | _ -> "/"
           in
-          match path with
-          | "/metrics" -> output_string oc (http_response (scrape t))
-          | "/healthz" ->
-              output_string oc
-                (http_response ~content_type:"application/json"
-                   (Njson.to_string (health_json t)))
-          | _ ->
-              output_string oc
-                (Printf.sprintf
-                   "HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n"))
-      | first ->
+          if headers () then
+            match path with
+            | "/metrics" -> output_string oc (http_response (scrape t))
+            | "/healthz" ->
+                output_string oc
+                  (http_response ~content_type:"application/json"
+                     (Njson.to_string (health_json t)))
+            | _ ->
+                output_string oc
+                  (Printf.sprintf
+                     "HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n"))
+      | `Line first ->
           let rec loop line =
-            let resp =
-              match Njson.of_string_opt line with
+            reply
+              (match Njson.of_string_opt line with
               | None -> error_json "malformed JSON"
               | Some j -> (
                   match Proto.request_of_json j with
                   | Error e -> error_json e
-                  | Ok req -> dispatch t ~on_shutdown:shutdown_hook req)
-            in
-            output_string oc (Njson.to_string resp);
-            output_char oc '\n';
-            flush oc;
-            match input_line ic with
-            | line -> loop line
-            | exception End_of_file -> ()
+                  | Ok req -> dispatch t ~on_shutdown:shutdown_hook req));
+            match read_line ic with
+            | `Line line -> loop line
+            | `Too_long _ -> too_long ()
+            | `Eof -> ()
           in
           loop first)
 

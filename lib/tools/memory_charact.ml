@@ -196,8 +196,9 @@ let tool t =
              Some
                (fun _info batch ->
                  let module W = Gpusim.Warp in
+                 let addrs = (W.cols batch).W.addrs in
                  for i = 0 to batch.W.b_len - 1 do
-                   touch (Bigarray.Array1.unsafe_get batch.W.addrs i)
+                   touch (Bigarray.Array1.unsafe_get addrs i)
                  done)
            else None);
         on_kernel_end =

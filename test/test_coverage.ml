@@ -563,11 +563,13 @@ let prop_warp_strided_in_bounds =
       in
       let rng = Pasta_util.Det_rng.create 17L in
       let ok = ref true in
-      ignore
-        (Gpusim.Warp.generate ~rng ~warp_size:32 ~max_records_per_region:64 k
-           ~f:(fun a ->
-             if a.Gpusim.Warp.addr < 0x1000 || a.Gpusim.Warp.addr >= 0x1000 + 2048 then
-               ok := false));
+      Array.iter
+        (fun spec ->
+          Gpusim.Warp.iter_batch (Gpusim.Warp.fill_chunk ~rng ~warp_size:32 spec)
+            ~f:(fun a ->
+              if a.Gpusim.Warp.addr < 0x1000 || a.Gpusim.Warp.addr >= 0x1000 + 2048
+              then ok := false))
+        (Gpusim.Warp.plan ~max_records_per_region:64 k);
       !ok)
 
 let suite =

@@ -162,10 +162,11 @@ let sanitizer_count ?range ?(batch_aware = false) ~batch_delivery () =
           Some
             (fun _ b ->
               let module W = Gpusim.Warp in
+              let c = W.cols b in
               records := !records + b.W.b_len;
               for i = 0 to b.W.b_len - 1 do
-                weight := !weight + b.W.weights.{i};
-                addr_sum := !addr_sum + b.W.addrs.{i}
+                weight := !weight + c.W.weights.{i};
+                addr_sum := !addr_sum + c.W.addrs.{i}
               done);
       }
     else
@@ -307,6 +308,236 @@ let test_nvbit_callback_digest () =
     "same stream through a 16-item ring" pinned
     (Digest.to_hex (Digest.string (nvbit_callback_log ~buffer_cap:16 ())))
 
+(* ------------------------------------------------------------------ *)
+(* Closed-form descriptors                                             *)
+(* ------------------------------------------------------------------ *)
+
+module W = Gpusim.Warp
+
+let ( let* ) = QCheck.Gen.( >>= )
+
+(* A region's byte extent, stride and sampling, spread over the cases the
+   descriptor walker tells apart: a 1-byte region (its span clamps to 1),
+   small and large strides, strides at or past the span (every step
+   wraps), [n = accesses] and a nonzero [accesses mod n]. *)
+let g_region =
+  let open QCheck.Gen in
+  let* bytes = oneof [ int_range 1 64; int_range 65 65536; int_range 65536 (200 lsl 20) ] in
+  let span = max 1 (bytes - 4) in
+  let* pattern =
+    oneof
+      [
+        return Gpusim.Kernel.Sequential;
+        map
+          (fun s -> Gpusim.Kernel.Strided s)
+          (oneof
+             [
+               int_range 0 7;
+               int_range 8 4096;
+               int_range 4097 (4 lsl 20);
+               int_range span (2 * span);
+             ]);
+      ]
+  in
+  let* accesses = oneof [ int_range 1 100; int_range 1 20_000; int_range 1 10_000_000 ] in
+  let* cap = oneof [ int_range 1 64; int_range 65 2048; int_range 1 20_000 ] in
+  let* write = bool in
+  let* offset = int_range 0 (4 lsl 20) in
+  return (bytes, pattern, accesses, cap, write, offset)
+
+(* Objects around a region of [extent] bytes: allocations with gaps between
+   them (so some addresses resolve to nothing), tensors sharing an
+   allocation's base, and tensors nested inside one. *)
+let g_objects ~extent =
+  let open QCheck.Gen in
+  let g_obj =
+    let* gap = oneof [ return 0; int_range 1 64; int_range 1 ((extent / 4) + 1) ] in
+    let* size = oneof [ int_range 1 4096; int_range 4096 (4 lsl 20); int_range 1 (2 * extent) ] in
+    let* shared = opt (int_range 1 size) in
+    let* nested =
+      opt
+        (let* off = int_range 0 (size - 1) in
+         let* len = int_range 1 (size - off) in
+         return (off, len))
+    in
+    return (gap, size, shared, nested)
+  in
+  let* first = int_range (-extent) (extent / 2) in
+  let* objs = list_size (int_range 1 6) g_obj in
+  return (first, objs)
+
+let view_of ~base (first, objs) =
+  let m = Pasta.Objmap.create () in
+  let at = ref (base + first) in
+  List.iter
+    (fun (gap, size, shared, nested) ->
+      let a = !at + gap in
+      Pasta.Objmap.on_alloc m ~addr:a ~bytes:size ~managed:false;
+      Option.iter (fun len -> Pasta.Objmap.on_tensor_alloc m ~ptr:a ~bytes:len ~tag:"shared") shared;
+      Option.iter
+        (fun (off, len) -> Pasta.Objmap.on_tensor_alloc m ~ptr:(a + off) ~bytes:len ~tag:"nested")
+        nested;
+      at := a + size)
+    objs;
+  Pasta.Objmap.view m
+
+let dense_copy b =
+  let c = W.cols b in
+  W.batch_of_columns ~region:b.W.b_region ~chunk:b.W.b_chunk ~pc:b.W.b_pc ~addrs:c.W.addrs
+    ~sizes:c.W.sizes ~warps:c.W.warps ~weights:c.W.weights ~writes:c.W.writes
+
+(* A descriptor that reaches a capture tap is written as its columns. *)
+let batch_op b =
+  let info =
+    {
+      Pasta.Event.device_id = 0;
+      grid_id = 1;
+      stream = 0;
+      name = "desc";
+      grid = Gpusim.Dim3.make 1;
+      block = Gpusim.Dim3.make 32;
+      shared_bytes = 0;
+      arg_ptrs = [];
+      py_stack = [];
+      native_stack = [];
+    }
+  in
+  Pasta.Ptrace.op_to_string ~time_us:0.0 (Pasta.Processor.Sk_batch (info, b))
+
+let summary_of view batches =
+  let acc = Pasta.Devagg.accum_create () in
+  List.iter (Pasta.Devagg.accum_add acc view) batches;
+  Pasta.Devagg.merge_accums [| acc |]
+
+(* A descriptor must reduce to exactly the tallies the record scan of its
+   materialized columns forms — including which object each key keeps
+   when a tensor shares its base with an allocation — chunk by chunk, and
+   across consecutive chunks reduced by one accumulator.  Its closed-form
+   weight and its trace encoding must match the columns too. *)
+let prop_descriptor_runs =
+  let print ((bytes, pattern, accesses, cap, write, offset), (first, objs)) =
+    Printf.sprintf "bytes=%d pattern=%s accesses=%d cap=%d write=%b offset=%d objs@%d=[%s]"
+      bytes
+      (match pattern with
+      | Gpusim.Kernel.Strided s -> Printf.sprintf "strided %d" s
+      | _ -> "sequential")
+      accesses cap write offset first
+      (String.concat "; "
+         (List.map
+            (fun (gap, size, shared, nested) ->
+              Printf.sprintf "+%d:%d%s%s" gap size
+                (match shared with Some l -> Printf.sprintf " shared %d" l | None -> "")
+                (match nested with
+                | Some (o, l) -> Printf.sprintf " nested %d:%d" o l
+                | None -> ""))
+            objs))
+  in
+  QCheck.Test.make ~name:"descriptor runs equal the materialized scan" ~count:500
+    (QCheck.make ~print
+       (let* ((bytes, _, _, _, _, _) as region) = g_region in
+        QCheck.Gen.map (fun objs -> (region, objs)) (g_objects ~extent:bytes)))
+    (fun ((bytes, pattern, accesses, cap, write, offset), objs) ->
+      let base = 0x7f00_0000_0000 + offset in
+      let view = view_of ~base objs in
+      let k =
+        Gpusim.Kernel.make ~name:"desc" ~grid:(Gpusim.Dim3.make 1) ~block:(Gpusim.Dim3.make 32)
+          ~regions:[ Gpusim.Kernel.region ~write ~pattern ~base ~bytes ~accesses () ]
+          ()
+      in
+      let descs =
+        Array.to_list (Array.map (W.describe ~warp_size:32) (W.plan ~max_records_per_region:cap k))
+      in
+      let dense = List.map dense_copy descs in
+      let first k l = List.filteri (fun i _ -> i < k) l in
+      List.for_all2
+        (fun d m ->
+          W.batch_weight d = W.batch_weight m
+          && summary_of view [ d ] = summary_of view [ m ]
+          && batch_op d = batch_op m)
+        descs dense
+      && summary_of view (first 4 descs) = summary_of view (first 4 dense))
+
+(* ------------------------------------------------------------------ *)
+(* Live, captured and replayed Gpu_parallel runs                       *)
+(* ------------------------------------------------------------------ *)
+
+let gpu_parallel_tools =
+  [
+    ("hotness_fine", fun () -> Pasta_tools.Hotness.tool_fine (Pasta_tools.Hotness.create ()));
+    ( "memory_charact_par",
+      fun () ->
+        Pasta_tools.Memory_charact.tool
+          (Pasta_tools.Memory_charact.create ~variant:Pasta_tools.Memory_charact.Gpu_parallel ())
+    );
+    ( "region_roofline",
+      fun () -> Pasta_tools.Region_roofline.tool (Pasta_tools.Region_roofline.create ()) );
+  ]
+
+(* One inference iteration; returns the report and the ring accounting. *)
+let parallel_run ?capture ~model ~cap mk =
+  let device = Gpusim.Device.create Gpusim.Arch.a100 in
+  let ctx = Dlfw.Ctx.create device in
+  let (), r =
+    Pasta.Session.run ?capture ~sample_cap:cap ~tool:(mk ()) device (fun () ->
+        Dlfw.Runner.run ctx (Dlfw.Runner.build ctx model) ~mode:Dlfw.Runner.Inference ~iters:1)
+  in
+  Dlfw.Ctx.destroy ctx;
+  let h = r.Pasta.Session.health in
+  ( Format.asprintf "%t" r.Pasta.Session.report,
+    (r.Pasta.Session.events_seen, h.Pasta.Session.records_buffered_peak, h.Pasta.Session.records_dropped) )
+
+(* A capturing session keeps every chunk dense, so it is the materialized
+   reference for the live run, which reduces closed-form chunks as
+   descriptors: reports, strict replay and ring accounting must agree. *)
+let test_live_captured_replayed () =
+  List.iter
+    (fun domains ->
+      Pasta.Config.set "ACCEL_PROF_DOMAINS" (string_of_int domains);
+      List.iter
+        (fun (name, mk) ->
+          List.iter
+            (fun model ->
+              List.iter
+                (fun cap ->
+                  let label what =
+                    Printf.sprintf "%s %s cap %d, %d domains: %s" name model cap domains what
+                  in
+                  let path = Filename.temp_file "pasta_desc" ".ptrace" in
+                  let live, live_acct = parallel_run ~model ~cap mk in
+                  let captured, cap_acct = parallel_run ~capture:path ~model ~cap mk in
+                  let o = Pasta.Replay.run ~mode:Pasta.Ptrace.Strict ~tool:(mk ()) path in
+                  let replayed = Format.asprintf "%t" o.Pasta.Replay.report in
+                  Sys.remove path;
+                  Alcotest.(check string) (label "live = captured report") captured live;
+                  Alcotest.(check string) (label "captured = replayed report") captured replayed;
+                  Alcotest.(check (triple int int int))
+                    (label "events seen, buffered peak, dropped")
+                    cap_acct live_acct)
+                [ 1; 37; 1024 ])
+            [ "AN"; "BERT"; "Whisper" ])
+        gpu_parallel_tools)
+    [ 1; 2 ];
+  Pasta.Config.unset "ACCEL_PROF_DOMAINS"
+
+(* Two ring slots under drop-oldest evict batches inside every kernel's
+   hand-off; the pushes must come in the same order, one per batch, as
+   when each batch was handed over on its own.  Pinned before batches
+   were handed to the host once per kernel. *)
+let test_drop_oldest_handoff () =
+  Pasta.Config.set "ACCEL_PROF_BUFFER_CAP" "2";
+  Pasta.Config.set "ACCEL_PROF_OVERFLOW_POLICY" "drop-oldest";
+  let report, (seen, peak, dropped) =
+    parallel_run ~model:"BERT" ~cap:1024 (List.assoc "hotness_fine" gpu_parallel_tools)
+  in
+  Pasta.Config.unset "ACCEL_PROF_BUFFER_CAP";
+  Pasta.Config.unset "ACCEL_PROF_OVERFLOW_POLICY";
+  check_int "events seen" 481950 seen;
+  check_int "buffered peak" 2048 peak;
+  check_int "records dropped" 179200 dropped;
+  Alcotest.(check string)
+    "degraded report" "00a6ac83a80eeb5ee732aacc507f3d00"
+    (Digest.to_hex (Digest.string report))
+
 let suite =
   [
     ("pool map preserves index order", `Quick, test_pool_map_order);
@@ -323,4 +554,7 @@ let suite =
     ("live summaries validate (2 domains)", `Quick, test_summary_validates 2);
     ("range-filter accounting adds up", `Quick, test_filtered_accounting);
     ("NVBit-CPU callback stream pinned", `Quick, test_nvbit_callback_digest);
+    QCheck_alcotest.to_alcotest prop_descriptor_runs;
+    ("live, captured and replayed runs agree", `Quick, test_live_captured_replayed);
+    ("drop-oldest hand-off pinned", `Quick, test_drop_oldest_handoff);
   ]

@@ -82,12 +82,13 @@ let prop_thin_structure =
       (* every surviving address appears in the original, in order *)
       let ok = ref true in
       let j = ref 0 in
+      let bc = W.cols b and tc = W.cols t in
       for i = 0 to t.W.b_len - 1 do
-        while !j < b.W.b_len && b.W.addrs.{!j} <> t.W.addrs.{i} do
+        while !j < b.W.b_len && bc.W.addrs.{!j} <> tc.W.addrs.{i} do
           incr j
         done;
         if !j >= b.W.b_len then ok := false else incr j;
-        if t.W.weights.{i} < 1 then ok := false
+        if tc.W.weights.{i} < 1 then ok := false
       done;
       !ok)
 
@@ -116,8 +117,9 @@ let test_thin_determinism () =
     !ok
   in
   check_bool "same stream, same records" true
-    (same_col a.W.b_len (fun i -> a.W.addrs.{i}) (fun i -> c.W.addrs.{i})
-    && same_col a.W.b_len (fun i -> a.W.weights.{i}) (fun i -> c.W.weights.{i}))
+    (let ac = W.cols a and cc = W.cols c in
+     same_col a.W.b_len (fun i -> ac.W.addrs.{i}) (fun i -> cc.W.addrs.{i})
+     && same_col a.W.b_len (fun i -> ac.W.weights.{i}) (fun i -> cc.W.weights.{i}))
 
 (* ------------------------------------------------------------------ *)
 (* Devagg estimate stamping                                            *)

@@ -422,6 +422,76 @@ let test_socket_smoke () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "self-test: %s" msg
 
+(* Everything the daemon sends on [fd] until it closes the connection,
+   or [None] if it is still open after [timeout_s]. *)
+let read_until_close ~timeout_s fd =
+  let b = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0.0 then None
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> None
+      | _ -> (
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> Some (Buffer.contents b)
+          | n ->
+              Buffer.add_subbytes b chunk 0 n;
+              go ()
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Some (Buffer.contents b))
+  in
+  go ()
+
+(* Send [payload] on a fresh connection from another thread (the daemon
+   may close before reading all of it) and collect what comes back. *)
+let send_oversized path payload =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let writer =
+    Thread.create
+      (fun () ->
+        try ignore (Unix.write_substring fd payload 0 (String.length payload))
+        with Unix.Unix_error _ -> ())
+      ()
+  in
+  let got = read_until_close ~timeout_s:10.0 fd in
+  Thread.join writer;
+  Unix.close fd;
+  got
+
+let test_line_cap () =
+  let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let path = Filename.temp_file "accelprof-lines" ".sock" in
+  Sys.remove path;
+  let addr = Serve.Unix_sock path in
+  let t = Serve.create ~workers:1 () in
+  Serve.listen t addr;
+  let huge = String.make (2 lsl 20) 'x' in
+  (match send_oversized path (huge ^ "\n") with
+  | None -> Alcotest.fail "NDJSON connection still open after an over-long line"
+  | Some reply -> (
+      match String.split_on_char '\n' reply with
+      | [ line; "" ] -> (
+          match Njson.of_string_opt line with
+          | Some (Njson.Obj fields) ->
+              Alcotest.(check bool) "one error reply" true
+                (List.assoc_opt "ok" fields = Some (Njson.Bool false))
+          | _ -> Alcotest.failf "reply is not a JSON object: %S" line)
+      | _ -> Alcotest.failf "expected exactly one reply line, got %d bytes" (String.length reply)));
+  (match send_oversized path ("GET /metrics HTTP/1.0\r\nX-Pad: " ^ huge ^ "\r\n\r\n") with
+  | None -> Alcotest.fail "HTTP connection still open after an over-long header"
+  | Some reply -> Alcotest.(check string) "no HTTP answer" "" reply);
+  let c = Serve.Client.connect addr in
+  (match Serve.Client.request c Proto.Health with
+  | Njson.Obj fields ->
+      Alcotest.(check bool) "daemon still serves" true
+        (List.assoc_opt "ok" fields = Some (Njson.Bool true))
+  | _ -> Alcotest.fail "health reply is not a JSON object");
+  Serve.Client.close c;
+  Serve.shutdown t;
+  Sys.set_signal Sys.sigpipe old_sigpipe
+
 let suite =
   [
     qtest prop_request_roundtrip;
@@ -440,4 +510,5 @@ let suite =
     Alcotest.test_case "out-of-range and ill-typed fields are typed errors" `Quick
       test_codec_typed_errors;
     qtest prop_mutated_lines;
+    Alcotest.test_case "over-long request lines are refused" `Quick test_line_cap;
   ]
