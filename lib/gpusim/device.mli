@@ -61,11 +61,13 @@ type instrument = {
           so only region aggregates are reported *)
   reduce_only : bool;
       (** [on_batch] only reduces records to weighted tallies, reading
-          them through {!Warp.cols} or a descriptor walker.  Then, at
-          sample rate 1.0 and with no injector corrupting records, each
-          closed-form chunk ({!Warp.closed_form}) arrives as a descriptor
-          built in O(1) instead of filled columns; every other chunk is
-          filled, thinned and corrupted as usual *)
+          them through {!Warp.cols} or the descriptor walker
+          ({!Warp.walk}); both Sanitizer record channels (host and
+          parallel analysis) set it.  Then, at sample rate 1.0 and with
+          no injector corrupting records, each closed-form chunk
+          ({!Warp.closed_form}) arrives as a descriptor built in O(1)
+          instead of filled columns; every other chunk is filled,
+          thinned and corrupted as usual *)
   on_kernel_exit : launch_info -> exec_stats -> unit;
 }
 

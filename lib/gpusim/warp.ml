@@ -68,19 +68,23 @@ let batch_len b = b.b_len
 (* Three native-int columns, a 16-bit size and an 8-bit write flag. *)
 let record_bytes = (3 * (Sys.word_size / 8)) + 2 + 1
 
-let batch_bytes b = b.b_len * record_bytes
+let batch_bytes b =
+  match b.b_shape with Dense _ -> b.b_len * record_bytes | Descriptor _ -> 0
 
 (* ---- The sampling formulas ------------------------------------------ *)
 
 let span (r : Kernel.region) = max 1 (r.Kernel.bytes - access_size)
 let step stride = max access_size stride
 
-(* Record [i] of [n] weighs [accesses / n], plus one for the first
-   [accesses mod n] records, so a region's weights sum to its exact
-   access count. *)
+(* Record [i] of [n] weighs [bw = accesses / n], plus one for the first
+   [extra = accesses mod n] records, so a region's weights sum to its
+   exact access count.  [Int.min]/[Int.max] compare unboxed; the
+   polymorphic ones would call the generic compare. *)
+let weights ~bw ~extra i j = (bw * (j - i)) + Int.max 0 (Int.min j extra - i)
+
 let weight_range spec i j =
   let a = spec.cs_region.Kernel.accesses and n = spec.cs_n in
-  ((a / n) * (j - i)) + max 0 (min j (a mod n) - i)
+  weights ~bw:(a / n) ~extra:(a mod n) i j
 
 let fill_cols ?rng ~warp_size spec =
   let r = spec.cs_region in
@@ -212,15 +216,16 @@ let batch_of_arrays ~region ~chunk ~pc ~addrs ~sizes ~warps ~weights ~writes =
   done;
   { b_region = region; b_chunk = chunk; b_pc = pc; b_len = len; b_shape = Dense c }
 
+(* PCs match the SASS listing: region [ri]'s access instruction is the
+   second of its access block, after a 3-instruction prologue. *)
+let region_pc ri = (3 + (2 * ri) + 1) * 16
+
 let plan ~max_records_per_region k =
   let specs = ref [] in
   List.iteri
     (fun ri (r : Kernel.region) ->
       if r.accesses > 0 then begin
-        (* PCs match the SASS listing: region [ri]'s access instruction is
-           the second of its access block, after a 3-instruction
-           prologue. *)
-        let pc = (3 + (2 * ri) + 1) * 16 in
+        let pc = region_pc ri in
         let n = min r.accesses max_records_per_region in
         let chunks = (n + chunk_records - 1) / chunk_records in
         for c = 0 to chunks - 1 do
@@ -253,47 +258,130 @@ let header spec shape =
 
 let fill_chunk ~rng ~warp_size spec = header spec (Dense (fill_cols ~rng ~warp_size spec))
 
-(* The walker that reduces a descriptor (Devagg) counts 2 MiB blocks as
-   [addr / block], which only names contiguous address intervals for
-   non-negative addresses. *)
-let closed_form spec =
-  match spec.cs_region.Kernel.pattern with
-  | Kernel.Sequential | Kernel.Strided _ -> spec.cs_region.Kernel.base >= 0
-  | Kernel.Random -> false
+(* ---- Descriptors ---------------------------------------------------- *)
+
+(* Bounds on a descriptor's parts.  They keep every product the fill and
+   the walker below form ([span * i], [s * i], [d * n], [i * warp_size])
+   under 2^61, far above any simulated region: extents and strides up to
+   256 GiB, 4 Mi sampled records per region, 56-bit addresses. *)
+let max_desc_bytes = 1 lsl 38
+let max_desc_records = 1 lsl 22
+let max_desc_base = 1 lsl 56
+let max_warp_size = 1024
+
+(* [Some why] when a region sampled into [n] records has no descriptor,
+   [None] when it has one.  Besides the bounds: the Devagg walker counts
+   2 MiB blocks as [addr / block], which names contiguous address
+   intervals only for non-negative addresses. *)
+let no_closed_form (r : Kernel.region) n =
+  if r.Kernel.base < 0 || r.Kernel.base > max_desc_base then Some "base out of range"
+  else if r.Kernel.bytes < 0 || r.Kernel.bytes > max_desc_bytes then Some "extent out of range"
+  else if n < 1 || n > max_desc_records then Some "record count out of range"
+  else
+    match r.Kernel.pattern with
+    | Kernel.Sequential -> None
+    | Kernel.Strided s when s < 0 || s > max_desc_bytes -> Some "stride out of range"
+    | Kernel.Strided _ -> None
+    | Kernel.Random -> Some "a Random region has no closed form"
+
+let closed_form spec = no_closed_form spec.cs_region spec.cs_n = None
 
 let describe ~warp_size spec =
   if not (closed_form spec) then invalid_arg "Warp.describe: no closed form";
+  if warp_size < 1 || warp_size > max_warp_size then invalid_arg "Warp.describe: warp size";
   header spec (Descriptor { spec; warp_size })
+
+let descriptor ~region ~chunk ~pc ~len ~warp_size ~n (r : Kernel.region) =
+  let fail fmt = Printf.ksprintf (fun s -> Error ("descriptor: " ^ s)) fmt in
+  match no_closed_form r n with
+  | Some why -> fail "%s" why
+  | None ->
+      if warp_size < 1 || warp_size > max_warp_size then fail "warp size %d" warp_size
+      else if r.Kernel.accesses < n then fail "%d records for %d accesses" n r.Kernel.accesses
+      else if region < 0 || pc <> region_pc region then fail "pc %d for region %d" pc region
+      else if chunk < 0 || chunk > (n - 1) / chunk_records then
+        fail "chunk %d of %d records" chunk n
+      else
+        let start = chunk * chunk_records in
+        if len <> min chunk_records (n - start) then
+          fail "length %d for records %d of %d" len start n
+        else
+          let spec =
+            {
+              cs_region = r;
+              cs_region_idx = region;
+              cs_pc = pc;
+              cs_n = n;
+              cs_chunk = chunk;
+              cs_start = start;
+              cs_len = len;
+            }
+          in
+          Ok (header spec (Descriptor { spec; warp_size }))
+
+let ceil_div a b = (a + b - 1) / b
+
+(* The walker inverts the address formulas of [fill_cols].  The chunk
+   splits into address-monotone segments: all of a [Sequential] chunk,
+   each stride wrap of a [Strided] one.  Within a segment, a run starts
+   at record [i] and extends to the first record at or past the limit
+   the consumer gives for [i]'s address, found by integer division. *)
+let walk spec ~limit ~run =
+  let r = spec.cs_region in
+  let base = r.Kernel.base and span = span r and n = spec.cs_n in
+  let bw = r.Kernel.accesses / n and extra = r.Kernel.accesses mod n in
+  let stop = spec.cs_start + spec.cs_len in
+  match r.Kernel.pattern with
+  | Kernel.Sequential ->
+      (* Record [i] is at [base + span*i/n]: the first record at or past
+         [base + d] (for [0 < d <= span]) is [ceil (d*n / span)]. *)
+      let i = ref spec.cs_start in
+      while !i < stop do
+        let addr = base + (span * !i / n) in
+        let d = Int.min (limit addr - base) span in
+        let j = Int.min stop (ceil_div (d * n) span) in
+        run addr (weights ~bw ~extra !i j);
+        i := j
+      done
+  | Kernel.Strided stride ->
+      (* Record [i] is at [base + s*i mod span].  A segment starting at
+         [i0] with offset [off0] holds [(span-1-off0)/s + 1] records at
+         offsets [off0 + s*k]. *)
+      let s = step stride in
+      let i = ref spec.cs_start in
+      while !i < stop do
+        let i0 = !i and off0 = s * !i mod span in
+        let seg_stop = Int.min stop (i0 + ((span - 1 - off0) / s) + 1) in
+        while !i < seg_stop do
+          let addr = base + off0 + (s * (!i - i0)) in
+          let d = Int.min (limit addr - base) span in
+          let j = Int.min seg_stop (i0 + ceil_div (d - off0) s) in
+          run addr (weights ~bw ~extra !i j);
+          i := j
+        done
+      done
+  | Kernel.Random -> invalid_arg "Warp.walk: no closed form"
 
 let sub b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > b.b_len then invalid_arg "Warp.sub";
   if pos = 0 && len = b.b_len then b
   else
-    match b.b_shape with
-    | Descriptor { spec; warp_size } ->
-        {
-          b with
-          b_len = len;
-          b_shape =
-            Descriptor
-              { spec = { spec with cs_start = spec.cs_start + pos; cs_len = len }; warp_size };
-        }
-    | Dense c ->
-        (* [Array1.sub] is a zero-copy view of the same buffer. *)
-        let view col = Bigarray.Array1.sub col pos len in
-        {
-          b with
-          b_len = len;
-          b_shape =
-            Dense
-              {
-                addrs = view c.addrs;
-                sizes = view c.sizes;
-                warps = view c.warps;
-                weights = view c.weights;
-                writes = view c.writes;
-              };
-        }
+    (* [Array1.sub] is a zero-copy view of the same buffer. *)
+    let c = cols b in
+    let view col = Bigarray.Array1.sub col pos len in
+    {
+      b with
+      b_len = len;
+      b_shape =
+        Dense
+          {
+            addrs = view c.addrs;
+            sizes = view c.sizes;
+            warps = view c.warps;
+            weights = view c.weights;
+            writes = view c.writes;
+          };
+    }
 
 (* ---- Probabilistic thinning with inverse-probability reweighting ----- *)
 

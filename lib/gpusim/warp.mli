@@ -78,7 +78,8 @@ type shape = private
   | Dense of dense
   | Descriptor of { spec : chunk_spec; warp_size : int }
       (** the chunk's records are exactly those {!fill_chunk} would
-          generate for [spec]; its columns are built only when {!cols} is
+          generate for [spec], a whole {!plan} chunk in closed form
+          ({!closed_form}); its columns are built only when {!cols} is
           asked for them *)
 (** How a batch holds its records. *)
 
@@ -107,8 +108,9 @@ val cols : batch -> cols
 val batch_len : batch -> int
 
 val batch_bytes : batch -> int
-(** Bytes the five columns occupy (or would, for a descriptor): what a
-    decoder allocates to materialize the batch. *)
+(** Bytes the five columns of a dense batch occupy: what a decoder
+    allocates to materialize it.  A descriptor holds no columns and
+    decodes in O(1), so its [batch_bytes] is 0. *)
 
 val batch_weight : batch -> int
 (** Sum of record weights, i.e. the true accesses the batch stands for.
@@ -119,9 +121,10 @@ val iter_batch : batch -> f:(access -> unit) -> unit
 
 val sub : batch -> pos:int -> len:int -> batch
 (** [sub b ~pos ~len] is records [pos] to [pos + len - 1] of [b] ([b]
-    itself when that is all of it): a zero-copy view sharing a dense
-    [b]'s columns, or the narrower descriptor.  Raises [Invalid_argument]
-    outside [0, batch_len b). *)
+    itself when that is all of it): a zero-copy view sharing [b]'s
+    columns ({!cols} of a descriptor), so every descriptor stays a whole
+    {!plan} chunk.  Raises [Invalid_argument] outside
+    [0, batch_len b). *)
 
 val batch_of_arrays :
   region:int ->
@@ -164,23 +167,13 @@ val plan : max_records_per_region:int -> Kernel.t -> chunk_spec array
 
 (** {2 The sampling formulas}
 
-    Record [i] (of [n]) of region [r] lies at [r.base + offset i], where
-    [offset i] is [span r * i / n] for [Sequential] (spread evenly over
-    the extent), [step s * i mod span r] for [Strided s] (walking in the
-    step, wrapping), and a uniform draw from [\[0, span r)] for [Random].
+    Record [i] (of [n]) of region [r] lies at [r.base + offset i], where,
+    with [span = max 1 (r.bytes - 4)] (4 being the bytes per access),
+    [offset i] is [span * i / n] for [Sequential] (spread evenly over
+    the extent), [max 4 s * i mod span] for [Strided s] (walking in the
+    step, wrapping), and a uniform draw from [\[0, span)] for [Random].
     It weighs [accesses / n], plus one for [i < accesses mod n], so a
     region's weights sum to its exact access count. *)
-
-val span : Kernel.region -> int
-(** [max 1 (r.bytes - 4)], 4 being the bytes per access: every record
-    offset lies in [\[0, span r)]. *)
-
-val step : int -> int
-(** [step s] is the byte step of a [Strided s] region, [max 4 s]. *)
-
-val weight_range : chunk_spec -> int -> int -> int
-(** [weight_range spec i j] is the summed weight of region records [i] to
-    [j - 1] of [spec]'s region. *)
 
 val fill_chunk : rng:Pasta_util.Det_rng.t -> warp_size:int -> chunk_spec -> batch
 (** [fill_chunk ~rng ~warp_size spec] materializes the records of one chunk
@@ -188,14 +181,55 @@ val fill_chunk : rng:Pasta_util.Det_rng.t -> warp_size:int -> chunk_spec -> batc
     must derive per chunk with [Det_rng.of_key]. Safe to call from any
     domain. *)
 
+(** {2 Descriptors}
+
+    A closed-form chunk can travel as its spec instead of its columns.
+    Its parts are bounded so that no product the fill or the walker
+    forms can overflow: a base in [\[0, 2^56\]], an extent and a
+    non-negative stride of at most 2^38 bytes, at most 2^22 sampled
+    records per region, and a warp size in [\[1, 1024\]]. *)
+
 val closed_form : chunk_spec -> bool
 (** The chunk's records follow from its spec alone: a [Sequential] or
-    [Strided] region at a non-negative base. *)
+    [Strided] region (stride non-negative) whose base, extent, stride
+    and record count are within the bounds above. *)
 
 val describe : warp_size:int -> chunk_spec -> batch
 (** [describe ~warp_size spec] is the descriptor of the chunk
     [fill_chunk] would fill, in O(1).  Raises [Invalid_argument] unless
-    [closed_form spec]. *)
+    [closed_form spec] and [warp_size] is in bounds. *)
+
+val descriptor :
+  region:int ->
+  chunk:int ->
+  pc:int ->
+  len:int ->
+  warp_size:int ->
+  n:int ->
+  Kernel.region ->
+  (batch, string) result
+(** Rebuild a descriptor from its parts — the constructor trace decoders
+    use, so {!chunk_spec} stays private.  [region], [chunk], [pc] and
+    [len] are the batch header, [n] the region's sampled record count,
+    and the chunk starts at record [chunk * chunk_records].  [Ok] exactly
+    when {!describe} could have produced the batch: the parts are within
+    the bounds above, [n <= accesses], [pc] is the {!plan} pc of
+    [region], and [chunk] and [len] are one of {!plan}'s chunks of [n]
+    records.  [Error] names the first part that is not. *)
+
+val walk : chunk_spec -> limit:(int -> int) -> run:(int -> int -> unit) -> unit
+(** The descriptor walker: [walk spec ~limit ~run] visits the records of
+    a closed-form chunk in order, as runs, without building columns.
+    The chunk splits into address-monotone segments: all of a
+    [Sequential] chunk, each stride wrap of a [Strided] one.  At the
+    first record of each run, at address [addr], the walker calls
+    [limit addr]; the consumer returns the first address past [addr]
+    that may resolve differently for it (an object's end, a block
+    boundary), which must exceed [addr].  The run extends to the first
+    record of the segment at or past that address, or to the segment's
+    end, and the walker calls [run addr w]: the run's records lie, in
+    ascending order, in [\[addr, limit addr)] and weigh [w] in total.
+    Costs O(runs + segments) integer steps, with no allocation. *)
 
 val thin : rng:Pasta_util.Det_rng.t -> rate:float -> batch -> batch
 (** [thin ~rng ~rate b] keeps each record of [b] independently with

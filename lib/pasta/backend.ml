@@ -205,9 +205,6 @@ let enable_fine_grained t mode =
         (Vendor.Sanitizer.Parallel_analysis
            {
              map_bytes;
-             (* A capture writes every column of every batch: keep those
-                columns dense, filled on the pool. *)
-             descriptors = not (Processor.capturing t.processor);
              on_batches = batches_feeder t;
              on_kernel_complete = parallel_completion_feeder t;
            })

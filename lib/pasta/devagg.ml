@@ -189,6 +189,7 @@ type accum = {
   mutable run_w : int;
   mutable blk : int;
   mutable blk_w : int;
+  mutable walk_obj : Objmap.obj;  (* what the walked run's first address resolved to *)
   (* Two-slot rotation cache over the cells runs flush into: interleaved
      streams (A,B,A,B,...) flush on every record, and the cache turns
      those flushes into a compare and an in-place bump — no hashing.
@@ -220,6 +221,7 @@ let accum_create () =
     run_w = 0;
     blk = min_int;
     blk_w = 0;
+    walk_obj = no_obj;
     oc0_key = min_int;
     oc0 = oc;
     oc1_key = min_int;
@@ -325,55 +327,21 @@ let run_limit acc addr =
   let obj_limit =
     if addr >= acc.memo_base && addr < acc.memo_limit then acc.memo_limit else addr + 1
   in
-  min obj_limit (((addr / block_bytes) + 1) * block_bytes)
-
-let ceil_div a b = (a + b - 1) / b
+  Int.min obj_limit (((addr / block_bytes) + 1) * block_bytes)
 
 (* Reduce a descriptor by arithmetic into the runs the record scan of
-   its columns would form.  The chunk splits into address-monotone
-   segments: all of a [Sequential] chunk, each stride wrap of a
-   [Strided] one.  Within a segment, a run starts at record [i], resolves
-   its address, and extends to the first record at or past
-   [run_limit]. *)
-let add_descriptor acc view (spec : W.chunk_spec) =
-  let r = spec.W.cs_region in
-  let base = r.Gpusim.Kernel.base and span = W.span r and n = spec.W.cs_n in
-  let stop = spec.W.cs_start + spec.W.cs_len in
-  (match r.Gpusim.Kernel.pattern with
-  | Gpusim.Kernel.Sequential ->
-      (* Record [i] is at [base + span*i/n]: the first record at or past
-         [base + d] (for [0 < d <= span]) is [ceil (d*n / span)]. *)
-      let i = ref spec.W.cs_start in
-      while !i < stop do
-        let addr = base + (span * !i / n) in
-        let obj = resolve acc view addr in
-        let d = min (run_limit acc addr - base) span in
-        let j = min stop (ceil_div (d * n) span) in
-        feed acc (Objmap.obj_key obj) obj (addr / block_bytes) (W.weight_range spec !i j);
-        i := j
-      done
-  | Gpusim.Kernel.Strided stride ->
-      (* Record [i] is at [base + s*i mod span].  A segment starting at
-         [i0] with offset [off0] holds [(span-1-off0)/s + 1] records at
-         offsets [off0 + s*k]. *)
-      let s = W.step stride in
-      let i = ref spec.W.cs_start in
-      while !i < stop do
-        let i0 = !i and off0 = s * !i mod span in
-        let seg_stop = min stop (i0 + ((span - 1 - off0) / s) + 1) in
-        while !i < seg_stop do
-          let addr = base + off0 + (s * (!i - i0)) in
-          let obj = resolve acc view addr in
-          let d = min (run_limit acc addr - base) span in
-          let j = min seg_stop (i0 + ceil_div (d - off0) s) in
-          feed acc (Objmap.obj_key obj) obj (addr / block_bytes)
-            (W.weight_range spec !i j);
-          i := j
-        done
-      done
-  | Gpusim.Kernel.Random -> invalid_arg "Devagg: a Random region has no descriptor");
-  let weight = W.weight_range spec spec.W.cs_start stop in
-  if r.Gpusim.Kernel.write then acc.a_writes <- acc.a_writes + weight;
+   its columns would form: the walker resolves each run's first address,
+   which the run's records then share up to [run_limit]. *)
+let add_descriptor acc view b (spec : W.chunk_spec) =
+  W.walk spec
+    ~limit:(fun addr ->
+      acc.walk_obj <- resolve acc view addr;
+      run_limit acc addr)
+    ~run:(fun addr w ->
+      let obj = acc.walk_obj in
+      feed acc (Objmap.obj_key obj) obj (addr / block_bytes) w);
+  let weight = W.batch_weight b in
+  if spec.W.cs_region.Gpusim.Kernel.write then acc.a_writes <- acc.a_writes + weight;
   weight
 
 let add_dense acc view (c : W.cols) len =
@@ -399,7 +367,7 @@ let accum_add acc view (b : W.batch) =
   acc.blk_w <- 0;
   let weight =
     match b.W.b_shape with
-    | W.Descriptor { spec; _ } -> add_descriptor acc view spec
+    | W.Descriptor { spec; _ } -> add_descriptor acc view b spec
     | W.Dense _ -> add_dense acc view (W.cols b) b.W.b_len
   in
   flush_obj acc;

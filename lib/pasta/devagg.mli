@@ -63,9 +63,10 @@ val accum_add : accum -> Objmap.view -> Gpusim.Warp.batch -> unit
     resolve memo kept per batch) or fall in the same block, each bumping
     its tally once in the persistent tables.  A dense batch yields its
     runs by a scan of its columns; a descriptor
-    ({!Gpusim.Warp.shape}) yields exactly the same runs by arithmetic,
-    one step per object limit, block boundary or stride wrap, without
-    building columns.  Nothing is allocated per record or per run. *)
+    ({!Gpusim.Warp.shape}) yields exactly the same runs by arithmetic
+    through the descriptor walker ({!Gpusim.Warp.walk}), one step
+    per object limit, block boundary or stride wrap, without building
+    columns.  Nothing is allocated per record or per run. *)
 
 val merge_accums : ?est_rate:float -> accum array -> summary
 (** Merge per-worker accumulators once per kernel: sums the tally tables

@@ -272,8 +272,6 @@ let clear_pool t = t.pool <- None
 let set_sink t f = t.sink <- Some f
 let clear_sink t = t.sink <- None
 
-let capturing t = t.sink <> None
-
 let tap t ~time_us op =
   match t.sink with None -> () | Some f -> f ~time_us op
 let guard t = t.guard

@@ -140,9 +140,6 @@ val set_sink : t -> (time_us:float -> sink_op -> unit) -> unit
 
 val clear_sink : t -> unit
 
-val capturing : t -> bool
-(** A trace-capture tap is installed. *)
-
 val incidents : t -> Event.t list
 (** Supervision incidents ({!Event.Tool_quarantined} so far) in emission
     order. *)

@@ -53,8 +53,16 @@ let magic = "PTRC"
    differences (see [put_int_col]); simulated addresses and warp ids are
    arithmetic progressions, so most columns shrink to a single constant.
    The column bytes change, so the version bumps and v5 files are
-   refused. *)
-let version = 6
+   refused.
+
+   v7: a batch carries a shape byte after its header.  A dense batch
+   (shape 0) keeps the v6 columns; a closed-form chunk (shape 1) is
+   written as its descriptor — the region's parts and sampling, from
+   which {!Gpusim.Warp.descriptor} rebuilds it in O(1) — so the 99% of
+   a fine-grained capture that is closed-form no longer costs columns
+   to write or read.  The batch bytes change, so the version bumps and
+   v6 files are refused. *)
+let version = 7
 
 (* ------------------------------------------------------------------ *)
 (* Encoding primitives                                                 *)
@@ -511,12 +519,56 @@ let get_size_col ex c (a : Gpusim.Warp.size_col) len =
    able to force absurd allocations. *)
 let max_batch_len = 1 lsl 22
 
-let put_batch it buf (b : Gpusim.Warp.batch) =
+(* Batch shapes (v7): the byte after the batch header. *)
+let shape_dense = 0
+let shape_descriptor = 1
+
+(* A descriptor body: warp size, the region's sampled record count, then
+   the region (base, extent, accesses, write flag, pattern).  The chunk's
+   first record is implied by its index. *)
+let put_descriptor buf (spec : Gpusim.Warp.chunk_spec) ~warp_size =
   let module W = Gpusim.Warp in
-  put_u buf b.W.b_region;
-  put_u buf b.W.b_chunk;
-  put_u buf b.W.b_pc;
-  put_u buf b.W.b_len;
+  let r = spec.W.cs_region in
+  put_u buf warp_size;
+  put_u buf spec.W.cs_n;
+  put_z buf r.Gpusim.Kernel.base;
+  put_u buf r.Gpusim.Kernel.bytes;
+  put_u buf r.Gpusim.Kernel.accesses;
+  put_bool buf r.Gpusim.Kernel.write;
+  match r.Gpusim.Kernel.pattern with
+  | Gpusim.Kernel.Sequential -> put_u buf 0
+  | Gpusim.Kernel.Strided s ->
+      put_u buf 1;
+      put_z buf s
+  | Gpusim.Kernel.Random -> put_u buf 2
+
+(* Every part is checked by the constructor, which refuses whatever no
+   live run can describe — including a [Random] pattern — so a corrupt
+   descriptor can neither overflow nor stall a walker downstream. *)
+let get_descriptor c ~region ~chunk ~pc ~len =
+  let warp_size = get_u c in
+  let n = get_u c in
+  let base = get_z c in
+  let bytes = get_u c in
+  let accesses = get_u c in
+  let write = get_bool c in
+  let pattern =
+    match get_u c with
+    | 0 -> Gpusim.Kernel.Sequential
+    | 1 -> Gpusim.Kernel.Strided (get_z c)
+    | 2 -> Gpusim.Kernel.Random
+    | t -> corrupt "bad descriptor pattern %d" t
+  in
+  match
+    Gpusim.Warp.descriptor ~region ~chunk ~pc ~len ~warp_size ~n
+      { Gpusim.Kernel.base; bytes; accesses; write; pattern }
+  with
+  | Ok b -> b
+  | Error msg -> corrupt "%s" msg
+
+(* The v6 columns of a dense batch, after its shape byte. *)
+let put_dense it buf (b : Gpusim.Warp.batch) =
+  let module W = Gpusim.Warp in
   let len = b.W.b_len and c = W.cols b in
   put_int_col it buf c.W.addrs len;
   put_size_col it buf c.W.sizes len;
@@ -546,12 +598,7 @@ let put_batch it buf (b : Gpusim.Warp.batch) =
     Buffer.add_bytes buf bits
   end
 
-let get_batch ex c =
-  let region = get_u c in
-  let chunk = get_u c in
-  let pc = get_u c in
-  let len = get_u c in
-  if len > max_batch_len then corrupt "batch length %d exceeds limit" len;
+let get_dense ex c ~region ~chunk ~pc ~len =
   let module W = Gpusim.Warp in
   (* Columns decode straight into their final Bigarray storage and the
      batch adopts them zero-copy ([batch_of_columns]): replay hands the
@@ -586,6 +633,33 @@ let get_batch ex c =
       c.c_pos <- c.c_pos + nbytes
   | n -> corrupt "bad writes tag %d" n);
   W.batch_of_columns ~region ~chunk ~pc ~addrs ~sizes ~warps ~weights ~writes
+
+(* A batch is its header, a shape byte, then the dense columns or the
+   descriptor. *)
+let put_batch it buf (b : Gpusim.Warp.batch) =
+  let module W = Gpusim.Warp in
+  put_u buf b.W.b_region;
+  put_u buf b.W.b_chunk;
+  put_u buf b.W.b_pc;
+  put_u buf b.W.b_len;
+  match b.W.b_shape with
+  | W.Descriptor { spec; warp_size } ->
+      Buffer.add_char buf (Char.chr shape_descriptor);
+      put_descriptor buf spec ~warp_size
+  | W.Dense _ ->
+      Buffer.add_char buf (Char.chr shape_dense);
+      put_dense it buf b
+
+let get_batch ex c =
+  let region = get_u c in
+  let chunk = get_u c in
+  let pc = get_u c in
+  let len = get_u c in
+  if len > max_batch_len then corrupt "batch length %d exceeds limit" len;
+  match get_byte c with
+  | 0 (* dense *) -> get_dense ex c ~region ~chunk ~pc ~len
+  | 1 (* descriptor *) -> get_descriptor c ~region ~chunk ~pc ~len
+  | n -> corrupt "bad batch shape %d" n
 
 let put_obj buf = function
   | Objmap.Tensor { ptr; bytes; tag } ->
@@ -1271,9 +1345,11 @@ let write_op w ~time_us ?(backend = 0) op =
   w.w_chunk_decoded <- w.w_chunk_decoded + op_batch_bytes op;
   w.w_ops <- w.w_ops + 1;
   (* The reader materializes a whole chunk before applying any of it, so
-     the decoded size is bounded as well as the encoded one: v6 columns
-     compress so well that encoded bytes alone would let one chunk hold
-     half a run. *)
+     the decoded size is bounded as well as the encoded one: dense
+     columns compress so well that encoded bytes alone would let one
+     chunk hold half a run.  A descriptor decodes in O(1) and adds
+     nothing ([Warp.batch_bytes] is 0), so chunks of descriptors follow
+     the encoded budget. *)
   if
     Buffer.length w.w_buf >= w.w_chunk_bytes
     || w.w_chunk_decoded >= w.w_chunk_bytes

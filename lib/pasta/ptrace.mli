@@ -23,7 +23,9 @@ exception Corrupt of string
 (** Raised on malformed input: bad magic, unsupported version, CRC
     mismatch, framing violation or truncation.  A length field larger
     than what is left of the file, or a varint that reaches bit 62, is
-    refused this way before anything is allocated. *)
+    refused this way before anything is allocated, and so is a batch
+    descriptor that no live run can produce
+    ({!Gpusim.Warp.descriptor}). *)
 
 val version : int
 (** Format version this build writes and reads. *)
@@ -47,10 +49,12 @@ val create_writer :
 (** [create_writer ~device path] opens [path] and writes the header.
     [chunk_bytes] (default {!Config.trace_chunk_bytes}) bounds capture
     and replay memory: the op buffer is flushed as a framed chunk as soon
-    as its encoded ops, or the batch columns they decode to
+    as its encoded ops, or the dense batch columns they decode to
     ({!Gpusim.Warp.batch_bytes}), reach that size, and at
     {!close_writer}.  A reader decodes a whole chunk before applying it,
-    so the decoded bound is what it materializes at once.  [backends] (default
+    so the decoded bound is what it materializes at once.  A batch
+    written as its descriptor decodes in O(1) and counts toward the
+    encoded bound only.  [backends] (default
     empty — a solo capture) is the mixed-backend table recorded in the
     header; replay uses it to recreate one processor per backend. *)
 

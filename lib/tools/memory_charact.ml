@@ -163,6 +163,11 @@ let tool t =
         report = report t;
       }
   | Cpu_sanitizer | Cpu_nvbit ->
+      (* Note [addr]'s object as touched by the running kernel, and return
+         the extent of the resolve memo it leaves: every address from
+         [addr] up to the result resolves to the same object — the
+         object's end, or [addr + 1] for an unknown address, which leaves
+         the memo alone. *)
       let touch addr =
         let obj = Pasta.Objmap.resolve t.own_objmap addr in
         let key = Pasta.Objmap.obj_key obj and bytes = Pasta.Objmap.obj_bytes obj in
@@ -170,7 +175,8 @@ let tool t =
           Hashtbl.replace t.current key bytes;
           t.last_key <- key;
           t.last_bytes <- bytes
-        end
+        end;
+        if bytes > 0 then key + bytes else addr + 1
       in
       {
         base with
@@ -178,7 +184,7 @@ let tool t =
           (fun ev ->
             feed_own_objmap t ev;
             track_usage t ev);
-        on_access = (fun _info access -> touch access.Pasta.Event.addr);
+        on_access = (fun _info access -> ignore (touch access.Pasta.Event.addr));
         (* The sanitizer path can hand records over as packed batches;
            working sets only need the addresses, so consume them in place
            instead of paying a per-record callback each. *)
@@ -187,19 +193,26 @@ let tool t =
              Some
                (fun _info batch ->
                  Gpusim.Warp.iter_batch batch ~f:(fun a ->
-                     touch a.Gpusim.Warp.addr))
+                     ignore (touch a.Gpusim.Warp.addr)))
            else None);
         on_access_columns =
           (* Columnar delivery: read the address column straight off the
-             batch — no per-record boxing at all. *)
+             batch — no per-record boxing at all.  A descriptor needs one
+             [touch] per run of records inside one memo extent: the
+             record scan's other calls would only hit the memo and
+             re-note the same object. *)
           (if t.var = Cpu_sanitizer then
              Some
                (fun _info batch ->
                  let module W = Gpusim.Warp in
-                 let addrs = (W.cols batch).W.addrs in
-                 for i = 0 to batch.W.b_len - 1 do
-                   touch (Bigarray.Array1.unsafe_get addrs i)
-                 done)
+                 match batch.W.b_shape with
+                 | W.Descriptor { spec; _ } ->
+                     W.walk spec ~limit:touch ~run:(fun _ _ -> ())
+                 | W.Dense _ ->
+                     let addrs = (W.cols batch).W.addrs in
+                     for i = 0 to batch.W.b_len - 1 do
+                       ignore (touch (Bigarray.Array1.unsafe_get addrs i))
+                     done)
            else None);
         on_kernel_end =
           (fun _ _ ->

@@ -105,7 +105,7 @@ let g_column ~hi len =
       array_repeat len value;
     ]
 
-let g_batch =
+let g_dense_batch =
   let* len =
     QCheck.Gen.oneof [ QCheck.Gen.int_range 1 3; QCheck.Gen.int_range 1 2048 ]
   in
@@ -126,6 +126,37 @@ let g_batch =
   QCheck.Gen.return
     (Gpusim.Warp.batch_of_arrays ~region ~chunk ~pc ~addrs ~sizes ~warps
        ~weights ~writes)
+
+(* A descriptor: one chunk of a kernel of closed-form regions. *)
+let g_descriptor =
+  let g_region =
+    let* base = g_addr in
+    let* bytes = QCheck.Gen.int_range 0 (1 lsl 30) in
+    let* accesses = QCheck.Gen.int_range 1 1_000_000 in
+    let* write = QCheck.Gen.bool in
+    let* pattern =
+      QCheck.Gen.oneof
+        [
+          QCheck.Gen.return Gpusim.Kernel.Sequential;
+          QCheck.Gen.map
+            (fun s -> Gpusim.Kernel.Strided s)
+            (QCheck.Gen.int_range 0 (1 lsl 20));
+        ]
+    in
+    QCheck.Gen.return (Gpusim.Kernel.region ~write ~pattern ~base ~bytes ~accesses ())
+  in
+  let* regions = QCheck.Gen.list_size (QCheck.Gen.int_range 1 4) g_region in
+  let* cap = QCheck.Gen.int_range 1 20_000 in
+  let* warp_size = QCheck.Gen.oneofl [ 32; 64; 128 ] in
+  let specs =
+    Gpusim.Warp.plan ~max_records_per_region:cap
+      (Gpusim.Kernel.make ~name:"desc" ~grid:(Gpusim.Dim3.make 1)
+         ~block:(Gpusim.Dim3.make 32) ~regions ())
+  in
+  let* i = QCheck.Gen.int_bound (Array.length specs - 1) in
+  QCheck.Gen.return (Gpusim.Warp.describe ~warp_size specs.(i))
+
+let g_batch = QCheck.Gen.oneof [ g_dense_batch; g_descriptor ]
 
 let g_obj =
   QCheck.Gen.oneof
@@ -702,16 +733,185 @@ let test_length_fields () =
     [ 1 lsl 59; 1 lsl 62 ];
   Sys.remove path
 
+(* Descriptor batch fields, in their v7 order after the batch header
+   and shape byte 1.  [pattern] is the tag: 0 sequential, 1 strided
+   (followed by [stride]), 2 random. *)
+type desc_fields = {
+  d_region : int;
+  d_chunk : int;
+  d_pc : int;
+  d_len : int;
+  d_warp : int;
+  d_n : int;
+  d_base : int;
+  d_bytes : int;
+  d_accesses : int;
+  d_write : bool;
+  d_pattern : int;
+  d_stride : int;
+}
+
+let zigzag n = leb128 ((n lsl 1) lxor (n asr 62))
+
+let desc_bytes f =
+  String.concat ""
+    [
+      leb128 f.d_region;
+      leb128 f.d_chunk;
+      leb128 f.d_pc;
+      leb128 f.d_len;
+      "\001";
+      leb128 f.d_warp;
+      leb128 f.d_n;
+      zigzag f.d_base;
+      leb128 f.d_bytes;
+      leb128 f.d_accesses;
+      (if f.d_write then "\001" else "\000");
+      leb128 f.d_pattern;
+      (if f.d_pattern = 1 then zigzag f.d_stride else "");
+    ]
+
+(* Chunk 1 of a strided region sampled into 3000 records. *)
+let good_desc =
+  {
+    d_region = 0;
+    d_chunk = 1;
+    d_pc = 64;
+    d_len = 1024;
+    d_warp = 32;
+    d_n = 3000;
+    d_base = 0x7F00_0000_0000;
+    d_bytes = 1 lsl 20;
+    d_accesses = 5000;
+    d_write = false;
+    d_pattern = 1;
+    d_stride = 256;
+  }
+
+(* Descriptor fields the decoder must refuse: each is a field
+   combination no live run can describe, or past a bound that keeps the
+   walkers' products from overflowing. *)
+let bad_descs =
+  [
+    ("no records", { good_desc with d_n = 0 });
+    ("chunk past its records", { good_desc with d_n = 1500 });
+    ("length past its chunk", { good_desc with d_len = 1025 });
+    ("length above chunk_records", { good_desc with d_chunk = 0; d_len = 2048 });
+    ("length short of its chunk", { good_desc with d_len = 1000 });
+    ("chunk past the region", { good_desc with d_chunk = 3 });
+    ("more records than accesses", { good_desc with d_accesses = 2999 });
+    ("pc of another region", { good_desc with d_pc = 96 });
+    ("unknown pattern tag", { good_desc with d_pattern = 3 });
+    ("random pattern", { good_desc with d_pattern = 2 });
+    ("negative base", { good_desc with d_base = -4096 });
+    ("base past the bound", { good_desc with d_base = 1 lsl 60 });
+    ("extent past the bound", { good_desc with d_bytes = 1 lsl 39 });
+    ("stride past the bound", { good_desc with d_stride = 1 lsl 39 });
+    ("negative stride", { good_desc with d_stride = -4 });
+    ("records past the bound", { good_desc with d_n = 1 lsl 23; d_accesses = 1 lsl 23 });
+    ("warp size 0", { good_desc with d_warp = 0 });
+    ("warp size past the bound", { good_desc with d_warp = 1025 });
+  ]
+
+(* A one-op trace whose batch is [f], with a valid CRC: the header of an
+   empty capture, then one frame around an [Sk_batch] op. *)
+let descriptor_trace path f =
+  let k = QCheck.Gen.generate1 ~rand:(Random.State.make [| 17 |]) g_info in
+  let spec =
+    (Gpusim.Warp.plan ~max_records_per_region:3000
+       (Gpusim.Kernel.make ~name:"desc" ~grid:(Gpusim.Dim3.make 1)
+          ~block:(Gpusim.Dim3.make 32)
+          ~regions:
+            [
+              Gpusim.Kernel.region
+                ~pattern:(Gpusim.Kernel.Strided good_desc.d_stride)
+                ~base:good_desc.d_base ~bytes:good_desc.d_bytes
+                ~accesses:good_desc.d_accesses ();
+            ]
+          ())).(1)
+  in
+  let op =
+    Pasta.Ptrace.op_to_string ~time_us:0.0
+      (Pasta.Processor.Sk_batch (k, Gpusim.Warp.describe ~warp_size:32 spec))
+  in
+  let good = desc_bytes good_desc in
+  let prefix = String.length op - String.length good in
+  Alcotest.(check string)
+    "the writer lays out a descriptor as specified" good
+    (String.sub op prefix (String.length good));
+  let payload = String.sub op 0 prefix ^ desc_bytes f in
+  let w = Pasta.Ptrace.create_writer ~device:0 path in
+  Pasta.Ptrace.close_writer w;
+  let crc = Bytes.create 4 in
+  Bytes.set_int32_le crc 0 (Int32.of_int (Pasta_util.Crc32.string payload));
+  write_all path
+    (String.concat ""
+       [
+         read_all path;
+         leb128 (String.length payload);
+         leb128 1;
+         Bytes.to_string crc;
+         payload;
+       ])
+
+(* Corrupt descriptor fields under a valid CRC are typed errors: strict
+   mode raises [Corrupt], tolerant mode skips the chunk. *)
+let test_corrupt_descriptors () =
+  let path = temp_trace () in
+  descriptor_trace path good_desc;
+  let shapes = ref [] in
+  let (_ : Pasta.Ptrace.header * Pasta.Ptrace.read_stats) =
+    Pasta.Ptrace.read_file ~mode:Pasta.Ptrace.Strict path ~f:(fun ~time_us:_ op ->
+        match op with
+        | Pasta.Processor.Sk_batch (_, b) -> shapes := b.Gpusim.Warp.b_shape :: !shapes
+        | _ -> Alcotest.fail "the crafted op is a batch")
+  in
+  (match !shapes with
+  | [ Gpusim.Warp.Descriptor _ ] -> ()
+  | _ -> Alcotest.fail "the well-formed trace holds one descriptor");
+  List.iter
+    (fun (what, f) ->
+      descriptor_trace path f;
+      (match count_ops ~mode:Pasta.Ptrace.Strict path with
+      | exception Pasta.Ptrace.Corrupt _ -> ()
+      | _ -> Alcotest.failf "strict mode read a descriptor with %s" what);
+      let n, stats = count_ops ~mode:Pasta.Ptrace.Tolerant path in
+      check_int (what ^ ": tolerant mode reads no op") 0 n;
+      check_int (what ^ ": and skips its chunk") 1 stats.Pasta.Ptrace.r_chunks_skipped)
+    bad_descs;
+  Sys.remove path
+
 (* The reader's mutation property: a small real capture with 1-8 bytes
    overwritten, or cut short, reads as Ok or [Corrupt] in both modes (and
-   through the parallel decode window) — never another exception. *)
+   through the parallel decode window) — never another exception.  The
+   capture runs without fault injection, so its closed-form chunks are
+   descriptors and the mutations reach descriptor bytes too. *)
 let small_capture =
   lazy
     (let path = temp_trace () in
+     Pasta.Config.set "ACCEL_PROF_INJECT_FAULTS" "0";
      let (_ : Pasta.Session.result) = live_run ~domains:1 path in
+     Pasta.Config.unset "ACCEL_PROF_INJECT_FAULTS";
      let s = read_all path in
      Sys.remove path;
      s)
+
+let test_small_capture_descriptors () =
+  let path = temp_trace () in
+  write_all path (Lazy.force small_capture);
+  let descriptors = ref 0 in
+  let (_ : Pasta.Ptrace.header * Pasta.Ptrace.read_stats) =
+    Pasta.Ptrace.read_file ~mode:Pasta.Ptrace.Strict path ~f:(fun ~time_us:_ op ->
+        match op with
+        | Pasta.Processor.Sk_batch (_, { Gpusim.Warp.b_shape = Gpusim.Warp.Descriptor _; _ })
+          ->
+            incr descriptors
+        | _ -> ())
+  in
+  Sys.remove path;
+  check_bool
+    (Printf.sprintf "%d descriptor ops to mutate" !descriptors)
+    true (!descriptors > 0)
 
 let prop_mutated_capture =
   let g =
@@ -765,7 +965,7 @@ let prop_mutated_capture =
             reads;
           true))
 
-(* Chunks are bounded by decoded size too: v6 columns compress a
+(* Chunks are bounded by decoded size too: dense columns compress a
    progression batch to a few bytes, yet the reader materializes a whole
    chunk at once.  With the bound, no chunk decodes to more than
    [chunk_bytes] plus one batch. *)
@@ -814,27 +1014,27 @@ let test_chunk_decoded_bound () =
   check_int "every chunk intact" chunks stats.Pasta.Ptrace.r_chunks;
   Sys.remove path
 
-(* The compatibility rule's gate: a real capture relabelled as v5 (the
-   encoding whose batch columns were not difference-coded) is refused
-   with the typed error in both modes — tolerant mode skips corrupt
-   chunks, never an unknown version. *)
+(* The compatibility rule's gate: a real capture relabelled as v6 (the
+   encoding whose batches had no shape byte) is refused with the typed
+   error in both modes — tolerant mode skips corrupt chunks, never an
+   unknown version. *)
 let test_version_gate () =
-  check_int "this build writes v6" 6 Pasta.Ptrace.version;
+  check_int "this build writes v7" 7 Pasta.Ptrace.version;
   let path = temp_trace () in
   let (_ : Pasta.Session.result) = live_run ~domains:1 path in
   let (_ : int) =
     map_byte path 4 (* right after the "PTRC" magic *) (fun v ->
         check_int "version byte follows the magic" Pasta.Ptrace.version v;
-        5)
+        6)
   in
   List.iter
     (fun (name, mode) ->
       match count_ops ~mode path with
       | exception Pasta.Ptrace.Corrupt msg ->
           Alcotest.(check string)
-            (name ^ " mode refuses v5")
-            "unsupported .ptrace version 5 (expected 6)" msg
-      | _ -> Alcotest.failf "%s mode read a v5 trace" name)
+            (name ^ " mode refuses v6")
+            "unsupported .ptrace version 6 (expected 7)" msg
+      | _ -> Alcotest.failf "%s mode read a v6 trace" name)
     [ ("strict", Pasta.Ptrace.Strict); ("tolerant", Pasta.Ptrace.Tolerant) ];
   Sys.remove path
 
@@ -962,10 +1162,14 @@ let suite =
       test_replay_deterministic;
     Alcotest.test_case "stat/diff on a corrupted trace" `Quick
       test_stat_diff_on_corrupt;
-    Alcotest.test_case "v5 header refused in strict and tolerant mode" `Quick
+    Alcotest.test_case "v6 header refused in strict and tolerant mode" `Quick
       test_version_gate;
     Alcotest.test_case "corrupt length fields are typed errors" `Quick
       test_length_fields;
+    Alcotest.test_case "corrupt descriptors are typed errors" `Quick
+      test_corrupt_descriptors;
+    Alcotest.test_case "the mutated capture holds descriptors" `Quick
+      test_small_capture_descriptors;
     qtest prop_mutated_capture;
     Alcotest.test_case "chunks bounded by decoded batch bytes" `Quick
       test_chunk_decoded_bound;

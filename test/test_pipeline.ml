@@ -366,19 +366,24 @@ let g_objects ~extent =
   let* objs = list_size (int_range 1 6) g_obj in
   return (first, objs)
 
-let view_of ~base (first, objs) =
-  let m = Pasta.Objmap.create () in
+(* Lay the objects out from [base + first], announcing each allocation
+   and tensor in creation order. *)
+let lay_out ~base (first, objs) ~alloc ~tensor =
   let at = ref (base + first) in
   List.iter
     (fun (gap, size, shared, nested) ->
       let a = !at + gap in
-      Pasta.Objmap.on_alloc m ~addr:a ~bytes:size ~managed:false;
-      Option.iter (fun len -> Pasta.Objmap.on_tensor_alloc m ~ptr:a ~bytes:len ~tag:"shared") shared;
-      Option.iter
-        (fun (off, len) -> Pasta.Objmap.on_tensor_alloc m ~ptr:(a + off) ~bytes:len ~tag:"nested")
-        nested;
+      alloc a size;
+      Option.iter (fun len -> tensor a len "shared") shared;
+      Option.iter (fun (off, len) -> tensor (a + off) len "nested") nested;
       at := a + size)
-    objs;
+    objs
+
+let view_of ~base objs =
+  let m = Pasta.Objmap.create () in
+  lay_out ~base objs
+    ~alloc:(fun addr bytes -> Pasta.Objmap.on_alloc m ~addr ~bytes ~managed:false)
+    ~tensor:(fun ptr bytes tag -> Pasta.Objmap.on_tensor_alloc m ~ptr ~bytes ~tag);
   Pasta.Objmap.view m
 
 let dense_copy b =
@@ -386,82 +391,142 @@ let dense_copy b =
   W.batch_of_columns ~region:b.W.b_region ~chunk:b.W.b_chunk ~pc:b.W.b_pc ~addrs:c.W.addrs
     ~sizes:c.W.sizes ~warps:c.W.warps ~weights:c.W.weights ~writes:c.W.writes
 
-(* A descriptor that reaches a capture tap is written as its columns. *)
-let batch_op b =
-  let info =
-    {
-      Pasta.Event.device_id = 0;
-      grid_id = 1;
-      stream = 0;
-      name = "desc";
-      grid = Gpusim.Dim3.make 1;
-      block = Gpusim.Dim3.make 32;
-      shared_bytes = 0;
-      arg_ptrs = [];
-      py_stack = [];
-      native_stack = [];
-    }
-  in
-  Pasta.Ptrace.op_to_string ~time_us:0.0 (Pasta.Processor.Sk_batch (info, b))
+let desc_info =
+  {
+    Pasta.Event.device_id = 0;
+    grid_id = 1;
+    stream = 0;
+    name = "desc";
+    grid = Gpusim.Dim3.make 1;
+    block = Gpusim.Dim3.make 32;
+    shared_bytes = 0;
+    arg_ptrs = [];
+    py_stack = [];
+    native_stack = [];
+  }
+
+(* A batch's trace encoding, and the batch that encoding decodes to. *)
+let encode b =
+  Pasta.Ptrace.payload_to_string (Pasta.Event.Access_batch { kernel = desc_info; batch = b })
+
+let decode s =
+  match Pasta.Ptrace.payload_of_string s with
+  | Pasta.Event.Access_batch { batch; _ } -> batch
+  | _ -> Alcotest.fail "a batch decoded to another payload"
+
+(* [b] encodes to bytes that decode to a batch of [b]'s shape with the
+   columns [dense], which re-encodes to the same bytes. *)
+let round_trips ~dense b =
+  let s = encode b in
+  let b' = decode s in
+  (match (b.W.b_shape, b'.W.b_shape) with
+  | W.Descriptor _, W.Descriptor _ | W.Dense _, W.Dense _ -> true
+  | _ -> false)
+  && W.cols b' = W.cols dense
+  && encode b' = s
 
 let summary_of view batches =
   let acc = Pasta.Devagg.accum_create () in
   List.iter (Pasta.Devagg.accum_add acc view) batches;
   Pasta.Devagg.merge_accums [| acc |]
 
+let print_case ((bytes, pattern, accesses, cap, write, offset), (first, objs)) =
+  Printf.sprintf "bytes=%d pattern=%s accesses=%d cap=%d write=%b offset=%d objs@%d=[%s]"
+    bytes
+    (match pattern with
+    | Gpusim.Kernel.Strided s -> Printf.sprintf "strided %d" s
+    | _ -> "sequential")
+    accesses cap write offset first
+    (String.concat "; "
+       (List.map
+          (fun (gap, size, shared, nested) ->
+            Printf.sprintf "+%d:%d%s%s" gap size
+              (match shared with Some l -> Printf.sprintf " shared %d" l | None -> "")
+              (match nested with
+              | Some (o, l) -> Printf.sprintf " nested %d:%d" o l
+              | None -> ""))
+          objs))
+
+let g_case =
+  let* ((bytes, _, _, _, _, _) as region) = g_region in
+  QCheck.Gen.map (fun objs -> (region, objs)) (g_objects ~extent:bytes)
+
+(* The case's region base and its chunks, each as a descriptor. *)
+let case_descriptors (bytes, pattern, accesses, cap, write, offset) =
+  let base = 0x7f00_0000_0000 + offset in
+  let k =
+    Gpusim.Kernel.make ~name:"desc" ~grid:(Gpusim.Dim3.make 1) ~block:(Gpusim.Dim3.make 32)
+      ~regions:[ Gpusim.Kernel.region ~write ~pattern ~base ~bytes ~accesses () ]
+      ()
+  in
+  (base, Array.to_list (Array.map (W.describe ~warp_size:32) (W.plan ~max_records_per_region:cap k)))
+
 (* A descriptor must reduce to exactly the tallies the record scan of its
    materialized columns forms — including which object each key keeps
    when a tensor shares its base with an allocation — chunk by chunk, and
    across consecutive chunks reduced by one accumulator.  Its closed-form
-   weight and its trace encoding must match the columns too. *)
+   weight must match the columns too, and its trace encoding must decode
+   to a descriptor of the same records that re-encodes to the same bytes,
+   as the dense copy's encoding does for the dense copy. *)
 let prop_descriptor_runs =
-  let print ((bytes, pattern, accesses, cap, write, offset), (first, objs)) =
-    Printf.sprintf "bytes=%d pattern=%s accesses=%d cap=%d write=%b offset=%d objs@%d=[%s]"
-      bytes
-      (match pattern with
-      | Gpusim.Kernel.Strided s -> Printf.sprintf "strided %d" s
-      | _ -> "sequential")
-      accesses cap write offset first
-      (String.concat "; "
-         (List.map
-            (fun (gap, size, shared, nested) ->
-              Printf.sprintf "+%d:%d%s%s" gap size
-                (match shared with Some l -> Printf.sprintf " shared %d" l | None -> "")
-                (match nested with
-                | Some (o, l) -> Printf.sprintf " nested %d:%d" o l
-                | None -> ""))
-            objs))
-  in
   QCheck.Test.make ~name:"descriptor runs equal the materialized scan" ~count:500
-    (QCheck.make ~print
-       (let* ((bytes, _, _, _, _, _) as region) = g_region in
-        QCheck.Gen.map (fun objs -> (region, objs)) (g_objects ~extent:bytes)))
-    (fun ((bytes, pattern, accesses, cap, write, offset), objs) ->
-      let base = 0x7f00_0000_0000 + offset in
+    (QCheck.make ~print:print_case g_case)
+    (fun (region, objs) ->
+      let base, descs = case_descriptors region in
       let view = view_of ~base objs in
-      let k =
-        Gpusim.Kernel.make ~name:"desc" ~grid:(Gpusim.Dim3.make 1) ~block:(Gpusim.Dim3.make 32)
-          ~regions:[ Gpusim.Kernel.region ~write ~pattern ~base ~bytes ~accesses () ]
-          ()
-      in
-      let descs =
-        Array.to_list (Array.map (W.describe ~warp_size:32) (W.plan ~max_records_per_region:cap k))
-      in
       let dense = List.map dense_copy descs in
       let first k l = List.filteri (fun i _ -> i < k) l in
       List.for_all2
         (fun d m ->
           W.batch_weight d = W.batch_weight m
           && summary_of view [ d ] = summary_of view [ m ]
-          && batch_op d = batch_op m)
+          && round_trips ~dense:m d
+          && round_trips ~dense:m m)
         descs dense
       && summary_of view (first 4 descs) = summary_of view (first 4 dense))
 
+(* Per-kernel footprints of the CS-CPU working-set tool, fed the objects
+   as allocation and tensor events, then each kernel's batches through
+   its columnar callback. *)
+let cs_cpu_footprints ~base objs kernels =
+  let module M = Pasta_tools.Memory_charact in
+  let t = M.create ~variant:M.Cpu_sanitizer () in
+  let tool = M.tool t in
+  let event payload = tool.Pasta.Tool.on_event { Pasta.Event.device = 0; time_us = 0.0; payload } in
+  lay_out ~base objs
+    ~alloc:(fun addr bytes -> event (Pasta.Event.Memory_alloc { addr; bytes; managed = false }))
+    ~tensor:(fun ptr bytes tag ->
+      event (Pasta.Event.Tensor_alloc { ptr; bytes; pool_allocated = 0; pool_reserved = 0; tag }));
+  let columns = Option.get tool.Pasta.Tool.on_access_columns in
+  List.iter
+    (fun batches ->
+      List.iter (columns desc_info) batches;
+      tool.Pasta.Tool.on_kernel_end desc_info
+        { Pasta.Event.duration_us = 0.0; true_accesses = 0; faulted_pages = 0 })
+    kernels;
+  M.kernel_footprints t
+
+(* The CS-CPU consumer walks a descriptor by runs of one resolve-memo
+   extent; it must note exactly the objects its record scan of the dense
+   copy notes, in the same order (a tensor sharing an allocation's base
+   shares its key).  The memo is sticky across chunks and kernels, so
+   the chunks run in one kernel, then reversed in a second one. *)
+let prop_cs_cpu_descriptors =
+  QCheck.Test.make ~name:"CS-CPU descriptor runs equal the materialized scan" ~count:500
+    (QCheck.make ~print:print_case g_case)
+    (fun (region, objs) ->
+      let base, descs = case_descriptors region in
+      let dense = List.map dense_copy descs in
+      cs_cpu_footprints ~base objs [ descs; List.rev descs ]
+      = cs_cpu_footprints ~base objs [ dense; List.rev dense ])
+
 (* ------------------------------------------------------------------ *)
-(* Live, captured and replayed Gpu_parallel runs                       *)
+(* Live, captured and replayed descriptor runs                         *)
 (* ------------------------------------------------------------------ *)
 
-let gpu_parallel_tools =
+(* The tools whose record channel takes descriptors: the three
+   Gpu_parallel reductions and the CS-CPU host analysis. *)
+let descriptor_tools =
   [
     ("hotness_fine", fun () -> Pasta_tools.Hotness.tool_fine (Pasta_tools.Hotness.create ()));
     ( "memory_charact_par",
@@ -471,6 +536,11 @@ let gpu_parallel_tools =
     );
     ( "region_roofline",
       fun () -> Pasta_tools.Region_roofline.tool (Pasta_tools.Region_roofline.create ()) );
+    ( "memory_charact_cs_cpu",
+      fun () ->
+        Pasta_tools.Memory_charact.tool
+          (Pasta_tools.Memory_charact.create ~variant:Pasta_tools.Memory_charact.Cpu_sanitizer ())
+    );
   ]
 
 (* One inference iteration; returns the report and the ring accounting. *)
@@ -486,9 +556,42 @@ let parallel_run ?capture ~model ~cap mk =
   ( Format.asprintf "%t" r.Pasta.Session.report,
     (r.Pasta.Session.events_seen, h.Pasta.Session.records_buffered_peak, h.Pasta.Session.records_dropped) )
 
-(* A capturing session keeps every chunk dense, so it is the materialized
-   reference for the live run, which reduces closed-form chunks as
-   descriptors: reports, strict replay and ring accounting must agree. *)
+(* Strict replay; returns the report and the replaying processor's ring
+   accounting. *)
+let replay_run path mk =
+  let o = Pasta.Replay.run ~mode:Pasta.Ptrace.Strict ~tool:(mk ()) path in
+  let p = o.Pasta.Replay.processor in
+  let reg = Pasta.Processor.metrics p and labels = Pasta.Processor.metric_labels p in
+  let counter name = Option.get (Pasta_util.Metric.find_counter reg ~labels name) in
+  let peak = Option.get (Pasta_util.Metric.find_gauge reg ~labels "pasta_records_buffered_peak") in
+  ( Format.asprintf "%t" o.Pasta.Replay.report,
+    (counter "pasta_events_seen", int_of_float peak, counter "pasta_records_dropped") )
+
+(* Copy the trace at [src] to [dst] with every descriptor batch rewritten
+   as its materialized columns; returns how many were rewritten. *)
+let densify src dst =
+  let h = Pasta.Ptrace.read_header_of_file src in
+  let w = Pasta.Ptrace.create_writer ~meta:h.Pasta.Ptrace.h_meta ~device:h.Pasta.Ptrace.h_device dst in
+  let rewritten = ref 0 in
+  let (_ : Pasta.Ptrace.header * Pasta.Ptrace.read_stats) =
+    Pasta.Ptrace.read_file ~mode:Pasta.Ptrace.Strict src ~f:(fun ~time_us op ->
+        let op =
+          match op with
+          | Pasta.Processor.Sk_batch (k, ({ W.b_shape = W.Descriptor _; _ } as b)) ->
+              incr rewritten;
+              Pasta.Processor.Sk_batch (k, dense_copy b)
+          | op -> op
+        in
+        Pasta.Ptrace.write_op w ~time_us op)
+  in
+  Pasta.Ptrace.close_writer w;
+  !rewritten
+
+(* Live runs and captures reduce closed-form chunks as descriptors, and
+   the trace stores them as such.  The materialized reference is the
+   captured trace with every descriptor rewritten as its columns, replayed
+   strictly: live, replayed and densified-replayed reports, and their ring
+   accounting, must agree. *)
 let test_live_captured_replayed () =
   List.iter
     (fun domains ->
@@ -503,19 +606,27 @@ let test_live_captured_replayed () =
                     Printf.sprintf "%s %s cap %d, %d domains: %s" name model cap domains what
                   in
                   let path = Filename.temp_file "pasta_desc" ".ptrace" in
+                  let dense_path = Filename.temp_file "pasta_dense" ".ptrace" in
                   let live, live_acct = parallel_run ~model ~cap mk in
                   let captured, cap_acct = parallel_run ~capture:path ~model ~cap mk in
-                  let o = Pasta.Replay.run ~mode:Pasta.Ptrace.Strict ~tool:(mk ()) path in
-                  let replayed = Format.asprintf "%t" o.Pasta.Replay.report in
+                  let replayed, replay_acct = replay_run path mk in
+                  let rewritten = densify path dense_path in
+                  let reference, reference_acct = replay_run dense_path mk in
                   Sys.remove path;
-                  Alcotest.(check string) (label "live = captured report") captured live;
-                  Alcotest.(check string) (label "captured = replayed report") captured replayed;
-                  Alcotest.(check (triple int int int))
-                    (label "events seen, buffered peak, dropped")
-                    cap_acct live_acct)
+                  Sys.remove dense_path;
+                  check_bool (label "the capture holds descriptors") true (rewritten > 0);
+                  Alcotest.(check string) (label "live = densified report") reference live;
+                  Alcotest.(check string) (label "captured = densified report") reference captured;
+                  Alcotest.(check string) (label "replayed = densified report") reference replayed;
+                  List.iter
+                    (fun (what, acct) ->
+                      Alcotest.(check (triple int int int))
+                        (label (what ^ ": events seen, buffered peak, dropped"))
+                        reference_acct acct)
+                    [ ("live", live_acct); ("captured", cap_acct); ("replayed", replay_acct) ])
                 [ 1; 37; 1024 ])
             [ "AN"; "BERT"; "Whisper" ])
-        gpu_parallel_tools)
+        descriptor_tools)
     [ 1; 2 ];
   Pasta.Config.unset "ACCEL_PROF_DOMAINS"
 
@@ -527,7 +638,7 @@ let test_drop_oldest_handoff () =
   Pasta.Config.set "ACCEL_PROF_BUFFER_CAP" "2";
   Pasta.Config.set "ACCEL_PROF_OVERFLOW_POLICY" "drop-oldest";
   let report, (seen, peak, dropped) =
-    parallel_run ~model:"BERT" ~cap:1024 (List.assoc "hotness_fine" gpu_parallel_tools)
+    parallel_run ~model:"BERT" ~cap:1024 (List.assoc "hotness_fine" descriptor_tools)
   in
   Pasta.Config.unset "ACCEL_PROF_BUFFER_CAP";
   Pasta.Config.unset "ACCEL_PROF_OVERFLOW_POLICY";
@@ -555,6 +666,7 @@ let suite =
     ("range-filter accounting adds up", `Quick, test_filtered_accounting);
     ("NVBit-CPU callback stream pinned", `Quick, test_nvbit_callback_digest);
     QCheck_alcotest.to_alcotest prop_descriptor_runs;
+    QCheck_alcotest.to_alcotest prop_cs_cpu_descriptors;
     ("live, captured and replayed runs agree", `Quick, test_live_captured_replayed);
     ("drop-oldest hand-off pinned", `Quick, test_drop_oldest_handoff);
   ]
