@@ -560,7 +560,7 @@ let ablation () =
   let device = Gpusim.Device.create Gpusim.Arch.a100 in
   let ctx = Dlfw.Ctx.create device in
   let nv = Vendor.Nvbit.attach device in
-  Vendor.Nvbit.instrument_memory nv ~on_batch:(fun _ _ -> ()) ();
+  Vendor.Nvbit.instrument_memory nv ~on_views:(fun _ _ -> ()) ();
   ignore (Runner.run_default ctx "RN-18" ~mode:Runner.Inference);
   let p = Vendor.Nvbit.phases nv in
   Format.fprintf ppf

@@ -101,16 +101,35 @@ let fill_cols ?rng ~warp_size spec =
   (* [Sequential] spreads records evenly over the extent, [Strided] walks
      it in its step, wrapping; [Random] draws from the chunk-keyed stream,
      so the values do not depend on which domain — or in which order —
-     chunks execute. *)
+     chunks execute.  The closed forms are divided once, at the chunk's
+     first record; each later record steps from the one before by exact
+     integer arithmetic, so the columns equal the formulas record for
+     record with no division per record. *)
   (match r.Kernel.pattern with
   | Kernel.Sequential ->
+      (* [span * i / n] as quotient [q] and remainder [rem]: each record
+         adds [span / n] to [q] and [span mod n] to [rem], carrying one
+         into [q] when [rem] reaches [n]. *)
+      let dq = span / n and dr = span mod n in
+      let q = ref (span * start / n) and rem = ref (span * start mod n) in
       for j = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set addrs j (base + (span * (start + j) / n))
+        Bigarray.Array1.unsafe_set addrs j (base + !q);
+        q := !q + dq;
+        rem := !rem + dr;
+        if !rem >= n then begin
+          incr q;
+          rem := !rem - n
+        end
       done
   | Kernel.Strided stride ->
-      let s = step stride in
+      (* [s * i mod span]: both the offset and [s mod span] are below
+         [span], so one subtraction wraps their sum. *)
+      let ds = step stride mod span in
+      let off = ref (step stride * start mod span) in
       for j = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set addrs j (base + (s * (start + j) mod span))
+        Bigarray.Array1.unsafe_set addrs j (base + !off);
+        off := !off + ds;
+        if !off >= span then off := !off - span
       done
   | Kernel.Random ->
       let rng =
@@ -121,11 +140,23 @@ let fill_cols ?rng ~warp_size spec =
       for j = 0 to len - 1 do
         Bigarray.Array1.unsafe_set addrs j (base + Pasta_util.Det_rng.int rng span)
       done);
-  let warp_wrap = max warp_size (span / access_size) in
+  (* Record [i]'s warp is [x / warp_size] for [x = i * warp_size mod
+     warp_wrap].  [x] grows by [warp_size <= warp_wrap] per record, so
+     one subtraction wraps it, and the warp grows by one.  At a wrap the
+     new [x] is below [warp_size] (the old one was below [warp_wrap]), so
+     the warp restarts at 0. *)
+  let warp_wrap = Int.max warp_size (span / access_size) in
+  let x = ref (start * warp_size mod warp_wrap) in
+  let w = ref (!x / warp_size) in
   for j = 0 to len - 1 do
-    let i = start + j in
-    Bigarray.Array1.unsafe_set warps j (i * warp_size mod warp_wrap / warp_size);
-    Bigarray.Array1.unsafe_set weights j (base_weight + if i < extra then 1 else 0)
+    Bigarray.Array1.unsafe_set warps j !w;
+    Bigarray.Array1.unsafe_set weights j (base_weight + if start + j < extra then 1 else 0);
+    x := !x + warp_size;
+    if !x >= warp_wrap then begin
+      x := !x - warp_wrap;
+      w := 0
+    end
+    else incr w
   done;
   { addrs; sizes; warps; weights; writes }
 
@@ -362,8 +393,11 @@ let walk spec ~limit ~run =
       done
   | Kernel.Random -> invalid_arg "Warp.walk: no closed form"
 
+let check_range ~who b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > b.b_len then invalid_arg who
+
 let sub b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > b.b_len then invalid_arg "Warp.sub";
+  check_range ~who:"Warp.sub" b ~pos ~len;
   if pos = 0 && len = b.b_len then b
   else
     (* [Array1.sub] is a zero-copy view of the same buffer. *)
@@ -382,6 +416,12 @@ let sub b ~pos ~len =
             writes = view c.writes;
           };
     }
+
+type view = { v_batch : batch; v_pos : int; v_len : int; v_time_us : float }
+
+let view b ~pos ~len ~time_us =
+  check_range ~who:"Warp.view" b ~pos ~len;
+  { v_batch = b; v_pos = pos; v_len = len; v_time_us = time_us }
 
 (* ---- Probabilistic thinning with inverse-probability reweighting ----- *)
 

@@ -126,6 +126,19 @@ val sub : batch -> pos:int -> len:int -> batch
     {!plan} chunk.  Raises [Invalid_argument] outside
     [0, batch_len b). *)
 
+type view = private { v_batch : batch; v_pos : int; v_len : int; v_time_us : float }
+(** Records [v_pos] to [v_pos + v_len - 1] of [v_batch], as a record
+    channel handed them to the host at simulated time [v_time_us].  A
+    channel whose flush points split batches records each piece as a
+    view instead of building a {!sub} for it; all of a batch is the view
+    at [v_pos = 0] with [v_len = batch_len v_batch]. *)
+
+val view : batch -> pos:int -> len:int -> time_us:float -> view
+(** [view b ~pos ~len ~time_us] is records [pos] to [pos + len - 1] of
+    [b], stamped [time_us], in O(1).  Raises [Invalid_argument] outside
+    [0, batch_len b), so a consumer may read the view's records from
+    {!cols} unchecked. *)
+
 val batch_of_arrays :
   region:int ->
   chunk:int ->
@@ -179,7 +192,11 @@ val fill_chunk : rng:Pasta_util.Det_rng.t -> warp_size:int -> chunk_spec -> batc
 (** [fill_chunk ~rng ~warp_size spec] materializes the records of one chunk
     as dense columns.  [Random] regions draw from [rng], which callers
     must derive per chunk with [Det_rng.of_key]. Safe to call from any
-    domain. *)
+    domain.  Record [i]'s warp is [i * warp_size mod warp_wrap /
+    warp_size], with [warp_wrap = max warp_size (span / 4)].  The fill
+    evaluates the formulas above once, at the chunk's first record, and
+    steps each column from there by exact integer arithmetic, so it
+    divides per chunk, not per record. *)
 
 (** {2 Descriptors}
 

@@ -170,6 +170,11 @@ let batches_feeder t (info : D.launch_info) batches =
     batches;
   Telemetry.end_span Telemetry.Handler
 
+let views_feeder t (info : D.launch_info) views =
+  Telemetry.begin_span Telemetry.Handler "handler.views";
+  Processor.submit_access_views t.processor (Event.kernel_info_of_launch info) views;
+  Telemetry.end_span Telemetry.Handler
+
 let parallel_completion_feeder t (info : D.launch_info) (_ : D.exec_stats) =
   Telemetry.begin_span Telemetry.Handler "handler.parallel_complete";
   Processor.flush_parallel_summary t.processor ~time_us:(D.now_us t.device)
@@ -221,7 +226,7 @@ let enable_fine_grained t mode =
              per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
            })
   | Tool.Cpu_nvbit, S_nvbit s ->
-      Vendor.Nvbit.instrument_memory s ~on_batch:(batch_feeder t) ()
+      Vendor.Nvbit.instrument_memory s ~on_views:(views_feeder t) ()
   | Tool.Instruction_level, S_sanitizer s ->
       Vendor.Sanitizer.patch_module s
         (Vendor.Sanitizer.Instruction_analysis

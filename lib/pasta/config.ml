@@ -138,15 +138,18 @@ let guard_cooldown_kernels () =
   | Some n when n > 0 -> n
   | _ -> 25
 
-let buffer_capacity () =
-  match get_int "ACCEL_PROF_BUFFER_CAP" with
-  | Some n when n > 0 -> n
-  | _ -> 4096
-
-(* An enumerated knob refuses a value outside its set rather than quietly
+(* A strict knob refuses a value outside its set rather than quietly
    running with the default.  An empty value counts as unset. *)
-let invalid_knob key v accepted =
-  invalid_arg (Printf.sprintf "%s=%S is not one of: %s" key v accepted)
+let invalid_knob key v expected =
+  invalid_arg (Printf.sprintf "%s=%S is not %s" key v expected)
+
+let buffer_capacity () =
+  match get "ACCEL_PROF_BUFFER_CAP" with
+  | None | Some "" -> 4096
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some n when n > 0 -> n
+      | _ -> invalid_knob "ACCEL_PROF_BUFFER_CAP" v "a positive integer")
 
 let overflow_policy () =
   match get "ACCEL_PROF_OVERFLOW_POLICY" with
@@ -156,8 +159,8 @@ let overflow_policy () =
       | Some p -> p
       | None ->
           invalid_knob "ACCEL_PROF_OVERFLOW_POLICY" v
-            "drop-oldest (drop_oldest, oldest), drop-newest (drop_newest, \
-             newest), block (stall)")
+            "one of: drop-oldest (drop_oldest, oldest), drop-newest \
+             (drop_newest, newest), block (stall)")
 
 let watchdog_us () =
   match Option.bind (get "ACCEL_PROF_WATCHDOG_US") float_of_string_opt with
@@ -192,10 +195,11 @@ let regions () =
       | "fine" | "full" | "2" -> Gpusim.Instrpass.Fine
       | _ ->
           invalid_knob "ACCEL_PROF_REGIONS" v
-            "off (0, false, no), coarse (1, on, true, yes), fine (full, 2)")
+            "one of: off (0, false, no), coarse (1, on, true, yes), fine (full, 2)")
 
 let validate () =
   match
+    ignore (buffer_capacity ());
     ignore (overflow_policy ());
     ignore (regions ())
   with

@@ -77,7 +77,10 @@ val guard_cooldown_kernels : unit -> int
 
 val buffer_capacity : unit -> int
 (** [ACCEL_PROF_BUFFER_CAP]: bounded record-buffer capacity in items, a
-    packed batch being one item (default 4096). *)
+    packed batch (or a flushed view of one) being one item (default
+    4096, also when set to the empty string).  Any value that is not a
+    positive integer raises [Invalid_argument] naming the knob and the
+    value. *)
 
 val overflow_policy : unit -> Pasta_util.Ring_buffer.overflow
 (** [ACCEL_PROF_OVERFLOW_POLICY]: drop-oldest | drop-newest | block
@@ -123,8 +126,8 @@ val regions : unit -> Gpusim.Instrpass.granularity
     accepted spellings. *)
 
 val validate : unit -> (unit, string) result
-(** Parse every knob that refuses bad values ({!overflow_policy},
-    {!regions}) as the calling thread resolves them.  [Error] carries the
+(** Parse every knob that refuses bad values ({!buffer_capacity},
+    {!overflow_policy}, {!regions}) as the calling thread resolves them.  [Error] carries the
     refusal's message.  The CLI calls it before doing any work; the serve
     daemon calls it inside a job's overlay at submit time. *)
 

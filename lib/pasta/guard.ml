@@ -178,9 +178,9 @@ let failed t cb ~probe =
 (* Run one callback and settle its outcome.  Telemetry counts the call
    here, whether or not it raises; its wall time goes to the enclosing
    tool frame. *)
-let run t cb f ~probe =
+let run t cb f a b ~probe =
   Telemetry.count_call t.slot;
-  match f t.the_tool with
+  match f t.the_tool a b with
   | () ->
       if probe then
         locked t (fun () ->
@@ -189,8 +189,8 @@ let run t cb f ~probe =
             t.reinstated <- t.reinstated + 1)
   | exception _ -> failed t cb ~probe
 
-let call_in_frame t cb f =
-  if Atomic.get t.closed then run t cb f ~probe:false
+let call_in_frame t cb f a b =
+  if Atomic.get t.closed then run t cb f a b ~probe:false
   else
     match
       locked t (fun () ->
@@ -208,7 +208,7 @@ let call_in_frame t cb f =
           | Closed -> Some false)
     with
     | None -> ()
-    | Some probe -> run t cb f ~probe
+    | Some probe -> run t cb f a b ~probe
 
 (* A raising callback still gets its wall time charged to the tool — that
    is exactly the time a misbehaving (soon-quarantined) tool cost the
@@ -223,7 +223,7 @@ let framed t body =
       Telemetry.end_tool t.slot;
       raise e
 
-let call t cb f = framed t (fun () -> call_in_frame t cb f)
+let call t cb f = framed t (fun () -> call_in_frame t cb (fun tool f () -> f tool) f ())
 
 let guarded_report t ppf =
   framed t (fun () ->

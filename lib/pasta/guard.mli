@@ -64,22 +64,25 @@ val note_kernel : t -> unit
 
 val call : t -> callback -> (Tool.t -> unit) -> unit
 (** Run one callback under the breaker, in its own tool frame: [call g cb
-    f] is [framed g (fun () -> call_in_frame g cb f)]. *)
+    f] runs [f (tool g)] as {!call_in_frame} would, inside {!framed}. *)
 
 val framed : t -> (unit -> 'a) -> 'a
 (** [framed g body] runs [body] inside one telemetry frame of [g]'s tool
     ({!Telemetry.begin_tool}/{!Telemetry.end_tool}): the wall time of
     [body], raising or not, is charged to the tool.  A site that runs
-    many callbacks in a row — the per-record delivery of a batch — opens
-    one frame around all of them, so the clock is read twice per frame
-    rather than twice per callback. *)
+    many callbacks in a row — the per-record delivery of a drained
+    record buffer — opens one frame around all of them, so the clock is
+    read twice per frame rather than twice per callback. *)
 
-val call_in_frame : t -> callback -> (Tool.t -> unit) -> unit
-(** Run one callback under the breaker, with no clock read; call it
-    inside {!framed}.  Quarantined: no-op (counted as suppressed).
-    Cooldown elapsed: the call is the half-open probe.  A callback that
-    runs is counted with {!Telemetry.count_call}; its exception is caught
-    and counted, never re-raised. *)
+val call_in_frame : t -> callback -> (Tool.t -> 'a -> 'b -> unit) -> 'a -> 'b -> unit
+(** [call_in_frame g cb f a b] runs [f (tool g) a b] under the breaker,
+    with no clock read; call it inside {!framed}.  The callback takes its
+    arguments from the call, so an [f] with no free variables is a
+    static closure and a per-record call site allocates nothing for it.
+    Quarantined: no-op (counted as suppressed).  Cooldown elapsed: the
+    call is the half-open probe.  A callback that runs is counted with
+    {!Telemetry.count_call}; its exception is caught and counted, never
+    re-raised. *)
 
 val guarded_report : t -> Format.formatter -> unit
 (** The tool's report, exception-safe; always attempted (quarantine only

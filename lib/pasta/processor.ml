@@ -151,16 +151,22 @@ type sink_op =
 
 type pending_region = { p_base : int; p_extent : int; p_accesses : int; p_written : bool }
 
-(* The bounded buffer holds either legacy single records or packed batches;
-   all drop/peak accounting below counts *records*, so the two shapes are
-   indistinguishable in the health report. *)
+module W = Gpusim.Warp
+
+(* The bounded buffer holds either legacy single records or time-stamped
+   views of packed batches (all of a batch, or the piece of one that a
+   channel flush handed over); all drop/peak accounting below counts
+   *records*, so the two shapes are indistinguishable in the health
+   report. *)
 type buffered =
   | B_one of Event.kernel_info * Event.mem_access * float
-  | B_batch of Event.kernel_info * Gpusim.Warp.batch * float
+  | B_batch of Event.kernel_info * W.view
 
-let buffered_count = function
-  | B_one _ -> 1
-  | B_batch (_, b, _) -> Gpusim.Warp.batch_len b
+let buffered_count = function B_one _ -> 1 | B_batch (_, v) -> v.W.v_len
+
+(* A view's records as a batch of their own: the batch itself when the
+   view covers all of it, else a zero-copy [W.sub]. *)
+let view_batch (v : W.view) = W.sub v.W.v_batch ~pos:v.W.v_pos ~len:v.W.v_len
 
 type t = {
   device : int;
@@ -371,83 +377,99 @@ let in_range t payload =
 
 (* One record of the paper's CS-CPU/NVBit model: a Global_access
    [on_event], then [on_access] — the event [dispatch] would deliver, with
-   its dispatched/suppressed count.  Runs inside the caller's tool frame. *)
+   its dispatched/suppressed count.  Runs inside the caller's tool frame.
+   The callbacks are closed functions that take their arguments from the
+   guard, so a record allocates its [access], its event and the event's
+   payload, and nothing else. *)
 let deliver_access t g info access time_us =
   count_dispatch t g;
-  Guard.call_in_frame g Guard.On_event (fun tool ->
-      tool.Tool.on_event
-        {
-          Event.device = t.device;
-          time_us;
-          payload = Event.Global_access { kernel = info; access };
-        });
-  Guard.call_in_frame g Guard.On_access (fun tool -> tool.Tool.on_access info access)
+  Guard.call_in_frame g Guard.On_event
+    (fun tool ev () -> tool.Tool.on_event ev)
+    {
+      Event.device = t.device;
+      time_us;
+      payload = Event.Global_access { kernel = info; access };
+    }
+    ();
+  Guard.call_in_frame g Guard.On_access
+    (fun tool info access -> tool.Tool.on_access info access)
+    info access
 
-let deliver_batch t info batch time_us =
-  let columns_aware, batch_aware =
-    match tool t with
-    | Some tl ->
-        (t.columnar && tl.Tool.on_access_columns <> None,
-         tl.Tool.on_access_batch <> None)
-    | None -> (false, false)
-  in
-  if columns_aware then begin
-    (* Zero-copy columnar delivery: the tool reads the batch's Bigarray
-       columns in place — no [Event.t] wrapper, no per-record closures,
-       nothing allocated per dispatch. *)
-    Metric.incr t.ctr.c_batches_delivered;
-    guard_call t Guard.On_access_batch (fun tool ->
-        match tool.Tool.on_access_columns with
-        | Some f -> f info batch
-        | None -> ())
-  end
-  else if batch_aware then begin
-    if not t.legacy_batch_noted then begin
-      t.legacy_batch_noted <- true;
-      Metric.incr t.ctr.c_deprecated_batch_tools
-    end;
-    Metric.incr t.ctr.c_batches_delivered;
-    dispatch t
-      {
-        Event.device = t.device;
-        time_us;
-        payload = Event.Access_batch { kernel = info; batch };
-      };
-    guard_call t Guard.On_access_batch (fun tool ->
-        match tool.Tool.on_access_batch with
-        | Some f -> f info batch
-        | None -> ())
-  end
-  else
-    match t.guard with
-    | None -> ()
-    | Some g ->
-        (* Per-record fallback: exactly the legacy event stream, one
-           [deliver_access] per record, all inside one tool frame.  The
-           columns are read unchecked: every batch constructor checks
-           [b_len] against their dims. *)
-        let module W = Gpusim.Warp in
-        let c = W.cols batch in
-        Guard.framed g (fun () ->
-            for i = 0 to batch.W.b_len - 1 do
-              deliver_access t g info
-                {
-                  Event.addr = Bigarray.Array1.unsafe_get c.W.addrs i;
-                  size = Bigarray.Array1.unsafe_get c.W.sizes i;
-                  write = Bigarray.Array1.unsafe_get c.W.writes i <> 0;
-                  pc = batch.W.b_pc;
-                  warp = Bigarray.Array1.unsafe_get c.W.warps i;
-                  weight = Bigarray.Array1.unsafe_get c.W.weights i;
-                }
-                time_us
-            done)
+(* The per-record stream of one buffered item, inside the caller's tool
+   frame.  A view's columns are read unchecked: [W.view] and every batch
+   constructor check their bounds against the column dims. *)
+let deliver_records t g = function
+  | B_one (info, access, time_us) -> deliver_access t g info access time_us
+  | B_batch (info, v) ->
+      let c = W.cols v.W.v_batch and pc = v.W.v_batch.W.b_pc in
+      for i = v.W.v_pos to v.W.v_pos + v.W.v_len - 1 do
+        deliver_access t g info
+          {
+            Event.addr = Bigarray.Array1.unsafe_get c.W.addrs i;
+            size = Bigarray.Array1.unsafe_get c.W.sizes i;
+            write = Bigarray.Array1.unsafe_get c.W.writes i <> 0;
+            pc;
+            warp = Bigarray.Array1.unsafe_get c.W.warps i;
+            weight = Bigarray.Array1.unsafe_get c.W.weights i;
+          }
+          v.W.v_time_us
+      done
 
-let deliver_item t = function
-  | B_one (info, access, time_us) -> (
-      match t.guard with
-      | None -> ()
-      | Some g -> Guard.framed g (fun () -> deliver_access t g info access time_us))
-  | B_batch (info, batch, time_us) -> deliver_batch t info batch time_us
+(* How the active tool takes a buffered batch. *)
+type delivery =
+  | Columns  (** zero-copy [on_access_columns] *)
+  | Batch  (** the deprecated event-wrapped [on_access_batch] *)
+  | Records  (** the legacy per-record stream, [on_event] + [on_access] *)
+
+let delivery t tl =
+  if t.columnar && tl.Tool.on_access_columns <> None then Columns
+  else if tl.Tool.on_access_batch <> None then Batch
+  else Records
+
+(* One buffered item for a [Columns] tool ([columns]) or a [Batch] one,
+   each callback in its own tool frame. *)
+let deliver_item t g ~columns = function
+  | B_one (info, access, time_us) ->
+      Guard.framed g (fun () -> deliver_access t g info access time_us)
+  | B_batch (info, v) ->
+      let batch = view_batch v in
+      Metric.incr t.ctr.c_batches_delivered;
+      if columns then
+        (* Zero-copy columnar delivery: the tool reads the batch's
+           Bigarray columns in place — no [Event.t] wrapper, no
+           per-record closures, nothing allocated per dispatch. *)
+        Guard.call g Guard.On_access_batch (fun tool ->
+            match tool.Tool.on_access_columns with
+            | Some f -> f info batch
+            | None -> ())
+      else begin
+        if not t.legacy_batch_noted then begin
+          t.legacy_batch_noted <- true;
+          Metric.incr t.ctr.c_deprecated_batch_tools
+        end;
+        dispatch t
+          {
+            Event.device = t.device;
+            time_us = v.W.v_time_us;
+            payload = Event.Access_batch { kernel = info; batch };
+          };
+        Guard.call g Guard.On_access_batch (fun tool ->
+            match tool.Tool.on_access_batch with
+            | Some f -> f info batch
+            | None -> ())
+      end
+
+(* Hand drained items to the tool in order.  A per-record tool gets the
+   whole drain inside one tool frame, so the clock is read twice per
+   drain, not per batch or per record. *)
+let deliver_items t items =
+  match (t.guard, items) with
+  | None, _ | Some _, [] -> ()
+  | Some g, items -> (
+      match delivery t (Guard.tool g) with
+      | Records -> Guard.framed g (fun () -> List.iter (deliver_records t g) items)
+      | Columns -> List.iter (deliver_item t g ~columns:true) items
+      | Batch -> List.iter (deliver_item t g ~columns:false) items)
 
 let flush_records t =
   Telemetry.begin_span Telemetry.Ring "ring.drain";
@@ -455,7 +477,7 @@ let flush_records t =
   t.buffered_records <- 0;
   Telemetry.sample_ring_occupancy 0;
   Telemetry.end_span Telemetry.Ring;
-  List.iter (deliver_item t) items
+  deliver_items t items
 
 (* One push with its drop/stall accounting, inside the caller's Ring
    span. *)
@@ -608,21 +630,29 @@ let submit_access t ~time_us (info : Event.kernel_info) access =
   else Metric.incr t.ctr.c_accesses_filtered;
   Telemetry.end_span Telemetry.Dispatch
 
-let submit_access_batches t ~time_us (info : Event.kernel_info) batches =
-  Telemetry.begin_span Telemetry.Dispatch "proc.submit_batch";
+(* One view of a hand-off, inside the caller's Dispatch and (in range)
+   Ring spans: it stamps the processor's clock, is tapped to the sink as
+   its own [Sk_batch] op (whose batch is built only for a sink), counts
+   every record, and is pushed whole or withheld by the range filter. *)
+let submit_view t ~active info (v : W.view) =
+  let time_us = v.W.v_time_us in
   t.last_time_us <- time_us;
+  (match t.sink with None -> () | Some f -> f ~time_us (Sk_batch (info, view_batch v)));
+  Metric.add t.ctr.c_events_seen v.W.v_len;
+  if active then push_item t (B_batch (info, v))
+  else Metric.add t.ctr.c_accesses_filtered v.W.v_len
+
+let submit_access_views t (info : Event.kernel_info) views =
+  Telemetry.begin_span Telemetry.Dispatch "proc.submit_views";
   let active = Range.active t.range ~grid_id:info.Event.grid_id in
   if active then Telemetry.begin_span Telemetry.Ring "ring.push";
-  List.iter
-    (fun batch ->
-      tap t ~time_us (Sk_batch (info, batch));
-      let len = Gpusim.Warp.batch_len batch in
-      Metric.add t.ctr.c_events_seen len;
-      if active then push_item t (B_batch (info, batch, time_us))
-      else Metric.add t.ctr.c_accesses_filtered len)
-    batches;
+  List.iter (submit_view t ~active info) views;
   if active then Telemetry.end_span Telemetry.Ring;
   Telemetry.end_span Telemetry.Dispatch
+
+let submit_access_batches t ~time_us info batches =
+  submit_access_views t info
+    (List.map (fun b -> W.view b ~pos:0 ~len:(W.batch_len b) ~time_us) batches)
 
 let submit_access_batch t ~time_us info batch =
   submit_access_batches t ~time_us info [ batch ]
@@ -665,13 +695,13 @@ let drain_parallel t ~time_us (info : Event.kernel_info) =
   let mine, others =
     List.partition
       (function
-        | B_batch (i, _, _) -> i.Event.grid_id = info.Event.grid_id
+        | B_batch (i, _) -> i.Event.grid_id = info.Event.grid_id
         | B_one _ -> false)
       items
   in
-  List.iter (deliver_item t) others;
+  deliver_items t others;
   Array.of_list
-    (List.filter_map (function B_batch (_, b, _) -> Some b | B_one _ -> None) mine)
+    (List.filter_map (function B_batch (_, v) -> Some (view_batch v) | B_one _ -> None) mine)
 
 (* Kernel-end reduction for [Gpu_parallel] tools: drain this kernel's
    batches, aggregate each shard (over the pool when one is installed),
@@ -709,9 +739,7 @@ let flush_parallel_summary t ~time_us (info : Event.kernel_info) =
           end
         in
         let is_dense b =
-          match b.Gpusim.Warp.b_shape with
-          | Gpusim.Warp.Dense _ -> true
-          | Gpusim.Warp.Descriptor _ -> false
+          match b.W.b_shape with W.Dense _ -> true | W.Descriptor _ -> false
         in
         let ndense = Array.fold_left (fun n b -> if is_dense b then n + 1 else n) 0 batches in
         (match t.pool with
@@ -753,7 +781,7 @@ let flush_parallel_summary t ~time_us (info : Event.kernel_info) =
    buffered batches are dropped here and the summary is re-driven through
    {!submit_device_summary} when the reader reaches it. *)
 let flush_parallel_drop t ~time_us (info : Event.kernel_info) =
-  let (_ : Gpusim.Warp.batch array) = drain_parallel t ~time_us info in
+  let (_ : W.batch array) = drain_parallel t ~time_us info in
   ()
 
 let submit_profile t ~time_us (info : Event.kernel_info) profile =

@@ -172,18 +172,33 @@ val submit_access : t -> time_us:float -> Event.kernel_info -> Event.mem_access 
     {!flush_records}); the overflow policy decides what happens when the
     producer outruns the drain points. *)
 
+val submit_access_views :
+  t -> Event.kernel_info -> Gpusim.Warp.view list -> unit
+(** Feed one kernel's hand-off of time-stamped record views (a channel
+    that flushes several times per kernel hands its flushed pieces over
+    once, at kernel exit), in order, under one Dispatch span and (when in
+    range) one Ring span.  Each view is handled exactly as if it had been
+    submitted on its own at its stamp: it moves the processor's clock to
+    [v_time_us], is tapped to the sink as its own [Sk_batch] op (the
+    view's records as a {!Gpusim.Warp.sub}, built only when a sink is
+    attached), counts every record in [events_seen], and enters the
+    bounded buffer as one item, with the overflow policy's drop, peak
+    and stall accounting — or, out of range, counts in
+    [accesses_filtered].  Delivery is as for {!submit_access_batches};
+    each record's [Global_access] event carries its view's stamp. *)
+
 val submit_access_batches :
   t -> time_us:float -> Event.kernel_info -> Gpusim.Warp.batch list -> unit
-(** Feed one hand-off of packed record batches, in order, under one
-    Dispatch span and (when in range) one Ring span.  Each batch is tapped
-    to the sink as its own [Sk_batch] op and counts every record in
-    [events_seen]; in-range batches enter the bounded buffer whole, one
-    push each with the overflow policy's accounting.  At delivery a tool
-    with [on_access_batch] receives each batch as-is (one
-    {!Event.Access_batch} event); any other tool gets the legacy
-    per-record stream — one [Global_access] event and [on_access] call
-    per record, in batch order, all inside one tool frame
-    ({!Guard.framed}) per batch. *)
+(** Feed one hand-off of packed record batches, all stamped [time_us]:
+    {!submit_access_views} of each batch's whole view.  Each batch is
+    tapped to the sink as its own [Sk_batch] op and counts every record
+    in [events_seen]; in-range batches enter the bounded buffer whole,
+    one push each with the overflow policy's accounting.  At delivery a
+    tool with [on_access_columns] (or the deprecated [on_access_batch])
+    receives each batch as-is; any other tool gets the legacy per-record
+    stream — one [Global_access] event and [on_access] call per record,
+    in batch order — with each drain of the buffer inside one tool frame
+    ({!Guard.framed}). *)
 
 val submit_access_batch :
   t -> time_us:float -> Event.kernel_info -> Gpusim.Warp.batch -> unit
@@ -215,7 +230,9 @@ val flush_parallel_drop : t -> time_us:float -> Event.kernel_info -> unit
     {!submit_device_summary}. *)
 
 val flush_records : t -> unit
-(** Drain the bounded record buffer to the tool now. *)
+(** Drain the bounded record buffer to the tool now.  A per-record tool
+    (no columns or batch callback) gets the whole drain inside one tool
+    frame. *)
 
 val note_rate : t -> time_us:float -> grid_id:int -> float -> unit
 (** Record that fine-grained generation runs at the given sampling rate

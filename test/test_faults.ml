@@ -192,6 +192,34 @@ let test_overflow_policy_knob () =
         (List.for_all (Astring_contains.contains msg)
            [ "ACCEL_PROF_OVERFLOW_POLICY"; "drop-oldset"; "drop-oldest" ])
 
+(* A junk, zero or negative capacity is refused, not run with 4096. *)
+let test_buffer_cap_knob () =
+  let with_cap v f =
+    Pasta.Config.set "ACCEL_PROF_BUFFER_CAP" v;
+    Fun.protect ~finally:(fun () -> Pasta.Config.unset "ACCEL_PROF_BUFFER_CAP") f
+  in
+  check_int "unset is 4096" 4096 (Pasta.Config.buffer_capacity ());
+  check_int "empty counts as unset" 4096 (with_cap "" Pasta.Config.buffer_capacity);
+  check_int "a positive integer is taken" 64 (with_cap "64" Pasta.Config.buffer_capacity);
+  check_bool "a good value validates" true (with_cap "64" Pasta.Config.validate = Ok ());
+  List.iter
+    (fun v ->
+      with_cap v (fun () ->
+          (match Pasta.Config.buffer_capacity () with
+          | n -> Alcotest.failf "ACCEL_PROF_BUFFER_CAP=%S ran with %d" v n
+          | exception Invalid_argument msg ->
+              check_bool
+                (Printf.sprintf "the refusal of %S names the knob and the value" v)
+                true
+                (List.for_all (Astring_contains.contains msg)
+                   [ "ACCEL_PROF_BUFFER_CAP"; Printf.sprintf "%S" v ]));
+          match Pasta.Config.validate () with
+          | Ok () -> Alcotest.failf "validate accepts ACCEL_PROF_BUFFER_CAP=%S" v
+          | Error msg ->
+              check_bool "validate names the knob" true
+                (Astring_contains.contains msg "ACCEL_PROF_BUFFER_CAP")))
+    [ "12x"; "0"; "-3" ]
+
 (* ---- Fault injection: deterministic, and survivable ---- *)
 
 let fault_run seed =
@@ -307,4 +335,5 @@ let suite =
     ("stuck kernel trips the watchdog", `Quick, test_stuck_kernel_trips_watchdog);
     ("injector cleared after session", `Quick, test_faults_cleared_after_session);
     ("unknown overflow policy is refused", `Quick, test_overflow_policy_knob);
+    ("non-positive or junk buffer cap is refused", `Quick, test_buffer_cap_knob);
   ]

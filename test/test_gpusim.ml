@@ -247,6 +247,87 @@ let prop_warp_weights =
           total := !total + a.Warp.weight);
       !total = accesses)
 
+(* The fill steps each column from the record before it.  Every record
+   must equal its closed form, evaluated with one division per record as
+   the sampling formulas state it, for any chunk of a Sequential, Strided
+   or Random region: strides below the 4-byte step and past the extent,
+   extents under 4 bytes, record counts that do not divide the span, and
+   warp sizes that do not divide the warp wrap. *)
+let reference_fill ~rng ~warp_size (spec : Warp.chunk_spec) =
+  let r = spec.Warp.cs_region and n = spec.Warp.cs_n in
+  let span = max 1 (r.Kernel.bytes - 4) in
+  let wrap = max warp_size (span / 4) in
+  let rows = Array.make spec.Warp.cs_len (0, 0, 0) in
+  for j = 0 to spec.Warp.cs_len - 1 do
+    let i = spec.Warp.cs_start + j in
+    let off =
+      match r.Kernel.pattern with
+      | Kernel.Sequential -> span * i / n
+      | Kernel.Strided s -> max 4 s * i mod span
+      | Kernel.Random -> Pasta_util.Det_rng.int rng span
+    in
+    let weight = (r.Kernel.accesses / n) + if i < r.Kernel.accesses mod n then 1 else 0 in
+    rows.(j) <- (r.Kernel.base + off, i * warp_size mod wrap / warp_size, weight)
+  done;
+  rows
+
+let g_fill_case =
+  let open QCheck.Gen in
+  let ( let* ) = ( >>= ) in
+  let* bytes = oneof [ int_range 0 7; int_range 8 4096; int_range 4097 (64 lsl 20) ] in
+  let span = max 1 (bytes - 4) in
+  let* pattern =
+    oneof
+      [
+        return Kernel.Sequential;
+        return Kernel.Random;
+        map
+          (fun s -> Kernel.Strided s)
+          (oneof [ int_range 0 3; int_range 4 4096; int_range (span + 1) ((3 * span) + 8) ]);
+      ]
+  in
+  let* accesses = oneof [ int_range 1 100; int_range 1 100_000 ] in
+  let* cap = oneof [ int_range 1 64; int_range 65 5000 ] in
+  let* warp_size = oneofl [ 1; 32; 48; 64 ] in
+  let* chunk = int_range 0 7 in
+  let* base = int_range 0 (1 lsl 40) in
+  let* write = bool in
+  return (bytes, pattern, accesses, cap, warp_size, chunk, base, write)
+
+let print_fill_case (bytes, pattern, accesses, cap, warp_size, chunk, base, write) =
+  Printf.sprintf "bytes=%d pattern=%s accesses=%d cap=%d warp=%d chunk=%d base=%d write=%b"
+    bytes
+    (match pattern with
+    | Kernel.Sequential -> "sequential"
+    | Kernel.Random -> "random"
+    | Kernel.Strided s -> Printf.sprintf "strided %d" s)
+    accesses cap warp_size chunk base write
+
+let prop_stepped_fill =
+  QCheck.Test.make ~name:"stepped fill equals the per-record formulas" ~count:1000
+    (QCheck.make ~print:print_fill_case g_fill_case)
+    (fun (bytes, pattern, accesses, cap, warp_size, chunk, base, write) ->
+      let k =
+        mk_kernel ~regions:[ Kernel.region ~write ~pattern ~base ~bytes ~accesses () ] "fill"
+      in
+      let specs = Warp.plan ~max_records_per_region:cap k in
+      let spec = specs.(chunk mod Array.length specs) in
+      let stream () = Pasta_util.Det_rng.of_key 11L [| chunk |] in
+      let c = Warp.cols (Warp.fill_chunk ~rng:(stream ()) ~warp_size spec) in
+      let expected = reference_fill ~rng:(stream ()) ~warp_size spec in
+      let ok = ref (Bigarray.Array1.dim c.Warp.addrs = Array.length expected) in
+      Array.iteri
+        (fun j (addr, warp, weight) ->
+          ok :=
+            !ok
+            && c.Warp.addrs.{j} = addr
+            && c.Warp.warps.{j} = warp
+            && c.Warp.weights.{j} = weight
+            && c.Warp.sizes.{j} = 4
+            && c.Warp.writes.{j} = if write then 1 else 0)
+        expected;
+      !ok)
+
 (* ---- Costmodel ---- *)
 
 let test_cost_roofline () =
@@ -418,4 +499,5 @@ let suite =
     ("device sample cap", `Quick, test_device_sample_cap);
     ("device managed registers uvm", `Quick, test_device_managed_registers_uvm);
     ("device clock advances", `Quick, test_device_clock_advances);
+    qtest prop_stepped_fill;
   ]

@@ -261,11 +261,14 @@ let test_filtered_accounting () =
    event's kind and timestamp bits, every record's fields in delivery
    order, and the final simulated clock.  The digest below pins it, so a
    change to how records travel from the NVBit channel buffer to the tool
-   cannot reorder, re-time, drop or re-charge any of them unnoticed. *)
-let nvbit_callback_log ?buffer_cap () =
+   cannot reorder, re-time, drop or re-charge any of them unnoticed.  The
+   run's ring accounting comes back with it: records dropped, the
+   buffered peak and producer stalls. *)
+let nvbit_callback_log ?buffer_cap ?policy () =
   Option.iter
     (fun n -> Pasta.Config.set "ACCEL_PROF_BUFFER_CAP" (string_of_int n))
     buffer_cap;
+  Option.iter (Pasta.Config.set "ACCEL_PROF_OVERFLOW_POLICY") policy;
   let device = Gpusim.Device.create Gpusim.Arch.a100 in
   let ctx = Dlfw.Ctx.create device in
   let log = Buffer.create (1 lsl 20) in
@@ -284,29 +287,51 @@ let nvbit_callback_log ?buffer_cap () =
             a.Pasta.Event.warp a.Pasta.Event.pc a.Pasta.Event.weight);
     }
   in
-  let (), _ =
+  let (), r =
     Pasta.Session.run ~sample_cap:64 ~tool device (fun () ->
         let m = Dlfw.Runner.build ctx "BERT" in
         Dlfw.Runner.run ctx m ~mode:Dlfw.Runner.Inference ~iters:1)
   in
   Dlfw.Ctx.destroy ctx;
   Pasta.Config.unset "ACCEL_PROF_BUFFER_CAP";
+  Pasta.Config.unset "ACCEL_PROF_OVERFLOW_POLICY";
   Printf.bprintf log "T %h\n" (Gpusim.Device.now_us device);
-  Buffer.contents log
+  let h = r.Pasta.Session.health in
+  ( Buffer.contents log,
+    Printf.sprintf "dropped=%d peak=%d stalls=%d" h.Pasta.Session.records_dropped
+      h.Pasta.Session.records_buffered_peak h.Pasta.Session.buffer_stalls )
 
 let test_nvbit_callback_digest () =
   let pinned = "bbd86af15fc31833f88ca1f5fb40a250" in
-  let log = nvbit_callback_log () in
+  let log, acct = nvbit_callback_log () in
   check_bool "records reached the tool" true
     (Astring_contains.contains log "\nA ");
   Alcotest.(check string)
     "NVBit-CPU callback stream digest" pinned
     (Digest.to_hex (Digest.string log));
+  Alcotest.(check string) "ring accounting" "dropped=0 peak=256 stalls=0" acct;
   (* A tiny ring under the lossless block policy stalls the producer over
-     and over; the tool must still see the identical stream. *)
-  Alcotest.(check string)
-    "same stream through a 16-item ring" pinned
-    (Digest.to_hex (Digest.string (nvbit_callback_log ~buffer_cap:16 ())))
+     and over; the tool must still see the identical stream.  Under the
+     lossy policies an 8-item ring drops whole views, one ring item per
+     flushed piece.  Each stream, and how its drops, peak and stalls are
+     counted, is pinned per policy. *)
+  List.iter
+    (fun (cap, policy, digest, accounting) ->
+      let log, acct = nvbit_callback_log ~buffer_cap:cap ~policy () in
+      let ring = Printf.sprintf "%s, %d-item ring" policy cap in
+      Alcotest.(check string) (ring ^ ": stream") digest (Digest.to_hex (Digest.string log));
+      Alcotest.(check string) (ring ^ ": accounting") accounting acct)
+    [
+      (16, "block", pinned, "dropped=0 peak=256 stalls=1087");
+      ( 8,
+        "drop-oldest",
+        "9d8137918d19413b14e2f8fcd5c756e9",
+        "dropped=24338 peak=256 stalls=0" );
+      ( 8,
+        "drop-newest",
+        "89595f481d23a87b86ad1b2058bd8d7d",
+        "dropped=27944 peak=256 stalls=0" );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Closed-form descriptors                                             *)

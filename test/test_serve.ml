@@ -411,7 +411,13 @@ let test_submit_validation () =
           if not (Astring_contains.contains msg knob) then
             Alcotest.failf "the refusal of %s=%s does not name it: %s" knob value msg
       | Ok _ -> Alcotest.failf "%s=%s should be rejected" knob value)
-    [ ("ACCEL_PROF_OVERFLOW_POLICY", "drop-oldset"); ("ACCEL_PROF_REGIONS", "sideways") ];
+    [
+      ("ACCEL_PROF_OVERFLOW_POLICY", "drop-oldset");
+      ("ACCEL_PROF_REGIONS", "sideways");
+      ("ACCEL_PROF_BUFFER_CAP", "12x");
+      ("ACCEL_PROF_BUFFER_CAP", "0");
+      ("ACCEL_PROF_BUFFER_CAP", "-3");
+    ];
   Serve.shutdown t
 
 (* --- socket endpoint ---------------------------------------------------- *)

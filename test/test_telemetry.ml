@@ -139,7 +139,9 @@ let prop_span_stack =
                   let g = guards.(s) in
                   Pasta.Guard.framed g (fun () ->
                       for _ = 1 to n do
-                        Pasta.Guard.call_in_frame g Pasta.Guard.On_access ignore
+                        Pasta.Guard.call_in_frame g Pasta.Guard.On_access
+                          (fun _ () () -> ())
+                          () ()
                       done))
             ops;
           let depth, mismatches, calls = model_apply ops in
@@ -408,15 +410,16 @@ let nvbit_memory_charact_run wrap =
 
 (* Span counts are deterministic, so they guard the NVBit-CPU path's
    framework cost without timing noise: records cross the handler,
-   processor and ring as flushed batches, a few spans per batch, and the
-   tool's per-record callbacks run inside one tool frame per batch.  At
-   [full] the recorded spans show the frames directly. *)
+   processor and ring as flushed views, handed over once per kernel, and
+   the tool's per-record callbacks run inside one tool frame per drain of
+   the ring.  At [full] the recorded spans show the hand-offs and the
+   frames directly. *)
 let test_nvbit_layers_span_per_batch () =
   List.iter
     (fun level ->
       with_level level (fun () ->
           let records = ref 0 in
-          let (_ : Pasta.Session.result) =
+          let r =
             nvbit_memory_charact_run (fun base ->
                 {
                   base with
@@ -439,14 +442,57 @@ let test_nvbit_layers_span_per_batch () =
           if level = "full" then begin
             let buf = T.span_buffer () in
             check_int "span store kept every span" 0 (Pasta_util.Span_buf.dropped buf);
-            let frames = ref 0 in
+            let frames = ref 0 and handoffs = ref 0 in
             Pasta_util.Span_buf.iter buf (fun sp ->
-                if sp.Pasta_util.Span_buf.sp_cat = "tool" then incr frames);
+                if sp.Pasta_util.Span_buf.sp_cat = "tool" then incr frames;
+                if sp.Pasta_util.Span_buf.sp_name = "handler.views" then incr handoffs);
             if 4 * !frames >= !records then
               Alcotest.failf "the tool opened %d frames for %d records" !frames
-                !records
+                !records;
+            check_bool "records were handed over" true (!handoffs > 0);
+            if !handoffs > r.Pasta.Session.kernels then
+              Alcotest.failf "%d NVBit hand-offs for %d kernels" !handoffs
+                r.Pasta.Session.kernels
           end))
     [ "basic"; "full" ]
+
+(* The per-record path's allocation ceiling.  A record delivered to an
+   NVBit-CPU tool allocates its [mem_access], its [Global_access] event
+   and the event's payload; generation, channel views, the ring and the
+   tool frames cost per chunk, per flush or per kernel.  Over a whole
+   BERT inference at sample cap 2048 on one domain the process then
+   allocates under 24 minor words per delivered record. *)
+let test_nvbit_minor_words_per_record () =
+  Pasta.Config.set "ACCEL_PROF_DOMAINS" "1";
+  Fun.protect
+    ~finally:(fun () -> Pasta.Config.unset "ACCEL_PROF_DOMAINS")
+    (fun () ->
+      let base = Pasta_tools.Memory_charact.(tool (create ~variant:Cpu_nvbit ())) in
+      let records = ref 0 in
+      let tool =
+        {
+          base with
+          Pasta.Tool.on_access =
+            (fun info a ->
+              incr records;
+              base.Pasta.Tool.on_access info a);
+        }
+      in
+      let device = Gpusim.Device.create Gpusim.Arch.a100 in
+      let ctx = Dlfw.Ctx.create device in
+      let model = Dlfw.Runner.build ctx "BERT" in
+      let before = Gc.minor_words () in
+      let (), _ =
+        Pasta.Session.run ~sample_cap:2048 ~tool device (fun () ->
+            Dlfw.Runner.run ctx model ~mode:Dlfw.Runner.Inference ~iters:1)
+      in
+      let words = Gc.minor_words () -. before in
+      Dlfw.Ctx.destroy ctx;
+      check_bool "records flowed" true (!records > 100_000);
+      let per_record = words /. float_of_int !records in
+      if per_record > 24.0 then
+        Alcotest.failf "%.1f minor words per delivered record (%d records)" per_record
+          !records)
 
 (* The breaker on the per-record path: an NVBit-CPU tool whose on_event
    and on_access raise on a fixed schedule trips, sits out its cooldown
@@ -860,4 +906,6 @@ let suite =
       (test_replay_metric_counts 4);
     Alcotest.test_case "per-record breaker accounting is pinned" `Quick
       test_per_record_breaker_pinned;
+    Alcotest.test_case "NVBit records allocate under 24 words each" `Quick
+      test_nvbit_minor_words_per_record;
   ]

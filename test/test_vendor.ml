@@ -147,13 +147,17 @@ let test_nvbit_parse_cache () =
     (Vendor.Nvbit.phases nv).Vendor.Phases.collect_us;
   check_int "one function parsed" 1 (Vendor.Nvbit.functions_parsed nv)
 
+(* A view's records as a batch of their own. *)
+let view_batch (v : Warp.view) = Warp.sub v.Warp.v_batch ~pos:v.Warp.v_pos ~len:v.Warp.v_len
+
 let test_nvbit_instrument () =
   let d = mk_device () in
   Device.set_sample_cap d 16;
   let nv = Vendor.Nvbit.attach d in
   let weight = ref 0 in
   Vendor.Nvbit.instrument_memory nv
-    ~on_batch:(fun _ b -> weight := !weight + Warp.batch_weight b)
+    ~on_views:(fun _ views ->
+      List.iter (fun v -> weight := !weight + Warp.batch_weight (view_batch v)) views)
     ();
   let k = mk_kernel d ~bytes:8192 ~accesses:777 in
   ignore (Device.launch d k);
@@ -164,45 +168,57 @@ let test_nvbit_instrument () =
 
 (* 250 weight-1 records through a channel that holds 100 true accesses:
    flushes land right after records 100 and 200 and the kernel exit
-   flushes the last 50.  Each flush charges the device clock before its
-   records reach the host, and the views cover the batch in order. *)
+   flushes the last 50.  Each flush charges the device clock, then stamps
+   its view; the host takes all three views in one hand-off at kernel
+   exit, and they cover the batch in order. *)
 let test_nvbit_flush_split () =
   let run ?buffer_records () =
     let d = mk_device () in
     Device.set_sample_cap d 256;
     let nv = Vendor.Nvbit.attach d in
-    let deliveries = ref [] in
+    let handoffs = ref [] in
     Vendor.Nvbit.instrument_memory nv ?buffer_records
-      ~on_batch:(fun _ b ->
-        let addrs = List.init (Warp.batch_len b) (fun i -> (Warp.batch_get b i).Warp.addr) in
-        let p = Vendor.Nvbit.phases nv in
-        deliveries :=
-          (Warp.batch_weight b, Device.now_us d, p.Vendor.Phases.transfer_us, addrs)
-          :: !deliveries)
+      ~on_views:(fun _ views -> handoffs := (views, Device.now_us d) :: !handoffs)
       ();
     let k = mk_kernel d ~bytes:8192 ~accesses:250 in
     let before = Device.now_us d in
     ignore (Device.launch d k);
-    (before, List.rev !deliveries)
+    match !handoffs with
+    | [ (views, at) ] -> (before, views, at)
+    | hs -> Alcotest.failf "%d hand-offs for one launch" (List.length hs)
   in
-  let before, split = run ~buffer_records:100 () in
-  Alcotest.(check (list int))
-    "flushes split the batch at records 100 and 200" [ 100; 100; 50 ]
-    (List.map (fun (w, _, _, _) -> w) split);
-  let (_ : float * float) =
-    List.fold_left
-      (fun (prev_now, prev_transfer) (_, now, transfer, _) ->
-        check_bool "clock advanced before the delivery" true (now > prev_now);
-        check_bool "flush charged before the delivery" true (transfer > prev_transfer);
-        (now, transfer))
-      (before, 0.0) split
+  let records views =
+    List.concat_map
+      (fun v ->
+        let b = view_batch v in
+        List.init (Warp.batch_len b) (fun i -> (Warp.batch_get b i).Warp.addr))
+      views
   in
-  let _, whole = run () in
-  check_int "a roomy channel flushes once, at kernel exit" 1 (List.length whole);
+  let before, split, handoff_at = run ~buffer_records:100 () in
+  let weights = List.map (fun v -> Warp.batch_weight (view_batch v)) split in
   Alcotest.(check (list int))
-    "views concatenate to the unsplit record stream"
-    (List.concat_map (fun (_, _, _, a) -> a) whole)
-    (List.concat_map (fun (_, _, _, a) -> a) split)
+    "flushes split the batch at records 100 and 200" [ 100; 100; 50 ] weights;
+  (* Between two flushes the clock moves by exactly the later flush's
+     charges: the transfer of its true accesses plus the per-flush
+     channel overhead, then their host analysis. *)
+  let charged prev records =
+    prev
+    +. (Costmodel.transfer_time_us Arch.a100 ~records +. Costmodel.flush_overhead_us)
+    +. Costmodel.host_analysis_time_us ~records
+         ~per_record_us:Costmodel.nvbit_host_per_record_us
+  in
+  (match List.map (fun (v : Warp.view) -> v.Warp.v_time_us) split with
+  | [ s0; s1; s2 ] ->
+      check_bool "stamps increase strictly from the launch" true
+        (before < s0 && s0 < s1 && s1 < s2);
+      Alcotest.(check (float 0.0)) "the second flush's charge" (charged s0 100) s1;
+      Alcotest.(check (float 0.0)) "the exit flush's charge" (charged s1 50) s2;
+      Alcotest.(check (float 0.0)) "the hand-off follows the exit flush" s2 handoff_at
+  | stamps -> Alcotest.failf "%d stamped views" (List.length stamps));
+  let _, whole, _ = run () in
+  check_int "a roomy channel hands over one piece" 1 (List.length whole);
+  Alcotest.(check (list int))
+    "views concatenate to the unsplit record stream" (records whole) (records split)
 
 let test_nvbit_costlier_than_sanitizer () =
   (* Same workload, both CPU-analysis models: NVBit must cost more
@@ -230,7 +246,7 @@ let test_nvbit_costlier_than_sanitizer () =
   let t_nvbit =
     run (fun d ->
         let nv = Vendor.Nvbit.attach d in
-        Vendor.Nvbit.instrument_memory nv ~on_batch:(fun _ _ -> ()) ())
+        Vendor.Nvbit.instrument_memory nv ~on_views:(fun _ _ -> ()) ())
   in
   check_bool "nvbit slower than sanitizer" true (t_nvbit > t_cs)
 
