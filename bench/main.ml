@@ -543,7 +543,7 @@ let ablation () =
              {
                buffer_records = buffer_bytes / Gpusim.Costmodel.record_bytes;
                on_record = (fun _ _ -> ());
-               on_batch = None;
+               on_views = None;
                per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
              });
         ignore (Runner.run_default ctx "BERT" ~mode:Runner.Inference);
@@ -643,7 +643,7 @@ let bechamel_benches () =
          {
            buffer_records = Vendor.Sanitizer.default_buffer_records;
            on_record = (fun _ a -> count := !count + a.Gpusim.Warp.weight);
-           on_batch = None;
+           on_views = None;
            per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
          });
     fun () -> ignore (Gpusim.Device.launch device kernel)

@@ -110,14 +110,6 @@ let detach t =
   | S_xprof s -> Vendor.Xprof.detach s
   | S_opencl s -> Vendor.Opencl.detach s
 
-let kind t =
-  match t.session with
-  | S_sanitizer _ -> Sanitizer
-  | S_nvbit _ -> Nvbit
-  | S_rocprofiler _ -> Rocprofiler
-  | S_xprof _ -> Xprof
-  | S_opencl _ -> Opencl
-
 let phases t =
   match t.session with
   | S_sanitizer s -> Vendor.Sanitizer.phases s
@@ -125,8 +117,6 @@ let phases t =
   | S_rocprofiler s -> Vendor.Rocprofiler.phases s
   | S_xprof s -> Vendor.Xprof.phases s
   | S_opencl s -> Vendor.Opencl.phases s
-
-let device t = t.device
 
 let region_feeder t (info : D.launch_info) (r : Gpusim.Kernel.region) =
   Telemetry.begin_span Telemetry.Handler "handler.region";
@@ -142,32 +132,20 @@ let completion_feeder t (info : D.launch_info) (_ : D.exec_stats) =
     (Event.kernel_info_of_launch info);
   Telemetry.end_span Telemetry.Handler
 
-let access_feeder t (info : D.launch_info) (a : Gpusim.Warp.access) =
+let mem_access (a : Gpusim.Warp.access) =
+  {
+    Event.addr = a.Gpusim.Warp.addr;
+    size = a.Gpusim.Warp.size;
+    write = a.Gpusim.Warp.write;
+    pc = a.Gpusim.Warp.pc;
+    warp = a.Gpusim.Warp.warp_id;
+    weight = a.Gpusim.Warp.weight;
+  }
+
+let access_feeder t (info : D.launch_info) a =
   Telemetry.begin_span Telemetry.Handler "handler.access";
   Processor.submit_access t.processor ~time_us:(D.now_us t.device)
-    (Event.kernel_info_of_launch info)
-    {
-      Event.addr = a.Gpusim.Warp.addr;
-      size = a.Gpusim.Warp.size;
-      write = a.Gpusim.Warp.write;
-      pc = a.Gpusim.Warp.pc;
-      warp = a.Gpusim.Warp.warp_id;
-      weight = a.Gpusim.Warp.weight;
-    };
-  Telemetry.end_span Telemetry.Handler
-
-let batch_feeder t (info : D.launch_info) (b : Gpusim.Warp.batch) =
-  Telemetry.begin_span Telemetry.Handler "handler.batch";
-  Processor.submit_access_batch t.processor ~time_us:(D.now_us t.device)
-    (Event.kernel_info_of_launch info)
-    b;
-  Telemetry.end_span Telemetry.Handler
-
-let batches_feeder t (info : D.launch_info) batches =
-  Telemetry.begin_span Telemetry.Handler "handler.batches";
-  Processor.submit_access_batches t.processor ~time_us:(D.now_us t.device)
-    (Event.kernel_info_of_launch info)
-    batches;
+    (Event.kernel_info_of_launch info) (mem_access a);
   Telemetry.end_span Telemetry.Handler
 
 let views_feeder t (info : D.launch_info) views =
@@ -210,7 +188,7 @@ let enable_fine_grained t mode =
         (Vendor.Sanitizer.Parallel_analysis
            {
              map_bytes;
-             on_batches = batches_feeder t;
+             on_views = views_feeder t;
              on_kernel_complete = parallel_completion_feeder t;
            })
   | Tool.Gpu_parallel, _ ->
@@ -221,8 +199,8 @@ let enable_fine_grained t mode =
            {
              buffer_records = Vendor.Sanitizer.default_buffer_records;
              on_record = access_feeder t;
-             on_batch =
-               (if Config.batch_delivery () then Some (batch_feeder t) else None);
+             on_views =
+               (if Config.batch_delivery () then Some (views_feeder t) else None);
              per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
            })
   | Tool.Cpu_nvbit, S_nvbit s ->
@@ -245,18 +223,7 @@ let enable_fine_grained t mode =
                    Telemetry.begin_span Telemetry.Handler "handler.shared";
                    Processor.submit t.processor ~time_us:(D.now_us t.device)
                      (Event.Shared_access
-                        {
-                          kernel = Event.kernel_info_of_launch info;
-                          access =
-                            {
-                              Event.addr = a.Gpusim.Warp.addr;
-                              size = a.Gpusim.Warp.size;
-                              write = a.Gpusim.Warp.write;
-                              pc = a.Gpusim.Warp.pc;
-                              warp = a.Gpusim.Warp.warp_id;
-                              weight = a.Gpusim.Warp.weight;
-                            };
-                        });
+                        { kernel = Event.kernel_info_of_launch info; access = mem_access a });
                    Telemetry.end_span Telemetry.Handler);
              on_barrier =
                Some

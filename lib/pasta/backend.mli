@@ -27,9 +27,7 @@ val attach : kind -> Gpusim.Device.t -> processor:Processor.t -> t
     mismatch (e.g. [Rocprofiler] on an NVIDIA device). *)
 
 val detach : t -> unit
-val kind : t -> kind
 val phases : t -> Vendor.Phases.t
-val device : t -> Gpusim.Device.t
 
 val enable_fine_grained : t -> Tool.fine_grained -> unit
 (** Install the instrumentation the tool's analysis model needs:
@@ -37,12 +35,13 @@ val enable_fine_grained : t -> Tool.fine_grained -> unit
     - [Gpu_accelerated]: device-resident aggregation (Sanitizer,
       ROCProfiler or OpenCL kernel patching) feeding
       {!Processor.submit_region} / {!Processor.flush_kernel_summary};
-    - [Cpu_sanitizer]: Sanitizer host-buffer tracing feeding
-      {!Processor.submit_access_batch} ({!Processor.submit_access} when
-      batch delivery is off);
-    - [Cpu_nvbit]: NVBit memory tracing (requires an [Nvbit] backend)
-      feeding each channel-buffer flush to
-      {!Processor.submit_access_batch};
+    - [Gpu_parallel] (Sanitizer parallel analysis), [Cpu_sanitizer]
+      (Sanitizer host-buffer tracing) and [Cpu_nvbit] (NVBit memory
+      tracing, on an [Nvbit] backend): each hands a kernel's record views
+      to {!Processor.submit_access_views} once, at kernel exit
+      ([Cpu_sanitizer] with batch delivery off: {!Processor.submit_access}
+      per record, as each flush lands); [Gpu_parallel] then feeds
+      {!Processor.flush_parallel_summary};
     - [No_fine_grained]: nothing.
 
     Raises [Invalid_argument] on unsupported backend/model combinations. *)

@@ -33,12 +33,10 @@ let start ?chunk_bytes ?meta proc path =
     }
   in
   Processor.set_sink proc (fun ~time_us op ->
-      Telemetry.begin_span Telemetry.Capture_io "capture.write_op";
       Ptrace.write_op writer ~time_us op;
       Metric.incr t.c_recorded;
       Metric.set t.c_bytes (Ptrace.writer_bytes writer);
-      Metric.set t.c_chunks (Ptrace.writer_chunks writer);
-      Telemetry.end_span Telemetry.Capture_io);
+      Metric.set t.c_chunks (Ptrace.writer_chunks writer));
   t
 
 let finish t =
@@ -50,10 +48,6 @@ let finish t =
     Telemetry.end_span Telemetry.Capture_io;
     sync_stats t
   end
-
-let ops t = Ptrace.writer_ops t.cap_writer
-let bytes t = Ptrace.writer_bytes t.cap_writer
-let chunks t = Ptrace.writer_chunks t.cap_writer
 
 (* Mixed-backend capture: one writer, one sink per backend processor.
    Each sink stamps its backend id on the ops it taps, so the interleaved
@@ -92,12 +86,10 @@ let start_multi ?chunk_bytes ?meta procs path =
         let c_bytes = Metric.counter reg ~labels "pasta_bytes_written" in
         let c_chunks = Metric.counter reg ~labels "pasta_trace_chunks" in
         Processor.set_sink proc (fun ~time_us op ->
-            Telemetry.begin_span Telemetry.Capture_io "capture.write_op";
             Ptrace.write_op writer ~time_us ~backend:id op;
             Metric.incr c_recorded;
             Metric.set c_bytes (Ptrace.writer_bytes writer);
-            Metric.set c_chunks (Ptrace.writer_chunks writer);
-            Telemetry.end_span Telemetry.Capture_io);
+            Metric.set c_chunks (Ptrace.writer_chunks writer));
         (proc, c_recorded, c_bytes, c_chunks))
       procs
   in
@@ -116,10 +108,6 @@ let finish_multi m =
         Metric.set c_chunks (Ptrace.writer_chunks m.m_writer))
       m.m_taps
   end
-
-let multi_ops m = Ptrace.writer_ops m.m_writer
-let multi_bytes m = Ptrace.writer_bytes m.m_writer
-let multi_chunks m = Ptrace.writer_chunks m.m_writer
 
 let passthrough () =
   let tool = Tool.default ~fine_grained:Tool.Cpu_sanitizer "capture" in

@@ -22,12 +22,6 @@ val finish : t -> unit
 (** Detach the sink, flush the final chunk and close the file.
     Idempotent. *)
 
-val ops : t -> int
-(** Submission ops recorded so far. *)
-
-val bytes : t -> int
-val chunks : t -> int
-
 (** {2 Mixed-backend capture}
 
     One [.ptrace] file recording several backend processors at once:
@@ -52,10 +46,6 @@ val start_multi :
 
 val finish_multi : multi -> unit
 (** Detach every sink, flush and close the shared file.  Idempotent. *)
-
-val multi_ops : multi -> int
-val multi_bytes : multi -> int
-val multi_chunks : multi -> int
 
 val passthrough : unit -> Tool.t
 (** A record-only tool: requests [Cpu_sanitizer] instrumentation with

@@ -143,13 +143,16 @@ let guard_cooldown_kernels () =
 let invalid_knob key v expected =
   invalid_arg (Printf.sprintf "%s=%S is not %s" key v expected)
 
-let buffer_capacity () =
-  match get "ACCEL_PROF_BUFFER_CAP" with
-  | None | Some "" -> 4096
+let strict_int key ~default ~max expected =
+  match get key with
+  | None | Some "" -> default
   | Some v -> (
       match int_of_string_opt v with
-      | Some n when n > 0 -> n
-      | _ -> invalid_knob "ACCEL_PROF_BUFFER_CAP" v "a positive integer")
+      | Some n when n > 0 && n <= max -> n
+      | _ -> invalid_knob key v expected)
+
+let buffer_capacity () =
+  strict_int "ACCEL_PROF_BUFFER_CAP" ~default:4096 ~max:max_int "a positive integer"
 
 let overflow_policy () =
   match get "ACCEL_PROF_OVERFLOW_POLICY" with
@@ -196,15 +199,6 @@ let regions () =
       | _ ->
           invalid_knob "ACCEL_PROF_REGIONS" v
             "one of: off (0, false, no), coarse (1, on, true, yes), fine (full, 2)")
-
-let validate () =
-  match
-    ignore (buffer_capacity ());
-    ignore (overflow_policy ());
-    ignore (regions ())
-  with
-  | () -> Ok ()
-  | exception Invalid_argument msg -> Error msg
 
 let inject_faults () =
   match get "ACCEL_PROF_INJECT_FAULTS" with
@@ -263,12 +257,23 @@ let trace_path () =
   | Some p when p <> "" -> Some p
   | _ -> None
 
+(* Capped at 64 MiB: a capture allocates its chunk buffer up front. *)
 let trace_chunk_bytes () =
-  match get_int "ACCEL_PROF_TRACE_CHUNK_KB" with
-  | Some n when n > 0 -> n * 1024
-  | _ -> 256 * 1024
+  1024
+  * strict_int "ACCEL_PROF_TRACE_CHUNK_KB" ~default:256 ~max:65536
+      "an integer from 1 to 65536 (KiB)"
 
 let trace_strict () =
   match get "ACCEL_PROF_TRACE_STRICT" with
   | Some ("0" | "false" | "no" | "off" | "tolerant") -> false
   | _ -> true
+
+let validate () =
+  match
+    ignore (buffer_capacity ());
+    ignore (overflow_policy ());
+    ignore (regions ());
+    ignore (trace_chunk_bytes ())
+  with
+  | () -> Ok ()
+  | exception Invalid_argument msg -> Error msg

@@ -127,7 +127,8 @@ val regions : unit -> Gpusim.Instrpass.granularity
 
 val validate : unit -> (unit, string) result
 (** Parse every knob that refuses bad values ({!buffer_capacity},
-    {!overflow_policy}, {!regions}) as the calling thread resolves them.  [Error] carries the
+    {!overflow_policy}, {!regions}, {!trace_chunk_bytes}) as the calling
+    thread resolves them.  [Error] carries the
     refusal's message.  The CLI calls it before doing any work; the serve
     daemon calls it inside a job's overlay at submit time. *)
 
@@ -185,10 +186,13 @@ val trace_path : unit -> string option
     unified event stream to this [.ptrace] file. *)
 
 val trace_chunk_bytes : unit -> int
-(** [ACCEL_PROF_TRACE_CHUNK_KB]: capture chunk size in KiB (default 256).
-    Each chunk is independently framed and CRC-protected; smaller chunks
-    bound capture memory tighter and lose less to a corrupt chunk,
-    larger chunks compress the framing overhead. *)
+(** [ACCEL_PROF_TRACE_CHUNK_KB]: capture chunk size in KiB (default 256,
+    also when set to the empty string).  Each chunk is independently
+    framed and CRC-protected; smaller chunks bound capture memory tighter
+    and lose less to a corrupt chunk, larger chunks compress the framing
+    overhead.  Anything but an integer from 1 to 65536 (64 MiB, the
+    chunk buffer a capture allocates up front) raises [Invalid_argument]
+    naming the knob and the value. *)
 
 val trace_strict : unit -> bool
 (** [ACCEL_PROF_TRACE_STRICT]: replay verification mode.  Strict (the

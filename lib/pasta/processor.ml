@@ -278,8 +278,15 @@ let clear_pool t = t.pool <- None
 let set_sink t f = t.sink <- Some f
 let clear_sink t = t.sink <- None
 
+(* The sink's encode and write are charged to the capture layer. *)
 let tap t ~time_us op =
-  match t.sink with None -> () | Some f -> f ~time_us op
+  match t.sink with
+  | None -> ()
+  | Some f ->
+      Telemetry.begin_span Telemetry.Capture_io "capture.write_op";
+      f ~time_us op;
+      Telemetry.end_span Telemetry.Capture_io
+
 let guard t = t.guard
 let tool t = Option.map Guard.tool t.guard
 let incidents t = List.rev t.incidents
@@ -294,25 +301,33 @@ let count_dispatch t g =
   | Guard.Quarantined -> Metric.incr t.ctr.c_events_suppressed
   | Guard.Closed | Guard.Half_open -> Metric.incr t.ctr.c_events_dispatched
 
+let on_event tool ev () = tool.Tool.on_event ev
+let on_kernel_begin tool info () = tool.Tool.on_kernel_begin info
+let on_kernel_end tool info stats = tool.Tool.on_kernel_end info stats
+let on_operator tool (name, phase) seq = tool.Tool.on_operator name phase seq
+let on_tensor tool change () = tool.Tool.on_tensor change
+
+(* One coarse event: [on_event], then its structured callback, inside one
+   tool frame. *)
 let dispatch t (ev : Event.t) =
   match t.guard with
   | None -> ()
   | Some g ->
       count_dispatch t g;
-      Guard.call g Guard.On_event (fun tool -> tool.Tool.on_event ev);
-      (match ev.Event.payload with
-      | Event.Kernel_launch { info; phase = `Begin } ->
-          Guard.call g Guard.On_kernel_begin (fun tool -> tool.Tool.on_kernel_begin info)
-      | Event.Kernel_launch { info; phase = `End s } ->
-          Guard.call g Guard.On_kernel_end (fun tool -> tool.Tool.on_kernel_end info s)
-      | Event.Operator { name; phase; seq } ->
-          Guard.call g Guard.On_operator (fun tool -> tool.Tool.on_operator name phase seq)
-      | Event.Tensor_alloc { ptr; bytes; tag; _ } ->
-          Guard.call g Guard.On_tensor (fun tool ->
-              tool.Tool.on_tensor (`Alloc (ptr, bytes, tag)))
-      | Event.Tensor_free { ptr; bytes; _ } ->
-          Guard.call g Guard.On_tensor (fun tool -> tool.Tool.on_tensor (`Free (ptr, bytes)))
-      | _ -> ())
+      Guard.framed g (fun () ->
+          Guard.call_in_frame g Guard.On_event on_event ev ();
+          match ev.Event.payload with
+          | Event.Kernel_launch { info; phase = `Begin } ->
+              Guard.call_in_frame g Guard.On_kernel_begin on_kernel_begin info ()
+          | Event.Kernel_launch { info; phase = `End s } ->
+              Guard.call_in_frame g Guard.On_kernel_end on_kernel_end info s
+          | Event.Operator { name; phase; seq } ->
+              Guard.call_in_frame g Guard.On_operator on_operator (name, phase) seq
+          | Event.Tensor_alloc { ptr; bytes; tag; _ } ->
+              Guard.call_in_frame g Guard.On_tensor on_tensor (`Alloc (ptr, bytes, tag)) ()
+          | Event.Tensor_free { ptr; bytes; _ } ->
+              Guard.call_in_frame g Guard.On_tensor on_tensor (`Free (ptr, bytes)) ()
+          | _ -> ())
 
 let quarantine_incident t ~failures =
   let tool_name = match tool t with Some tl -> tl.Tool.name | None -> "<none>" in
@@ -426,11 +441,15 @@ let delivery t tl =
   else if tl.Tool.on_access_batch <> None then Batch
   else Records
 
-(* One buffered item for a [Columns] tool ([columns]) or a [Batch] one,
-   each callback in its own tool frame. *)
+let on_columns tool info batch =
+  match tool.Tool.on_access_columns with Some f -> f info batch | None -> ()
+
+(* One buffered item for a [Columns] tool, inside the caller's tool frame,
+   or for a deprecated [Batch] one, each callback in its own frame. *)
 let deliver_item t g ~columns = function
   | B_one (info, access, time_us) ->
-      Guard.framed g (fun () -> deliver_access t g info access time_us)
+      if columns then deliver_access t g info access time_us
+      else Guard.framed g (fun () -> deliver_access t g info access time_us)
   | B_batch (info, v) ->
       let batch = view_batch v in
       Metric.incr t.ctr.c_batches_delivered;
@@ -438,10 +457,7 @@ let deliver_item t g ~columns = function
         (* Zero-copy columnar delivery: the tool reads the batch's
            Bigarray columns in place — no [Event.t] wrapper, no
            per-record closures, nothing allocated per dispatch. *)
-        Guard.call g Guard.On_access_batch (fun tool ->
-            match tool.Tool.on_access_columns with
-            | Some f -> f info batch
-            | None -> ())
+        Guard.call_in_frame g Guard.On_access_batch on_columns info batch
       else begin
         if not t.legacy_batch_noted then begin
           t.legacy_batch_noted <- true;
@@ -459,16 +475,16 @@ let deliver_item t g ~columns = function
             | None -> ())
       end
 
-(* Hand drained items to the tool in order.  A per-record tool gets the
-   whole drain inside one tool frame, so the clock is read twice per
-   drain, not per batch or per record. *)
+(* Hand drained items to the tool in order.  A per-record or columnar
+   tool gets the whole drain inside one tool frame, so the clock is read
+   twice per drain, not per batch or per record. *)
 let deliver_items t items =
   match (t.guard, items) with
   | None, _ | Some _, [] -> ()
   | Some g, items -> (
       match delivery t (Guard.tool g) with
       | Records -> Guard.framed g (fun () -> List.iter (deliver_records t g) items)
-      | Columns -> List.iter (deliver_item t g ~columns:true) items
+      | Columns -> Guard.framed g (fun () -> List.iter (deliver_item t g ~columns:true) items)
       | Batch -> List.iter (deliver_item t g ~columns:false) items)
 
 let flush_records t =
@@ -631,31 +647,33 @@ let submit_access t ~time_us (info : Event.kernel_info) access =
   Telemetry.end_span Telemetry.Dispatch
 
 (* One view of a hand-off, inside the caller's Dispatch and (in range)
-   Ring spans: it stamps the processor's clock, is tapped to the sink as
-   its own [Sk_batch] op (whose batch is built only for a sink), counts
-   every record, and is pushed whole or withheld by the range filter. *)
+   Ring spans: it stamps the processor's clock, counts every record, and
+   is pushed whole or withheld by the range filter. *)
 let submit_view t ~active info (v : W.view) =
-  let time_us = v.W.v_time_us in
-  t.last_time_us <- time_us;
-  (match t.sink with None -> () | Some f -> f ~time_us (Sk_batch (info, view_batch v)));
+  t.last_time_us <- v.W.v_time_us;
   Metric.add t.ctr.c_events_seen v.W.v_len;
   if active then push_item t (B_batch (info, v))
   else Metric.add t.ctr.c_accesses_filtered v.W.v_len
 
+(* A hand-off taps all of its views, each as its own [Sk_batch] op (whose
+   batch is built only for a sink), under one capture span before it
+   pushes any of them; no delivery path taps, so the recorded op order is
+   the one per-view submission would give. *)
 let submit_access_views t (info : Event.kernel_info) views =
   Telemetry.begin_span Telemetry.Dispatch "proc.submit_views";
+  (match t.sink with
+  | None -> ()
+  | Some f ->
+      Telemetry.begin_span Telemetry.Capture_io "capture.write_op";
+      List.iter
+        (fun (v : W.view) -> f ~time_us:v.W.v_time_us (Sk_batch (info, view_batch v)))
+        views;
+      Telemetry.end_span Telemetry.Capture_io);
   let active = Range.active t.range ~grid_id:info.Event.grid_id in
   if active then Telemetry.begin_span Telemetry.Ring "ring.push";
   List.iter (submit_view t ~active info) views;
   if active then Telemetry.end_span Telemetry.Ring;
   Telemetry.end_span Telemetry.Dispatch
-
-let submit_access_batches t ~time_us info batches =
-  submit_access_views t info
-    (List.map (fun b -> W.view b ~pos:0 ~len:(W.batch_len b) ~time_us) batches)
-
-let submit_access_batch t ~time_us info batch =
-  submit_access_batches t ~time_us info [ batch ]
 
 (* Deliver a device summary to the tool.  Called with a freshly merged
    aggregate on the live path, and with the recorded aggregate when a

@@ -136,7 +136,9 @@ val clear_pool : t -> unit
 
 val set_sink : t -> (time_us:float -> sink_op -> unit) -> unit
 (** Install a trace-capture tap.  At most one sink is active; the sink
-    must not call back into the processor. *)
+    must not call back into the processor.  The processor runs it inside
+    a capture telemetry span: one per submission, or per hand-off for
+    {!submit_access_views}. *)
 
 val clear_sink : t -> unit
 
@@ -149,7 +151,8 @@ val overflow_policy : t -> Pasta_util.Ring_buffer.overflow
 
 val submit : t -> time_us:float -> Event.payload -> unit
 (** Feed one normalized event.  Registry updates happen regardless of the
-    range filter; tool dispatch respects it.  A kernel-end event first
+    range filter; tool dispatch respects it, and runs the tool's
+    [on_event] and the event's structured callback in one tool frame.  A kernel-end event first
     drains the bounded record buffer so every record of the finishing
     kernel reaches the tool before its [on_kernel_end]. *)
 
@@ -174,36 +177,23 @@ val submit_access : t -> time_us:float -> Event.kernel_info -> Event.mem_access 
 
 val submit_access_views :
   t -> Event.kernel_info -> Gpusim.Warp.view list -> unit
-(** Feed one kernel's hand-off of time-stamped record views (a channel
-    that flushes several times per kernel hands its flushed pieces over
-    once, at kernel exit), in order, under one Dispatch span and (when in
-    range) one Ring span.  Each view is handled exactly as if it had been
-    submitted on its own at its stamp: it moves the processor's clock to
-    [v_time_us], is tapped to the sink as its own [Sk_batch] op (the
-    view's records as a {!Gpusim.Warp.sub}, built only when a sink is
-    attached), counts every record in [events_seen], and enters the
-    bounded buffer as one item, with the overflow policy's drop, peak
-    and stall accounting — or, out of range, counts in
-    [accesses_filtered].  Delivery is as for {!submit_access_batches};
-    each record's [Global_access] event carries its view's stamp. *)
-
-val submit_access_batches :
-  t -> time_us:float -> Event.kernel_info -> Gpusim.Warp.batch list -> unit
-(** Feed one hand-off of packed record batches, all stamped [time_us]:
-    {!submit_access_views} of each batch's whole view.  Each batch is
-    tapped to the sink as its own [Sk_batch] op and counts every record
-    in [events_seen]; in-range batches enter the bounded buffer whole,
-    one push each with the overflow policy's accounting.  At delivery a
-    tool with [on_access_columns] (or the deprecated [on_access_batch])
-    receives each batch as-is; any other tool gets the legacy per-record
-    stream — one [Global_access] event and [on_access] call per record,
-    in batch order — with each drain of the buffer inside one tool frame
-    ({!Guard.framed}). *)
-
-val submit_access_batch :
-  t -> time_us:float -> Event.kernel_info -> Gpusim.Warp.batch -> unit
-(** [submit_access_batch t ~time_us info b] is
-    [submit_access_batches t ~time_us info [b]]. *)
+(** Feed one hand-off of a kernel's time-stamped record views, in order,
+    under one Dispatch span and (when in range) one Ring span.  Every
+    record channel hands over this way, once per kernel at its exit, and
+    replay hands over each run of recorded batch ops of one kernel.  Each
+    view is handled exactly as if submitted on its own at its stamp: it
+    is tapped to the sink as its own [Sk_batch] op (a {!Gpusim.Warp.sub},
+    built only for a sink; the whole hand-off is tapped, under one
+    capture span, before any view is pushed), moves the processor's
+    clock to [v_time_us], counts every record in [events_seen], and
+    enters the bounded buffer as one item with the overflow policy's
+    drop, peak and stall accounting — or, out of range, counts in
+    [accesses_filtered].  At delivery a tool with [on_access_columns]
+    (or the deprecated [on_access_batch]) receives each view's records
+    as one batch; any other tool gets one [Global_access] event, carrying
+    its view's stamp, and one [on_access] call per record, in order.  A
+    per-record or columnar tool gets each drain of the buffer inside one
+    tool frame ({!Guard.framed}). *)
 
 val flush_parallel_summary : t -> time_us:float -> Event.kernel_info -> unit
 (** Kernel-end reduction for [Gpu_parallel] tools: drain the finishing
@@ -230,9 +220,8 @@ val flush_parallel_drop : t -> time_us:float -> Event.kernel_info -> unit
     {!submit_device_summary}. *)
 
 val flush_records : t -> unit
-(** Drain the bounded record buffer to the tool now.  A per-record tool
-    (no columns or batch callback) gets the whole drain inside one tool
-    frame. *)
+(** Drain the bounded record buffer to the tool now.  A per-record or
+    columnar tool gets the whole drain inside one tool frame. *)
 
 val note_rate : t -> time_us:float -> grid_id:int -> float -> unit
 (** Record that fine-grained generation runs at the given sampling rate

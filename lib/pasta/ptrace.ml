@@ -1273,7 +1273,6 @@ type writer = {
   mutable w_chunk_ops : int;
   mutable w_chunk_decoded : int;  (* batch-column bytes the chunk decodes to *)
   mutable w_chunk_backend : int;
-  mutable w_ops : int;
   mutable w_bytes : int;
   mutable w_chunks : int;
   mutable w_closed : bool;
@@ -1305,7 +1304,6 @@ let create_writer ?chunk_bytes ?(meta = "") ?(backends = []) ~device path =
     w_chunk_ops = 0;
     w_chunk_decoded = 0;
     w_chunk_backend = 0;
-    w_ops = 0;
     w_bytes = Buffer.length hdr;
     w_chunks = 0;
     w_closed = false;
@@ -1343,7 +1341,6 @@ let write_op w ~time_us ?(backend = 0) op =
   put_op w.w_intern w.w_buf ~time_us ~backend op;
   w.w_chunk_ops <- w.w_chunk_ops + 1;
   w.w_chunk_decoded <- w.w_chunk_decoded + op_batch_bytes op;
-  w.w_ops <- w.w_ops + 1;
   (* The reader materializes a whole chunk before applying any of it, so
      the decoded size is bounded as well as the encoded one: dense
      columns compress so well that encoded bytes alone would let one
@@ -1362,7 +1359,6 @@ let close_writer w =
     w.w_closed <- true
   end
 
-let writer_ops w = w.w_ops
 let writer_bytes w = w.w_bytes + Buffer.length w.w_buf
 let writer_chunks w = w.w_chunks
 

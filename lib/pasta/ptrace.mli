@@ -68,7 +68,6 @@ val write_op :
 val close_writer : writer -> unit
 (** Flush the final chunk and close the file.  Idempotent. *)
 
-val writer_ops : writer -> int
 val writer_bytes : writer -> int
 (** Bytes on disk plus the not-yet-flushed buffer. *)
 

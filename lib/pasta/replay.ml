@@ -9,6 +9,8 @@ let decode_pool () =
   let dsize = Config.domains () in
   if dsize > 1 then Some (Pasta_util.Domain_pool.global ~size:dsize) else None
 
+let whole_view ~time_us b = Gpusim.Warp.view b ~pos:0 ~len:(Gpusim.Warp.batch_len b) ~time_us
+
 let apply proc ~time_us (op : Processor.sink_op) =
   match op with
   | Processor.Sk_event (Event.Annotation { label; phase = `Start }) ->
@@ -22,7 +24,7 @@ let apply proc ~time_us (op : Processor.sink_op) =
       Processor.submit_device_summary proc ~time_us kernel summary
   | Processor.Sk_event payload -> Processor.submit proc ~time_us payload
   | Processor.Sk_access (k, a) -> Processor.submit_access proc ~time_us k a
-  | Processor.Sk_batch (k, b) -> Processor.submit_access_batch proc ~time_us k b
+  | Processor.Sk_batch (k, b) -> Processor.submit_access_views proc k [ whole_view ~time_us b ]
   | Processor.Sk_region (k, r) ->
       Processor.submit_region proc k ~base:r.Event.base ~extent:r.Event.extent
         ~accesses:r.Event.accesses ~written:r.Event.written
@@ -39,6 +41,68 @@ let apply proc ~time_us (op : Processor.sink_op) =
          same [Sk_rate] stream. *)
       Processor.note_rate proc ~time_us ~grid_id:sr_grid_id sr_rate
 
+(* Read [path] and re-drive its ops in recorded order, each into the
+   processor [route] picks for its backend id ([None]: an id missing from
+   the table).  Each maximal run of consecutive batch ops of one kernel on
+   one processor becomes one hand-off, as a record channel delivered them
+   live: each op a whole-batch view stamped with its recorded time.  Any
+   other op, and the end of the read, hands the pending run over first.
+   The whole read is replay I/O; time spent re-driving ops through the
+   processor nests into the dispatch/ring/devagg spans and is charged to
+   those layers, leaving decode + disk time on the replay row.  A
+   [Ptrace.Corrupt] in strict mode must still pop the span, after the ops
+   read before it reach their processor. *)
+let read_into ~mode path procs ~route =
+  let last_us = ref 0.0 and run = ref None in
+  let flush () =
+    match !run with
+    | None -> ()
+    | Some (proc, info, views) ->
+        run := None;
+        Processor.submit_access_views proc info (List.rev views)
+  in
+  (* Each op first mirrors the recorded timeline where a live session
+     mirrors the device clock, so exported telemetry spans carry sim
+     stamps. *)
+  let feed proc ~time_us (op : Processor.sink_op) =
+    match (op, !run) with
+    | Processor.Sk_batch (k, b), Some (p, info, views)
+      when p == proc && (k == info || k = info) ->
+        Telemetry.note_sim_us time_us;
+        run := Some (p, info, whole_view ~time_us b :: views)
+    | Processor.Sk_batch (k, b), _ ->
+        flush ();
+        Telemetry.note_sim_us time_us;
+        run := Some (proc, k, [ whole_view ~time_us b ])
+    | op, _ ->
+        flush ();
+        Telemetry.note_sim_us time_us;
+        apply proc ~time_us op
+  in
+  Telemetry.begin_span Telemetry.Replay_io "replay.read";
+  match
+    Ptrace.read_file_ext ~mode ?pool:(decode_pool ()) path ~f:(fun ~time_us ~backend op ->
+        match route backend with
+        | None ->
+            (* an id missing from the table is corruption; strict readers
+               refuse it, tolerant ones drop the op *)
+            if mode = Ptrace.Strict then
+              raise (Ptrace.Corrupt (Printf.sprintf "unknown backend id %d" backend))
+        | Some (proc, c_replayed) ->
+            if time_us > !last_us then last_us := time_us;
+            feed proc ~time_us op;
+            Pasta_util.Metric.incr c_replayed)
+  with
+  | header, rstats ->
+      flush ();
+      List.iter Processor.flush_records procs;
+      Telemetry.end_span Telemetry.Replay_io;
+      (header, rstats, !last_us)
+  | exception e ->
+      flush ();
+      Telemetry.end_span Telemetry.Replay_io;
+      raise e
+
 let drive ?mode proc path =
   let mode = default_mode mode in
   let reg = Processor.metrics proc in
@@ -50,30 +114,18 @@ let drive ?mode proc path =
   let c_skipped =
     Pasta_util.Metric.counter reg ~labels "pasta_trace_chunks_skipped"
   in
-  let last_us = ref 0.0 in
-  (* The whole read is replay I/O; time spent re-driving ops through the
-     processor nests into the dispatch/ring/devagg spans and is charged to
-     those layers, leaving decode + disk time on the replay row.  A
-     [Ptrace.Corrupt] in strict mode must still pop the span. *)
-  Telemetry.begin_span Telemetry.Replay_io "replay.read";
-  match
-    Ptrace.read_file ~mode ?pool:(decode_pool ()) path ~f:(fun ~time_us op ->
-        if time_us > !last_us then last_us := time_us;
-        (* Mirror the recorded timeline where a live session mirrors the
-           device clock, so exported telemetry spans carry sim stamps. *)
-        Telemetry.note_sim_us time_us;
-        apply proc ~time_us op;
-        Pasta_util.Metric.incr c_replayed)
-  with
-  | header, rstats ->
-      Processor.flush_records proc;
-      Telemetry.end_span Telemetry.Replay_io;
-      Pasta_util.Metric.set c_chunks rstats.Ptrace.r_chunks;
-      Pasta_util.Metric.set c_skipped rstats.Ptrace.r_chunks_skipped;
-      (header, rstats, !last_us)
-  | exception e ->
-      Telemetry.end_span Telemetry.Replay_io;
-      raise e
+  (* A solo replay takes every op, whatever its backend id. *)
+  let target = Some (proc, c_replayed) in
+  let header, rstats, last_us = read_into ~mode path [ proc ] ~route:(fun _ -> target) in
+  Pasta_util.Metric.set c_chunks rstats.Ptrace.r_chunks;
+  Pasta_util.Metric.set c_skipped rstats.Ptrace.r_chunks_skipped;
+  (header, rstats, last_us)
+
+let safe_report tool ppf =
+  try tool.Tool.report ppf
+  with exn ->
+    Format.fprintf ppf "tool %s: report failed (%s)@." tool.Tool.name
+      (Printexc.to_string exn)
 
 type outcome = {
   header : Ptrace.header;
@@ -95,12 +147,6 @@ let run ?mode ?range ~tool path =
      identical for every pool size, so this only affects wall time. *)
   Option.iter (Processor.set_pool proc) (decode_pool ());
   let header, rstats, elapsed_us = drive ?mode proc path in
-  let report ppf =
-    try tool.Tool.report ppf
-    with exn ->
-      Format.fprintf ppf "tool %s: report failed (%s)@." tool.Tool.name
-        (Printexc.to_string exn)
-  in
   {
     header;
     tool_name = tool.Tool.name;
@@ -109,7 +155,7 @@ let run ?mode ?range ~tool path =
     chunks_skipped = rstats.Ptrace.r_chunks_skipped;
     elapsed_us;
     processor = proc;
-    report;
+    report = safe_report tool;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -159,47 +205,20 @@ let run_multi ?mode ?range ~tool path =
   List.iter
     (fun (b, proc, _, c) -> Hashtbl.replace by_id b.Ptrace.b_id (proc, c))
     backends;
-  let mode = default_mode mode in
-  let last_us = ref 0.0 in
-  Telemetry.begin_span Telemetry.Replay_io "replay.read";
-  match
-    Ptrace.read_file_ext ~mode ?pool path ~f:(fun ~time_us ~backend op ->
-        match Hashtbl.find_opt by_id backend with
-        | None ->
-            (* an id missing from the table is corruption; strict readers
-               refuse it, tolerant ones drop the op *)
-            if mode = Ptrace.Strict then
-              raise (Ptrace.Corrupt (Printf.sprintf "unknown backend id %d" backend))
-        | Some (proc, c_replayed) ->
-            if time_us > !last_us then last_us := time_us;
-            Telemetry.note_sim_us time_us;
-            apply proc ~time_us op;
-            Pasta_util.Metric.incr c_replayed)
-  with
-  | header, rstats ->
-      List.iter (fun (_, proc, _, _) -> Processor.flush_records proc) backends;
-      Telemetry.end_span Telemetry.Replay_io;
-      {
-        m_header = header;
-        m_ops_replayed = rstats.Ptrace.r_ops;
-        m_chunks = rstats.Ptrace.r_chunks;
-        m_chunks_skipped = rstats.Ptrace.r_chunks_skipped;
-        m_elapsed_us = !last_us;
-        m_backends =
-          List.map
-            (fun (b, proc, tl, _) ->
-              let report ppf =
-                try tl.Tool.report ppf
-                with exn ->
-                  Format.fprintf ppf "tool %s: report failed (%s)@."
-                    tl.Tool.name (Printexc.to_string exn)
-              in
-              (b, proc, report))
-            backends;
-      }
-  | exception e ->
-      Telemetry.end_span Telemetry.Replay_io;
-      raise e
+  let header, rstats, last_us =
+    read_into ~mode:(default_mode mode) path
+      (List.map (fun (_, proc, _, _) -> proc) backends)
+      ~route:(Hashtbl.find_opt by_id)
+  in
+  {
+    m_header = header;
+    m_ops_replayed = rstats.Ptrace.r_ops;
+    m_chunks = rstats.Ptrace.r_chunks;
+    m_chunks_skipped = rstats.Ptrace.r_chunks_skipped;
+    m_elapsed_us = last_us;
+    m_backends =
+      List.map (fun (b, proc, tl, _) -> (b, proc, safe_report tl)) backends;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* trace stat                                                          *)

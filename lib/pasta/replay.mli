@@ -34,11 +34,6 @@ val run :
     replay raises {!Ptrace.Corrupt} on any damage, tolerant replay skips
     corrupt chunks and reports them in [chunks_skipped]. *)
 
-val apply : Processor.t -> time_us:float -> Processor.sink_op -> unit
-(** Re-drive one recorded op through a processor's submission entry
-    points (annotations go through [annot_start]/[annot_end] so range
-    state is rebuilt). *)
-
 val drive :
   ?mode:Ptrace.mode ->
   Processor.t ->
@@ -46,8 +41,12 @@ val drive :
   Ptrace.header * Ptrace.read_stats * float
 (** Lower-level entry: replay into an existing processor (whatever tool
     and range it carries) and return the header, read stats and the last
-    timestamp seen.  Used by {!run} and by tests that need custom
-    processor configuration. *)
+    timestamp seen.  Ops are re-driven through the processor's entry
+    points in recorded order (annotations through
+    [annot_start]/[annot_end], so range state is rebuilt); each maximal
+    run of consecutive batch ops of one kernel is one
+    {!Processor.submit_access_views} hand-off, each op a whole-batch view
+    stamped with its recorded time.  Used by {!run}. *)
 
 (** {2 Mixed-backend replay} *)
 
@@ -73,7 +72,8 @@ val run_multi :
     backend's recorded label) and one tool instance per backend-table
     entry, ops routed by their backend-id column in recorded order.  A
     solo trace (empty table) replays through a single backend-0
-    processor.  In tolerant mode, a corrupted chunk — always
+    processor.  Batch ops are grouped as in {!drive}, a run never
+    spanning two backends.  In tolerant mode, a corrupted chunk — always
     single-backend by construction — costs ops of that backend only; the
     other backends' reports are unaffected.  An op whose backend id is
     missing from the table is corruption: strict mode raises, tolerant

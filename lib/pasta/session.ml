@@ -103,6 +103,20 @@ let attach_impl ?backend ?range ?sample_cap ?sample_rate ?overhead_budget
   in
   let proc = Processor.create ?range ?label ~device:(Gpusim.Device.id device) () in
   Processor.set_tool proc tool;
+  (* Trace capture: an explicit path wins; otherwise the ACCEL_PROF_TRACE
+     knob streams every attached session to its file.  The sink is
+     installed before the backend attaches, so the very first event of
+     the run is already on tape, and before anything touches the device,
+     so a refused chunk-size knob leaves it untouched. *)
+  let capture =
+    match (capture, if auto_capture then Config.trace_path () else None) with
+    | Some path, _ | None, Some path ->
+        let meta =
+          match capture_meta with Some m -> m | None -> tool.Tool.name
+        in
+        Some (Capture.start ~meta proc path)
+    | None, None -> None
+  in
   (* Self-telemetry: honour the knob as configured right now, and mirror
      the device's simulated clock onto spans so exports can bridge the
      wall and simulated timelines. *)
@@ -126,19 +140,6 @@ let attach_impl ?backend ?range ?sample_cap ?sample_rate ?overhead_budget
         Gpusim.Device.set_faults device f;
         Some f
     | _ -> None
-  in
-  (* Trace capture: an explicit path wins; otherwise the ACCEL_PROF_TRACE
-     knob streams every attached session to its file.  The sink is
-     installed before the backend attaches, so the very first event of
-     the run is already on tape. *)
-  let capture =
-    match (capture, if auto_capture then Config.trace_path () else None) with
-    | Some path, _ | None, Some path ->
-        let meta =
-          match capture_meta with Some m -> m | None -> tool.Tool.name
-        in
-        Some (Capture.start ~meta proc path)
-    | None, None -> None
   in
   let b = Backend.attach kind device ~processor:proc in
   Backend.enable_fine_grained b tool.Tool.fine_grained;
@@ -458,6 +459,10 @@ let attach_multi ?range ?sample_cap ?sample_rate ?overhead_budget ?capture
     invalid_arg
       "Session.attach_multi: backends must use distinct device ids (create \
        devices with Gpusim.Device.create ~id:...)";
+  (* A refused chunk-size knob must stop the capture before any backend
+     attaches. *)
+  if capture <> None || Config.trace_path () <> None then
+    ignore (Config.trace_chunk_bytes ());
   let subs =
     List.map
       (fun (id, label, kind, device) ->

@@ -1135,6 +1135,110 @@ let test_mixed_corruption_isolated () =
     (String.equal sanitizer_live (Format.asprintf "%t" report));
   Sys.remove path
 
+let record_tool label =
+  let module M = Pasta_tools.Memory_charact in
+  M.tool (M.create ~variant:(if label = "nvbit" then M.Cpu_nvbit else M.Cpu_sanitizer) ())
+
+(* Both record channels in one file: a CS-CPU tool on the Sanitizer
+   backend and an NVBit-CPU one on the NVBit backend, their workloads
+   interleaved iteration by iteration, so replay's runs of batch ops
+   alternate between two processors.  Each backend's replayed report is
+   byte-identical to its live one. *)
+let test_mixed_batch_runs () =
+  let path = temp_trace () in
+  let d0 = Gpusim.Device.create ~id:0 Gpusim.Arch.a100 in
+  let d1 = Gpusim.Device.create ~id:1 Gpusim.Arch.a100 in
+  let m =
+    Pasta.Session.attach_multi ~sample_cap:64 ~capture:path
+      ~tool:(fun kind _ -> record_tool (Pasta.Backend.kind_to_string kind))
+      [ (Pasta.Backend.Sanitizer, d0); (Pasta.Backend.Nvbit, d1) ]
+  in
+  let c0 = Dlfw.Ctx.create d0 and c1 = Dlfw.Ctx.create d1 in
+  let bert ctx = Dlfw.Bert.build ~batch:1 ~seq:64 ~layers:1 ~dim:64 ~heads:4 ctx in
+  let m0 = bert c0 and m1 = bert c1 in
+  for _ = 1 to 2 do
+    Dlfw.Model.inference_iter c0 m0;
+    Dlfw.Model.inference_iter c1 m1
+  done;
+  Dlfw.Ctx.destroy c0;
+  Dlfw.Ctx.destroy c1;
+  let live =
+    List.map
+      (fun (label, r) -> (label, Format.asprintf "%t" r.Pasta.Session.report))
+      (Pasta.Session.detach_multi m).Pasta.Session.mr_backends
+  in
+  (* The backend of every batch op, with consecutive repeats folded. *)
+  let runs = ref [] in
+  let _ =
+    Pasta.Ptrace.read_file_ext ~mode:Pasta.Ptrace.Strict path
+      ~f:(fun ~time_us:_ ~backend op ->
+        match (op, !runs) with
+        | Pasta.Processor.Sk_batch _, b :: _ when b = backend -> ()
+        | Pasta.Processor.Sk_batch _, _ -> runs := backend :: !runs
+        | _ -> ())
+  in
+  check_bool "batch runs of both backends interleave" true (List.length !runs >= 4);
+  let o =
+    Pasta.Replay.run_multi ~mode:Pasta.Ptrace.Strict
+      ~tool:(fun e -> record_tool e.Pasta.Ptrace.b_label)
+      path
+  in
+  Sys.remove path;
+  List.iter2
+    (fun (label, live_rep) (entry, _, report) ->
+      Alcotest.(check string) (label ^ ": label") label entry.Pasta.Ptrace.b_label;
+      Alcotest.(check string)
+        (label ^ ": replayed report byte-identical to live")
+        live_rep
+        (Format.asprintf "%t" report))
+    live o.Pasta.Replay.m_backends
+
+(* Adjacent batch ops of one kernel id on two backends are two runs:
+   replay must hand each run to its own processor, every record stamped
+   with its op's recorded time. *)
+let test_replay_runs_split_by_backend () =
+  let path = temp_trace () in
+  let kernel = QCheck.Gen.generate1 ~rand:(Random.State.make [| 13 |]) g_info in
+  let batch n =
+    Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:64
+      ~addrs:(Array.init n (fun j -> 0x7F00_0000_0000 + (4 * j)))
+      ~sizes:(Array.make n 4) ~warps:(Array.make n 0) ~weights:(Array.make n 1)
+      ~writes:(Bytes.make n '\000')
+  in
+  let backends =
+    List.map (fun id -> { Pasta.Ptrace.b_id = id; b_device = id; b_label = "" }) [ 0; 1 ]
+  in
+  let w = Pasta.Ptrace.create_writer ~backends ~device:0 path in
+  List.iteri
+    (fun i (backend, n) ->
+      Pasta.Ptrace.write_op w ~time_us:(float_of_int i) ~backend
+        (Pasta.Processor.Sk_batch (kernel, batch n)))
+    [ (0, 3); (1, 5); (0, 3); (1, 5); (1, 5) ];
+  Pasta.Ptrace.close_writer w;
+  let seen = Array.make 2 [] in
+  let o =
+    Pasta.Replay.run_multi ~mode:Pasta.Ptrace.Strict
+      ~tool:(fun e ->
+        let id = e.Pasta.Ptrace.b_id in
+        {
+          (Pasta.Tool.default ~fine_grained:Pasta.Tool.Cpu_sanitizer "stamps") with
+          Pasta.Tool.on_event =
+            (fun ev ->
+              match ev.Pasta.Event.payload with
+              | Pasta.Event.Global_access _ -> seen.(id) <- ev.Pasta.Event.time_us :: seen.(id)
+              | _ -> ());
+        })
+      path
+  in
+  Sys.remove path;
+  check_int "every op replayed" 5 o.Pasta.Replay.m_ops_replayed;
+  let stamps l = List.rev_map int_of_float l in
+  Alcotest.(check (list int)) "backend 0 records and stamps" [ 0; 0; 0; 2; 2; 2 ] (stamps seen.(0));
+  Alcotest.(check (list int))
+    "backend 1 records and stamps"
+    [ 1; 1; 1; 1; 1; 3; 3; 3; 3; 3; 4; 4; 4; 4; 4 ]
+    (stamps seen.(1))
+
 let suite =
   [
     qtest prop_roundtrip;
@@ -1177,4 +1281,8 @@ let suite =
       test_mixed_live_vs_replay;
     Alcotest.test_case "mixed-backend corruption isolated to one backend"
       `Quick test_mixed_corruption_isolated;
+    Alcotest.test_case "mixed-backend batch runs replay byte-identically" `Quick
+      test_mixed_batch_runs;
+    Alcotest.test_case "replay splits batch runs at a backend switch" `Quick
+      test_replay_runs_split_by_backend;
   ]

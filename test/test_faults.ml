@@ -192,33 +192,45 @@ let test_overflow_policy_knob () =
         (List.for_all (Astring_contains.contains msg)
            [ "ACCEL_PROF_OVERFLOW_POLICY"; "drop-oldset"; "drop-oldest" ])
 
-(* A junk, zero or negative capacity is refused, not run with 4096. *)
-let test_buffer_cap_knob () =
-  let with_cap v f =
-    Pasta.Config.set "ACCEL_PROF_BUFFER_CAP" v;
-    Fun.protect ~finally:(fun () -> Pasta.Config.unset "ACCEL_PROF_BUFFER_CAP") f
+(* A strict numeric knob refuses a junk, zero, negative or (where it has
+   one) over-the-cap value instead of running with its default; an empty
+   value counts as unset. *)
+let check_strict_knob key read ~default ~good:(good, taken) ~bad =
+  let with_value v f =
+    Pasta.Config.set key v;
+    Fun.protect ~finally:(fun () -> Pasta.Config.unset key) f
   in
-  check_int "unset is 4096" 4096 (Pasta.Config.buffer_capacity ());
-  check_int "empty counts as unset" 4096 (with_cap "" Pasta.Config.buffer_capacity);
-  check_int "a positive integer is taken" 64 (with_cap "64" Pasta.Config.buffer_capacity);
-  check_bool "a good value validates" true (with_cap "64" Pasta.Config.validate = Ok ());
+  check_int "unset is the default" default (read ());
+  check_int "empty counts as unset" default (with_value "" read);
+  check_int "a good value is taken" taken (with_value good read);
+  check_bool "a good value validates" true (with_value good Pasta.Config.validate = Ok ());
   List.iter
     (fun v ->
-      with_cap v (fun () ->
-          (match Pasta.Config.buffer_capacity () with
-          | n -> Alcotest.failf "ACCEL_PROF_BUFFER_CAP=%S ran with %d" v n
+      with_value v (fun () ->
+          (match read () with
+          | n -> Alcotest.failf "%s=%S ran with %d" key v n
           | exception Invalid_argument msg ->
               check_bool
                 (Printf.sprintf "the refusal of %S names the knob and the value" v)
                 true
-                (List.for_all (Astring_contains.contains msg)
-                   [ "ACCEL_PROF_BUFFER_CAP"; Printf.sprintf "%S" v ]));
+                (List.for_all (Astring_contains.contains msg) [ key; Printf.sprintf "%S" v ]));
           match Pasta.Config.validate () with
-          | Ok () -> Alcotest.failf "validate accepts ACCEL_PROF_BUFFER_CAP=%S" v
+          | Ok () -> Alcotest.failf "validate accepts %s=%S" key v
           | Error msg ->
-              check_bool "validate names the knob" true
-                (Astring_contains.contains msg "ACCEL_PROF_BUFFER_CAP")))
-    [ "12x"; "0"; "-3" ]
+              check_bool "validate names the knob" true (Astring_contains.contains msg key)))
+    bad
+
+let test_buffer_cap_knob () =
+  check_strict_knob "ACCEL_PROF_BUFFER_CAP" Pasta.Config.buffer_capacity ~default:4096
+    ~good:("64", 64) ~bad:[ "12x"; "0"; "-3" ]
+
+(* The chunk size is capped at 65536 KiB: a capture allocates its chunk
+   buffer up front, and a larger count of KiB could overflow the byte
+   budget to zero. *)
+let test_trace_chunk_knob () =
+  check_strict_knob "ACCEL_PROF_TRACE_CHUNK_KB" Pasta.Config.trace_chunk_bytes
+    ~default:(256 * 1024) ~good:("65536", 65536 * 1024)
+    ~bad:[ "12x"; "0"; "-3"; "9007199254740992"; "67108864"; "65537" ]
 
 (* ---- Fault injection: deterministic, and survivable ---- *)
 
@@ -336,4 +348,5 @@ let suite =
     ("injector cleared after session", `Quick, test_faults_cleared_after_session);
     ("unknown overflow policy is refused", `Quick, test_overflow_policy_knob);
     ("non-positive or junk buffer cap is refused", `Quick, test_buffer_cap_knob);
+    ("junk or out-of-range trace chunk size is refused", `Quick, test_trace_chunk_knob);
   ]

@@ -674,6 +674,41 @@ let test_drop_oldest_handoff () =
     "degraded report" "00a6ac83a80eeb5ee732aacc507f3d00"
     (Digest.to_hex (Digest.string report))
 
+(* A BERT run at sample cap 16384 fills the CS-CPU host buffer after
+   almost every batch, so an 8-item ring stalls or drops inside every
+   kernel's hand-off.  The accounting and the report under each overflow
+   policy were measured before the host analysis handed a kernel's
+   flushes over at once, at its exit. *)
+let test_cs_cpu_handoff_pinned () =
+  Pasta.Config.set "ACCEL_PROF_BUFFER_CAP" "8";
+  List.iter
+    (fun (policy, stalls, dropped, batches, md5) ->
+      Pasta.Config.set "ACCEL_PROF_OVERFLOW_POLICY" policy;
+      let device = Gpusim.Device.create Gpusim.Arch.a100 in
+      let ctx = Dlfw.Ctx.create device in
+      let tool = Pasta_tools.Memory_charact.(tool (create ~variant:Cpu_sanitizer ())) in
+      let (), r =
+        Pasta.Session.run ~sample_cap:16384 ~tool device (fun () ->
+            let m = Dlfw.Runner.build ctx "BERT" in
+            Dlfw.Runner.run ctx m ~mode:Dlfw.Runner.Inference ~iters:1)
+      in
+      Dlfw.Ctx.destroy ctx;
+      let h = r.Pasta.Session.health in
+      check_int (policy ^ ": stalls") stalls h.Pasta.Session.buffer_stalls;
+      check_int (policy ^ ": records dropped") dropped h.Pasta.Session.records_dropped;
+      check_int (policy ^ ": buffered peak") 8192 h.Pasta.Session.records_buffered_peak;
+      check_int (policy ^ ": batches delivered") batches h.Pasta.Session.batches_delivered;
+      Alcotest.(check string)
+        (policy ^ ": report") md5
+        (Digest.to_hex (Digest.string (Format.asprintf "%t" r.Pasta.Session.report))))
+    [
+      ("block", 719, 0, 6520, "5148c378515ae3ed43dd6d3888055bf2");
+      ("drop-oldest", 0, 5425664, 1209, "f295a2af927d72412c437a4e60b9125e");
+      ("drop-newest", 0, 5407522, 1209, "4e0f18d34f8570d60a69a8779c0ca94a");
+    ];
+  Pasta.Config.unset "ACCEL_PROF_BUFFER_CAP";
+  Pasta.Config.unset "ACCEL_PROF_OVERFLOW_POLICY"
+
 let suite =
   [
     ("pool map preserves index order", `Quick, test_pool_map_order);
@@ -694,4 +729,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cs_cpu_descriptors;
     ("live, captured and replayed runs agree", `Quick, test_live_captured_replayed);
     ("drop-oldest hand-off pinned", `Quick, test_drop_oldest_handoff);
+    ("CS-CPU hand-off ring accounting pinned", `Quick, test_cs_cpu_handoff_pinned);
   ]

@@ -417,6 +417,10 @@ let test_submit_validation () =
       ("ACCEL_PROF_BUFFER_CAP", "12x");
       ("ACCEL_PROF_BUFFER_CAP", "0");
       ("ACCEL_PROF_BUFFER_CAP", "-3");
+      ("ACCEL_PROF_TRACE_CHUNK_KB", "12x");
+      ("ACCEL_PROF_TRACE_CHUNK_KB", "0");
+      ("ACCEL_PROF_TRACE_CHUNK_KB", "9007199254740992");
+      ("ACCEL_PROF_TRACE_CHUNK_KB", "67108864");
     ];
   Serve.shutdown t
 

@@ -456,6 +456,64 @@ let test_nvbit_layers_span_per_batch () =
           end))
     [ "basic"; "full" ]
 
+(* The CS-CPU host analysis of a BERT run at sample cap 16384 flushes
+   after almost every batch; the host takes a kernel's flushes at once,
+   at its exit, and replay re-drives each kernel's run of recorded
+   batches as one hand-off.  At [full], live and replayed, that is at
+   most one "handler.views" and one "proc.submit_views" span per kernel,
+   and the columnar tool reads every delivered batch inside far fewer
+   frames than there are batches. *)
+let test_cs_cpu_handoff_per_kernel () =
+  let spans () =
+    let buf = T.span_buffer () in
+    check_int "span store kept every span" 0 (Pasta_util.Span_buf.dropped buf);
+    let count = Hashtbl.create 8 in
+    Pasta_util.Span_buf.iter buf (fun sp ->
+        let key =
+          if sp.Pasta_util.Span_buf.sp_cat = "tool" then "tool frame"
+          else sp.Pasta_util.Span_buf.sp_name
+        in
+        Hashtbl.replace count key (1 + Option.value ~default:0 (Hashtbl.find_opt count key)));
+    fun key -> Option.value ~default:0 (Hashtbl.find_opt count key)
+  in
+  let check_run what ~kernels ~batches ~handler_views count =
+    List.iter
+      (fun (name, want) ->
+        if count name > want then
+          Alcotest.failf "%s: %d %s spans for %d kernels" what (count name) name kernels)
+      [ ("handler.views", handler_views); ("proc.submit_views", kernels) ];
+    check_bool (what ^ ": batches were handed over") true (count "proc.submit_views" > 0);
+    if 3 * count "tool frame" >= batches then
+      Alcotest.failf "%s: the tool opened %d frames for %d batches" what
+        (count "tool frame") batches
+  in
+  let tool () = Pasta_tools.Memory_charact.(tool (create ~variant:Cpu_sanitizer ())) in
+  let path = temp_file ".ptrace" in
+  with_level "full" (fun () ->
+      let device = Gpusim.Device.create Gpusim.Arch.a100 in
+      let ctx = Dlfw.Ctx.create device in
+      let (), r =
+        Pasta.Session.run ~sample_cap:16384 ~capture:path ~tool:(tool ()) device (fun () ->
+            let m = Dlfw.Runner.build ctx "BERT" in
+            Dlfw.Runner.run ctx m ~mode:Dlfw.Runner.Inference ~iters:1)
+      in
+      Dlfw.Ctx.destroy ctx;
+      let kernels = r.Pasta.Session.kernels in
+      let batches = r.Pasta.Session.health.Pasta.Session.batches_delivered in
+      check_bool "records came in many batches per kernel" true (batches > 10 * kernels);
+      check_run "live" ~kernels ~batches ~handler_views:kernels (spans ());
+      T.reset ();
+      let o = Pasta.Replay.run ~mode:Pasta.Ptrace.Strict ~tool:(tool ()) path in
+      Sys.remove path;
+      let replayed =
+        List.fold_left
+          (fun acc (n, _, v) -> if n = "pasta_batches_delivered" then acc + v else acc)
+          0
+          (Pasta_util.Metric.counter_samples (Pasta.Processor.metrics o.Pasta.Replay.processor))
+      in
+      check_int "replay delivered every batch" batches replayed;
+      check_run "replayed" ~kernels ~batches ~handler_views:0 (spans ()))
+
 (* The per-record path's allocation ceiling.  A record delivered to an
    NVBit-CPU tool allocates its [mem_access], its [Global_access] event
    and the event's payload; generation, channel views, the ring and the
@@ -890,6 +948,8 @@ let suite =
       test_basic_spans_allocate_nothing;
     Alcotest.test_case "NVBit records cross the layers per batch" `Quick
       test_nvbit_layers_span_per_batch;
+    Alcotest.test_case "CS-CPU hand-offs span once per kernel" `Quick
+      test_cs_cpu_handoff_per_kernel;
     Alcotest.test_case "quarantined tool time is attributed" `Quick
       test_quarantined_tool_attributed;
     qtest prop_span_stack;

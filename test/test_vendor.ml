@@ -83,7 +83,7 @@ let test_sanitizer_host_analysis () =
        {
          buffer_records = 1000;
          on_record = (fun _ a -> weight := !weight + a.Warp.weight);
-         on_batch = None;
+         on_views = None;
          per_record_us = 0.1;
        });
   let k = mk_kernel d ~bytes:8192 ~accesses:12345 in
@@ -113,7 +113,7 @@ let test_sanitizer_buffer_stall () =
                  incr flushed_batches;
                  last := info.Device.grid_id
                end);
-           on_batch = None;
+           on_views = None;
            per_record_us = 0.1;
          });
     let k = mk_kernel d ~bytes:65536 ~accesses:100000 in
@@ -123,6 +123,47 @@ let test_sanitizer_buffer_stall () =
   Alcotest.(check (float 1.0)) "total analysis independent of buffer size"
     (run 100) (run 100000)
 
+(* With batch delivery, each flush is still charged where it lands and
+   stamps its batches, whole, with the device time after its charges;
+   the host takes the kernel's views in one call at its exit, in
+   generation order, and a kernel without records gets no call. *)
+let test_sanitizer_host_views () =
+  let d = mk_device () in
+  Device.set_sample_cap d 4096;
+  let s = Vendor.Sanitizer.attach d in
+  let handoffs = ref [] in
+  Vendor.Sanitizer.patch_module s
+    (Vendor.Sanitizer.Host_analysis
+       {
+         buffer_records = 30000;
+         on_record = (fun _ _ -> Alcotest.fail "on_record with batch delivery");
+         on_views = Some (fun _ views -> handoffs := (views, Device.now_us d) :: !handoffs);
+         per_record_us = 0.1;
+       });
+  ignore (Device.launch d (mk_kernel d ~bytes:65536 ~accesses:100000));
+  let views, handoff_at =
+    match !handoffs with
+    | [ h ] -> h
+    | hs -> Alcotest.failf "%d hand-offs for one launch" (List.length hs)
+  in
+  check_int "views cover all true records" 100000
+    (List.fold_left (fun n v -> n + Warp.batch_weight v.Warp.v_batch) 0 views);
+  check_bool "each view is a whole batch" true
+    (List.for_all (fun v -> v.Warp.v_pos = 0 && v.Warp.v_len = Warp.batch_len v.Warp.v_batch) views);
+  check_bool "views in generation order" true
+    (List.map (fun v -> v.Warp.v_batch.Warp.b_chunk) views
+    = List.init (List.length views) Fun.id);
+  let stamps = List.sort_uniq compare (List.map (fun v -> v.Warp.v_time_us) views) in
+  check_bool "several flushes stamped the views" true (List.length stamps > 1);
+  check_bool "stamps follow generation order" true
+    (List.map (fun v -> v.Warp.v_time_us) views
+    = List.sort compare (List.map (fun v -> v.Warp.v_time_us) views));
+  Alcotest.(check (float 0.0)) "the hand-off follows the last flush" handoff_at
+    (List.nth stamps (List.length stamps - 1));
+  handoffs := [];
+  ignore (Device.launch d (Kernel.make ~name:"no_records" ~grid:(Dim3.make 1) ~block:(Dim3.make 32) ()));
+  check_int "no hand-off for a kernel without records" 0 (List.length !handoffs)
+
 let test_sanitizer_invalid_buffer () =
   let d = mk_device () in
   let s = Vendor.Sanitizer.attach d in
@@ -131,7 +172,7 @@ let test_sanitizer_invalid_buffer () =
     (fun () ->
       Vendor.Sanitizer.patch_module s
         (Vendor.Sanitizer.Host_analysis
-           { buffer_records = 0; on_record = (fun _ _ -> ()); on_batch = None; per_record_us = 0.1 }))
+           { buffer_records = 0; on_record = (fun _ _ -> ()); on_views = None; per_record_us = 0.1 }))
 
 (* ---- NVBit ---- *)
 
@@ -239,7 +280,7 @@ let test_nvbit_costlier_than_sanitizer () =
              {
                buffer_records = Vendor.Sanitizer.default_buffer_records;
                on_record = (fun _ _ -> ());
-               on_batch = None;
+               on_views = None;
                per_record_us = Costmodel.sanitizer_host_per_record_us;
              }))
   in
@@ -372,6 +413,7 @@ let suite =
     ("sanitizer invalid buffer", `Quick, test_sanitizer_invalid_buffer);
     ("nvbit parse cache", `Quick, test_nvbit_parse_cache);
     ("nvbit instrument", `Quick, test_nvbit_instrument);
+    ("sanitizer host hands off views once per kernel", `Quick, test_sanitizer_host_views);
     ("nvbit flush splits batches", `Quick, test_nvbit_flush_split);
     ("nvbit costlier than sanitizer", `Quick, test_nvbit_costlier_than_sanitizer);
     ("nvbit opcode counts", `Quick, test_nvbit_opcode_counts);
