@@ -542,8 +542,7 @@ let ablation () =
           (Vendor.Sanitizer.Host_analysis
              {
                buffer_records = buffer_bytes / Gpusim.Costmodel.record_bytes;
-               on_record = (fun _ _ -> ());
-               on_views = None;
+               on_views = (fun _ _ -> ());
                per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
              });
         ignore (Runner.run_default ctx "BERT" ~mode:Runner.Inference);
@@ -642,8 +641,11 @@ let bechamel_benches () =
       (Vendor.Sanitizer.Host_analysis
          {
            buffer_records = Vendor.Sanitizer.default_buffer_records;
-           on_record = (fun _ a -> count := !count + a.Gpusim.Warp.weight);
-           on_views = None;
+           on_views =
+             (fun _ views ->
+               List.iter
+                 (fun v -> count := !count + Gpusim.Warp.batch_weight v.Gpusim.Warp.v_batch)
+                 views);
            per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
          });
     fun () -> ignore (Gpusim.Device.launch device kernel)
@@ -706,18 +708,14 @@ type pipeline_run = {
 }
 
 (* One BERT-inference run under fine-grained hotness.  [`Serial] is the
-   legacy per-record path: every sampled record crosses the ring buffer
-   alone and becomes one event allocation, one dispatch and one
-   [on_access] call.  [`Parallel n] is the batched path: packed chunks,
-   an [n]-domain device-side reduction, one merged summary per kernel. *)
+   per-record path: a CS-CPU tool with only [on_access], so the processor
+   unpacks every buffered view into one event allocation, one dispatch
+   and one [on_access] call per sampled record.  [`Parallel n] is the
+   batched path: packed chunks, an [n]-domain device-side reduction, one
+   merged summary per kernel. *)
 let pipeline_run ~sample_cap ~iters kind =
-  (match kind with
-  | `Serial ->
-      Pasta.Config.set "ACCEL_PROF_DOMAINS" "1";
-      (* the pre-batching pipeline: one host callback, one ring-buffer
-         push and one event dispatch per record *)
-      Pasta.Config.set "ACCEL_PROF_BATCH_DELIVERY" "0"
-  | `Parallel n -> Pasta.Config.set "ACCEL_PROF_DOMAINS" (string_of_int n));
+  Pasta.Config.set "ACCEL_PROF_DOMAINS"
+    (match kind with `Serial -> "1" | `Parallel n -> string_of_int n);
   let device = Gpusim.Device.create Gpusim.Arch.a100 in
   let ctx = Dlfw.Ctx.create device in
   let records = ref 0 in
@@ -761,7 +759,6 @@ let pipeline_run ~sample_cap ~iters kind =
   let wall = Unix.gettimeofday () -. t0 in
   Dlfw.Ctx.destroy ctx;
   Pasta.Config.unset "ACCEL_PROF_DOMAINS";
-  Pasta.Config.unset "ACCEL_PROF_BATCH_DELIVERY";
   { p_records = !records; p_wall_s = wall; p_report = render () }
 
 (* One configuration measured [reps] times: the median wall time is the

@@ -142,12 +142,6 @@ let mem_access (a : Gpusim.Warp.access) =
     weight = a.Gpusim.Warp.weight;
   }
 
-let access_feeder t (info : D.launch_info) a =
-  Telemetry.begin_span Telemetry.Handler "handler.access";
-  Processor.submit_access t.processor ~time_us:(D.now_us t.device)
-    (Event.kernel_info_of_launch info) (mem_access a);
-  Telemetry.end_span Telemetry.Handler
-
 let views_feeder t (info : D.launch_info) views =
   Telemetry.begin_span Telemetry.Handler "handler.views";
   Processor.submit_access_views t.processor (Event.kernel_info_of_launch info) views;
@@ -198,9 +192,7 @@ let enable_fine_grained t mode =
         (Vendor.Sanitizer.Host_analysis
            {
              buffer_records = Vendor.Sanitizer.default_buffer_records;
-             on_record = access_feeder t;
-             on_views =
-               (if Config.batch_delivery () then Some (views_feeder t) else None);
+             on_views = views_feeder t;
              per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
            })
   | Tool.Cpu_nvbit, S_nvbit s ->

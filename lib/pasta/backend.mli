@@ -38,9 +38,8 @@ val enable_fine_grained : t -> Tool.fine_grained -> unit
     - [Gpu_parallel] (Sanitizer parallel analysis), [Cpu_sanitizer]
       (Sanitizer host-buffer tracing) and [Cpu_nvbit] (NVBit memory
       tracing, on an [Nvbit] backend): each hands a kernel's record views
-      to {!Processor.submit_access_views} once, at kernel exit
-      ([Cpu_sanitizer] with batch delivery off: {!Processor.submit_access}
-      per record, as each flush lands); [Gpu_parallel] then feeds
+      to {!Processor.submit_access_views} once, at kernel exit;
+      [Gpu_parallel] then feeds
       {!Processor.flush_parallel_summary};
     - [No_fine_grained]: nothing.
 

@@ -113,8 +113,7 @@ let passthrough () =
   let tool = Tool.default ~fine_grained:Tool.Cpu_sanitizer "capture" in
   {
     tool with
-    Tool.on_access_batch = Some (fun _ _ -> ());
-    on_access_columns = Some (fun _ _ -> ());
+    Tool.on_access_columns = Some (fun _ _ -> ());
     report =
       (fun ppf ->
         Format.fprintf ppf "capture: passthrough recording, no analysis@.");

@@ -48,6 +48,7 @@ val finish_multi : multi -> unit
 (** Detach every sink, flush and close the shared file.  Idempotent. *)
 
 val passthrough : unit -> Tool.t
-(** A record-only tool: requests [Cpu_sanitizer] instrumentation with
-    batch delivery and does nothing with it, so [accelprof record] can
-    capture a fine-grained trace without running an analysis. *)
+(** A record-only tool: requests [Cpu_sanitizer] instrumentation, takes
+    its records as batches ([on_access_columns]) and does nothing with
+    them, so [accelprof record] can capture a fine-grained trace without
+    running an analysis. *)

@@ -79,8 +79,6 @@ let session_knob_keys =
     "ACCEL_PROF_BUFFER_CAP";
     "ACCEL_PROF_OVERFLOW_POLICY";
     "ACCEL_PROF_WATCHDOG_US";
-    "ACCEL_PROF_BATCH_DELIVERY";
-    "ACCEL_PROF_COLUMNAR";
     "ACCEL_PROF_REGIONS";
     "ACCEL_PROF_INJECT_FAULTS";
     "ACCEL_PROF_FAULT_SEED";
@@ -169,16 +167,6 @@ let watchdog_us () =
   match Option.bind (get "ACCEL_PROF_WATCHDOG_US") float_of_string_opt with
   | Some v when v > 0.0 -> v
   | _ -> 1_000_000.0
-
-let batch_delivery () =
-  match get "ACCEL_PROF_BATCH_DELIVERY" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | _ -> true
-
-let columnar () =
-  match get "ACCEL_PROF_COLUMNAR" with
-  | Some ("0" | "false" | "no" | "off") -> false
-  | _ -> true
 
 let domains () =
   let cap = max 1 (min 8 (Domain.recommended_domain_count ())) in

@@ -95,20 +95,6 @@ val watchdog_us : unit -> float
 (** [ACCEL_PROF_WATCHDOG_US]: kernel duration above which the session
     watchdog flags a stuck kernel (default 1e6 us). *)
 
-val batch_delivery : unit -> bool
-(** [ACCEL_PROF_BATCH_DELIVERY]: deliver Sanitizer host-analyzed records
-    to the processor as packed batches (default; NVBit always does).
-    [0]/[off] restores the legacy one-callback-per-record path — same
-    results, higher overhead; kept as an A/B switch for overhead studies. *)
-
-val columnar : unit -> bool
-(** [ACCEL_PROF_COLUMNAR]: use the zero-copy columnar hot path — direct
-    {!Tool.t.on_access_columns} delivery with no per-dispatch event
-    wrapping, and per-domain device aggregation merged once per kernel
-    (default).  Setting it to [0]/[off] restores the legacy per-chunk
-    shard path and event-wrapped batch dispatch — same bytes, higher
-    overhead; kept as an escape hatch and equivalence oracle. *)
-
 val domains : unit -> int
 (** [ACCEL_PROF_DOMAINS]: domain-pool size for parallel device-side
     preprocessing.  Defaults to [Domain.recommended_domain_count ()]

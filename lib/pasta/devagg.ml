@@ -1,25 +1,16 @@
 (* Device-side partial aggregation of materialized access batches.
 
-   Mirrors the paper's GPU-resident reduction (Fig. 2b): each shard — one
-   generation chunk — reduces its records into per-object counts, a block
+   Mirrors the paper's GPU-resident reduction (Fig. 2b): each worker
+   reduces its generation chunks into per-object counts, a block
    histogram and a per-region tally, independently and on any domain; the
-   shards then merge in deterministic chunk order at kernel end.
-   Summary-only tools consume the merged result and never see raw
-   records.  All per-count quantities are weighted by record weight, i.e.
-   they are exact true-access counts, not sample counts. *)
+   workers' tallies then merge once at kernel end.  Summary-only tools
+   consume the merged result and never see raw records.  All per-count
+   quantities are weighted by record weight, i.e. they are exact
+   true-access counts, not sample counts. *)
 
 module W = Gpusim.Warp
 
 let block_bytes = 2 * 1024 * 1024
-
-type shard = {
-  s_objects : (int, Objmap.obj * int) Hashtbl.t;  (* obj_key -> (obj, weight) *)
-  s_blocks : (int, int) Hashtbl.t;  (* block index -> weight *)
-  s_regions : (int * int) list;  (* batch region index -> weight *)
-  s_records : int;
-  s_weight : int;
-  s_writes : int;
-}
 
 type summary = {
   objects : (Objmap.obj * int) list;
@@ -34,7 +25,7 @@ type summary = {
 (* Weighted tallies shared by every merge flavour.  Sums are
    order-insensitive, and [finish] emits every list sorted by key, so a
    summary never depends on hash iteration order or on how the records
-   were grouped into shards, accumulators or devices. *)
+   were grouped into accumulators or devices. *)
 let bump tbl k w = Hashtbl.replace tbl k (w + Option.value ~default:0 (Hashtbl.find_opt tbl k))
 
 let bump_obj tbl key obj w =
@@ -61,96 +52,18 @@ let finish ~est_rate ~objects ~blocks ~regions ~records ~weight ~writes =
     est_rate;
   }
 
-let aggregate view (b : W.batch) =
-  let objects = Hashtbl.create 16 and blocks = Hashtbl.create 32 in
-  let weight = ref 0 and writes = ref 0 in
-  (* Generation chunks have strong locality — long runs of records hit the
-     same object and the same 2 MiB block — so both tallies are run-length
-     accumulated and only touch their hashtable when the run breaks.  The
-     resolve memo is shard-local for the same reason Objmap's is not used
-     here: it must be domain-safe. *)
-  let memo_base = ref min_int and memo_limit = ref min_int in
-  let memo_obj = ref (Objmap.Unknown 0) in
-  let cur_key = ref min_int and cur_obj = ref (Objmap.Unknown 0) and cur_w = ref 0 in
-  let cur_blk = ref min_int and cur_blk_w = ref 0 in
-  let flush_obj () = if !cur_w > 0 then bump_obj objects !cur_key !cur_obj !cur_w in
-  let flush_blk () = if !cur_blk_w > 0 then bump blocks !cur_blk !cur_blk_w in
-  let c = W.cols b in
-  for i = 0 to b.W.b_len - 1 do
-    let addr = Bigarray.Array1.unsafe_get c.W.addrs i
-    and w = Bigarray.Array1.unsafe_get c.W.weights i in
-    let obj =
-      if addr >= !memo_base && addr < !memo_limit then !memo_obj
-      else
-        match Objmap.resolve_view view addr with
-        | Objmap.Unknown _ as u -> u
-        | obj ->
-            let base = Objmap.obj_key obj in
-            memo_base := base;
-            memo_limit := base + Objmap.obj_bytes obj;
-            memo_obj := obj;
-            obj
-    in
-    let key = Objmap.obj_key obj in
-    if key = !cur_key then cur_w := !cur_w + w
-    else begin
-      flush_obj ();
-      cur_key := key;
-      cur_obj := obj;
-      cur_w := w
-    end;
-    let blk = addr / block_bytes in
-    if blk = !cur_blk then cur_blk_w := !cur_blk_w + w
-    else begin
-      flush_blk ();
-      cur_blk := blk;
-      cur_blk_w := w
-    end;
-    weight := !weight + w;
-    if Bigarray.Array1.unsafe_get c.W.writes i <> 0 then writes := !writes + w
-  done;
-  flush_obj ();
-  flush_blk ();
-  {
-    s_objects = objects;
-    s_blocks = blocks;
-    (* One generation chunk belongs to exactly one kernel memory region
-       ([b_region]), so the per-region weighted tally is one pair — the
-       weights, not the record count, so sampled runs stay unbiased. *)
-    s_regions = (if !weight > 0 then [ (b.W.b_region, !weight) ] else []);
-    s_records = b.W.b_len;
-    s_weight = !weight;
-    s_writes = !writes;
-  }
-
-let merge ?(est_rate = 1.0) shards =
-  let objects = Hashtbl.create 32 and blocks = Hashtbl.create 64 in
-  let regions = Hashtbl.create 8 in
-  let records = ref 0 and weight = ref 0 and writes = ref 0 in
-  Array.iter
-    (fun s ->
-      Hashtbl.iter (fun key (obj, w) -> bump_obj objects key obj w) s.s_objects;
-      Hashtbl.iter (bump blocks) s.s_blocks;
-      List.iter (fun (r, w) -> bump regions r w) s.s_regions;
-      records := !records + s.s_records;
-      weight := !weight + s.s_weight;
-      writes := !writes + s.s_writes)
-    shards;
-  finish ~est_rate ~objects ~blocks ~regions ~records:!records ~weight:!weight
-    ~writes:!writes
-
-(* ---- Per-domain accumulators (columnar hot path) --------------------- *)
+(* ---- Per-domain accumulators --------------------------------------- *)
 
 (* One accumulator per worker domain, reused across every chunk that worker
    reduces (and, via {!accum_reset}, across kernels): batches flush their
-   run-length tallies into persistent hashtables, so the fresh per-chunk
-   tables of [aggregate]+[merge] disappear.  Everything is merged exactly
-   once per kernel in [merge_accums].
+   run-length tallies into persistent hashtables, with no per-chunk
+   tables.  Everything is merged exactly once per kernel in
+   [merge_accums].
 
    Determinism: the weighted tallies and the count sums are independent
    of which worker reduced which chunk, and [finish] sorts before
-   producing output, so the summary is byte-identical to the per-chunk
-   [aggregate]+[merge] path at any domain count. *)
+   producing output, so the summary is byte-identical at any domain
+   count. *)
 
 (* Mutable table cells: tallies bump in place instead of re-inserting a
    fresh (value, bucket-cons) pair per run flush — access streams that

@@ -4,21 +4,13 @@
     weighted tallies — per-object counts (through an {!Objmap.view}
     snapshot), a [block_bytes]-granular access histogram and a per-region
     count — and merges them once per kernel into one {!summary}.  The
-    columnar hot path keeps one {!accum} per worker domain; the per-chunk
-    {!shard} + {!merge} path is the reference aggregator it must match.
-    Aggregation is pure with respect to shared state, so chunks can be
-    reduced on any domain; the merged {!summary} is identical for every
-    domain count.  Counts are weighted, i.e. exact true-access totals. *)
+    processor keeps one {!accum} per worker domain.  Aggregation is pure
+    with respect to shared state, so chunks can be reduced on any domain;
+    the merged {!summary} is identical for every domain count.  Counts
+    are weighted, i.e. exact true-access totals. *)
 
 val block_bytes : int
 (** Histogram granularity (2 MiB, matching the hotness tool's blocks). *)
-
-type shard
-
-val aggregate : Objmap.view -> Gpusim.Warp.batch -> shard
-(** Reduce one batch by scanning its records (a descriptor's through
-    {!Gpusim.Warp.cols}).  Safe to call concurrently from worker
-    domains. *)
 
 type summary = {
   objects : (Objmap.obj * int) list;  (** weighted counts, sorted by object key *)
@@ -38,17 +30,11 @@ type summary = {
           inverse-probability weights from {!Gpusim.Warp.thin}) *)
 }
 
-val merge : ?est_rate:float -> shard array -> summary
-(** Combine shards (callers pass them in chunk order; the result is in fact
-    order-insensitive because all counts are sums and outputs are sorted).
-    [est_rate] (default 1.0) stamps the sampling rate the batches were
-    thinned at, so consumers can annotate estimates. *)
-
 type accum
-(** A per-worker-domain accumulator for the columnar hot path: reused
-    across every chunk the worker reduces, it holds nothing but weighted
-    tally tables (objects, blocks, regions) and three running counts.
-    NOT safe for concurrent use — one accumulator per worker. *)
+(** A per-worker-domain accumulator: reused across every chunk the
+    worker reduces, it holds nothing but weighted tally tables (objects,
+    blocks, regions) and three running counts.  NOT safe for concurrent
+    use — one accumulator per worker. *)
 
 val accum_create : unit -> accum
 
@@ -70,10 +56,10 @@ val accum_add : accum -> Objmap.view -> Gpusim.Warp.batch -> unit
 
 val merge_accums : ?est_rate:float -> accum array -> summary
 (** Merge per-worker accumulators once per kernel: sums the tally tables
-    and emits each list sorted by key.  Byte-identical to
-    [merge (Array.map (aggregate view) batches)] for the same records, at
-    any domain count — sums do not depend on which worker reduced which
-    chunk. *)
+    and emits each list sorted by key, so the result is the same at any
+    domain count — sums do not depend on which worker reduced which
+    chunk.  [est_rate] (default 1.0) stamps the sampling rate the batches
+    were thinned at, so consumers can annotate estimates. *)
 
 val merge_summaries : ?est_rate:float -> summary list -> summary
 (** Combine already-merged summaries into one — the merge-node primitive

@@ -74,7 +74,6 @@ type payload =
   | Memory_free of { addr : int; bytes : int }
   | Synchronization of { scope : [ `Device | `Stream of int ] }
   | Global_access of { kernel : kernel_info; access : mem_access }
-  | Access_batch of { kernel : kernel_info; batch : Gpusim.Warp.batch }
   | Device_summary of { kernel : kernel_info; summary : Devagg.summary }
   | Shared_access of { kernel : kernel_info; access : mem_access }
   | Kernel_region of { kernel : kernel_info; region : region_summary }
@@ -100,7 +99,6 @@ let kind_name = function
   | Memory_free _ -> "memory_free"
   | Synchronization _ -> "synchronization"
   | Global_access _ -> "global_access"
-  | Access_batch _ -> "access_batch"
   | Device_summary _ -> "device_summary"
   | Shared_access _ -> "shared_access"
   | Kernel_region _ -> "kernel_region"
@@ -129,7 +127,6 @@ let all_kinds =
     "memory_free";
     "synchronization";
     "global_access";
-    "access_batch";
     "device_summary";
     "shared_access";
     "kernel_region";
@@ -145,9 +142,8 @@ let all_kinds =
   ]
 
 let is_fine_grained = function
-  | Global_access _ | Access_batch _ | Device_summary _ | Shared_access _
-  | Kernel_region _ | Barrier _ | Kernel_profile _ | Region_enter _
-  | Region_exit _ ->
+  | Global_access _ | Device_summary _ | Shared_access _ | Kernel_region _
+  | Barrier _ | Kernel_profile _ | Region_enter _ | Region_exit _ ->
       true
   | _ -> false
 
@@ -186,10 +182,6 @@ let pp ppf { device; time_us; payload } =
       Format.fprintf ppf "gmem %s 0x%x %s w=%d" kernel.name access.addr
         (if access.write then "st" else "ld")
         access.weight
-  | Access_batch { kernel; batch } ->
-      Format.fprintf ppf "gmem-batch %s %d records w=%d" kernel.name
-        (Gpusim.Warp.batch_len batch)
-        (Gpusim.Warp.batch_weight batch)
   | Device_summary { kernel; summary } ->
       Format.fprintf ppf "device-summary %s %a" kernel.name Devagg.pp summary
   | Shared_access { kernel; _ } -> Format.fprintf ppf "smem %s" kernel.name

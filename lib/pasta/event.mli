@@ -75,10 +75,6 @@ type payload =
   | Synchronization of { scope : [ `Device | `Stream of int ] }
   (* Fine-grained device-side operations *)
   | Global_access of { kernel : kernel_info; access : mem_access }
-  | Access_batch of { kernel : kernel_info; batch : Gpusim.Warp.batch }
-      (** packed flat-array record batch from the parallel preprocessing
-          path; dispatched once per batch to tools that opt into
-          [on_access_batch] *)
   | Device_summary of { kernel : kernel_info; summary : Devagg.summary }
       (** merged device-side reduction of a kernel's materialized records *)
   | Shared_access of { kernel : kernel_info; access : mem_access }

@@ -5,7 +5,7 @@ type callback =
   | On_mem_summary
   | On_device_summary
   | On_access
-  | On_access_batch
+  | On_access_columns
   | On_kernel_profile
   | On_operator
   | On_tensor
@@ -19,7 +19,7 @@ let all_callbacks =
     On_mem_summary;
     On_device_summary;
     On_access;
-    On_access_batch;
+    On_access_columns;
     On_kernel_profile;
     On_operator;
     On_tensor;
@@ -33,7 +33,7 @@ let callback_name = function
   | On_mem_summary -> "on_mem_summary"
   | On_device_summary -> "on_device_summary"
   | On_access -> "on_access"
-  | On_access_batch -> "on_access_batch"
+  | On_access_columns -> "on_access_columns"
   | On_kernel_profile -> "on_kernel_profile"
   | On_operator -> "on_operator"
   | On_tensor -> "on_tensor"
@@ -46,7 +46,7 @@ let callback_index = function
   | On_mem_summary -> 3
   | On_device_summary -> 4
   | On_access -> 5
-  | On_access_batch -> 6
+  | On_access_columns -> 6
   | On_kernel_profile -> 7
   | On_operator -> 8
   | On_tensor -> 9

@@ -29,7 +29,7 @@ type callback =
   | On_mem_summary
   | On_device_summary
   | On_access
-  | On_access_batch
+  | On_access_columns
   | On_kernel_profile
   | On_operator
   | On_tensor

@@ -1,32 +1,6 @@
 module Ring_buffer = Pasta_util.Ring_buffer
 module Metric = Pasta_util.Metric
 
-(* Legacy snapshot shape; see [stats] below.  The single source of truth is
-   the [counters] registry — this record is rebuilt from it on every call,
-   so the field names every existing caller and test relies on keep
-   working while exporters read the registry directly. *)
-type stats = {
-  mutable events_seen : int;
-  mutable events_dispatched : int;
-  mutable events_suppressed : int;
-  mutable kernels_seen : int;
-  mutable summaries_flushed : int;
-  mutable tool_failures : int;
-  callback_failures : (string, int) Hashtbl.t;
-  mutable records_dropped : int;
-  mutable records_buffered_peak : int;
-  mutable buffer_stalls : int;
-  mutable accesses_filtered : int;
-  mutable batches_delivered : int;
-  mutable objmap_memo_hits : int;
-  mutable objmap_memo_misses : int;
-  mutable events_recorded : int;
-  mutable bytes_written : int;
-  mutable chunks : int;
-  mutable chunks_skipped : int;
-  mutable replay_events : int;
-}
-
 (* Every processor owns one metrics registry; handles below are the hot
    paths' direct pointers into it. *)
 type counters = {
@@ -42,7 +16,6 @@ type counters = {
   c_buffer_stalls : Metric.counter;
   c_accesses_filtered : Metric.counter;
   c_batches_delivered : Metric.counter;
-  c_deprecated_batch_tools : Metric.counter;
   c_objmap_memo_hits : Metric.counter;
   c_objmap_memo_misses : Metric.counter;
   g_sample_rate : Metric.gauge;
@@ -101,11 +74,6 @@ let make_counters ~device ?label () =
     c_batches_delivered =
       c ~help:"packed batches handed to a batch-aware tool"
         "pasta_batches_delivered";
-    c_deprecated_batch_tools =
-      c
-        ~help:"tools observed on the deprecated event-wrapped on_access_batch \
-               path (counted once per processor)"
-        "pasta_deprecated_batch_tools";
     c_objmap_memo_hits = c ~help:"objmap resolve-memo hits" "pasta_objmap_memo_hits";
     c_objmap_memo_misses =
       c ~help:"objmap resolve-memo misses" "pasta_objmap_memo_misses";
@@ -138,7 +106,6 @@ let make_counters ~device ?label () =
    saw — the replay contract. *)
 type sink_op =
   | Sk_event of Event.payload
-  | Sk_access of Event.kernel_info * Event.mem_access
   | Sk_batch of Event.kernel_info * Gpusim.Warp.batch
   | Sk_region of Event.kernel_info * Event.region_summary
   | Sk_flush_summary of Event.kernel_info
@@ -153,16 +120,12 @@ type pending_region = { p_base : int; p_extent : int; p_accesses : int; p_writte
 
 module W = Gpusim.Warp
 
-(* The bounded buffer holds either legacy single records or time-stamped
-   views of packed batches (all of a batch, or the piece of one that a
-   channel flush handed over); all drop/peak accounting below counts
-   *records*, so the two shapes are indistinguishable in the health
-   report. *)
-type buffered =
-  | B_one of Event.kernel_info * Event.mem_access * float
-  | B_batch of Event.kernel_info * W.view
+(* The bounded buffer holds time-stamped views of packed batches (all of
+   a batch, or the piece of one that a channel flush handed over); all
+   drop/peak accounting below counts *records*, a view its length. *)
+type buffered = { b_info : Event.kernel_info; b_view : W.view }
 
-let buffered_count = function B_one _ -> 1 | B_batch (_, v) -> v.W.v_len
+let buffered_count item = item.b_view.W.v_len
 
 (* A view's records as a batch of their own: the batch itself when the
    view covers all of it, else a zero-copy [W.sub]. *)
@@ -178,11 +141,6 @@ type t = {
   buf : buffered Ring_buffer.t;
   policy : Ring_buffer.overflow;
   mutable pool : Pasta_util.Domain_pool.t option;
-  columnar : bool;
-      (** zero-copy columnar delivery and per-domain aggregation
-          ([ACCEL_PROF_COLUMNAR], snapshotted at creation) *)
-  mutable legacy_batch_noted : bool;
-      (* the deprecation counter fires once per processor, not per batch *)
   mutable dev_accums : Devagg.accum array;
       (* per-worker aggregation state, reused across kernels; sized to the
          pool on first parallel flush *)
@@ -218,8 +176,6 @@ let create ?range ?buffer_capacity ?overflow_policy ?label ~device () =
     buf = Ring_buffer.create ~capacity;
     policy;
     pool = None;
-    columnar = Config.columnar ();
-    legacy_batch_noted = false;
     dev_accums = [||];
     region_metrics = Hashtbl.create 16;
     buffered_records = 0;
@@ -237,40 +193,10 @@ let metrics t = t.ctr.reg
 let metric_labels t = backend_labels t.device t.label
 let backend_label t = t.label
 
-let stats t =
+let sync_objmap_metrics t =
   let hits, misses = Objmap.memo_stats t.objmap in
   Metric.set t.ctr.c_objmap_memo_hits hits;
-  Metric.set t.ctr.c_objmap_memo_misses misses;
-  let callback_failures = Hashtbl.create 8 in
-  List.iter
-    (fun (name, labels, v) ->
-      if name = callback_failures_metric then
-        match List.assoc_opt "callback" labels with
-        | Some cb -> Hashtbl.replace callback_failures cb v
-        | None -> ())
-    (Metric.counter_samples t.ctr.reg);
-  {
-    events_seen = Metric.value t.ctr.c_events_seen;
-    events_dispatched = Metric.value t.ctr.c_events_dispatched;
-    events_suppressed = Metric.value t.ctr.c_events_suppressed;
-    kernels_seen = Metric.value t.ctr.c_kernels_seen;
-    summaries_flushed = Metric.value t.ctr.c_summaries_flushed;
-    tool_failures = Metric.value t.ctr.c_tool_failures;
-    callback_failures;
-    records_dropped = Metric.value t.ctr.c_records_dropped;
-    records_buffered_peak =
-      int_of_float (Metric.gauge_value t.ctr.g_records_buffered_peak);
-    buffer_stalls = Metric.value t.ctr.c_buffer_stalls;
-    accesses_filtered = Metric.value t.ctr.c_accesses_filtered;
-    batches_delivered = Metric.value t.ctr.c_batches_delivered;
-    objmap_memo_hits = hits;
-    objmap_memo_misses = misses;
-    events_recorded = Metric.value t.ctr.c_events_recorded;
-    bytes_written = Metric.value t.ctr.c_bytes_written;
-    chunks = Metric.value t.ctr.c_chunks;
-    chunks_skipped = Metric.value t.ctr.c_chunks_skipped;
-    replay_events = Metric.value t.ctr.c_replay_events;
-  }
+  Metric.set t.ctr.c_objmap_memo_misses misses
 
 let set_pool t p = t.pool <- Some p
 let clear_pool t = t.pool <- None
@@ -377,7 +303,6 @@ let in_range t payload =
   match payload with
   | Event.Kernel_launch { info; _ }
   | Event.Global_access { kernel = info; _ }
-  | Event.Access_batch { kernel = info; _ }
   | Event.Device_summary { kernel = info; _ }
   | Event.Shared_access { kernel = info; _ }
   | Event.Kernel_region { kernel = info; _ }
@@ -410,82 +335,46 @@ let deliver_access t g info access time_us =
     (fun tool info access -> tool.Tool.on_access info access)
     info access
 
-(* The per-record stream of one buffered item, inside the caller's tool
+(* The per-record stream of one buffered view, inside the caller's tool
    frame.  A view's columns are read unchecked: [W.view] and every batch
    constructor check their bounds against the column dims. *)
-let deliver_records t g = function
-  | B_one (info, access, time_us) -> deliver_access t g info access time_us
-  | B_batch (info, v) ->
-      let c = W.cols v.W.v_batch and pc = v.W.v_batch.W.b_pc in
-      for i = v.W.v_pos to v.W.v_pos + v.W.v_len - 1 do
-        deliver_access t g info
-          {
-            Event.addr = Bigarray.Array1.unsafe_get c.W.addrs i;
-            size = Bigarray.Array1.unsafe_get c.W.sizes i;
-            write = Bigarray.Array1.unsafe_get c.W.writes i <> 0;
-            pc;
-            warp = Bigarray.Array1.unsafe_get c.W.warps i;
-            weight = Bigarray.Array1.unsafe_get c.W.weights i;
-          }
-          v.W.v_time_us
-      done
-
-(* How the active tool takes a buffered batch. *)
-type delivery =
-  | Columns  (** zero-copy [on_access_columns] *)
-  | Batch  (** the deprecated event-wrapped [on_access_batch] *)
-  | Records  (** the legacy per-record stream, [on_event] + [on_access] *)
-
-let delivery t tl =
-  if t.columnar && tl.Tool.on_access_columns <> None then Columns
-  else if tl.Tool.on_access_batch <> None then Batch
-  else Records
+let deliver_records t g { b_info = info; b_view = v } =
+  let c = W.cols v.W.v_batch and pc = v.W.v_batch.W.b_pc in
+  for i = v.W.v_pos to v.W.v_pos + v.W.v_len - 1 do
+    deliver_access t g info
+      {
+        Event.addr = Bigarray.Array1.unsafe_get c.W.addrs i;
+        size = Bigarray.Array1.unsafe_get c.W.sizes i;
+        write = Bigarray.Array1.unsafe_get c.W.writes i <> 0;
+        pc;
+        warp = Bigarray.Array1.unsafe_get c.W.warps i;
+        weight = Bigarray.Array1.unsafe_get c.W.weights i;
+      }
+      v.W.v_time_us
+  done
 
 let on_columns tool info batch =
   match tool.Tool.on_access_columns with Some f -> f info batch | None -> ()
 
-(* One buffered item for a [Columns] tool, inside the caller's tool frame,
-   or for a deprecated [Batch] one, each callback in its own frame. *)
-let deliver_item t g ~columns = function
-  | B_one (info, access, time_us) ->
-      if columns then deliver_access t g info access time_us
-      else Guard.framed g (fun () -> deliver_access t g info access time_us)
-  | B_batch (info, v) ->
-      let batch = view_batch v in
-      Metric.incr t.ctr.c_batches_delivered;
-      if columns then
-        (* Zero-copy columnar delivery: the tool reads the batch's
-           Bigarray columns in place — no [Event.t] wrapper, no
-           per-record closures, nothing allocated per dispatch. *)
-        Guard.call_in_frame g Guard.On_access_batch on_columns info batch
-      else begin
-        if not t.legacy_batch_noted then begin
-          t.legacy_batch_noted <- true;
-          Metric.incr t.ctr.c_deprecated_batch_tools
-        end;
-        dispatch t
-          {
-            Event.device = t.device;
-            time_us = v.W.v_time_us;
-            payload = Event.Access_batch { kernel = info; batch };
-          };
-        Guard.call g Guard.On_access_batch (fun tool ->
-            match tool.Tool.on_access_batch with
-            | Some f -> f info batch
-            | None -> ())
-      end
+(* One buffered view for a columns tool, inside the caller's tool frame:
+   the tool reads the batch's Bigarray columns in place — no [Event.t]
+   wrapper, no per-record closures, nothing allocated per dispatch. *)
+let deliver_columns t g { b_info = info; b_view = v } =
+  Metric.incr t.ctr.c_batches_delivered;
+  Guard.call_in_frame g Guard.On_access_columns on_columns info (view_batch v)
 
-(* Hand drained items to the tool in order.  A per-record or columnar
-   tool gets the whole drain inside one tool frame, so the clock is read
-   twice per drain, not per batch or per record. *)
+(* Hand drained items to the tool in order, the whole drain inside one
+   tool frame, so the clock is read twice per drain, not per batch or per
+   record.  Each branch iterates its delivery function directly: picking
+   the function through a local closure measured slower on the
+   per-record path. *)
 let deliver_items t items =
   match (t.guard, items) with
   | None, _ | Some _, [] -> ()
-  | Some g, items -> (
-      match delivery t (Guard.tool g) with
-      | Records -> Guard.framed g (fun () -> List.iter (deliver_records t g) items)
-      | Columns -> Guard.framed g (fun () -> List.iter (deliver_item t g ~columns:true) items)
-      | Batch -> List.iter (deliver_item t g ~columns:false) items)
+  | Some g, items ->
+      if (Guard.tool g).Tool.on_access_columns <> None then
+        Guard.framed g (fun () -> List.iter (deliver_columns t g) items)
+      else Guard.framed g (fun () -> List.iter (deliver_records t g) items)
 
 let flush_records t =
   Telemetry.begin_span Telemetry.Ring "ring.drain";
@@ -516,11 +405,6 @@ let push_item t item =
       t.buffered_records <- buffered_count item);
   Metric.max_gauge t.ctr.g_records_buffered_peak (float_of_int t.buffered_records);
   Telemetry.sample_ring_occupancy t.buffered_records
-
-let buffer_item t item =
-  Telemetry.begin_span Telemetry.Ring "ring.push";
-  push_item t item;
-  Telemetry.end_span Telemetry.Ring
 
 (* Region-labelled series are find-or-create in the registry, which costs
    a key build, the registry lock and a string hash per call.  The label
@@ -636,23 +520,13 @@ let flush_kernel_summary t ~time_us (info : Event.kernel_info) =
   | _ -> ());
   Telemetry.end_span Telemetry.Dispatch
 
-let submit_access t ~time_us (info : Event.kernel_info) access =
-  Telemetry.begin_span Telemetry.Dispatch "proc.submit_access";
-  tap t ~time_us (Sk_access (info, access));
-  Metric.incr t.ctr.c_events_seen;
-  t.last_time_us <- time_us;
-  if Range.active t.range ~grid_id:info.Event.grid_id then
-    buffer_item t (B_one (info, access, time_us))
-  else Metric.incr t.ctr.c_accesses_filtered;
-  Telemetry.end_span Telemetry.Dispatch
-
 (* One view of a hand-off, inside the caller's Dispatch and (in range)
    Ring spans: it stamps the processor's clock, counts every record, and
    is pushed whole or withheld by the range filter. *)
 let submit_view t ~active info (v : W.view) =
   t.last_time_us <- v.W.v_time_us;
   Metric.add t.ctr.c_events_seen v.W.v_len;
-  if active then push_item t (B_batch (info, v))
+  if active then push_item t { b_info = info; b_view = v }
   else Metric.add t.ctr.c_accesses_filtered v.W.v_len
 
 (* A hand-off taps all of its views, each as its own [Sk_batch] op (whose
@@ -711,85 +585,62 @@ let drain_parallel t ~time_us (info : Event.kernel_info) =
   Telemetry.sample_ring_occupancy 0;
   Telemetry.end_span Telemetry.Ring;
   let mine, others =
-    List.partition
-      (function
-        | B_batch (i, _) -> i.Event.grid_id = info.Event.grid_id
-        | B_one _ -> false)
-      items
+    List.partition (fun item -> item.b_info.Event.grid_id = info.Event.grid_id) items
   in
   deliver_items t others;
-  Array.of_list
-    (List.filter_map (function B_batch (_, v) -> Some (view_batch v) | B_one _ -> None) mine)
+  Array.of_list (List.map (fun item -> view_batch item.b_view) mine)
 
 (* Kernel-end reduction for [Gpu_parallel] tools: drain this kernel's
-   batches, aggregate each shard (over the pool when one is installed),
-   merge in deterministic order, and hand the tool a single summary.  Raw
-   records never reach the tool. *)
+   batches, reduce them into one accumulator per worker slot (over the
+   pool when one is installed), merge once, and hand the tool a single
+   summary.  Raw records never reach the tool.  [run_sharded] guarantees
+   a slot is never executed by two domains at once, so the accumulators
+   need no locks; [merge_accums] sums the tallies and sorts before
+   emitting, so the summary does not depend on the chunk-to-worker
+   assignment. *)
 let flush_parallel_summary t ~time_us (info : Event.kernel_info) =
   let batches = drain_parallel t ~time_us info in
   if Array.length batches > 0 then begin
     Telemetry.begin_span Telemetry.Devagg "devagg.aggregate";
     let view = Objmap.view t.objmap in
-    let merged =
-      if t.columnar then begin
-        (* Columnar path: one accumulator per worker slot, merged exactly
-           once per kernel.  [run_sharded] guarantees a slot is never
-           executed by two domains at once, so the accumulators need no
-           locks; [merge_accums] sums the tallies and sorts before
-           emitting, so the summary does not depend on the
-           chunk-to-worker assignment. *)
-        let want =
-          match t.pool with
-          | Some p -> Pasta_util.Domain_pool.parallelism p
-          | None -> 1
-        in
-        (* Accumulators live as long as the processor: kernel N reuses the
-           tables kernel N-1 grew, so steady state allocates nothing per
-           kernel beyond the summary itself. *)
-        let accums =
-          if Array.length t.dev_accums <> want then begin
-            t.dev_accums <- Array.init want (fun _ -> Devagg.accum_create ());
-            t.dev_accums
-          end
-          else begin
-            Array.iter Devagg.accum_reset t.dev_accums;
-            t.dev_accums
-          end
-        in
-        let is_dense b =
-          match b.W.b_shape with W.Dense _ -> true | W.Descriptor _ -> false
-        in
-        let ndense = Array.fold_left (fun n b -> if is_dense b then n + 1 else n) 0 batches in
-        (match t.pool with
-        | Some p when want > 1 && ndense > 1 ->
-            (* Only batches that carry records fan out.  Descriptors
-               reduce by arithmetic in slot 0 first, never while the
-               caller works slot 0 in the pool pass. *)
-            let dense = ref [] in
-            Array.iter
-              (fun b ->
-                if is_dense b then dense := b :: !dense
-                else Devagg.accum_add accums.(0) view b)
-              batches;
-            let dense = Array.of_list (List.rev !dense) in
-            Pasta_util.Domain_pool.run_sharded p ndense (fun ~worker i ->
-                Devagg.accum_add accums.(worker) view dense.(i))
-        | _ -> Array.iter (Devagg.accum_add accums.(0) view) batches);
-        Devagg.merge_accums ~est_rate:t.cur_rate accums
+    let want =
+      match t.pool with
+      | Some p -> Pasta_util.Domain_pool.parallelism p
+      | None -> 1
+    in
+    (* Accumulators live as long as the processor: kernel N reuses the
+       tables kernel N-1 grew, so steady state allocates nothing per
+       kernel beyond the summary itself. *)
+    let accums =
+      if Array.length t.dev_accums <> want then begin
+        t.dev_accums <- Array.init want (fun _ -> Devagg.accum_create ());
+        t.dev_accums
       end
       else begin
-        (* Legacy per-chunk shard path, kept as the equivalence oracle. *)
-        let shards =
-          match t.pool with
-          | Some p when Pasta_util.Domain_pool.size p > 1 && Array.length batches > 1
-            ->
-              Pasta_util.Domain_pool.map p (Array.length batches) (fun i ->
-                  Devagg.aggregate view batches.(i))
-          | _ -> Array.map (Devagg.aggregate view) batches
-        in
-        Devagg.merge ~est_rate:t.cur_rate shards
+        Array.iter Devagg.accum_reset t.dev_accums;
+        t.dev_accums
       end
     in
+    let is_dense b =
+      match b.W.b_shape with W.Dense _ -> true | W.Descriptor _ -> false
+    in
+    let ndense = Array.fold_left (fun n b -> if is_dense b then n + 1 else n) 0 batches in
+    (match t.pool with
+    | Some p when want > 1 && ndense > 1 ->
+        (* Only batches that carry records fan out.  Descriptors reduce
+           by arithmetic in slot 0 first, never while the caller works
+           slot 0 in the pool pass. *)
+        let dense = ref [] in
+        Array.iter
+          (fun b ->
+            if is_dense b then dense := b :: !dense
+            else Devagg.accum_add accums.(0) view b)
+          batches;
+        let dense = Array.of_list (List.rev !dense) in
+        Pasta_util.Domain_pool.run_sharded p ndense (fun ~worker i ->
+            Devagg.accum_add accums.(worker) view dense.(i))
+    | _ -> Array.iter (Devagg.accum_add accums.(0) view) batches);
+    let merged = Devagg.merge_accums ~est_rate:t.cur_rate accums in
     Telemetry.end_span Telemetry.Devagg;
     submit_device_summary t ~time_us info merged
   end

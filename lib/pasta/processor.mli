@@ -15,47 +15,10 @@
     and stalls are accounted in the processor's metric registry.
 
     All pipeline counters live in a per-processor {!Pasta_util.Metric}
-    registry ({!metrics}); {!stats} is a snapshot rebuilt from it, kept
-    for callers and health reports that read the record fields. *)
-
-type stats = {
-  mutable events_seen : int;
-  mutable events_dispatched : int;
-  mutable events_suppressed : int;
-      (** events withheld while the tool was quarantined *)
-  mutable kernels_seen : int;
-  mutable summaries_flushed : int;
-  mutable tool_failures : int;  (** tool-callback exceptions caught *)
-  callback_failures : (string, int) Hashtbl.t;
-      (** per-callback failure counts, keyed by callback name *)
-  mutable records_dropped : int;
-      (** fine-grained records lost to buffer overflow *)
-  mutable records_buffered_peak : int;
-      (** bounded-buffer high-water mark, in records (a batch counts its
-          length) *)
-  mutable buffer_stalls : int;
-      (** producer stalls under the [Block] overflow policy *)
-  mutable accesses_filtered : int;
-      (** access records counted in [events_seen] but withheld from the
-          tool by the range filter; [events_seen = delivered + dropped +
-          filtered + buffered] for the access path *)
-  mutable batches_delivered : int;
-      (** packed batches handed to a batch-aware tool *)
-  mutable objmap_memo_hits : int;  (** {!Objmap} resolve-memo hits *)
-  mutable objmap_memo_misses : int;
-  mutable events_recorded : int;
-      (** submission-level ops written by an attached trace capture *)
-  mutable bytes_written : int;  (** bytes the capture has flushed to disk *)
-  mutable chunks : int;  (** trace chunks written (capture) or read (replay) *)
-  mutable chunks_skipped : int;
-      (** corrupt chunks skipped by a tolerant replay *)
-  mutable replay_events : int;
-      (** submission-level ops re-driven from a recorded trace *)
-}
+    registry ({!metrics}); health reports read them from there. *)
 
 type sink_op =
   | Sk_event of Event.payload
-  | Sk_access of Event.kernel_info * Event.mem_access
   | Sk_batch of Event.kernel_info * Gpusim.Warp.batch
   | Sk_region of Event.kernel_info * Event.region_summary
   | Sk_flush_summary of Event.kernel_info
@@ -102,11 +65,6 @@ val range : t -> Range.t
 val device : t -> int
 (** The device id this processor stamps on dispatched events. *)
 
-val stats : t -> stats
-(** Snapshot of the metric registry in the legacy record shape; the objmap
-    memo fields (and their metrics) are refreshed on each call.  Mutating
-    the returned record does not affect the registry. *)
-
 val metrics : t -> Pasta_util.Metric.t
 (** The processor's metric registry — the single source of truth for every
     pipeline counter, exportable via {!Telemetry.prometheus}.  Every series
@@ -116,6 +74,12 @@ val metrics : t -> Pasta_util.Metric.t
     and device labels), so the names below are part of the stable surface:
     [pasta_events_recorded], [pasta_bytes_written], [pasta_trace_chunks],
     [pasta_trace_chunks_skipped], [pasta_replay_events]. *)
+
+val sync_objmap_metrics : t -> unit
+(** Copy the {!objmap}'s resolve-memo tallies ({!Objmap.memo_stats}) into
+    the [pasta_objmap_memo_hits] / [pasta_objmap_memo_misses] series.  The
+    objmap keeps its own counts on the resolve path, so the series hold
+    the tallies as of the last call. *)
 
 val metric_labels : t -> (string * string) list
 (** The label set every series in {!metrics} carries:
@@ -129,7 +93,7 @@ val backend_label : t -> string option
 
 val set_pool : t -> Pasta_util.Domain_pool.t -> unit
 (** Install a domain pool for parallel kernel-end aggregation
-    ([Gpu_parallel] mode).  Without one, shards aggregate inline — same
+    ([Gpu_parallel] mode).  Without one, batches aggregate inline — same
     results, serially. *)
 
 val clear_pool : t -> unit
@@ -169,36 +133,32 @@ val flush_kernel_summary : t -> time_us:float -> Event.kernel_info -> unit
 (** Resolve the accumulated regions to objects, aggregate per object, emit
     [Kernel_region] events and call the tool's [on_mem_summary]. *)
 
-val submit_access : t -> time_us:float -> Event.kernel_info -> Event.mem_access -> unit
-(** Feed one host-analyzed trace record (CPU modes).  In-range records
-    enter the bounded buffer and are delivered at the next kernel-end (or
-    {!flush_records}); the overflow policy decides what happens when the
-    producer outruns the drain points. *)
-
 val submit_access_views :
   t -> Event.kernel_info -> Gpusim.Warp.view list -> unit
 (** Feed one hand-off of a kernel's time-stamped record views, in order,
-    under one Dispatch span and (when in range) one Ring span.  Every
-    record channel hands over this way, once per kernel at its exit, and
-    replay hands over each run of recorded batch ops of one kernel.  Each
-    view is handled exactly as if submitted on its own at its stamp: it
-    is tapped to the sink as its own [Sk_batch] op (a {!Gpusim.Warp.sub},
+    under one Dispatch span and (when in range) one Ring span.  This is
+    the one way fine-grained records enter the processor: every record
+    channel hands over this way, once per kernel at its exit, and replay
+    hands over each run of recorded batch ops of one kernel.  Each view
+    is handled exactly as if submitted on its own at its stamp: it is
+    tapped to the sink as its own [Sk_batch] op (a {!Gpusim.Warp.sub},
     built only for a sink; the whole hand-off is tapped, under one
     capture span, before any view is pushed), moves the processor's
     clock to [v_time_us], counts every record in [events_seen], and
     enters the bounded buffer as one item with the overflow policy's
     drop, peak and stall accounting — or, out of range, counts in
-    [accesses_filtered].  At delivery a tool with [on_access_columns]
-    (or the deprecated [on_access_batch]) receives each view's records
-    as one batch; any other tool gets one [Global_access] event, carrying
-    its view's stamp, and one [on_access] call per record, in order.  A
-    per-record or columnar tool gets each drain of the buffer inside one
-    tool frame ({!Guard.framed}). *)
+    [accesses_filtered].  In-range views wait in the buffer for the next
+    kernel-end (or {!flush_records}).  At delivery a tool with
+    [on_access_columns] receives each view's records as one batch
+    (counted in [pasta_batches_delivered]); any other tool gets one
+    [Global_access] event, carrying its view's stamp, and one
+    [on_access] call per record, in order.  Either way the tool gets
+    each drain of the buffer inside one tool frame ({!Guard.framed}). *)
 
 val flush_parallel_summary : t -> time_us:float -> Event.kernel_info -> unit
 (** Kernel-end reduction for [Gpu_parallel] tools: drain the finishing
-    kernel's batches, aggregate shards (on the installed pool when
-    present), merge deterministically and dispatch one
+    kernel's batches, reduce them into per-worker {!Devagg.accum}s (on the
+    installed pool when present), merge once and dispatch one
     {!Event.Device_summary} plus the tool's [on_device_summary].  Buffered
     items belonging to other kernels are delivered normally.  The merged
     aggregate is also tapped to the sink (as an [Sk_event] carrying the
@@ -220,8 +180,8 @@ val flush_parallel_drop : t -> time_us:float -> Event.kernel_info -> unit
     {!submit_device_summary}. *)
 
 val flush_records : t -> unit
-(** Drain the bounded record buffer to the tool now.  A per-record or
-    columnar tool gets the whole drain inside one tool frame. *)
+(** Drain the bounded record buffer to the tool now, the whole drain
+    inside one tool frame. *)
 
 val note_rate : t -> time_us:float -> grid_id:int -> float -> unit
 (** Record that fine-grained generation runs at the given sampling rate

@@ -287,6 +287,17 @@ let get_access c =
   let weight = get_u c in
   { Event.addr; size; write; pc; warp; weight }
 
+(* Op tag 1: one record on its own, as writers of this version wrote it
+   while tools could be fed record by record.  It decodes to a one-record
+   batch of region 0, chunk 0 and the record's pc, which replays to the
+   same per-record callback stream.  A batch stores sizes in 16 bits. *)
+let get_record c =
+  let a = get_access c in
+  if a.Event.size > 0xffff then corrupt "record size %d exceeds 16 bits" a.Event.size;
+  Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:a.Event.pc ~addrs:[| a.Event.addr |]
+    ~sizes:[| a.Event.size |] ~warps:[| a.Event.warp |] ~weights:[| a.Event.weight |]
+    ~writes:(Bytes.make 1 (if a.Event.write then '\001' else '\000'))
+
 (* Integer-column codec.  Each encoded column starts with a varint tag:
 
      tag 0 (raw)      n varints, one per element
@@ -970,10 +981,6 @@ let put_payload it buf (p : Event.payload) =
       put_u buf 8;
       put_kernel it buf kernel;
       put_access buf access
-  | Event.Access_batch { kernel; batch } ->
-      put_u buf 9;
-      put_kernel it buf kernel;
-      put_batch it buf batch
   | Event.Device_summary { kernel; summary } ->
       put_u buf 10;
       put_kernel it buf kernel;
@@ -1088,10 +1095,6 @@ let get_payload ex c : Event.payload =
       let kernel = get_kernel ex c in
       let access = get_access c in
       Event.Global_access { kernel; access }
-  | 9 ->
-      let kernel = get_kernel ex c in
-      let batch = get_batch ex c in
-      Event.Access_batch { kernel; batch }
   | 10 ->
       let kernel = get_kernel ex c in
       let summary = get_summary c in
@@ -1160,7 +1163,6 @@ let get_payload ex c : Event.payload =
 let put_op it buf ~time_us ?(backend = 0) (op : Processor.sink_op) =
   (match op with
   | Processor.Sk_event _ -> put_u buf 0
-  | Processor.Sk_access _ -> put_u buf 1
   | Processor.Sk_batch _ -> put_u buf 2
   | Processor.Sk_region _ -> put_u buf 3
   | Processor.Sk_flush_summary _ -> put_u buf 4
@@ -1171,9 +1173,6 @@ let put_op it buf ~time_us ?(backend = 0) (op : Processor.sink_op) =
   put_f buf time_us;
   match op with
   | Processor.Sk_event p -> put_payload it buf p
-  | Processor.Sk_access (k, a) ->
-      put_kernel it buf k;
-      put_access buf a
   | Processor.Sk_batch (k, b) ->
       put_kernel it buf k;
       put_batch it buf b
@@ -1198,8 +1197,8 @@ let get_op ex c =
     | 0 -> Processor.Sk_event (get_payload ex c)
     | 1 ->
         let k = get_kernel ex c in
-        let a = get_access c in
-        Processor.Sk_access (k, a)
+        let b = get_record c in
+        Processor.Sk_batch (k, b)
     | 2 ->
         let k = get_kernel ex c in
         let b = get_batch ex c in
@@ -1224,7 +1223,6 @@ let get_op ex c =
 
 let op_kind_name = function
   | Processor.Sk_event p -> Event.kind_name p
-  | Processor.Sk_access _ -> "global_access"
   | Processor.Sk_batch _ -> "access_batch"
   | Processor.Sk_region _ -> "kernel_region"
   | Processor.Sk_flush_summary _ -> "kernel_flush"
@@ -1233,11 +1231,8 @@ let op_kind_name = function
   | Processor.Sk_rate _ -> "sample_rate"
 
 let op_records = function
-  | Processor.Sk_access _ -> 1
   | Processor.Sk_batch (_, b) -> Gpusim.Warp.batch_len b
   | Processor.Sk_event (Event.Global_access _) -> 1
-  | Processor.Sk_event (Event.Access_batch { batch; _ }) ->
-      Gpusim.Warp.batch_len batch
   | _ -> 0
 
 (* Standalone payload codec for property tests and ad-hoc tooling: a
@@ -1258,6 +1253,12 @@ let payload_of_string s =
   let p = get_payload (extern ()) c in
   if not (at_end c) then corrupt "trailing bytes after payload";
   p
+
+let op_of_string s =
+  let c = cursor s in
+  let op = get_op (extern ()) c in
+  if not (at_end c) then corrupt "trailing bytes after op";
+  op
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
@@ -1327,9 +1328,7 @@ let flush_chunk w =
   end
 
 let op_batch_bytes = function
-  | Processor.Sk_batch (_, b) | Processor.Sk_event (Event.Access_batch { batch = b; _ })
-    ->
-      Gpusim.Warp.batch_bytes b
+  | Processor.Sk_batch (_, b) -> Gpusim.Warp.batch_bytes b
   | _ -> 0
 
 let write_op w ~time_us ?(backend = 0) op =

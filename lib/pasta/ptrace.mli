@@ -142,3 +142,10 @@ val op_to_string : time_us:float -> ?backend:int -> Processor.sink_op -> string
 
 val payload_of_string : string -> Event.payload
 (** Raises {!Corrupt} on malformed or trailing bytes. *)
+
+val op_of_string : string -> float * int * Processor.sink_op
+(** Decode one op as {!op_to_string} encodes it: its time stamp, backend
+    id and op.  An op of tag 1, a single record as writers of this
+    version wrote it while tools could be fed record by record, decodes
+    to a one-record [Sk_batch] (region 0, chunk 0, the record's pc).
+    Raises {!Corrupt} on malformed or trailing bytes. *)

@@ -23,7 +23,6 @@ let apply proc ~time_us (op : Processor.sink_op) =
          [on_device_summary] the live run saw. *)
       Processor.submit_device_summary proc ~time_us kernel summary
   | Processor.Sk_event payload -> Processor.submit proc ~time_us payload
-  | Processor.Sk_access (k, a) -> Processor.submit_access proc ~time_us k a
   | Processor.Sk_batch (k, b) -> Processor.submit_access_views proc k [ whole_view ~time_us b ]
   | Processor.Sk_region (k, r) ->
       Processor.submit_region proc k ~base:r.Event.base ~extent:r.Event.extent

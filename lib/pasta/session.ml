@@ -83,6 +83,12 @@ let with_active f =
 
 let watchdog_counter = Atomic.make 0
 
+(* A pipeline counter as the processor's registry holds it. *)
+let counter proc name =
+  Option.value ~default:0
+    (Pasta_util.Metric.find_counter (Processor.metrics proc)
+       ~labels:(Processor.metric_labels proc) name)
+
 (* [label] and [auto_capture] are the multi-backend hooks: a sub-session
    of [attach_multi] carries its backend label on every metric series and
    must not open its own capture (the shared mixed-backend capture taps
@@ -192,9 +198,9 @@ let attach_impl ?backend ?range ?sample_cap ?sample_rate ?overhead_budget
                       ~grid_id:info.Gpusim.Device.grid_id r;
                   Gpusim.Device.set_sample_rate device r
               | Gpusim.Device.Launch_end _ ->
-                  let st = Processor.stats proc in
-                  Sampler.observe g ~dropped:st.Processor.records_dropped
-                    ~stalls:st.Processor.buffer_stalls
+                  Sampler.observe g
+                    ~dropped:(counter proc "pasta_records_dropped")
+                    ~stalls:(counter proc "pasta_buffer_stalls")
               | _ -> ());
           };
         Some name
@@ -249,21 +255,26 @@ let attach ?backend ?range ?sample_cap ?sample_rate ?overhead_budget ?faults
     ?capture ?capture_meta ~tool device
 
 let health_of s =
-  let stats = Processor.stats s.proc in
+  let counter = counter s.proc in
   let g = Processor.guard s.proc in
   {
     guard_state =
       (match g with Some g -> Guard.state_name (Guard.state g) | None -> "closed");
-    tool_failures = stats.Processor.tool_failures;
+    tool_failures = counter "pasta_tool_failures";
     failures_by_callback =
       (match g with Some g -> Guard.failures_by_callback g | None -> []);
     quarantines = (match g with Some g -> Guard.quarantine_count g | None -> 0);
     reinstated = (match g with Some g -> Guard.reinstated_count g | None -> 0);
-    events_suppressed = stats.Processor.events_suppressed;
-    records_dropped = stats.Processor.records_dropped;
-    records_buffered_peak = stats.Processor.records_buffered_peak;
-    accesses_filtered = stats.Processor.accesses_filtered;
-    batches_delivered = stats.Processor.batches_delivered;
+    events_suppressed = counter "pasta_events_suppressed";
+    records_dropped = counter "pasta_records_dropped";
+    records_buffered_peak =
+      int_of_float
+        (Option.value ~default:0.0
+           (Pasta_util.Metric.find_gauge (Processor.metrics s.proc)
+              ~labels:(Processor.metric_labels s.proc)
+              "pasta_records_buffered_peak"));
+    accesses_filtered = counter "pasta_accesses_filtered";
+    batches_delivered = counter "pasta_batches_delivered";
     domains =
       (match Gpusim.Device.pool s.device with
       | Some p -> Pasta_util.Domain_pool.size p
@@ -271,15 +282,15 @@ let health_of s =
     buffer_capacity = Processor.buffer_capacity s.proc;
     overflow_policy =
       Pasta_util.Ring_buffer.overflow_to_string (Processor.overflow_policy s.proc);
-    buffer_stalls = stats.Processor.buffer_stalls;
+    buffer_stalls = counter "pasta_buffer_stalls";
     watchdog_trips = List.rev s.dog.trips;
     fault_stats = Option.map Gpusim.Faults.stats (Gpusim.Device.faults s.device);
     incidents = Processor.incidents s.proc;
-    events_recorded = stats.Processor.events_recorded;
-    bytes_written = stats.Processor.bytes_written;
-    chunks = stats.Processor.chunks;
-    chunks_skipped = stats.Processor.chunks_skipped;
-    replay_events = stats.Processor.replay_events;
+    events_recorded = counter "pasta_events_recorded";
+    bytes_written = counter "pasta_bytes_written";
+    chunks = counter "pasta_trace_chunks";
+    chunks_skipped = counter "pasta_trace_chunks_skipped";
+    replay_events = counter "pasta_replay_events";
     sampling = Option.map Sampler.snapshot s.sampler;
   }
 
@@ -378,7 +389,7 @@ let detach s =
   | Some p -> Gpusim.Device.set_pool s.device p
   | None -> Gpusim.Device.clear_pool s.device);
   Processor.clear_pool s.proc;
-  let stats = Processor.stats s.proc in
+  Processor.sync_objmap_metrics s.proc;
   let report =
     match Processor.guard s.proc with
     | Some g -> Guard.guarded_report g
@@ -387,9 +398,9 @@ let detach s =
   {
     tool_name = s.the_tool.Tool.name;
     phases;
-    events_seen = stats.Processor.events_seen;
-    events_dispatched = stats.Processor.events_dispatched;
-    kernels = stats.Processor.kernels_seen;
+    events_seen = counter s.proc "pasta_events_seen";
+    events_dispatched = counter s.proc "pasta_events_dispatched";
+    kernels = counter s.proc "pasta_kernels_seen";
     elapsed_us = Gpusim.Device.now_us s.device -. s.start_us;
     health;
     metrics = Processor.metrics s.proc;

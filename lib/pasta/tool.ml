@@ -23,7 +23,6 @@ type t = {
   on_mem_summary : Event.kernel_info -> (Objmap.obj * int) list -> unit;
   on_device_summary : Event.kernel_info -> Devagg.summary -> unit;
   on_access : Event.kernel_info -> Event.mem_access -> unit;
-  on_access_batch : (Event.kernel_info -> Gpusim.Warp.batch -> unit) option;
   on_access_columns : (Event.kernel_info -> Gpusim.Warp.batch -> unit) option;
   on_kernel_profile : Event.kernel_info -> Gpusim.Kernel.profile -> unit;
   on_operator : string -> Event.api_phase -> int -> unit;
@@ -41,7 +40,6 @@ let default ?(fine_grained = No_fine_grained) name =
     on_mem_summary = (fun _ _ -> ());
     on_device_summary = (fun _ _ -> ());
     on_access = (fun _ _ -> ());
-    on_access_batch = None;
     on_access_columns = None;
     on_kernel_profile = (fun _ _ -> ());
     on_operator = (fun _ _ _ -> ());

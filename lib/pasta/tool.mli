@@ -40,19 +40,13 @@ type t = {
       (** per-kernel merged parallel reduction ([Gpu_parallel] mode) *)
   on_access : Event.kernel_info -> Event.mem_access -> unit;
       (** per-record host analysis (sampled, weighted) *)
-  on_access_batch : (Event.kernel_info -> Gpusim.Warp.batch -> unit) option;
-      (** when set, fine-grained records are delivered as packed flat-array
-          batches instead of per-record [on_access] calls; [None] (the
-          default) keeps the per-record loop.  Deprecated in favour of
-          [on_access_columns]: this path re-wraps every batch in an
-          {!Event.t} per dispatch (the processor counts such deliveries
-          under [pasta_deprecated_batch_tools]) *)
   on_access_columns : (Event.kernel_info -> Gpusim.Warp.batch -> unit) option;
-      (** when set (and [ACCEL_PROF_COLUMNAR] is not disabled), batches are
-          delivered zero-copy with no per-dispatch event allocation; the
-          tool reads the Bigarray columns directly.  Columns are shared,
-          not copied — treat them as read-only.  Takes precedence over
-          [on_access_batch] *)
+      (** when set, fine-grained records are delivered as packed batches
+          instead of per-record [on_access] calls, zero-copy and with no
+          per-dispatch event allocation; the tool reads the Bigarray
+          columns directly.  Columns are shared, not copied — treat them
+          as read-only.  [None] (the default) keeps the per-record
+          stream *)
   on_kernel_profile : Event.kernel_info -> Gpusim.Kernel.profile -> unit;
       (** per-kernel microarchitectural aggregates (divergence, barrier
           stalls, bank conflicts, value ranges), instruction-level mode *)

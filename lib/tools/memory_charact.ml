@@ -185,22 +185,14 @@ let tool t =
             feed_own_objmap t ev;
             track_usage t ev);
         on_access = (fun _info access -> ignore (touch access.Pasta.Event.addr));
-        (* The sanitizer path can hand records over as packed batches;
-           working sets only need the addresses, so consume them in place
-           instead of paying a per-record callback each. *)
-        on_access_batch =
-          (if t.var = Cpu_sanitizer then
-             Some
-               (fun _info batch ->
-                 Gpusim.Warp.iter_batch batch ~f:(fun a ->
-                     ignore (touch a.Gpusim.Warp.addr)))
-           else None);
         on_access_columns =
-          (* Columnar delivery: read the address column straight off the
-             batch — no per-record boxing at all.  A descriptor needs one
-             [touch] per run of records inside one memo extent: the
-             record scan's other calls would only hit the memo and
-             re-note the same object. *)
+          (* The sanitizer path hands records over as packed batches;
+             working sets only need the addresses, so read the address
+             column straight off the batch — no per-record callback or
+             boxing at all.  A descriptor needs one [touch] per run of
+             records inside one memo extent: the record scan's other
+             calls would only hit the memo and re-note the same
+             object. *)
           (if t.var = Cpu_sanitizer then
              Some
                (fun _info batch ->

@@ -270,10 +270,6 @@ let payload_gens : (string * Pasta.Event.payload QCheck.Gen.t) list =
       QCheck.Gen.map2
         (fun kernel access -> Global_access { kernel; access })
         g_info g_access );
-    ( "access_batch",
-      QCheck.Gen.map2
-        (fun kernel batch -> Access_batch { kernel; batch })
-        g_info g_batch );
     ( "device_summary",
       QCheck.Gen.map2
         (fun kernel summary -> Device_summary { kernel; summary })
@@ -332,43 +328,81 @@ let prop_roundtrip =
     (fun p ->
       Pasta.Ptrace.payload_of_string (Pasta.Ptrace.payload_to_string p) = p)
 
-let g_batch_payload =
-  QCheck.Gen.map2
-    (fun kernel batch -> Pasta.Event.Access_batch { kernel; batch })
-    g_info g_batch
+(* One op of tag 1, a single [global_access] record, as writers of this
+   trace version wrote it while tools could be fed record by record: a
+   4-byte store at 0x7f0000001040 by warp 3 at pc 0x90, weight 5, in
+   launch 7 of "gemm", at 12.5 us.  It decodes to a one-record batch of
+   region 0, chunk 0 and the record's pc. *)
+let tag1_op =
+  "\x01\x00\x00\x00\x00\x00\x00\x00\x29\x40\x00\x00\x07\x01\x04\x67\x65\x6d\x6d\x04\x01\x01\x80\x01\x01\x01\x00\x01\x80\xc0\x80\x80\x80\xc0\x3f\x00\x00\x80\xc1\x80\x80\x80\xc0\x3f\x04\x01\x90\x01\x03\x05"
 
-let print_batch_payload = function
-  | Pasta.Event.Access_batch { batch; _ } ->
-      Printf.sprintf "batch of %d" (Gpusim.Warp.batch_len batch)
-  | p -> Pasta.Event.kind_name p
+let tag1_kernel =
+  {
+    Pasta.Event.device_id = 0;
+    grid_id = 7;
+    stream = 1;
+    name = "gemm";
+    grid = Gpusim.Dim3.make 4;
+    block = Gpusim.Dim3.make 128;
+    shared_bytes = 0;
+    arg_ptrs = [ 0x7f00_0000_1000 ];
+    py_stack = [];
+    native_stack = [];
+  }
+
+let tag1_decoded =
+  ( 12.5,
+    0,
+    Pasta.Processor.Sk_batch
+      ( tag1_kernel,
+        Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:0x90
+          ~addrs:[| 0x7f00_0000_1040 |] ~sizes:[| 4 |] ~warps:[| 3 |] ~weights:[| 5 |]
+          ~writes:(Bytes.make 1 '\001') ) )
+
+(* An encoded op and what it must decode to: a generated batch op, or
+   the tag-1 op above. *)
+let g_batch_op =
+  QCheck.Gen.oneof
+    [
+      QCheck.Gen.map2
+        (fun kernel batch ->
+          let op = Pasta.Processor.Sk_batch (kernel, batch) in
+          (Pasta.Ptrace.op_to_string ~time_us:0.0 op, (0.0, 0, op)))
+        g_info g_batch;
+      QCheck.Gen.return (tag1_op, tag1_decoded);
+    ]
+
+let print_batch_op (_, (_, _, op)) =
+  match op with
+  | Pasta.Processor.Sk_batch (_, b) -> Printf.sprintf "batch of %d" (Gpusim.Warp.batch_len b)
+  | op -> Pasta.Ptrace.op_kind_name op
 
 (* A position uniform over any string shorter than 2^30, taken modulo
    its length ([QCheck.Gen.nat] favours the first few bytes). *)
 let g_pos = QCheck.Gen.int_bound (1 lsl 30)
 
 (* Every column shape round-trips, and decoding never trusts the bytes:
-   the same payload with a few bytes overwritten decodes to something or
+   the same op with a few bytes overwritten decodes to something or
    raises [Corrupt], and nothing else escapes (a declared length past
    [max_batch_len] is refused before any column is allocated). *)
 let prop_batch_columns =
   let g =
-    QCheck.Gen.pair g_batch_payload
+    QCheck.Gen.pair g_batch_op
       (QCheck.Gen.list_size (QCheck.Gen.int_range 1 8)
          (QCheck.Gen.pair g_pos (QCheck.Gen.int_range 0 255)))
   in
   QCheck.Test.make
     ~name:"ptrace batch columns round-trip; mutated ones raise only Corrupt"
     ~count:300
-    (QCheck.make g ~print:(fun (p, _) -> print_batch_payload p))
-    (fun (p, edits) ->
-      let s = Pasta.Ptrace.payload_to_string p in
+    (QCheck.make g ~print:(fun (op, _) -> print_batch_op op))
+    (fun ((s, decoded), edits) ->
       let b = Bytes.of_string s in
       List.iter
         (fun (pos, v) -> Bytes.set b (pos mod Bytes.length b) (Char.chr v))
         edits;
-      Pasta.Ptrace.payload_of_string s = p
+      Pasta.Ptrace.op_of_string s = decoded
       &&
-      match Pasta.Ptrace.payload_of_string (Bytes.to_string b) with
+      match Pasta.Ptrace.op_of_string (Bytes.to_string b) with
       | _ -> true
       | exception Pasta.Ptrace.Corrupt _ -> true)
 
@@ -385,12 +419,12 @@ let test_progression_batch_size () =
         ~warps:(Array.init n (fun i -> i))
         ~weights:(Array.make n 3) ~writes:(Bytes.make n '\000')
     in
-    let p = Pasta.Event.Access_batch { kernel = info; batch = b } in
-    let s = Pasta.Ptrace.payload_to_string p in
+    let op = Pasta.Processor.Sk_batch (info, b) in
+    let s = Pasta.Ptrace.op_to_string ~time_us:0.0 op in
     check_bool
       (Printf.sprintf "%d-record batch round-trips" n)
       true
-      (Pasta.Ptrace.payload_of_string s = p);
+      (Pasta.Ptrace.op_of_string s = (0.0, 0, op));
     String.length s
   in
   let small = encoded 2 and large = encoded 1024 in
@@ -413,7 +447,7 @@ let test_roundtrip_each_constructor () =
           (Pasta.Ptrace.payload_of_string (Pasta.Ptrace.payload_to_string p) = p)
       done)
     payload_gens;
-  check_int "every payload constructor has a generator" 21
+  check_int "every payload constructor has a generator" 20
     (List.length payload_gens)
 
 (* ------------------------------------------------------------------ *)
@@ -813,8 +847,25 @@ let bad_descs =
     ("warp size past the bound", { good_desc with d_warp = 1025 });
   ]
 
-(* A one-op trace whose batch is [f], with a valid CRC: the header of an
-   empty capture, then one frame around an [Sk_batch] op. *)
+(* A trace of the encoded [ops], with a valid CRC: the header of an empty
+   capture, then one frame around them. *)
+let one_chunk_trace path ops =
+  let payload = String.concat "" ops in
+  let w = Pasta.Ptrace.create_writer ~device:0 path in
+  Pasta.Ptrace.close_writer w;
+  let crc = Bytes.create 4 in
+  Bytes.set_int32_le crc 0 (Int32.of_int (Pasta_util.Crc32.string payload));
+  write_all path
+    (String.concat ""
+       [
+         read_all path;
+         leb128 (String.length payload);
+         leb128 (List.length ops);
+         Bytes.to_string crc;
+         payload;
+       ])
+
+(* A one-op trace whose batch is [f]: an [Sk_batch] op. *)
 let descriptor_trace path f =
   let k = QCheck.Gen.generate1 ~rand:(Random.State.make [| 17 |]) g_info in
   let spec =
@@ -839,20 +890,7 @@ let descriptor_trace path f =
   Alcotest.(check string)
     "the writer lays out a descriptor as specified" good
     (String.sub op prefix (String.length good));
-  let payload = String.sub op 0 prefix ^ desc_bytes f in
-  let w = Pasta.Ptrace.create_writer ~device:0 path in
-  Pasta.Ptrace.close_writer w;
-  let crc = Bytes.create 4 in
-  Bytes.set_int32_le crc 0 (Int32.of_int (Pasta_util.Crc32.string payload));
-  write_all path
-    (String.concat ""
-       [
-         read_all path;
-         leb128 (String.length payload);
-         leb128 1;
-         Bytes.to_string crc;
-         payload;
-       ])
+  one_chunk_trace path [ String.sub op 0 prefix ^ desc_bytes f ]
 
 (* Corrupt descriptor fields under a valid CRC are typed errors: strict
    mode raises [Corrupt], tolerant mode skips the chunk. *)
@@ -880,6 +918,59 @@ let test_corrupt_descriptors () =
       check_int (what ^ ": and skips its chunk") 1 stats.Pasta.Ptrace.r_chunks_skipped)
     bad_descs;
   Sys.remove path
+
+(* A trace holding tag-1 ops still replays: the two records of one
+   launch, each decoded as a one-record batch, reach a per-record tool as
+   one [Global_access] event and one [on_access] call each, stamped with
+   their op's time, before the launch ends; [trace stat] counts them as
+   batch ops. *)
+let test_tag1_replay () =
+  check_bool "a tag-1 op decodes to its one-record batch" true
+    (Pasta.Ptrace.op_of_string tag1_op = tag1_decoded);
+  let launch ~time_us phase =
+    Pasta.Ptrace.op_to_string ~time_us
+      (Pasta.Processor.Sk_event (Pasta.Event.Kernel_launch { info = tag1_kernel; phase }))
+  in
+  let path = temp_trace () in
+  one_chunk_trace path
+    [
+      launch ~time_us:10.0 `Begin;
+      tag1_op;
+      tag1_op;
+      launch ~time_us:20.0
+        (`End { Pasta.Event.duration_us = 10.0; true_accesses = 10; faulted_pages = 0 });
+    ];
+  let log = Buffer.create 256 in
+  let tool =
+    {
+      (Pasta.Tool.default ~fine_grained:Pasta.Tool.Cpu_sanitizer "log") with
+      Pasta.Tool.on_event =
+        (fun ev ->
+          Printf.bprintf log "E %s %g\n"
+            (Pasta.Event.kind_name ev.Pasta.Event.payload)
+            ev.Pasta.Event.time_us);
+      on_access =
+        (fun info a ->
+          Printf.bprintf log "A %d %x %d %b %x %d %d\n" info.Pasta.Event.grid_id
+            a.Pasta.Event.addr a.Pasta.Event.size a.Pasta.Event.write a.Pasta.Event.pc
+            a.Pasta.Event.warp a.Pasta.Event.weight);
+    }
+  in
+  let (_ : Pasta.Replay.outcome) = Pasta.Replay.run ~mode:Pasta.Ptrace.Strict ~tool path in
+  let s = Pasta.Replay.stat path in
+  Sys.remove path;
+  Alcotest.(check string)
+    "the per-record callback stream"
+    (String.concat ""
+       [
+         "E kernel_launch 10\n";
+         "E global_access 12.5\nA 7 7f0000001040 4 true 90 3 5\n";
+         "E global_access 12.5\nA 7 7f0000001040 4 true 90 3 5\n";
+         "E kernel_launch 20\n";
+       ])
+    (Buffer.contents log);
+  check_int "trace stat counts them as batch ops" 2
+    (List.assoc "access_batch" s.Pasta.Replay.s_kinds)
 
 (* The reader's mutation property: a small real capture with 1-8 bytes
    overwritten, or cut short, reads as Ok or [Corrupt] in both modes (and
@@ -1272,6 +1363,8 @@ let suite =
       test_length_fields;
     Alcotest.test_case "corrupt descriptors are typed errors" `Quick
       test_corrupt_descriptors;
+    Alcotest.test_case "tag-1 record ops decode and replay per record" `Quick
+      test_tag1_replay;
     Alcotest.test_case "the mutated capture holds descriptors" `Quick
       test_small_capture_descriptors;
     qtest prop_mutated_capture;

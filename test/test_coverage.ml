@@ -158,8 +158,9 @@ let sample_batch =
     ~writes:(Bytes.make 2 '\000')
 
 let sample_summary =
-  let om = Pasta.Objmap.create () in
-  Pasta.Devagg.merge [| Pasta.Devagg.aggregate (Pasta.Objmap.view om) sample_batch |]
+  let acc = Pasta.Devagg.accum_create () in
+  Pasta.Devagg.accum_add acc (Pasta.Objmap.view (Pasta.Objmap.create ())) sample_batch;
+  Pasta.Devagg.merge_accums [| acc |]
 
 let sample_span =
   {
@@ -191,7 +192,6 @@ let sample_payloads =
     Pasta.Event.Memory_free { addr = 0; bytes = 16 };
     Pasta.Event.Synchronization { scope = `Stream 2 };
     Pasta.Event.Global_access { kernel = sample_ki; access = sample_access };
-    Pasta.Event.Access_batch { kernel = sample_ki; batch = sample_batch };
     Pasta.Event.Device_summary { kernel = sample_ki; summary = sample_summary };
     Pasta.Event.Shared_access { kernel = sample_ki; access = sample_access };
     Pasta.Event.Kernel_region
@@ -240,19 +240,17 @@ let test_all_kinds_closed () =
 let test_every_kind_produced () =
   let seen = Hashtbl.create 64 in
   let mark payload = Hashtbl.replace seen (Pasta.Event.kind_name payload) () in
-  let collector ?(fine = Pasta.Tool.No_fine_grained) ?(batch_aware = false) () =
+  let collector ?(fine = Pasta.Tool.No_fine_grained) () =
     {
       (Pasta.Tool.default ~fine_grained:fine "collector") with
       Pasta.Tool.on_event = (fun ev -> mark ev.Pasta.Event.payload);
-      on_access_batch = (if batch_aware then Some (fun _ _ -> ()) else None);
     }
   in
-  let collect ?fine ?batch_aware arch f =
+  let collect ?fine arch f =
     let device = Gpusim.Device.create arch in
     let ctx = Dlfw.Ctx.create device in
     let (), result =
-      Pasta.Session.run ~tool:(collector ?fine ?batch_aware ()) device (fun () ->
-          f device ctx)
+      Pasta.Session.run ~tool:(collector ?fine ()) device (fun () -> f device ctx)
     in
     List.iter
       (fun (e : Pasta.Event.t) -> mark e.Pasta.Event.payload)
@@ -286,11 +284,8 @@ let test_every_kind_produced () =
         ~src:a.Gpusim.Device_mem.base ~bytes:64
         ~kind:Gpusim.Device.Device_to_device ();
       Gpusim.Device.synchronize device);
-  (* Host trace analysis, per-record and batched: global_access /
-     access_batch. *)
+  (* Host trace analysis, per record: global_access. *)
   collect ~fine:Pasta.Tool.Cpu_sanitizer Gpusim.Arch.a100 (fun _ ctx -> relu ctx);
-  collect ~fine:Pasta.Tool.Cpu_sanitizer ~batch_aware:true Gpusim.Arch.a100
-    (fun _ ctx -> relu ctx);
   (* Device-resident analysis models: kernel_region / device_summary. *)
   collect ~fine:Pasta.Tool.Gpu_accelerated Gpusim.Arch.a100 (fun _ ctx -> relu ctx);
   collect ~fine:Pasta.Tool.Gpu_parallel Gpusim.Arch.a100 (fun _ ctx -> relu ctx);
@@ -392,7 +387,6 @@ let registry_consumers =
     ("memory_free", "memory_charact");
     ("synchronization", "trace_export");
     ("global_access", "memory_charact_cs_cpu");
-    ("access_batch", "memory_charact_cs_cpu");
     ("device_summary", "memory_charact_par");
     ("shared_access", "barrier_stall");
     ("kernel_region", "hotness");
@@ -457,12 +451,12 @@ let test_consumers_functional () =
     };
   check_int "dynamic barriers counted" 3 (Pasta_tools.Barrier_stall.dynamic_barriers b);
   check_int "dynamic shared weight counted" 2 (Pasta_tools.Barrier_stall.dynamic_shared b);
-  (* memory_charact's sanitizer-CPU variant opts into batch delivery. *)
+  (* memory_charact's sanitizer-CPU variant opts into columnar delivery. *)
   let mc =
     Pasta_tools.Memory_charact.tool
       (Pasta_tools.Memory_charact.create ~variant:Pasta_tools.Memory_charact.Cpu_sanitizer ())
   in
-  check_bool "CS-CPU is batch-aware" true (mc.Pasta.Tool.on_access_batch <> None);
+  check_bool "CS-CPU takes columns" true (mc.Pasta.Tool.on_access_columns <> None);
   (* region_latency consumes matched Region_enter/Region_exit pairs plus
      the launch-end wall time; region_roofline consumes Region_exit. *)
   let rl = Pasta_tools.Region_latency.create () in
@@ -517,7 +511,7 @@ let test_processor_without_tool () =
   Pasta.Processor.set_tool p (Pasta.Tool.default "t");
   Pasta.Processor.clear_tool p;
   check_bool "tool cleared" true (Pasta.Processor.tool p = None);
-  check_int "events still counted" 1 (Pasta.Processor.stats p).Pasta.Processor.events_seen
+  check_int "events still counted" 1 (Proc_counter.get p "pasta_events_seen")
 
 let test_registry_replacement () =
   Pasta.Registry.register "replaceme" (fun () -> Pasta.Tool.default "v1");

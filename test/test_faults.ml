@@ -24,46 +24,64 @@ let mk_kernel_info ?(grid_id = 1) ?(name = "k") () =
     native_stack = [];
   }
 
-let mk_access addr =
-  { Pasta.Event.addr; size = 4; write = false; pc = 0; warp = 0; weight = 1 }
+(* One record at [addr], handed over on its own: a one-record view. *)
+let mk_record addr =
+  Gpusim.Warp.view
+    (Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:0 ~addrs:[| addr |] ~sizes:[| 4 |]
+       ~warps:[| 0 |] ~weights:[| 1 |] ~writes:(Bytes.make 1 '\000'))
+    ~pos:0 ~len:1 ~time_us:0.0
 
 (* ---- Circuit breaker: a raising tool never aborts the workload ---- *)
 
+(* A tool that raises from [on_event], or from [on_access_columns] on
+   every batch it is handed: either way each failure is counted under
+   the callback that raised, the breaker trips and the workload runs
+   on. *)
 let test_raising_tool_quarantined () =
-  let device = Gpusim.Device.create Gpusim.Arch.a100 in
-  let ctx = Dlfw.Ctx.create device in
-  let bomb =
+  let bomb ?fine_grained () =
     {
-      (Pasta.Tool.default "bomb") with
-      Pasta.Tool.on_event = (fun _ -> failwith "boom");
-      report = (fun ppf -> Format.fprintf ppf "bomb: survived@.");
+      (Pasta.Tool.default ?fine_grained "bomb") with
+      Pasta.Tool.report = (fun ppf -> Format.fprintf ppf "bomb: survived@.");
     }
   in
-  let v, result =
-    Pasta.Session.run ~tool:bomb device (fun () ->
-        let m = Dlfw.Bert.build ~batch:1 ~seq:32 ~layers:2 ~dim:64 ~heads:4 ctx in
-        Dlfw.Model.inference_iter ctx m;
-        42)
-  in
-  let h = result.Pasta.Session.health in
-  check_int "workload return value unaffected" 42 v;
-  check_bool "failures counted" true (h.Pasta.Session.tool_failures >= 10);
-  check_bool "breaker tripped" true (h.Pasta.Session.quarantines >= 1);
-  check_bool "events suppressed during quarantine" true
-    (h.Pasta.Session.events_suppressed > 0);
-  check_bool "on_event named in breakdown" true
-    (List.mem_assoc "on_event" h.Pasta.Session.failures_by_callback);
-  check_bool "quarantine incident emitted" true
-    (List.exists
-       (fun (e : Pasta.Event.t) ->
-         match e.Pasta.Event.payload with
-         | Pasta.Event.Tool_quarantined { tool; _ } -> String.equal tool "bomb"
-         | _ -> false)
-       h.Pasta.Session.incidents);
-  (* The report path is exception-safe and still reachable. *)
-  check_string "report still runs" "bomb: survived\n"
-    (Format.asprintf "%t" result.Pasta.Session.report);
-  Dlfw.Ctx.destroy ctx
+  List.iter
+    (fun (callback, bomb) ->
+      let device = Gpusim.Device.create Gpusim.Arch.a100 in
+      let ctx = Dlfw.Ctx.create device in
+      let v, result =
+        Pasta.Session.run ~tool:bomb device (fun () ->
+            let m = Dlfw.Bert.build ~batch:1 ~seq:32 ~layers:2 ~dim:64 ~heads:4 ctx in
+            Dlfw.Model.inference_iter ctx m;
+            42)
+      in
+      let h = result.Pasta.Session.health in
+      let label what = callback ^ ": " ^ what in
+      check_int (label "workload return value unaffected") 42 v;
+      check_bool (label "failures counted") true (h.Pasta.Session.tool_failures >= 10);
+      check_bool (label "breaker tripped") true (h.Pasta.Session.quarantines >= 1);
+      check_bool (label "events suppressed during quarantine") true
+        (h.Pasta.Session.events_suppressed > 0);
+      check_bool (label "named in breakdown") true
+        (List.mem_assoc callback h.Pasta.Session.failures_by_callback);
+      check_bool (label "quarantine incident emitted") true
+        (List.exists
+           (fun (e : Pasta.Event.t) ->
+             match e.Pasta.Event.payload with
+             | Pasta.Event.Tool_quarantined { tool; _ } -> String.equal tool "bomb"
+             | _ -> false)
+           h.Pasta.Session.incidents);
+      (* The report path is exception-safe and still reachable. *)
+      check_string (label "report still runs") "bomb: survived\n"
+        (Format.asprintf "%t" result.Pasta.Session.report);
+      Dlfw.Ctx.destroy ctx)
+    [
+      ("on_event", { (bomb ()) with Pasta.Tool.on_event = (fun _ -> failwith "boom") });
+      ( "on_access_columns",
+        {
+          (bomb ~fine_grained:Pasta.Tool.Cpu_sanitizer ()) with
+          Pasta.Tool.on_access_columns = Some (fun _ _ -> failwith "boom");
+        } );
+    ]
 
 let test_raising_tool_matches_clean_run () =
   (* The supervised-but-broken run must see the same workload as a clean
@@ -139,12 +157,11 @@ let overflow_run policy =
     };
   let ki = mk_kernel_info () in
   for i = 1 to 10 do
-    Pasta.Processor.submit_access p ~time_us:0.0 ki (mk_access i)
+    Pasta.Processor.submit_access_views p ki [ mk_record i ]
   done;
   Pasta.Processor.flush_records p;
-  let stats = Pasta.Processor.stats p in
-  (List.rev !seen, stats.Pasta.Processor.records_dropped,
-   stats.Pasta.Processor.buffer_stalls)
+  (List.rev !seen, Proc_counter.get p "pasta_records_dropped",
+   Proc_counter.get p "pasta_buffer_stalls")
 
 let test_drop_oldest_counts () =
   let delivered, dropped, stalls =

@@ -220,9 +220,9 @@ let test_processor_registry_updates_out_of_range () =
   Pasta.Processor.submit p ~time_us:0.0
     (Pasta.Event.Kernel_launch { info = mk_kernel_info ~grid_id:150 (); phase = `Begin });
   check_int "kernel in range dispatched" 2 !dispatched;
-  let st = Pasta.Processor.stats p in
-  check_int "seen counts everything" 3 st.Pasta.Processor.events_seen;
-  check_int "kernels counted regardless of range" 2 st.Pasta.Processor.kernels_seen
+  check_int "seen counts everything" 3 (Proc_counter.get p "pasta_events_seen");
+  check_int "kernels counted regardless of range" 2
+    (Proc_counter.get p "pasta_kernels_seen")
 
 let test_processor_summaries () =
   let p = Pasta.Processor.create ~range:(Pasta.Range.create ()) ~device:0 () in
@@ -259,15 +259,19 @@ let test_processor_access_dispatch () =
   let accesses = ref 0 in
   Pasta.Processor.set_tool p
     { (Pasta.Tool.default "t") with Pasta.Tool.on_access = (fun _ _ -> incr accesses) };
-  let access = { Pasta.Event.addr = 0; size = 4; write = false; pc = 0; warp = 0; weight = 1 } in
+  let record =
+    Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:0 ~addrs:[| 0 |] ~sizes:[| 4 |]
+      ~warps:[| 0 |] ~weights:[| 1 |] ~writes:(Bytes.make 1 '\000')
+  in
   (* Records sit in the bounded buffer until a kernel-end or explicit flush. *)
-  Pasta.Processor.submit_access p ~time_us:0.0 (mk_kernel_info ()) access;
+  Pasta.Processor.submit_access_views p (mk_kernel_info ())
+    [ Gpusim.Warp.view record ~pos:0 ~len:1 ~time_us:0.0 ];
   check_int "record buffered, not yet dispatched" 0 !accesses;
   Pasta.Processor.flush_records p;
   check_int "access dispatched on flush" 1 !accesses;
   Pasta.Processor.flush_records p;
   check_int "flush is idempotent" 1 !accesses;
-  check_int "nothing dropped" 0 (Pasta.Processor.stats p).Pasta.Processor.records_dropped
+  check_int "nothing dropped" 0 (Proc_counter.get p "pasta_records_dropped")
 
 (* ---- Session end-to-end ---- *)
 

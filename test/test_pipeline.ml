@@ -88,9 +88,11 @@ let test_processor_memo_counters () =
   Pasta.Objmap.on_alloc m ~addr:0x1000 ~bytes:4096 ~managed:false;
   ignore (Pasta.Objmap.resolve m 0x1000);
   ignore (Pasta.Objmap.resolve m 0x1004);
-  let st = Pasta.Processor.stats p in
-  check_int "hits surfaced in processor stats" 1 st.Pasta.Processor.objmap_memo_hits;
-  check_int "misses surfaced in processor stats" 1 st.Pasta.Processor.objmap_memo_misses
+  Pasta.Processor.sync_objmap_metrics p;
+  check_int "hits surfaced in processor metrics" 1
+    (Proc_counter.get p "pasta_objmap_memo_hits");
+  check_int "misses surfaced in processor metrics" 1
+    (Proc_counter.get p "pasta_objmap_memo_misses")
 
 (* ------------------------------------------------------------------ *)
 (* Determinism across domain counts                                    *)
@@ -141,24 +143,22 @@ let test_determinism_under_faults () =
     (List.map (fun d -> (d, fine_run ~fault_seed:24285L d)) [ 1; 2; 8 ])
 
 (* ------------------------------------------------------------------ *)
-(* Batched delivery vs the legacy per-record path                      *)
+(* Columnar delivery vs the per-record stream                          *)
 (* ------------------------------------------------------------------ *)
 
-(* A Cpu_sanitizer probe in three shapes: the legacy per-record path, the
-   batched path with a per-record-only tool (the processor must unpack
-   batches into the identical record stream), and the batched path with a
-   batch-aware tool (records arrive packed, accounting must still match). *)
-let sanitizer_count ?range ?(batch_aware = false) ~batch_delivery () =
-  Pasta.Config.set "ACCEL_PROF_BATCH_DELIVERY" (if batch_delivery then "1" else "0");
+(* A Cpu_sanitizer probe in two shapes: a per-record tool (the processor
+   must unpack the channel's views into the record stream) and a columns
+   tool (records arrive packed, accounting must still match). *)
+let sanitizer_count ?range ~columns () =
   let device = Gpusim.Device.create Gpusim.Arch.a100 in
   let ctx = Dlfw.Ctx.create device in
   let records = ref 0 and weight = ref 0 and addr_sum = ref 0 in
   let base = Pasta.Tool.default ~fine_grained:Pasta.Tool.Cpu_sanitizer "probe" in
   let tool =
-    if batch_aware then
+    if columns then
       {
         base with
-        Pasta.Tool.on_access_batch =
+        Pasta.Tool.on_access_columns =
           Some
             (fun _ b ->
               let module W = Gpusim.Warp in
@@ -183,25 +183,19 @@ let sanitizer_count ?range ?(batch_aware = false) ~batch_delivery () =
     Pasta.Session.run ?range ~sample_cap:64 ~tool device (bert_inference ctx)
   in
   Dlfw.Ctx.destroy ctx;
-  Pasta.Config.unset "ACCEL_PROF_BATCH_DELIVERY";
   (!records, !weight, !addr_sum, result.Pasta.Session.health)
 
-let test_batch_vs_per_record_equivalence () =
-  let r0, w0, s0, h0 = sanitizer_count ~batch_delivery:false () in
-  let r1, w1, s1, h1 = sanitizer_count ~batch_delivery:true () in
-  let r2, w2, s2, h2 = sanitizer_count ~batch_aware:true ~batch_delivery:true () in
+let test_columns_vs_per_record_equivalence () =
+  let r0, w0, s0, h0 = sanitizer_count ~columns:false () in
+  let r1, w1, s1, h1 = sanitizer_count ~columns:true () in
   check_bool "records flowed" true (r0 > 0);
-  check_int "unpacked batches = legacy record count" r0 r1;
-  check_int "unpacked batches = legacy weight sum" w0 w1;
-  check_int "unpacked batches = legacy address checksum" s0 s1;
-  check_int "packed batches = legacy record count" r0 r2;
-  check_int "packed batches = legacy weight sum" w0 w2;
-  check_int "packed batches = legacy address checksum" s0 s2;
-  check_bool "batch-aware tool sees packed batches" true
-    (h2.Pasta.Session.batches_delivered > 0);
-  (* [batches_delivered] counts batch-aware deliveries only. *)
-  check_int "per-record tools count none" 0 h1.Pasta.Session.batches_delivered;
-  check_int "legacy path counts none" 0 h0.Pasta.Session.batches_delivered
+  check_int "packed batches = per-record count" r0 r1;
+  check_int "packed batches = per-record weight sum" w0 w1;
+  check_int "packed batches = per-record address checksum" s0 s1;
+  check_bool "columns tool sees packed batches" true
+    (h1.Pasta.Session.batches_delivered > 0);
+  (* [batches_delivered] counts columnar deliveries only. *)
+  check_int "per-record tools count none" 0 h0.Pasta.Session.batches_delivered
 
 (* ------------------------------------------------------------------ *)
 (* Merged summary invariants                                           *)
@@ -240,9 +234,9 @@ let test_summary_validates domains () =
 (* ------------------------------------------------------------------ *)
 
 let test_filtered_accounting () =
-  let all, _, _, h_all = sanitizer_count ~batch_delivery:true () in
+  let all, _, _, h_all = sanitizer_count ~columns:false () in
   let part, _, _, h =
-    sanitizer_count ~range:(Pasta.Range.create ~start_grid:8 ()) ~batch_delivery:true ()
+    sanitizer_count ~range:(Pasta.Range.create ~start_grid:8 ()) ~columns:false ()
   in
   check_int "unfiltered run filters nothing" 0 h_all.Pasta.Session.accesses_filtered;
   check_int "lossless policy: no drops" 0 h.Pasta.Session.records_dropped;
@@ -431,13 +425,12 @@ let desc_info =
   }
 
 (* A batch's trace encoding, and the batch that encoding decodes to. *)
-let encode b =
-  Pasta.Ptrace.payload_to_string (Pasta.Event.Access_batch { kernel = desc_info; batch = b })
+let encode b = Pasta.Ptrace.op_to_string ~time_us:0.0 (Pasta.Processor.Sk_batch (desc_info, b))
 
 let decode s =
-  match Pasta.Ptrace.payload_of_string s with
-  | Pasta.Event.Access_batch { batch; _ } -> batch
-  | _ -> Alcotest.fail "a batch decoded to another payload"
+  match Pasta.Ptrace.op_of_string s with
+  | _, _, Pasta.Processor.Sk_batch (_, batch) -> batch
+  | _ -> Alcotest.fail "a batch decoded to another op"
 
 (* [b] encodes to bytes that decode to a batch of [b]'s shape with the
    columns [dense], which re-encodes to the same bytes. *)
@@ -717,10 +710,10 @@ let suite =
     ("pool is reusable across jobs", `Quick, test_pool_reuse);
     ("pool propagates exceptions", `Quick, test_pool_exception);
     ("objmap resolve memo", `Quick, test_objmap_memo);
-    ("memo counters in processor stats", `Quick, test_processor_memo_counters);
+    ("memo counters in processor metrics", `Quick, test_processor_memo_counters);
     ("identical output at 1/2/8 domains", `Quick, test_determinism_across_domains);
     ("identical output under faults", `Quick, test_determinism_under_faults);
-    ("batched = per-record stream", `Quick, test_batch_vs_per_record_equivalence);
+    ("columns = per-record stream", `Quick, test_columns_vs_per_record_equivalence);
     ("live summaries validate (1 domain)", `Quick, test_summary_validates 1);
     ("live summaries validate (2 domains)", `Quick, test_summary_validates 2);
     ("range-filter accounting adds up", `Quick, test_filtered_accounting);

@@ -385,25 +385,25 @@ let prop_region_weights_unbiased =
       let view = Pasta.Objmap.view om in
       let rate = 0.25 in
       let batches = List.init 3 (fun r -> mk_batch ~region:r ~len ~maxw seed) in
-      let exact =
-        (Pasta.Devagg.merge
-           (Array.of_list (List.map (Pasta.Devagg.aggregate view) batches)))
-          .Pasta.Devagg.regions
+      let summarize ?est_rate batches =
+        let acc = Pasta.Devagg.accum_create () in
+        List.iter (Pasta.Devagg.accum_add acc view) batches;
+        Pasta.Devagg.merge_accums ?est_rate [| acc |]
       in
+      let exact = (summarize batches).Pasta.Devagg.regions in
       let trials = 64 in
       let sums = Hashtbl.create 8 in
       for t = 1 to trials do
         let est =
-          Pasta.Devagg.merge ~est_rate:rate
-            (Array.of_list
-               (List.map
-                  (fun b ->
-                    let rng =
-                      Pasta_util.Det_rng.of_key (Int64.of_int seed)
-                        [| 17; t; Gpusim.Warp.(b.b_region) |]
-                    in
-                    Pasta.Devagg.aggregate view (Gpusim.Warp.thin ~rng ~rate b))
-                  batches))
+          summarize ~est_rate:rate
+            (List.map
+               (fun b ->
+                 let rng =
+                   Pasta_util.Det_rng.of_key (Int64.of_int seed)
+                     [| 17; t; Gpusim.Warp.(b.b_region) |]
+                 in
+                 Gpusim.Warp.thin ~rng ~rate b)
+               batches)
         in
         (match Pasta.Devagg.validate est with
         | Ok () -> ()

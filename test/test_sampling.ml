@@ -129,12 +129,13 @@ let test_devagg_est_rate () =
   let om = Pasta.Objmap.create () in
   let view = Pasta.Objmap.view om in
   let b = mk_batch ~len:128 ~maxw:3 5 in
-  let shard = Pasta.Devagg.aggregate view b in
-  let exact = Pasta.Devagg.merge [| shard |] in
+  let acc = Pasta.Devagg.accum_create () in
+  Pasta.Devagg.accum_add acc view b;
+  let exact = Pasta.Devagg.merge_accums [| acc |] in
   check_bool "default merge is exact" true (exact.Pasta.Devagg.est_rate = 1.0);
   check_bool "exact summaries have zero stderr" true
     (Pasta.Devagg.rel_stderr exact = 0.0);
-  let est = Pasta.Devagg.merge ~est_rate:0.25 [| shard |] in
+  let est = Pasta.Devagg.merge_accums ~est_rate:0.25 [| acc |] in
   check_bool "est_rate is stamped" true (est.Pasta.Devagg.est_rate = 0.25);
   check_bool "estimates carry positive stderr" true
     (Pasta.Devagg.rel_stderr est > 0.0);

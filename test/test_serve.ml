@@ -421,6 +421,9 @@ let test_submit_validation () =
       ("ACCEL_PROF_TRACE_CHUNK_KB", "0");
       ("ACCEL_PROF_TRACE_CHUNK_KB", "9007199254740992");
       ("ACCEL_PROF_TRACE_CHUNK_KB", "67108864");
+      (* retired knobs: no longer session-scoped, so refused by name *)
+      ("ACCEL_PROF_COLUMNAR", "0");
+      ("ACCEL_PROF_BATCH_DELIVERY", "0");
     ];
   Serve.shutdown t
 

@@ -656,9 +656,8 @@ let test_quarantined_tool_attributed () =
           ~time_us:(float_of_int g)
           (Pasta.Event.Kernel_launch { info = info g; phase = `Begin })
       done;
-      let st = Pasta.Processor.stats proc in
       check_bool "tool failed at least twice" true
-        (st.Pasta.Processor.tool_failures >= 2);
+        (Proc_counter.get proc "pasta_tool_failures" >= 2);
       check_string "tool is quarantined" "quarantined"
         (match Pasta.Processor.guard proc with
         | Some g -> Pasta.Guard.state_name (Pasta.Guard.state g)

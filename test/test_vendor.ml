@@ -82,8 +82,9 @@ let test_sanitizer_host_analysis () =
     (Vendor.Sanitizer.Host_analysis
        {
          buffer_records = 1000;
-         on_record = (fun _ a -> weight := !weight + a.Warp.weight);
-         on_views = None;
+         on_views =
+           (fun _ views ->
+             List.iter (fun v -> weight := !weight + Warp.batch_weight v.Warp.v_batch) views);
          per_record_us = 0.1;
        });
   let k = mk_kernel d ~bytes:8192 ~accesses:12345 in
@@ -96,35 +97,39 @@ let test_sanitizer_host_analysis () =
   Alcotest.(check (float 1.0)) "per-record accounting" 1234.5 p.Vendor.Phases.analysis_us
 
 let test_sanitizer_buffer_stall () =
-  (* A smaller device buffer forces more flushes but identical totals. *)
+  (* A smaller device buffer forces more flushes but identical totals;
+     each flush stamps the batches it carried with its own time.  The
+     kernel's records span four batches, so flushes can fall between
+     them. *)
   let run buffer_records =
     let d = mk_device () in
-    Device.set_sample_cap d 64;
+    Device.set_sample_cap d (4 * Warp.chunk_records);
     let s = Vendor.Sanitizer.attach d in
-    let flushed_batches = ref 0 in
-    let last = ref (-1) in
+    let stamps = ref [] in
     Vendor.Sanitizer.patch_module s
       (Vendor.Sanitizer.Host_analysis
          {
            buffer_records;
-           on_record =
-             (fun info _ ->
-               if info.Device.grid_id <> !last then begin
-                 incr flushed_batches;
-                 last := info.Device.grid_id
-               end);
-           on_views = None;
+           on_views =
+             (fun _ views ->
+               List.iter (fun v -> stamps := v.Warp.v_time_us :: !stamps) views);
            per_record_us = 0.1;
          });
     let k = mk_kernel d ~bytes:65536 ~accesses:100000 in
     ignore (Device.launch d k);
-    (Vendor.Sanitizer.phases s).Vendor.Phases.analysis_us
+    ( (Vendor.Sanitizer.phases s).Vendor.Phases.analysis_us,
+      List.length (List.sort_uniq compare !stamps) )
   in
-  Alcotest.(check (float 1.0)) "total analysis independent of buffer size"
-    (run 100) (run 100000)
+  let small_us, small_flushes = run 100 and large_us, large_flushes = run 100000 in
+  Alcotest.(check (float 1.0)) "total analysis independent of buffer size" small_us large_us;
+  check_bool
+    (Printf.sprintf "the smaller buffer stamps more flushes (%d vs %d)" small_flushes
+       large_flushes)
+    true
+    (small_flushes > large_flushes)
 
-(* With batch delivery, each flush is still charged where it lands and
-   stamps its batches, whole, with the device time after its charges;
+(* Each flush is charged where it lands and stamps its batches, whole,
+   with the device time after its charges;
    the host takes the kernel's views in one call at its exit, in
    generation order, and a kernel without records gets no call. *)
 let test_sanitizer_host_views () =
@@ -136,8 +141,7 @@ let test_sanitizer_host_views () =
     (Vendor.Sanitizer.Host_analysis
        {
          buffer_records = 30000;
-         on_record = (fun _ _ -> Alcotest.fail "on_record with batch delivery");
-         on_views = Some (fun _ views -> handoffs := (views, Device.now_us d) :: !handoffs);
+         on_views = (fun _ views -> handoffs := (views, Device.now_us d) :: !handoffs);
          per_record_us = 0.1;
        });
   ignore (Device.launch d (mk_kernel d ~bytes:65536 ~accesses:100000));
@@ -172,7 +176,7 @@ let test_sanitizer_invalid_buffer () =
     (fun () ->
       Vendor.Sanitizer.patch_module s
         (Vendor.Sanitizer.Host_analysis
-           { buffer_records = 0; on_record = (fun _ _ -> ()); on_views = None; per_record_us = 0.1 }))
+           { buffer_records = 0; on_views = (fun _ _ -> ()); per_record_us = 0.1 }))
 
 (* ---- NVBit ---- *)
 
@@ -279,8 +283,7 @@ let test_nvbit_costlier_than_sanitizer () =
           (Vendor.Sanitizer.Host_analysis
              {
                buffer_records = Vendor.Sanitizer.default_buffer_records;
-               on_record = (fun _ _ -> ());
-               on_views = None;
+               on_views = (fun _ _ -> ());
                per_record_us = Costmodel.sanitizer_host_per_record_us;
              }))
   in
