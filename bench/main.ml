@@ -2006,24 +2006,17 @@ let hetero_workload device =
   Runner.run ctx model ~mode:Runner.Inference ~iters:1;
   Dlfw.Ctx.destroy ctx
 
-let hetero_solo (kind, arch) =
-  let device = Gpusim.Device.create arch in
+(* One session over [arches], one device each; a one-element list is a
+   solo session. *)
+let hetero_run ?capture arches =
+  let specs = List.mapi (fun i (k, a) -> (k, Gpusim.Device.create ~id:i a)) arches in
   let t0 = Unix.gettimeofday () in
-  let session = Pasta.Session.attach ~backend:kind ~tool:(hetero_tool ()) device in
-  hetero_workload device;
-  let r = Pasta.Session.detach session in
-  (Unix.gettimeofday () -. t0, r)
-
-let hetero_mixed ~capture () =
-  let specs =
-    List.mapi (fun i (k, a) -> (k, Gpusim.Device.create ~id:i a)) hetero_arches
+  let (), mr =
+    Pasta.Session.run_multi ?capture
+      ~tool:(fun _ _ -> hetero_tool ())
+      specs
+      (fun () -> List.iter (fun (_, d) -> hetero_workload d) specs)
   in
-  let t0 = Unix.gettimeofday () in
-  let m =
-    Pasta.Session.attach_multi ?capture ~tool:(fun _ _ -> hetero_tool ()) specs
-  in
-  List.iter (fun (_, d) -> hetero_workload d) specs;
-  let mr = Pasta.Session.detach_multi m in
   (Unix.gettimeofday () -. t0, mr)
 
 let hetero_bench () =
@@ -2041,14 +2034,14 @@ let hetero_bench () =
   let solos =
     List.map
       (fun (kind, arch) ->
-        let wall, r = best (fun () -> hetero_solo (kind, arch)) in
-        (Pasta.Backend.kind_to_string kind, wall, r))
+        let wall, mr = best (fun () -> hetero_run [ (kind, arch) ]) in
+        (Pasta.Backend.kind_to_string kind, wall, snd (List.hd mr.Pasta.Session.mr_backends)))
       hetero_arches
   in
   let solo_sum = List.fold_left (fun acc (_, w, _) -> acc +. w) 0.0 solos in
-  let mixed_wall, _ = best (fun () -> hetero_mixed ~capture:None ()) in
+  let mixed_wall, _ = best (fun () -> hetero_run hetero_arches) in
   (* the gating run also records the shared mixed-backend trace *)
-  let _, mr = hetero_mixed ~capture:(Some path) () in
+  let _, mr = hetero_run ~capture:path hetero_arches in
   let mixed_reports =
     List.map
       (fun (label, r) -> (label, Format.asprintf "%t" r.Pasta.Session.report))
@@ -2068,11 +2061,11 @@ let hetero_bench () =
       path
   in
   let replay_identical =
-    List.length o.Pasta.Replay.m_backends = List.length mixed_reports
+    List.length o.Pasta.Replay.backends = List.length mixed_reports
     && List.for_all2
          (fun (_, mixed_rep) (_, _, report) ->
            String.equal mixed_rep (Format.asprintf "%t" report))
-         mixed_reports o.Pasta.Replay.m_backends
+         mixed_reports o.Pasta.Replay.backends
   in
   let row name wall =
     [ name; Printf.sprintf "%.1f" (1000.0 *. wall) ]
@@ -2113,7 +2106,7 @@ let hetero_bench () =
   Printf.bprintf b
     "  \"trace\": { \"ops\": %d, \"bytes\": %d, \"chunks\": %d },\n" trace_ops
     h0.Pasta.Session.bytes_written h0.Pasta.Session.chunks;
-  Printf.bprintf b "  \"replay_ops\": %d,\n" o.Pasta.Replay.m_ops_replayed;
+  Printf.bprintf b "  \"replay_ops\": %d,\n" o.Pasta.Replay.ops_replayed;
   Printf.bprintf b "  \"identical_per_backend\": %b,\n" identical_per_backend;
   Printf.bprintf b "  \"replay_identical\": %b\n}\n" replay_identical;
   let oc = open_out "BENCH_hetero.json" in

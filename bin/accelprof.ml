@@ -197,9 +197,10 @@ let backends_arg =
           "Heterogeneous multi-backend session: a comma-separated list of \
            $(b,backend:gpu) pairs (e.g. \
            $(b,sanitizer:a100,opencl:mi300x,xprof:tpu_v4)). One device is \
-           created per entry, the workload runs once per backend on one \
-           simulated timeline, and every report, metric series and trace \
-           track carries its backend label. The gpu part is optional; each \
+           created per entry and the workload runs once per backend on one \
+           simulated timeline. With two or more entries, every report, \
+           metric series and trace track carries its backend label; a \
+           one-entry list is the solo run. The gpu part is optional; each \
            backend has a natural default (sanitizer/nvbit: a100, \
            rocprofiler: mi300x, opencl: a100, xprof: tpu_v4). Overrides \
            $(b,--gpu).")
@@ -416,81 +417,140 @@ let parse_backends spec =
     in
     go [] items
 
-(* Heterogeneous session driver: one device per --backends entry, the
-   workload run once per backend on one simulated timeline, per-backend
-   reports under labelled headings.  The optional Perfetto trace gets one
-   named track group per backend. *)
-let run_multi_backends ~specs ~mk_tool ~capture ~capture_meta ~mode ~iters
-    ~range ~sample_cap ~sample_rate ~overhead_budget ~trace ~verbose ~health
-    abbr =
-  let devspecs =
-    (* distinct device ids: each backend needs its own device identity so
-       framework hooks, metric labels and trace pids never cross-talk *)
-    List.mapi (fun i (kind, arch) -> (kind, Gpusim.Device.create ~id:i arch)) specs
-  in
-  let tracer = Option.map (fun path -> (path, Pasta.Trace_export.create ())) trace in
-  let tracer_sessions =
-    match tracer with
-    | None -> []
-    | Some (_, tx) ->
-        List.map
-          (fun (kind, device) ->
-            Pasta.Trace_export.set_track_group tx
-              ~pid:(Gpusim.Device.id device)
-              (Printf.sprintf "%s (device %d)"
-                 (Pasta.Backend.kind_to_string kind)
-                 (Gpusim.Device.id device));
-            Pasta.Session.attach ~tool:(Pasta.Trace_export.tool tx) device)
-          devspecs
+(* The one profile driver: a device per spec, the workload run once per
+   device on one simulated timeline, one session over every backend.  The
+   session's count rule picks the layout: one backend prints exactly what
+   a solo run prints; several label every statistics line, the trace's
+   track groups and each report. *)
+let run_backends ~specs ~tool ~capture ~capture_meta ~mode ~iters ~range
+    ~sample_cap ~sample_rate ~overhead_budget ~trace ~verbose ~health
+    ~inject_faults ~trace_out ~metrics_out ~overhead abbr =
+  let labelled = List.length specs > 1 in
+  let ctxs = List.map (fun (_, device) -> Dlfw.Ctx.create device) specs in
+  (* The optional trace exporter runs as a second, independent session on
+     every device alongside the selected tool. *)
+  let tracer =
+    Option.map
+      (fun path ->
+        let tx = Pasta.Trace_export.create () in
+        let sessions =
+          List.map
+            (fun (kind, device) ->
+              let id = Gpusim.Device.id device in
+              if labelled then
+                Pasta.Trace_export.set_track_group tx ~pid:id
+                  (Printf.sprintf "%s (device %d)" (Pasta.Backend.kind_to_string kind) id);
+              Pasta.Session.attach ~tool:(Pasta.Trace_export.tool tx) device)
+            specs
+        in
+        (path, tx, sessions))
+      trace
   in
   let (), mr =
     Pasta.Session.run_multi ~range ?sample_cap ?sample_rate ?overhead_budget
-      ?capture ?capture_meta
-      ~tool:(fun _ _ -> mk_tool ())
-      devspecs
-      (fun () ->
+      ?capture ?capture_meta ~tool specs (fun () ->
         List.iter
-          (fun (_, device) ->
-            let ctx = Dlfw.Ctx.create device in
-            let model = Dlfw.Runner.build ctx abbr in
-            Dlfw.Runner.run ctx model ~mode ~iters;
-            Dlfw.Ctx.destroy ctx)
-          devspecs)
+          (fun ctx -> Dlfw.Runner.run ctx (Dlfw.Runner.build ctx abbr) ~mode ~iters)
+          ctxs)
   in
-  List.iter
-    (fun s ->
-      let (_ : Pasta.Session.result) = Pasta.Session.detach s in
-      ())
-    tracer_sessions;
   Option.iter
-    (fun (path, tx) ->
+    (fun (path, tx, sessions) ->
+      List.iter (fun s -> ignore (Pasta.Session.detach s : Pasta.Session.result)) sessions;
       Pasta.Trace_export.write_file tx path;
       Format.printf "[accelprof] trace written to %s (%d events)@." path
         (Pasta.Trace_export.event_count tx))
     tracer;
-  Option.iter
-    (fun path ->
-      Format.printf "[accelprof] mixed-backend ptrace written to %s@." path)
-    capture;
-  List.iter
-    (fun (label, r) ->
-      if verbose then
-        Format.printf
-          "[accelprof] backend=%s %s-%s x%d: %d kernels, %d events seen, %d \
-           dispatched (%a)@."
-          label abbr
-          (Dlfw.Runner.mode_to_string mode)
-          iters r.Pasta.Session.kernels r.Pasta.Session.events_seen
-          r.Pasta.Session.events_dispatched Vendor.Phases.pp
-          r.Pasta.Session.phases;
-      if health then
-        Format.printf "[accelprof] backend=%s %a@." label Pasta.Session.pp_health
-          r.Pasta.Session.health;
+  let results = mr.Pasta.Session.mr_backends in
+  (* A single backend is unlabelled, and its lines carry no tag. *)
+  let tag label = if label = "" then "" else Printf.sprintf "backend=%s " label in
+  (* Attribution is snapshotted before the exporters run, so the report
+     reflects the profiled run, not the export I/O. *)
+  let exports () =
+    if overhead then begin
+      Format.printf "[accelprof] %a@." Pasta.Telemetry.pp_attribution
+        (Pasta.Telemetry.attribution ());
+      List.iter
+        (fun (label, r) ->
+          Option.iter
+            (Format.printf "[accelprof] %s%a@." (tag label) Pasta.Sampler.pp_snapshot)
+            r.Pasta.Session.health.Pasta.Session.sampling)
+        results
+    end;
+    (match trace_out with
+    | None -> ()
+    | Some path ->
+        (* With --trace also active, splice the telemetry spans into the
+           workload timeline; alone, write them standalone. *)
+        (match tracer with
+        | Some (_, tx, _) ->
+            Pasta.Trace_export.write_file ~extra:(Pasta.Telemetry.chrome_events ()) tx path
+        | None -> Pasta.Telemetry.write_chrome_trace path);
+        Format.printf "[accelprof] telemetry trace written to %s (%d spans)@." path
+          (Pasta.Telemetry.spans_recorded ()));
+    match metrics_out with
+    | None -> ()
+    | Some path ->
+        Pasta.Telemetry.write_prometheus
+          ~extra:(List.map (fun (_, r) -> r.Pasta.Session.metrics) results)
+          path;
+        Format.printf "[accelprof] metrics written to %s@." path
+  in
+  let stats_line ((_, device), (label, r)) =
+    let mode = Dlfw.Runner.mode_to_string mode in
+    let kernels = r.Pasta.Session.kernels and seen = r.Pasta.Session.events_seen in
+    let dispatched = r.Pasta.Session.events_dispatched in
+    if verbose && label = "" then
+      Format.printf
+        "[accelprof] tool=%s gpu=%s %s-%s x%d: %d kernels, %d events seen, %d \
+         dispatched, %.2f ms simulated (%a)@.@."
+        r.Pasta.Session.tool_name (Gpusim.Device.arch device).Gpusim.Arch.name abbr mode
+        iters kernels seen dispatched
+        (r.Pasta.Session.elapsed_us /. 1000.0)
+        Vendor.Phases.pp r.Pasta.Session.phases
+    else if verbose then
+      Format.printf
+        "[accelprof] backend=%s %s-%s x%d: %d kernels, %d events seen, %d \
+         dispatched (%a)@."
+        label abbr mode iters kernels seen dispatched Vendor.Phases.pp
+        r.Pasta.Session.phases
+  in
+  let health_line (_, (label, r)) =
+    if health || inject_faults then
+      Format.printf "[accelprof] %s%a@." (tag label) Pasta.Session.pp_health
+        r.Pasta.Session.health
+  in
+  (match (capture, results) with
+  | Some path, [ (_, r) ] ->
       let h = r.Pasta.Session.health in
-      if h.Pasta.Session.quarantines > 0 || h.Pasta.Session.records_dropped > 0
-      then degraded := true)
-    mr.Pasta.Session.mr_backends;
+      Format.printf "[accelprof] ptrace written to %s (%d ops, %d bytes, %d chunks)@." path
+        h.Pasta.Session.events_recorded h.Pasta.Session.bytes_written h.Pasta.Session.chunks
+  | Some path, _ -> Format.printf "[accelprof] mixed-backend ptrace written to %s@." path
+  | None, _ -> ());
+  (* A solo run prints the exports between its statistics and health
+     lines; several backends print theirs in pairs, then the exports. *)
+  (match List.combine specs results with
+  | [ b ] ->
+      stats_line b;
+      exports ();
+      health_line b
+  | backends ->
+      List.iter
+        (fun b ->
+          stats_line b;
+          health_line b)
+        backends;
+      exports ());
   mr.Pasta.Session.mr_report Format.std_formatter;
+  (* The workload contexts outlive the session: their teardown is not
+     part of the profiled run. *)
+  List.iter Dlfw.Ctx.destroy ctxs;
+  (* Data loss without hard failure: report it in the exit code. *)
+  List.iter
+    (fun (_, r) ->
+      let h = r.Pasta.Session.health in
+      if h.Pasta.Session.quarantines > 0 || h.Pasta.Session.records_dropped > 0 then
+        degraded := true)
+    results;
   `Ok ()
 
 (* A knob with an enumerated value set refuses a misspelling
@@ -549,143 +609,52 @@ let run_workload ?capture ?default_tool tool_name gpu mode iters sample_cap
         ( false,
           Printf.sprintf "unknown model %S; available: %s" abbr
             (String.concat ", " Dlfw.Runner.all_abbrs) )
-  | Some abbr when backends <> None -> (
-      match parse_backends (Option.get backends) with
-      | Error msg -> `Error (false, msg)
-      | Ok specs -> (
-          (* A factory, not an instance: every backend gets its own fresh
-             tool, so per-backend reports never mix state. *)
-          let mk_tool =
-            match tool_name with
-            | Some name -> Pasta.Registry.find name
-            | None -> (
-                match Pasta.Config.tool_name () with
-                | Some n -> Pasta.Registry.find n
-                | None -> Option.map (fun t () -> t) default_tool)
-          in
-          match mk_tool with
-          | None ->
-              `Error
-                ( false,
-                  Printf.sprintf
-                    "no tool selected or unknown tool; available: %s"
-                    (String.concat ", " (Pasta.Registry.names ())) )
-          | Some mk ->
-              let range = Pasta.Range.create ?start_grid ?end_grid () in
-              let iters =
-                match iters with
-                | Some n -> n
-                | None -> Dlfw.Runner.default_iters ~abbr ~mode
-              in
-              run_multi_backends ~specs ~mk_tool:mk ~capture ~capture_meta
-                ~mode ~iters ~range ~sample_cap ~sample_rate ~overhead_budget
-                ~trace ~verbose ~health abbr))
   | Some abbr -> (
-      let tool =
-        match tool_name with
-        | Some name -> Option.map (fun mk -> mk ()) (Pasta.Registry.find name)
-        | None -> (
-            match Pasta.Registry.resolve_from_config () with
-            | Some t -> Some t
-            | None -> default_tool)
+      let specs =
+        match backends with
+        | None -> Ok None
+        | Some spec -> Result.map Option.some (parse_backends spec)
       in
-      match tool with
-      | None ->
+      let mk_tool =
+        match tool_name with
+        | Some name -> Pasta.Registry.find name
+        | None -> (
+            match Option.bind (Pasta.Config.tool_name ()) Pasta.Registry.find with
+            | Some mk -> Some mk
+            | None -> Option.map (fun t () -> t) default_tool)
+      in
+      match (specs, mk_tool) with
+      | Error msg, _ -> `Error (false, msg)
+      | _, None ->
           `Error
             ( false,
               Printf.sprintf "no tool selected or unknown tool; available: %s"
                 (String.concat ", " (Pasta.Registry.names ())) )
-      | Some tool ->
-          let device = Gpusim.Device.create gpu in
-          let ctx = Dlfw.Ctx.create device in
+      | Ok specs, Some mk ->
+          (* Every --backends entry gets its own device and a fresh tool,
+             so per-backend reports never mix state.  Without the flag,
+             the --gpu device takes the backend Session.attach would pick
+             for the one tool. *)
+          let specs, tool =
+            match specs with
+            | Some specs ->
+                ( List.mapi (fun i (kind, arch) -> (kind, Gpusim.Device.create ~id:i arch)) specs,
+                  fun _ _ -> mk () )
+            | None ->
+                let t = mk () and device = Gpusim.Device.create gpu in
+                ( [ (Pasta.Backend.default_kind_for ~fine_grained:t.Pasta.Tool.fine_grained device,
+                     device) ],
+                  fun _ _ -> t )
+          in
           let range = Pasta.Range.create ?start_grid ?end_grid () in
           let iters =
             match iters with
             | Some n -> n
             | None -> Dlfw.Runner.default_iters ~abbr ~mode
           in
-          (* The optional trace exporter runs as a second, independent
-             session alongside the selected tool. *)
-          let tracer =
-            Option.map
-              (fun path ->
-                let tx = Pasta.Trace_export.create () in
-                let s = Pasta.Session.attach ~tool:(Pasta.Trace_export.tool tx) device in
-                (path, tx, s))
-              trace
-          in
-          let (), result =
-            Pasta.Session.run ~range ?sample_cap ?sample_rate ?overhead_budget
-              ?capture ?capture_meta ~tool device (fun () ->
-                let model = Dlfw.Runner.build ctx abbr in
-                Dlfw.Runner.run ctx model ~mode ~iters)
-          in
-          Option.iter
-            (fun (path, tx, s) ->
-              let (_ : Pasta.Session.result) = Pasta.Session.detach s in
-              Pasta.Trace_export.write_file tx path;
-              Format.printf "[accelprof] trace written to %s (%d events)@." path
-                (Pasta.Trace_export.event_count tx))
-            tracer;
-          Option.iter
-            (fun path ->
-              Format.printf
-                "[accelprof] ptrace written to %s (%d ops, %d bytes, %d chunks)@."
-                path result.Pasta.Session.health.Pasta.Session.events_recorded
-                result.Pasta.Session.health.Pasta.Session.bytes_written
-                result.Pasta.Session.health.Pasta.Session.chunks)
-            capture;
-          if verbose then
-            Format.printf
-              "[accelprof] tool=%s gpu=%s %s-%s x%d: %d kernels, %d events seen, %d \
-               dispatched, %.2f ms simulated (%a)@.@."
-              result.Pasta.Session.tool_name gpu.Gpusim.Arch.name abbr
-              (Dlfw.Runner.mode_to_string mode)
-              iters result.Pasta.Session.kernels result.Pasta.Session.events_seen
-              result.Pasta.Session.events_dispatched
-              (result.Pasta.Session.elapsed_us /. 1000.0)
-              Vendor.Phases.pp result.Pasta.Session.phases;
-          (* Attribution is snapshotted before the exporters run, so the
-             report reflects the profiled run, not the export I/O. *)
-          if overhead then begin
-            Format.printf "[accelprof] %a@." Pasta.Telemetry.pp_attribution
-              (Pasta.Telemetry.attribution ());
-            match result.Pasta.Session.health.Pasta.Session.sampling with
-            | Some sn ->
-                Format.printf "[accelprof] %a@." Pasta.Sampler.pp_snapshot sn
-            | None -> ()
-          end;
-          (match trace_out with
-          | None -> ()
-          | Some path ->
-              (* With --trace also active, splice the telemetry spans into
-                 the workload timeline; alone, write them standalone. *)
-              (match tracer with
-              | Some (_, tx, _) ->
-                  Pasta.Trace_export.write_file
-                    ~extra:(Pasta.Telemetry.chrome_events ())
-                    tx path
-              | None -> Pasta.Telemetry.write_chrome_trace path);
-              Format.printf
-                "[accelprof] telemetry trace written to %s (%d spans)@." path
-                (Pasta.Telemetry.spans_recorded ()));
-          (match metrics_out with
-          | None -> ()
-          | Some path ->
-              Pasta.Telemetry.write_prometheus
-                ~extra:[ result.Pasta.Session.metrics ]
-                path;
-              Format.printf "[accelprof] metrics written to %s@." path);
-          if health || inject_faults then
-            Format.printf "[accelprof] %a@." Pasta.Session.pp_health
-              result.Pasta.Session.health;
-          result.Pasta.Session.report Format.std_formatter;
-          Dlfw.Ctx.destroy ctx;
-          (* Data loss without hard failure: report it in the exit code. *)
-          let h = result.Pasta.Session.health in
-          if h.Pasta.Session.quarantines > 0 || h.Pasta.Session.records_dropped > 0
-          then degraded := true;
-          `Ok ())
+          run_backends ~specs ~tool ~capture ~capture_meta ~mode ~iters ~range
+            ~sample_cap ~sample_rate ~overhead_budget ~trace ~verbose ~health
+            ~inject_faults ~trace_out ~metrics_out ~overhead abbr)
 
 let run_profile tool_name gpu mode iters sample_cap sample_rate overhead_budget
     domains devices fleet_fanout strict_fleet start_grid end_grid regions
@@ -834,41 +803,27 @@ let run_replay path tools tolerant devices fleet_fanout strict_fleet
               | None -> assert false
             in
             let range = Pasta.Range.create ?start_grid ?end_grid () in
-            let hdr = Pasta.Ptrace.read_header_of_file path in
-            if hdr.Pasta.Ptrace.h_backends <> [] then begin
-              (* Mixed-backend trace: one fresh tool and processor per
-                 recorded backend, reports under labelled headings. *)
-              let o =
-                Pasta.Replay.run_multi ~mode ~range ~tool:(fun _ -> mk ()) path
-              in
-              if verbose || health then
-                Format.printf
-                  "[accelprof] replay tool=%s %s: %d ops over %d backends, %d \
-                   chunks (%d skipped), %.2f ms simulated@."
-                  name path o.Pasta.Replay.m_ops_replayed
-                  (List.length o.Pasta.Replay.m_backends)
-                  o.Pasta.Replay.m_chunks o.Pasta.Replay.m_chunks_skipped
-                  (o.Pasta.Replay.m_elapsed_us /. 1000.0);
-              List.iter
-                (fun ((b : Pasta.Ptrace.backend_entry), _, report) ->
-                  Format.printf "=== backend %s ===@."
-                    (if b.Pasta.Ptrace.b_label = "" then
-                       string_of_int b.Pasta.Ptrace.b_id
-                     else b.Pasta.Ptrace.b_label);
-                  report Format.std_formatter)
-                o.Pasta.Replay.m_backends
-            end
-            else begin
-              let o = Pasta.Replay.run ~mode ~range ~tool:(mk ()) path in
-              if verbose || health then
-                Format.printf
-                  "[accelprof] replay tool=%s %s: %d ops, %d chunks (%d \
-                   skipped), %.2f ms simulated@."
-                  o.Pasta.Replay.tool_name path o.Pasta.Replay.ops_replayed
-                  o.Pasta.Replay.chunks o.Pasta.Replay.chunks_skipped
-                  (o.Pasta.Replay.elapsed_us /. 1000.0);
-              o.Pasta.Replay.report Format.std_formatter
-            end)
+            let o = Pasta.Replay.run_multi ~mode ~range ~tool:(fun _ -> mk ()) path in
+            (if verbose || health then
+               match o.Pasta.Replay.backends with
+               | [ (_, proc, _) ] ->
+                   Format.printf
+                     "[accelprof] replay tool=%s %s: %d ops, %d chunks (%d \
+                      skipped), %.2f ms simulated@."
+                     (match Pasta.Processor.tool proc with
+                     | Some t -> t.Pasta.Tool.name
+                     | None -> name)
+                     path o.Pasta.Replay.ops_replayed o.Pasta.Replay.chunks
+                     o.Pasta.Replay.chunks_skipped
+                     (o.Pasta.Replay.elapsed_us /. 1000.0)
+               | backends ->
+                   Format.printf
+                     "[accelprof] replay tool=%s %s: %d ops over %d backends, %d \
+                      chunks (%d skipped), %.2f ms simulated@."
+                     name path o.Pasta.Replay.ops_replayed (List.length backends)
+                     o.Pasta.Replay.chunks o.Pasta.Replay.chunks_skipped
+                     (o.Pasta.Replay.elapsed_us /. 1000.0));
+            o.Pasta.Replay.report Format.std_formatter)
           tool_names
       with
       | () -> `Ok ()

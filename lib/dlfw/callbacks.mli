@@ -4,7 +4,9 @@
     (paper §IV-A): [c10::reportMemoryUsage] for allocator traffic and
     [at::RecordFunction] for operator boundaries.  Observers register by
     name; the framework substrate fires events as it runs.  Per-process
-    global state, like the real callback registries. *)
+    global state, like the real callback registries: adding and removing
+    observers is serialized across threads, and firing an event takes no
+    lock. *)
 
 type mem_event = {
   ptr : int;

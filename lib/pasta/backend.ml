@@ -18,11 +18,12 @@ let kind_of_string s =
   | "opencl" | "cl" -> Some Opencl
   | _ -> None
 
-let default_kind_for device =
-  match (D.arch device).Gpusim.Arch.vendor with
-  | Gpusim.Arch.Nvidia -> Sanitizer
-  | Gpusim.Arch.Amd -> Rocprofiler
-  | Gpusim.Arch.Google -> Xprof
+let default_kind_for ?fine_grained device =
+  match (fine_grained, (D.arch device).Gpusim.Arch.vendor) with
+  | Some Tool.Cpu_nvbit, _ -> Nvbit
+  | _, Gpusim.Arch.Nvidia -> Sanitizer
+  | _, Gpusim.Arch.Amd -> Rocprofiler
+  | _, Gpusim.Arch.Google -> Xprof
 
 type session =
   | S_sanitizer of Vendor.Sanitizer.t

@@ -14,10 +14,11 @@ val kind_of_string : string -> kind option
 (** Inverse of {!kind_to_string}, tolerant of common aliases
     ("sanitizer", "cl", ...); [None] for unknown names. *)
 
-val default_kind_for : Gpusim.Device.t -> kind
+val default_kind_for : ?fine_grained:Tool.fine_grained -> Gpusim.Device.t -> kind
 (** Sanitizer on NVIDIA parts, Rocprofiler on AMD parts, Xprof on Google
-    parts.  [Opencl] is never the default — it is vendor-neutral and
-    selected explicitly. *)
+    parts, except that a tool requiring [Cpu_nvbit] gets [Nvbit].
+    [Opencl] is never the default — it is vendor-neutral and selected
+    explicitly. *)
 
 type t
 

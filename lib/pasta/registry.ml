@@ -5,7 +5,3 @@ let find name = Hashtbl.find_opt tools name
 
 let names () =
   Hashtbl.fold (fun k _ acc -> k :: acc) tools [] |> List.sort compare
-
-let resolve_from_config () =
-  Option.bind (Config.tool_name ()) (fun name ->
-      Option.map (fun make -> make ()) (find name))

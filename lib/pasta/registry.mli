@@ -8,6 +8,3 @@ val register : string -> (unit -> Tool.t) -> unit
 val find : string -> (unit -> Tool.t) option
 val names : unit -> string list
 (** Sorted. *)
-
-val resolve_from_config : unit -> Tool.t option
-(** Instantiate the tool named by [PASTA_TOOL], if any. *)

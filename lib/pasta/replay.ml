@@ -102,24 +102,6 @@ let read_into ~mode path procs ~route =
       Telemetry.end_span Telemetry.Replay_io;
       raise e
 
-let drive ?mode proc path =
-  let mode = default_mode mode in
-  let reg = Processor.metrics proc in
-  (* Labels must match the processor's series or these lookups would
-     find-or-create parallel unlabeled ones. *)
-  let labels = Processor.metric_labels proc in
-  let c_replayed = Pasta_util.Metric.counter reg ~labels "pasta_replay_events" in
-  let c_chunks = Pasta_util.Metric.counter reg ~labels "pasta_trace_chunks" in
-  let c_skipped =
-    Pasta_util.Metric.counter reg ~labels "pasta_trace_chunks_skipped"
-  in
-  (* A solo replay takes every op, whatever its backend id. *)
-  let target = Some (proc, c_replayed) in
-  let header, rstats, last_us = read_into ~mode path [ proc ] ~route:(fun _ -> target) in
-  Pasta_util.Metric.set c_chunks rstats.Ptrace.r_chunks;
-  Pasta_util.Metric.set c_skipped rstats.Ptrace.r_chunks_skipped;
-  (header, rstats, last_us)
-
 let safe_report tool ppf =
   try tool.Tool.report ppf
   with exn ->
@@ -128,62 +110,28 @@ let safe_report tool ppf =
 
 type outcome = {
   header : Ptrace.header;
-  tool_name : string;
   ops_replayed : int;
   chunks : int;
   chunks_skipped : int;
   elapsed_us : float;
-  processor : Processor.t;
+  backends : (Ptrace.backend_entry * Processor.t * (Format.formatter -> unit)) list;
   report : Format.formatter -> unit;
 }
 
-let run ?mode ?range ~tool path =
-  let hdr = Ptrace.read_header_of_file path in
-  let proc = Processor.create ?range ~device:hdr.Ptrace.h_device () in
-  Processor.set_tool proc tool;
-  (* Match the live pipeline: kernel-end aggregation runs on the same
-     process-wide domain pool a Session would install.  Results are
-     identical for every pool size, so this only affects wall time. *)
-  Option.iter (Processor.set_pool proc) (decode_pool ());
-  let header, rstats, elapsed_us = drive ?mode proc path in
-  {
-    header;
-    tool_name = tool.Tool.name;
-    ops_replayed = rstats.Ptrace.r_ops;
-    chunks = rstats.Ptrace.r_chunks;
-    chunks_skipped = rstats.Ptrace.r_chunks_skipped;
-    elapsed_us;
-    processor = proc;
-    report = safe_report tool;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Mixed-backend replay                                                *)
-(* ------------------------------------------------------------------ *)
-
-type multi_outcome = {
-  m_header : Ptrace.header;
-  m_ops_replayed : int;
-  m_chunks : int;
-  m_chunks_skipped : int;
-  m_elapsed_us : float;
-  m_backends :
-    (Ptrace.backend_entry * Processor.t * (Format.formatter -> unit)) list;
-}
-
-(* Replay a mixed-backend trace: one processor (and tool instance) per
-   header backend-table entry, ops routed to their backend's processor by
-   the per-op backend-id column, in recorded order.  A trace with an
-   empty table (a solo capture) replays through a single backend-0
-   processor, so [run_multi] subsumes [run] for every readable file. *)
+(* One processor (and tool instance) per header backend-table entry, ops
+   routed to their backend's processor by the per-op backend-id column,
+   in recorded order.  A solo trace has an empty table: it replays through
+   one unlabelled backend-0 processor. *)
 let run_multi ?mode ?range ~tool path =
   let hdr = Ptrace.read_header_of_file path in
   let entries =
     match hdr.Ptrace.h_backends with
-    | [] ->
-        [ { Ptrace.b_id = 0; b_device = hdr.Ptrace.h_device; b_label = "" } ]
+    | [] -> [ { Ptrace.b_id = 0; b_device = hdr.Ptrace.h_device; b_label = "" } ]
     | bs -> bs
   in
+  (* Match the live pipeline: kernel-end aggregation runs on the same
+     process-wide domain pool a Session would install.  Results are
+     identical for every pool size, so this only affects wall time. *)
   let pool = decode_pool () in
   let backends =
     List.map
@@ -193,31 +141,64 @@ let run_multi ?mode ?range ~tool path =
         let tl = tool b in
         Processor.set_tool proc tl;
         Option.iter (Processor.set_pool proc) pool;
-        let c_replayed =
+        (* Labels must match the processor's series or these lookups
+           would find-or-create parallel unlabeled ones. *)
+        let counter name =
           Pasta_util.Metric.counter (Processor.metrics proc)
-            ~labels:(Processor.metric_labels proc) "pasta_replay_events"
+            ~labels:(Processor.metric_labels proc) name
         in
-        (b, proc, tl, c_replayed))
+        let replayed = counter "pasta_replay_events" in
+        let chunks = counter "pasta_trace_chunks" in
+        let skipped = counter "pasta_trace_chunks_skipped" in
+        (b, proc, tl, (replayed, chunks, skipped)))
       entries
   in
-  let by_id = Hashtbl.create 8 in
-  List.iter
-    (fun (b, proc, _, c) -> Hashtbl.replace by_id b.Ptrace.b_id (proc, c))
-    backends;
+  let routes =
+    List.map
+      (fun ((b : Ptrace.backend_entry), proc, _, (replayed, _, _)) ->
+        (b.Ptrace.b_id, Some (proc, replayed)))
+      backends
+  in
   let header, rstats, last_us =
     read_into ~mode:(default_mode mode) path
       (List.map (fun (_, proc, _, _) -> proc) backends)
-      ~route:(Hashtbl.find_opt by_id)
+      ~route:(fun id -> try List.assoc id routes with Not_found -> None)
+  in
+  (* Every backend's health reports the file's chunk accounting. *)
+  List.iter
+    (fun (_, _, _, (_, chunks, skipped)) ->
+      Pasta_util.Metric.set chunks rstats.Ptrace.r_chunks;
+      Pasta_util.Metric.set skipped rstats.Ptrace.r_chunks_skipped)
+    backends;
+  let backends = List.map (fun (b, proc, tl, _) -> (b, proc, safe_report tl)) backends in
+  (* The count rule: one backend reports as a solo run; several report
+     each under its label (its id when the table has none). *)
+  let report ppf =
+    match backends with
+    | [ (_, _, r) ] -> r ppf
+    | _ ->
+        List.iter
+          (fun ((b : Ptrace.backend_entry), _, r) ->
+            Format.fprintf ppf "=== backend %s ===@."
+              (if b.Ptrace.b_label = "" then string_of_int b.Ptrace.b_id
+               else b.Ptrace.b_label);
+            r ppf)
+          backends
   in
   {
-    m_header = header;
-    m_ops_replayed = rstats.Ptrace.r_ops;
-    m_chunks = rstats.Ptrace.r_chunks;
-    m_chunks_skipped = rstats.Ptrace.r_chunks_skipped;
-    m_elapsed_us = last_us;
-    m_backends =
-      List.map (fun (b, proc, tl, _) -> (b, proc, safe_report tl)) backends;
+    header;
+    ops_replayed = rstats.Ptrace.r_ops;
+    chunks = rstats.Ptrace.r_chunks;
+    chunks_skipped = rstats.Ptrace.r_chunks_skipped;
+    elapsed_us = last_us;
+    backends;
+    report;
   }
+
+let run ?mode ?range ~tool path =
+  if (Ptrace.read_header_of_file path).Ptrace.h_backends <> [] then
+    invalid_arg "Replay.run: a mixed-backend trace needs a tool per backend (use run_multi)";
+  run_multi ?mode ?range ~tool:(fun _ -> tool) path
 
 (* ------------------------------------------------------------------ *)
 (* trace stat                                                          *)

@@ -1,15 +1,15 @@
 (** Deterministic trace replay: re-drive a recorded [.ptrace] op stream
-    through a fresh {!Processor} and tool, offline.
+    through fresh {!Processor}s and tools, offline.
 
-    Because the trace records submissions, the processor rebuilds
+    Because the trace records submissions, each processor rebuilds
     everything it computed live — object-registry state, range
-    filtering, bounded buffering, region summaries — so the replayed
+    filtering, bounded buffering, region summaries — so each replayed
     tool sees the exact callback sequence of the original run and
     produces a byte-identical report, provided the pipeline knobs
-    (buffer capacity, overflow policy, batch delivery, guard thresholds)
-    match the recording run.  Kernel-end device aggregates are the
-    exception: the trace stores each flush's merged {!Devagg.summary},
-    so replay re-drives the recorded aggregate instead of re-running the
+    (buffer capacity, overflow policy, guard thresholds) match the
+    recording run.  Kernel-end device aggregates are the exception: the
+    trace stores each flush's merged {!Devagg.summary}, so replay
+    re-drives the recorded aggregate instead of re-running the
     reduction — identical output (aggregation is deterministic for every
     domain count), a fraction of the wall time.
 
@@ -18,48 +18,16 @@
 
 type outcome = {
   header : Ptrace.header;
-  tool_name : string;
   ops_replayed : int;
   chunks : int;
   chunks_skipped : int;  (** corrupt chunks skipped (tolerant mode) *)
   elapsed_us : float;  (** last simulated timestamp in the trace *)
-  processor : Processor.t;  (** for stats / health inspection *)
-  report : Format.formatter -> unit;  (** the tool's report, exception-safe *)
-}
-
-val run :
-  ?mode:Ptrace.mode -> ?range:Range.t -> tool:Tool.t -> string -> outcome
-(** [run ~tool path] replays [path] into a fresh processor driving
-    [tool].  [mode] defaults to the {!Config.trace_strict} knob; strict
-    replay raises {!Ptrace.Corrupt} on any damage, tolerant replay skips
-    corrupt chunks and reports them in [chunks_skipped]. *)
-
-val drive :
-  ?mode:Ptrace.mode ->
-  Processor.t ->
-  string ->
-  Ptrace.header * Ptrace.read_stats * float
-(** Lower-level entry: replay into an existing processor (whatever tool
-    and range it carries) and return the header, read stats and the last
-    timestamp seen.  Ops are re-driven through the processor's entry
-    points in recorded order (annotations through
-    [annot_start]/[annot_end], so range state is rebuilt); each maximal
-    run of consecutive batch ops of one kernel is one
-    {!Processor.submit_access_views} hand-off, each op a whole-batch view
-    stamped with its recorded time.  Used by {!run}. *)
-
-(** {2 Mixed-backend replay} *)
-
-type multi_outcome = {
-  m_header : Ptrace.header;
-  m_ops_replayed : int;
-  m_chunks : int;
-  m_chunks_skipped : int;
-  m_elapsed_us : float;
-  m_backends :
-    (Ptrace.backend_entry * Processor.t * (Format.formatter -> unit)) list;
-      (** one (entry, processor, exception-safe report) per header
-          backend-table row, in table order *)
+  backends : (Ptrace.backend_entry * Processor.t * (Format.formatter -> unit)) list;
+      (** one (entry, processor, exception-safe report) per backend, in
+          table order; a solo trace has one, with id 0 and no label *)
+  report : Format.formatter -> unit;
+      (** one backend: its report as is; several: every report under a
+          [=== backend <label> ===] heading *)
 }
 
 val run_multi :
@@ -67,17 +35,30 @@ val run_multi :
   ?range:Range.t ->
   tool:(Ptrace.backend_entry -> Tool.t) ->
   string ->
-  multi_outcome
-(** Replay a mixed-backend trace: one fresh processor (labelled with the
-    backend's recorded label) and one tool instance per backend-table
-    entry, ops routed by their backend-id column in recorded order.  A
-    solo trace (empty table) replays through a single backend-0
-    processor.  Batch ops are grouped as in {!drive}, a run never
-    spanning two backends.  In tolerant mode, a corrupted chunk — always
-    single-backend by construction — costs ops of that backend only; the
-    other backends' reports are unaffected.  An op whose backend id is
-    missing from the table is corruption: strict mode raises, tolerant
-    mode drops the op. *)
+  outcome
+(** [run_multi ~tool path] replays [path] through one fresh processor and
+    one [tool] instance per backend of the header's table, ops routed by
+    their backend-id column in recorded order.  A solo trace (empty
+    table) replays through one unlabelled backend-0 processor; two or
+    more backends get processors labelled with their recorded labels.
+
+    Ops are re-driven through the processors' entry points (annotations
+    through [annot_start]/[annot_end], so range state is rebuilt); each
+    maximal run of consecutive batch ops of one kernel on one backend is
+    one {!Processor.submit_access_views} hand-off, each op a whole-batch
+    view stamped with its recorded time.
+
+    [mode] defaults to the {!Config.trace_strict} knob.  Strict replay
+    raises {!Ptrace.Corrupt} on any damage.  Tolerant replay skips corrupt
+    chunks and reports them in [chunks_skipped]; a corrupted chunk —
+    always single-backend by construction — costs ops of that backend
+    only, and the other backends' reports are unaffected.  An op whose
+    backend id is missing from the table (in a solo trace: any id but 0)
+    is corruption: strict mode raises, tolerant mode drops the op. *)
+
+val run : ?mode:Ptrace.mode -> ?range:Range.t -> tool:Tool.t -> string -> outcome
+(** [run ~tool path] is {!run_multi} with [tool] as the one tool of a solo
+    trace.  Raises [Invalid_argument] on a mixed-backend trace. *)
 
 (** {2 Offline inspection} *)
 

@@ -4,7 +4,10 @@ type watchdog = {
   mutable trips : (string * float) list; (* kernel name, duration; newest first *)
 }
 
-type t = {
+(* One backend's share of a session: its device, vendor backend,
+   framework hooks, processor and tool, and whatever attaching changed on
+   the device that detaching must restore. *)
+type sub = {
   device : Gpusim.Device.t;
   backend : Backend.t;
   dl : Dl_hooks.t;
@@ -26,9 +29,11 @@ type t = {
   dog : watchdog;
   installed_faults : Gpusim.Faults.t option;
       (* the injector this session installed (and must tear down) *)
-  capture : Capture.t option;
-      (* trace capture riding on this session's processor *)
 }
+
+(* A session: one [sub] per backend in attach order (a backend's id is
+   its list position) and the one capture riding on their processors. *)
+type t = { subs : sub list; capture : Capture.t option }
 
 type health = {
   guard_state : string;
@@ -68,13 +73,18 @@ type result = {
   report : Format.formatter -> unit;
 }
 
+type multi_result = {
+  mr_backends : (string * result) list; (* label, per-backend result *)
+  mr_report : Format.formatter -> unit;
+}
+
 (* Sessions are re-entrant under one process: many may be attached at
    once, from different threads (the serve daemon's workers).  The only
-   cross-session state is this supervision list, so it is mutex-protected;
-   everything else a session touches (device, processor, tool, capture)
-   is per-session.  Probe names come from an atomic counter so two
-   concurrent attaches never collide. *)
-let active : t list ref = ref []
+   cross-session state is this supervision list of attached backends, so
+   it is mutex-protected; everything else a session touches (device,
+   processor, tool, capture) is per-session.  Probe names come from an
+   atomic counter so two concurrent attaches never collide. *)
+let active : sub list ref = ref []
 let active_mu = Mutex.create ()
 
 let with_active f =
@@ -89,40 +99,26 @@ let counter proc name =
     (Pasta_util.Metric.find_counter (Processor.metrics proc)
        ~labels:(Processor.metric_labels proc) name)
 
-(* [label] and [auto_capture] are the multi-backend hooks: a sub-session
-   of [attach_multi] carries its backend label on every metric series and
-   must not open its own capture (the shared mixed-backend capture taps
-   all sub-processors into one file), not even via the ACCEL_PROF_TRACE
-   knob. *)
-let attach_impl ?backend ?range ?sample_cap ?sample_rate ?overhead_budget
-    ?faults ?capture ?capture_meta ?label ?(auto_capture = true) ~tool device =
-  (* Enumerated knobs raise on a bad value: read them before anything is
-     attached, so a refusal leaves the device untouched. *)
-  let regions = Config.regions () in
-  let kind =
-    match backend with
-    | Some k -> k
-    | None -> (
-        match tool.Tool.fine_grained with
-        | Tool.Cpu_nvbit -> Backend.Nvbit
-        | _ -> Backend.default_kind_for device)
-  in
-  let proc = Processor.create ?range ?label ~device:(Gpusim.Device.id device) () in
-  Processor.set_tool proc tool;
-  (* Trace capture: an explicit path wins; otherwise the ACCEL_PROF_TRACE
-     knob streams every attached session to its file.  The sink is
-     installed before the backend attaches, so the very first event of
-     the run is already on tape, and before anything touches the device,
-     so a refused chunk-size knob leaves it untouched. *)
-  let capture =
-    match (capture, if auto_capture then Config.trace_path () else None) with
-    | Some path, _ | None, Some path ->
-        let meta =
-          match capture_meta with Some m -> m | None -> tool.Tool.name
-        in
-        Some (Capture.start ~meta proc path)
-    | None, None -> None
-  in
+(* The count rule: one backend is unlabelled.  With two or more, each is
+   labelled with its backend kind, suffixed with its position when a
+   kind repeats, so metric series and trace tracks stay
+   distinguishable. *)
+let labels specs =
+  match specs with
+  | [ _ ] -> [ None ]
+  | _ ->
+      let names = List.map (fun (kind, _) -> Backend.kind_to_string kind) specs in
+      List.mapi
+        (fun i name ->
+          if List.length (List.filter (String.equal name) names) > 1 then
+            Some (Printf.sprintf "%s#%d" name i)
+          else Some name)
+        names
+
+(* Wire one backend's device to its processor and install the session's
+   device settings; the processor already carries its tool and sink. *)
+let attach_backend ?sample_cap ?sample_rate ?overhead_budget ?faults ~regions
+    (kind, device, proc, tool) =
   (* Self-telemetry: honour the knob as configured right now, and mirror
      the device's simulated clock onto spans so exports can bridge the
      wall and simulated timelines. *)
@@ -243,16 +239,72 @@ let attach_impl ?backend ?range ?sample_cap ?sample_rate ?overhead_budget
       saved_pool;
       dog;
       installed_faults;
-      capture;
     }
   in
   with_active (fun () -> active := s :: !active);
   s
 
+let attach_multi ?range ?sample_cap ?sample_rate ?overhead_budget ?faults
+    ?capture ?capture_meta ~tool specs =
+  (* Device identity is load-bearing: the framework hook bus filters by
+     device id, metric series carry it, and the unified trace uses it as
+     the track-group pid.  Two backends sharing an id would silently
+     cross-feed each other's framework events. *)
+  let ids = List.map (fun (_, d) -> Gpusim.Device.id d) specs in
+  if ids = [] then invalid_arg "Session.attach_multi: no backends";
+  if List.length (List.sort_uniq compare ids) <> List.length ids then
+    invalid_arg
+      "Session.attach_multi: backends must use distinct device ids (create \
+       devices with Gpusim.Device.create ~id:...)";
+  (* Enumerated knobs raise on a bad value: read them before anything is
+     attached, so a refusal leaves every device untouched. *)
+  let regions = Config.regions () in
+  let members =
+    List.map2
+      (fun (kind, device) label ->
+        let tool = tool kind device in
+        let proc = Processor.create ?range ?label ~device:(Gpusim.Device.id device) () in
+        Processor.set_tool proc tool;
+        (kind, device, proc, tool))
+      specs (labels specs)
+  in
+  let procs = List.map (fun (_, _, proc, _) -> proc) members in
+  (* Trace capture: an explicit path wins; otherwise the ACCEL_PROF_TRACE
+     knob streams the session, as a whole, to its file.  The sinks are
+     installed before any backend attaches, so the very first event of
+     the run is already on tape, and before anything touches a device, so
+     a refused chunk-size knob leaves every device untouched. *)
+  let capture =
+    match (capture, Config.trace_path ()) with
+    | Some path, _ | None, Some path ->
+        let meta =
+          match (capture_meta, members) with
+          | Some m, _ -> m
+          | None, [ (_, _, _, tool) ] -> tool.Tool.name
+          | None, _ -> String.concat "+" (List.filter_map Processor.backend_label procs)
+        in
+        Some (Capture.start ~meta procs path)
+    | None, None -> None
+  in
+  {
+    subs =
+      List.map
+        (attach_backend ?sample_cap ?sample_rate ?overhead_budget ?faults ~regions)
+        members;
+    capture;
+  }
+
 let attach ?backend ?range ?sample_cap ?sample_rate ?overhead_budget ?faults
     ?capture ?capture_meta ~tool device =
-  attach_impl ?backend ?range ?sample_cap ?sample_rate ?overhead_budget ?faults
-    ?capture ?capture_meta ~tool device
+  let kind =
+    match backend with
+    | Some k -> k
+    | None -> Backend.default_kind_for ~fine_grained:tool.Tool.fine_grained device
+  in
+  attach_multi ?range ?sample_cap ?sample_rate ?overhead_budget ?faults ?capture
+    ?capture_meta
+    ~tool:(fun _ _ -> tool)
+    [ (kind, device) ]
 
 let health_of s =
   let counter = counter s.proc in
@@ -351,24 +403,24 @@ let pp_health ppf h =
   | None -> ()
   | Some fs -> Format.fprintf ppf "  injected faults: %a@." Gpusim.Faults.pp_stats fs
 
-let detach s =
+(* Unregister a backend.  Its device keeps the clock observer while
+   another session still profiles it (e.g. a tracer riding along); the
+   last one drops it. *)
+let release s =
   let device_still_profiled =
     with_active (fun () ->
         active := List.filter (fun x -> x != s) !active;
         List.exists (fun x -> x.device == s.device) !active)
   in
-  (* Keep the clock observer while another session still profiles this
-     device (e.g. a tracer riding along); drop it with the last one. *)
   if not device_still_profiled then begin
     Gpusim.Clock.set_observer (Gpusim.Device.clock s.device) None;
     if Telemetry.current_device () = Gpusim.Device.id s.device then
       Telemetry.set_device (-1)
-  end;
-  (* Anything still sitting in the bounded buffer belongs to the tool. *)
-  Processor.flush_records s.proc;
-  (* Close the trace before health is sampled so the capture counters
-     are final. *)
-  Option.iter Capture.finish s.capture;
+  end
+
+(* Tear one backend down and restore its device; the capture is closed
+   and the processor flushed, so every counter is final. *)
+let detach_backend s =
   Dl_hooks.detach s.dl;
   let health = health_of s in
   let phases = Vendor.Phases.add (Vendor.Phases.create ()) (Backend.phases s.backend) in
@@ -407,131 +459,60 @@ let detach s =
     report;
   }
 
-let run ?backend ?range ?sample_cap ?sample_rate ?overhead_budget ?faults
-    ?capture ?capture_meta ~tool device f =
-  let s =
-    attach ?backend ?range ?sample_cap ?sample_rate ?overhead_budget ?faults
-      ?capture ?capture_meta ~tool device
-  in
-  match f () with
-  | v -> (v, detach s)
-  | exception e ->
-      let (_ : result) = detach s in
-      raise e
-
-let processor s = s.proc
-let tool s = s.the_tool
-
-(* ------------------------------------------------------------------ *)
-(* Heterogeneous multi-backend sessions                                *)
-(* ------------------------------------------------------------------ *)
-
-type multi = {
-  mm_subs : (int * string * t) list; (* backend id, label, sub-session *)
-  mm_capture : Capture.multi option;
-}
-
-type multi_result = {
-  mr_backends : (string * result) list; (* label, per-backend result *)
-  mr_report : Format.formatter -> unit;
-}
-
-(* Backend ids are list positions; labels are the backend kind, suffixed
-   with the position when the same kind appears twice, so metric series
-   and trace tracks stay distinguishable. *)
-let multi_labels specs =
-  let counts = Hashtbl.create 8 in
-  List.iter
-    (fun (kind, _) ->
-      let k = Backend.kind_to_string kind in
-      Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
-    specs;
-  List.mapi
-    (fun i (kind, device) ->
-      let base = Backend.kind_to_string kind in
-      let label =
-        if Hashtbl.find counts base > 1 then Printf.sprintf "%s#%d" base i
-        else base
-      in
-      (i, label, kind, device))
-    specs
-
-let attach_multi ?range ?sample_cap ?sample_rate ?overhead_budget ?capture
-    ?capture_meta ~tool specs =
-  (match specs with
-  | [] -> invalid_arg "Session.attach_multi: no backends"
-  | _ -> ());
-  (* Per-backend device identity is load-bearing: the framework hook bus
-     filters by device id, metric series carry it, and the unified trace
-     uses it as the track-group pid.  Two backends sharing an id would
-     silently cross-feed each other's framework events. *)
-  let ids = List.map (fun (_, d) -> Gpusim.Device.id d) specs in
-  if List.length (List.sort_uniq compare ids) <> List.length ids then
-    invalid_arg
-      "Session.attach_multi: backends must use distinct device ids (create \
-       devices with Gpusim.Device.create ~id:...)";
-  (* A refused chunk-size knob must stop the capture before any backend
-     attaches. *)
-  if capture <> None || Config.trace_path () <> None then
-    ignore (Config.trace_chunk_bytes ());
-  let subs =
+let detach_multi t =
+  List.iter release t.subs;
+  (* Anything still sitting in a bounded buffer belongs to its tool. *)
+  List.iter (fun s -> Processor.flush_records s.proc) t.subs;
+  (* Close the trace before health is sampled so the capture counters
+     are final. *)
+  Option.iter Capture.finish t.capture;
+  let results =
     List.map
-      (fun (id, label, kind, device) ->
-        let s =
-          attach_impl ~backend:kind ?range ?sample_cap ?sample_rate
-            ?overhead_budget ~label ~auto_capture:false
-            ~tool:(tool kind device) device
-        in
-        (id, label, s))
-      (multi_labels specs)
+      (fun s -> (Option.value ~default:"" (Processor.backend_label s.proc), detach_backend s))
+      t.subs
   in
-  (* One shared capture across every sub-processor: an explicit path wins,
-     otherwise the ACCEL_PROF_TRACE knob applies to the session as a
-     whole (never once per backend). *)
-  let cap =
-    match (capture, Config.trace_path ()) with
-    | Some path, _ | None, Some path ->
-        let meta =
-          match capture_meta with
-          | Some m -> m
-          | None ->
-              String.concat "+" (List.map (fun (_, l, _) -> l) subs)
-        in
-        Some
-          (Capture.start_multi ~meta
-             (List.map (fun (id, _, s) -> (id, s.proc)) subs)
-             path)
-    | None, None -> None
-  in
-  { mm_subs = subs; mm_capture = cap }
-
-let detach_multi m =
-  (* Close the shared trace first so every sub-session's capture counters
-     are final when its health is sampled. *)
-  Option.iter Capture.finish_multi m.mm_capture;
-  let results = List.map (fun (_, label, s) -> (label, detach s)) m.mm_subs in
+  (* The count rule: one backend reports as a solo run; several report
+     each under its label. *)
   let report ppf =
-    List.iter
-      (fun (label, r) ->
-        Format.fprintf ppf "=== backend %s ===@." label;
-        r.report ppf)
-      results
+    match results with
+    | [ (_, r) ] -> r.report ppf
+    | _ ->
+        List.iter
+          (fun (label, r) ->
+            Format.fprintf ppf "=== backend %s ===@." label;
+            r.report ppf)
+          results
   in
   { mr_backends = results; mr_report = report }
 
-let run_multi ?range ?sample_cap ?sample_rate ?overhead_budget ?capture
-    ?capture_meta ~tool specs f =
-  let m =
-    attach_multi ?range ?sample_cap ?sample_rate ?overhead_budget ?capture
-      ?capture_meta ~tool specs
-  in
+let detach t =
+  match t.subs with
+  | [ _ ] -> snd (List.hd (detach_multi t).mr_backends)
+  | _ -> invalid_arg "Session.detach: several backends (use detach_multi)"
+
+(* Attach, run the workload, detach — even on exception. *)
+let running detach t f =
   match f () with
-  | v -> (v, detach_multi m)
+  | v -> (v, detach t)
   | exception e ->
-      let (_ : multi_result) = detach_multi m in
+      ignore (detach t);
       raise e
 
-let multi_sessions m = List.map (fun (_, label, s) -> (label, s)) m.mm_subs
+let run_multi ?range ?sample_cap ?sample_rate ?overhead_budget ?faults ?capture
+    ?capture_meta ~tool specs f =
+  running detach_multi
+    (attach_multi ?range ?sample_cap ?sample_rate ?overhead_budget ?faults ?capture
+       ?capture_meta ~tool specs)
+    f
+
+let run ?backend ?range ?sample_cap ?sample_rate ?overhead_budget ?faults
+    ?capture ?capture_meta ~tool device f =
+  running detach
+    (attach ?backend ?range ?sample_cap ?sample_rate ?overhead_budget ?faults
+       ?capture ?capture_meta ~tool device)
+    f
+
+let processor t = (List.hd t.subs).proc
 
 (* Annotations resolve the calling thread's innermost session: under the
    serve daemon several sessions are live at once, and a workload's

@@ -1,11 +1,15 @@
 (** A profiling session: the [LD_PRELOAD] injection equivalent.
 
-    Attaching a session wires the whole PASTA stack onto a device: the
-    vendor backend for low-level events, the DL-framework hooks for
-    high-level events, the event processor in between, and the selected
-    tool — plus whatever fine-grained instrumentation the tool's analysis
-    model requires.  Detaching tears it all down and returns the run's
-    accounting.
+    Attaching a session wires the whole PASTA stack onto one or several
+    devices, one vendor backend each (e.g. a CUDA sanitizer, an OpenCL
+    platform and a TPU xprof at once): the vendor backend for low-level
+    events, the DL-framework hooks for high-level events, an event
+    processor in between, and a tool — plus whatever fine-grained
+    instrumentation the tool's analysis model requires.  Each backend
+    keeps its own device identity and clock domain; events interleave
+    deterministically in workload program order.  Detaching tears it all
+    down and returns each backend's accounting.  A solo session is the
+    one-backend case of the same code path.
 
     The session is also the supervision root: the tool runs behind a
     {!Guard} circuit breaker, fine-grained records flow through a bounded
@@ -66,6 +70,86 @@ type result = {
   report : Format.formatter -> unit;  (** the tool's report, exception-safe *)
 }
 
+type multi_result = {
+  mr_backends : (string * result) list;
+      (** per-backend results in attach order, keyed by backend label
+          (empty for a single backend) *)
+  mr_report : Format.formatter -> unit;
+      (** one backend: its report as is; several: every report under a
+          [=== backend <label> ===] heading *)
+}
+
+val attach_multi :
+  ?range:Range.t ->
+  ?sample_cap:int ->
+  ?sample_rate:float ->
+  ?overhead_budget:float ->
+  ?faults:Gpusim.Faults.t ->
+  ?capture:string ->
+  ?capture_meta:string ->
+  tool:(Backend.kind -> Gpusim.Device.t -> Tool.t) ->
+  (Backend.kind * Gpusim.Device.t) list ->
+  t
+(** [attach_multi ~tool specs] attaches one backend per [(kind, device)]
+    pair, each with a tool instance of its own from [tool] (tools are
+    stateful).  Backend ids are list positions.  Attaching reads the
+    knobs that can refuse, creates the processors, starts the capture
+    over all of them, then attaches each backend: a refused knob leaves
+    every device untouched, and the first event is already on tape.
+
+    The count rule picks the layout.  One backend is a solo session:
+    unlabelled, an empty backend table and backend id 0 in its capture, a
+    report without a heading.  With two or more, each processor is
+    labelled with its backend kind (suffixed with its position when a
+    kind repeats), so every metric series carries [("backend", label)];
+    the capture gets a backend table; each report gets a heading.
+
+    [sample_cap] caps materialized records per kernel region (default:
+    [ACCEL_PROF_ENV_SAMPLE_RATE]).  [sample_rate] pins a fixed record
+    sampling rate in (0, 1]; [overhead_budget] enables the adaptive
+    {!Sampler} governor instead (defaults: the [ACCEL_PROF_SAMPLE_RATE] /
+    [ACCEL_PROF_OVERHEAD_BUDGET] knobs; with both, the budget governs and
+    the rate is the telemetry-blind fallback).  Rate changes are recorded
+    in the capture before the launch they apply to.  [faults] installs
+    the given injector on every device; without it, the
+    [ACCEL_PROF_INJECT_FAULTS] knob seeds one per device from
+    [ACCEL_PROF_FAULT_SEED].  A device that already carries an injector
+    is left untouched.
+
+    [capture] (or the [ACCEL_PROF_TRACE] knob) streams the session's
+    submission-level op stream to one [.ptrace] file ({!Capture}), closed
+    at {!detach_multi}.  [capture_meta] is stored in its header (default:
+    the tool's display name for one backend, the labels joined by [+] for
+    several; the CLI passes the registry key so replay can re-resolve the
+    tool).
+
+    Devices must carry distinct ids ([Gpusim.Device.create ~id:...]): the
+    framework hook bus filters on the id, metric series carry it, and the
+    unified trace uses it as the track-group pid.  Raises
+    [Invalid_argument] on an empty list, duplicate device ids, or a
+    vendor mismatch. *)
+
+val detach_multi : t -> multi_result
+
+val run_multi :
+  ?range:Range.t ->
+  ?sample_cap:int ->
+  ?sample_rate:float ->
+  ?overhead_budget:float ->
+  ?faults:Gpusim.Faults.t ->
+  ?capture:string ->
+  ?capture_meta:string ->
+  tool:(Backend.kind -> Gpusim.Device.t -> Tool.t) ->
+  (Backend.kind * Gpusim.Device.t) list ->
+  (unit -> 'a) ->
+  'a * multi_result
+(** Attach all backends, run the workload, detach — even on
+    exception. *)
+
+(** {2 One backend}
+
+    The short forms: a one-element {!attach_multi}. *)
+
 val attach :
   ?backend:Backend.kind ->
   ?range:Range.t ->
@@ -78,29 +162,11 @@ val attach :
   tool:Tool.t ->
   Gpusim.Device.t ->
   t
-(** [backend] defaults per vendor ({!Backend.default_kind_for}), except
-    that a tool requiring [Cpu_nvbit] forces the NVBit backend.
-    [sample_cap] caps materialized records per kernel region (defaults to
-    [ACCEL_PROF_ENV_SAMPLE_RATE] when set).  [sample_rate] pins a fixed
-    record sampling rate in (0, 1] and [overhead_budget] enables the
-    adaptive {!Sampler} governor instead (both default to their
-    [ACCEL_PROF_SAMPLE_RATE] / [ACCEL_PROF_OVERHEAD_BUDGET] knobs; with
-    both set, the budget governs and the rate is the telemetry-blind
-    fallback).  Rate changes are recorded in any attached capture before
-    the launch they apply to, so replay reproduces the sampled stream
-    exactly.  [faults] installs the given
-    injector on the device for the session's lifetime; without it, the
-    [ACCEL_PROF_INJECT_FAULTS] knob creates one seeded from
-    [ACCEL_PROF_FAULT_SEED].  A device that already carries an injector is
-    left untouched.  [capture] streams the session's submission-level op
-    stream to the given [.ptrace] file ({!Capture}); without it, the
-    [ACCEL_PROF_TRACE] knob does the same.  [capture_meta] is stored in
-    the trace header (default: the tool's display name; the CLI passes
-    the registry key so replay can re-resolve the tool).  The file is
-    closed at {!detach}, and {!result.health} accounts what was
-    recorded. *)
+(** [backend] defaults to {!Backend.default_kind_for} the device and the
+    tool's fine-grained model. *)
 
 val detach : t -> result
+(** Raises [Invalid_argument] on a session over several backends. *)
 
 val run :
   ?backend:Backend.kind ->
@@ -118,71 +184,7 @@ val run :
 (** Attach, run the workload, detach — even on exception. *)
 
 val processor : t -> Processor.t
-val tool : t -> Tool.t
-
-(** {2 Heterogeneous multi-backend sessions}
-
-    One session hosting several vendor backends at once (e.g. a CUDA
-    sanitizer, an OpenCL platform and a TPU xprof), each with its own
-    device identity and clock domain.  Every backend gets its own
-    sub-processor labelled with the backend name (so all metric series
-    carry a [("backend", label)] label), events interleave
-    deterministically in workload program order, and one shared capture
-    records the whole interleaving into a single [.ptrace] file with a
-    per-op backend-id column. *)
-
-type multi
-
-type multi_result = {
-  mr_backends : (string * result) list;
-      (** per-backend results, keyed by backend label, in attach order *)
-  mr_report : Format.formatter -> unit;
-      (** all backend reports, each under a [=== backend <label> ===]
-          heading *)
-}
-
-val attach_multi :
-  ?range:Range.t ->
-  ?sample_cap:int ->
-  ?sample_rate:float ->
-  ?overhead_budget:float ->
-  ?capture:string ->
-  ?capture_meta:string ->
-  tool:(Backend.kind -> Gpusim.Device.t -> Tool.t) ->
-  (Backend.kind * Gpusim.Device.t) list ->
-  multi
-(** [attach_multi ~tool specs] attaches one sub-session per
-    [(kind, device)] pair; [tool] is called once per backend so each
-    gets a fresh tool instance (tools are stateful).  Backend ids are
-    list positions; labels are the backend kind name, suffixed with the
-    position when a kind repeats.  Sampling and range options apply to
-    every backend.  [capture] (or the [ACCEL_PROF_TRACE] knob) opens
-    one shared mixed-backend capture — never one file per backend.
-    Devices must carry distinct ids ([Gpusim.Device.create ~id:...]):
-    the id is each backend's identity on the shared timeline — the
-    framework hook bus filters on it, metric series carry it, and the
-    unified trace uses it as the track-group pid.  Raises
-    [Invalid_argument] on an empty list, duplicate device ids, or a
-    vendor mismatch. *)
-
-val detach_multi : multi -> multi_result
-
-val run_multi :
-  ?range:Range.t ->
-  ?sample_cap:int ->
-  ?sample_rate:float ->
-  ?overhead_budget:float ->
-  ?capture:string ->
-  ?capture_meta:string ->
-  tool:(Backend.kind -> Gpusim.Device.t -> Tool.t) ->
-  (Backend.kind * Gpusim.Device.t) list ->
-  (unit -> 'a) ->
-  'a * multi_result
-(** Attach all backends, run the workload, detach — even on
-    exception. *)
-
-val multi_sessions : multi -> (string * t) list
-(** The live sub-sessions, keyed by backend label. *)
+(** The first backend's processor. *)
 
 val start : ?label:string -> unit -> unit
 (** [pasta.start()]: open an analysis range on the innermost active

@@ -1170,14 +1170,18 @@ let test_mixed_live_vs_replay () =
   let hdr = Pasta.Ptrace.read_header_of_file path in
   check_int "header carries the backend table" 2
     (List.length hdr.Pasta.Ptrace.h_backends);
+  check_bool "one tool instance refuses a mixed trace" true
+    (match Pasta.Replay.run ~tool:(mixed_tool ()) path with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
   let o =
     Pasta.Replay.run_multi ~mode:Pasta.Ptrace.Strict
       ~tool:(fun _ -> mixed_tool ())
       path
   in
-  check_int "both backends replayed" 2 (List.length o.Pasta.Replay.m_backends);
-  check_int "nothing skipped" 0 o.Pasta.Replay.m_chunks_skipped;
-  check_bool "replay drove ops" true (o.Pasta.Replay.m_ops_replayed > 0);
+  check_int "both backends replayed" 2 (List.length o.Pasta.Replay.backends);
+  check_int "nothing skipped" 0 o.Pasta.Replay.chunks_skipped;
+  check_bool "replay drove ops" true (o.Pasta.Replay.ops_replayed > 0);
   List.iter2
     (fun (label, live_rep) (entry, _, report) ->
       Alcotest.(check string)
@@ -1187,7 +1191,7 @@ let test_mixed_live_vs_replay () =
         (label ^ ": replayed report byte-identical to live")
         true
         (String.equal live_rep (Format.asprintf "%t" report)))
-    live o.Pasta.Replay.m_backends;
+    live o.Pasta.Replay.backends;
   Sys.remove path
 
 (* Chunks flush on every backend switch, so each chunk is single-backend
@@ -1214,11 +1218,11 @@ let test_mixed_corruption_isolated () =
       ~tool:(fun _ -> mixed_tool ())
       path
   in
-  check_int "exactly one chunk skipped" 1 o.Pasta.Replay.m_chunks_skipped;
+  check_int "exactly one chunk skipped" 1 o.Pasta.Replay.chunks_skipped;
   check_bool "skipped chunk cost ops" true
-    (o.Pasta.Replay.m_ops_replayed < pristine.Pasta.Replay.s_ops);
+    (o.Pasta.Replay.ops_replayed < pristine.Pasta.Replay.s_ops);
   let sanitizer_live = snd (List.nth live 0) in
-  let entry, _, report = List.nth o.Pasta.Replay.m_backends 0 in
+  let entry, _, report = List.nth o.Pasta.Replay.backends 0 in
   Alcotest.(check string)
     "intact backend is the sanitizer" "compute-sanitizer"
     entry.Pasta.Ptrace.b_label;
@@ -1282,7 +1286,78 @@ let test_mixed_batch_runs () =
         (label ^ ": replayed report byte-identical to live")
         live_rep
         (Format.asprintf "%t" report))
-    live o.Pasta.Replay.m_backends
+    live o.Pasta.Replay.backends
+
+(* The count rule: a one-element backend list is the solo session.  A
+   CS-CPU tool with a capture on a fresh A100, run once through
+   [Session.attach] and once through [attach_multi] with one Sanitizer
+   backend, prints the same report, writes the same .ptrace bytes and
+   keeps the same counter series; [Replay.run] and [run_multi] replay
+   that trace to the same report.  The workload launches raw kernels: a
+   framework operator's sequence number is process-global, so two runs
+   through the framework would not write equal traces. *)
+let test_one_backend_is_solo () =
+  let cs_tool () = Pasta_tools.Memory_charact.(tool (create ~variant:Cpu_sanitizer ())) in
+  let workload device =
+    let buf = Gpusim.Device.malloc device (1 lsl 20) in
+    for i = 0 to 2 do
+      ignore
+        (Gpusim.Device.launch device
+           (Gpusim.Kernel.make ~name:(Printf.sprintf "one_backend_%d" i)
+              ~grid:(Gpusim.Dim3.make 16) ~block:(Gpusim.Dim3.make 128)
+              ~regions:
+                [
+                  Gpusim.Kernel.region ~base:buf.Gpusim.Device_mem.base
+                    ~bytes:(1 lsl (16 + i)) ~accesses:(2_000 * (i + 1)) ();
+                ]
+              ()))
+    done
+  in
+  (* [profile path device] attaches, runs the workload and detaches; returns
+     the report and the metric registry. *)
+  let record profile =
+    let path = temp_trace () in
+    let report, metrics = profile path (Gpusim.Device.create Gpusim.Arch.a100) in
+    let trace = read_all path in
+    Sys.remove path;
+    (report, trace, Pasta_util.Metric.counter_samples metrics)
+  in
+  let solo_report, solo_trace, solo_counters =
+    record (fun path device ->
+        let s = Pasta.Session.attach ~capture:path ~tool:(cs_tool ()) device in
+        workload device;
+        let r = Pasta.Session.detach s in
+        (Format.asprintf "%t" r.Pasta.Session.report, r.Pasta.Session.metrics))
+  in
+  let listed_report, listed_trace, listed_counters =
+    record (fun path device ->
+        let s =
+          Pasta.Session.attach_multi ~capture:path
+            ~tool:(fun _ _ -> cs_tool ())
+            [ (Pasta.Backend.Sanitizer, device) ]
+        in
+        workload device;
+        let mr = Pasta.Session.detach_multi s in
+        ( Format.asprintf "%t" mr.Pasta.Session.mr_report,
+          (snd (List.hd mr.Pasta.Session.mr_backends)).Pasta.Session.metrics ))
+  in
+  check_bool "the run analyzed records" true
+    (Astring_contains.contains solo_report "3 kernels");
+  Alcotest.(check string) "same report" solo_report listed_report;
+  check_bool "same .ptrace bytes" true (String.equal solo_trace listed_trace);
+  check_bool "same counter series" true (solo_counters = listed_counters);
+  let path = temp_trace () in
+  write_all path solo_trace;
+  let solo = Pasta.Replay.run ~mode:Pasta.Ptrace.Strict ~tool:(cs_tool ()) path in
+  let listed =
+    Pasta.Replay.run_multi ~mode:Pasta.Ptrace.Strict ~tool:(fun _ -> cs_tool ()) path
+  in
+  Sys.remove path;
+  Alcotest.(check string) "replay reproduces the live report" solo_report
+    (Format.asprintf "%t" solo.Pasta.Replay.report);
+  Alcotest.(check string) "both replays print the same report"
+    (Format.asprintf "%t" solo.Pasta.Replay.report)
+    (Format.asprintf "%t" listed.Pasta.Replay.report)
 
 (* Adjacent batch ops of one kernel id on two backends are two runs:
    replay must hand each run to its own processor, every record stamped
@@ -1322,7 +1397,7 @@ let test_replay_runs_split_by_backend () =
       path
   in
   Sys.remove path;
-  check_int "every op replayed" 5 o.Pasta.Replay.m_ops_replayed;
+  check_int "every op replayed" 5 o.Pasta.Replay.ops_replayed;
   let stamps l = List.rev_map int_of_float l in
   Alcotest.(check (list int)) "backend 0 records and stamps" [ 0; 0; 0; 2; 2; 2 ] (stamps seen.(0));
   Alcotest.(check (list int))
@@ -1370,6 +1445,8 @@ let suite =
     qtest prop_mutated_capture;
     Alcotest.test_case "chunks bounded by decoded batch bytes" `Quick
       test_chunk_decoded_bound;
+    Alcotest.test_case "one backend is the solo session" `Quick
+      test_one_backend_is_solo;
     Alcotest.test_case "mixed-backend live vs replay: byte-identical" `Quick
       test_mixed_live_vs_replay;
     Alcotest.test_case "mixed-backend corruption isolated to one backend"

@@ -50,6 +50,40 @@ let test_callbacks_observers () =
     { Callbacks.op_name = "aten::x"; phase = `End; device_id = 0; seq = 1 };
   check_int "cleared" 1 !ops
 
+(* Serve executor threads attach and detach sessions at once, and every
+   attach adds framework observers that its detach removes.  An update
+   lost between two threads would leave a finished job's observer on the
+   bus, where it matches later jobs.  Four threads add, check and remove
+   their own observers, with bystanders registered to lengthen each
+   update; afterwards no thread's observer may remain. *)
+let test_callbacks_concurrent_registration () =
+  Callbacks.clear_observers ();
+  for i = 1 to 2000 do
+    Callbacks.add_op_observer (Printf.sprintf "bystander-%d" i) ignore
+  done;
+  let fired = Atomic.make 0 and missing = Atomic.make 0 in
+  let op = { Callbacks.op_name = "aten::x"; phase = `Begin; device_id = 0; seq = 1 } in
+  let worker t =
+    for i = 1 to 3000 do
+      let name = Printf.sprintf "stress-%d-%d" t i in
+      let mine = ref false in
+      Callbacks.add_op_observer name (fun _ ->
+          mine := true;
+          Atomic.incr fired);
+      if i mod 100 = 0 then begin
+        Callbacks.record_function op;
+        if not !mine then Atomic.incr missing
+      end;
+      Callbacks.remove_op_observer name
+    done
+  in
+  List.iter Thread.join (List.init 4 (Thread.create worker));
+  Atomic.set fired 0;
+  Callbacks.record_function op;
+  Callbacks.clear_observers ();
+  check_int "every added observer was registered" 0 (Atomic.get missing);
+  check_int "no removed observer is left on the bus" 0 (Atomic.get fired)
+
 let test_callbacks_seq () =
   let a = Callbacks.next_op_seq () in
   let b = Callbacks.next_op_seq () in
@@ -444,6 +478,7 @@ let suite =
     ("dtype sizes", `Quick, test_dtype_sizes);
     ("shape", `Quick, test_shape);
     ("callbacks observers", `Quick, test_callbacks_observers);
+    ("callbacks concurrent registration", `Quick, test_callbacks_concurrent_registration);
     ("callbacks seq", `Quick, test_callbacks_seq);
     ("allocator rounding", `Quick, test_alloc_rounding);
     ("allocator small pool segment", `Quick, test_alloc_small_pool_segment);

@@ -193,8 +193,8 @@ let test_registry () =
     (let names = Pasta.Registry.names () in
      List.mem "test_tool_a" names && names = List.sort compare names);
   Pasta.Config.set "PASTA_TOOL" "test_tool_b";
-  (match Pasta.Registry.resolve_from_config () with
-  | Some t -> check_string "resolved from config" "test_tool_b" t.Pasta.Tool.name
+  (match Option.bind (Pasta.Config.tool_name ()) Pasta.Registry.find with
+  | Some mk -> check_string "resolved from config" "test_tool_b" (mk ()).Pasta.Tool.name
   | None -> Alcotest.fail "expected tool");
   Pasta.Config.clear_overrides ()
 

@@ -578,7 +578,7 @@ let parallel_run ?capture ~model ~cap mk =
    accounting. *)
 let replay_run path mk =
   let o = Pasta.Replay.run ~mode:Pasta.Ptrace.Strict ~tool:(mk ()) path in
-  let p = o.Pasta.Replay.processor in
+  let _, p, _ = List.hd o.Pasta.Replay.backends in
   let reg = Pasta.Processor.metrics p and labels = Pasta.Processor.metric_labels p in
   let counter name = Option.get (Pasta_util.Metric.find_counter reg ~labels name) in
   let peak = Option.get (Pasta_util.Metric.find_gauge reg ~labels "pasta_records_buffered_peak") in

@@ -509,7 +509,8 @@ let test_cs_cpu_handoff_per_kernel () =
         List.fold_left
           (fun acc (n, _, v) -> if n = "pasta_batches_delivered" then acc + v else acc)
           0
-          (Pasta_util.Metric.counter_samples (Pasta.Processor.metrics o.Pasta.Replay.processor))
+          (let _, p, _ = List.hd o.Pasta.Replay.backends in
+           Pasta_util.Metric.counter_samples (Pasta.Processor.metrics p))
       in
       check_int "replay delivered every batch" batches replayed;
       check_run "replayed" ~kernels ~batches ~handler_views:0 (spans ()))
@@ -927,7 +928,8 @@ let test_replay_metric_counts domains () =
           path
       in
       Sys.remove path;
-      let replayed = snapshot (Pasta.Processor.metrics o.Pasta.Replay.processor) in
+      let _, p, _ = List.hd o.Pasta.Replay.backends in
+      let replayed = snapshot (Pasta.Processor.metrics p) in
       List.iter2
         (fun (name, lv) (_, rv) ->
           check_int (Printf.sprintf "%s live = replay (%d domains)" name domains)
