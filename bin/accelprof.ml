@@ -461,6 +461,9 @@ let run_backends ~specs ~tool ~capture ~capture_meta ~mode ~iters ~range
         (Pasta.Trace_export.event_count tx))
     tracer;
   let results = mr.Pasta.Session.mr_backends in
+  (* The report renders now, inside the attribution window and on its
+     own row, so --overhead-report counts it; it prints last, as ever. *)
+  let report = Format.asprintf "%t" mr.Pasta.Session.mr_report in
   (* A single backend is unlabelled, and its lines carry no tag. *)
   let tag label = if label = "" then "" else Printf.sprintf "backend=%s " label in
   (* Attribution is snapshotted before the exporters run, so the report
@@ -540,7 +543,7 @@ let run_backends ~specs ~tool ~capture ~capture_meta ~mode ~iters ~range
           health_line b)
         backends;
       exports ());
-  mr.Pasta.Session.mr_report Format.std_formatter;
+  print_string report;
   (* The workload contexts outlive the session: their teardown is not
      part of the profiled run. *)
   List.iter Dlfw.Ctx.destroy ctxs;
@@ -646,15 +649,26 @@ let run_workload ?capture ?default_tool tool_name gpu mode iters sample_cap
                      device) ],
                   fun _ _ -> t )
           in
-          let range = Pasta.Range.create ?start_grid ?end_grid () in
-          let iters =
-            match iters with
-            | Some n -> n
-            | None -> Dlfw.Runner.default_iters ~abbr ~mode
-          in
-          run_backends ~specs ~tool ~capture ~capture_meta ~mode ~iters ~range
-            ~sample_cap ~sample_rate ~overhead_budget ~trace ~verbose ~health
-            ~inject_faults ~trace_out ~metrics_out ~overhead abbr)
+          (* A backend that refuses its device or the tool's analysis
+             model is a usage error, reported before anything is created,
+             attached or written. *)
+          match
+            List.find_map
+              (fun (kind, device) ->
+                Pasta.Backend.refusal kind device (tool kind device).Pasta.Tool.fine_grained)
+              specs
+          with
+          | Some msg -> `Error (false, msg)
+          | None ->
+              let range = Pasta.Range.create ?start_grid ?end_grid () in
+              let iters =
+                match iters with
+                | Some n -> n
+                | None -> Dlfw.Runner.default_iters ~abbr ~mode
+              in
+              run_backends ~specs ~tool ~capture ~capture_meta ~mode ~iters ~range
+                ~sample_cap ~sample_rate ~overhead_budget ~trace ~verbose ~health
+                ~inject_faults ~trace_out ~metrics_out ~overhead abbr)
 
 let run_profile tool_name gpu mode iters sample_cap sample_rate overhead_budget
     domains devices fleet_fanout strict_fleet start_grid end_grid regions

@@ -32,13 +32,41 @@ type session =
   | S_xprof of Vendor.Xprof.t
   | S_opencl of Vendor.Opencl.t
 
-type t = { device : D.t; session : session; processor : Processor.t }
+type t = { kind : kind; device : D.t; session : session; processor : Processor.t }
 
-let require_nvidia device name =
-  match (D.arch device).Gpusim.Arch.vendor with
-  | Gpusim.Arch.Nvidia -> ()
-  | Gpusim.Arch.Amd | Gpusim.Arch.Google ->
-      invalid_arg (name ^ ": requires an NVIDIA device")
+(* The one check behind [attach] and [enable_fine_grained]: first the
+   device the backend loads against, then the instrumentation the analysis
+   model needs. *)
+let refusal kind device mode =
+  let nvidia name =
+    match (D.arch device).Gpusim.Arch.vendor with
+    | Gpusim.Arch.Nvidia -> None
+    | Gpusim.Arch.Amd | Gpusim.Arch.Google -> Some (name ^ ": requires an NVIDIA device")
+  in
+  let on_device =
+    match kind with
+    | Sanitizer -> nvidia "Backend.attach(Sanitizer)"
+    | Nvbit -> nvidia "Backend.attach(Nvbit)"
+    | Rocprofiler -> Vendor.Rocprofiler.attach_refusal device
+    | Xprof -> Vendor.Xprof.attach_refusal device
+    | Opencl -> Vendor.Opencl.attach_refusal device
+  in
+  match on_device with
+  | Some _ -> on_device
+  | None -> (
+      match (mode, kind) with
+      | Tool.No_fine_grained, _
+      | Tool.Gpu_accelerated, (Sanitizer | Rocprofiler | Opencl)
+      | (Tool.Gpu_parallel | Tool.Cpu_sanitizer | Tool.Instruction_level), Sanitizer
+      | Tool.Cpu_nvbit, Nvbit ->
+          None
+      | Tool.Gpu_accelerated, Nvbit -> Some "Backend: NVBit supports only CPU-side trace analysis"
+      | _, Xprof -> Some "Backend: TPUs expose no fine-grained instrumentation"
+      | Tool.Gpu_parallel, _ -> Some "Backend: parallel device analysis needs the Sanitizer backend"
+      | Tool.Cpu_sanitizer, _ -> Some "Backend: CPU-sanitizer analysis needs the Sanitizer backend"
+      | Tool.Cpu_nvbit, _ -> Some "Backend: CPU-NVBit analysis needs the NVBit backend"
+      | Tool.Instruction_level, _ ->
+          Some "Backend: instruction-level analysis needs the Sanitizer backend")
 
 (* The event-handler layer: adapt one vendor callback into normalized
    submissions.  The enclosing Handler span (begun at the vendor callback
@@ -49,9 +77,9 @@ let pump t payloads =
   Processor.submit_all t.processor ~time_us:(D.now_us t.device) payloads
 
 let attach kind device ~processor =
+  Option.iter invalid_arg (refusal kind device Tool.No_fine_grained);
   match kind with
   | Sanitizer ->
-      require_nvidia device "Backend.attach(Sanitizer)";
       let s = Vendor.Sanitizer.attach device in
       List.iter
         (Vendor.Sanitizer.enable_domain s)
@@ -63,16 +91,15 @@ let attach kind device ~processor =
           Vendor.Sanitizer.Memory;
           Vendor.Sanitizer.Synchronize;
         ];
-      let t = { device; session = S_sanitizer s; processor } in
+      let t = { kind; device; session = S_sanitizer s; processor } in
       Vendor.Sanitizer.set_callback s (fun cb ->
           Telemetry.begin_span Telemetry.Handler "handler.sanitizer";
           pump t (Normalize.of_sanitizer cb);
           Telemetry.end_span Telemetry.Handler);
       t
   | Nvbit ->
-      require_nvidia device "Backend.attach(Nvbit)";
       let s = Vendor.Nvbit.attach device in
-      let t = { device; session = S_nvbit s; processor } in
+      let t = { kind; device; session = S_nvbit s; processor } in
       Vendor.Nvbit.at_cuda_event s (fun ev ->
           Telemetry.begin_span Telemetry.Handler "handler.nvbit";
           pump t (Normalize.of_nvbit ev);
@@ -80,7 +107,7 @@ let attach kind device ~processor =
       t
   | Rocprofiler ->
       let s = Vendor.Rocprofiler.attach device in
-      let t = { device; session = S_rocprofiler s; processor } in
+      let t = { kind; device; session = S_rocprofiler s; processor } in
       Vendor.Rocprofiler.configure_callback s (fun r ->
           Telemetry.begin_span Telemetry.Handler "handler.rocprofiler";
           pump t (Normalize.of_rocprofiler r);
@@ -88,7 +115,7 @@ let attach kind device ~processor =
       t
   | Xprof ->
       let s = Vendor.Xprof.attach device in
-      let t = { device; session = S_xprof s; processor } in
+      let t = { kind; device; session = S_xprof s; processor } in
       Vendor.Xprof.configure_callback s (fun r ->
           Telemetry.begin_span Telemetry.Handler "handler.xprof";
           pump t (Normalize.of_xprof r);
@@ -96,7 +123,7 @@ let attach kind device ~processor =
       t
   | Opencl ->
       let s = Vendor.Opencl.attach device in
-      let t = { device; session = S_opencl s; processor } in
+      let t = { kind; device; session = S_opencl s; processor } in
       Vendor.Opencl.configure_callback s (fun r ->
           Telemetry.begin_span Telemetry.Handler "handler.opencl";
           pump t (Normalize.of_opencl r);
@@ -155,6 +182,7 @@ let parallel_completion_feeder t (info : D.launch_info) (_ : D.exec_stats) =
   Telemetry.end_span Telemetry.Handler
 
 let enable_fine_grained t mode =
+  Option.iter invalid_arg (refusal t.kind t.device mode);
   let map_bytes () = Objmap.map_bytes (Processor.objmap t.processor) in
   match (mode, t.session) with
   | Tool.No_fine_grained, _ -> ()
@@ -172,12 +200,6 @@ let enable_fine_grained t mode =
   | Tool.Gpu_accelerated, S_opencl s ->
       Vendor.Opencl.patch_kernels s ~map_bytes ~device_fn:(region_feeder t)
         ~on_kernel_complete:(completion_feeder t)
-  | Tool.Gpu_accelerated, S_nvbit _ ->
-      invalid_arg "Backend: NVBit supports only CPU-side trace analysis"
-  | ( ( Tool.Gpu_accelerated | Tool.Gpu_parallel | Tool.Cpu_sanitizer | Tool.Cpu_nvbit
-      | Tool.Instruction_level ),
-      S_xprof _ ) ->
-      invalid_arg "Backend: TPUs expose no fine-grained instrumentation"
   | Tool.Gpu_parallel, S_sanitizer s ->
       Vendor.Sanitizer.patch_module s
         (Vendor.Sanitizer.Parallel_analysis
@@ -186,8 +208,6 @@ let enable_fine_grained t mode =
              on_views = views_feeder t;
              on_kernel_complete = parallel_completion_feeder t;
            })
-  | Tool.Gpu_parallel, _ ->
-      invalid_arg "Backend: parallel device analysis needs the Sanitizer backend"
   | Tool.Cpu_sanitizer, S_sanitizer s ->
       Vendor.Sanitizer.patch_module s
         (Vendor.Sanitizer.Host_analysis
@@ -227,8 +247,4 @@ let enable_fine_grained t mode =
                         { kernel = Event.kernel_info_of_launch info; count });
                    Telemetry.end_span Telemetry.Handler);
            })
-  | Tool.Cpu_sanitizer, _ ->
-      invalid_arg "Backend: CPU-sanitizer analysis needs the Sanitizer backend"
-  | Tool.Cpu_nvbit, _ -> invalid_arg "Backend: CPU-NVBit analysis needs the NVBit backend"
-  | Tool.Instruction_level, _ ->
-      invalid_arg "Backend: instruction-level analysis needs the Sanitizer backend"
+  | _ -> assert false (* [refusal] refused every other pair above *)

@@ -22,10 +22,18 @@ val default_kind_for : ?fine_grained:Tool.fine_grained -> Gpusim.Device.t -> kin
 
 type t
 
+val refusal : kind -> Gpusim.Device.t -> Tool.fine_grained -> string option
+(** Why a backend of [kind] on [device] cannot serve a tool of the given
+    analysis model, or [None] when it can: a vendor mismatch (e.g.
+    [Rocprofiler] on an NVIDIA device), then an unsupported
+    backend/model combination (e.g. [Gpu_parallel] off Sanitizer).  Pure:
+    nothing is attached.  {!attach} and {!enable_fine_grained} raise
+    exactly these messages. *)
+
 val attach : kind -> Gpusim.Device.t -> processor:Processor.t -> t
 (** Subscribe to every coarse event domain and forward normalized events
     with device timestamps.  Raises [Invalid_argument] on a vendor
-    mismatch (e.g. [Rocprofiler] on an NVIDIA device). *)
+    mismatch ({!refusal} with [No_fine_grained]). *)
 
 val detach : t -> unit
 val phases : t -> Vendor.Phases.t
@@ -44,4 +52,5 @@ val enable_fine_grained : t -> Tool.fine_grained -> unit
       {!Processor.flush_parallel_summary};
     - [No_fine_grained]: nothing.
 
-    Raises [Invalid_argument] on unsupported backend/model combinations. *)
+    Raises [Invalid_argument] with {!refusal}'s message on unsupported
+    backend/model combinations. *)

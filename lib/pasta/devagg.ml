@@ -22,28 +22,46 @@ type summary = {
   est_rate : float;
 }
 
-(* Weighted tallies shared by every merge flavour.  Sums are
+(* Weighted tallies shared by every merge flavour, in mutable cells:
+   tallies bump in place instead of re-inserting a fresh (value,
+   bucket-cons) pair per run flush — access streams that alternate
+   between two objects flush on every record, and a [find_opt]+[replace]
+   round-trip there allocates ~8 words/record.  Sums are
    order-insensitive, and [finish] emits every list sorted by key, so a
    summary never depends on hash iteration order or on how the records
    were grouped into accumulators or devices. *)
-let bump tbl k w = Hashtbl.replace tbl k (w + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+type ocell = { oc_obj : Objmap.obj; mutable oc_w : int }
+type bcell = { mutable bc_w : int }
 
+let bcell tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some c -> c
+  | None ->
+      let c = { bc_w = 0 } in
+      Hashtbl.add tbl key c;
+      c
+
+let bump tbl key w =
+  let c = bcell tbl key in
+  c.bc_w <- c.bc_w + w
+
+(* A key keeps the object it was first bumped with. *)
 let bump_obj tbl key obj w =
   match Hashtbl.find_opt tbl key with
-  | Some (o, acc) -> Hashtbl.replace tbl key (o, acc + w)
-  | None -> Hashtbl.add tbl key (obj, w)
+  | Some c -> c.oc_w <- c.oc_w + w
+  | None -> Hashtbl.add tbl key { oc_obj = obj; oc_w = w }
 
 let sorted_pairs tbl =
   List.sort
     (fun ((a, _) : int * int) (b, _) -> compare a b)
-    (Hashtbl.fold (fun k w acc -> (k, w) :: acc) tbl [])
+    (Hashtbl.fold (fun k c acc -> (k, c.bc_w) :: acc) tbl [])
 
 let finish ~est_rate ~objects ~blocks ~regions ~records ~weight ~writes =
   {
     objects =
       List.sort
         (fun (a, _) (b, _) -> compare (Objmap.obj_key a) (Objmap.obj_key b))
-        (Hashtbl.fold (fun _ ow acc -> ow :: acc) objects []);
+        (Hashtbl.fold (fun _ c acc -> (c.oc_obj, c.oc_w) :: acc) objects []);
     blocks = sorted_pairs blocks;
     regions = sorted_pairs regions;
     sampled_records = records;
@@ -64,21 +82,6 @@ let finish ~est_rate ~objects ~blocks ~regions ~records ~weight ~writes =
    of which worker reduced which chunk, and [finish] sorts before
    producing output, so the summary is byte-identical at any domain
    count. *)
-
-(* Mutable table cells: tallies bump in place instead of re-inserting a
-   fresh (value, bucket-cons) pair per run flush — access streams that
-   alternate between two objects flush on every record, and a
-   [find_opt]+[replace] round-trip there allocates ~8 words/record. *)
-type ocell = { oc_obj : Objmap.obj; mutable oc_w : int }
-type bcell = { mutable bc_w : int }
-
-let bcell tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some c -> c
-  | None ->
-      let c = { bc_w = 0 } in
-      Hashtbl.add tbl key c;
-      c
 
 let no_obj = Objmap.Unknown 0
 
@@ -287,28 +290,28 @@ let accum_add acc view (b : W.batch) =
   flush_blk acc;
   (* The batch header carries the chunk's region index, so the per-region
      weighted tally costs one hashtable bump per batch, not per record. *)
-  if weight > 0 then begin
-    let c = bcell acc.a_regions b.W.b_region in
-    c.bc_w <- c.bc_w + weight
-  end;
+  if weight > 0 then bump acc.a_regions b.W.b_region weight;
   acc.a_records <- acc.a_records + b.W.b_len;
   acc.a_weight <- acc.a_weight + weight
 
+(* Fold accumulators 1..n-1 into accumulator 0's tables, in order, and
+   reset them; then emit accumulator 0.  A key keeps the object of the
+   first accumulator that holds it.  Merging the same array again finds
+   everything in accumulator 0 and emits the same summary. *)
 let merge_accums ?(est_rate = 1.0) accums =
-  let objects = Hashtbl.create 32 and blocks = Hashtbl.create 64 in
-  let regions = Hashtbl.create 8 in
-  let records = ref 0 and weight = ref 0 and writes = ref 0 in
-  Array.iter
-    (fun a ->
-      Hashtbl.iter (fun key (c : ocell) -> bump_obj objects key c.oc_obj c.oc_w) a.a_objects;
-      Hashtbl.iter (fun blk (c : bcell) -> bump blocks blk c.bc_w) a.a_blocks;
-      Hashtbl.iter (fun r (c : bcell) -> bump regions r c.bc_w) a.a_regions;
-      records := !records + a.a_records;
-      weight := !weight + a.a_weight;
-      writes := !writes + a.a_writes)
-    accums;
-  finish ~est_rate ~objects ~blocks ~regions ~records:!records ~weight:!weight
-    ~writes:!writes
+  let a0 = accums.(0) in
+  for i = 1 to Array.length accums - 1 do
+    let a = accums.(i) in
+    Hashtbl.iter (fun key c -> bump_obj a0.a_objects key c.oc_obj c.oc_w) a.a_objects;
+    Hashtbl.iter (fun blk c -> bump a0.a_blocks blk c.bc_w) a.a_blocks;
+    Hashtbl.iter (fun r c -> bump a0.a_regions r c.bc_w) a.a_regions;
+    a0.a_records <- a0.a_records + a.a_records;
+    a0.a_weight <- a0.a_weight + a.a_weight;
+    a0.a_writes <- a0.a_writes + a.a_writes;
+    accum_reset a
+  done;
+  finish ~est_rate ~objects:a0.a_objects ~blocks:a0.a_blocks ~regions:a0.a_regions
+    ~records:a0.a_records ~weight:a0.a_weight ~writes:a0.a_writes
 
 (* Summary-level merge, for hierarchical (fleet) reduction: combine
    already-merged per-device summaries into one.  All counts are sums and

@@ -55,11 +55,17 @@ val accum_add : accum -> Objmap.view -> Gpusim.Warp.batch -> unit
     columns.  Nothing is allocated per record or per run. *)
 
 val merge_accums : ?est_rate:float -> accum array -> summary
-(** Merge per-worker accumulators once per kernel: sums the tally tables
-    and emits each list sorted by key, so the result is the same at any
-    domain count — sums do not depend on which worker reduced which
-    chunk.  [est_rate] (default 1.0) stamps the sampling rate the batches
-    were thinned at, so consumers can annotate estimates. *)
+(** Merge per-worker accumulators once per kernel, in place: accumulators
+    1..n-1 are folded, in order, into accumulator 0's tables and then
+    reset ({!accum_reset}), and the summary is emitted from accumulator
+    0, each list sorted by key.  No table is created.  The result is the
+    same at any domain count — sums do not depend on which worker reduced
+    which chunk — and a key shared by several accumulators keeps the
+    object of the first one that holds it.  Merging the same array again
+    gives the same summary, since accumulator 0 then holds everything.
+    [est_rate] (default 1.0) stamps the sampling rate the batches were
+    thinned at, so consumers can annotate estimates.  Raises
+    [Invalid_argument] on an empty array. *)
 
 val merge_summaries : ?est_rate:float -> summary list -> summary
 (** Combine already-merged summaries into one — the merge-node primitive

@@ -225,15 +225,19 @@ let framed t body =
 
 let call t cb f = framed t (fun () -> call_in_frame t cb (fun tool f () -> f tool) f ())
 
+(* The report is counted as one of the tool's calls, but its wall time
+   goes to its own layer, not to the tool's frame: the report row shows
+   what rendering the tool's output cost. *)
 let guarded_report t ppf =
-  framed t (fun () ->
-      Telemetry.count_call t.slot;
-      match t.the_tool.Tool.report ppf with
-      | () -> ()
-      | exception e ->
-          failed t Report ~probe:false;
-          Format.fprintf ppf "tool %s: report failed (%s)@."
-            t.the_tool.Tool.name (Printexc.to_string e))
+  Telemetry.begin_span Telemetry.Report "tool.report";
+  Fun.protect ~finally:(fun () -> Telemetry.end_span Telemetry.Report) @@ fun () ->
+  Telemetry.count_call t.slot;
+  match t.the_tool.Tool.report ppf with
+  | () -> ()
+  | exception e ->
+      failed t Report ~probe:false;
+      Format.fprintf ppf "tool %s: report failed (%s)@." t.the_tool.Tool.name
+        (Printexc.to_string e)
 
 let total_failures t = locked t (fun () -> t.total)
 

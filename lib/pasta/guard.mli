@@ -86,7 +86,10 @@ val call_in_frame : t -> callback -> (Tool.t -> 'a -> 'b -> unit) -> 'a -> 'b ->
 
 val guarded_report : t -> Format.formatter -> unit
 (** The tool's report, exception-safe; always attempted (quarantine only
-    silences the event-path callbacks, not end-of-run reporting). *)
+    silences the event-path callbacks, not end-of-run reporting).  It
+    runs in a {!Telemetry.Report} span, so its wall time lands on the
+    attribution's ["report (tool output)"] row rather than the tool's;
+    the call still counts toward the tool's row. *)
 
 (** {2 Accounting} *)
 

@@ -256,17 +256,22 @@ let attach_multi ?range ?sample_cap ?sample_rate ?overhead_budget ?faults
     invalid_arg
       "Session.attach_multi: backends must use distinct device ids (create \
        devices with Gpusim.Device.create ~id:...)";
-  (* Enumerated knobs raise on a bad value: read them before anything is
-     attached, so a refusal leaves every device untouched. *)
+  (* Enumerated knobs raise on a bad value, and a backend may refuse its
+     device or its tool's analysis model: settle both before anything is
+     created or attached, so a refusal leaves every device untouched. *)
   let regions = Config.regions () in
+  let tools = List.map (fun (kind, device) -> tool kind device) specs in
+  List.iter2
+    (fun (kind, device) tool ->
+      Option.iter invalid_arg (Backend.refusal kind device tool.Tool.fine_grained))
+    specs tools;
   let members =
     List.map2
-      (fun (kind, device) label ->
-        let tool = tool kind device in
+      (fun ((kind, device), tool) label ->
         let proc = Processor.create ?range ?label ~device:(Gpusim.Device.id device) () in
         Processor.set_tool proc tool;
         (kind, device, proc, tool))
-      specs (labels specs)
+      (List.combine specs tools) (labels specs)
   in
   let procs = List.map (fun (_, _, proc, _) -> proc) members in
   (* Trace capture: an explicit path wins; otherwise the ACCEL_PROF_TRACE

@@ -127,7 +127,8 @@ val attach_multi :
     framework hook bus filters on the id, metric series carry it, and the
     unified trace uses it as the track-group pid.  Raises
     [Invalid_argument] on an empty list, duplicate device ids, or a
-    vendor mismatch. *)
+    backend that refuses its device or its tool ({!Backend.refusal}), in
+    each case before any processor, capture or backend exists. *)
 
 val detach_multi : t -> multi_result
 

@@ -58,6 +58,7 @@ type cat =
   | Replay_io   (* trace decode + re-drive loop *)
   | Export      (* telemetry's own exporters *)
   | Fleet       (* fleet orchestration: device attempts, merge nodes *)
+  | Report      (* rendering a tool's end-of-run report *)
 
 let cat_index = function
   | Simulate -> 0
@@ -69,8 +70,9 @@ let cat_index = function
   | Replay_io -> 6
   | Export -> 7
   | Fleet -> 8
+  | Report -> 9
 
-let cat_count = 9
+let cat_count = 10
 
 let cat_label_of_index = function
   | 0 -> "simulate"
@@ -82,6 +84,7 @@ let cat_label_of_index = function
   | 6 -> "replay"
   | 7 -> "export"
   | 8 -> "fleet"
+  | 9 -> "report"
   | _ -> "unknown"
 
 let cat_describe_of_index = function
@@ -94,6 +97,7 @@ let cat_describe_of_index = function
   | 6 -> "replay I/O"
   | 7 -> "telemetry export"
   | 8 -> "fleet orchestration"
+  | 9 -> "report (tool output)"
   | _ -> "unknown"
 
 (* --- Registry and tool slots ------------------------------------------ *)

@@ -47,6 +47,7 @@ type cat =
   | Replay_io
   | Export
   | Fleet
+  | Report  (** a tool's end-of-run report ({!Guard.guarded_report}) *)
 
 val begin_span : cat -> string -> unit
 (** [begin_span cat name]: push a span.  [name] only matters in [Full] mode

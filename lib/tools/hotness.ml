@@ -7,11 +7,16 @@ let classification_to_string = function
   | Bursty -> "bursty"
   | Cold -> "cold"
 
+(* Samples (time_us, absolute block, accesses) in arrival order, as three
+   flat columns: appending one allocates nothing beyond the columns'
+   amortized growth.  The time range is read off the samples when a
+   matrix is built. *)
 type t = {
   time_buckets : int;
-  mutable samples : (float * int * float) list; (* (time_us, absolute block, accesses) *)
-  mutable t_min : float;
-  mutable t_max : float;
+  mutable times : float array;
+  mutable blocks : int array;
+  mutable counts : float array;
+  mutable n : int;
   mutable est_rate_min : float;  (* lowest sampling rate behind any summary *)
   mutable est_records : int;  (* kept records behind estimated summaries *)
 }
@@ -20,92 +25,109 @@ let create ?(time_buckets = 48) () =
   if time_buckets <= 0 then invalid_arg "Hotness.create: time_buckets must be positive";
   {
     time_buckets;
-    samples = [];
-    t_min = infinity;
-    t_max = neg_infinity;
+    times = [||];
+    blocks = [||];
+    counts = [||];
+    n = 0;
     est_rate_min = 1.0;
     est_records = 0;
   }
 
+let grow t =
+  let cap = Int.max 64 (2 * t.n) in
+  let extend a zero =
+    let a' = Array.make cap zero in
+    Array.blit a 0 a' 0 t.n;
+    a'
+  in
+  t.times <- extend t.times 0.0;
+  t.blocks <- extend t.blocks 0;
+  t.counts <- extend t.counts 0.0
+
+let[@inline] push t time blk count =
+  if t.n = Array.length t.blocks then grow t;
+  t.times.(t.n) <- time;
+  t.blocks.(t.n) <- blk;
+  t.counts.(t.n) <- count;
+  t.n <- t.n + 1
+
 let add_region t ~time ~base ~extent ~accesses =
   if extent > 0 && accesses > 0 then begin
     let b0 = base / block_bytes and b1 = (base + extent - 1) / block_bytes in
-    let nblocks = b1 - b0 + 1 in
-    let share = float_of_int accesses /. float_of_int nblocks in
+    let share = float_of_int accesses /. float_of_int (b1 - b0 + 1) in
     for b = b0 to b1 do
-      t.samples <- (time, b, share) :: t.samples
-    done;
-    t.t_min <- Float.min t.t_min time;
-    t.t_max <- Float.max t.t_max time
+      push t time b share
+    done
   end
 
-let rec tool t =
-  {
-    (Pasta.Tool.default ~fine_grained:Pasta.Tool.Gpu_accelerated "hotness") with
-    Pasta.Tool.on_event =
-      (fun ev ->
-        match ev.Pasta.Event.payload with
-        | Pasta.Event.Kernel_region { region; _ } ->
-            add_region t ~time:ev.Pasta.Event.time_us ~base:region.Pasta.Event.base
-              ~extent:region.Pasta.Event.extent ~accesses:region.Pasta.Event.accesses
-        | _ -> ());
-    report = (fun ppf -> report t ppf);
-  }
-
-and matrix t =
-  if t.samples = [] then [||]
+(* Each cell sums its samples newest first, the order they were once
+   kept in: float addition is not associative, and the coarse tool's
+   fractional shares show the order in the last bits. *)
+let matrix t =
+  if t.n = 0 then [||]
   else begin
-    let bmin = List.fold_left (fun acc (_, b, _) -> min acc b) max_int t.samples in
-    let bmax = List.fold_left (fun acc (_, b, _) -> max acc b) min_int t.samples in
-    let rows = bmax - bmin + 1 in
-    let span = Float.max 1.0 (t.t_max -. t.t_min) in
-    let m = Array.make_matrix rows t.time_buckets 0.0 in
-    List.iter
-      (fun (time, b, c) ->
-        let col =
-          min (t.time_buckets - 1)
-            (int_of_float ((time -. t.t_min) /. span *. float_of_int t.time_buckets))
-        in
-        m.(b - bmin).(col) <- m.(b - bmin).(col) +. c)
-      t.samples;
+    let t_min = ref infinity and t_max = ref neg_infinity in
+    let bmin = ref max_int and bmax = ref min_int in
+    for i = 0 to t.n - 1 do
+      t_min := Float.min !t_min t.times.(i);
+      t_max := Float.max !t_max t.times.(i);
+      bmin := Int.min !bmin t.blocks.(i);
+      bmax := Int.max !bmax t.blocks.(i)
+    done;
+    let span = Float.max 1.0 (!t_max -. !t_min) in
+    let m = Array.make_matrix (!bmax - !bmin + 1) t.time_buckets 0.0 in
+    for i = t.n - 1 downto 0 do
+      let col =
+        Int.min (t.time_buckets - 1)
+          (int_of_float ((t.times.(i) -. !t_min) /. span *. float_of_int t.time_buckets))
+      in
+      let row = m.(t.blocks.(i) - !bmin) in
+      row.(col) <- row.(col) +. t.counts.(i)
+    done;
     m
   end
 
-and block_count t = Array.length (matrix t)
+let block_count t = Array.length (matrix t)
 
-and classify t =
-  let m = matrix t in
-  Array.to_list
-    (Array.mapi
-       (fun i row ->
-         let total = Array.fold_left ( +. ) 0.0 row in
-         let active = Array.fold_left (fun acc v -> if v > 0.0 then acc + 1 else acc) 0 row in
-         let buckets = Array.length row in
-         let cls =
-           if total <= 0.0 then Cold
-           else if float_of_int active >= 0.6 *. float_of_int buckets then Persistent_hot
-           else begin
-             (* Share of accesses inside the top 20% of windows. *)
-             let sorted = Array.copy row in
-             Array.sort (fun a b -> compare b a) sorted;
-             let top_n = max 1 (buckets / 5) in
-             let top_sum = ref 0.0 in
-             for j = 0 to top_n - 1 do
-               top_sum := !top_sum +. sorted.(j)
-             done;
-             if !top_sum >= 0.9 *. total then Bursty else Cold
-           end
-         in
-         (i, cls))
-       m)
+(* A row's total sums its windows in row order.  The top-20% share adds
+   the row's largest [max 1 (buckets / 5)] windows in descending order,
+   selected one by one from [top], an unboxed working copy of the row. *)
+let classify_row (top : float array) (row : float array) =
+  let buckets = Array.length row in
+  let total = ref 0.0 and active = ref 0 in
+  for j = 0 to buckets - 1 do
+    total := !total +. row.(j);
+    if row.(j) > 0.0 then incr active
+  done;
+  if !total <= 0.0 then Cold
+  else if float_of_int !active >= 0.6 *. float_of_int buckets then Persistent_hot
+  else begin
+    Array.blit row 0 top 0 buckets;
+    let top_sum = ref 0.0 in
+    for j = 0 to Int.max 1 (buckets / 5) - 1 do
+      let best = ref j in
+      for k = j + 1 to buckets - 1 do
+        if top.(k) > top.(!best) then best := k
+      done;
+      let v = top.(!best) in
+      top.(!best) <- top.(j);
+      top.(j) <- v;
+      top_sum := !top_sum +. v
+    done;
+    if !top_sum >= 0.9 *. !total then Bursty else Cold
+  end
 
-and prefetch_candidates t =
-  List.filter_map (fun (i, c) -> if c = Persistent_hot then Some i else None) (classify t)
+let classes t m = Array.map (classify_row (Array.make t.time_buckets 0.0)) m
+let classify t = Array.to_list (Array.mapi (fun i c -> (i, c)) (classes t (matrix t)))
 
-and evict_candidates t =
-  List.filter_map (fun (i, c) -> if c = Bursty then Some i else None) (classify t)
+let rows_classed cls t =
+  List.filter_map (fun (i, c) -> if c = cls then Some i else None) (classify t)
 
-and report t ppf =
+let prefetch_candidates t = rows_classed Persistent_hot t
+let evict_candidates t = rows_classed Bursty t
+
+(* One matrix and one classification per report. *)
+let report t ppf =
   let m = matrix t in
   if Array.length m = 0 then Format.fprintf ppf "hotness: no accesses observed@."
   else begin
@@ -113,22 +135,24 @@ and report t ppf =
     Format.fprintf ppf "hotness: %d blocks of %a over %d time windows@." rows
       Pasta_util.Bytesize.pp block_bytes t.time_buckets;
     (* Downsample rows for display. *)
-    let display_rows = min rows 48 in
+    let display_rows = Int.min rows 48 in
     let group = (rows + display_rows - 1) / display_rows in
     let display = Array.make_matrix display_rows t.time_buckets 0.0 in
-    Array.iteri
-      (fun i row ->
-        let d = min (display_rows - 1) (i / group) in
-        Array.iteri (fun j v -> display.(d).(j) <- display.(d).(j) +. v) row)
-      m;
+    for i = 0 to rows - 1 do
+      let d = display.(Int.min (display_rows - 1) (i / group)) and row = m.(i) in
+      for j = 0 to t.time_buckets - 1 do
+        d.(j) <- d.(j) +. row.(j)
+      done
+    done;
     Pasta_util.Heatmap.render ppf
       ~row_label:(fun i -> Printf.sprintf "blk %5d" (i * group))
       display;
-    let hot = prefetch_candidates t and burst = evict_candidates t in
+    let classes = classes t m in
+    let count cls = Array.fold_left (fun n c -> if c = cls then n + 1 else n) 0 classes in
     Format.fprintf ppf "persistent-hot blocks (prefetch/pin candidates): %d@."
-      (List.length hot);
+      (count Persistent_hot);
     Format.fprintf ppf "bursty blocks (proactive-eviction candidates): %d@."
-      (List.length burst);
+      (count Bursty);
     (* Exact (rate-1.0) runs print nothing extra, keeping their output
        byte-identical to the pre-sampling pipeline. *)
     if t.est_rate_min < 1.0 then
@@ -143,6 +167,19 @@ and report t ppf =
                 ((1.0 -. t.est_rate_min)
                 /. (float_of_int t.est_records *. t.est_rate_min)))
   end
+
+let tool t =
+  {
+    (Pasta.Tool.default ~fine_grained:Pasta.Tool.Gpu_accelerated "hotness") with
+    Pasta.Tool.on_event =
+      (fun ev ->
+        match ev.Pasta.Event.payload with
+        | Pasta.Event.Kernel_region { region; _ } ->
+            add_region t ~time:ev.Pasta.Event.time_us ~base:region.Pasta.Event.base
+              ~extent:region.Pasta.Event.extent ~accesses:region.Pasta.Event.accesses
+        | _ -> ());
+    report = (fun ppf -> report t ppf);
+  }
 
 (* Fine-grained variant: per-block counts come from the parallel
    device-side reduction instead of region summaries, so a block's heat
@@ -163,12 +200,7 @@ let tool_fine t =
                 t.est_records + summary.Pasta.Devagg.sampled_records
             end;
             List.iter
-              (fun (blk, count) ->
-                if count > 0 then begin
-                  t.samples <- (time, blk, float_of_int count) :: t.samples;
-                  t.t_min <- Float.min t.t_min time;
-                  t.t_max <- Float.max t.t_max time
-                end)
+              (fun (blk, count) -> if count > 0 then push t time blk (float_of_int count))
               summary.Pasta.Devagg.blocks
         | _ -> ());
     report = (fun ppf -> report t ppf);

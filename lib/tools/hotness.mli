@@ -23,7 +23,9 @@ val classification_to_string : classification -> string
 
 val matrix : t -> float array array
 (** [blocks x time_buckets] access-count matrix (row 0 is the lowest
-    block).  Empty when nothing was observed. *)
+    block).  Empty when nothing was observed.  Each cell sums its samples
+    newest first, so the coarse tool's fractional shares round the same
+    way on every build. *)
 
 val block_bytes : int
 val block_count : t -> int
@@ -31,7 +33,9 @@ val block_count : t -> int
 val classify : t -> (int * classification) list
 (** Per block-row classification: [Persistent_hot] when accessed in at
     least 60% of time windows, [Bursty] when at least 90% of its accesses
-    fall within 20% of windows, [Cold] otherwise. *)
+    fall within 20% of windows, [Cold] otherwise.  A row's total sums its
+    windows in row order; the top windows are the row's largest
+    [max 1 (time_buckets / 5)], summed in descending order. *)
 
 val prefetch_candidates : t -> int list
 (** Block rows worth pinning in device memory. *)
@@ -39,4 +43,5 @@ val prefetch_candidates : t -> int list
 val evict_candidates : t -> int list
 
 val report : t -> Format.formatter -> unit
-(** Heatmap plus the candidate lists. *)
+(** Heatmap plus the candidate counts, from one matrix and one
+    classification. *)

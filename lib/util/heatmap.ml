@@ -12,12 +12,10 @@ let render ppf ~row_label cells =
       0.0 cells
   in
   Array.iteri
-    (fun i row ->
-      Format.fprintf ppf "%s |" (row_label i);
-      Array.iter
-        (fun v ->
-          let norm = if hi <= 0.0 then 0.0 else v /. hi in
-          Format.pp_print_char ppf (intensity_char norm))
-        row;
-      Format.fprintf ppf "|@.")
+    (fun i (row : float array) ->
+      let line =
+        String.init (Array.length row) (fun j ->
+            intensity_char (if hi <= 0.0 then 0.0 else row.(j) /. hi))
+      in
+      Format.fprintf ppf "%s |%s|@." (row_label i) line)
     cells

@@ -372,6 +372,60 @@ let test_backend_invalid_combinations () =
     (Invalid_argument "Rocprofiler.attach: not an AMD device") (fun () ->
       ignore (Pasta.Backend.attach Pasta.Backend.Rocprofiler nv ~processor:proc))
 
+(* [Backend.refusal] is the one check: over every backend, device vendor
+   and analysis model, [attach] then [enable_fine_grained] raise exactly
+   the message it returns, and succeed when it returns [None]. *)
+let test_backend_refusal_is_the_check () =
+  List.iter
+    (fun arch ->
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun mode ->
+              let device = mk_device ~arch () in
+              let proc = Pasta.Processor.create ~device:0 () in
+              let outcome =
+                match Pasta.Backend.attach kind device ~processor:proc with
+                | exception Invalid_argument m -> Some m
+                | b ->
+                    let r =
+                      match Pasta.Backend.enable_fine_grained b mode with
+                      | () -> None
+                      | exception Invalid_argument m -> Some m
+                    in
+                    Pasta.Backend.detach b;
+                    r
+              in
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s on %s, %s" (Pasta.Backend.kind_to_string kind)
+                   arch.Gpusim.Arch.name (Pasta.Tool.fine_grained_to_string mode))
+                outcome
+                (Pasta.Backend.refusal kind device mode))
+            Pasta.Tool.
+              [
+                No_fine_grained; Gpu_accelerated; Gpu_parallel; Cpu_sanitizer; Cpu_nvbit;
+                Instruction_level;
+              ])
+        Pasta.Backend.[ Sanitizer; Nvbit; Rocprofiler; Xprof; Opencl ])
+    Gpusim.Arch.[ a100; mi300x; tpu_v4 ]
+
+(* A session whose second backend refuses the tool raises before it
+   creates anything: no trace file appears. *)
+let test_refused_session_touches_nothing () =
+  let path = Filename.temp_file "pasta_refused" ".ptrace" in
+  Sys.remove path;
+  let specs =
+    [
+      (Pasta.Backend.Sanitizer, Gpusim.Device.create ~id:0 Gpusim.Arch.a100);
+      (Pasta.Backend.Xprof, Gpusim.Device.create ~id:1 Gpusim.Arch.tpu_v4);
+    ]
+  in
+  let tool _ _ = Pasta.Tool.default ~fine_grained:Pasta.Tool.Gpu_accelerated "t" in
+  Alcotest.check_raises "refused"
+    (Invalid_argument "Backend: TPUs expose no fine-grained instrumentation") (fun () ->
+      ignore (Pasta.Session.attach_multi ~capture:path ~tool specs));
+  check_bool "no trace written" false (Sys.file_exists path)
+
 let test_dl_hooks_device_filter () =
   let d0 = Gpusim.Device.create ~id:0 Gpusim.Arch.a100 in
   let d1 = Gpusim.Device.create ~id:1 Gpusim.Arch.a100 in
@@ -409,5 +463,7 @@ let suite =
     ("session annotations", `Quick, test_session_annotations);
     ("session backend defaults", `Quick, test_session_backend_defaults);
     ("backend invalid combinations", `Quick, test_backend_invalid_combinations);
+    ("backend refusal is the one check", `Quick, test_backend_refusal_is_the_check);
+    ("refused session touches nothing", `Quick, test_refused_session_touches_nothing);
     ("dl hooks device filter", `Quick, test_dl_hooks_device_filter);
   ]

@@ -146,6 +146,22 @@ let test_devagg_est_rate () =
   check_bool "estimated pp is annotated" true
     (Astring_contains.contains s_est "estimate")
 
+(* The merge folds accumulators 1..n-1 into accumulator 0 and resets
+   them: the summary is one accumulator's over every batch, and merging
+   the same array again must not count anything twice. *)
+let test_devagg_merge_in_place () =
+  let view = Pasta.Objmap.view (Pasta.Objmap.create ()) in
+  let batches = List.init 6 (fun i -> mk_batch ~len:(32 + (16 * i)) ~maxw:3 (40 + i)) in
+  let accums = Array.init 3 (fun _ -> Pasta.Devagg.accum_create ()) in
+  List.iteri (fun i b -> Pasta.Devagg.accum_add accums.(i mod 3) view b) batches;
+  let one = Pasta.Devagg.accum_create () in
+  List.iter (Pasta.Devagg.accum_add one view) batches;
+  let merged = Pasta.Devagg.merge_accums accums in
+  check_bool "three accumulators merge to one's summary" true
+    (merged = Pasta.Devagg.merge_accums [| one |]);
+  check_bool "merging again gives the same summary" true
+    (Pasta.Devagg.merge_accums accums = merged)
+
 (* ------------------------------------------------------------------ *)
 (* Config parsing                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -360,6 +376,8 @@ let suite =
       test_thin_determinism;
     Alcotest.test_case "devagg stamps est_rate and stderr" `Quick
       test_devagg_est_rate;
+    Alcotest.test_case "devagg merges in place, repeatably" `Quick
+      test_devagg_merge_in_place;
     Alcotest.test_case "overhead budget parsing" `Quick test_parse_budget;
     Alcotest.test_case "sampler validation and resolution" `Quick
       test_sampler_validation;

@@ -367,6 +367,29 @@ let test_rows_sum_to_total () =
       check_int "stack drained" 0 (T.depth ());
       check_int "no mismatches" 0 (T.mismatches ()))
 
+(* The report renders on its own row, not the tool's: the row appears
+   only once the report has rendered, with nonzero self time and one
+   span, while the tool row still counts the report as one call. *)
+let test_report_row () =
+  with_level "basic" (fun () ->
+      let result = live_run ~domains:1 () in
+      let report_row () =
+        List.find_opt
+          (fun r -> r.T.row_label = "report (tool output)")
+          (T.attribution ()).T.at_rows
+      in
+      check_bool "no report row before rendering" true (report_row () = None);
+      let calls = row_count "tool:hotness_fine" in
+      let (_ : string) = Format.asprintf "%t" result.Pasta.Session.report in
+      (match report_row () with
+      | None -> Alcotest.fail "no report row after rendering"
+      | Some r ->
+          check_bool "report row has self time" true (r.T.row_self_us > 0.0);
+          check_int "one report span" 1 r.T.row_count);
+      check_int "the report counts as a tool call" (calls + 1)
+        (row_count "tool:hotness_fine");
+      check_int "stack drained" 0 (T.depth ()))
+
 let test_off_is_inert () =
   with_level "off" (fun () ->
       let (_ : Pasta.Session.result) = live_run ~domains:1 () in
@@ -944,6 +967,7 @@ let suite =
   [
     Alcotest.test_case "attribution rows sum to the window" `Quick
       test_rows_sum_to_total;
+    Alcotest.test_case "the report renders on its own row" `Quick test_report_row;
     Alcotest.test_case "level off attributes nothing" `Quick test_off_is_inert;
     Alcotest.test_case "basic spans allocate nothing" `Quick
       test_basic_spans_allocate_nothing;

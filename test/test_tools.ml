@@ -132,6 +132,142 @@ let test_hotness_empty () =
   let report = Format.asprintf "%t" (fun ppf -> Pasta_tools.Hotness.report hot ppf) in
   check_bool "empty report" true (Astring_contains.contains report "no accesses")
 
+(* BERT inference reports, pinned when samples were a list of tuples and
+   every report built its matrix three times: the fine tool at two caps
+   (the second sampled at a fixed rate) and the coarse tool, each at 1
+   and 2 domains. *)
+let test_hotness_pinned_digests () =
+  Pasta_tools.Tools.register_all ();
+  let digest ~cap ?rate key =
+    let device = Gpusim.Device.create Gpusim.Arch.a100 in
+    let ctx = Dlfw.Ctx.create device in
+    let tool = (Option.get (Pasta.Registry.find key)) () in
+    let (), r =
+      Pasta.Session.run ~sample_cap:cap ?sample_rate:rate ~tool device (fun () ->
+          Dlfw.Runner.run ctx (Dlfw.Runner.build ctx "BERT") ~mode:Dlfw.Runner.Inference
+            ~iters:1)
+    in
+    Dlfw.Ctx.destroy ctx;
+    Digest.to_hex (Digest.string (Format.asprintf "%t" r.Pasta.Session.report))
+  in
+  Fun.protect ~finally:(fun () -> Pasta.Config.unset "ACCEL_PROF_DOMAINS") @@ fun () ->
+  List.iter
+    (fun domains ->
+      Pasta.Config.set "ACCEL_PROF_DOMAINS" domains;
+      let check what md5 got = Alcotest.(check string) (what ^ " @ " ^ domains) md5 got in
+      check "hotness_fine, cap 16384" "7328ea47fac69bb32fe4052f44e3f369"
+        (digest ~cap:16384 "hotness_fine");
+      check "hotness, cap 16384" "f01720c23c86aacddc44e21c94c29685"
+        (digest ~cap:16384 "hotness");
+      check "hotness_fine, cap 4096, rate 0.5" "3b0c584186a9deae4254dcf6a26d3157"
+        (digest ~cap:4096 ~rate:0.5 "hotness_fine"))
+    [ "1"; "2" ]
+
+(* A naive model of the coarse tool: samples in a list, newest first,
+   each matrix cell summed in list order, and every row sorted by
+   polymorphic compare to find its top windows. *)
+module Ref_hotness = struct
+  module H = Pasta_tools.Hotness
+
+  let samples events =
+    List.fold_left
+      (fun acc (time, base, extent, accesses) ->
+        if extent > 0 && accesses > 0 then begin
+          let b0 = base / H.block_bytes and b1 = (base + extent - 1) / H.block_bytes in
+          let share = float_of_int accesses /. float_of_int (b1 - b0 + 1) in
+          let acc = ref acc in
+          for b = b0 to b1 do
+            acc := (time, b, share) :: !acc
+          done;
+          !acc
+        end
+        else acc)
+      [] events
+
+  let matrix ~buckets = function
+    | [] -> [||]
+    | samples ->
+        let fold f init = List.fold_left f init samples in
+        let t_min = fold (fun a (t, _, _) -> Float.min a t) infinity in
+        let t_max = fold (fun a (t, _, _) -> Float.max a t) neg_infinity in
+        let bmin = fold (fun a (_, b, _) -> min a b) max_int in
+        let bmax = fold (fun a (_, b, _) -> max a b) min_int in
+        let span = Float.max 1.0 (t_max -. t_min) in
+        let m = Array.make_matrix (bmax - bmin + 1) buckets 0.0 in
+        List.iter
+          (fun (time, b, c) ->
+            let col =
+              min (buckets - 1) (int_of_float ((time -. t_min) /. span *. float_of_int buckets))
+            in
+            m.(b - bmin).(col) <- m.(b - bmin).(col) +. c)
+          samples;
+        m
+
+  let classify m =
+    Array.to_list
+      (Array.mapi
+         (fun i row ->
+           let total = Array.fold_left ( +. ) 0.0 row in
+           let active = Array.fold_left (fun n v -> if v > 0.0 then n + 1 else n) 0 row in
+           let buckets = Array.length row in
+           if total <= 0.0 then (i, H.Cold)
+           else if float_of_int active >= 0.6 *. float_of_int buckets then (i, H.Persistent_hot)
+           else begin
+             let sorted = Array.copy row in
+             Array.sort (fun a b -> compare b a) sorted;
+             let top = ref 0.0 in
+             for j = 0 to max 1 (buckets / 5) - 1 do
+               top := !top +. sorted.(j)
+             done;
+             (i, if !top >= 0.9 *. total then H.Bursty else H.Cold)
+           end)
+         m)
+end
+
+(* Region events with shares that do not divide evenly, timestamps drawn
+   from a small set (so cells sum several samples, in an order that
+   shows in the last bits) and ranges spanning several blocks. *)
+let prop_hotness_matches_reference =
+  let module H = Pasta_tools.Hotness in
+  let g_event =
+    QCheck.Gen.(
+      quad
+        (map (fun k -> 0.25 *. float_of_int k) (int_range 0 40))
+        (int_range 0 (24 * H.block_bytes))
+        (oneof [ int_range 0 64; int_range 1 (6 * H.block_bytes) ])
+        (int_range 0 999))
+  in
+  QCheck.Test.make ~name:"hotness matrix and classes = naive reference, bit for bit"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (b, evs) -> Printf.sprintf "%d buckets, %d events" b (List.length evs))
+       QCheck.Gen.(pair (int_range 1 48) (list_size (int_range 0 80) g_event)))
+    (fun (buckets, events) ->
+      let hot = H.create ~time_buckets:buckets () in
+      let tool = H.tool hot in
+      let kernel = Test_pasta_core.mk_kernel_info () in
+      List.iter
+        (fun (time_us, base, extent, accesses) ->
+          tool.Pasta.Tool.on_event
+            {
+              Pasta.Event.device = 0;
+              time_us;
+              payload =
+                Pasta.Event.Kernel_region
+                  { kernel; region = { Pasta.Event.base; extent; accesses; written = false } };
+            })
+        events;
+      let expect = Ref_hotness.matrix ~buckets (Ref_hotness.samples events) in
+      let got = H.matrix hot in
+      let bits m = Array.map (Array.map Int64.bits_of_float) m in
+      let classes = Ref_hotness.classify expect in
+      let having c = List.filter_map (fun (i, c') -> if c' = c then Some i else None) classes in
+      bits got = bits expect
+      && H.classify hot = classes
+      && H.prefetch_candidates hot = having H.Persistent_hot
+      && H.evict_candidates hot = having H.Bursty
+      && H.block_count hot = Array.length expect)
+
 (* ---- Uvm_prefetch ---- *)
 
 let test_prefetch_plans () =
@@ -265,6 +401,8 @@ let suite =
     ("mem_timeline", `Quick, test_mem_timeline);
     ("hotness matrix", `Quick, test_hotness_matrix);
     ("hotness empty", `Quick, test_hotness_empty);
+    ("hotness reports pinned", `Quick, test_hotness_pinned_digests);
+    QCheck_alcotest.to_alcotest prop_hotness_matches_reference;
     ("uvm_prefetch plans", `Quick, test_prefetch_plans);
     ("uvm_prefetch probe install/remove", `Quick, test_prefetch_probe_install_remove);
     ("uvm experiment: no oversubscription", `Slow, test_uvm_experiment_no_oversub);
