@@ -987,6 +987,7 @@ let self_test_arg =
            nonzero if any step fails (the CI smoke test).")
 
 let run_serve listen capacity quota workers budget self_test =
+  with_valid_knobs @@ fun () ->
   Pasta_tools.Tools.register_all ();
   if self_test then (
     match Pasta.Serve.self_test () with

@@ -53,16 +53,11 @@ let create ?(managed = false) dev =
     next_id = 0;
   }
 
-let device t = t.dev
-let managed t = t.is_managed
 let allocated_bytes t = t.allocated
 let reserved_bytes t = t.reserved
 let peak_allocated t = t.peak_alloc
 let peak_reserved t = t.peak_reserved
-let alloc_count t = t.allocs
-let free_count t = t.frees
 let segment_count t = List.length t.segs
-let segments t = List.map (fun s -> (s.sbase, s.sbytes)) t.segs
 
 let segment_of_addr t addr =
   List.find_map

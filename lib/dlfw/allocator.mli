@@ -30,9 +30,6 @@ val create : ?managed:bool -> Gpusim.Device.t -> t
 (** [managed] routes segment allocation through [malloc_managed], putting
     the whole pool under UVM. *)
 
-val device : t -> Gpusim.Device.t
-val managed : t -> bool
-
 val alloc : t -> ?tag:string -> int -> block
 (** Best-fit over the pool's free blocks, 512-byte aligned like the CUDA
     caching allocator.  Raises [Invalid_argument] on a negative size.
@@ -51,12 +48,7 @@ val reserved_bytes : t -> int
 
 val peak_allocated : t -> int
 val peak_reserved : t -> int
-val alloc_count : t -> int
-val free_count : t -> int
 val segment_count : t -> int
-
-val segments : t -> (int * int) list
-(** [(base, bytes)] of every live segment. *)
 
 val segment_of_addr : t -> int -> (int * int) option
 (** Owning segment of an address inside the pool. *)

@@ -1,12 +1,3 @@
 type t = F32 | F16 | I64 | I32 | U8
 
 let size_bytes = function F32 -> 4 | F16 -> 2 | I64 -> 8 | I32 -> 4 | U8 -> 1
-
-let to_string = function
-  | F32 -> "float32"
-  | F16 -> "float16"
-  | I64 -> "int64"
-  | I32 -> "int32"
-  | U8 -> "uint8"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -3,5 +3,3 @@
 type t = F32 | F16 | I64 | I32 | U8
 
 val size_bytes : t -> int
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -133,11 +133,6 @@ let reduce ctx ~op ~src ~dst =
     ~flops:(float_of_int n)
     ~work:n ()
 
-let copy ctx ~src ~dst =
-  launch ctx ~name:"at::native::direct_copy_kernel"
-    ~regions:[ region ~rw:Read src; region ~rw:Write dst ]
-    ~flops:0.0 ~work:(Tensor.numel dst) ()
-
 let fill ctx t =
   launch ctx ~name:"at::native::fill_kernel"
     ~regions:[ region ~rw:Write t ]

@@ -12,9 +12,6 @@
     and write each output element once, reductions read everything and
     write the reduced extent. *)
 
-val tile : int
-(** GEMM tile width used by the operand re-read model (128). *)
-
 type rw = Read | Write
 
 val region :
@@ -64,7 +61,6 @@ val elementwise :
 (** One read per input element, one write per output element. *)
 
 val reduce : Ctx.t -> op:string -> src:Tensor.t -> dst:Tensor.t -> unit
-val copy : Ctx.t -> src:Tensor.t -> dst:Tensor.t -> unit
 val fill : Ctx.t -> Tensor.t -> unit
 
 val im2col : Ctx.t -> input:Tensor.t -> col:Tensor.t -> unit

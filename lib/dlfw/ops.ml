@@ -499,7 +499,3 @@ let cross_entropy_bwd ctx ~logits =
 
 let sgd_step ctx ~params ~grads =
   record ctx "optimizer::sgd_step" @@ fun () -> Kernels.sgd_step ctx ~params ~grads
-
-let zero_grad ctx tensors =
-  record ctx "optimizer::zero_grad" @@ fun () ->
-  List.iter (fun t -> Kernels.fill ctx t) tensors

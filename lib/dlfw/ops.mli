@@ -117,4 +117,3 @@ val cross_entropy_bwd : Ctx.t -> logits:Tensor.t -> Tensor.t
 (** {2 Optimizer} *)
 
 val sgd_step : Ctx.t -> params:Tensor.t list -> grads:Tensor.t list -> unit
-val zero_grad : Ctx.t -> Tensor.t list -> unit

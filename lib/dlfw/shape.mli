@@ -7,6 +7,5 @@ val numel : t -> int
     [Invalid_argument] on a non-positive dimension. *)
 
 val bytes : t -> Dtype.t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val equal : t -> t -> bool

@@ -16,7 +16,6 @@ let create pool ?(name = "tensor") shape dtype =
   incr counter;
   { tensor_id = !counter; name; shape; dtype; blk; pool; rc = 1 }
 
-let name t = t.name
 let shape t = t.shape
 let dtype t = t.dtype
 let numel t = Shape.numel t.shape
@@ -28,8 +27,6 @@ let refcount t = t.rc
 let base t =
   if t.rc <= 0 then invalid_arg ("Tensor.base: use after free of " ^ t.name);
   t.blk.Allocator.base
-
-let block t = t.blk
 
 let reshape t shape =
   if t.rc <= 0 then invalid_arg ("Tensor.reshape: use after free of " ^ t.name);
@@ -47,8 +44,3 @@ let release t =
   if t.rc <= 0 then invalid_arg ("Tensor.release: double release of " ^ t.name);
   t.rc <- t.rc - 1;
   if t.rc = 0 then Allocator.free t.pool t.blk
-
-let pp ppf t =
-  Format.fprintf ppf "%s%a:%a@0x%x%s" t.name Shape.pp t.shape Dtype.pp t.dtype
-    t.blk.Allocator.base
-    (if t.rc > 0 then "" else " (freed)")

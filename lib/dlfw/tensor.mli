@@ -10,7 +10,6 @@
 type t
 
 val create : Allocator.t -> ?name:string -> Shape.t -> Dtype.t -> t
-val name : t -> string
 val shape : t -> Shape.t
 val dtype : t -> Dtype.t
 val numel : t -> int
@@ -19,7 +18,6 @@ val base : t -> int
 (** Device address of the first element.  Raises [Invalid_argument] when
     the tensor has been freed. *)
 
-val block : t -> Allocator.block
 val id : t -> int
 val is_live : t -> bool
 val refcount : t -> int
@@ -34,5 +32,3 @@ val retain : t -> t
 val release : t -> unit
 (** Drop one reference; frees the storage at zero.  Raises
     [Invalid_argument] if already freed. *)
-
-val pp : Format.formatter -> t -> unit

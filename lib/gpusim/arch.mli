@@ -7,7 +7,6 @@
 
 type vendor = Nvidia | Amd | Google
 
-val pp_vendor : Format.formatter -> vendor -> unit
 val vendor_to_string : vendor -> string
 
 type t = {

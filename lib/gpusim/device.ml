@@ -82,7 +82,6 @@ let id t = t.dev_id
 let arch t = t.arch
 let clock t = t.clock
 let now_us t = Clock.now_us t.clock
-let mem t = t.mem
 let uvm t = t.uvm
 let launches t = t.grid_counter
 

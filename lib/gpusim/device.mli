@@ -82,7 +82,6 @@ val id : t -> int
 val arch : t -> Arch.t
 val clock : t -> Clock.t
 val now_us : t -> float
-val mem : t -> Device_mem.t
 val uvm : t -> Uvm.t
 val launches : t -> int
 (** Number of kernels launched so far. *)

@@ -26,7 +26,6 @@ let create ?(base = 0x7f00_0000_0000) ~capacity () =
     next_seq = 0;
   }
 
-let capacity t = t.cap
 let used_bytes t = t.used
 let live_count t = Imap.cardinal t.allocs
 
@@ -61,7 +60,6 @@ let find_containing t addr =
   | Some (_, a) when addr < a.base + a.bytes -> Some a
   | _ -> None
 
-let iter_live f t = Imap.iter (fun _ a -> f a) t.allocs
 let live t = List.map snd (Imap.bindings t.allocs)
 
 let check_invariants t =

@@ -25,7 +25,6 @@ val create : ?base:int -> capacity:int -> unit -> t
     at [base] (default 0x7f00_0000_0000, a plausible device VA).  Raises
     [Invalid_argument] if [capacity <= 0]. *)
 
-val capacity : t -> int
 val used_bytes : t -> int
 val live_count : t -> int
 
@@ -45,7 +44,6 @@ val free : t -> int -> alloc
 val find_containing : t -> int -> alloc option
 (** The live allocation whose extent contains the given address. *)
 
-val iter_live : (alloc -> unit) -> t -> unit
 val live : t -> alloc list
 (** Live allocations in increasing base order. *)
 

@@ -7,4 +7,3 @@ let make ?(y = 1) ?(z = 1) x =
 let total { x; y; z } = x * y * z
 let pp ppf { x; y; z } = Format.fprintf ppf "(%d,%d,%d)" x y z
 let to_string t = Format.asprintf "%a" pp t
-let equal a b = a.x = b.x && a.y = b.y && a.z = b.z

@@ -9,4 +9,3 @@ val make : ?y:int -> ?z:int -> int -> t
 val total : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val equal : t -> t -> bool

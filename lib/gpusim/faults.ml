@@ -6,6 +6,7 @@ type rates = {
   stuck_kernel : float;
 }
 
+(* Noticeable but non-catastrophic: a few percent per category. *)
 let default_rates =
   {
     corrupt_access = 0.02;
@@ -15,6 +16,7 @@ let default_rates =
     stuck_kernel = 0.01;
   }
 
+(* Pushes any realistic kernel past the session watchdog. *)
 let stuck_multiplier = 10_000.0
 
 type stats = {
@@ -66,23 +68,6 @@ let event_fate t =
     `Duplicate
   end
   else `Deliver
-
-let corrupt_access t (a : Warp.access) =
-  if not (Pasta_util.Det_rng.prob t.rng t.rates.corrupt_access) then a
-  else begin
-    t.stats.corrupted_accesses <- t.stats.corrupted_accesses + 1;
-    match Pasta_util.Det_rng.int t.rng 3 with
-    | 0 ->
-        (* Bit flip in the address: the record now points nowhere sane. *)
-        let bit = Pasta_util.Det_rng.int t.rng 40 in
-        { a with Warp.addr = a.Warp.addr lxor (1 lsl bit) }
-    | 1 ->
-        (* Garbage transfer size. *)
-        { a with Warp.size = 1 lsl Pasta_util.Det_rng.int t.rng 12 }
-    | _ ->
-        (* Load/store kind inverted. *)
-        { a with Warp.write = not a.Warp.write }
-  end
 
 let corrupt_batch ~rates ~seed ~grid_id (b : Warp.batch) =
   if rates.corrupt_access <= 0.0 then 0

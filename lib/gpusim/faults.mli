@@ -16,15 +16,8 @@ type rates = {
   drop_event : float;  (** P(a droppable probe event is lost) *)
   duplicate_event : float;  (** P(a droppable probe event is delivered twice) *)
   ecc_per_kernel : float;  (** P(a launch flips a bit in a live allocation) *)
-  stuck_kernel : float;  (** P(a launch hangs for [stuck_multiplier]x) *)
+  stuck_kernel : float;  (** P(a launch hangs for 10000x its time) *)
 }
-
-val default_rates : rates
-(** Noticeable but non-catastrophic: a few percent per category. *)
-
-val stuck_multiplier : float
-(** Duration multiplier applied to a stuck kernel (10000x), chosen to push
-    any realistic kernel past the session watchdog. *)
 
 type stats = {
   mutable corrupted_accesses : int;
@@ -46,9 +39,6 @@ val stats : t -> stats
 
 val event_fate : t -> [ `Deliver | `Drop | `Duplicate ]
 (** Fate of one droppable probe event. *)
-
-val corrupt_access : t -> Warp.access -> Warp.access
-(** Possibly perturb the record's address/size/kind, counting it. *)
 
 val corrupt_batch : rates:rates -> seed:int64 -> grid_id:int -> Warp.batch -> int
 (** [corrupt_batch ~rates ~seed ~grid_id b] perturbs records of [b] in

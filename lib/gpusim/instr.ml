@@ -52,14 +52,6 @@ let is_global_memory = function
   | Ld_global | St_global | Ldgsts | Atom_global -> true
   | _ -> false
 
-let is_shared_memory = function Ld_shared | St_shared | Ldgsts -> true | _ -> false
-
-let is_memory op = is_global_memory op || is_shared_memory op
-
-let is_control = function Bra | Call | Ret | Exit -> true | _ -> false
-
-let is_barrier = function Bar_sync | Cluster_bar -> true | _ -> false
-
 type t = { pc : int; opcode : opcode; operands : string }
 
 let pp ppf i =

@@ -26,17 +26,10 @@ type opcode =
   | Ret
   | Exit
 
-val all_opcodes : opcode list
-val mnemonic : opcode -> string
 val opcode_of_mnemonic : string -> opcode option
 
 val is_global_memory : opcode -> bool
 (** Loads/stores/atomics touching global memory (incl. LDGSTS). *)
-
-val is_shared_memory : opcode -> bool
-val is_memory : opcode -> bool
-val is_control : opcode -> bool
-val is_barrier : opcode -> bool
 
 type t = { pc : int; opcode : opcode; operands : string }
 

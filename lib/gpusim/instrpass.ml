@@ -23,11 +23,6 @@
 
 type granularity = Off | Coarse | Fine
 
-let granularity_name = function
-  | Off -> "off"
-  | Coarse -> "coarse"
-  | Fine -> "fine"
-
 type timed = {
   t_id : int;  (* stable region id, see [region_id] *)
   t_label : string;

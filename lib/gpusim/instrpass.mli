@@ -16,8 +16,6 @@
 
 type granularity = Off | Coarse | Fine
 
-val granularity_name : granularity -> string
-
 type timed = {
   t_id : int;  (** stable region id *)
   t_label : string;  (** "prologue", "gmem\[0\].ld", "compute", ... *)

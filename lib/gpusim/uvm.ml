@@ -66,7 +66,6 @@ let create arch clock ~capacity =
 let page_bytes t = t.arch.Arch.uvm_page_bytes
 let capacity_pages t = t.cap_pages
 let resident_pages t = t.resident
-let resident_bytes t = t.resident * page_bytes t
 let stats t = t.st
 
 let reset_stats t =

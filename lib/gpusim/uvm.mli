@@ -29,10 +29,8 @@ val create : Arch.t -> Clock.t -> capacity:int -> t
 (** [capacity] is the device bytes available to managed pages.  Raises
     [Invalid_argument] if smaller than one page. *)
 
-val page_bytes : t -> int
 val capacity_pages : t -> int
 val resident_pages : t -> int
-val resident_bytes : t -> int
 
 val register_range : t -> base:int -> bytes:int -> unit
 (** Declare a managed allocation.  All pages start host-resident.

@@ -23,7 +23,6 @@ let create ?(node_of = fun _ -> 0) ctxs ~buffer_bytes =
   { ranks_; node_fn = node_of }
 
 let ranks t = Array.length t.ranks_
-let node_of t rank = t.node_fn rank
 
 (* Advance every participant to the same completion instant: collectives
    are synchronizing. *)

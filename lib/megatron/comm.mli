@@ -15,8 +15,6 @@ val create : ?node_of:(int -> int) -> Dlfw.Ctx.t list -> buffer_bytes:int -> t
     link, the way NCCL rings slow down over InfiniBand.  Raises
     [Invalid_argument] on fewer than two ranks. *)
 
-val node_of : t -> int -> int
-
 val ranks : t -> int
 
 val all_reduce : t -> bytes:int -> unit

@@ -256,12 +256,26 @@ let trace_strict () =
   | Some ("0" | "false" | "no" | "off" | "tolerant") -> false
   | _ -> true
 
+(* --- Serve daemon knobs --- *)
+
+let serve_capacity () =
+  strict_int "ACCEL_PROF_SERVE_CAPACITY" ~default:64 ~max:max_int "a positive integer"
+
+let serve_quota () =
+  strict_int "ACCEL_PROF_SERVE_QUOTA" ~default:16 ~max:max_int "a positive integer"
+
+let serve_workers () =
+  strict_int "ACCEL_PROF_SERVE_WORKERS" ~default:4 ~max:max_int "a positive integer"
+
 let validate () =
   match
     ignore (buffer_capacity ());
     ignore (overflow_policy ());
     ignore (regions ());
-    ignore (trace_chunk_bytes ())
+    ignore (trace_chunk_bytes ());
+    ignore (serve_capacity ());
+    ignore (serve_quota ());
+    ignore (serve_workers ())
   with
   | () -> Ok ()
   | exception Invalid_argument msg -> Error msg

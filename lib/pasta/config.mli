@@ -113,10 +113,10 @@ val regions : unit -> Gpusim.Instrpass.granularity
 
 val validate : unit -> (unit, string) result
 (** Parse every knob that refuses bad values ({!buffer_capacity},
-    {!overflow_policy}, {!regions}, {!trace_chunk_bytes}) as the calling
-    thread resolves them.  [Error] carries the
-    refusal's message.  The CLI calls it before doing any work; the serve
-    daemon calls it inside a job's overlay at submit time. *)
+    {!overflow_policy}, {!regions}, {!trace_chunk_bytes} and the serve
+    daemon's three) as the calling thread resolves them.  [Error] carries
+    the refusal's message.  The CLI calls it before doing any work; the
+    serve daemon calls it inside a job's overlay at submit time. *)
 
 val inject_faults : unit -> bool
 (** [ACCEL_PROF_INJECT_FAULTS]: enable deterministic fault injection for
@@ -184,3 +184,19 @@ val trace_strict : unit -> bool
 (** [ACCEL_PROF_TRACE_STRICT]: replay verification mode.  Strict (the
     default) fails on any CRC or framing violation; [0]/[off]/[tolerant]
     skips corrupt chunks and keeps going. *)
+
+(** {2 Serve daemon knobs}
+
+    Positive integers; the empty string counts as unset, and anything
+    else raises [Invalid_argument] naming the knob and the value. *)
+
+val serve_capacity : unit -> int
+(** [ACCEL_PROF_SERVE_CAPACITY]: jobs the daemon's queue holds across all
+    tenants (default 64). *)
+
+val serve_quota : unit -> int
+(** [ACCEL_PROF_SERVE_QUOTA]: jobs any one tenant may have queued
+    (default 16). *)
+
+val serve_workers : unit -> int
+(** [ACCEL_PROF_SERVE_WORKERS]: executor threads (default 4). *)

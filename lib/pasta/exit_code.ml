@@ -9,14 +9,3 @@ let degraded = 3
 let unavailable = 4
 let rejected = 5
 let job_failed = 6
-
-let describe = function
-  | 0 -> "success"
-  | 1 -> "failure"
-  | 3 -> "degraded: run completed but lost data (quarantines, drops, missing devices)"
-  | 4 -> "unavailable: serve endpoint could not be bound or reached"
-  | 5 -> "rejected: admission control refused the job (queue full or tenant over quota)"
-  | 6 -> "job failed: the submitted job errored, was cancelled or hit its deadline"
-  | n -> Printf.sprintf "exit code %d" n
-
-let all = [ ok; failure; degraded; unavailable; rejected; job_failed ]

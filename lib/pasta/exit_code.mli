@@ -21,8 +21,3 @@ val degraded : int
 val unavailable : int
 val rejected : int
 val job_failed : int
-
-val describe : int -> string
-
-val all : int list
-(** Every code the table defines, ascending. *)

@@ -103,7 +103,6 @@ type reason = Crashed | Quarantined | Timeout
 type status = Fresh | Stale | Missing of reason
 
 val reason_name : reason -> string
-val status_name : status -> string
 
 type device_report = {
   fr_dev : int;

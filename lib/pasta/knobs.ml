@@ -7,7 +7,6 @@ let max_mem_referenced_kernel = "MAX_MEM_REFERENCED_KERNEL"
 let max_called_kernel = "MAX_CALLED_KERNEL"
 
 let create knob_name = { knob_name; best = None }
-let name t = t.knob_name
 
 let observe t ~kernel ~metric =
   match t.best with

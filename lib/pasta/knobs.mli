@@ -14,8 +14,6 @@ val max_called_kernel : string
 val create : string -> t
 (** A named max-tracker. *)
 
-val name : t -> string
-
 val observe : t -> kernel:Event.kernel_info -> metric:int -> unit
 (** Keep the kernel iff [metric] beats the current maximum.  For
     invocation-count style knobs, pass the running count. *)

@@ -21,7 +21,6 @@ let annot_end t label =
   t.depth <- t.depth - 1
 
 let annotation_depth t = t.depth
-let saw_annotations t = t.ever_annotated
 
 let grid_ok t grid_id =
   (match t.start_grid with Some s -> grid_id >= s | None -> true)

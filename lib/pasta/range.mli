@@ -28,7 +28,6 @@ val annot_end : t -> string -> unit
 (** Raises [Invalid_argument] on unbalanced [annot_end]. *)
 
 val annotation_depth : t -> int
-val saw_annotations : t -> bool
 
 val active : t -> grid_id:int -> bool
 (** Whether a kernel-scoped event with this grid id is in range. *)

@@ -23,9 +23,6 @@ type mode = Fixed of float | Auto of { budget : float }
 
 type t
 
-val min_rate : float
-(** Floor the multiplicative decrease never crosses (0.05). *)
-
 val default_blind_rate : float
 (** Fallback rate for telemetry-blind [Auto] governors when no explicit
     rate was configured (0.1). *)
@@ -65,7 +62,7 @@ type snapshot = {
   sn_windows : int;  (** feedback windows observed *)
   sn_adjustments : int;  (** rate changes applied *)
   sn_violations : int;  (** windows over budget or under ring pressure *)
-  sn_floor_hits : int;  (** decreases clamped at {!min_rate} *)
+  sn_floor_hits : int;  (** decreases clamped at the 0.05 floor *)
   sn_blind_windows : int;
       (** windows governed without telemetry (fallback rate in force) *)
 }

@@ -175,6 +175,8 @@ type t = {
   mutable listen_fd : Unix.file_descr option;
   mutable listen_at : addr option;
   mutable stopping : bool;
+  mutable stopped : bool;  (** a shutdown has run to its end *)
+  stopped_cv : Condition.t;  (** signalled, under [mu], when [stopped] is set *)
 }
 
 and addr = Unix_sock of string | Tcp of string * int
@@ -234,6 +236,20 @@ let active_tenants t =
         t.jobs;
       max 1 (Hashtbl.length seen))
 
+(* The job's tool, else the overlay's PASTA_TOOL, as a registry name and a
+   fresh instance.  Call it inside the job's overlay. *)
+let job_tool (spec : Proto.submit) =
+  let name = match spec.Proto.tool with Some _ as n -> n | None -> Config.tool_name () in
+  match name with
+  | None -> Error "no tool selected (set \"tool\" or the PASTA_TOOL knob)"
+  | Some name -> (
+      match Registry.find name with
+      | Some mk -> Ok (name, mk ())
+      | None ->
+          Error
+            (Printf.sprintf "unknown tool %S; available: %s" name
+               (String.concat ", " (Registry.names ()))))
+
 let run_job t (job : job) =
   let spec = job.spec in
   let arch =
@@ -252,21 +268,7 @@ let run_job t (job : job) =
      dynamic extent of the job: Session.attach resolves every config read
      inside the overlay. *)
   Config.with_overlay spec.Proto.knobs (fun () ->
-      let tool_key =
-        match spec.Proto.tool with Some n -> Some n | None -> Config.tool_name ()
-      in
-      let tool =
-        match tool_key with
-        | None ->
-            failwith "no tool selected (set \"tool\" or the PASTA_TOOL knob)"
-        | Some name -> (
-            match Registry.find name with
-            | Some mk -> mk ()
-            | None ->
-                failwith
-                  (Printf.sprintf "unknown tool %S; available: %s" name
-                     (String.concat ", " (Registry.names ()))))
-      in
+      let tool_key, tool = match job_tool spec with Ok r -> r | Error e -> failwith e in
       let device = Gpusim.Device.create arch in
       let ctx = Dlfw.Ctx.create device in
       (* Stale frames from a previous job on this worker thread must not
@@ -297,7 +299,7 @@ let run_job t (job : job) =
           in
           let (), res =
             Session.run ?overhead_budget ?capture:spec.Proto.trace
-              ?capture_meta:tool_key ~tool device (fun () ->
+              ~capture_meta:tool_key ~tool device (fun () ->
                 let model = Dlfw.Runner.build ctx spec.Proto.model in
                 Dlfw.Runner.run ctx model ~mode ~iters)
           in
@@ -372,20 +374,9 @@ let worker_loop t =
 (* --- public in-process API --------------------------------------------- *)
 
 let create ?capacity ?quota ?workers ?budget () =
-  let getenv_int key fallback =
-    match Config.get key with
-    | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> fallback)
-    | None -> fallback
-  in
-  let capacity =
-    match capacity with Some c -> c | None -> getenv_int "ACCEL_PROF_SERVE_CAPACITY" 64
-  in
-  let quota =
-    match quota with Some q -> q | None -> getenv_int "ACCEL_PROF_SERVE_QUOTA" 16
-  in
-  let nworkers =
-    match workers with Some w -> max 1 w | None -> getenv_int "ACCEL_PROF_SERVE_WORKERS" 4
-  in
+  let capacity = match capacity with Some c -> c | None -> Config.serve_capacity () in
+  let quota = match quota with Some q -> q | None -> Config.serve_quota () in
+  let nworkers = match workers with Some w -> max 1 w | None -> Config.serve_workers () in
   let t =
     {
       q = Jobq.create ~capacity ~quota ();
@@ -399,20 +390,23 @@ let create ?capacity ?quota ?workers ?budget () =
       listen_fd = None;
       listen_at = None;
       stopping = false;
+      stopped = false;
+      stopped_cv = Condition.create ();
     }
   in
   t.workers <- List.init nworkers (fun _ -> Thread.create worker_loop t);
   locked t (fun () -> set_depth_gauges t);
   t
 
+(* Everything a job can be refused for before it runs: its fields, its
+   knobs, its tool, and the default backend's verdict on that tool on a
+   device of the job's arch (the CLI refuses the same combinations). *)
 let validate (s : Proto.submit) =
   if s.Proto.tenant = "" then Error "tenant must be non-empty"
   else if not (List.mem s.Proto.model Dlfw.Runner.all_abbrs) then
     Error
       (Printf.sprintf "unknown model %S; available: %s" s.Proto.model
          (String.concat ", " Dlfw.Runner.all_abbrs))
-  else if arch_of_name s.Proto.gpu = None then
-    Error (Printf.sprintf "unknown gpu %S" s.Proto.gpu)
   else if (match s.Proto.iters with Some n -> n <= 0 | None -> false) then
     Error "iters must be positive"
   else if (match s.Proto.deadline_us with Some d -> d <= 0.0 | None -> false)
@@ -428,7 +422,19 @@ let validate (s : Proto.submit) =
           (Printf.sprintf
              "knob %S is not session-scoped; tenants may only override: %s" k
              (String.concat ", " Config.session_knob_keys))
-    | None -> Config.with_overlay s.Proto.knobs Config.validate
+    | None -> (
+        match arch_of_name s.Proto.gpu with
+        | None -> Error (Printf.sprintf "unknown gpu %S" s.Proto.gpu)
+        | Some arch ->
+            Config.with_overlay s.Proto.knobs (fun () ->
+                let ( let* ) = Result.bind in
+                let* () = Config.validate () in
+                let* _, tool = job_tool s in
+                let device = Gpusim.Device.create arch in
+                let fg = tool.Tool.fine_grained in
+                match Backend.refusal (Backend.default_kind_for ~fine_grained:fg device) device fg with
+                | Some msg -> Error msg
+                | None -> Ok ()))
 
 let submit t (spec : Proto.submit) =
   match validate spec with
@@ -784,14 +790,24 @@ let shutdown t =
     | None -> ());
     Option.iter Thread.join acceptor;
     List.iter Thread.join t.workers;
-    match t.listen_at with
+    (match t.listen_at with
     | Some (Unix_sock p) ->
         (try Unix.unlink p with _ -> ());
         t.listen_at <- None
-    | _ -> ()
+    | _ -> ());
+    locked t (fun () ->
+        t.stopped <- true;
+        Condition.broadcast t.stopped_cv)
   end
 
-let join t = List.iter Thread.join t.workers
+(* The shutdown may run on another thread (a client's [Shutdown] starts
+   it detached), so wait for its end, not just for the workers: the
+   socket file is unlinked after they exit. *)
+let join t =
+  locked t (fun () ->
+      while not t.stopped do
+        Condition.wait t.stopped_cv t.mu
+      done)
 
 let listen t addr =
   (match addr with

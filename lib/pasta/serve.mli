@@ -84,26 +84,26 @@ val outcome_name : outcome -> string
 
 type state = Queued | Running | Done of outcome
 
-val state_name : state -> string
-
 (** {1 Server} *)
 
 type t
 
 val create :
   ?capacity:int -> ?quota:int -> ?workers:int -> ?budget:float -> unit -> t
-(** [capacity]/[quota] bound the job queue (defaults from
-    [ACCEL_PROF_SERVE_CAPACITY] / [ACCEL_PROF_SERVE_QUOTA], else the
-    {!Pasta_util.Jobq} defaults); [workers] executor threads (default
-    [ACCEL_PROF_SERVE_WORKERS], else 4) are spawned immediately.
+(** [capacity]/[quota] bound the job queue (defaults
+    {!Config.serve_capacity} / {!Config.serve_quota}); [workers] executor
+    threads (default {!Config.serve_workers}) are spawned immediately.
+    Raises [Invalid_argument] when a knob it reads holds a bad value.
     [budget] is a total overhead-budget fraction sliced fairly across
     active tenants via {!Sampler.fleet_slice}. *)
 
 val submit : t -> Proto.submit -> (int, string) Stdlib.result
-(** Validate and enqueue; returns the job id.  [Error] carries a
-    human-readable reason — admission rejects ([Queue_full] /
-    [Tenant_quota]) are prefixed ["rejected:"] and counted in the
-    [accelprof_serve_jobs_rejected_total] metric. *)
+(** Validate and enqueue; returns the job id.  Validation refuses bad
+    fields and knobs, an unknown tool, and a tool that the default
+    backend for the job's GPU refuses ({!Backend.refusal}), so such a job
+    is never queued.  [Error] carries a human-readable reason — admission
+    rejects ([Queue_full] / [Tenant_quota]) are prefixed ["rejected:"]
+    and counted in the [accelprof_serve_jobs_rejected_total] metric. *)
 
 val status : t -> int -> (string * state) option
 (** [(tenant, state)], or [None] for an unknown id. *)
@@ -119,20 +119,14 @@ val result : t -> int -> outcome option
 val wait : ?timeout_s:float -> t -> int -> outcome option
 (** Block until the job finishes (default timeout 60 s of wall time). *)
 
-val scrape : t -> string
-(** Prometheus exposition of the live server registry. *)
-
-val health_json : t -> Pasta_util.Njson.t
-(** Queue depths (global and per tenant), capacity/quota/workers, and
-    cumulative job counts. *)
-
 val shutdown : t -> unit
 (** Close the queue, let queued jobs drain as [Cancelled], join the
     executor threads and stop any listener.  Idempotent. *)
 
 val join : t -> unit
-(** Block until the daemon has shut down (the executor threads have
-    exited) — the daemon main loop of [accelprof serve]. *)
+(** Block until a {!shutdown} has finished: the executor threads and the
+    acceptor have exited and a unix socket file is unlinked — the daemon
+    main loop of [accelprof serve]. *)
 
 (** {1 Socket endpoint} *)
 
@@ -159,9 +153,6 @@ module Client : sig
   (** Raises [Unix.Unix_error] when the daemon is unreachable. *)
 
   val close : conn -> unit
-
-  val roundtrip : conn -> Pasta_util.Njson.t -> Pasta_util.Njson.t
-  (** Send one request line, read one response line. *)
 
   val request : conn -> Proto.request -> Pasta_util.Njson.t
 

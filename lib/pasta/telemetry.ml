@@ -103,7 +103,6 @@ let cat_describe_of_index = function
 (* --- Registry and tool slots ------------------------------------------ *)
 
 let reg = Metric.create ()
-let registry () = reg
 
 (* Wall microseconds and Gc minor/major words.  An all-float record is
    stored flat, so updating a field writes in place instead of boxing a

@@ -27,12 +27,10 @@
 type level = Off | Basic | Full
 
 val level : unit -> level
-val set_level : level -> unit
 
 val refresh_level : unit -> unit
 (** Re-read {!Config.telemetry} (sessions call this on attach). *)
 
-val level_name : level -> string
 val enabled : unit -> bool
 
 (** Pipeline layers a span can belong to.  [Simulate] is the root and never
@@ -139,10 +137,6 @@ val attribution : unit -> attribution
 val pp_attribution : Format.formatter -> attribution -> unit
 
 (** {2 Exporters} *)
-
-val registry : unit -> Pasta_util.Metric.t
-(** Telemetry's own metric registry (tool latency histograms, span/mismatch
-    counters, per-layer gauges after {!prometheus}). *)
 
 val chrome_events : unit -> string list
 (** Rendered Chrome trace-event JSON objects: one ["X"] event per stored

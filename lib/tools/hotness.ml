@@ -2,11 +2,6 @@ let block_bytes = 2 * 1024 * 1024
 
 type classification = Persistent_hot | Bursty | Cold
 
-let classification_to_string = function
-  | Persistent_hot -> "persistent-hot"
-  | Bursty -> "bursty"
-  | Cold -> "cold"
-
 (* Samples (time_us, absolute block, accesses) in arrival order, as three
    flat columns: appending one allocates nothing beyond the columns'
    amortized growth.  The time range is read off the samples when a

@@ -19,8 +19,6 @@ val tool_fine : t -> Pasta.Tool.t
 
 type classification = Persistent_hot | Bursty | Cold
 
-val classification_to_string : classification -> string
-
 val matrix : t -> float array array
 (** [blocks x time_buckets] access-count matrix (row 0 is the lowest
     block).  Empty when nothing was observed.  Each cell sums its samples

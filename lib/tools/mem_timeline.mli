@@ -20,5 +20,3 @@ val free_events : t -> int
 
 val series : t -> buckets:int -> float array
 (** Bucketized live-bytes curve (MB). *)
-
-val report : t -> Format.formatter -> unit

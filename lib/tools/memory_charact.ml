@@ -49,7 +49,6 @@ let create ?(variant = Gpu) () =
     est_rate_min = 1.0;
   }
 
-let variant t = t.var
 let kernel_footprints t = Array.of_list (List.rev t.footprints)
 
 let push_footprint t bytes = t.footprints <- float_of_int bytes :: t.footprints

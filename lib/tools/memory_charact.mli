@@ -39,12 +39,9 @@ type t
 
 val create : ?variant:variant -> unit -> t
 val tool : t -> Pasta.Tool.t
-val variant : t -> variant
 
 val result : t -> row
 (** Raises [Invalid_argument] when no kernels were observed. *)
 
 val kernel_footprints : t -> float array
 (** Per-kernel accessed-object footprints in bytes, in launch order. *)
-
-val report : t -> Format.formatter -> unit

@@ -22,5 +22,3 @@ val totals : t -> (string * float * float) list
 
 val region_sum_us : t -> string -> float
 (** Sum of region time attributed to one kernel name (0 if unknown). *)
-
-val report : t -> Format.formatter -> unit

@@ -13,8 +13,6 @@
 
 type bound = Memory_bound | Compute_bound | Latency_bound
 
-val bound_to_string : bound -> string
-
 type t
 
 val create : ?arch:Gpusim.Arch.t -> unit -> t
@@ -22,12 +20,6 @@ val create : ?arch:Gpusim.Arch.t -> unit -> t
 
 val tool : t -> Pasta.Tool.t
 
-val ridge : t -> float
-(** Ridge arithmetic intensity, flops per byte: peak compute divided by
-    peak memory bandwidth. *)
-
 val classify : t -> (string * string * bound) list
 (** [(kernel, region label, bound)] for every observed region, kernels in
     first-seen order, regions in static (pc) order. *)
-
-val report : t -> Format.formatter -> unit

@@ -1,9 +1,5 @@
 type granularity = Object_level | Tensor_level
 
-let granularity_to_string = function
-  | Object_level -> "object-level"
-  | Tensor_level -> "tensor-level"
-
 module Imap = Map.Make (Int)
 
 type kernel_targets = {

@@ -21,8 +21,6 @@
 
 type granularity = Object_level | Tensor_level
 
-val granularity_to_string : granularity -> string
-
 type recorder
 
 val recorder : unit -> recorder

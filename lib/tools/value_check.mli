@@ -10,11 +10,8 @@
     previously loaded value), the signal for load/store elimination. *)
 
 val fp16_max : float
-val fp16_min_normal : float
 
 type hazard = Overflow | Underflow
-
-val hazard_to_string : hazard -> string
 
 val hazards_of_range : value_min:float -> value_max:float -> hazard list
 (** Classify an observed value range against the fp16 limits. *)
@@ -36,7 +33,6 @@ type t
 val create : unit -> t
 val tool : t -> Pasta.Tool.t
 
-val rows : t -> row list
 val flagged : t -> row list
 (** Kernels with at least one hazard. *)
 

@@ -1,6 +1,5 @@
 type t = int
 
-let b n = n
 let kib n = n * 1024
 let mib n = n * 1024 * 1024
 let gib n = n * 1024 * 1024 * 1024
@@ -13,7 +12,6 @@ let pp ppf n =
   else if n < 1024 * 1024 * 1024 then Format.fprintf ppf "%.2f MB" (f /. 1048576.0)
   else Format.fprintf ppf "%.2f GB" (f /. 1073741824.0)
 
-let pp_mb ppf n = Format.fprintf ppf "%.2f" (to_mib_f n)
 let to_string n = Format.asprintf "%a" pp n
 
 let align_up n ~align =

@@ -7,7 +7,6 @@ type t = int
     covers every quantity in the reproduction (device memories are <= 192
     GB). *)
 
-val b : int -> t
 val kib : int -> t
 val mib : int -> t
 val gib : int -> t
@@ -17,9 +16,6 @@ val to_mib_f : t -> float
 
 val pp : Format.formatter -> t -> unit
 (** Adaptive unit: "512 B", "47.50 KB", "212.62 MB", "4.05 GB". *)
-
-val pp_mb : Format.formatter -> t -> unit
-(** Fixed MB with two decimals, as in Table V body cells. *)
 
 val to_string : t -> string
 

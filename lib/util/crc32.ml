@@ -1,5 +1,3 @@
-type t = int
-
 (* Slicing-by-8: table.(0) is the classic byte-at-a-time table; table.(k)
    advances a byte through k additional zero bytes, so one loop iteration
    folds eight input bytes into the running CRC with eight table reads.

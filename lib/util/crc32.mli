@@ -5,17 +5,5 @@
     corruption modes the fault injector produces (bit flips, truncation,
     duplicated framing). *)
 
-type t
-(** A running checksum. *)
-
-val init : t
-(** The empty-message checksum state. *)
-
-val update_bytes : t -> Bytes.t -> pos:int -> len:int -> t
-val update_string : t -> string -> t
-
-val finish : t -> int
-(** The final CRC value, in [0, 0xFFFFFFFF]. *)
-
 val string : string -> int
 (** One-shot checksum of a whole string. *)

@@ -1,6 +1,5 @@
 type t = (int * int) list
 
-let empty = []
 let singleton ~base ~bytes = [ (base, bytes) ]
 let is_empty t = t = []
 
@@ -43,4 +42,3 @@ let take_at t ~base ~bytes =
 
 let total t = List.fold_left (fun acc (_, n) -> acc + n) 0 t
 let holes t = t
-let largest t = List.fold_left (fun acc (_, n) -> max acc n) 0 t

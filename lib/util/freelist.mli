@@ -8,7 +8,6 @@
 type t
 (** Immutable; operations return updated lists. *)
 
-val empty : t
 val singleton : base:int -> bytes:int -> t
 val is_empty : t -> bool
 
@@ -28,6 +27,3 @@ val take_at : t -> base:int -> bytes:int -> t option
 val total : t -> int
 val holes : t -> (int * int) list
 (** In increasing base order. *)
-
-val largest : t -> int
-(** Size of the largest hole; 0 when empty. *)

@@ -28,8 +28,6 @@ let merge a b =
   Hashtbl.iter (fun k n -> add out ~count:n k) b;
   out
 
-let iter f t = Hashtbl.iter f t
-
 let pp ?limit ppf t =
   let rows = to_sorted t in
   let rows = match limit with None -> rows | Some k -> List.filteri (fun i _ -> i < k) rows in

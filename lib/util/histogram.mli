@@ -17,7 +17,5 @@ val top : t -> int -> (string * int) list
 val merge : t -> t -> t
 (** [merge a b] is a fresh histogram with the summed counts. *)
 
-val iter : (string -> int -> unit) -> t -> unit
-
 val pp : ?limit:int -> Format.formatter -> t -> unit
 (** One "name count" row per binding, most frequent first. *)

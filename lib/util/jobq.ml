@@ -111,8 +111,6 @@ let pop t =
       in
       wait ())
 
-let try_pop t = locked t (fun () -> take_fair t)
-
 let remove t pred =
   locked t (fun () ->
       let found = ref None in
@@ -136,12 +134,6 @@ let remove t pred =
 
 let length t = locked t (fun () -> t.total)
 
-let tenant_depth t tenant =
-  locked t (fun () ->
-      match find_tenant t tenant with
-      | Some tq -> Queue.length tq.q
-      | None -> 0)
-
 let tenants t =
   locked t (fun () -> List.map (fun tq -> (tq.tenant, Queue.length tq.q)) t.tenants)
 
@@ -152,5 +144,3 @@ let close t =
   locked t (fun () ->
       t.closed <- true;
       Condition.broadcast t.nonempty)
-
-let is_closed t = locked t (fun () -> t.closed)

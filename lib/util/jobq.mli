@@ -26,16 +26,12 @@ val pop : 'a t -> 'a option
 (** Dequeue the next item in tenant-fair order, blocking while the queue
     is empty.  [None] once the queue is closed and drained. *)
 
-val try_pop : 'a t -> 'a option
-(** Non-blocking {!pop}. *)
-
 val remove : 'a t -> ('a -> bool) -> 'a option
 (** Remove and return the first queued item satisfying the predicate
     (tenant ring order, FIFO within a tenant) — cancellation of a queued
     job. *)
 
 val length : 'a t -> int
-val tenant_depth : 'a t -> string -> int
 
 val tenants : 'a t -> (string * int) list
 (** Every tenant ever seen with its current queue depth, in ring order. *)
@@ -46,5 +42,3 @@ val quota : 'a t -> int
 val close : 'a t -> unit
 (** Reject further pushes and wake every blocked {!pop}.  Queued items
     can still be drained. *)
-
-val is_closed : 'a t -> bool

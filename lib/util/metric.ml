@@ -99,12 +99,10 @@ let histogram t ?(help = "") ?(labels = []) ?(samples = 8192) name =
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let set c n = c.c <- n
-let value c = c.c
 
 let set_gauge g v = g.g <- v
 let add_gauge g v = g.g <- g.g +. v
 let max_gauge g v = if v > g.g then g.g <- v
-let gauge_value g = g.g
 
 let observe h v =
   h.h_count <- h.h_count + 1;
@@ -112,9 +110,6 @@ let observe h v =
   h.h_samples.(h.h_next) <- v;
   h.h_next <- (h.h_next + 1) mod Array.length h.h_samples;
   if h.h_stored < Array.length h.h_samples then h.h_stored <- h.h_stored + 1
-
-let histogram_count h = h.h_count
-let histogram_sum h = h.h_sum
 
 let histogram_summary h =
   if h.h_stored = 0 then None

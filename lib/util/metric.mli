@@ -38,21 +38,12 @@ val set : counter -> int -> unit
 (** Overwrite the counter — for mirroring a total owned elsewhere (e.g.
     bytes a writer has flushed). *)
 
-val value : counter -> int
-
 val set_gauge : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
 val max_gauge : gauge -> float -> unit
 (** Keep the maximum of the current value and [v] — high-water marks. *)
 
-val gauge_value : gauge -> float
-
 val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
-val histogram_summary : histogram -> Stats.summary option
-(** Summary over the reservoir; [None] before the first observation. *)
 
 val find_counter : t -> ?labels:(string * string) list -> string -> int option
 val find_gauge : t -> ?labels:(string * string) list -> string -> float option

@@ -22,7 +22,6 @@ val create : capacity:int -> 'a t
 
 val capacity : 'a t -> int
 val length : 'a t -> int
-val is_full : 'a t -> bool
 val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> bool

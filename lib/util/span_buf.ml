@@ -50,8 +50,6 @@ let record t sp =
       if t.stored < Array.length t.slots then t.stored <- t.stored + 1;
       t.pushed <- t.pushed + 1)
 
-let capacity t = Array.length t.slots
-let length t = locked t (fun () -> t.stored)
 let pushed t = locked t (fun () -> t.pushed)
 let dropped t = locked t (fun () -> t.pushed - t.stored)
 
@@ -65,11 +63,6 @@ let iter t f =
         Array.init n (fun i -> t.slots.((first + i) mod cap)))
   in
   Array.iter f snap
-
-let to_list t =
-  let acc = ref [] in
-  iter t (fun sp -> acc := sp :: !acc);
-  List.rev !acc
 
 let clear t =
   locked t (fun () ->

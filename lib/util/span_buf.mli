@@ -21,8 +21,6 @@ val create : capacity:int -> t
 (** Raises [Invalid_argument] on a non-positive capacity. *)
 
 val record : t -> span -> unit
-val capacity : t -> int
-val length : t -> int
 val pushed : t -> int
 (** Total spans ever recorded, including overwritten ones. *)
 
@@ -32,5 +30,4 @@ val dropped : t -> int
 val iter : t -> (span -> unit) -> unit
 (** Oldest to newest, over a snapshot taken under the lock. *)
 
-val to_list : t -> span list
 val clear : t -> unit

@@ -64,8 +64,3 @@ let summarize xs =
     p99 = percentile_sorted sorted 99.0;
     stddev = Float.sqrt var;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d total=%.2f min=%.2f max=%.2f mean=%.2f median=%.2f p90=%.2f p99=%.2f sd=%.2f"
-    s.count s.total s.min s.max s.mean s.median s.p90 s.p99 s.stddev

@@ -27,5 +27,3 @@ val percentile : float array -> float -> float
 val mean : float array -> float
 val geomean : float array -> float
 (** Geometric mean; requires all samples strictly positive. *)
-
-val pp_summary : Format.formatter -> summary -> unit

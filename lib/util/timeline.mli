@@ -19,9 +19,6 @@ val last_value : t -> float
 val peak : t -> float
 (** Maximum recorded value; 0.0 when empty. *)
 
-val samples : t -> (float * float) array
-(** All samples in recording order. *)
-
 val duration : t -> float
 (** Last time minus first time; 0.0 when fewer than two samples. *)
 

@@ -425,6 +425,21 @@ let test_submit_validation () =
       ("ACCEL_PROF_COLUMNAR", "0");
       ("ACCEL_PROF_BATCH_DELIVERY", "0");
     ];
+  (* A tool the job's default backend refuses, or one nobody registered,
+     is refused at submit time with the CLI's reason. *)
+  List.iter
+    (fun (tool, gpu, needle) ->
+      match Serve.submit t { (spec ~tool ()) with Proto.gpu } with
+      | Error msg ->
+          if not (Astring_contains.contains msg needle) then
+            Alcotest.failf "the refusal of %s on %s does not say %S: %s" tool gpu needle msg
+      | Ok _ -> Alcotest.failf "%s on %s should be rejected" tool gpu)
+    [
+      ("memory_charact_cs_cpu", "mi300x", "needs the Sanitizer backend");
+      ("hotness", "tpu_v4", "TPUs expose no fine-grained instrumentation");
+      ("no_such_tool", "a100", "unknown tool \"no_such_tool\"");
+    ];
+  Alcotest.(check bool) "no refused job was queued" true (Serve.status t 1 = None);
   Serve.shutdown t
 
 (* --- socket endpoint ---------------------------------------------------- *)
@@ -434,6 +449,29 @@ let test_socket_smoke () =
   match Serve.self_test () with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "self-test: %s" msg
+
+(* A client's Shutdown runs on a detached thread; [join] returns only once
+   it has finished, socket file included.  A refused job is answered with
+   code 1 (Exit_code.failure), not the admission code. *)
+let test_shutdown_unlinks_socket () =
+  Pasta_tools.Tools.register_all ();
+  let path = Filename.temp_file "accelprof-shutdown" ".sock" in
+  Sys.remove path;
+  let addr = Serve.Unix_sock path in
+  let t = Serve.create ~workers:1 () in
+  Serve.listen t addr;
+  let c = Serve.Client.connect addr in
+  let refused =
+    Serve.Client.request c
+      (Proto.Submit { (spec ~tool:"memory_charact_cs_cpu" ()) with Proto.gpu = "mi300x" })
+  in
+  Alcotest.(check (option bool)) "refused" (Some false) (Njson.bool_field "ok" refused);
+  Alcotest.(check (option int)) "validation code" (Some Pasta.Exit_code.failure)
+    (Njson.int_field "code" refused);
+  ignore (Serve.Client.request c Proto.Shutdown);
+  Serve.Client.close c;
+  Serve.join t;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
 (* Everything the daemon sends on [fd] until it closes the connection,
    or [None] if it is still open after [timeout_s]. *)
@@ -520,6 +558,8 @@ let suite =
     Alcotest.test_case "deadline aborts at a kernel boundary" `Quick test_deadline;
     Alcotest.test_case "submit-time validation" `Quick test_submit_validation;
     Alcotest.test_case "socket + HTTP scrape smoke" `Slow test_socket_smoke;
+    Alcotest.test_case "join returns after shutdown unlinks the socket" `Quick
+      test_shutdown_unlinks_socket;
     Alcotest.test_case "out-of-range and ill-typed fields are typed errors" `Quick
       test_codec_typed_errors;
     qtest prop_mutated_lines;
