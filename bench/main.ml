@@ -1,29 +1,16 @@
 (* Evaluation harness: regenerates every table and figure of the paper's
    evaluation section (PASTA, CGO 2026) on the simulated substrate, plus
-   wall-clock Bechamel microbenches and ablations.
+   wall-clock Bechamel microbenches and ablations.  The wall-clock
+   experiments measure, gate and write their BENCH_*.json artifacts
+   through Harness.
 
      dune exec bench/main.exe            -- everything
      dune exec bench/main.exe -- fig9    -- one experiment
      dune exec bench/main.exe -- list    -- available experiments *)
 
-module Runner = Dlfw.Runner
+open Harness
 module MC = Pasta_tools.Memory_charact
 module UX = Pasta_tools.Uvm_experiment
-
-(* All experiment output goes through [ppf], which forwards to the current
-   target — stdout by default, a per-experiment results file under
-   [--out DIR]. *)
-let out_ppf = ref Format.std_formatter
-
-let ppf =
-  Format.make_formatter
-    (fun s pos len ->
-      let out = Format.pp_get_formatter_out_functions !out_ppf () in
-      out.Format.out_string s pos len)
-    (fun () -> Format.pp_print_flush !out_ppf ())
-
-let section title =
-  Format.fprintf ppf "@.=== %s ===@.@." title
 
 let mb bytes = float_of_int bytes /. 1048576.0
 
@@ -32,17 +19,10 @@ let all_workloads =
     (fun abbr -> [ (abbr, Runner.Inference); (abbr, Runner.Train) ])
     Runner.all_abbrs
 
-(* Run a workload on a fresh device; returns (device, ctx, model) post-run. *)
-let fresh_run ?(arch = Gpusim.Arch.a100) ?session_tool abbr mode =
+let baseline_time ?(arch = Gpusim.Arch.a100) abbr mode =
   let device = Gpusim.Device.create arch in
   let ctx = Dlfw.Ctx.create device in
-  let session = Option.map (fun tool -> Pasta.Session.attach ~tool device) session_tool in
-  let model = Runner.run_default ctx abbr ~mode in
-  let result = Option.map Pasta.Session.detach session in
-  (device, ctx, model, result)
-
-let baseline_time ?(arch = Gpusim.Arch.a100) abbr mode =
-  let device, ctx, _, _ = fresh_run ~arch abbr mode in
+  ignore (Runner.run_default ctx abbr ~mode);
   let t = Gpusim.Device.now_us device in
   Dlfw.Ctx.destroy ctx;
   t
@@ -54,15 +34,12 @@ let baseline_time ?(arch = Gpusim.Arch.a100) abbr mode =
 let fig4 () =
   section "Figure 4: cross-layer call stack, most memory-referencing kernel (BERT inference)";
   let kf = Pasta_tools.Kernel_freq.create () in
-  let _, ctx, _, _ =
-    fresh_run ~session_tool:(Pasta_tools.Kernel_freq.tool kf) "BERT" Runner.Inference
-  in
-  (match Pasta_tools.Kernel_freq.most_mem_referenced kf with
+  ignore (fresh_run ~tool:(Pasta_tools.Kernel_freq.tool kf) "BERT" Runner.Inference);
+  match Pasta_tools.Kernel_freq.most_mem_referenced kf with
   | None -> Format.fprintf ppf "no kernels observed@."
   | Some (k, accesses) ->
       Format.fprintf ppf "kernel: %s (%d memory references)@.@." k.Pasta.Event.name accesses;
-      Pasta.Callstack.pp ppf (Pasta.Callstack.of_kernel k));
-  Dlfw.Ctx.destroy ctx
+      Pasta.Callstack.pp ppf (Pasta.Callstack.of_kernel k)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 7: kernel invocation frequency distribution.                *)
@@ -73,17 +50,14 @@ let fig7 () =
   List.iter
     (fun (abbr, mode) ->
       let kf = Pasta_tools.Kernel_freq.create () in
-      let _, ctx, _, _ =
-        fresh_run ~session_tool:(Pasta_tools.Kernel_freq.tool kf) abbr mode
-      in
+      ignore (fresh_run ~tool:(Pasta_tools.Kernel_freq.tool kf) abbr mode);
       Format.fprintf ppf "%s %s: %d launches, %d distinct kernels@." abbr
         (Runner.mode_to_string mode)
         (Pasta_tools.Kernel_freq.total_launches kf)
         (Pasta_tools.Kernel_freq.distinct_kernels kf);
       List.iter
         (fun (name, count) -> Format.fprintf ppf "    %-62s %8d@." name count)
-        (Pasta_tools.Kernel_freq.top kf 6);
-      Dlfw.Ctx.destroy ctx)
+        (Pasta_tools.Kernel_freq.top kf 6))
     all_workloads
 
 (* ------------------------------------------------------------------ *)
@@ -109,10 +83,8 @@ let paper_tablev = function
 
 let tablev_row abbr mode =
   let mc = MC.create ~variant:MC.Gpu () in
-  let _, ctx, _, _ = fresh_run ~session_tool:(MC.tool mc) abbr mode in
-  let r = MC.result mc in
-  Dlfw.Ctx.destroy ctx;
-  r
+  ignore (fresh_run ~tool:(MC.tool mc) abbr mode);
+  MC.result mc
 
 let tablev () =
   section "Table V: memory characteristics of diverse DNN models (measured vs paper)";
@@ -174,11 +146,7 @@ let overhead_suite arch =
           List.map
             (fun variant ->
               let mc = MC.create ~variant () in
-              let _, ctx, _, result =
-                fresh_run ~arch ~session_tool:(MC.tool mc) abbr mode
-              in
-              Dlfw.Ctx.destroy ctx;
-              let result = Option.get result in
+              let result = (fresh_run ~arch ~tool:(MC.tool mc) abbr mode).value in
               {
                 o_abbr = abbr;
                 o_mode = mode;
@@ -330,11 +298,8 @@ let fig12 () =
 let fig13 () =
   section "Figure 13: memory access hotness of BERT inference over time (2 MiB blocks)";
   let hot = Pasta_tools.Hotness.create () in
-  let _, ctx, _, _ =
-    fresh_run ~session_tool:(Pasta_tools.Hotness.tool hot) "BERT" Runner.Inference
-  in
-  Pasta_tools.Hotness.report hot ppf;
-  Dlfw.Ctx.destroy ctx
+  ignore (fresh_run ~tool:(Pasta_tools.Hotness.tool hot) "BERT" Runner.Inference);
+  Pasta_tools.Hotness.report hot ppf
 
 (* ------------------------------------------------------------------ *)
 (* Figure 14: GPT-2 training memory usage, NVIDIA vs AMD.             *)
@@ -429,9 +394,7 @@ let instr () =
   section "Instruction-level tools (paper §III-H): divergence, barrier stalls, value hazards";
   let base = baseline_time "BERT" Runner.Inference in
   let run_tool name tool report =
-    let _, ctx, _, result = fresh_run ~session_tool:tool "BERT" Runner.Inference in
-    Dlfw.Ctx.destroy ctx;
-    let result = Option.get result in
+    let result = (fresh_run ~tool "BERT" Runner.Inference).value in
     Format.fprintf ppf "--- %s (overhead %.2fx) ---@." name
       (result.Pasta.Session.elapsed_us /. base);
     report ppf;
@@ -696,361 +659,193 @@ let bechamel_benches () =
       | Some [ ns ] -> Format.fprintf ppf "%-40s %12.1f ns/run@." name ns
       | _ -> Format.fprintf ppf "%-40s (no estimate)@." name)
     names
-
 (* ------------------------------------------------------------------ *)
 (* Pipeline: batched parallel preprocessing vs per-record delivery.    *)
 (* ------------------------------------------------------------------ *)
 
-type pipeline_run = {
-  p_records : int;
-  p_wall_s : float;
-  p_report : string;  (* rendered tool output, for byte-identity checks *)
-}
-
-(* One BERT-inference run under fine-grained hotness.  [`Serial] is the
-   per-record path: a CS-CPU tool with only [on_access], so the processor
-   unpacks every buffered view into one event allocation, one dispatch
-   and one [on_access] call per sampled record.  [`Parallel n] is the
-   batched path: packed chunks, an [n]-domain device-side reduction, one
-   merged summary per kernel. *)
-let pipeline_run ~sample_cap ~iters kind =
+(* One BERT-inference run under fine-grained hotness; its value is the
+   records the tool saw and its report.  [`Serial] is the per-record
+   path: a CS-CPU tool with only [on_access], so the processor unpacks
+   every buffered view into one event allocation, one dispatch and one
+   [on_access] call per sampled record.  [`Parallel n] is the batched
+   path: packed chunks, an [n]-domain device-side reduction, one merged
+   summary per kernel. *)
+let pipeline_run ~sample_cap kind () =
   Pasta.Config.set "ACCEL_PROF_DOMAINS"
     (match kind with `Serial -> "1" | `Parallel n -> string_of_int n);
-  let device = Gpusim.Device.create Gpusim.Arch.a100 in
-  let ctx = Dlfw.Ctx.create device in
   let records = ref 0 in
-  let tool, render =
+  let tool =
     match kind with
     | `Serial ->
         (* Same unit of per-sample tool work as the hotness accumulator,
            so the comparison measures the delivery pipeline, not the tool. *)
         let samples = ref [] in
-        let tool =
-          {
-            (Pasta.Tool.default ~fine_grained:Pasta.Tool.Cpu_sanitizer "hotness_serial") with
-            Pasta.Tool.on_access =
-              (fun _ a ->
-                incr records;
-                samples :=
-                  (a.Pasta.Event.addr / Pasta_tools.Hotness.block_bytes, a.Pasta.Event.weight)
-                  :: !samples);
-          }
-        in
-        (tool, fun () -> Printf.sprintf "serial: %d block samples" (List.length !samples))
+        {
+          (Pasta.Tool.default ~fine_grained:Pasta.Tool.Cpu_sanitizer "hotness_serial") with
+          Pasta.Tool.on_access =
+            (fun _ a ->
+              incr records;
+              samples :=
+                (a.Pasta.Event.addr / Pasta_tools.Hotness.block_bytes, a.Pasta.Event.weight)
+                :: !samples);
+          report =
+            (fun ppf -> Format.fprintf ppf "serial: %d block samples" (List.length !samples));
+        }
     | `Parallel _ ->
-        let hot = Pasta_tools.Hotness.create () in
-        let base = Pasta_tools.Hotness.tool_fine hot in
-        let tool =
-          {
-            base with
-            Pasta.Tool.on_device_summary =
-              (fun info s ->
-                records := !records + s.Pasta.Devagg.sampled_records;
-                base.Pasta.Tool.on_device_summary info s);
-          }
-        in
-        (tool, fun () -> Format.asprintf "%t" (fun ppf -> Pasta_tools.Hotness.report hot ppf))
+        let base = Pasta_tools.Hotness.tool_fine (Pasta_tools.Hotness.create ()) in
+        {
+          base with
+          Pasta.Tool.on_device_summary =
+            (fun info s ->
+              records := !records + s.Pasta.Devagg.sampled_records;
+              base.Pasta.Tool.on_device_summary info s);
+        }
   in
-  let t0 = Unix.gettimeofday () in
-  let session = Pasta.Session.attach ~sample_cap:sample_cap ~tool device in
-  let model = Runner.build ctx "BERT" in
-  Runner.run ctx model ~mode:Runner.Inference ~iters;
-  let (_ : Pasta.Session.result) = Pasta.Session.detach session in
-  let wall = Unix.gettimeofday () -. t0 in
-  Dlfw.Ctx.destroy ctx;
+  let run = fresh_run ~sample_cap ~iters:1 ~tool "BERT" Runner.Inference in
   Pasta.Config.unset "ACCEL_PROF_DOMAINS";
-  { p_records = !records; p_wall_s = wall; p_report = render () }
+  { run with value = (!records, report_text run) }
 
-(* One configuration measured [reps] times: the median wall time is the
-   headline (robust against a stray GC pause or scheduler hiccup in either
-   direction), the min is reported alongside as the best case. *)
-type pipeline_summary = {
-  pm_records : int;
-  pm_wall_median : float;
-  pm_wall_min : float;
-  pm_report : string;
-}
-
-let pipeline_summarize runs =
-  let walls = List.map (fun r -> r.p_wall_s) runs |> List.sort compare in
-  let median =
-    let a = Array.of_list walls in
-    let n = Array.length a in
-    if n land 1 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
-  in
-  let first = List.hd runs in
-  (* Record counts and reports are deterministic per configuration; check
-     rather than assume, so a rep-to-rep divergence can't hide. *)
-  List.iter
-    (fun r ->
-      if r.p_records <> first.p_records || r.p_report <> first.p_report then begin
-        prerr_endline "pipeline: FAIL - output diverges across repetitions";
-        exit 1
-      end)
-    runs;
-  {
-    pm_records = first.p_records;
-    pm_wall_median = median;
-    pm_wall_min = List.hd walls;
-    pm_report = first.p_report;
-  }
+let pipeline_configs ~sample_cap =
+  ("serial (per-record)", pipeline_run ~sample_cap `Serial)
+  :: List.map
+       (fun d ->
+         ( Printf.sprintf "batched, %d domain%s" d (if d = 1 then "" else "s"),
+           pipeline_run ~sample_cap (`Parallel d) ))
+       [ 1; 2; 4; 8 ]
 
 let pipeline () =
   section
     "Pipeline: per-record delivery vs batched parallel preprocessing (BERT inference, \
      fine-grained hotness)";
-  let sample_cap = 4096 and iters = 1 and reps = 9 in
-  let kinds = [| `Serial; `Parallel 1; `Parallel 2; `Parallel 4; `Parallel 8 |] in
-  (* One unmeasured warmup pass per configuration (page cache, branch
-     predictors, pool creation), then the timed reps run round-robin
-     across configurations with a compacted heap, so slow machine drift
-     lands evenly on every configuration instead of on whichever
-     happened to run last.  Each round starts one configuration later
-     than the previous one: within a round the heap and allocator state
-     degrade slightly from first slot to last, and rotating the start
-     spreads that position cost across configurations instead of always
-     taxing the same one. *)
-  Array.iter (fun k -> ignore (pipeline_run ~sample_cap ~iters k)) kinds;
-  let n_kinds = Array.length kinds in
-  let samples = Array.map (fun _ -> ref []) kinds in
-  for rep = 0 to reps - 1 do
-    for slot = 0 to n_kinds - 1 do
-      let i = (slot + rep) mod n_kinds in
-      Gc.compact ();
-      samples.(i) := pipeline_run ~sample_cap ~iters kinds.(i) :: !(samples.(i))
-    done
-  done;
-  let summarize i = pipeline_summarize (List.rev !(samples.(i))) in
-  let serial = summarize 0 in
-  let par = List.mapi (fun i d -> (d, summarize (i + 1))) [ 1; 2; 4; 8 ] in
-  let rps r = float_of_int r.pm_records /. r.pm_wall_median in
-  let speedup r = serial.pm_wall_median /. r.pm_wall_median in
-  let row name r =
-    [
-      name;
-      string_of_int r.pm_records;
-      Printf.sprintf "%.1f" (1000.0 *. r.pm_wall_median);
-      Printf.sprintf "%.1f" (1000.0 *. r.pm_wall_min);
-      Printf.sprintf "%.2e" (rps r);
-      Printf.sprintf "%.2fx" (speedup r);
-    ]
-  in
-  Pasta_util.Texttab.render ppf
-    ~header:
-      [ "configuration"; "records"; "median (ms)"; "min (ms)"; "records/s"; "speedup" ]
-    ~align:[ Pasta_util.Texttab.Left; Right; Right; Right; Right; Right ]
-    (row "serial (per-record)" serial
-    :: List.map
-         (fun (d, r) ->
-           row (Printf.sprintf "batched, %d domain%s" d (if d = 1 then "" else "s")) r)
-         par);
+  let sample_cap = 4096 and reps = 9 in
+  let stats = measure "pipeline" ~reps ~output:snd (pipeline_configs ~sample_cap) in
+  let serial = List.hd stats and par = List.combine [ 1; 2; 4; 8 ] (List.tl stats) in
+  let records s = fst (last s) in
+  let rps s = float_of_int (records s) /. s.median_s in
+  let speedup s = serial.median_s /. s.median_s in
+  let sp d = speedup (List.assoc d par) in
+  table [ "records"; "records/s"; "speedup" ]
+    (List.map
+       (fun s ->
+         ( s,
+           [
+             string_of_int (records s);
+             Printf.sprintf "%.2e" (rps s);
+             Printf.sprintf "%.2fx" (speedup s);
+           ] ))
+       stats);
+  (* The old 2-domain anomaly (2.06x vs 2.83x at 1 domain) was
+     oversubscription: every extra domain past the hardware's parallelism
+     just timeshares a core through the job mutex.  Domain_pool now claims
+     guided blocks and clamps spawned workers to
+     [Domain.recommended_domain_count], so extra requested domains can no
+     longer make the pipeline slower. *)
   Format.fprintf ppf
-    "@.%d reps per configuration; wall times are medians, speedups from medians.@." reps;
-  (match List.assoc_opt 2 par with
-  | Some r ->
-      (* The old 2-domain anomaly (2.06x vs 2.83x at 1 domain) was
-         oversubscription: every extra domain past the hardware's
-         parallelism just timeshares a core through the job mutex.
-         Domain_pool now claims guided blocks and clamps spawned workers
-         to [Domain.recommended_domain_count], so extra requested domains
-         can no longer make the pipeline slower. *)
-      Format.fprintf ppf
-        "2-domain scheduling (guided claiming, pool clamped to %d-core hardware): %.2fx \
-         vs serial@."
-        (Domain.recommended_domain_count ())
-        (speedup r)
-  | None -> ());
-  let digests = List.map (fun (d, r) -> (d, Digest.to_hex (Digest.string r.pm_report))) par in
-  let deterministic =
-    match digests with
-    | [] -> true
-    | (_, d0) :: rest -> List.for_all (fun (_, d) -> d = d0) rest
-  in
+    "@.%d reps per configuration; speedups from medians.@.2-domain scheduling (guided \
+     claiming, pool clamped to %d-core hardware): %.2fx vs serial@."
+    reps (Domain.recommended_domain_count ()) (sp 2);
+  let digest = (List.assoc 1 par).digest in
+  let deterministic = List.for_all (fun (_, s) -> s.digest = digest) par in
   Format.fprintf ppf "tool output %s across domain counts (md5 %s)@."
     (if deterministic then "byte-identical" else "DIVERGES")
-    (match digests with (_, d) :: _ -> d | [] -> "-");
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"experiment\": \"pipeline\",\n";
-  Printf.bprintf b "  \"workload\": \"BERT-inference\",\n";
-  Printf.bprintf b "  \"sample_cap\": %d,\n  \"iters\": %d,\n  \"reps\": %d,\n" sample_cap
-    iters reps;
-  Printf.bprintf b "  \"hardware_parallelism\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.bprintf b
-    "  \"serial\": { \"records\": %d, \"wall_median_s\": %.6f, \"wall_min_s\": %.6f, \
-     \"records_per_sec\": %.1f },\n"
-    serial.pm_records serial.pm_wall_median serial.pm_wall_min (rps serial);
-  Printf.bprintf b "  \"parallel\": [\n";
-  List.iteri
-    (fun i (d, r) ->
-      Printf.bprintf b
-        "    { \"domains\": %d, \"records\": %d, \"wall_median_s\": %.6f, \
-         \"wall_min_s\": %.6f, \"records_per_sec\": %.1f, \"speedup_vs_serial\": %.3f, \
-         \"digest\": \"%s\" }%s\n"
-        d r.pm_records r.pm_wall_median r.pm_wall_min (rps r) (speedup r)
-        (Digest.to_hex (Digest.string r.pm_report))
-        (if i = List.length par - 1 then "" else ","))
-    par;
-  Printf.bprintf b "  ],\n";
-  let sp d = match List.assoc_opt d par with Some r -> speedup r | None -> 0.0 in
-  (* Measurement noise floor: the worst relative gap between a batched
-     configuration's median and best wall across the reps.  Once the pool
-     clamps to hardware parallelism, configurations past the core count
-     execute identical code, so speedup differences inside this band are
-     sampling error, not scheduling regressions; the monotonicity gate
-     below compares at this resolution.  On hardware with enough cores
-     for every configuration the band still applies, but genuine scaling
-     regressions dwarf it. *)
-  let noise_floor =
-    List.fold_left
-      (fun acc (_, r) ->
-        Float.max acc ((r.pm_wall_median -. r.pm_wall_min) /. r.pm_wall_median))
-      0.0 par
+    digest;
+  (* Configurations past the core count run identical code once the pool
+     clamps to the hardware, so speedup differences inside the batched
+     configurations' noise floor are sampling error, not scheduling
+     regressions: the monotonicity gate compares at that resolution. *)
+  let noise = noise_floor (List.map snd par) in
+  let within_noise = not (sp 8 < sp 4 *. (1.0 -. noise)) in
+  let rec monotone = function
+    | a :: (b :: _ as rest) -> speedup a <= speedup b && monotone rest
+    | _ -> true
   in
-  let monotone_raw =
-    let rec go = function
-      | (_, a) :: ((_, b) :: _ as rest) ->
-          speedup a <= speedup b && go rest
-      | _ -> true
-    in
-    go par
-  in
-  Printf.bprintf b "  \"speedup_4_domains_vs_serial\": %.3f,\n" (sp 4);
-  Printf.bprintf b "  \"speedup_8_domains_vs_serial\": %.3f,\n" (sp 8);
-  Printf.bprintf b "  \"speedup_noise_floor\": %.4f,\n" noise_floor;
-  Printf.bprintf b "  \"speedup_monotone_1_to_8\": %b,\n" monotone_raw;
-  Printf.bprintf b "  \"deterministic_across_domains\": %b\n}\n" deterministic;
-  let oc = open_out "BENCH_pipeline.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf ppf "wrote BENCH_pipeline.json@.";
-  if not deterministic then begin
-    prerr_endline "pipeline: FAIL - parallel tool output diverges across domain counts";
-    exit 1
-  end;
-  if sp 8 < sp 4 *. (1.0 -. noise_floor) then begin
-    Printf.eprintf
-      "pipeline: FAIL - 8-domain speedup (%.2fx) below 4-domain speedup (%.2fx) beyond \
-       the %.1f%% measurement noise floor\n"
-      (sp 8) (sp 4) (100.0 *. noise_floor);
-    exit 1
-  end
-  else if sp 8 < sp 4 then
+  write_artifact "BENCH_pipeline.json" ~workload:"BERT-inference" ~reps ~noise_floor:noise
+    [
+      ("sample_cap", Int sample_cap);
+      ("iters", Int 1);
+      ( "configs",
+        configs_json stats ~extra:(fun s ->
+            [
+              ("records", Int (records s));
+              ("records_per_sec", num 1 (rps s));
+              ("speedup_vs_serial", num 3 (speedup s));
+            ]) );
+      ("speedup_4_domains_vs_serial", num 3 (sp 4));
+      ("speedup_8_domains_vs_serial", num 3 (sp 8));
+      ("speedup_monotone_1_to_8", Bool (monotone (List.map snd par)));
+      ("deterministic_across_domains", Bool deterministic);
+    ];
+  gate "pipeline" deterministic "parallel tool output diverges across domain counts";
+  gate "pipeline" within_noise
+    "8-domain speedup (%.2fx) below 4-domain speedup (%.2fx) beyond the %.1f%% measurement \
+     noise floor"
+    (sp 8) (sp 4) (100.0 *. noise);
+  if within_noise && sp 8 < sp 4 then
     Format.fprintf ppf
       "8-domain speedup (%.2fx) within the %.1f%% noise floor of 4-domain (%.2fx); \
        configurations past the %d-core clamp run identical code@."
-      (sp 8) (100.0 *. noise_floor) (sp 4)
+      (sp 8) (100.0 *. noise) (sp 4)
       (Domain.recommended_domain_count ())
 
 (* ------------------------------------------------------------------ *)
 
-(* Record/replay: a live simulate+analyze run with a trace capture riding
-   along, vs re-driving the recorded op stream through the same tool
-   offline.  Replay skips simulation and instrumentation entirely, so it
-   should be substantially faster while reproducing the report byte for
-   byte. *)
-
-let replay_live ~sample_cap ~iters ~capture =
-  let device = Gpusim.Device.create Gpusim.Arch.a100 in
-  let ctx = Dlfw.Ctx.create device in
-  let hot = Pasta_tools.Hotness.create () in
-  let t0 = Unix.gettimeofday () in
-  let session =
-    Pasta.Session.attach ~sample_cap:sample_cap ?capture
-      ~tool:(Pasta_tools.Hotness.tool_fine hot)
-      device
-  in
-  let model = Runner.build ctx "BERT" in
-  Runner.run ctx model ~mode:Runner.Inference ~iters;
-  let result = Pasta.Session.detach session in
-  let wall = Unix.gettimeofday () -. t0 in
-  Dlfw.Ctx.destroy ctx;
-  (wall, result)
-
-let replay_offline path =
-  let hot = Pasta_tools.Hotness.create () in
-  let t0 = Unix.gettimeofday () in
-  let o =
-    Pasta.Replay.run ~mode:Pasta.Ptrace.Strict
-      ~tool:(Pasta_tools.Hotness.tool_fine hot)
-      path
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  (wall, o)
+(* Record/replay: a live simulate+analyze run, the same run with a trace
+   capture riding along, and the recorded op stream re-driven through the
+   same tool offline.  Replay skips simulation and instrumentation
+   entirely and must reproduce the report byte for byte; the timings show
+   what capture costs and whether replay beats a live run. *)
 
 let replay () =
   section
     "Record/replay: live simulate+analyze vs offline trace replay (BERT \
      inference, fine-grained hotness)";
-  let sample_cap = 4096 and iters = 1 and reps = 3 in
+  let sample_cap = 4096 and reps = 3 in
   let path = Filename.temp_file "pasta_bench" ".ptrace" in
-  let best f =
-    let runs = List.init reps (fun _ -> f ()) in
-    List.fold_left
-      (fun (w0, r0) (w, r) -> if w < w0 then (w, r) else (w0, r0))
-      (List.hd runs) (List.tl runs)
+  let tool () = Pasta_tools.Hotness.tool_fine (Pasta_tools.Hotness.create ()) in
+  let live capture () =
+    let run = fresh_run ~sample_cap ~iters:1 ?capture ~tool:(tool ()) "BERT" Runner.Inference in
+    { run with value = report_text run }
   in
-  let live_wall, live_result =
-    best (fun () -> replay_live ~sample_cap ~iters ~capture:None)
+  let offline () =
+    let run = timed (fun () -> Pasta.Replay.run ~mode:Pasta.Ptrace.Strict ~tool:(tool ()) path) in
+    { run with value = Format.asprintf "%t" run.value.Pasta.Replay.report }
   in
-  (* the recording run overwrites [path] each rep; the last trace is the
-     one replayed below, and every rep's trace is structurally identical *)
-  let rec_wall, rec_result =
-    best (fun () -> replay_live ~sample_cap ~iters ~capture:(Some path))
+  (* Every recording run rewrites [path] with the same op stream; the
+     replay reads whichever ran last. *)
+  let stats =
+    measure "replay" ~reps ~output:Fun.id
+      [
+        ("live (simulate+analyze)", live None);
+        ("live + capture", live (Some path));
+        ("replay (trace -> tool)", offline);
+      ]
   in
-  let replay_wall, outcome = best (fun () -> replay_offline path) in
-  let live_report = Format.asprintf "%t" rec_result.Pasta.Session.report in
-  let replay_report = Format.asprintf "%t" outcome.Pasta.Replay.report in
-  let identical = String.equal live_report replay_report in
-  let h = rec_result.Pasta.Session.health in
-  let row name wall =
-    [
-      name;
-      Printf.sprintf "%.1f" (1000.0 *. wall);
-      Printf.sprintf "%.2fx" (live_wall /. wall);
-    ]
-  in
-  Pasta_util.Texttab.render ppf
-    ~header:[ "configuration"; "wall (ms)"; "speedup vs live" ]
-    ~align:[ Pasta_util.Texttab.Left; Right; Right ]
-    [
-      row "live (simulate+analyze)" live_wall;
-      row "live + capture" rec_wall;
-      row "replay (trace -> tool)" replay_wall;
-    ];
-  Format.fprintf ppf
-    "@.trace: %d ops, %d bytes, %d chunks; replay report %s live@."
-    h.Pasta.Session.events_recorded h.Pasta.Session.bytes_written
-    h.Pasta.Session.chunks
-    (if identical then "byte-identical to" else "DIVERGES from");
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"experiment\": \"replay\",\n";
-  Printf.bprintf b "  \"workload\": \"BERT-inference\",\n";
-  Printf.bprintf b "  \"sample_cap\": %d,\n  \"iters\": %d,\n" sample_cap iters;
-  Printf.bprintf b "  \"live_wall_s\": %.6f,\n" live_wall;
-  Printf.bprintf b "  \"record_wall_s\": %.6f,\n" rec_wall;
-  Printf.bprintf b "  \"replay_wall_s\": %.6f,\n" replay_wall;
-  Printf.bprintf b "  \"replay_speedup_vs_live\": %.3f,\n"
-    (live_wall /. replay_wall);
-  Printf.bprintf b "  \"capture_overhead_vs_live\": %.3f,\n"
-    (rec_wall /. live_wall);
-  Printf.bprintf b
-    "  \"trace\": { \"ops\": %d, \"bytes\": %d, \"chunks\": %d },\n"
-    h.Pasta.Session.events_recorded h.Pasta.Session.bytes_written
-    h.Pasta.Session.chunks;
-  Printf.bprintf b "  \"replay_ops\": %d,\n" outcome.Pasta.Replay.ops_replayed;
-  Printf.bprintf b "  \"live_report_md5\": \"%s\",\n"
-    (Digest.to_hex (Digest.string live_report));
-  Printf.bprintf b "  \"replay_report_md5\": \"%s\",\n"
-    (Digest.to_hex (Digest.string replay_report));
-  Printf.bprintf b "  \"identical_reports\": %b\n}\n" identical;
-  let oc = open_out "BENCH_replay.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf ppf "wrote BENCH_replay.json@.";
+  let live_s = List.hd stats and capture_s = List.nth stats 1 and replay_s = List.nth stats 2 in
+  let trace = Pasta.Replay.stat path in
   Sys.remove path;
-  ignore live_result
+  let identical = String.equal capture_s.digest replay_s.digest in
+  table [ "speedup vs live" ]
+    (List.map
+       (fun s -> (s, [ Printf.sprintf "%.2fx" (live_s.median_s /. s.median_s) ]))
+       stats);
+  Format.fprintf ppf "@.trace: %d ops, %d bytes, %d chunks; replay report %s live@."
+    trace.Pasta.Replay.s_ops trace.s_bytes trace.s_chunks
+    (if identical then "byte-identical to" else "DIVERGES from");
+  write_artifact "BENCH_replay.json" ~workload:"BERT-inference" ~reps
+    ~noise_floor:(noise_floor stats)
+    [
+      ("sample_cap", Int sample_cap);
+      ("iters", Int 1);
+      ("configs", configs_json stats);
+      ( "trace",
+        Obj
+          [
+            ("ops", Int trace.s_ops); ("bytes", Int trace.s_bytes); ("chunks", Int trace.s_chunks);
+          ] );
+      ("replay_speedup_vs_live", num 3 (live_s.median_s /. replay_s.median_s));
+      ("capture_overhead_vs_live", num 3 (capture_s.median_s /. live_s.median_s));
+      ("identical_reports", Bool identical);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1066,62 +861,16 @@ let replay () =
 let with_telemetry level f =
   Pasta.Config.set "ACCEL_PROF_TELEMETRY" level;
   Pasta.Telemetry.refresh_level ();
-  Pasta.Telemetry.reset ();
   Fun.protect
     ~finally:(fun () ->
       Pasta.Config.unset "ACCEL_PROF_TELEMETRY";
       Pasta.Telemetry.refresh_level ())
     f
 
-let nvbit_records_run ~sample_cap =
-  let device = Gpusim.Device.create Gpusim.Arch.a100 in
-  let ctx = Dlfw.Ctx.create device in
+let nvbit_records_run () =
   let tool = MC.tool (MC.create ~variant:MC.Cpu_nvbit ()) in
-  let t0 = Unix.gettimeofday () in
-  let session = Pasta.Session.attach ~sample_cap ~tool device in
-  let model = Runner.build ctx "BERT" in
-  Runner.run ctx model ~mode:Runner.Inference ~iters:1;
-  let r = Pasta.Session.detach session in
-  let wall = Unix.gettimeofday () -. t0 in
-  Dlfw.Ctx.destroy ctx;
-  {
-    p_records = r.Pasta.Session.events_seen;
-    p_wall_s = wall;
-    p_report = Format.asprintf "%t" r.Pasta.Session.report;
-  }
-
-(* Warm each level once, then time [reps] rounds rotating the level
-   order under a compacted heap (as the pipeline experiment does), and
-   keep the attribution of one more full-level run.  A level's overhead
-   is the median over rounds of its wall time over the same round's
-   [off] wall time: the runs of one round are adjacent in time, so the
-   ratio cancels the machine's drift, and the median drops the round a
-   neighbour's burst landed in. *)
-let telemetry_levels ~reps run =
-  let levels = [| "off"; "basic"; "full" |] in
-  let n = Array.length levels in
-  Array.iter (fun l -> ignore (with_telemetry l run)) levels;
-  let rounds = Array.make_matrix reps n { p_records = 0; p_wall_s = 0.0; p_report = "" } in
-  for rep = 0 to reps - 1 do
-    for slot = 0 to n - 1 do
-      let i = (slot + rep) mod n in
-      Gc.compact ();
-      rounds.(rep).(i) <- with_telemetry levels.(i) run
-    done
-  done;
-  let attr, attr_text =
-    with_telemetry "full" (fun () ->
-        ignore (run ());
-        let a = Pasta.Telemetry.attribution () in
-        (a, Format.asprintf "%a" Pasta.Telemetry.pp_attribution a))
-  in
-  let summary i = pipeline_summarize (Array.to_list (Array.map (fun r -> r.(i)) rounds)) in
-  let ratio i =
-    Pasta_util.Stats.percentile
-      (Array.map (fun r -> r.(i).p_wall_s /. r.(0).p_wall_s) rounds)
-      50.0
-  in
-  (Array.init n (fun i -> (summary i, ratio i)), attr, attr_text)
+  let run = fresh_run ~sample_cap:2048 ~iters:1 ~tool "BERT" Runner.Inference in
+  { run with value = (run.value.Pasta.Session.events_seen, report_text run) }
 
 let telemetry () =
   let reps = 15 in
@@ -1130,101 +879,64 @@ let telemetry () =
       ( "BERT-inference-batched-4dom",
         "batched hotness, 4 domains",
         4096,
-        (fun () -> pipeline_run ~sample_cap:4096 ~iters:1 (`Parallel 4)),
+        pipeline_run ~sample_cap:4096 (`Parallel 4),
         ("basic_overhead < 0.05", fun ratio -> ratio -. 1.0 < 0.05) );
       ( "BERT-inference-nvbit-records",
         "per-record memory_charact_nvbit_cpu",
         2048,
-        (fun () -> nvbit_records_run ~sample_cap:2048),
+        nvbit_records_run,
         ("basic_overhead <= 0.5", fun ratio -> ratio <= 1.5) );
     ]
   in
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"experiment\": \"telemetry\",\n";
-  Printf.bprintf b "  \"reps\": %d,\n" reps;
-  Printf.bprintf b "  \"hardware_parallelism\": %d,\n"
-    (Domain.recommended_domain_count ());
-  Printf.bprintf b "  \"workloads\": [\n";
-  let failures =
-    List.mapi
-      (fun wi (name, describe, sample_cap, run, (gate, gate_ok)) ->
+  let measured =
+    List.map
+      (fun (name, describe, sample_cap, run, (gate_text, gate_ok)) ->
         section
           (Printf.sprintf
-             "Self-telemetry overhead: off vs basic vs full (BERT inference, %s)"
-             describe);
-        let levels, attr, attr_text = telemetry_levels ~reps run in
-        let (off, _), (basic, basic_ratio), (full, full_ratio) =
-          (levels.(0), levels.(1), levels.(2))
+             "Self-telemetry overhead: off vs basic vs full (BERT inference, %s)" describe);
+        let stats =
+          measure "telemetry" ~reps ~output:snd
+            (List.map
+               (fun level -> (level, fun () -> with_telemetry level run))
+               [ "off"; "basic"; "full" ])
         in
-        let row level (r, ratio) =
-          [
-            level;
-            Printf.sprintf "%.1f" (1000.0 *. r.pm_wall_min);
-            Printf.sprintf "%.1f" (1000.0 *. r.pm_wall_median);
-            Printf.sprintf "%.2fx" ratio;
-          ]
-        in
-        Pasta_util.Texttab.render ppf
-          ~header:[ "telemetry level"; "best (ms)"; "median (ms)"; "vs off" ]
-          ~align:[ Pasta_util.Texttab.Left; Right; Right; Right ]
-          [ row "off" levels.(0); row "basic" levels.(1); row "full" levels.(2) ];
-        let identical =
-          String.equal off.pm_report basic.pm_report
-          && String.equal off.pm_report full.pm_report
-        in
-        let ok = gate_ok basic_ratio in
+        let off = List.hd stats and basic = List.nth stats 1 and full = List.nth stats 2 in
+        (* A level's overhead is the median over rounds of its wall time
+           over the same round's [off] wall time: the runs of one round are
+           adjacent in time, so the ratio cancels the machine's drift, and
+           the median drops the round a neighbour's burst landed in. *)
+        let ratio s = Pasta_util.Stats.percentile (Array.map2 ( /. ) s.walls off.walls) 50.0 in
+        table [ "vs off" ] (List.map (fun s -> (s, [ Printf.sprintf "%.2fx" (ratio s) ])) stats);
+        let identical = List.for_all (fun s -> String.equal s.digest off.digest) stats in
+        let ok = gate_ok (ratio basic) in
         Format.fprintf ppf
-          "@.tool output %s across telemetry levels; gate %s: %s; attribution \
-           (full run):@.%s@."
+          "@.tool output %s across telemetry levels; gate %s: %s; attribution (full \
+           run):@.%s@."
           (if identical then "byte-identical" else "DIVERGES")
-          gate
+          gate_text
           (if ok then "ok" else "FAIL")
-          attr_text;
-        Printf.bprintf b "    {\n";
-        Printf.bprintf b "      \"workload\": \"%s\",\n" name;
-        Printf.bprintf b "      \"sample_cap\": %d,\n      \"iters\": 1,\n" sample_cap;
-        Printf.bprintf b "      \"records\": %d,\n" off.pm_records;
-        List.iter
-          (fun (level, r) ->
-            Printf.bprintf b "      \"%s_wall_min_s\": %.6f,\n" level r.pm_wall_min;
-            Printf.bprintf b "      \"%s_wall_median_s\": %.6f,\n" level
-              r.pm_wall_median)
-          [ ("off", off); ("basic", basic); ("full", full) ];
-        Printf.bprintf b "      \"basic_overhead\": %.4f,\n" (basic_ratio -. 1.0);
-        Printf.bprintf b "      \"full_overhead\": %.4f,\n" (full_ratio -. 1.0);
-        Printf.bprintf b "      \"attribution_rows\": [\n";
-        let rows = attr.Pasta.Telemetry.at_rows in
-        List.iteri
-          (fun i r ->
-            Printf.bprintf b
-              "        { \"label\": \"%s\", \"self_us\": %.1f, \"count\": %d }%s\n"
-              r.Pasta.Telemetry.row_label r.Pasta.Telemetry.row_self_us
-              r.Pasta.Telemetry.row_count
-              (if i = List.length rows - 1 then "" else ","))
-          rows;
-        Printf.bprintf b "      ],\n";
-        Printf.bprintf b "      \"attribution_total_us\": %.1f,\n"
-          attr.Pasta.Telemetry.at_total_us;
-        Printf.bprintf b "      \"digest\": \"%s\",\n"
-          (Digest.to_hex (Digest.string off.pm_report));
-        Printf.bprintf b "      \"identical_reports\": %b,\n" identical;
-        Printf.bprintf b "      \"gate\": \"%s\",\n      \"gate_ok\": %b\n" gate ok;
-        Printf.bprintf b "    }%s\n" (if wi = List.length workloads - 1 then "" else ",");
-        if ok then []
-        else [ Printf.sprintf "%s: %s (basic %.2fx off)" name gate basic_ratio ])
+          (with_telemetry "full" (fun () ->
+               Format.asprintf "%a" Pasta.Telemetry.pp_attribution full.attribution));
+        gate "telemetry" ok "%s: %s (basic %.2fx off)" name gate_text (ratio basic);
+        ( Njson.Obj
+            [
+              ("workload", Str name);
+              ("sample_cap", Int sample_cap);
+              ("iters", Int 1);
+              ("records", Int (fst (last off)));
+              ("configs", configs_json stats);
+              ("basic_overhead", num 4 (ratio basic -. 1.0));
+              ("full_overhead", num 4 (ratio full -. 1.0));
+              ("identical_reports", Bool identical);
+              ("gate", Str gate_text);
+              ("gate_ok", Bool ok);
+            ],
+          stats ))
       workloads
-    |> List.concat
   in
-  Printf.bprintf b "  ]\n}\n";
-  let oc = open_out "BENCH_telemetry.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf ppf "wrote BENCH_telemetry.json@.";
-  if failures <> [] then begin
-    List.iter (fun f -> Format.fprintf ppf "telemetry: FAIL - %s@." f) failures;
-    exit 1
-  end
+  write_artifact "BENCH_telemetry.json" ~workload:"BERT-inference" ~reps
+    ~noise_floor:(noise_floor (List.concat_map snd measured))
+    [ ("workloads", List (List.map fst measured)) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1237,21 +949,17 @@ let telemetry () =
    though the simulated workload is wall-clock cheap. *)
 
 type sampling_run = {
-  s_wall_s : float;
   s_frac : float;  (* framework self-time fraction over the run's window *)
   s_records : int;  (* records that actually crossed the pipeline *)
   s_heat : (int, float) Hashtbl.t;  (* absolute 2 MiB block -> weighted heat *)
-  s_rate : float;  (* rate in force when the session detached *)
-  s_snapshot : Pasta.Sampler.snapshot option;
+  s_snapshot : Pasta.Sampler.snapshot option;  (* sampling state at detach *)
+  s_report : string;
 }
 
-let sampling_run ~sample_cap ~iters spec =
-  let device = Gpusim.Device.create Gpusim.Arch.a100 in
-  let ctx = Dlfw.Ctx.create device in
-  let hot = Pasta_tools.Hotness.create () in
+let sampling_run ~sample_cap spec () =
   let heat = Hashtbl.create 512 in
   let records = ref 0 in
-  let base = Pasta_tools.Hotness.tool_fine hot in
+  let base = Pasta_tools.Hotness.tool_fine (Pasta_tools.Hotness.create ()) in
   let tool =
     {
       base with
@@ -1266,29 +974,34 @@ let sampling_run ~sample_cap ~iters spec =
           base.Pasta.Tool.on_device_summary info s);
     }
   in
-  let total0, over0 = Pasta.Telemetry.overhead_snapshot () in
-  let t0 = Unix.gettimeofday () in
-  let session =
+  let sample_rate, overhead_budget =
     match spec with
-    | `Exact -> Pasta.Session.attach ~sample_cap ~tool device
-    | `Fixed r -> Pasta.Session.attach ~sample_cap ~sample_rate:r ~tool device
-    | `Auto budget -> Pasta.Session.attach ~sample_cap ~overhead_budget:budget ~tool device
+    | `Exact -> (None, None)
+    | `Fixed r -> (Some r, None)
+    | `Auto budget -> (None, Some budget)
   in
-  let model = Runner.build ctx "BERT" in
-  Runner.run ctx model ~mode:Runner.Inference ~iters;
-  let result = Pasta.Session.detach session in
-  let wall = Unix.gettimeofday () -. t0 in
-  let total1, over1 = Pasta.Telemetry.overhead_snapshot () in
-  Dlfw.Ctx.destroy ctx;
-  let dt = total1 -. total0 in
-  let snap = result.Pasta.Session.health.Pasta.Session.sampling in
+  let run =
+    fresh_run ~sample_cap ~iters:1 ?sample_rate ?overhead_budget ~tool "BERT" Runner.Inference
+  in
+  (* The framework's share is all the window did not charge to the
+     simulate/workload root. *)
+  let a = run.attribution in
+  let root =
+    List.fold_left
+      (fun acc r ->
+        if r.Pasta.Telemetry.row_label = "simulate + workload" then r.row_self_us else acc)
+      0.0 a.at_rows
+  in
   {
-    s_wall_s = wall;
-    s_frac = (if dt > 0.0 then (over1 -. over0) /. dt else 0.0);
-    s_records = !records;
-    s_heat = heat;
-    s_rate = (match snap with Some sn -> sn.Pasta.Sampler.sn_rate | None -> 1.0);
-    s_snapshot = snap;
+    run with
+    value =
+      {
+        s_frac = (if a.at_total_us > 0.0 then 1.0 -. (root /. a.at_total_us) else 0.0);
+        s_records = !records;
+        s_heat = heat;
+        s_snapshot = run.value.Pasta.Session.health.Pasta.Session.sampling;
+        s_report = report_text run;
+      };
   }
 
 let top_blocks ?(n = 10) heat =
@@ -1339,97 +1052,75 @@ let sampling () =
   section
     "Sampling: overhead vs estimate error at rates 1.0/0.5/0.1 and under the \
      governor (BERT inference, fine hotness)";
-  let sample_cap = 4096 and iters = 1 and reps = 3 in
-  let budget = 0.35 in
-  let measure spec =
-    let runs = List.init reps (fun _ -> sampling_run ~sample_cap ~iters spec) in
-    let by_frac = List.sort (fun a b -> compare a.s_frac b.s_frac) runs in
-    let median_frac = (List.nth by_frac (reps / 2)).s_frac in
-    let best =
-      List.fold_left
-        (fun acc r -> if r.s_wall_s < acc.s_wall_s then r else acc)
-        (List.hd runs) (List.tl runs)
-    in
-    (best, median_frac)
+  let sample_cap = 4096 and reps = 3 and budget = 0.35 in
+  let auto = Printf.sprintf "auto (budget %.0f%%)" (100.0 *. budget) in
+  let stats =
+    measure "sampling" ~reps
+      ~output:(fun r -> r.s_report)
+      ~checked:(fun name -> name <> auto)
+      [
+        ("exact (rate 1.0)", sampling_run ~sample_cap `Exact);
+        ("fixed 0.5", sampling_run ~sample_cap (`Fixed 0.5));
+        ("fixed 0.1", sampling_run ~sample_cap (`Fixed 0.1));
+        (auto, sampling_run ~sample_cap (`Auto budget));
+      ]
   in
-  let configs =
-    [
-      ("exact (rate 1.0)", `Exact);
-      ("fixed 0.5", `Fixed 0.5);
-      ("fixed 0.1", `Fixed 0.1);
-      (Printf.sprintf "auto (budget %.0f%%)" (100.0 *. budget), `Auto budget);
-    ]
+  (* A configuration's fastest rep stands for it; its overhead is the
+     median over its reps. *)
+  let fastest s =
+    let best = ref 0 in
+    Array.iteri (fun i w -> if w < s.walls.(!best) then best := i) s.walls;
+    s.values.(!best)
   in
-  let results = List.map (fun (name, spec) -> (name, measure spec)) configs in
-  let exact, _ = snd (List.hd results) in
+  let frac s = Pasta_util.Stats.percentile (Array.map (fun r -> r.s_frac) s.values) 50.0 in
+  let rate r = match r.s_snapshot with Some sn -> sn.Pasta.Sampler.sn_rate | None -> 1.0 in
+  let exact = fastest (List.hd stats) and auto_s = List.nth stats 3 in
   let exact_top = top_blocks exact.s_heat in
   let overlap heat =
     List.length (List.filter (fun b -> List.mem b (top_blocks heat)) exact_top)
   in
-  Pasta_util.Texttab.render ppf
-    ~header:
-      [ "configuration"; "rate"; "records"; "wall (ms)"; "self-time"; "est err"; "top-10" ]
-    ~align:
-      [ Pasta_util.Texttab.Left; Right; Right; Right; Right; Right; Right ]
+  table
+    [ "rate"; "records"; "self-time"; "est err"; "top-10" ]
     (List.map
-       (fun (name, (r, frac)) ->
-         [
-           name;
-           Printf.sprintf "%.2f" r.s_rate;
-           string_of_int r.s_records;
-           Printf.sprintf "%.1f" (1000.0 *. r.s_wall_s);
-           Printf.sprintf "%.1f%%" (100.0 *. frac);
-           Printf.sprintf "%.3f" (est_error ~exact:exact.s_heat r.s_heat);
-           Printf.sprintf "%d/10" (overlap r.s_heat);
-         ])
-       results);
-  let auto, auto_frac =
-    snd (List.find (fun (name, _) -> String.length name >= 4 && String.sub name 0 4 = "auto") results)
-  in
-  (match auto.s_snapshot with
-  | Some sn -> Format.fprintf ppf "governor: %a@." Pasta.Sampler.pp_snapshot sn
-  | None -> ());
+       (fun s ->
+         let r = fastest s in
+         ( s,
+           [
+             Printf.sprintf "%.2f" (rate r);
+             string_of_int r.s_records;
+             Printf.sprintf "%.1f%%" (100.0 *. frac s);
+             Printf.sprintf "%.3f" (est_error ~exact:exact.s_heat r.s_heat);
+             Printf.sprintf "%d/10" (overlap r.s_heat);
+           ] ))
+       stats);
+  let auto_r = fastest auto_s and auto_frac = frac auto_s in
+  Option.iter (Format.fprintf ppf "governor: %a@." Pasta.Sampler.pp_snapshot) auto_r.s_snapshot;
   let auto_within = auto_frac <= budget +. 0.01 in
-  let top_match = top10_matches ~exact:exact.s_heat auto.s_heat in
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"experiment\": \"sampling\",\n";
-  Printf.bprintf b "  \"workload\": \"BERT-inference-fine-hotness\",\n";
-  Printf.bprintf b "  \"sample_cap\": %d,\n  \"iters\": %d,\n  \"reps\": %d,\n"
-    sample_cap iters reps;
-  Printf.bprintf b "  \"budget\": %.2f,\n" budget;
-  Printf.bprintf b "  \"runs\": [\n";
-  List.iteri
-    (fun i (name, (r, frac)) ->
-      Printf.bprintf b
-        "    { \"config\": \"%s\", \"rate\": %.3f, \"records\": %d, \"wall_s\": \
-         %.6f, \"overhead_frac\": %.4f, \"est_error\": %.4f, \"top10_overlap\": \
-         %d, \"top10_match\": %b }%s\n"
-        name r.s_rate r.s_records r.s_wall_s frac
-        (est_error ~exact:exact.s_heat r.s_heat)
-        (overlap r.s_heat)
-        (top10_matches ~exact:exact.s_heat r.s_heat)
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.bprintf b "  ],\n";
-  Printf.bprintf b "  \"auto_overhead_frac\": %.4f,\n" auto_frac;
-  Printf.bprintf b "  \"auto_within_budget\": %b,\n" auto_within;
-  Printf.bprintf b "  \"auto_top10_matches_exact\": %b\n}\n" top_match;
-  let oc = open_out "BENCH_sampling.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf ppf "wrote BENCH_sampling.json@.";
-  if not auto_within then begin
-    Format.fprintf ppf
-      "sampling: FAIL - governed overhead %.1f%% exceeds the %.0f%% budget (+1pp)@."
-      (100.0 *. auto_frac) (100.0 *. budget);
-    exit 1
-  end;
-  if not top_match then begin
-    Format.fprintf ppf
-      "sampling: FAIL - governed top-10 hot blocks diverge from the exact run@.";
-    exit 1
-  end
+  let top_match = top10_matches ~exact:exact.s_heat auto_r.s_heat in
+  write_artifact "BENCH_sampling.json" ~workload:"BERT-inference-fine-hotness" ~reps
+    ~noise_floor:(noise_floor stats)
+    [
+      ("sample_cap", Int sample_cap);
+      ("iters", Int 1);
+      ("budget", num 2 budget);
+      ( "configs",
+        configs_json stats ~extra:(fun s ->
+            let r = fastest s in
+            [
+              ("rate", num 3 (rate r));
+              ("records", Int r.s_records);
+              ("overhead_frac", num 4 (frac s));
+              ("est_error", num 4 (est_error ~exact:exact.s_heat r.s_heat));
+              ("top10_overlap", Int (overlap r.s_heat));
+              ("top10_match", Bool (top10_matches ~exact:exact.s_heat r.s_heat));
+            ]) );
+      ("auto_overhead_frac", num 4 auto_frac);
+      ("auto_within_budget", Bool auto_within);
+      ("auto_top10_matches_exact", Bool top_match);
+    ];
+  gate "sampling" auto_within "governed overhead %.1f%% exceeds the %.0f%% budget (+1pp)"
+    (100.0 *. auto_frac) (100.0 *. budget);
+  gate "sampling" top_match "governed top-10 hot blocks diverge from the exact run"
 
 (* ------------------------------------------------------------------ *)
 
@@ -1487,94 +1178,58 @@ let fleet_bench () =
     "Fleet aggregation: failure-aware tree reduction vs flat concat, 64..512 \
      devices";
   let base = fleet_leaf_summary () in
-  let fanout = 8 and seed = 0x5eedL and reps = 5 in
+  let fanout = 8 and seed = 0x5eedL and reps = 5 and sizes = [ 64; 128; 256; 512 ] in
   let pool = Pasta_util.Domain_pool.global ~size:(Pasta.Config.domains ()) in
-  let best f =
-    let wall () =
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      Unix.gettimeofday () -. t0
-    in
-    List.init reps (fun _ -> wall ()) |> List.fold_left Float.min infinity
+  (* A reduction's value: the leaves it dropped, and what it merged. *)
+  let merged run summary dropped =
+    let accesses = Option.fold ~none:0 ~some:(fun s -> s.Pasta.Devagg.true_accesses) summary in
+    { run with value = (dropped, Printf.sprintf "%d accesses, %d dropped" accesses dropped) }
   in
-  let sizes = [ 64; 128; 256; 512 ] in
-  let measure n =
+  let tree ?rates leaves () =
+    let run = timed (fun () -> Pasta.Fleet.reduce ~pool ?rates ~seed ~fanout leaves) in
+    merged run run.value.Pasta.Fleet.red_summary
+      (List.fold_left (fun acc (_, ds) -> acc + List.length ds) 0 run.value.red_dropped)
+  in
+  let flat summaries () =
+    let run = timed (fun () -> Pasta.Fleet.flat_merge summaries) in
+    merged run run.value 0
+  in
+  let name kind n = Printf.sprintf "%s, %d devices" kind n in
+  let configs n =
     let leaves = Array.init n (fun d -> Some (scale_summary (1 + (d mod 7)) base)) in
-    let summaries = Array.to_list leaves |> List.filter_map Fun.id in
-    let tree_us = 1.0e6 *. best (fun () -> Pasta.Fleet.reduce ~pool ~seed ~fanout leaves) in
-    let tree_fault_us =
-      1.0e6
-      *. best (fun () ->
-             Pasta.Fleet.reduce ~pool ~rates:Gpusim.Faults.default_fleet_rates
-               ~seed ~fanout leaves)
-    in
-    let flat_us = 1.0e6 *. best (fun () -> Pasta.Fleet.flat_merge summaries) in
-    let faulted =
-      Pasta.Fleet.reduce ~pool ~rates:Gpusim.Faults.default_fleet_rates ~seed
-        ~fanout leaves
-    in
-    let dropped =
-      List.fold_left
-        (fun acc (_, ds) -> acc + List.length ds)
-        0 faulted.Pasta.Fleet.red_dropped
-    in
-    (n, tree_us, tree_fault_us, flat_us, dropped)
+    let summaries = List.filter_map Fun.id (Array.to_list leaves) in
+    [
+      (name "tree" n, tree leaves);
+      (name "tree+faults" n, tree ~rates:Gpusim.Faults.default_fleet_rates leaves);
+      (name "flat" n, flat summaries);
+    ]
   in
-  let rows = List.map measure sizes in
-  Pasta_util.Texttab.render ppf
-    ~header:
-      [ "devices"; "tree (us)"; "tree+faults (us)"; "flat (us)"; "dropped" ]
-    ~align:[ Pasta_util.Texttab.Right; Right; Right; Right; Right ]
-    (List.map
-       (fun (n, t, tf, fl, d) ->
-         [
-           string_of_int n;
-           Printf.sprintf "%.1f" t;
-           Printf.sprintf "%.1f" tf;
-           Printf.sprintf "%.1f" fl;
-           string_of_int d;
-         ])
-       rows);
-  let at n = List.find (fun (m, _, _, _, _) -> m = n) rows in
-  let _, t64, _, f64, _ = at 64 and _, t512, _, f512, _ = at 512 in
-  let growth_tree = t512 /. t64 and growth_flat = f512 /. f64 in
+  let stats = measure "fleet" ~reps ~output:snd (List.concat_map configs sizes) in
+  table [ "dropped" ] (List.map (fun s -> (s, [ string_of_int (fst (last s)) ])) stats);
+  let at kind n = List.find (fun s -> s.name = name kind n) stats in
+  let growth kind = (at kind 512).min_s /. (at kind 64).min_s in
   (* 64 -> 512 is an 8x device growth: the tree is sublinear when its
-     wall time grows by less than that factor. *)
-  let sublinear = growth_tree < 8.0 in
+     best wall time grows by less than that factor. *)
+  let sublinear = growth "tree" < 8.0 in
   Format.fprintf ppf
     "@.64 -> 512 devices: tree wall grows %.2fx, flat grows %.2fx (%s)@."
-    growth_tree growth_flat
+    (growth "tree") (growth "flat")
     (if sublinear then "tree sublinear" else "tree NOT sublinear");
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"experiment\": \"fleet\",\n";
-  Printf.bprintf b "  \"fanout\": %d,\n  \"reps\": %d,\n  \"pool_domains\": %d,\n"
-    fanout reps
-    (Pasta_util.Domain_pool.size pool);
-  Printf.bprintf b "  \"rows\": [\n";
-  List.iteri
-    (fun i (n, t, tf, fl, d) ->
-      Printf.bprintf b
-        "    { \"devices\": %d, \"tree_us\": %.1f, \"tree_faults_us\": %.1f, \
-         \"flat_us\": %.1f, \"dropped_with_faults\": %d }%s\n"
-        n t tf fl d
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.bprintf b "  ],\n";
-  Printf.bprintf b "  \"growth_tree_64_to_512\": %.3f,\n" growth_tree;
-  Printf.bprintf b "  \"growth_flat_64_to_512\": %.3f,\n" growth_flat;
-  Printf.bprintf b "  \"tree_sublinear\": %b\n}\n" sublinear;
-  let oc = open_out "BENCH_fleet.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf ppf "wrote BENCH_fleet.json@.";
-  if not sublinear then begin
-    Format.fprintf ppf
-      "fleet: FAIL - tree aggregation wall time grew %.2fx over an 8x device \
-       growth@."
-      growth_tree;
-    exit 1
-  end
+  write_artifact "BENCH_fleet.json" ~workload:"scaled-leaf-summaries" ~reps
+    ~noise_floor:(noise_floor stats)
+    [
+      ("fanout", Int fanout);
+      ("pool_domains", Int (Pasta_util.Domain_pool.size pool));
+      ("configs", configs_json stats);
+      ("devices", List (List.map (fun n -> Njson.Int n) sizes));
+      ( "dropped_with_faults",
+        List (List.map (fun n -> Njson.Int (fst (last (at "tree+faults" n)))) sizes) );
+      ("growth_tree_64_to_512", num 3 (growth "tree"));
+      ("growth_flat_64_to_512", num 3 (growth "flat"));
+      ("tree_sublinear", Bool sublinear);
+    ];
+  gate "fleet" sublinear "tree aggregation wall time grew %.2fx over an 8x device growth"
+    (growth "tree")
 
 (* ------------------------------------------------------------------ *)
 
@@ -1585,7 +1240,8 @@ let fleet_bench () =
    sustained jobs/sec and the client-observed submit-to-done latency
    distribution (p50/p90/p99).  Gated: every clean tenant's served
    results are byte-identical to its solo run, and the chaos tenant's
-   quarantines leave the clean tenants untouched. *)
+   quarantines leave the clean tenants untouched.  One throughput run,
+   so it takes no reps. *)
 
 module Srv = Pasta.Serve
 
@@ -1606,25 +1262,10 @@ let serve_spec ~tenant ~model ~tool ?(knobs = []) () =
    same overlay, fresh device, fresh ctx, same Session plumbing. *)
 let serve_solo (s : Srv.Proto.submit) =
   Pasta.Config.with_overlay s.Srv.Proto.knobs (fun () ->
-      let tool =
-        match Pasta.Registry.find (Option.get s.Srv.Proto.tool) with
-        | Some mk -> mk ()
-        | None -> failwith ("tool unregistered: " ^ Option.get s.Srv.Proto.tool)
-      in
-      let device = Gpusim.Device.create Gpusim.Arch.a100 in
-      let ctx = Dlfw.Ctx.create device in
+      let tool = (Option.get (Pasta.Registry.find (Option.get s.Srv.Proto.tool))) () in
       Gpusim.Hostctx.clear ();
-      Fun.protect
-        ~finally:(fun () -> Dlfw.Ctx.destroy ctx)
-        (fun () ->
-          let (), res =
-            Pasta.Session.run ~tool device (fun () ->
-                let m = Dlfw.Runner.build ctx s.Srv.Proto.model in
-                Dlfw.Runner.run ctx m ~mode:Dlfw.Runner.Inference
-                  ~iters:(Option.get s.Srv.Proto.iters))
-          in
-          ( Format.asprintf "%t" res.Pasta.Session.report,
-            Pasta_util.Metric.counter_samples res.Pasta.Session.metrics )))
+      let run = fresh_run ?iters:s.Srv.Proto.iters ~tool s.Srv.Proto.model Runner.Inference in
+      (report_text run, Pasta_util.Metric.counter_samples run.value.Pasta.Session.metrics))
 
 let serve_bench () =
   section
@@ -1670,23 +1311,24 @@ let serve_bench () =
   (* One waiter thread per job: the latency observed here is what a
      socket client would see, submit call to result availability. *)
   let waiters =
-    List.map
+    List.filter_map
       (fun s ->
         let submitted = Unix.gettimeofday () in
         match Srv.submit t s with
         | Error e ->
-            Format.fprintf ppf "serve: FAIL - submit rejected (%s)@." e;
-            exit 1
+            gate "serve" false "submit rejected (%s)" e;
+            None
         | Ok id ->
-            Thread.create
-              (fun () ->
-                let outcome = Srv.wait ~timeout_s:300.0 t id in
-                let lat = (Unix.gettimeofday () -. submitted) *. 1e6 in
-                Mutex.lock mu;
-                latencies := lat :: !latencies;
-                results := (s, outcome) :: !results;
-                Mutex.unlock mu)
-              ())
+            Some
+              (Thread.create
+                 (fun () ->
+                   let outcome = Srv.wait ~timeout_s:300.0 t id in
+                   let lat = (Unix.gettimeofday () -. submitted) *. 1e6 in
+                   Mutex.lock mu;
+                   latencies := lat :: !latencies;
+                   results := (s, outcome) :: !results;
+                   Mutex.unlock mu)
+                 ()))
       specs
   in
   List.iter Thread.join waiters;
@@ -1729,7 +1371,6 @@ let serve_bench () =
          chaos_jobs
   in
   let identical_to_solo = List.for_all (fun (_, _, ok) -> ok) clean_rows in
-  let fault_containment = chaos_quarantined && identical_to_solo in
   Pasta_util.Texttab.render ppf
     ~header:[ "tenant"; "jobs"; "byte-identical to solo" ]
     ~align:[ Pasta_util.Texttab.Left; Right; Left ]
@@ -1749,46 +1390,30 @@ let serve_bench () =
      p90 %.0f us, p99 %.0f us@."
     n workers wall jobs_per_sec lat.Pasta_util.Stats.median
     lat.Pasta_util.Stats.p90 lat.Pasta_util.Stats.p99;
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"experiment\": \"serve\",\n";
-  Printf.bprintf b "  \"workers\": %d,\n  \"tenants\": %d,\n" workers
-    (1 + List.length clean_tenants);
-  Printf.bprintf b "  \"jobs\": %d,\n  \"jobs_per_tenant\": %d,\n" n
-    jobs_per_tenant;
-  Printf.bprintf b "  \"wall_s\": %.3f,\n" wall;
-  Printf.bprintf b "  \"jobs_per_sec\": %.1f,\n" jobs_per_sec;
-  Printf.bprintf b "  \"p50_latency_us\": %.0f,\n" lat.Pasta_util.Stats.median;
-  Printf.bprintf b "  \"p90_latency_us\": %.0f,\n" lat.Pasta_util.Stats.p90;
-  Printf.bprintf b "  \"p99_latency_us\": %.0f,\n" lat.Pasta_util.Stats.p99;
-  Printf.bprintf b "  \"max_latency_us\": %.0f,\n" lat.Pasta_util.Stats.max;
-  Printf.bprintf b "  \"tenants_detail\": [\n";
-  List.iter
-    (fun (tenant, jobs, ok) ->
-      Printf.bprintf b
-        "    { \"tenant\": \"%s\", \"jobs\": %d, \"identical\": %b },\n" tenant
-        jobs ok)
-    clean_rows;
-  Printf.bprintf b
-    "    { \"tenant\": \"chaos\", \"jobs\": %d, \"quarantined\": %b }\n"
-    (List.length chaos_jobs) chaos_quarantined;
-  Printf.bprintf b "  ],\n";
-  Printf.bprintf b "  \"identical_to_solo\": %b,\n" identical_to_solo;
-  Printf.bprintf b "  \"fault_containment\": %b\n}\n" fault_containment;
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf ppf "wrote BENCH_serve.json@.";
-  if not identical_to_solo then begin
-    Format.fprintf ppf
-      "serve: FAIL - a tenant's served results diverge from its solo run@.";
-    exit 1
-  end;
-  if not chaos_quarantined then begin
-    Format.fprintf ppf
-      "serve: FAIL - the chaos tenant's tool was not quarantined@.";
-    exit 1
-  end
+  let tenant tenant jobs (key, ok) =
+    Njson.Obj [ ("tenant", Str tenant); ("jobs", Int jobs); (key, Bool ok) ]
+  in
+  write_artifact "BENCH_serve.json" ~workload:"mixed-tenant" ~reps:1
+    [
+      ("workers", Int workers);
+      ("tenants", Int (1 + List.length clean_tenants));
+      ("jobs", Int n);
+      ("jobs_per_tenant", Int jobs_per_tenant);
+      ("wall_s", num 3 wall);
+      ("jobs_per_sec", num 1 jobs_per_sec);
+      ("p50_latency_us", num 0 lat.median);
+      ("p90_latency_us", num 0 lat.p90);
+      ("p99_latency_us", num 0 lat.p99);
+      ("max_latency_us", num 0 lat.max);
+      ( "tenants_detail",
+        List
+          (List.map (fun (t, jobs, ok) -> tenant t jobs ("identical", ok)) clean_rows
+          @ [ tenant "chaos" (List.length chaos_jobs) ("quarantined", chaos_quarantined) ]) );
+      ("identical_to_solo", Bool identical_to_solo);
+      ("fault_containment", Bool (chaos_quarantined && identical_to_solo));
+    ];
+  gate "serve" identical_to_solo "a tenant's served results diverge from its solo run";
+  gate "serve" chaos_quarantined "the chaos tenant's tool was not quarantined"
 
 (* ------------------------------------------------------------------ *)
 
@@ -1799,181 +1424,72 @@ let serve_bench () =
    off or fine — the only cost is the wall-clock of emitting and
    dispatching the probes, which is the overhead under test. *)
 
-let regions_run ~sample_cap ~iters granularity =
-  (match granularity with
-  | None -> ()
-  | Some g -> Pasta.Config.set "ACCEL_PROF_REGIONS" g);
-  let device = Gpusim.Device.create Gpusim.Arch.a100 in
-  let ctx = Dlfw.Ctx.create device in
-  let hot = Pasta_tools.Hotness.create () in
-  let t0 = Unix.gettimeofday () in
-  let session =
-    Pasta.Session.attach ~sample_cap ~tool:(Pasta_tools.Hotness.tool_fine hot) device
-  in
-  let model = Runner.build ctx "BERT" in
-  Runner.run ctx model ~mode:Runner.Inference ~iters;
-  let (_ : Pasta.Session.result) = Pasta.Session.detach session in
-  let wall = Unix.gettimeofday () -. t0 in
-  Dlfw.Ctx.destroy ctx;
+let regions_run ~sample_cap ?granularity tool =
+  Option.iter (Pasta.Config.set "ACCEL_PROF_REGIONS") granularity;
+  let run = fresh_run ~sample_cap ~iters:1 ~tool "BERT" Runner.Inference in
   Pasta.Config.unset "ACCEL_PROF_REGIONS";
-  (wall, Format.asprintf "%t" (fun ppf -> Pasta_tools.Hotness.report hot ppf))
+  run
 
-let regions_bench ?(reps = 7) ?(sample_cap = 4096) () =
+let regions_bench ~reps ~sample_cap () =
   section
     "Regions: instrumentation overhead at off/coarse/fine and output identity \
      for region-blind tools (BERT inference, fine hotness)";
-  let iters = 1 in
-  let configs = [| None; Some "coarse"; Some "fine" |] in
-  let config_name = function None -> "off" | Some g -> g in
-  (* Same warmup + rotated round-robin discipline as the pipeline bench:
-     machine drift lands evenly on every configuration. *)
-  Array.iter (fun g -> ignore (regions_run ~sample_cap ~iters g)) configs;
-  let n_configs = Array.length configs in
-  let samples = Array.map (fun _ -> ref []) configs in
-  for rep = 0 to reps - 1 do
-    for slot = 0 to n_configs - 1 do
-      let i = (slot + rep) mod n_configs in
-      Gc.compact ();
-      samples.(i) := regions_run ~sample_cap ~iters configs.(i) :: !(samples.(i))
-    done
-  done;
-  let summarize i =
-    let runs = List.rev !(samples.(i)) in
-    let walls = List.map fst runs |> List.sort compare in
-    let a = Array.of_list walls in
-    let n = Array.length a in
-    let median =
-      if n land 1 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
+  let hotness granularity () =
+    let run =
+      regions_run ~sample_cap ?granularity
+        (Pasta_tools.Hotness.tool_fine (Pasta_tools.Hotness.create ()))
     in
-    let report = snd (List.hd runs) in
-    List.iter
-      (fun (_, r) ->
-        if r <> report then begin
-          prerr_endline "regions: FAIL - tool output diverges across repetitions";
-          exit 1
-        end)
-      runs;
-    (median, List.hd walls, report)
+    { run with value = report_text run }
   in
-  let off_med, off_min, off_report = summarize 0 in
-  let rows =
-    Array.to_list
-      (Array.mapi
-         (fun i g ->
-           let med, min_w, report = summarize i in
-           (config_name g, med, min_w, report))
-         configs)
+  let stats =
+    measure "regions" ~reps ~output:Fun.id
+      [
+        ("off", hotness None); ("coarse", hotness (Some "coarse")); ("fine", hotness (Some "fine"));
+      ]
   in
-  let overhead med = (med -. off_med) /. off_med in
-  Pasta_util.Texttab.render ppf
-    ~header:[ "regions"; "median (ms)"; "min (ms)"; "overhead vs off" ]
-    ~align:[ Pasta_util.Texttab.Left; Right; Right; Right ]
-    (List.map
-       (fun (name, med, min_w, _) ->
-         [
-           name;
-           Printf.sprintf "%.1f" (1000.0 *. med);
-           Printf.sprintf "%.1f" (1000.0 *. min_w);
-           Printf.sprintf "%+.1f%%" (100.0 *. overhead med);
-         ])
-       rows);
-  let report_of name =
-    let _, _, _, r = List.find (fun (n, _, _, _) -> n = name) rows in
-    r
-  in
-  let identical =
-    String.equal off_report (report_of "coarse")
-    && String.equal off_report (report_of "fine")
-  in
-  (* Measurement noise floor, as in the pipeline bench: the worst relative
-     gap between a configuration's median and best wall. *)
-  let noise_floor =
-    List.fold_left
-      (fun acc (_, med, min_w, _) -> Float.max acc ((med -. min_w) /. med))
-      0.0 rows
-  in
-  let budget = 0.25 in
-  let frac name =
-    let _, med, _, _ = List.find (fun (n, _, _, _) -> n = name) rows in
-    overhead med
-  in
+  let off = List.hd stats and fine = List.nth stats 2 in
+  let overhead s = (s.median_s -. off.median_s) /. off.median_s in
+  table [ "overhead vs off" ]
+    (List.map (fun s -> (s, [ Printf.sprintf "%+.1f%%" (100.0 *. overhead s) ])) stats);
+  let identical = List.for_all (fun s -> String.equal s.digest off.digest) stats in
+  let noise = noise_floor stats and budget = 0.25 in
   Format.fprintf ppf
     "@.region-blind tool output %s across off/coarse/fine; overhead budget \
      %.0f%%, noise floor %.1f%%@."
     (if identical then "byte-identical" else "DIVERGES")
-    (100.0 *. budget) (100.0 *. noise_floor);
+    (100.0 *. budget) (100.0 *. noise);
   (* One instrumented pass under the region consumers, so the artifact
      records that the probes actually land: every kernel's region rows
      must sum to its wall time bit-for-bit. *)
-  Pasta.Config.set "ACCEL_PROF_REGIONS" "fine";
-  let device = Gpusim.Device.create Gpusim.Arch.a100 in
-  let ctx = Dlfw.Ctx.create device in
   let lat = Pasta_tools.Region_latency.create () in
-  let session =
-    Pasta.Session.attach ~sample_cap ~tool:(Pasta_tools.Region_latency.tool lat) device
-  in
-  let model = Runner.build ctx "BERT" in
-  Runner.run ctx model ~mode:Runner.Inference ~iters;
-  let (_ : Pasta.Session.result) = Pasta.Session.detach session in
-  Dlfw.Ctx.destroy ctx;
-  Pasta.Config.unset "ACCEL_PROF_REGIONS";
+  ignore (regions_run ~sample_cap ~granularity:"fine" (Pasta_tools.Region_latency.tool lat));
   let totals = Pasta_tools.Region_latency.totals lat in
-  let exact_kernels =
-    List.length (List.filter (fun (_, wall, sum) -> sum = wall) totals)
-  in
+  let kernels = List.length totals in
+  let exact = List.length (List.filter (fun (_, wall, sum) -> sum = wall) totals) in
   Format.fprintf ppf
-    "fine instrumentation: %d/%d kernels with bit-exact region partitions@."
-    exact_kernels (List.length totals);
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"experiment\": \"regions\",\n";
-  Printf.bprintf b "  \"workload\": \"BERT-inference-fine-hotness\",\n";
-  Printf.bprintf b "  \"sample_cap\": %d,\n  \"iters\": %d,\n  \"reps\": %d,\n"
-    sample_cap iters reps;
-  Printf.bprintf b "  \"rows\": [\n";
-  List.iteri
-    (fun i (name, med, min_w, _) ->
-      Printf.bprintf b
-        "    { \"regions\": \"%s\", \"wall_median_s\": %.6f, \"wall_min_s\": \
-         %.6f, \"overhead_frac\": %.4f }%s\n"
-        name med min_w (overhead med)
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.bprintf b "  ],\n";
-  Printf.bprintf b "  \"overhead_frac_coarse\": %.4f,\n" (frac "coarse");
-  Printf.bprintf b "  \"overhead_frac_fine\": %.4f,\n" (frac "fine");
-  Printf.bprintf b "  \"overhead_budget\": %.2f,\n" budget;
-  Printf.bprintf b "  \"noise_floor\": %.4f,\n" noise_floor;
-  Printf.bprintf b "  \"kernels\": %d,\n" (List.length totals);
-  Printf.bprintf b "  \"kernels_exact_partition\": %d,\n" exact_kernels;
-  Printf.bprintf b "  \"identical_with_regions_off\": %b\n}\n" identical;
-  let oc = open_out "BENCH_regions.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf ppf "wrote BENCH_regions.json@.";
-  ignore off_min;
-  if not identical then begin
-    prerr_endline
-      "regions: FAIL - region-blind tool output changes when instrumentation \
-       is enabled";
-    exit 1
-  end;
-  if exact_kernels <> List.length totals then begin
-    Printf.eprintf
-      "regions: FAIL - only %d/%d kernels have bit-exact region partitions\n"
-      exact_kernels (List.length totals);
-    exit 1
-  end;
-  if frac "fine" > budget +. noise_floor then begin
-    Printf.eprintf
-      "regions: FAIL - fine-grained overhead %.1f%% exceeds the %.0f%% budget \
-       beyond the %.1f%% noise floor\n"
-      (100.0 *. frac "fine")
-      (100.0 *. budget) (100.0 *. noise_floor);
-    exit 1
-  end
+    "fine instrumentation: %d/%d kernels with bit-exact region partitions@." exact kernels;
+  write_artifact "BENCH_regions.json" ~workload:"BERT-inference-fine-hotness" ~reps
+    ~noise_floor:noise
+    [
+      ("sample_cap", Int sample_cap);
+      ("iters", Int 1);
+      ("configs", configs_json stats ~extra:(fun s -> [ ("overhead_frac", num 4 (overhead s)) ]));
+      ("overhead_frac_coarse", num 4 (overhead (List.nth stats 1)));
+      ("overhead_frac_fine", num 4 (overhead fine));
+      ("overhead_budget", num 2 budget);
+      ("kernels", Int kernels);
+      ("kernels_exact_partition", Int exact);
+      ("identical_with_regions_off", Bool identical);
+    ];
+  gate "regions" identical "region-blind tool output changes when instrumentation is enabled";
+  gate "regions" (exact = kernels) "only %d/%d kernels have bit-exact region partitions" exact
+    kernels;
+  gate "regions"
+    (not (overhead fine > budget +. noise))
+    "fine-grained overhead %.1f%% exceeds the %.0f%% budget beyond the %.1f%% noise floor"
+    (100.0 *. overhead fine) (100.0 *. budget) (100.0 *. noise)
 
-let regions () = regions_bench ()
+let regions () = regions_bench ~reps:7 ~sample_cap:4096 ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -2007,17 +1523,24 @@ let hetero_workload device =
   Dlfw.Ctx.destroy ctx
 
 (* One session over [arches], one device each; a one-element list is a
-   solo session. *)
-let hetero_run ?capture arches =
+   solo session.  Its value is each backend's report. *)
+let hetero_run ?capture arches () =
   let specs = List.mapi (fun i (k, a) -> (k, Gpusim.Device.create ~id:i a)) arches in
-  let t0 = Unix.gettimeofday () in
-  let (), mr =
-    Pasta.Session.run_multi ?capture
-      ~tool:(fun _ _ -> hetero_tool ())
-      specs
-      (fun () -> List.iter (fun (_, d) -> hetero_workload d) specs)
+  let run =
+    timed (fun () ->
+        Pasta.Session.run_multi ?capture
+          ~tool:(fun _ _ -> hetero_tool ())
+          specs
+          (fun () -> List.iter (fun (_, d) -> hetero_workload d) specs))
   in
-  (Unix.gettimeofday () -. t0, mr)
+  let _, mr = run.value in
+  {
+    run with
+    value =
+      List.map
+        (fun (_, r) -> Format.asprintf "%t" r.Pasta.Session.report)
+        mr.Pasta.Session.mr_backends;
+  }
 
 let hetero_bench () =
   section
@@ -2025,134 +1548,75 @@ let hetero_bench () =
      xprof) vs the sum of solo sessions (BERT inference, kernel_freq)";
   let reps = 3 in
   let path = Filename.temp_file "pasta_hetero" ".ptrace" in
-  let best f =
-    let runs = List.init reps (fun _ -> f ()) in
-    List.fold_left
-      (fun (w0, r0) (w, r) -> if w < w0 then (w, r) else (w0, r0))
-      (List.hd runs) (List.tl runs)
+  let solo (kind, arch) =
+    (Pasta.Backend.kind_to_string kind ^ " solo", hetero_run [ (kind, arch) ])
   in
-  let solos =
-    List.map
-      (fun (kind, arch) ->
-        let wall, mr = best (fun () -> hetero_run [ (kind, arch) ]) in
-        (Pasta.Backend.kind_to_string kind, wall, snd (List.hd mr.Pasta.Session.mr_backends)))
-      hetero_arches
+  let stats =
+    measure "hetero" ~reps ~output:(String.concat "")
+      (List.map solo hetero_arches @ [ ("mixed session", hetero_run hetero_arches) ])
   in
-  let solo_sum = List.fold_left (fun acc (_, w, _) -> acc +. w) 0.0 solos in
-  let mixed_wall, _ = best (fun () -> hetero_run hetero_arches) in
+  let solos = List.filteri (fun i _ -> i < 3) stats and mixed = List.nth stats 3 in
+  let solo_sum = List.fold_left (fun acc s -> acc +. s.median_s) 0.0 solos in
   (* the gating run also records the shared mixed-backend trace *)
-  let _, mr = hetero_run ~capture:path hetero_arches in
-  let mixed_reports =
-    List.map
-      (fun (label, r) -> (label, Format.asprintf "%t" r.Pasta.Session.report))
-      mr.Pasta.Session.mr_backends
-  in
-  let identical_per_backend =
-    List.for_all2
-      (fun (_, _, solo_r) (_, mixed_rep) ->
-        String.equal
-          (Format.asprintf "%t" solo_r.Pasta.Session.report)
-          mixed_rep)
-      solos mixed_reports
-  in
+  let reports = (hetero_run ~capture:path hetero_arches ()).value in
+  let identical_per_backend = List.concat_map last solos = reports in
   let o =
-    Pasta.Replay.run_multi ~mode:Pasta.Ptrace.Strict
-      ~tool:(fun _ -> hetero_tool ())
-      path
+    Pasta.Replay.run_multi ~mode:Pasta.Ptrace.Strict ~tool:(fun _ -> hetero_tool ()) path
   in
   let replay_identical =
-    List.length o.Pasta.Replay.backends = List.length mixed_reports
-    && List.for_all2
-         (fun (_, mixed_rep) (_, _, report) ->
-           String.equal mixed_rep (Format.asprintf "%t" report))
-         mixed_reports o.Pasta.Replay.backends
+    List.map (fun (_, _, report) -> Format.asprintf "%t" report) o.Pasta.Replay.backends
+    = reports
   in
-  let row name wall =
-    [ name; Printf.sprintf "%.1f" (1000.0 *. wall) ]
-  in
-  Pasta_util.Texttab.render ppf
-    ~header:[ "configuration"; "wall (ms)" ]
-    ~align:[ Pasta_util.Texttab.Left; Right ]
-    (List.map (fun (label, wall, _) -> row (label ^ " solo") wall) solos
-    @ [ row "solo sum" solo_sum; row "mixed session" mixed_wall ]);
-  let trace_ops =
-    List.fold_left
-      (fun acc (_, r) -> acc + r.Pasta.Session.health.Pasta.Session.events_recorded)
-      0 mr.Pasta.Session.mr_backends
-  in
-  let h0 = (snd (List.hd mr.Pasta.Session.mr_backends)).Pasta.Session.health in
+  let trace = Pasta.Replay.stat path in
+  Sys.remove path;
+  table [] (List.map (fun s -> (s, [])) stats);
   Format.fprintf ppf
-    "@.mixed trace: %d ops, %d bytes, %d chunks across %d backends@.\
-     per-backend reports %s solo; replay %s live@."
-    trace_ops h0.Pasta.Session.bytes_written h0.Pasta.Session.chunks
-    (List.length mixed_reports)
+    "solo sum: %.3f ms median@.@.mixed trace: %d ops, %d bytes, %d chunks across %d \
+     backends@.per-backend reports %s solo; replay %s live@."
+    (1000.0 *. solo_sum) trace.Pasta.Replay.s_ops trace.s_bytes trace.s_chunks
+    (List.length reports)
     (if identical_per_backend then "byte-identical to" else "DIVERGE from")
     (if replay_identical then "byte-identical to" else "DIVERGES from");
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b "  \"experiment\": \"hetero\",\n";
-  Printf.bprintf b "  \"workload\": \"BERT-inference\",\n";
-  Printf.bprintf b "  \"reps\": %d,\n" reps;
-  Printf.bprintf b "  \"backends\": [%s],\n"
-    (String.concat ", "
-       (List.map (fun (l, _, _) -> Printf.sprintf "\"%s\"" l) solos));
-  List.iter
-    (fun (label, wall, _) ->
-      Printf.bprintf b "  \"solo_wall_s_%s\": %.6f,\n" label wall)
-    solos;
-  Printf.bprintf b "  \"solo_sum_wall_s\": %.6f,\n" solo_sum;
-  Printf.bprintf b "  \"mixed_wall_s\": %.6f,\n" mixed_wall;
-  Printf.bprintf b "  \"mixed_vs_solo_sum\": %.3f,\n" (mixed_wall /. solo_sum);
-  Printf.bprintf b
-    "  \"trace\": { \"ops\": %d, \"bytes\": %d, \"chunks\": %d },\n" trace_ops
-    h0.Pasta.Session.bytes_written h0.Pasta.Session.chunks;
-  Printf.bprintf b "  \"replay_ops\": %d,\n" o.Pasta.Replay.ops_replayed;
-  Printf.bprintf b "  \"identical_per_backend\": %b,\n" identical_per_backend;
-  Printf.bprintf b "  \"replay_identical\": %b\n}\n" replay_identical;
-  let oc = open_out "BENCH_hetero.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf ppf "wrote BENCH_hetero.json@.";
-  Sys.remove path;
-  if not identical_per_backend then begin
-    prerr_endline
-      "hetero: FAIL - a backend's report changes when it shares a session \
-       with other backends";
-    exit 1
-  end;
-  if not replay_identical then begin
-    prerr_endline
-      "hetero: FAIL - mixed-backend trace replay diverges from the live \
-       per-backend reports";
-    exit 1
-  end
+  write_artifact "BENCH_hetero.json" ~workload:"BERT-inference" ~reps
+    ~noise_floor:(noise_floor stats)
+    [
+      ( "backends",
+        List (List.map (fun (k, _) -> Njson.Str (Pasta.Backend.kind_to_string k)) hetero_arches)
+      );
+      ("configs", configs_json stats);
+      ("solo_sum_wall_median_s", num 6 solo_sum);
+      ("mixed_vs_solo_sum", num 3 (mixed.median_s /. solo_sum));
+      ( "trace",
+        Obj
+          [
+            ("ops", Int trace.s_ops); ("bytes", Int trace.s_bytes); ("chunks", Int trace.s_chunks);
+          ] );
+      ("identical_per_backend", Bool identical_per_backend);
+      ("replay_identical", Bool replay_identical);
+    ];
+  gate "hetero" identical_per_backend
+    "a backend's report changes when it shares a session with other backends";
+  gate "hetero" replay_identical
+    "mixed-backend trace replay diverges from the live per-backend reports"
 
 (* Tiny divergence gate for `dune build @perf-smoke` (part of runtest):
    the batched path must see exactly the records the per-record path
    sees, and its output must not depend on the domain count. *)
 let pipeline_smoke () =
-  let sample_cap = 64 and iters = 1 in
-  let serial = pipeline_run ~sample_cap ~iters `Serial in
-  let par =
-    List.map (fun d -> (d, pipeline_run ~sample_cap ~iters (`Parallel d))) [ 1; 2; 4; 8 ]
-  in
-  let digests = List.map (fun (_, r) -> Digest.to_hex (Digest.string r.p_report)) par in
-  let same_digest =
-    match digests with [] -> true | d :: rest -> List.for_all (( = ) d) rest
-  in
-  if not same_digest then begin
-    prerr_endline "perf-smoke: FAIL - parallel tool output diverges across domain counts";
-    exit 1
-  end;
-  if List.exists (fun (_, r) -> r.p_records <> serial.p_records) par then begin
-    Printf.eprintf "perf-smoke: FAIL - record counts diverge (serial %d vs parallel %s)\n"
-      serial.p_records
-      (String.concat "/" (List.map (fun (_, r) -> string_of_int r.p_records) par));
-    exit 1
-  end;
-  Printf.printf "perf-smoke: OK - %d records, identical output at 1/2/4/8 domains (md5 %s)\n"
-    serial.p_records
-    (match digests with d :: _ -> d | [] -> "-")
+  let stats = measure "perf-smoke" ~reps:1 ~output:snd (pipeline_configs ~sample_cap:64) in
+  let records s = fst (last s) in
+  let serial = List.hd stats and par = List.tl stats in
+  let digest = (List.hd par).digest in
+  let same_digest = List.for_all (fun s -> String.equal s.digest digest) par in
+  let same_records = List.for_all (fun s -> records s = records serial) par in
+  gate "perf-smoke" same_digest "parallel tool output diverges across domain counts";
+  gate "perf-smoke" same_records "record counts diverge (serial %d vs parallel %s)"
+    (records serial)
+    (String.concat "/" (List.map (fun s -> string_of_int (records s)) par));
+  if same_digest && same_records then
+    Format.fprintf ppf
+      "perf-smoke: OK - %d records, identical output at 1/2/4/8 domains (md5 %s)@."
+      (records serial) digest
 
 (* ------------------------------------------------------------------ *)
 
@@ -2179,6 +1643,13 @@ let experiments =
     ("serve", serve_bench);
     ("regions", regions);
     ("hetero", hetero_bench);
+  ]
+
+(* The test-suite gates: not listed, and not part of a full run. *)
+let smoke_tests =
+  [
+    ("pipeline-smoke", pipeline_smoke);
+    ("regions-smoke", regions_bench ~reps:7 ~sample_cap:512);
   ]
 
 (* Run one experiment, optionally capturing its output into
@@ -2216,18 +1687,17 @@ let () =
         (Some dir, rest)
     | args -> (None, args)
   in
-  match args with
+  (match args with
   | [] -> List.iter (run_experiment ~out) experiments
-  | [ "pipeline-smoke" ] -> pipeline_smoke ()
-  | [ "regions-smoke" ] -> regions_bench ~reps:7 ~sample_cap:512 ()
-  | [ "list" ] ->
-      List.iter (fun (name, _) -> Format.fprintf ppf "%s@." name) experiments
+  | [ "list" ] -> List.iter (fun (name, _) -> Format.fprintf ppf "%s@." name) experiments
   | names ->
       List.iter
         (fun name ->
-          match List.assoc_opt name experiments with
+          match List.assoc_opt name (experiments @ smoke_tests) with
           | Some f -> run_experiment ~out (name, f)
           | None ->
               Format.fprintf ppf "unknown experiment %s (try 'list')@." name;
-              exit 1)
-        names
+              failed := true)
+        names);
+  Format.pp_print_flush ppf ();
+  if !failed then exit 1

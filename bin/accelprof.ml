@@ -66,10 +66,20 @@ let iters_arg =
     & opt (some int) None
     & info [ "iters" ] ~docv:"N" ~doc:"Iterations (default: the per-model evaluation count).")
 
+(* A count takes a positive integer; anything else is a usage error that
+   names the flag. *)
+let pos_int =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))),
+      Format.pp_print_int )
+
 let sample_cap_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "sample-cap" ] ~docv:"N"
         ~doc:"Max materialized trace records per kernel region \
               (ACCEL_PROF_ENV_SAMPLE_RATE).")
@@ -945,7 +955,7 @@ let connect_arg =
 let capacity_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "capacity" ] ~docv:"N"
         ~doc:
           "Bound on jobs queued across all tenants \
@@ -955,7 +965,7 @@ let capacity_arg =
 let quota_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "tenant-quota" ] ~docv:"N"
         ~doc:
           "Bound on any one tenant's queued jobs (ACCEL_PROF_SERVE_QUOTA; \
@@ -964,7 +974,7 @@ let quota_arg =
 let workers_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "workers" ] ~docv:"N"
         ~doc:"Executor threads (ACCEL_PROF_SERVE_WORKERS; default 4).")
 

@@ -97,7 +97,6 @@ let get_int k = Option.bind (get k) int_of_string_opt
 let tool_name () = get "PASTA_TOOL"
 let start_grid_id () = get_int "START_GRID_ID"
 let end_grid_id () = get_int "END_GRID_ID"
-let sample_cap () = get_int "ACCEL_PROF_ENV_SAMPLE_RATE"
 
 (* --- Adaptive sampling knobs --- *)
 
@@ -141,13 +140,19 @@ let guard_cooldown_kernels () =
 let invalid_knob key v expected =
   invalid_arg (Printf.sprintf "%s=%S is not %s" key v expected)
 
-let strict_int key ~default ~max expected =
+let strict_int_opt key ~max expected =
   match get key with
-  | None | Some "" -> default
+  | None | Some "" -> None
   | Some v -> (
       match int_of_string_opt v with
-      | Some n when n > 0 && n <= max -> n
+      | Some n when n > 0 && n <= max -> Some n
       | _ -> invalid_knob key v expected)
+
+let strict_int key ~default ~max expected =
+  Option.value (strict_int_opt key ~max expected) ~default
+
+let sample_cap () =
+  strict_int_opt "ACCEL_PROF_ENV_SAMPLE_RATE" ~max:max_int "a positive integer"
 
 let buffer_capacity () =
   strict_int "ACCEL_PROF_BUFFER_CAP" ~default:4096 ~max:max_int "a positive integer"
@@ -269,6 +274,7 @@ let serve_workers () =
 
 let validate () =
   match
+    ignore (sample_cap ());
     ignore (buffer_capacity ());
     ignore (overflow_policy ());
     ignore (regions ());

@@ -43,7 +43,9 @@ val end_grid_id : unit -> int option
 
 val sample_cap : unit -> int option
 (** [ACCEL_PROF_ENV_SAMPLE_RATE]: per-region cap on materialized records
-    (the paper artifact's integer knob — a cap, not a probability). *)
+    (the paper artifact's integer knob — a cap, not a probability).
+    [None] when unset or empty; any value that is not a positive integer
+    raises [Invalid_argument] naming the knob and the value. *)
 
 (** {2 Adaptive sampling knobs} *)
 
@@ -112,9 +114,10 @@ val regions : unit -> Gpusim.Instrpass.granularity
     accepted spellings. *)
 
 val validate : unit -> (unit, string) result
-(** Parse every knob that refuses bad values ({!buffer_capacity},
-    {!overflow_policy}, {!regions}, {!trace_chunk_bytes} and the serve
-    daemon's three) as the calling thread resolves them.  [Error] carries
+(** Parse every knob that refuses bad values ({!sample_cap},
+    {!buffer_capacity}, {!overflow_policy}, {!regions},
+    {!trace_chunk_bytes} and the serve daemon's three) as the calling
+    thread resolves them.  [Error] carries
     the refusal's message.  The CLI calls it before doing any work; the
     serve daemon calls it inside a job's overlay at submit time. *)
 

@@ -376,7 +376,8 @@ let worker_loop t =
 let create ?capacity ?quota ?workers ?budget () =
   let capacity = match capacity with Some c -> c | None -> Config.serve_capacity () in
   let quota = match quota with Some q -> q | None -> Config.serve_quota () in
-  let nworkers = match workers with Some w -> max 1 w | None -> Config.serve_workers () in
+  let nworkers = match workers with Some w -> w | None -> Config.serve_workers () in
+  if nworkers < 1 then invalid_arg "Serve.create: workers must be >= 1";
   let t =
     {
       q = Jobq.create ~capacity ~quota ();

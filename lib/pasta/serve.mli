@@ -93,7 +93,8 @@ val create :
 (** [capacity]/[quota] bound the job queue (defaults
     {!Config.serve_capacity} / {!Config.serve_quota}); [workers] executor
     threads (default {!Config.serve_workers}) are spawned immediately.
-    Raises [Invalid_argument] when a knob it reads holds a bad value.
+    Raises [Invalid_argument] when a knob it reads holds a bad value, or
+    when [capacity], [quota] or [workers] is below 1.
     [budget] is a total overhead-budget fraction sliced fairly across
     active tenants via {!Sampler.fleet_slice}. *)
 

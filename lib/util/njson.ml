@@ -40,9 +40,11 @@ let rec add_value b = function
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
   | Int i -> Buffer.add_string b (string_of_int i)
+  | Float f when not (Float.is_finite f) -> Buffer.add_string b "null"
   | Float f ->
-      if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
-      else Buffer.add_string b "null"
+      (* the fewer digits, 15 or 17, that read back as [f] *)
+      let s = Printf.sprintf "%.15g" f in
+      Buffer.add_string b (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
   | Str s ->
       Buffer.add_char b '"';
       add_escaped b s;
@@ -70,6 +72,35 @@ let rec add_value b = function
 let to_string v =
   let b = Buffer.create 128 in
   add_value b v;
+  Buffer.contents b
+
+(* For files people read and diff: an object or list that holds another
+   goes one member per line, indented two spaces a level; the rest print
+   as [to_string] prints them. *)
+let to_string_pretty v =
+  let b = Buffer.create 1024 in
+  let flat = function List _ | Obj _ -> false | _ -> true in
+  let rec go indent = function
+    | List vs when not (List.for_all flat vs) ->
+        block indent '[' ']' (List.map (fun v -> (None, v)) vs)
+    | Obj kvs when not (List.for_all (fun (_, v) -> flat v) kvs) ->
+        block indent '{' '}' (List.map (fun (k, v) -> (Some k, v)) kvs)
+    | v -> add_value b v
+  and block indent op cl items =
+    let inner = indent ^ "  " in
+    Buffer.add_char b op;
+    List.iteri
+      (fun i (k, v) ->
+        Buffer.add_string b (if i = 0 then "\n" else ",\n");
+        Buffer.add_string b inner;
+        Option.iter (fun k -> add_value b (Str k); Buffer.add_string b ": ") k;
+        go inner v)
+      items;
+    Buffer.add_string b ("\n" ^ indent);
+    Buffer.add_char b cl
+  in
+  go "" v;
+  Buffer.add_char b '\n';
   Buffer.contents b
 
 (* --- parsing ---------------------------------------------------------- *)

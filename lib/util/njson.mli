@@ -18,7 +18,15 @@ type t =
 exception Parse_error of string
 
 val to_string : t -> string
-(** Single-line rendering (no raw newlines anywhere in the output). *)
+(** Single-line rendering (no raw newlines anywhere in the output).  A
+    float prints in the fewest digits (15 or 17) that read back as the
+    same float. *)
+
+val to_string_pretty : t -> string
+(** Multi-line rendering, newline-terminated, for files people read: an
+    object or list that holds an object or list puts each member on its
+    own line, indented two spaces a level; any other value prints as
+    {!to_string} prints it. *)
 
 val of_string : string -> t
 (** Raises {!Parse_error} on malformed input or trailing garbage. *)

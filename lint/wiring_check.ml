@@ -6,14 +6,16 @@
      [test/test_main.ml] — it would compile, sit in the executable and
      never run;
    - a [BENCH_*.json] artifact named anywhere under [bench/] (a gate, a
-     doc string, a comparison) with no [open_out "BENCH_*.json"] producer
-     left in the bench sources;
+     doc string, a comparison) with no [write_artifact "BENCH_*.json"]
+     producer left in the bench sources;
    - a dune alias defined in [test/dune] (an env-variant re-run like
      [@faults] or [@fleet]) that is missing from the [runtest] alias deps
      — it would only fire when invoked by hand;
    - a load-bearing alias ([@columnar], [@faults], ...) or benchmark
-     artifact deleted outright, or the [BENCH_pipeline.json] producer
-     dropping its honest-statistics fields (rep count, median/min walls).
+     artifact deleted outright, an artifact's producer dropping one of its
+     pinned fields, or the harness's writer dropping the header and
+     per-configuration fields every artifact shares (rep count, noise
+     floor, median/min walls, digest, layer rows).
 
    Usage: wiring_check TEST_DIR BENCH_DIR — prints one line per violation
    and exits 1 if any were found. *)
@@ -154,43 +156,78 @@ let check_required_aliases dir =
       required_aliases
   end
 
-(* BENCH_pipeline.json is the perf-acceptance artifact: it must have a
-   producer, and the producer must still emit the honest-statistics
-   fields (multi-rep medians and minima, not single-shot walls). *)
-(* The field needles match the escaped JSON-key literals as they appear
-   in the OCaml bench source (["\"reps\""] prints from [{|\"reps\"|}]). *)
+(* --- every BENCH_*.json is written by the harness's one writer --- *)
+
+(* A producer is the writer call with the artifact's name as a literal,
+   [write_artifact "BENCH_<name>.json" ...], and a pinned field is its key
+   literal (["key"]) inside the top-level definition that makes the call.
+   The header every artifact shares and the fields every measured
+   configuration carries are pinned once, in the file that defines the
+   writer. *)
+let writer = "write_artifact"
+
+let common_fields =
+  [ "experiment"; "workload"; "reps"; "hardware_parallelism"; "noise_floor";
+    "wall_median_s"; "wall_min_s"; "digest"; "layers"; "label"; "self_us";
+    "count" ]
+
 let required_bench_fields =
-  [ ("BENCH_pipeline.json", [ {|\"reps\"|}; "wall_median_s"; "wall_min_s" ]);
-    ("BENCH_telemetry.json", [ {|\"reps\"|} ]);
+  [ ("BENCH_pipeline.json",
+     [ "speedup_8_domains_vs_serial"; "deterministic_across_domains" ]);
+    ("BENCH_replay.json", [ "trace"; "identical_reports" ]);
+    ("BENCH_telemetry.json", [ "basic_overhead"; "gate_ok" ]);
+    ("BENCH_sampling.json",
+     [ "overhead_frac"; "auto_within_budget"; "auto_top10_matches_exact" ]);
+    ("BENCH_fleet.json", [ "dropped_with_faults"; "tree_sublinear" ]);
     ("BENCH_serve.json",
      [ "jobs_per_sec"; "p99_latency_us"; "identical_to_solo"; "fault_containment" ]);
     ("BENCH_regions.json",
-     [ {|\"reps\"|}; "identical_with_regions_off"; "overhead_frac_fine" ]);
+     [ "identical_with_regions_off"; "overhead_frac_fine"; "kernels_exact_partition" ]);
     ("BENCH_hetero.json",
-     [ {|\"reps\"|}; "mixed_vs_solo_sum"; "identical_per_backend";
-       "replay_identical" ]) ]
+     [ "mixed_vs_solo_sum"; "identical_per_backend"; "replay_identical" ]) ]
+
+let quoted field = Printf.sprintf {|"%s"|} field
+
+(* The top-level definition around [pos]: from the last line that opens
+   with [let] at or before it to the next one after it. *)
+let definition_at body pos =
+  let rec back i =
+    if i <= 0 then 0
+    else if String.sub body i 5 = "\nlet " then i + 1
+    else back (i - 1)
+  in
+  let start = back (min pos (String.length body - 5)) in
+  let stop =
+    match index_of body (pos + 1) "\nlet " with Some e -> e | None -> String.length body
+  in
+  String.sub body start (stop - start)
 
 let check_required_bench dir =
-  let bodies =
-    List.map (fun f -> read_file (Filename.concat dir f)) (ml_files dir)
-  in
+  let files = List.map (fun f -> (f, read_file (Filename.concat dir f))) (ml_files dir) in
+  (match
+     List.find_opt (fun (_, body) -> contains body ("let " ^ writer ^ " ")) files
+   with
+  | None -> complain dir (Printf.sprintf "no file defines %s" writer)
+  | Some (f, body) ->
+      List.iter
+        (fun field ->
+          if not (contains body (quoted field)) then
+            complain (Filename.concat dir f)
+              (Printf.sprintf "%s no longer writes %s" writer field))
+        common_fields);
   List.iter
     (fun (artifact, fields) ->
-      let producer =
-        List.find_opt
-          (fun body -> contains body (Printf.sprintf {|open_out "%s"|} artifact))
-          bodies
-      in
-      match producer with
-      | None ->
-          complain dir (Printf.sprintf "no producer writes %s" artifact)
-      | Some body ->
+      let call = Printf.sprintf {|%s "%s"|} writer artifact in
+      let at_call (_, body) = Option.map (fun p -> (body, p)) (index_of body 0 call) in
+      match List.find_map at_call files with
+      | None -> complain dir (Printf.sprintf "no producer writes %s" artifact)
+      | Some (body, pos) ->
+          let producer = definition_at body pos in
           List.iter
             (fun field ->
-              if not (contains body field) then
+              if not (contains producer (quoted field)) then
                 complain dir
-                  (Printf.sprintf "%s producer no longer emits %s" artifact
-                     field))
+                  (Printf.sprintf "%s producer no longer emits %s" artifact field))
             fields)
     required_bench_fields
 
@@ -228,7 +265,7 @@ let check_bench_producers dir =
     (fun name ->
       let produced =
         List.exists
-          (fun (_, body) -> contains body (Printf.sprintf {|open_out "%s"|} name))
+          (fun (_, body) -> contains body (Printf.sprintf {|%s "%s"|} writer name))
           bodies
       in
       if not produced then
