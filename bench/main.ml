@@ -666,8 +666,8 @@ let bechamel_benches () =
 (* One BERT-inference run under fine-grained hotness; its value is the
    records the tool saw and its report.  [`Serial] is the per-record
    path: a CS-CPU tool with only [on_access], so the processor unpacks
-   every buffered view into one event allocation, one dispatch and one
-   [on_access] call per sampled record.  [`Parallel n] is the batched
+   every buffered view into one dispatch and one [on_access] call per
+   sampled record.  [`Parallel n] is the batched
    path: packed chunks, an [n]-domain device-side reduction, one merged
    summary per kernel. *)
 let pipeline_run ~sample_cap kind () =
@@ -852,8 +852,8 @@ let replay () =
 (* Self-telemetry overhead: two workloads with the framework's own
    observability off / basic / full.  The batched pipeline hands the tool
    one device summary per kernel; the per-record path (NVBit-CPU
-   memory_charact) hands it one on_event and one on_access per record,
-   inside one tool frame per delivered batch.  The paper's low-overhead
+   memory_charact) hands it one on_access call per record, inside one
+   tool frame per delivered batch.  The paper's low-overhead
    claim, applied to PASTA itself: basic (always-on attribution) must
    cost under 5% of the telemetry-off wall time on the batched pipeline,
    and at most 1.5x it on the per-record path. *)
@@ -1159,15 +1159,17 @@ let fleet_leaf_summary () =
   in
   Pasta.Devagg.merge_summaries (List.rev !acc)
 
-(* Uniform integer scaling keeps every Devagg.validate invariant (weights
-   still sum to the total), so scaled clones stand in for distinct
-   devices without running 512 sessions. *)
+(* Uniform integer scaling of every tally keeps every Devagg.validate
+   invariant (object, block and region weights still sum to the total),
+   so scaled clones stand in for distinct devices without running 512
+   sessions. *)
 let scale_summary k s =
+  let scale l = List.map (fun (key, w) -> (key, w * k)) l in
   {
     s with
-    Pasta.Devagg.objects =
-      List.map (fun (o, w) -> (o, w * k)) s.Pasta.Devagg.objects;
-    blocks = List.map (fun (b, c) -> (b, c * k)) s.Pasta.Devagg.blocks;
+    Pasta.Devagg.objects = scale s.Pasta.Devagg.objects;
+    blocks = scale s.Pasta.Devagg.blocks;
+    regions = scale s.Pasta.Devagg.regions;
     sampled_records = s.Pasta.Devagg.sampled_records * k;
     true_accesses = s.Pasta.Devagg.true_accesses * k;
     writes = s.Pasta.Devagg.writes * k;
@@ -1179,6 +1181,15 @@ let fleet_bench () =
      devices";
   let base = fleet_leaf_summary () in
   let fanout = 8 and seed = 0x5eedL and reps = 5 and sizes = [ 64; 128; 256; 512 ] in
+  (* One timed sample runs a reduction [repeats] times, at every size, so
+     that even the 64-device tree takes milliseconds, not microseconds. *)
+  let repeats = 200 in
+  let repeated f () =
+    for _ = 2 to repeats do
+      ignore (f ())
+    done;
+    f ()
+  in
   let pool = Pasta_util.Domain_pool.global ~size:(Pasta.Config.domains ()) in
   (* A reduction's value: the leaves it dropped, and what it merged. *)
   let merged run summary dropped =
@@ -1186,18 +1197,25 @@ let fleet_bench () =
     { run with value = (dropped, Printf.sprintf "%d accesses, %d dropped" accesses dropped) }
   in
   let tree ?rates leaves () =
-    let run = timed (fun () -> Pasta.Fleet.reduce ~pool ?rates ~seed ~fanout leaves) in
+    let run = timed (repeated (fun () -> Pasta.Fleet.reduce ~pool ?rates ~seed ~fanout leaves)) in
     merged run run.value.Pasta.Fleet.red_summary
       (List.fold_left (fun acc (_, ds) -> acc + List.length ds) 0 run.value.red_dropped)
   in
   let flat summaries () =
-    let run = timed (fun () -> Pasta.Fleet.flat_merge summaries) in
+    let run = timed (repeated (fun () -> Pasta.Fleet.flat_merge summaries)) in
     merged run run.value 0
   in
   let name kind n = Printf.sprintf "%s, %d devices" kind n in
   let configs n =
-    let leaves = Array.init n (fun d -> Some (scale_summary (1 + (d mod 7)) base)) in
-    let summaries = List.filter_map Fun.id (Array.to_list leaves) in
+    let summaries = List.init n (fun d -> scale_summary (1 + (d mod 7)) base) in
+    (* The tree drops a leaf that fails validation: a broken leaf would be
+       timed as a cheap drop, not as a merge. *)
+    let invalid =
+      List.filter (fun s -> Result.is_error (Pasta.Devagg.validate s)) summaries
+    in
+    gate "fleet" (invalid = []) "%d of %d scaled leaves fail Devagg.validate"
+      (List.length invalid) n;
+    let leaves = Array.of_list (List.map Option.some summaries) in
     [
       (name "tree" n, tree leaves);
       (name "tree+faults" n, tree ~rates:Gpusim.Faults.default_fleet_rates leaves);
@@ -1205,6 +1223,7 @@ let fleet_bench () =
     ]
   in
   let stats = measure "fleet" ~reps ~output:snd (List.concat_map configs sizes) in
+  Format.fprintf ppf "each sample runs its reduction %d times@.@." repeats;
   table [ "dropped" ] (List.map (fun s -> (s, [ string_of_int (fst (last s)) ])) stats);
   let at kind n = List.find (fun s -> s.name = name kind n) stats in
   let growth kind = (at kind 512).min_s /. (at kind 64).min_s in
@@ -1220,6 +1239,7 @@ let fleet_bench () =
     [
       ("fanout", Int fanout);
       ("pool_domains", Int (Pasta_util.Domain_pool.size pool));
+      ("reductions_per_sample", Int repeats);
       ("configs", configs_json stats);
       ("devices", List (List.map (fun n -> Njson.Int n) sizes));
       ( "dropped_with_faults",

@@ -175,34 +175,6 @@ let batch_weight b =
       done;
       !s
 
-let batch_get b i =
-  let c = cols b in
-  {
-    addr = c.addrs.{i};
-    size = c.sizes.{i};
-    write = c.writes.{i} <> 0;
-    warp_id = c.warps.{i};
-    pc = b.b_pc;
-    weight = c.weights.{i};
-  }
-
-let iter_batch b ~f =
-  (* Record-at-a-time consumers spend their life in this loop, so read
-     the columns unchecked — [i] is bounded by [b_len], which every
-     constructor checks against the column dims. *)
-  let c = cols b in
-  for i = 0 to b.b_len - 1 do
-    f
-      {
-        addr = Bigarray.Array1.unsafe_get c.addrs i;
-        size = Bigarray.Array1.unsafe_get c.sizes i;
-        write = Bigarray.Array1.unsafe_get c.writes i <> 0;
-        warp_id = Bigarray.Array1.unsafe_get c.warps i;
-        pc = b.b_pc;
-        weight = Bigarray.Array1.unsafe_get c.weights i;
-      }
-  done
-
 let check_header ~who ~region ~chunk ~pc =
   if region < 0 || chunk < 0 || pc < 0 then
     invalid_arg (who ^ ": negative header field")

@@ -116,9 +116,6 @@ val batch_weight : batch -> int
 (** Sum of record weights, i.e. the true accesses the batch stands for.
     A descriptor's is computed in closed form, without building columns. *)
 
-val batch_get : batch -> int -> access
-val iter_batch : batch -> f:(access -> unit) -> unit
-
 val sub : batch -> pos:int -> len:int -> batch
 (** [sub b ~pos ~len] is records [pos] to [pos + len - 1] of [b] ([b]
     itself when that is all of it): a zero-copy view sharing [b]'s

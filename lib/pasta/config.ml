@@ -125,16 +125,6 @@ let overhead_budget () = Option.bind (get "ACCEL_PROF_OVERHEAD_BUDGET") parse_bu
 
 (* --- Robustness / supervision knobs --- *)
 
-let guard_threshold () =
-  match get_int "ACCEL_PROF_GUARD_THRESHOLD" with
-  | Some n when n > 0 -> n
-  | _ -> 10
-
-let guard_cooldown_kernels () =
-  match get_int "ACCEL_PROF_GUARD_COOLDOWN_KERNELS" with
-  | Some n when n > 0 -> n
-  | _ -> 25
-
 (* A strict knob refuses a value outside its set rather than quietly
    running with the default.  An empty value counts as unset. *)
 let invalid_knob key v expected =
@@ -150,6 +140,13 @@ let strict_int_opt key ~max expected =
 
 let strict_int key ~default ~max expected =
   Option.value (strict_int_opt key ~max expected) ~default
+
+let guard_threshold () =
+  strict_int "ACCEL_PROF_GUARD_THRESHOLD" ~default:10 ~max:max_int "a positive integer"
+
+let guard_cooldown_kernels () =
+  strict_int "ACCEL_PROF_GUARD_COOLDOWN_KERNELS" ~default:25 ~max:max_int
+    "a positive integer"
 
 let sample_cap () =
   strict_int_opt "ACCEL_PROF_ENV_SAMPLE_RATE" ~max:max_int "a positive integer"
@@ -275,6 +272,8 @@ let serve_workers () =
 let validate () =
   match
     ignore (sample_cap ());
+    ignore (guard_threshold ());
+    ignore (guard_cooldown_kernels ());
     ignore (buffer_capacity ());
     ignore (overflow_policy ());
     ignore (regions ());

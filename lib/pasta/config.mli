@@ -64,18 +64,19 @@ val overhead_budget : unit -> float option
     a fraction of workload time; enables the closed-loop sampling
     governor ({!Sampler}). *)
 
-(** {2 Robustness knobs}
-
-    These return a usable default when the variable is unset or invalid,
-    because the supervision layer must never fail to configure itself. *)
+(** {2 Robustness knobs} *)
 
 val guard_threshold : unit -> int
 (** [ACCEL_PROF_GUARD_THRESHOLD]: tool-callback failures tolerated before
-    quarantine (default 10). *)
+    quarantine (default 10, also when set to the empty string).  Any
+    value that is not a positive integer raises [Invalid_argument]
+    naming the knob and the value. *)
 
 val guard_cooldown_kernels : unit -> int
 (** [ACCEL_PROF_GUARD_COOLDOWN_KERNELS]: kernels a quarantined tool sits
-    out before a half-open probe (default 25). *)
+    out before a half-open probe (default 25, also when set to the empty
+    string).  Any value that is not a positive integer raises
+    [Invalid_argument] naming the knob and the value. *)
 
 val buffer_capacity : unit -> int
 (** [ACCEL_PROF_BUFFER_CAP]: bounded record-buffer capacity in items, a
@@ -87,15 +88,15 @@ val buffer_capacity : unit -> int
 val overflow_policy : unit -> Pasta_util.Ring_buffer.overflow
 (** [ACCEL_PROF_OVERFLOW_POLICY]: drop-oldest | drop-newest | block
     (default block, which is lossless; also when set to the empty
-    string).  Unlike the numeric robustness knobs, a value outside that
-    set (and the aliases {!Pasta_util.Ring_buffer.overflow_of_string}
-    accepts) raises [Invalid_argument] naming the knob, the value and the
-    accepted spellings: a misspelled policy must not silently run as
-    [block]. *)
+    string).  A value outside that set (and the aliases
+    {!Pasta_util.Ring_buffer.overflow_of_string} accepts) raises
+    [Invalid_argument] naming the knob, the value and the accepted
+    spellings: a misspelled policy must not silently run as [block]. *)
 
 val watchdog_us : unit -> float
 (** [ACCEL_PROF_WATCHDOG_US]: kernel duration above which the session
-    watchdog flags a stuck kernel (default 1e6 us). *)
+    watchdog flags a stuck kernel (default 1e6 us, also when the value is
+    not a positive number). *)
 
 val domains : unit -> int
 (** [ACCEL_PROF_DOMAINS]: domain-pool size for parallel device-side
@@ -115,9 +116,9 @@ val regions : unit -> Gpusim.Instrpass.granularity
 
 val validate : unit -> (unit, string) result
 (** Parse every knob that refuses bad values ({!sample_cap},
-    {!buffer_capacity}, {!overflow_policy}, {!regions},
-    {!trace_chunk_bytes} and the serve daemon's three) as the calling
-    thread resolves them.  [Error] carries
+    {!guard_threshold}, {!guard_cooldown_kernels}, {!buffer_capacity},
+    {!overflow_policy}, {!regions}, {!trace_chunk_bytes} and the serve
+    daemon's three) as the calling thread resolves them.  [Error] carries
     the refusal's message.  The CLI calls it before doing any work; the
     serve daemon calls it inside a job's overlay at submit time. *)
 

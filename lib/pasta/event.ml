@@ -73,7 +73,6 @@ type payload =
   | Memory_alloc of { addr : int; bytes : int; managed : bool }
   | Memory_free of { addr : int; bytes : int }
   | Synchronization of { scope : [ `Device | `Stream of int ] }
-  | Global_access of { kernel : kernel_info; access : mem_access }
   | Device_summary of { kernel : kernel_info; summary : Devagg.summary }
   | Shared_access of { kernel : kernel_info; access : mem_access }
   | Kernel_region of { kernel : kernel_info; region : region_summary }
@@ -98,7 +97,6 @@ let kind_name = function
   | Memory_alloc _ -> "memory_alloc"
   | Memory_free _ -> "memory_free"
   | Synchronization _ -> "synchronization"
-  | Global_access _ -> "global_access"
   | Device_summary _ -> "device_summary"
   | Shared_access _ -> "shared_access"
   | Kernel_region _ -> "kernel_region"
@@ -126,7 +124,6 @@ let all_kinds =
     "memory_alloc";
     "memory_free";
     "synchronization";
-    "global_access";
     "device_summary";
     "shared_access";
     "kernel_region";
@@ -142,8 +139,8 @@ let all_kinds =
   ]
 
 let is_fine_grained = function
-  | Global_access _ | Device_summary _ | Shared_access _ | Kernel_region _
-  | Barrier _ | Kernel_profile _ | Region_enter _ | Region_exit _ ->
+  | Device_summary _ | Shared_access _ | Kernel_region _ | Barrier _
+  | Kernel_profile _ | Region_enter _ | Region_exit _ ->
       true
   | _ -> false
 
@@ -178,10 +175,6 @@ let pp ppf { device; time_us; payload } =
       Format.fprintf ppf "free 0x%x %a" addr Pasta_util.Bytesize.pp bytes
   | Synchronization { scope = `Device } -> Format.fprintf ppf "deviceSynchronize"
   | Synchronization { scope = `Stream s } -> Format.fprintf ppf "streamSynchronize(%d)" s
-  | Global_access { kernel; access } ->
-      Format.fprintf ppf "gmem %s 0x%x %s w=%d" kernel.name access.addr
-        (if access.write then "st" else "ld")
-        access.weight
   | Device_summary { kernel; summary } ->
       Format.fprintf ppf "device-summary %s %a" kernel.name Devagg.pp summary
   | Shared_access { kernel; _ } -> Format.fprintf ppf "smem %s" kernel.name

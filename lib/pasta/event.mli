@@ -4,7 +4,13 @@
     one type, so tools are written once and run on any vendor or
     framework.  Events are grouped exactly as the paper groups them:
     coarse-grained host-called API events, fine-grained device-side
-    operations, and high-level DL framework events. *)
+    operations, and high-level DL framework events.
+
+    Table II's global memory access has no constructor here: a sampled
+    record reaches a host-analysis tool only through [Tool.on_access]
+    or, batched, [Tool.on_access_columns], and reaches device-resident
+    tools aggregated ([Device_summary], [Kernel_region]).  [on_event]
+    sees no per-record event. *)
 
 type api_phase = [ `Enter | `Exit ]
 
@@ -74,7 +80,6 @@ type payload =
   | Memory_free of { addr : int; bytes : int }
   | Synchronization of { scope : [ `Device | `Stream of int ] }
   (* Fine-grained device-side operations *)
-  | Global_access of { kernel : kernel_info; access : mem_access }
   | Device_summary of { kernel : kernel_info; summary : Devagg.summary }
       (** merged device-side reduction of a kernel's materialized records *)
   | Shared_access of { kernel : kernel_info; access : mem_access }

@@ -302,7 +302,6 @@ let update_registry t payload =
 let in_range t payload =
   match payload with
   | Event.Kernel_launch { info; _ }
-  | Event.Global_access { kernel = info; _ }
   | Event.Device_summary { kernel = info; _ }
   | Event.Shared_access { kernel = info; _ }
   | Event.Kernel_region { kernel = info; _ }
@@ -315,25 +314,15 @@ let in_range t payload =
 
 (* --- Bounded record buffer (paper Fig. 2a's device trace buffer) --- *)
 
-(* One record of the paper's CS-CPU/NVBit model: a Global_access
-   [on_event], then [on_access] — the event [dispatch] would deliver, with
-   its dispatched/suppressed count.  Runs inside the caller's tool frame.
-   The callbacks are closed functions that take their arguments from the
-   guard, so a record allocates its [access], its event and the event's
-   payload, and nothing else. *)
-let deliver_access t g info access time_us =
+(* One record of the paper's CS-CPU/NVBit model: one [on_access] call,
+   counted as dispatched or suppressed.  Runs inside the caller's tool
+   frame.  The callback is a closed function that takes its arguments from
+   the guard, so a record allocates its [access] and nothing else. *)
+let on_access tool info access = tool.Tool.on_access info access
+
+let deliver_access t g info access =
   count_dispatch t g;
-  Guard.call_in_frame g Guard.On_event
-    (fun tool ev () -> tool.Tool.on_event ev)
-    {
-      Event.device = t.device;
-      time_us;
-      payload = Event.Global_access { kernel = info; access };
-    }
-    ();
-  Guard.call_in_frame g Guard.On_access
-    (fun tool info access -> tool.Tool.on_access info access)
-    info access
+  Guard.call_in_frame g Guard.On_access on_access info access
 
 (* The per-record stream of one buffered view, inside the caller's tool
    frame.  A view's columns are read unchecked: [W.view] and every batch
@@ -350,7 +339,6 @@ let deliver_records t g { b_info = info; b_view = v } =
         warp = Bigarray.Array1.unsafe_get c.W.warps i;
         weight = Bigarray.Array1.unsafe_get c.W.weights i;
       }
-      v.W.v_time_us
   done
 
 let on_columns tool info batch =

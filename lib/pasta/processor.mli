@@ -151,9 +151,11 @@ val submit_access_views :
     kernel-end (or {!flush_records}).  At delivery a tool with
     [on_access_columns] receives each view's records as one batch
     (counted in [pasta_batches_delivered]); any other tool gets one
-    [Global_access] event, carrying its view's stamp, and one
-    [on_access] call per record, in order.  Either way the tool gets
-    each drain of the buffer inside one tool frame ({!Guard.framed}). *)
+    [on_access] call per record, in order, each counted in
+    [events_dispatched] (or [events_suppressed] while quarantined).  No
+    record reaches [on_event], and none reaches both callbacks.  Either
+    way the tool gets each drain of the buffer inside one tool frame
+    ({!Guard.framed}). *)
 
 val flush_parallel_summary : t -> time_us:float -> Event.kernel_info -> unit
 (** Kernel-end reduction for [Gpu_parallel] tools: drain the finishing

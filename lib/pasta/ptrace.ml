@@ -61,7 +61,12 @@ let magic = "PTRC"
    which {!Gpusim.Warp.descriptor} rebuilds it in O(1) — so the 99% of
    a fine-grained capture that is closed-form no longer costs columns
    to write or read.  The batch bytes change, so the version bumps and
-   v6 files are refused. *)
+   v6 files are refused.
+
+   Payload tag 8 (a per-record global-access event) is retired without a
+   bump: only the tool-side record delivery ever built that event, after
+   the capture tap, so no v7 writer emitted it, and it reads as an unknown
+   payload tag like any other. *)
 let version = 7
 
 (* ------------------------------------------------------------------ *)
@@ -977,10 +982,6 @@ let put_payload it buf (p : Event.payload) =
       | `Stream s ->
           put_u buf 1;
           put_u buf s)
-  | Event.Global_access { kernel; access } ->
-      put_u buf 8;
-      put_kernel it buf kernel;
-      put_access buf access
   | Event.Device_summary { kernel; summary } ->
       put_u buf 10;
       put_kernel it buf kernel;
@@ -1091,10 +1092,6 @@ let get_payload ex c : Event.payload =
         | n -> corrupt "bad sync scope %d" n
       in
       Event.Synchronization { scope }
-  | 8 ->
-      let kernel = get_kernel ex c in
-      let access = get_access c in
-      Event.Global_access { kernel; access }
   | 10 ->
       let kernel = get_kernel ex c in
       let summary = get_summary c in
@@ -1232,7 +1229,6 @@ let op_kind_name = function
 
 let op_records = function
   | Processor.Sk_batch (_, b) -> Gpusim.Warp.batch_len b
-  | Processor.Sk_event (Event.Global_access _) -> 1
   | _ -> 0
 
 (* Standalone payload codec for property tests and ad-hoc tooling: a

@@ -121,8 +121,10 @@ type outcome = {
 (* One processor (and tool instance) per header backend-table entry, ops
    routed to their backend's processor by the per-op backend-id column,
    in recorded order.  A solo trace has an empty table: it replays through
-   one unlabelled backend-0 processor. *)
-let run_multi ?mode ?range ~tool path =
+   one unlabelled backend-0 processor.  [capture] taps the processors as a
+   live session's capture would, so each op lands in the new trace as the
+   processor re-drove it. *)
+let run_multi ?mode ?range ?capture ~tool path =
   let hdr = Ptrace.read_header_of_file path in
   let entries =
     match hdr.Ptrace.h_backends with
@@ -159,10 +161,14 @@ let run_multi ?mode ?range ~tool path =
         (b.Ptrace.b_id, Some (proc, replayed)))
       backends
   in
+  let procs = List.map (fun (_, proc, _, _) -> proc) backends in
+  let recording = Option.map (Capture.start ~meta:hdr.Ptrace.h_meta procs) capture in
   let header, rstats, last_us =
-    read_into ~mode:(default_mode mode) path
-      (List.map (fun (_, proc, _, _) -> proc) backends)
-      ~route:(fun id -> try List.assoc id routes with Not_found -> None)
+    Fun.protect
+      ~finally:(fun () -> Option.iter Capture.finish recording)
+      (fun () ->
+        read_into ~mode:(default_mode mode) path procs
+          ~route:(fun id -> try List.assoc id routes with Not_found -> None))
   in
   (* Every backend's health reports the file's chunk accounting. *)
   List.iter

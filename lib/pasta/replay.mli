@@ -33,6 +33,7 @@ type outcome = {
 val run_multi :
   ?mode:Ptrace.mode ->
   ?range:Range.t ->
+  ?capture:string ->
   tool:(Ptrace.backend_entry -> Tool.t) ->
   string ->
   outcome
@@ -54,7 +55,13 @@ val run_multi :
     always single-backend by construction — costs ops of that backend
     only, and the other backends' reports are unaffected.  An op whose
     backend id is missing from the table (in a solo trace: any id but 0)
-    is corruption: strict mode raises, tolerant mode drops the op. *)
+    is corruption: strict mode raises, tolerant mode drops the op.
+
+    [capture] re-records the replay to that path: the processors are
+    tapped as a live session's are ({!Capture.start}, the header's meta
+    kept), so each op is written as its processor re-drove it, batch ops
+    with the stamps of their hand-off views.  The processors' chunk
+    counters then report the replay's read. *)
 
 val run : ?mode:Ptrace.mode -> ?range:Range.t -> tool:Tool.t -> string -> outcome
 (** [run ~tool path] is {!run_multi} with [tool] as the one tool of a solo

@@ -258,8 +258,11 @@ let attach_multi ?range ?sample_cap ?sample_rate ?overhead_budget ?faults
        devices with Gpusim.Device.create ~id:...)";
   (* Enumerated knobs raise on a bad value, and a backend may refuse its
      device or its tool's analysis model: settle both before anything is
-     created or attached, so a refusal leaves every device untouched. *)
+     created or attached, so a refusal leaves every device untouched.
+     Each processor's breaker reads the guard knobs again. *)
   let regions = Config.regions () in
+  ignore (Config.guard_threshold ());
+  ignore (Config.guard_cooldown_kernels ());
   let tools = List.map (fun (kind, device) -> tool kind device) specs in
   List.iter2
     (fun (kind, device) tool ->

@@ -10,7 +10,12 @@
     - [Gpu_accelerated] — device-resident aggregation; the tool receives
       per-kernel object access summaries via [on_mem_summary];
     - [Cpu_sanitizer] / [Cpu_nvbit] — host-side trace analysis; the tool
-      receives individual records via [on_access]. *)
+      receives individual records via [on_access], or batched via
+      [on_access_columns].
+
+    [on_event] gets coarse events only.  A sampled access record (Table
+    II's global memory access) is not an event: it reaches a tool only
+    through [on_access] or [on_access_columns], exactly once. *)
 
 type fine_grained =
   | No_fine_grained
@@ -31,7 +36,8 @@ val fine_grained_to_string : fine_grained -> string
 type t = {
   name : string;
   fine_grained : fine_grained;
-  on_event : Event.t -> unit;  (** every in-range unified event *)
+  on_event : Event.t -> unit;
+      (** every in-range unified event; records never arrive here *)
   on_kernel_begin : Event.kernel_info -> unit;
   on_kernel_end : Event.kernel_info -> Event.kernel_end_summary -> unit;
   on_mem_summary : Event.kernel_info -> (Objmap.obj * int) list -> unit;
@@ -39,7 +45,8 @@ type t = {
   on_device_summary : Event.kernel_info -> Devagg.summary -> unit;
       (** per-kernel merged parallel reduction ([Gpu_parallel] mode) *)
   on_access : Event.kernel_info -> Event.mem_access -> unit;
-      (** per-record host analysis (sampled, weighted) *)
+      (** per-record host analysis (sampled, weighted): one call per
+          delivered record, the record's only delivery *)
   on_access_columns : (Event.kernel_info -> Gpusim.Warp.batch -> unit) option;
       (** when set, fine-grained records are delivered as packed batches
           instead of per-record [on_access] calls, zero-copy and with no

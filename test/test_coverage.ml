@@ -191,7 +191,6 @@ let sample_payloads =
     Pasta.Event.Memory_alloc { addr = 0; bytes = 16; managed = false };
     Pasta.Event.Memory_free { addr = 0; bytes = 16 };
     Pasta.Event.Synchronization { scope = `Stream 2 };
-    Pasta.Event.Global_access { kernel = sample_ki; access = sample_access };
     Pasta.Event.Device_summary { kernel = sample_ki; summary = sample_summary };
     Pasta.Event.Shared_access { kernel = sample_ki; access = sample_access };
     Pasta.Event.Kernel_region
@@ -232,6 +231,12 @@ let test_all_kinds_closed () =
     (List.length Pasta.Event.all_kinds)
     (List.length (List.sort_uniq compare Pasta.Event.all_kinds))
 
+(* Table II's global memory access is not an [Event.t] constructor: a
+   sampled record reaches a host-analysis tool only through [on_access]
+   (or, batched, [on_access_columns]).  The producer and consumer checks
+   below cover it through that callback. *)
+let record_kinds = [ "global_access" ]
+
 (* ---- Every event kind has a live producer ---- *)
 
 (* Sessions over each vendor backend and analysis model, all feeding one
@@ -244,6 +249,7 @@ let test_every_kind_produced () =
     {
       (Pasta.Tool.default ~fine_grained:fine "collector") with
       Pasta.Tool.on_event = (fun ev -> mark ev.Pasta.Event.payload);
+      on_access = (fun _ _ -> Hashtbl.replace seen "global_access" ());
     }
   in
   let collect ?fine arch f =
@@ -321,7 +327,7 @@ let test_every_kind_produced () =
         inner.Pasta.Session.health.Pasta.Session.incidents);
   List.iter
     (fun kind -> check_bool ("produced: " ^ kind) true (Hashtbl.mem seen kind))
-    Pasta.Event.all_kinds
+    (Pasta.Event.all_kinds @ record_kinds)
 
 (* The OpenCL adapter speaks foreign conventions end to end; one
    opencl-backed session must still produce the full canonical subset a
@@ -386,7 +392,7 @@ let registry_consumers =
     ("memory_alloc", "memory_charact");
     ("memory_free", "memory_charact");
     ("synchronization", "trace_export");
-    ("global_access", "memory_charact_cs_cpu");
+    ("global_access", "memory_charact_nvbit_cpu");
     ("device_summary", "memory_charact_par");
     ("shared_access", "barrier_stall");
     ("kernel_region", "hotness");
@@ -405,7 +411,7 @@ let test_every_kind_consumed () =
   Pasta_tools.Tools.register_all ();
   Alcotest.(check (list string))
     "consumer table covers the whole vocabulary"
-    (List.sort compare Pasta.Event.all_kinds)
+    (List.sort compare (Pasta.Event.all_kinds @ record_kinds))
     (List.sort compare (List.map fst registry_consumers));
   List.iter
     (fun (kind, name) ->
@@ -413,7 +419,13 @@ let test_every_kind_consumed () =
         (Printf.sprintf "consumer of %s (%s) is registered" kind name)
         true
         (Pasta.Registry.find name <> None))
-    registry_consumers
+    registry_consumers;
+  (* A global access reaches its consumer through [on_access]: a
+     per-record host analysis with no columns callback. *)
+  let nvbit = (Option.get (Pasta.Registry.find "memory_charact_nvbit_cpu")) () in
+  check_bool "global_access is consumed per record, through on_access" true
+    (nvbit.Pasta.Tool.fine_grained = Pasta.Tool.Cpu_nvbit
+    && nvbit.Pasta.Tool.on_access_columns = None)
 
 let test_consumers_functional () =
   (* trace_export materializes the four API-surface kinds it just gained. *)
@@ -559,10 +571,11 @@ let prop_warp_strided_in_bounds =
       let ok = ref true in
       Array.iter
         (fun spec ->
-          Gpusim.Warp.iter_batch (Gpusim.Warp.fill_chunk ~rng ~warp_size:32 spec)
-            ~f:(fun a ->
-              if a.Gpusim.Warp.addr < 0x1000 || a.Gpusim.Warp.addr >= 0x1000 + 2048
-              then ok := false))
+          let b = Gpusim.Warp.fill_chunk ~rng ~warp_size:32 spec in
+          let addrs = (Gpusim.Warp.cols b).Gpusim.Warp.addrs in
+          for i = 0 to b.Gpusim.Warp.b_len - 1 do
+            if addrs.{i} < 0x1000 || addrs.{i} >= 0x1000 + 2048 then ok := false
+          done)
         (Gpusim.Warp.plan ~max_records_per_region:64 k);
       !ok)
 

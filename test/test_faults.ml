@@ -241,6 +241,14 @@ let test_buffer_cap_knob () =
   check_strict_knob "ACCEL_PROF_BUFFER_CAP" Pasta.Config.buffer_capacity ~default:4096
     ~good:("64", 64) ~bad:[ "12x"; "0"; "-3" ]
 
+(* The breaker's knobs: a junk threshold or cooldown used to run with
+   the default. *)
+let test_guard_knobs () =
+  check_strict_knob "ACCEL_PROF_GUARD_THRESHOLD" Pasta.Config.guard_threshold ~default:10
+    ~good:("3", 3) ~bad:[ "12x"; "0"; "-3" ];
+  check_strict_knob "ACCEL_PROF_GUARD_COOLDOWN_KERNELS" Pasta.Config.guard_cooldown_kernels
+    ~default:25 ~good:("7", 7) ~bad:[ "12x"; "0"; "-3" ]
+
 (* The chunk size is capped at 65536 KiB: a capture allocates its chunk
    buffer up front, and a larger count of KiB could overflow the byte
    budget to zero. *)
@@ -365,5 +373,6 @@ let suite =
     ("injector cleared after session", `Quick, test_faults_cleared_after_session);
     ("unknown overflow policy is refused", `Quick, test_overflow_policy_knob);
     ("non-positive or junk buffer cap is refused", `Quick, test_buffer_cap_knob);
+    ("non-positive or junk guard knobs are refused", `Quick, test_guard_knobs);
     ("junk or out-of-range trace chunk size is refused", `Quick, test_trace_chunk_knob);
   ]

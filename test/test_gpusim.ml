@@ -206,32 +206,39 @@ let prop_sass_roundtrip =
       let parsed = Sass.parse (Sass.dump k) in
       List.length parsed = Sass.static_size k)
 
-(* Every sampled record of [k]: each chunk of its plan, filled. *)
+(* Every sampled record of [k]: each chunk of its plan, filled; [f] gets
+   the chunk's columns and the record's index. *)
 let iter_records ~rng ~max_records_per_region k ~f =
   Array.iter
-    (fun spec -> Warp.iter_batch (Warp.fill_chunk ~rng ~warp_size:32 spec) ~f)
+    (fun spec ->
+      let b = Warp.fill_chunk ~rng ~warp_size:32 spec in
+      let c = Warp.cols b in
+      for i = 0 to b.Warp.b_len - 1 do
+        f c i
+      done)
     (Warp.plan ~max_records_per_region k)
 
 let test_warp_weights_sum () =
   let rng = Pasta_util.Det_rng.create 3L in
   let total = ref 0 in
-  iter_records ~rng ~max_records_per_region:16 two_region_kernel ~f:(fun a ->
-      total := !total + a.Warp.weight);
+  iter_records ~rng ~max_records_per_region:16 two_region_kernel ~f:(fun c i ->
+      total := !total + c.Warp.weights.{i});
   check_int "weights sum to true count" 1500 !total
 
 let test_warp_addresses_in_bounds () =
   let rng = Pasta_util.Det_rng.create 4L in
-  iter_records ~rng ~max_records_per_region:64 two_region_kernel ~f:(fun a ->
-      let in_r1 = a.Warp.addr >= 0x1000 && a.Warp.addr < 0x1000 + 4096 in
-      let in_r2 = a.Warp.addr >= 0x4000 && a.Warp.addr < 0x4000 + 8192 in
+  iter_records ~rng ~max_records_per_region:64 two_region_kernel ~f:(fun c i ->
+      let addr = c.Warp.addrs.{i} in
+      let in_r1 = addr >= 0x1000 && addr < 0x1000 + 4096 in
+      let in_r2 = addr >= 0x4000 && addr < 0x4000 + 8192 in
       check_bool "address within some region" true (in_r1 || in_r2))
 
 let test_warp_region_coverage () =
   (* Every non-empty region yields at least one record even with cap 1. *)
   let rng = Pasta_util.Det_rng.create 5L in
   let seen = Hashtbl.create 4 in
-  iter_records ~rng ~max_records_per_region:1 two_region_kernel ~f:(fun a ->
-      Hashtbl.replace seen a.Warp.write ());
+  iter_records ~rng ~max_records_per_region:1 two_region_kernel ~f:(fun c i ->
+      Hashtbl.replace seen (c.Warp.writes.{i} <> 0) ());
   check_int "both regions sampled" 2 (Hashtbl.length seen)
 
 let prop_warp_weights =
@@ -243,8 +250,8 @@ let prop_warp_weights =
       in
       let rng = Pasta_util.Det_rng.create 9L in
       let total = ref 0 in
-      iter_records ~rng ~max_records_per_region:cap k ~f:(fun a ->
-          total := !total + a.Warp.weight);
+      iter_records ~rng ~max_records_per_region:cap k ~f:(fun c i ->
+          total := !total + c.Warp.weights.{i});
       !total = accesses)
 
 (* The fill steps each column from the record before it.  Every record

@@ -146,14 +146,26 @@ let test_determinism_under_faults () =
 (* Columnar delivery vs the per-record stream                          *)
 (* ------------------------------------------------------------------ *)
 
-(* A Cpu_sanitizer probe in two shapes: a per-record tool (the processor
-   must unpack the channel's views into the record stream) and a columns
-   tool (records arrive packed, accounting must still match). *)
-let sanitizer_count ?range ~columns () =
-  let device = Gpusim.Device.create Gpusim.Arch.a100 in
-  let ctx = Dlfw.Ctx.create device in
-  let records = ref 0 and weight = ref 0 and addr_sum = ref 0 in
-  let base = Pasta.Tool.default ~fine_grained:Pasta.Tool.Cpu_sanitizer "probe" in
+(* A record probe: its tool, and a reader of what the tool saw, in
+   delivery order: the records, their weight sum, an ordered checksum of
+   their addresses, and how many fine-grained events reached [on_event].
+   A host analysis is sent no fine-grained event, so any such event is a
+   record delivered a second time.  A per-record probe takes [on_access];
+   a columns probe takes packed batches. *)
+let record_probe ~fine ~columns =
+  let records = ref 0 and weight = ref 0 and addr_hash = ref 0 and fine_events = ref 0 in
+  let add addr w =
+    incr records;
+    weight := !weight + w;
+    addr_hash := (!addr_hash * 31) + addr
+  in
+  let base =
+    {
+      (Pasta.Tool.default ~fine_grained:fine "probe") with
+      Pasta.Tool.on_event =
+        (fun ev -> if Pasta.Event.is_fine_grained ev.Pasta.Event.payload then incr fine_events);
+    }
+  in
   let tool =
     if columns then
       {
@@ -163,39 +175,63 @@ let sanitizer_count ?range ~columns () =
             (fun _ b ->
               let module W = Gpusim.Warp in
               let c = W.cols b in
-              records := !records + b.W.b_len;
               for i = 0 to b.W.b_len - 1 do
-                weight := !weight + c.W.weights.{i};
-                addr_sum := !addr_sum + c.W.addrs.{i}
+                add c.W.addrs.{i} c.W.weights.{i}
               done);
       }
-    else
-      {
-        base with
-        Pasta.Tool.on_access =
-          (fun _ a ->
-            incr records;
-            weight := !weight + a.Pasta.Event.weight;
-            addr_sum := !addr_sum + a.Pasta.Event.addr);
-      }
+    else { base with Pasta.Tool.on_access = (fun _ a -> add a.Pasta.Event.addr a.Pasta.Event.weight) }
   in
+  (tool, fun () -> (!records, !weight, !addr_hash, !fine_events))
+
+(* One BERT inference under a record probe at sample cap [cap]. *)
+let record_run ?range ?capture ?(fine = Pasta.Tool.Cpu_sanitizer) ?(cap = 64) ~columns () =
+  let device = Gpusim.Device.create Gpusim.Arch.a100 in
+  let ctx = Dlfw.Ctx.create device in
+  let tool, seen = record_probe ~fine ~columns in
   let (), result =
-    Pasta.Session.run ?range ~sample_cap:64 ~tool device (bert_inference ctx)
+    Pasta.Session.run ?range ?capture ~sample_cap:cap ~tool device (bert_inference ctx)
   in
   Dlfw.Ctx.destroy ctx;
-  (!records, !weight, !addr_sum, result.Pasta.Session.health)
+  (seen (), result.Pasta.Session.health)
 
+(* Every record reaches a tool exactly once, through [on_access] or
+   [on_access_columns]: a per-record CS-CPU tool, a columns CS-CPU tool,
+   a per-record NVBit-CPU tool and a strict replay of the per-record
+   run's capture see the same records, weights and address order, and
+   none of them is sent a record as an event. *)
 let test_columns_vs_per_record_equivalence () =
-  let r0, w0, s0, h0 = sanitizer_count ~columns:false () in
-  let r1, w1, s1, h1 = sanitizer_count ~columns:true () in
-  check_bool "records flowed" true (r0 > 0);
-  check_int "packed batches = per-record count" r0 r1;
-  check_int "packed batches = per-record weight sum" w0 w1;
-  check_int "packed batches = per-record address checksum" s0 s1;
-  check_bool "columns tool sees packed batches" true
-    (h1.Pasta.Session.batches_delivered > 0);
-  (* [batches_delivered] counts columnar deliveries only. *)
-  check_int "per-record tools count none" 0 h0.Pasta.Session.batches_delivered
+  List.iter
+    (fun cap ->
+      let label what = Printf.sprintf "cap %d: %s" cap what in
+      let path = Filename.temp_file "pasta_test" ".ptrace" in
+      let per_record, h0 = record_run ~capture:path ~cap ~columns:false () in
+      let columns, h1 = record_run ~cap ~columns:true () in
+      let nvbit, _ = record_run ~fine:Pasta.Tool.Cpu_nvbit ~cap ~columns:false () in
+      let replayed =
+        let tool, seen = record_probe ~fine:Pasta.Tool.Cpu_sanitizer ~columns:false in
+        let (_ : Pasta.Replay.outcome) = Pasta.Replay.run ~mode:Pasta.Ptrace.Strict ~tool path in
+        Sys.remove path;
+        seen ()
+      in
+      let r0, w0, s0, _ = per_record in
+      check_bool (label "records flowed") true (r0 > 0);
+      List.iter
+        (fun (who, (r, w, s, fine_events)) ->
+          check_int (label (who ^ ": record count")) r0 r;
+          check_int (label (who ^ ": weight sum")) w0 w;
+          check_int (label (who ^ ": ordered address checksum")) s0 s;
+          check_int (label (who ^ ": no record reaches on_event")) 0 fine_events)
+        [
+          ("per-record CS-CPU", per_record);
+          ("columns CS-CPU", columns);
+          ("per-record NVBit-CPU", nvbit);
+          ("strict replay of the CS-CPU capture", replayed);
+        ];
+      check_bool (label "columns tool sees packed batches") true
+        (h1.Pasta.Session.batches_delivered > 0);
+      (* [batches_delivered] counts columnar deliveries only. *)
+      check_int (label "per-record tools count none") 0 h0.Pasta.Session.batches_delivered)
+    [ 64; 1024 ]
 
 (* ------------------------------------------------------------------ *)
 (* Merged summary invariants                                           *)
@@ -234,9 +270,9 @@ let test_summary_validates domains () =
 (* ------------------------------------------------------------------ *)
 
 let test_filtered_accounting () =
-  let all, _, _, h_all = sanitizer_count ~columns:false () in
-  let part, _, _, h =
-    sanitizer_count ~range:(Pasta.Range.create ~start_grid:8 ()) ~columns:false ()
+  let (all, _, _, _), h_all = record_run ~columns:false () in
+  let (part, _, _, _), h =
+    record_run ~range:(Pasta.Range.create ~start_grid:8 ()) ~columns:false ()
   in
   check_int "unfiltered run filters nothing" 0 h_all.Pasta.Session.accesses_filtered;
   check_int "lossless policy: no drops" 0 h.Pasta.Session.records_dropped;
@@ -257,7 +293,10 @@ let test_filtered_accounting () =
    change to how records travel from the NVBit channel buffer to the tool
    cannot reorder, re-time, drop or re-charge any of them unnoticed.  The
    run's ring accounting comes back with it: records dropped, the
-   buffered peak and producer stalls. *)
+   buffered peak and producer stalls.  Records reach [on_access] only, so
+   the log's [E] lines are the coarse events; the digests are those of
+   the logs taken when each record also reached [on_event], with those
+   per-record [E] lines removed. *)
 let nvbit_callback_log ?buffer_cap ?policy () =
   Option.iter
     (fun n -> Pasta.Config.set "ACCEL_PROF_BUFFER_CAP" (string_of_int n))
@@ -296,7 +335,7 @@ let nvbit_callback_log ?buffer_cap ?policy () =
       h.Pasta.Session.records_buffered_peak h.Pasta.Session.buffer_stalls )
 
 let test_nvbit_callback_digest () =
-  let pinned = "bbd86af15fc31833f88ca1f5fb40a250" in
+  let pinned = "5066166ca2f87e3d7f432533c15d5408" in
   let log, acct = nvbit_callback_log () in
   check_bool "records reached the tool" true
     (Astring_contains.contains log "\nA ");
@@ -319,11 +358,11 @@ let test_nvbit_callback_digest () =
       (16, "block", pinned, "dropped=0 peak=256 stalls=1087");
       ( 8,
         "drop-oldest",
-        "9d8137918d19413b14e2f8fcd5c756e9",
+        "0ac84c6d068a888400bb2d67bad3ddf3",
         "dropped=24338 peak=256 stalls=0" );
       ( 8,
         "drop-newest",
-        "89595f481d23a87b86ad1b2058bd8d7d",
+        "259587df1ffe9fb6ddd315f51715311b",
         "dropped=27944 peak=256 stalls=0" );
     ]
 

@@ -423,6 +423,10 @@ let test_submit_validation () =
       ("ACCEL_PROF_TRACE_CHUNK_KB", "67108864");
       ("ACCEL_PROF_ENV_SAMPLE_RATE", "0");
       ("ACCEL_PROF_ENV_SAMPLE_RATE", "12x");
+      ("ACCEL_PROF_GUARD_THRESHOLD", "12x");
+      ("ACCEL_PROF_GUARD_THRESHOLD", "0");
+      ("ACCEL_PROF_GUARD_COOLDOWN_KERNELS", "-3");
+      ("ACCEL_PROF_GUARD_COOLDOWN_KERNELS", "12x");
       (* retired knobs: no longer session-scoped, so refused by name *)
       ("ACCEL_PROF_COLUMNAR", "0");
       ("ACCEL_PROF_BATCH_DELIVERY", "0");

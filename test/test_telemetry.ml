@@ -460,8 +460,11 @@ let test_nvbit_layers_span_per_batch () =
                 Alcotest.failf "%s: %s opened %d spans for %d records" level label
                   spans !records)
             [ "handler (vendor adapt)"; "processor (dispatch)"; "ring buffer" ];
-          check_bool "tool called at least twice per record" true
-            (row_count "tool:memory_charact" >= 2 * !records);
+          (* One call per record, through [on_access]; the rest are the
+             coarse events' calls. *)
+          let calls = row_count "tool:memory_charact" in
+          check_bool "tool called once per record, plus its coarse events" true
+            (calls >= !records && calls < 2 * !records);
           if level = "full" then begin
             let buf = T.span_buffer () in
             check_int "span store kept every span" 0 (Pasta_util.Span_buf.dropped buf);
@@ -539,11 +542,10 @@ let test_cs_cpu_handoff_per_kernel () =
       check_run "replayed" ~kernels ~batches ~handler_views:0 (spans ()))
 
 (* The per-record path's allocation ceiling.  A record delivered to an
-   NVBit-CPU tool allocates its [mem_access], its [Global_access] event
-   and the event's payload; generation, channel views, the ring and the
-   tool frames cost per chunk, per flush or per kernel.  Over a whole
-   BERT inference at sample cap 2048 on one domain the process then
-   allocates under 24 minor words per delivered record. *)
+   NVBit-CPU tool allocates its [mem_access]; generation, channel views,
+   the ring and the tool frames cost per chunk, per flush or per kernel.
+   Over a whole BERT inference at sample cap 2048 on one domain the
+   process then allocates under 17 minor words per delivered record. *)
 let test_nvbit_minor_words_per_record () =
   Pasta.Config.set "ACCEL_PROF_DOMAINS" "1";
   Fun.protect
@@ -572,7 +574,7 @@ let test_nvbit_minor_words_per_record () =
       Dlfw.Ctx.destroy ctx;
       check_bool "records flowed" true (!records > 100_000);
       let per_record = words /. float_of_int !records in
-      if per_record > 24.0 then
+      if per_record > 17.0 then
         Alcotest.failf "%.1f minor words per delivered record (%d records)" per_record
           !records)
 
@@ -580,7 +582,9 @@ let test_nvbit_minor_words_per_record () =
    and on_access raise on a fixed schedule trips, sits out its cooldown
    and is reinstated many times over one BERT run.  Everything the run
    reports about that is deterministic, so it is pinned exactly, at both
-   span-recording levels. *)
+   span-recording levels.  Records reach [on_access] only: [on_event]
+   gets the run's 218 coarse events, too few for its every-307th
+   failure, so every failure the pin counts is [on_access]'s. *)
 let scheduled_failures_run level =
   with_level level (fun () ->
       Pasta.Config.set "ACCEL_PROF_GUARD_THRESHOLD" "5";
@@ -626,9 +630,9 @@ let scheduled_failures_run level =
 
 let test_per_record_breaker_pinned () =
   let pinned =
-    "md5=e2f0babb65485d99a9550fd503b4253c dispatched=6390 suppressed=14834 \
-     failures=[on_event:20;on_access:30] quarantines=10 reinstated=9 \
-     tool_calls=12779 depth=0 mismatches=0"
+    "md5=4a70c7e9bfee8d6205cb059d5bfc995c dispatched=8257 suppressed=12964 \
+     failures=[on_access:38] quarantines=7 reinstated=7 tool_calls=8355 depth=0 \
+     mismatches=0"
   in
   List.iter
     (fun level ->
@@ -991,6 +995,6 @@ let suite =
       (test_replay_metric_counts 4);
     Alcotest.test_case "per-record breaker accounting is pinned" `Quick
       test_per_record_breaker_pinned;
-    Alcotest.test_case "NVBit records allocate under 24 words each" `Quick
+    Alcotest.test_case "NVBit records allocate under 17 words each" `Quick
       test_nvbit_minor_words_per_record;
   ]

@@ -236,7 +236,8 @@ let test_nvbit_flush_split () =
     List.concat_map
       (fun v ->
         let b = view_batch v in
-        List.init (Warp.batch_len b) (fun i -> (Warp.batch_get b i).Warp.addr))
+        let addrs = (Warp.cols b).Warp.addrs in
+        List.init (Warp.batch_len b) (fun i -> addrs.{i}))
       views
   in
   let before, split, handoff_at = run ~buffer_records:100 () in
