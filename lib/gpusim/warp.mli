@@ -107,6 +107,9 @@ val cols : batch -> cols
 
 val batch_len : batch -> int
 
+val record_bytes : int
+(** Bytes one record occupies across the five columns of a dense batch. *)
+
 val batch_bytes : batch -> int
 (** Bytes the five columns of a dense batch occupy: what a decoder
     allocates to materialize it.  A descriptor holds no columns and

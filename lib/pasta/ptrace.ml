@@ -17,6 +17,14 @@
    one-varint handle — so every chunk decodes on its own and a corrupt
    chunk costs exactly its own ops and nothing downstream.
 
+   Every wire type but the batch is described once, as a two-way codec
+   (see "Two-way codecs" below) that both writes and reads it, so the two
+   directions cannot disagree on a field.  The batch path (columns,
+   descriptors) and the op frame stay hand-written: they carry nearly
+   every byte of a fine-grained capture.  A chunk may decode to at most
+   [chunk_budget] bytes of columns and summary pairs, so a small corrupt
+   chunk cannot make the reader allocate without bound.
+
    Compatibility rule: the version byte gates everything after the magic.
    Additive evolution (new op tags, new payload tags) keeps the version;
    readers reject unknown tags as corruption, which tolerant mode turns
@@ -146,91 +154,34 @@ let get_str c =
   s
 
 (* ------------------------------------------------------------------ *)
-(* Domain-type codecs                                                  *)
+(* Coding contexts                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let put_api_phase buf = function
-  | `Enter -> put_u buf 0
-  | `Exit -> put_u buf 1
+(* Upper bound on a decoded batch: generated batches hold at most
+   {!Gpusim.Warp.chunk_records} records, but column compression means a
+   tiny payload can declare a huge length, so corrupt data must not be
+   able to force absurd allocations. *)
+let max_batch_len = 1 lsl 22
 
-let get_api_phase c =
-  match get_u c with
-  | 0 -> `Enter
-  | 1 -> `Exit
-  | n -> corrupt "bad api phase %d" n
+(* What one chunk may decode to: dense batch columns and summary pairs,
+   charged before they are allocated.  A writer flushes a chunk once its
+   columns reach the chunk size, at most 64 MiB (the cap of
+   ACCEL_PROF_TRACE_CHUNK_KB), so no chunk it writes decodes to more than
+   that plus one batch.  Each run of a pair list decodes its pairs
+   without a byte apiece, so pairs need the bound as much as columns. *)
+let chunk_budget = (64 lsl 20) + (max_batch_len * Gpusim.Warp.record_bytes)
 
-let put_frames buf frames =
-  put_u buf (List.length frames);
-  List.iter
-    (fun (f : Gpusim.Hostctx.frame) ->
-      put_str buf f.Gpusim.Hostctx.file;
-      put_u buf f.Gpusim.Hostctx.line;
-      put_str buf f.Gpusim.Hostctx.symbol)
-    frames
-
-let get_frames c =
-  let n = get_u c in
-  List.init n (fun _ ->
-      let file = get_str c in
-      let line = get_u c in
-      let symbol = get_str c in
-      { Gpusim.Hostctx.file; line; symbol })
-
-let put_dim3 buf (d : Gpusim.Dim3.t) =
-  put_u buf d.Gpusim.Dim3.x;
-  put_u buf d.Gpusim.Dim3.y;
-  put_u buf d.Gpusim.Dim3.z
-
-let get_dim3 c =
-  let x = get_u c in
-  let y = get_u c in
-  let z = get_u c in
-  { Gpusim.Dim3.x; y; z }
-
-let put_kernel_info_body buf (k : Event.kernel_info) =
-  put_u buf k.Event.device_id;
-  put_u buf k.Event.grid_id;
-  put_u buf k.Event.stream;
-  put_str buf k.Event.name;
-  put_dim3 buf k.Event.grid;
-  put_dim3 buf k.Event.block;
-  put_u buf k.Event.shared_bytes;
-  put_u buf (List.length k.Event.arg_ptrs);
-  List.iter (put_z buf) k.Event.arg_ptrs;
-  put_frames buf k.Event.py_stack;
-  put_frames buf k.Event.native_stack
-
-let get_kernel_info_body c =
-  let device_id = get_u c in
-  let grid_id = get_u c in
-  let stream = get_u c in
-  let name = get_str c in
-  let grid = get_dim3 c in
-  let block = get_dim3 c in
-  let shared_bytes = get_u c in
-  let nargs = get_u c in
-  let arg_ptrs = List.init nargs (fun _ -> get_z c) in
-  let py_stack = get_frames c in
-  let native_stack = get_frames c in
-  {
-    Event.device_id;
-    grid_id;
-    stream;
-    name;
-    grid;
-    block;
-    shared_bytes;
-    arg_ptrs;
-    py_stack;
-    native_stack;
-  }
+(* A decoded pair: its two native ints. *)
+let pair_bytes = 2 * (Sys.word_size / 8)
 
 (* Per-chunk kernel interning.  The encoder keys on [grid_id] (launch ids
    are unique per device, and every kernel_info of a launch is structurally
    identical); the decoder keeps slots in definition order.  Each context
    also owns the int scratch that batch-column differences go through
    when they are not constant (see [put_col]); it grows on demand and is
-   reused by every later batch. *)
+   reused by every later batch.  The decoder's context is made afresh
+   for each chunk, so it also carries what is left of the chunk's decode
+   budget. *)
 
 type intern = {
   by_grid : (int, int) Hashtbl.t;
@@ -242,10 +193,13 @@ type extern = {
   by_slot : (int, Event.kernel_info) Hashtbl.t;
   mutable count : int;
   mutable dec_diffs : int array;
+  mutable budget : int;
 }
 
 let intern () = { by_grid = Hashtbl.create 32; next = 0; enc_diffs = [||] }
-let extern () = { by_slot = Hashtbl.create 32; count = 0; dec_diffs = [||] }
+
+let extern () =
+  { by_slot = Hashtbl.create 32; count = 0; dec_diffs = [||]; budget = chunk_budget }
 
 (* A new chunk starts a new interning scope; the scratch survives. *)
 let reset_intern it =
@@ -254,51 +208,479 @@ let reset_intern it =
 
 let grow a n = if Array.length a >= n then a else Array.make n 0
 
-let put_kernel it buf (k : Event.kernel_info) =
-  match Hashtbl.find_opt it.by_grid k.Event.grid_id with
-  | Some slot -> put_u buf (slot + 1)
-  | None ->
-      Hashtbl.add it.by_grid k.Event.grid_id it.next;
-      it.next <- it.next + 1;
-      put_u buf 0;
-      put_kernel_info_body buf k
+(* Charge [n] decoded items of [size] bytes each to the chunk's budget,
+   before they are allocated. *)
+let charge ex n size =
+  if n > ex.budget / size then
+    corrupt "chunk decodes to more than %d bytes" chunk_budget;
+  ex.budget <- ex.budget - (n * size)
 
-let get_kernel ex c =
-  match get_u c with
-  | 0 ->
-      let k = get_kernel_info_body c in
-      Hashtbl.replace ex.by_slot ex.count k;
-      ex.count <- ex.count + 1;
-      k
-  | handle -> (
-      match Hashtbl.find_opt ex.by_slot (handle - 1) with
-      | Some k -> k
-      | None -> corrupt "undefined kernel handle %d" (handle - 1))
+(* ------------------------------------------------------------------ *)
+(* Two-way codecs                                                      *)
+(* ------------------------------------------------------------------ *)
 
-let put_access buf (a : Event.mem_access) =
-  put_z buf a.Event.addr;
-  put_u buf a.Event.size;
-  put_bool buf a.Event.write;
-  put_u buf a.Event.pc;
-  put_u buf a.Event.warp;
-  put_u buf a.Event.weight
+(* One value describes a wire type in both directions.  Only kernel
+   references use the coding contexts; every other codec ignores them. *)
+type 'a codec = { put : intern -> Buffer.t -> 'a -> unit; get : extern -> cursor -> 'a }
 
-let get_access c =
-  let addr = get_z c in
-  let size = get_u c in
-  let write = get_bool c in
-  let pc = get_u c in
-  let warp = get_u c in
-  let weight = get_u c in
-  { Event.addr; size; write; pc; warp; weight }
+let uint = { put = (fun _ buf n -> put_u buf n); get = (fun _ c -> get_u c) }
+let sint = { put = (fun _ buf n -> put_z buf n); get = (fun _ c -> get_z c) }
+let float = { put = (fun _ buf x -> put_f buf x); get = (fun _ c -> get_f c) }
+let bool = { put = (fun _ buf b -> put_bool buf b); get = (fun _ c -> get_bool c) }
+let string = { put = (fun _ buf s -> put_str buf s); get = (fun _ c -> get_str c) }
+let unit = { put = (fun _ _ () -> ()); get = (fun _ _ -> ()) }
+
+(* A varint count, then the elements. *)
+let list e =
+  {
+    put =
+      (fun it buf l ->
+        put_u buf (List.length l);
+        List.iter (e.put it buf) l);
+    get = (fun ex c -> List.init (get_u c) (fun _ -> e.get ex c));
+  }
+
+(* A record is its fields in wire order, each a codec next to the
+   projection that reads it; decoding applies the constructor to the
+   fields as they are read. *)
+module Fields = struct
+  type ('r, 'k) t =
+    | [] : ('r, 'r) t
+    | ( :: ) : ('a codec * ('r -> 'a)) * ('r, 'k) t -> ('r, 'a -> 'k) t
+end
+
+let rec put_fields : type r k. (r, k) Fields.t -> intern -> Buffer.t -> r -> unit =
+ fun fields it buf r ->
+  match fields with
+  | Fields.[] -> ()
+  | Fields.((codec, proj) :: rest) ->
+      codec.put it buf (proj r);
+      put_fields rest it buf r
+
+(* Each application of the constructor to fewer arguments than it takes
+   allocates a partial application, so fields are read up to three at a
+   time: a record of two or three fields, most of them, applies its
+   constructor once. *)
+let rec get_fields : type r k. (r, k) Fields.t -> k -> extern -> cursor -> r =
+ fun fields k ex c ->
+  match fields with
+  | Fields.[] -> k
+  | Fields.((a, _) :: (b, _) :: (d, _) :: rest) ->
+      let x = a.get ex c in
+      let y = b.get ex c in
+      let z = d.get ex c in
+      get_fields rest (k x y z) ex c
+  | Fields.((a, _) :: (b, _) :: rest) ->
+      let x = a.get ex c in
+      let y = b.get ex c in
+      get_fields rest (k x y) ex c
+  | Fields.((codec, _) :: rest) ->
+      let v = codec.get ex c in
+      get_fields rest (k v) ex c
+
+let record mk fields =
+  {
+    put = (fun it buf r -> put_fields fields it buf r);
+    get = (fun ex c -> get_fields fields mk ex c);
+  }
+
+let tup2 a b = record (fun x y -> (x, y)) Fields.[ (a, fst); (b, snd) ]
+
+let tup3 a b c =
+  record (fun x y z -> (x, y, z)) Fields.[
+    (a, fun (x, _, _) -> x); (b, fun (_, y, _) -> y); (c, fun (_, _, z) -> z);
+  ]
+
+let tup4 a b c d =
+  record (fun w x y z -> (w, x, y, z)) Fields.[
+    (a, fun (w, _, _, _) -> w); (b, fun (_, x, _, _) -> x);
+    (c, fun (_, _, y, _) -> y); (d, fun (_, _, _, z) -> z);
+  ]
+
+let tup5 a b c d e =
+  record (fun v w x y z -> (v, w, x, y, z)) Fields.[
+    (a, fun (v, _, _, _, _) -> v); (b, fun (_, w, _, _, _) -> w);
+    (c, fun (_, _, x, _, _) -> x); (d, fun (_, _, _, y, _) -> y);
+    (e, fun (_, _, _, _, z) -> z);
+  ]
+
+(* A tagged union is a varint tag, then the body of that tag's case.  A
+   case projects the values it carries out of the union and injects its
+   decoded body back in; the writer takes the first case that projects a
+   value, the reader finds a tag's case in an array. *)
+type 'a case =
+  | Case : { tag : int; body : 'b codec; proj : 'a -> 'b option; inj : 'b -> 'a } -> 'a case
+
+let case tag body proj inj = Case { tag; body; proj; inj }
+
+(* A case that carries nothing but its tag: the constant constructor [v]. *)
+let const tag v = case tag unit (fun x -> if x == v then Some () else None) (fun () -> v)
+
+(* Write [v] through its case: [head buf tag] writes what precedes the
+   body, the tag first. *)
+let rec put_case cases it buf v ~head =
+  match cases with
+  | [] -> invalid_arg "Ptrace: a value no case projects"
+  | Case k :: rest -> (
+      match k.proj v with
+      | Some b ->
+          head buf k.tag;
+          k.body.put it buf b
+      | None -> put_case rest it buf v ~head)
+
+let by_tag cases =
+  let a = Array.make (List.fold_left (fun n (Case k) -> max n (k.tag + 1)) 0 cases) None in
+  List.iter (fun (Case k as case) -> a.(k.tag) <- Some case) cases;
+  a
+
+let get_case what table ex c tag =
+  match if tag < Array.length table then table.(tag) else None with
+  | Some (Case k) -> k.inj (k.body.get ex c)
+  | None -> corrupt "unknown %s tag %d" what tag
+
+let union what cases =
+  let table = by_tag cases in
+  {
+    put = (fun it buf v -> put_case cases it buf v ~head:put_u);
+    get = (fun ex c -> get_case what table ex c (get_u c));
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Wire types                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let api_phase = union "api phase" [ const 0 `Enter; const 1 `Exit ]
+
+let frames =
+  list
+    (record (fun file line symbol -> { Gpusim.Hostctx.file; line; symbol }) Fields.[
+       (string, fun f -> f.Gpusim.Hostctx.file);
+       (uint, fun f -> f.Gpusim.Hostctx.line);
+       (string, fun f -> f.Gpusim.Hostctx.symbol);
+     ])
+
+let dim3 =
+  record (fun x y z -> { Gpusim.Dim3.x; y; z }) Fields.[
+    (uint, fun d -> d.Gpusim.Dim3.x);
+    (uint, fun d -> d.Gpusim.Dim3.y);
+    (uint, fun d -> d.Gpusim.Dim3.z);
+  ]
+
+let kernel_info =
+  record
+    (fun device_id grid_id stream name grid block shared_bytes arg_ptrs py_stack
+         native_stack ->
+      { Event.device_id; grid_id; stream; name; grid; block; shared_bytes; arg_ptrs;
+        py_stack; native_stack })
+    Fields.[
+      (uint, fun k -> k.Event.device_id);
+      (uint, fun k -> k.Event.grid_id);
+      (uint, fun k -> k.Event.stream);
+      (string, fun k -> k.Event.name);
+      (dim3, fun k -> k.Event.grid);
+      (dim3, fun k -> k.Event.block);
+      (uint, fun k -> k.Event.shared_bytes);
+      (list sint, fun k -> k.Event.arg_ptrs);
+      (frames, fun k -> k.Event.py_stack);
+      (frames, fun k -> k.Event.native_stack);
+    ]
+
+(* A kernel reference: the first in a chunk writes varint 0 and the
+   kernel's description, later ones its slot plus one. *)
+let kernel =
+  {
+    put =
+      (fun it buf (k : Event.kernel_info) ->
+        match Hashtbl.find_opt it.by_grid k.Event.grid_id with
+        | Some slot -> put_u buf (slot + 1)
+        | None ->
+            Hashtbl.add it.by_grid k.Event.grid_id it.next;
+            it.next <- it.next + 1;
+            put_u buf 0;
+            kernel_info.put it buf k);
+    get =
+      (fun ex c ->
+        match get_u c with
+        | 0 ->
+            let k = kernel_info.get ex c in
+            Hashtbl.replace ex.by_slot ex.count k;
+            ex.count <- ex.count + 1;
+            k
+        | handle -> (
+            match Hashtbl.find_opt ex.by_slot (handle - 1) with
+            | Some k -> k
+            | None -> corrupt "undefined kernel handle %d" (handle - 1)));
+  }
+
+let mem_access =
+  record (fun addr size write pc warp weight -> { Event.addr; size; write; pc; warp; weight })
+    Fields.[
+      (sint, fun a -> a.Event.addr);
+      (uint, fun a -> a.Event.size);
+      (bool, fun a -> a.Event.write);
+      (uint, fun a -> a.Event.pc);
+      (uint, fun a -> a.Event.warp);
+      (uint, fun a -> a.Event.weight);
+    ]
+
+let obj =
+  union "object"
+    [
+      case 0 (tup3 sint uint string)
+        (function Objmap.Tensor { ptr; bytes; tag } -> Some (ptr, bytes, tag) | _ -> None)
+        (fun (ptr, bytes, tag) -> Objmap.Tensor { ptr; bytes; tag });
+      case 1 (tup3 sint uint bool)
+        (function
+          | Objmap.Device_alloc { ptr; bytes; managed } -> Some (ptr, bytes, managed)
+          | _ -> None)
+        (fun (ptr, bytes, managed) -> Objmap.Device_alloc { ptr; bytes; managed });
+      case 2 sint
+        (function Objmap.Unknown addr -> Some addr | _ -> None)
+        (fun addr -> Objmap.Unknown addr);
+    ]
+
+(* Summary pair lists ([blocks], [regions]) are sorted by their first
+   component: first components are stored as zigzag deltas from the
+   previous entry, second components relative to their own first.  The
+   writer cuts a list into maximal runs of one (key delta, offset) pair
+   and writes it run by run (tag 1) when that is smaller, else pair by
+   pair (tag 0).  The reader charges the declared length to the chunk's
+   budget before it builds a pair. *)
+let pair_runs l =
+  let rec go prev runs = function
+    | [] -> List.rev runs
+    | (a, b) :: l -> (
+        let d = a - prev and r = b - a in
+        match runs with
+        | (n, d', r') :: runs' when d = d' && r = r' -> go a ((n + 1, d, r) :: runs') l
+        | _ -> go a ((1, d, r) :: runs) l)
+  in
+  go 0 [] l
+
+let put_pair_list buf l =
+  let len = List.length l and runs = pair_runs l in
+  put_u buf len;
+  if len > 0 then begin
+    (* A run costs one extra varint; worth it when runs are long. *)
+    let by_run = 3 * List.length runs <= 2 * len in
+    put_u buf (if by_run then 1 else 0);
+    List.iter
+      (fun (n, d, r) ->
+        if by_run then put_u buf n;
+        for _ = 1 to if by_run then 1 else n do
+          put_z buf d;
+          put_z buf r
+        done)
+      runs
+  end
+
+let get_pair_list ex c =
+  let n = get_u c in
+  charge ex n pair_bytes;
+  if n = 0 then []
+  else begin
+    let by_run =
+      match get_u c with 0 -> false | 1 -> true | t -> corrupt "bad pair-list tag %d" t
+    in
+    let pairs = ref [] and prev = ref 0 and left = ref n in
+    while !left > 0 do
+      let run = if by_run then get_u c else 1 in
+      if run = 0 || run > !left then corrupt "bad pair run %d" run;
+      left := !left - run;
+      let d = get_z c in
+      let r = get_z c in
+      for _ = 1 to run do
+        prev := !prev + d;
+        pairs := (!prev, !prev + r) :: !pairs
+      done
+    done;
+    List.rev !pairs
+  end
+
+let summary =
+  record
+    (fun objects blocks regions sampled_records true_accesses writes est_rate ->
+      { Devagg.objects; blocks; regions; sampled_records; true_accesses; writes; est_rate })
+    Fields.[
+      (list (tup2 obj sint), fun s -> s.Devagg.objects);
+      ({ put = (fun _ -> put_pair_list); get = get_pair_list }, fun s -> s.Devagg.blocks);
+      ({ put = (fun _ -> put_pair_list); get = get_pair_list }, fun s -> s.Devagg.regions);
+      (uint, fun s -> s.Devagg.sampled_records);
+      (uint, fun s -> s.Devagg.true_accesses);
+      (uint, fun s -> s.Devagg.writes);
+      (float, fun s -> s.Devagg.est_rate);
+    ]
+
+let region =
+  record (fun base extent accesses written -> { Event.base; extent; accesses; written })
+    Fields.[
+      (sint, fun r -> r.Event.base);
+      (uint, fun r -> r.Event.extent);
+      (uint, fun r -> r.Event.accesses);
+      (bool, fun r -> r.Event.written);
+    ]
+
+let span =
+  record
+    (fun rg_id rg_label rg_start_pc rg_end_pc rg_mem_region rg_start_us rg_time_us rg_bytes
+         rg_flops ->
+      { Event.rg_id; rg_label; rg_start_pc; rg_end_pc; rg_mem_region; rg_start_us;
+        rg_time_us; rg_bytes; rg_flops })
+    Fields.[
+      (uint, fun s -> s.Event.rg_id);
+      (string, fun s -> s.Event.rg_label);
+      (uint, fun s -> s.Event.rg_start_pc);
+      (uint, fun s -> s.Event.rg_end_pc);
+      (sint, fun s -> s.Event.rg_mem_region);
+      (float, fun s -> s.Event.rg_start_us);
+      (float, fun s -> s.Event.rg_time_us);
+      (uint, fun s -> s.Event.rg_bytes);
+      (float, fun s -> s.Event.rg_flops);
+    ]
+
+let profile =
+  record
+    (fun branches divergent_branches shared_accesses bank_conflicts barrier_stall_us value_min
+         value_max redundant_loads ->
+      { Gpusim.Kernel.branches; divergent_branches; shared_accesses; bank_conflicts;
+        barrier_stall_us; value_min; value_max; redundant_loads })
+    Fields.[
+      (uint, fun p -> p.Gpusim.Kernel.branches);
+      (uint, fun p -> p.Gpusim.Kernel.divergent_branches);
+      (uint, fun p -> p.Gpusim.Kernel.shared_accesses);
+      (uint, fun p -> p.Gpusim.Kernel.bank_conflicts);
+      (float, fun p -> p.Gpusim.Kernel.barrier_stall_us);
+      (float, fun p -> p.Gpusim.Kernel.value_min);
+      (float, fun p -> p.Gpusim.Kernel.value_max);
+      (uint, fun p -> p.Gpusim.Kernel.redundant_loads);
+    ]
+
+let launch_phase =
+  let kernel_end =
+    record
+      (fun duration_us true_accesses faulted_pages ->
+        { Event.duration_us; true_accesses; faulted_pages })
+      Fields.[
+        (float, fun s -> s.Event.duration_us);
+        (uint, fun s -> s.Event.true_accesses);
+        (uint, fun s -> s.Event.faulted_pages);
+      ]
+  in
+  union "launch phase"
+    [
+      const 0 `Begin;
+      case 1 kernel_end (function `End s -> Some s | `Begin -> None) (fun s -> `End s);
+    ]
+
+let direction =
+  union "copy direction"
+    [
+      const 0 `H2d;
+      const 1 `D2h;
+      const 2 `D2d;
+      case 3 uint (function `P2p d -> Some d | _ -> None) (fun d -> `P2p d);
+    ]
+
+let scope =
+  union "sync scope"
+    [
+      const 0 `Device;
+      case 1 uint (function `Stream s -> Some s | `Device -> None) (fun s -> `Stream s);
+    ]
+
+let annotation_phase = union "annotation phase" [ const 0 `Start; const 1 `End ]
+
+(* Tags follow the constructors' declaration order; 8 and 9 are
+   retired. *)
+let payload : Event.payload codec =
+  let open Event in
+  union "payload"
+    [
+      case 0 (tup2 string api_phase)
+        (function Driver_call { name; phase } -> Some (name, phase) | _ -> None)
+        (fun (name, phase) -> Driver_call { name; phase });
+      case 1 (tup2 string api_phase)
+        (function Runtime_call { name; phase } -> Some (name, phase) | _ -> None)
+        (fun (name, phase) -> Runtime_call { name; phase });
+      case 2 (tup2 kernel launch_phase)
+        (function Kernel_launch { info; phase } -> Some (info, phase) | _ -> None)
+        (fun (info, phase) -> Kernel_launch { info; phase });
+      case 3 (tup3 uint direction uint)
+        (function
+          | Memory_copy { bytes; direction; stream } -> Some (bytes, direction, stream)
+          | _ -> None)
+        (fun (bytes, direction, stream) -> Memory_copy { bytes; direction; stream });
+      case 4 (tup3 sint uint sint)
+        (function Memory_set { addr; bytes; value } -> Some (addr, bytes, value) | _ -> None)
+        (fun (addr, bytes, value) -> Memory_set { addr; bytes; value });
+      case 5 (tup3 sint uint bool)
+        (function
+          | Memory_alloc { addr; bytes; managed } -> Some (addr, bytes, managed) | _ -> None)
+        (fun (addr, bytes, managed) -> Memory_alloc { addr; bytes; managed });
+      case 6 (tup2 sint uint)
+        (function Memory_free { addr; bytes } -> Some (addr, bytes) | _ -> None)
+        (fun (addr, bytes) -> Memory_free { addr; bytes });
+      case 7 scope
+        (function Synchronization { scope } -> Some scope | _ -> None)
+        (fun scope -> Synchronization { scope });
+      case 10 (tup2 kernel summary)
+        (function Device_summary { kernel; summary } -> Some (kernel, summary) | _ -> None)
+        (fun (kernel, summary) -> Device_summary { kernel; summary });
+      case 11 (tup2 kernel mem_access)
+        (function Shared_access { kernel; access } -> Some (kernel, access) | _ -> None)
+        (fun (kernel, access) -> Shared_access { kernel; access });
+      case 12 (tup2 kernel region)
+        (function Kernel_region { kernel; region } -> Some (kernel, region) | _ -> None)
+        (fun (kernel, region) -> Kernel_region { kernel; region });
+      case 13 (tup2 kernel uint)
+        (function Barrier { kernel; count } -> Some (kernel, count) | _ -> None)
+        (fun (kernel, count) -> Barrier { kernel; count });
+      case 14 (tup2 kernel profile)
+        (function Kernel_profile { kernel; profile } -> Some (kernel, profile) | _ -> None)
+        (fun (kernel, profile) -> Kernel_profile { kernel; profile });
+      case 15 (tup3 string api_phase uint)
+        (function Operator { name; phase; seq } -> Some (name, phase, seq) | _ -> None)
+        (fun (name, phase, seq) -> Operator { name; phase; seq });
+      case 16 (tup5 sint uint uint uint string)
+        (function
+          | Tensor_alloc { ptr; bytes; pool_allocated; pool_reserved; tag } ->
+              Some (ptr, bytes, pool_allocated, pool_reserved, tag)
+          | _ -> None)
+        (fun (ptr, bytes, pool_allocated, pool_reserved, tag) ->
+          Tensor_alloc { ptr; bytes; pool_allocated; pool_reserved; tag });
+      case 17 (tup4 sint uint uint uint)
+        (function
+          | Tensor_free { ptr; bytes; pool_allocated; pool_reserved } ->
+              Some (ptr, bytes, pool_allocated, pool_reserved)
+          | _ -> None)
+        (fun (ptr, bytes, pool_allocated, pool_reserved) ->
+          Tensor_free { ptr; bytes; pool_allocated; pool_reserved });
+      case 18 (tup2 string annotation_phase)
+        (function Annotation { label; phase } -> Some (label, phase) | _ -> None)
+        (fun (label, phase) -> Annotation { label; phase });
+      case 19 (tup2 string uint)
+        (function Tool_quarantined { tool; failures } -> Some (tool, failures) | _ -> None)
+        (fun (tool, failures) -> Tool_quarantined { tool; failures });
+      case 20 (tup2 kernel span)
+        (function Region_enter { kernel; span } -> Some (kernel, span) | _ -> None)
+        (fun (kernel, span) -> Region_enter { kernel; span });
+      case 21 (tup2 kernel span)
+        (function Region_exit { kernel; span } -> Some (kernel, span) | _ -> None)
+        (fun (kernel, span) -> Region_exit { kernel; span });
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Batches                                                             *)
+(* ------------------------------------------------------------------ *)
 
 (* Op tag 1: one record on its own, as writers of this version wrote it
    while tools could be fed record by record.  It decodes to a one-record
    batch of region 0, chunk 0 and the record's pc, which replays to the
    same per-record callback stream.  A batch stores sizes in 16 bits. *)
-let get_record c =
-  let a = get_access c in
+let get_record ex c =
+  let a = mem_access.get ex c in
   if a.Event.size > 0xffff then corrupt "record size %d exceeds 16 bits" a.Event.size;
+  charge ex 1 Gpusim.Warp.record_bytes;
   Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:a.Event.pc ~addrs:[| a.Event.addr |]
     ~sizes:[| a.Event.size |] ~warps:[| a.Event.warp |] ~weights:[| a.Event.weight |]
     ~writes:(Bytes.make 1 (if a.Event.write then '\001' else '\000'))
@@ -529,12 +911,6 @@ let get_size_col ex c (a : Gpusim.Warp.size_col) len =
         done
   end
 
-(* Upper bound on a decoded batch: generated batches hold at most
-   {!Gpusim.Warp.chunk_records} records, but column compression means a
-   tiny payload can declare a huge length, so corrupt data must not be
-   able to force absurd allocations. *)
-let max_batch_len = 1 lsl 22
-
 (* Batch shapes (v7): the byte after the batch header. *)
 let shape_dense = 0
 let shape_descriptor = 1
@@ -616,6 +992,7 @@ let put_dense it buf (b : Gpusim.Warp.batch) =
 
 let get_dense ex c ~region ~chunk ~pc ~len =
   let module W = Gpusim.Warp in
+  charge ex len W.record_bytes;
   (* Columns decode straight into their final Bigarray storage and the
      batch adopts them zero-copy ([batch_of_columns]): replay hands the
      processor the very buffers the decoder filled. *)
@@ -677,513 +1054,51 @@ let get_batch ex c =
   | 1 (* descriptor *) -> get_descriptor c ~region ~chunk ~pc ~len
   | n -> corrupt "bad batch shape %d" n
 
-let put_obj buf = function
-  | Objmap.Tensor { ptr; bytes; tag } ->
-      put_u buf 0;
-      put_z buf ptr;
-      put_u buf bytes;
-      put_str buf tag
-  | Objmap.Device_alloc { ptr; bytes; managed } ->
-      put_u buf 1;
-      put_z buf ptr;
-      put_u buf bytes;
-      put_bool buf managed
-  | Objmap.Unknown addr ->
-      put_u buf 2;
-      put_z buf addr
-
-let get_obj c =
-  match get_u c with
-  | 0 ->
-      let ptr = get_z c in
-      let bytes = get_u c in
-      let tag = get_str c in
-      Objmap.Tensor { ptr; bytes; tag }
-  | 1 ->
-      let ptr = get_z c in
-      let bytes = get_u c in
-      let managed = get_bool c in
-      Objmap.Device_alloc { ptr; bytes; managed }
-  | 2 -> Objmap.Unknown (get_z c)
-  | n -> corrupt "bad object tag %d" n
-
-(* Summary pair lists ([blocks], [regions]) are sorted by their first
-   component: first components are stored as zigzag deltas from the
-   previous entry, second components relative to their own first.  The
-   writer counts maximal runs of a constant (key delta, offset) pair and
-   switches to a run-length form when that is smaller; a plain delta form
-   remains for irregular data. *)
-let pairs_plain = 0
-
-let pairs_rle = 1
-
-let count_pair_runs l =
-  let runs = ref 0 and prev = ref 0 and step = ref 0 and b0 = ref 0 in
-  let first = ref true in
-  List.iter
-    (fun (a, b) ->
-      let d = a - !prev and r = b - a in
-      prev := a;
-      if !first || d <> !step || r <> !b0 then begin
-        incr runs;
-        first := false;
-        step := d;
-        b0 := r
-      end)
-    l;
-  !runs
-
-let put_pair_list buf l =
-  let len = List.length l in
-  put_u buf len;
-  if len = 0 then ()
-  else begin
-    let runs = count_pair_runs l in
-    (* A run costs one extra varint; worth it when runs are long. *)
-    if 3 * runs <= 2 * len then begin
-      put_u buf pairs_rle;
-      let pending = ref 0 and prev = ref 0 and step = ref 0 and b0 = ref 0 in
-      let flush () =
-        if !pending > 0 then begin
-          put_u buf !pending;
-          put_z buf !step;
-          put_z buf !b0
-        end
-      in
-      List.iter
-        (fun (a, b) ->
-          let d = a - !prev and r = b - a in
-          prev := a;
-          if !pending > 0 && d = !step && r = !b0 then incr pending
-          else begin
-            flush ();
-            pending := 1;
-            step := d;
-            b0 := r
-          end)
-        l;
-      flush ()
-    end
-    else begin
-      put_u buf pairs_plain;
-      let prev = ref 0 in
-      List.iter
-        (fun (a, b) ->
-          put_z buf (a - !prev);
-          prev := a;
-          put_z buf (b - a))
-        l
-    end
-  end
-
-let get_pair_list c =
-  let n = get_u c in
-  if n = 0 then []
-  else begin
-    let prev = ref 0 in
-    match get_u c with
-    | t when t = pairs_plain ->
-        let rec go k acc =
-          if k = 0 then List.rev acc
-          else begin
-            let a = !prev + get_z c in
-            prev := a;
-            let b = a + get_z c in
-            go (k - 1) ((a, b) :: acc)
-          end
-        in
-        go n []
-    | t when t = pairs_rle ->
-        let acc = ref [] in
-        let remaining = ref n in
-        while !remaining > 0 do
-          let count = get_u c in
-          if count = 0 || count > !remaining then corrupt "bad pair run %d" count;
-          remaining := !remaining - count;
-          let step = get_z c in
-          let r = get_z c in
-          for _ = 1 to count do
-            prev := !prev + step;
-            acc := (!prev, !prev + r) :: !acc
-          done
-        done;
-        List.rev !acc
-    | t -> corrupt "bad pair-list tag %d" t
-  end
-
-let put_summary buf (s : Devagg.summary) =
-  put_u buf (List.length s.Devagg.objects);
-  List.iter
-    (fun (o, w) ->
-      put_obj buf o;
-      put_z buf w)
-    s.Devagg.objects;
-  put_pair_list buf s.Devagg.blocks;
-  put_pair_list buf s.Devagg.regions;
-  put_u buf s.Devagg.sampled_records;
-  put_u buf s.Devagg.true_accesses;
-  put_u buf s.Devagg.writes;
-  put_f buf s.Devagg.est_rate
-
-let get_summary c =
-  let nobj = get_u c in
-  let objects =
-    List.init nobj (fun _ ->
-        let o = get_obj c in
-        let w = get_z c in
-        (o, w))
-  in
-  let blocks = get_pair_list c in
-  let regions = get_pair_list c in
-  let sampled_records = get_u c in
-  let true_accesses = get_u c in
-  let writes = get_u c in
-  let est_rate = get_f c in
-  {
-    Devagg.objects;
-    blocks;
-    regions;
-    sampled_records;
-    true_accesses;
-    writes;
-    est_rate;
-  }
-
-let put_region buf (r : Event.region_summary) =
-  put_z buf r.Event.base;
-  put_u buf r.Event.extent;
-  put_u buf r.Event.accesses;
-  put_bool buf r.Event.written
-
-let get_region c =
-  let base = get_z c in
-  let extent = get_u c in
-  let accesses = get_u c in
-  let written = get_bool c in
-  { Event.base; extent; accesses; written }
-
-let put_span buf (s : Event.region_span) =
-  put_u buf s.Event.rg_id;
-  put_str buf s.Event.rg_label;
-  put_u buf s.Event.rg_start_pc;
-  put_u buf s.Event.rg_end_pc;
-  put_z buf s.Event.rg_mem_region;
-  put_f buf s.Event.rg_start_us;
-  put_f buf s.Event.rg_time_us;
-  put_u buf s.Event.rg_bytes;
-  put_f buf s.Event.rg_flops
-
-let get_span c =
-  let rg_id = get_u c in
-  let rg_label = get_str c in
-  let rg_start_pc = get_u c in
-  let rg_end_pc = get_u c in
-  let rg_mem_region = get_z c in
-  let rg_start_us = get_f c in
-  let rg_time_us = get_f c in
-  let rg_bytes = get_u c in
-  let rg_flops = get_f c in
-  {
-    Event.rg_id;
-    rg_label;
-    rg_start_pc;
-    rg_end_pc;
-    rg_mem_region;
-    rg_start_us;
-    rg_time_us;
-    rg_bytes;
-    rg_flops;
-  }
-
-let put_profile buf (p : Gpusim.Kernel.profile) =
-  put_u buf p.Gpusim.Kernel.branches;
-  put_u buf p.Gpusim.Kernel.divergent_branches;
-  put_u buf p.Gpusim.Kernel.shared_accesses;
-  put_u buf p.Gpusim.Kernel.bank_conflicts;
-  put_f buf p.Gpusim.Kernel.barrier_stall_us;
-  put_f buf p.Gpusim.Kernel.value_min;
-  put_f buf p.Gpusim.Kernel.value_max;
-  put_u buf p.Gpusim.Kernel.redundant_loads
-
-let get_profile c =
-  let branches = get_u c in
-  let divergent_branches = get_u c in
-  let shared_accesses = get_u c in
-  let bank_conflicts = get_u c in
-  let barrier_stall_us = get_f c in
-  let value_min = get_f c in
-  let value_max = get_f c in
-  let redundant_loads = get_u c in
-  {
-    Gpusim.Kernel.branches;
-    divergent_branches;
-    shared_accesses;
-    bank_conflicts;
-    barrier_stall_us;
-    value_min;
-    value_max;
-    redundant_loads;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Event payloads                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let put_payload it buf (p : Event.payload) =
-  match p with
-  | Event.Driver_call { name; phase } ->
-      put_u buf 0;
-      put_str buf name;
-      put_api_phase buf phase
-  | Event.Runtime_call { name; phase } ->
-      put_u buf 1;
-      put_str buf name;
-      put_api_phase buf phase
-  | Event.Kernel_launch { info; phase = `Begin } ->
-      put_u buf 2;
-      put_kernel it buf info;
-      put_u buf 0
-  | Event.Kernel_launch { info; phase = `End s } ->
-      put_u buf 2;
-      put_kernel it buf info;
-      put_u buf 1;
-      put_f buf s.Event.duration_us;
-      put_u buf s.Event.true_accesses;
-      put_u buf s.Event.faulted_pages
-  | Event.Memory_copy { bytes; direction; stream } ->
-      put_u buf 3;
-      put_u buf bytes;
-      (match direction with
-      | `H2d -> put_u buf 0
-      | `D2h -> put_u buf 1
-      | `D2d -> put_u buf 2
-      | `P2p d ->
-          put_u buf 3;
-          put_u buf d);
-      put_u buf stream
-  | Event.Memory_set { addr; bytes; value } ->
-      put_u buf 4;
-      put_z buf addr;
-      put_u buf bytes;
-      put_z buf value
-  | Event.Memory_alloc { addr; bytes; managed } ->
-      put_u buf 5;
-      put_z buf addr;
-      put_u buf bytes;
-      put_bool buf managed
-  | Event.Memory_free { addr; bytes } ->
-      put_u buf 6;
-      put_z buf addr;
-      put_u buf bytes
-  | Event.Synchronization { scope } ->
-      put_u buf 7;
-      (match scope with
-      | `Device -> put_u buf 0
-      | `Stream s ->
-          put_u buf 1;
-          put_u buf s)
-  | Event.Device_summary { kernel; summary } ->
-      put_u buf 10;
-      put_kernel it buf kernel;
-      put_summary buf summary
-  | Event.Shared_access { kernel; access } ->
-      put_u buf 11;
-      put_kernel it buf kernel;
-      put_access buf access
-  | Event.Kernel_region { kernel; region } ->
-      put_u buf 12;
-      put_kernel it buf kernel;
-      put_region buf region
-  | Event.Barrier { kernel; count } ->
-      put_u buf 13;
-      put_kernel it buf kernel;
-      put_u buf count
-  | Event.Kernel_profile { kernel; profile } ->
-      put_u buf 14;
-      put_kernel it buf kernel;
-      put_profile buf profile
-  | Event.Operator { name; phase; seq } ->
-      put_u buf 15;
-      put_str buf name;
-      put_api_phase buf phase;
-      put_u buf seq
-  | Event.Tensor_alloc { ptr; bytes; pool_allocated; pool_reserved; tag } ->
-      put_u buf 16;
-      put_z buf ptr;
-      put_u buf bytes;
-      put_u buf pool_allocated;
-      put_u buf pool_reserved;
-      put_str buf tag
-  | Event.Tensor_free { ptr; bytes; pool_allocated; pool_reserved } ->
-      put_u buf 17;
-      put_z buf ptr;
-      put_u buf bytes;
-      put_u buf pool_allocated;
-      put_u buf pool_reserved
-  | Event.Annotation { label; phase } ->
-      put_u buf 18;
-      put_str buf label;
-      put_u buf (match phase with `Start -> 0 | `End -> 1)
-  | Event.Tool_quarantined { tool; failures } ->
-      put_u buf 19;
-      put_str buf tool;
-      put_u buf failures
-  | Event.Region_enter { kernel; span } ->
-      put_u buf 20;
-      put_kernel it buf kernel;
-      put_span buf span
-  | Event.Region_exit { kernel; span } ->
-      put_u buf 21;
-      put_kernel it buf kernel;
-      put_span buf span
-
-let get_payload ex c : Event.payload =
-  match get_u c with
-  | 0 ->
-      let name = get_str c in
-      let phase = get_api_phase c in
-      Event.Driver_call { name; phase }
-  | 1 ->
-      let name = get_str c in
-      let phase = get_api_phase c in
-      Event.Runtime_call { name; phase }
-  | 2 -> (
-      let info = get_kernel ex c in
-      match get_u c with
-      | 0 -> Event.Kernel_launch { info; phase = `Begin }
-      | 1 ->
-          let duration_us = get_f c in
-          let true_accesses = get_u c in
-          let faulted_pages = get_u c in
-          Event.Kernel_launch
-            { info; phase = `End { Event.duration_us; true_accesses; faulted_pages } }
-      | n -> corrupt "bad launch phase %d" n)
-  | 3 ->
-      let bytes = get_u c in
-      let direction =
-        match get_u c with
-        | 0 -> `H2d
-        | 1 -> `D2h
-        | 2 -> `D2d
-        | 3 -> `P2p (get_u c)
-        | n -> corrupt "bad copy direction %d" n
-      in
-      let stream = get_u c in
-      Event.Memory_copy { bytes; direction; stream }
-  | 4 ->
-      let addr = get_z c in
-      let bytes = get_u c in
-      let value = get_z c in
-      Event.Memory_set { addr; bytes; value }
-  | 5 ->
-      let addr = get_z c in
-      let bytes = get_u c in
-      let managed = get_bool c in
-      Event.Memory_alloc { addr; bytes; managed }
-  | 6 ->
-      let addr = get_z c in
-      let bytes = get_u c in
-      Event.Memory_free { addr; bytes }
-  | 7 ->
-      let scope =
-        match get_u c with
-        | 0 -> `Device
-        | 1 -> `Stream (get_u c)
-        | n -> corrupt "bad sync scope %d" n
-      in
-      Event.Synchronization { scope }
-  | 10 ->
-      let kernel = get_kernel ex c in
-      let summary = get_summary c in
-      Event.Device_summary { kernel; summary }
-  | 11 ->
-      let kernel = get_kernel ex c in
-      let access = get_access c in
-      Event.Shared_access { kernel; access }
-  | 12 ->
-      let kernel = get_kernel ex c in
-      let region = get_region c in
-      Event.Kernel_region { kernel; region }
-  | 13 ->
-      let kernel = get_kernel ex c in
-      let count = get_u c in
-      Event.Barrier { kernel; count }
-  | 14 ->
-      let kernel = get_kernel ex c in
-      let profile = get_profile c in
-      Event.Kernel_profile { kernel; profile }
-  | 15 ->
-      let name = get_str c in
-      let phase = get_api_phase c in
-      let seq = get_u c in
-      Event.Operator { name; phase; seq }
-  | 16 ->
-      let ptr = get_z c in
-      let bytes = get_u c in
-      let pool_allocated = get_u c in
-      let pool_reserved = get_u c in
-      let tag = get_str c in
-      Event.Tensor_alloc { ptr; bytes; pool_allocated; pool_reserved; tag }
-  | 17 ->
-      let ptr = get_z c in
-      let bytes = get_u c in
-      let pool_allocated = get_u c in
-      let pool_reserved = get_u c in
-      Event.Tensor_free { ptr; bytes; pool_allocated; pool_reserved }
-  | 18 ->
-      let label = get_str c in
-      let phase =
-        match get_u c with
-        | 0 -> `Start
-        | 1 -> `End
-        | n -> corrupt "bad annotation phase %d" n
-      in
-      Event.Annotation { label; phase }
-  | 19 ->
-      let tool = get_str c in
-      let failures = get_u c in
-      Event.Tool_quarantined { tool; failures }
-  | 20 ->
-      let kernel = get_kernel ex c in
-      let span = get_span c in
-      Event.Region_enter { kernel; span }
-  | 21 ->
-      let kernel = get_kernel ex c in
-      let span = get_span c in
-      Event.Region_exit { kernel; span }
-  | n -> corrupt "unknown payload tag %d" n
-
 (* ------------------------------------------------------------------ *)
 (* Submission ops                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let put_op it buf ~time_us ?(backend = 0) (op : Processor.sink_op) =
-  (match op with
-  | Processor.Sk_event _ -> put_u buf 0
-  | Processor.Sk_batch _ -> put_u buf 2
-  | Processor.Sk_region _ -> put_u buf 3
-  | Processor.Sk_flush_summary _ -> put_u buf 4
-  | Processor.Sk_flush_parallel _ -> put_u buf 5
-  | Processor.Sk_profile _ -> put_u buf 6
-  | Processor.Sk_rate _ -> put_u buf 7);
+(* An op is a frame — kind tag, backend id, time stamp — then its body.
+   Batches (tag 2, and tag 1 for a lone record) take the hand-written
+   path; every other kind's body is a case below. *)
+let op_bodies =
+  [
+    case 0 payload
+      (function Processor.Sk_event p -> Some p | _ -> None)
+      (fun p -> Processor.Sk_event p);
+    case 3 (tup2 kernel region)
+      (function Processor.Sk_region (k, r) -> Some (k, r) | _ -> None)
+      (fun (k, r) -> Processor.Sk_region (k, r));
+    case 4 kernel
+      (function Processor.Sk_flush_summary k -> Some k | _ -> None)
+      (fun k -> Processor.Sk_flush_summary k);
+    case 5 kernel
+      (function Processor.Sk_flush_parallel k -> Some k | _ -> None)
+      (fun k -> Processor.Sk_flush_parallel k);
+    case 6 (tup2 kernel profile)
+      (function Processor.Sk_profile (k, p) -> Some (k, p) | _ -> None)
+      (fun (k, p) -> Processor.Sk_profile (k, p));
+    case 7 (tup2 float uint)
+      (function
+        | Processor.Sk_rate { sr_rate; sr_grid_id } -> Some (sr_rate, sr_grid_id)
+        | _ -> None)
+      (fun (sr_rate, sr_grid_id) -> Processor.Sk_rate { sr_rate; sr_grid_id });
+  ]
+
+let op_table = by_tag op_bodies
+
+let put_frame buf tag ~backend ~time_us =
+  put_u buf tag;
   put_u buf backend;
-  put_f buf time_us;
+  put_f buf time_us
+
+let put_op it buf ~time_us ~backend (op : Processor.sink_op) =
   match op with
-  | Processor.Sk_event p -> put_payload it buf p
   | Processor.Sk_batch (k, b) ->
-      put_kernel it buf k;
+      put_frame buf 2 ~backend ~time_us;
+      kernel.put it buf k;
       put_batch it buf b
-  | Processor.Sk_region (k, r) ->
-      put_kernel it buf k;
-      put_region buf r
-  | Processor.Sk_flush_summary k | Processor.Sk_flush_parallel k ->
-      put_kernel it buf k
-  | Processor.Sk_profile (k, p) ->
-      put_kernel it buf k;
-      put_profile buf p
-  | Processor.Sk_rate { sr_rate; sr_grid_id } ->
-      put_f buf sr_rate;
-      put_u buf sr_grid_id
+  | op -> put_case op_bodies it buf op ~head:(put_frame ~backend ~time_us)
 
 let get_op ex c =
   let tag = get_u c in
@@ -1191,30 +1106,13 @@ let get_op ex c =
   let time_us = get_f c in
   let op =
     match tag with
-    | 0 -> Processor.Sk_event (get_payload ex c)
-    | 1 ->
-        let k = get_kernel ex c in
-        let b = get_record c in
-        Processor.Sk_batch (k, b)
     | 2 ->
-        let k = get_kernel ex c in
-        let b = get_batch ex c in
-        Processor.Sk_batch (k, b)
-    | 3 ->
-        let k = get_kernel ex c in
-        let r = get_region c in
-        Processor.Sk_region (k, r)
-    | 4 -> Processor.Sk_flush_summary (get_kernel ex c)
-    | 5 -> Processor.Sk_flush_parallel (get_kernel ex c)
-    | 6 ->
-        let k = get_kernel ex c in
-        let p = get_profile c in
-        Processor.Sk_profile (k, p)
-    | 7 ->
-        let sr_rate = get_f c in
-        let sr_grid_id = get_u c in
-        Processor.Sk_rate { sr_rate; sr_grid_id }
-    | n -> corrupt "unknown op tag %d" n
+        let k = kernel.get ex c in
+        Processor.Sk_batch (k, get_batch ex c)
+    | 1 ->
+        let k = kernel.get ex c in
+        Processor.Sk_batch (k, get_record ex c)
+    | tag -> get_case "op" op_table ex c tag
   in
   (time_us, backend, op)
 
@@ -1236,7 +1134,7 @@ let op_records = function
 
 let payload_to_string p =
   let buf = Buffer.create 128 in
-  put_payload (intern ()) buf p;
+  payload.put (intern ()) buf p;
   Buffer.contents buf
 
 let op_to_string ~time_us ?(backend = 0) op =
@@ -1246,7 +1144,7 @@ let op_to_string ~time_us ?(backend = 0) op =
 
 let payload_of_string s =
   let c = cursor s in
-  let p = get_payload (extern ()) c in
+  let p = payload.get (extern ()) c in
   if not (at_end c) then corrupt "trailing bytes after payload";
   p
 
@@ -1453,9 +1351,10 @@ let decode_chunk ~index ~declared_ops ~expect payload =
    framing violation or truncation; tolerant mode counts the chunk as
    skipped and moves on (a truncated tail ends the file).
 
-   Chunks are self-contained (per-chunk interning), so when a pool is
-   supplied they are CRC-checked and decoded in parallel, a bounded
-   window at a time; [f] is still applied strictly in chunk order. *)
+   Chunks are read a window at a time, CRC-checked and decoded, then
+   applied in chunk order.  Chunks are self-contained (per-chunk
+   interning), so when a pool is supplied a window holds several chunks
+   decoded in parallel; a serial read is a window of one. *)
 let read_file_ext ?(mode = Strict) ?pool path ~f =
   let ic = open_in_bin path in
   Fun.protect
@@ -1502,46 +1401,35 @@ let read_file_ext ?(mode = Strict) ?pool path ~f =
             stats.r_chunks <- stats.r_chunks + 1
         | Error msg -> fail_or_skip msg
       in
-      let eof = ref false in
-      (match pool with
-      | Some p when Pasta_util.Domain_pool.size p > 1 ->
-          let window = 4 * Pasta_util.Domain_pool.size p in
-          (* a truncated tail is reported only after the intact chunks
-             read before it have been applied, as in the serial path *)
-          let tail_failure = ref None in
-          while not !eof do
-            let frames = ref [] and nframes = ref 0 in
-            while (not !eof) && !nframes < window do
-              match next_frame () with
-              | `Eof -> eof := true
-              | `Broken msg ->
-                  tail_failure := Some msg;
-                  eof := true
-              | `Chunk (declared_ops, expect, payload) ->
-                  frames := (!chunk_index, declared_ops, expect, payload) :: !frames;
-                  incr chunk_index;
-                  incr nframes
-            done;
-            let frames = Array.of_list (List.rev !frames) in
-            Pasta_util.Domain_pool.map p (Array.length frames) (fun i ->
-                let index, declared_ops, expect, payload = frames.(i) in
-                decode_chunk ~index ~declared_ops ~expect payload)
-            |> Array.iter apply
-          done;
-          Option.iter fail_or_skip !tail_failure
-      | _ ->
-          while not !eof do
-            match next_frame () with
-            | `Eof -> eof := true
-            | `Broken msg ->
-                fail_or_skip msg;
-                eof := true
-            | `Chunk (declared_ops, expect, payload) ->
-                apply
-                  (decode_chunk ~index:!chunk_index ~declared_ops ~expect
-                     payload);
-                incr chunk_index
-          done);
+      let window, decode =
+        match pool with
+        | Some p when Pasta_util.Domain_pool.size p > 1 ->
+            (4 * Pasta_util.Domain_pool.size p, Pasta_util.Domain_pool.map p)
+        | _ -> (1, Array.init)
+      in
+      (* a truncated tail is reported only after the intact chunks read
+         before it have been applied *)
+      let tail_failure = ref None and eof = ref false in
+      while not !eof do
+        let frames = ref [] and nframes = ref 0 in
+        while (not !eof) && !nframes < window do
+          match next_frame () with
+          | `Eof -> eof := true
+          | `Broken msg ->
+              tail_failure := Some msg;
+              eof := true
+          | `Chunk (declared_ops, expect, payload) ->
+              frames := (!chunk_index, declared_ops, expect, payload) :: !frames;
+              incr chunk_index;
+              incr nframes
+        done;
+        let frames = Array.of_list (List.rev !frames) in
+        decode (Array.length frames) (fun i ->
+            let index, declared_ops, expect, payload = frames.(i) in
+            decode_chunk ~index ~declared_ops ~expect payload)
+        |> Array.iter apply
+      done;
+      Option.iter fail_or_skip !tail_failure;
       (header, stats))
 
 let read_file ?mode ?pool path ~f =

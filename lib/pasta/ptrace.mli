@@ -25,7 +25,12 @@ exception Corrupt of string
     than what is left of the file, or a varint that reaches bit 62, is
     refused this way before anything is allocated, and so is a batch
     descriptor that no live run can produce
-    ({!Gpusim.Warp.descriptor}). *)
+    ({!Gpusim.Warp.descriptor}).  One chunk may decode to at most 64
+    MiB plus one batch of 2^22 records of dense batch columns and
+    summary pairs (about 172 MiB; a record costs
+    {!Gpusim.Warp.record_bytes}, a pair 16 bytes), more than the
+    columns of any chunk a writer flushes.  Each is charged before it
+    is allocated, and a chunk past the bound is refused the same way. *)
 
 val version : int
 (** Format version this build writes and reads. *)

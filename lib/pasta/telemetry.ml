@@ -511,20 +511,6 @@ let pp_attribution ppf a =
 
 (* --- Chrome trace-event export ------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Telemetry events live in their own process group (pid 1000) on the wall
    clock; workload events exported by {!Trace_export} keep their device
    pids on the simulated clock.  The sim_t0/sim_t1 args are the bridge
@@ -552,9 +538,9 @@ let chrome_events () =
           end;
           add
             (Printf.sprintf
-               {|{"name":"%s","cat":"%s","ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d,"args":{"device":%d,"sim_t0_us":%.3f,"sim_t1_us":%.3f}}|}
-               (json_escape sp.Span_buf.sp_name)
-               (json_escape sp.Span_buf.sp_cat)
+               {|{"name":%s,"cat":%s,"ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d,"args":{"device":%d,"sim_t0_us":%.3f,"sim_t1_us":%.3f}}|}
+               Pasta_util.Njson.(to_string (Str sp.Span_buf.sp_name))
+               Pasta_util.Njson.(to_string (Str sp.Span_buf.sp_cat))
                (sp.Span_buf.sp_wall0_us -. !epoch)
                sp.Span_buf.sp_dur_us telemetry_pid sp.Span_buf.sp_tid
                sp.Span_buf.sp_dev sp.Span_buf.sp_sim0_us

@@ -278,25 +278,15 @@ let record t (e : Event.t) =
         }
   | _ -> ()
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* A JSON string literal, quotes included. *)
+let quote s = Pasta_util.Njson.(to_string (Str s))
 
 let json_of_event e =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
     (Printf.sprintf
-       {|{"name":"%s","cat":"%s","ph":"%s","ts":%.3f,"pid":%d,"tid":%d|}
-       (escape e.name) (escape e.cat) e.ph e.ts e.pid e.tid);
+       {|{"name":%s,"cat":%s,"ph":"%s","ts":%.3f,"pid":%d,"tid":%d|}
+       (quote e.name) (quote e.cat) e.ph e.ts e.pid e.tid);
   (match e.dur with
   | Some d -> Buffer.add_string buf (Printf.sprintf {|,"dur":%.3f|} d)
   | None -> ());
@@ -305,7 +295,7 @@ let json_of_event e =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf {|"%s":"%s"|} (escape k) (escape v)))
+        Buffer.add_string buf (Printf.sprintf {|%s:%s|} (quote k) (quote v)))
       e.arg;
     Buffer.add_char buf '}'
   end;
@@ -328,8 +318,8 @@ let to_json ?(extra = []) t =
     (fun i (pid, name) ->
       emit
         (Printf.sprintf
-           {|{"name":"process_name","ph":"M","pid":%d,"args":{"name":"%s"}}|}
-           pid (escape name));
+           {|{"name":"process_name","ph":"M","pid":%d,"args":{"name":%s}}|}
+           pid (quote name));
       emit
         (Printf.sprintf
            {|{"name":"process_sort_index","ph":"M","pid":%d,"args":{"sort_index":%d}}|}

@@ -211,6 +211,36 @@ let g_profile =
       redundant_loads;
     }
 
+let g_region_summary =
+  let* base = g_addr in
+  let* extent = g_nat in
+  let* accesses = g_nat in
+  let* written = QCheck.Gen.bool in
+  QCheck.Gen.return { Pasta.Event.base; extent; accesses; written }
+
+let g_span =
+  let* rg_id = QCheck.Gen.int_range 0 0x3FFF_FFFF in
+  let* rg_label = g_str in
+  let* rg_start_pc = g_nat in
+  let* rg_end_pc = g_nat in
+  let* rg_mem_region = QCheck.Gen.int_range (-1) 15 in
+  let* rg_start_us = g_f in
+  let* rg_time_us = g_f in
+  let* rg_bytes = g_nat in
+  let* rg_flops = g_f in
+  QCheck.Gen.return
+    {
+      Pasta.Event.rg_id;
+      rg_label;
+      rg_start_pc;
+      rg_end_pc;
+      rg_mem_region;
+      rg_start_us;
+      rg_time_us;
+      rg_bytes;
+      rg_flops;
+    }
+
 let g_direction =
   QCheck.Gen.oneof
     [
@@ -275,14 +305,9 @@ let payload_gens : (string * Pasta.Event.payload QCheck.Gen.t) list =
         (fun kernel access -> Shared_access { kernel; access })
         g_info g_access );
     ( "kernel_region",
-      let* kernel = g_info in
-      let* base = g_addr in
-      let* extent = g_nat in
-      let* accesses = g_nat in
-      let* written = QCheck.Gen.bool in
-      QCheck.Gen.return
-        (Kernel_region { kernel; region = { base; extent; accesses; written } })
-    );
+      QCheck.Gen.map2
+        (fun kernel region -> Kernel_region { kernel; region })
+        g_info g_region_summary );
     ( "barrier",
       QCheck.Gen.map2 (fun kernel count -> Barrier { kernel; count }) g_info
         g_nat );
@@ -314,6 +339,12 @@ let payload_gens : (string * Pasta.Event.payload QCheck.Gen.t) list =
     ( "tool_quarantined",
       QCheck.Gen.map2 (fun tool failures -> Tool_quarantined { tool; failures })
         g_str g_nat );
+    ( "region_enter",
+      QCheck.Gen.map2 (fun kernel span -> Region_enter { kernel; span }) g_info
+        g_span );
+    ( "region_exit",
+      QCheck.Gen.map2 (fun kernel span -> Region_exit { kernel; span }) g_info
+        g_span );
   ]
 
 let g_payload = QCheck.Gen.oneof (List.map snd payload_gens)
@@ -429,22 +460,113 @@ let test_progression_batch_size () =
     true
     (large - small <= 1)
 
-(* The oneof above samples; this walks every constructor explicitly so a
-   broken branch can't hide behind generator luck. *)
-let test_roundtrip_each_constructor () =
+(* One generator per op kind, a batch once per shape, each op stamped
+   with a nonzero backend id. *)
+let op_gens : (string * (float * int * Pasta.Processor.sink_op) QCheck.Gen.t) list =
+  let open Pasta.Processor in
+  let op g =
+    let* time_us = g_f in
+    let* backend = QCheck.Gen.int_range 1 300 in
+    let* op = g in
+    QCheck.Gen.return (time_us, backend, op)
+  in
+  let with_kernel f g = op (QCheck.Gen.map2 f g_info g) in
+  [
+    ("event", op (QCheck.Gen.map (fun p -> Sk_event p) g_payload));
+    ("batch_dense", with_kernel (fun k b -> Sk_batch (k, b)) g_dense_batch);
+    ("batch_descriptor", with_kernel (fun k b -> Sk_batch (k, b)) g_descriptor);
+    ("region", with_kernel (fun k r -> Sk_region (k, r)) g_region_summary);
+    ("flush_summary", op (QCheck.Gen.map (fun k -> Sk_flush_summary k) g_info));
+    ("flush_parallel", op (QCheck.Gen.map (fun k -> Sk_flush_parallel k) g_info));
+    ("profile", with_kernel (fun k p -> Sk_profile (k, p)) g_profile);
+    ( "rate",
+      op
+        (QCheck.Gen.map2
+           (fun sr_rate sr_grid_id -> Sk_rate { sr_rate; sr_grid_id })
+           g_f g_nat) );
+  ]
+
+(* The md5 of the 50 values each generator yields from seed 0x9a5a,
+   encoded back to back.  A refactor of the codec must leave every byte
+   of every wire type as it was; these cover the kinds the pinned
+   captures never hold. *)
+let payload_pins =
+  [
+    ("driver_call", "bf7aa1105b5fb26ff4efb5970b3ad700");
+    ("runtime_call", "0c24fbd0d394126d2c31bba7dc1f041c");
+    ("kernel_launch_begin", "d7b4268f822345e7a14703c23e651d06");
+    ("kernel_launch_end", "4e8800b8c319b2bf3dffc785bc13af7d");
+    ("memory_copy", "1b729ab5b710fe293061ba0a9e32a58d");
+    ("memory_set", "8912da6d012640271ddd9ff366f2e0fd");
+    ("memory_alloc", "a87b205ee44e466765f8116f5e53ad95");
+    ("memory_free", "9b2b910504f54892162974b27ee57377");
+    ("synchronization", "f99332456fa566c91a0ca91b3c5b328e");
+    ("device_summary", "0d177b78dfc19dfa5865cd379ff17c7e");
+    ("shared_access", "b1d5195707cd22cfa73e3098fb1283a3");
+    ("kernel_region", "75670a8fd9f3ee817c7b9e809c719e7b");
+    ("barrier", "7880868e11ffcdcbe1a8c0ec66b3da5a");
+    ("kernel_profile", "fee5dc7db285fdf46b31ce50795de24a");
+    ("operator", "a8b93280479650f8aad64f6b8cd4af56");
+    ("tensor_alloc", "22d6ed0a699d39316a2d8e15ffb2960f");
+    ("tensor_free", "73acf478993daf51d6da3de1eceab63a");
+    ("annotation", "0e3280f36d712a28b6d5165b4389ee20");
+    ("tool_quarantined", "e98ecd60fc7e93bc910448f62f58d373");
+    ("region_enter", "543ed3eadfd3b380d5e9dc493e2307d3");
+    ("region_exit", "c53184c851fc633885991be2270b40c4");
+  ]
+
+let op_pins =
+  [
+    ("event", "1cd9def18a80469f589c237028dc315b");
+    ("batch_dense", "d1e6905b03731a2a106eebaf3b6ad563");
+    ("batch_descriptor", "6280372e8176ed195cb70fcdd83817c9");
+    ("region", "ee135bd86adea513fa4c911be36421df");
+    ("flush_summary", "9c989953d888775eede659bdd571415d");
+    ("flush_parallel", "0115ba0fb9970e710a2fc960f0b84387");
+    ("profile", "0c115ec25b3dbe179923b3282c13ba95");
+    ("rate", "ff777e533d694b66906ba187a1ba529b");
+  ]
+
+(* Encode 50 values of [gen] from the fixed seed, check that each
+   decodes back, and check the md5 of all their bytes against [pins]. *)
+let check_pinned pins (name, gen) ~encode ~decode =
   let rand = Random.State.make [| 0x9a5a |] in
+  let bytes = Buffer.create 4096 in
+  let values =
+    List.init 50 (fun _ ->
+        let v = QCheck.Gen.generate1 ~rand gen in
+        let s = encode v in
+        check_bool (Printf.sprintf "%s round-trips" name) true (decode s = v);
+        Buffer.add_string bytes s;
+        v)
+  in
+  Alcotest.(check string)
+    (name ^ " bytes pinned")
+    (List.assoc name pins)
+    (Digest.to_hex (Digest.string (Buffer.contents bytes)));
+  values
+
+(* The oneof above samples; this walks every constructor and op kind
+   explicitly so a broken branch can't hide behind generator luck. *)
+let test_roundtrip_each_constructor () =
+  let payloads =
+    List.concat_map
+      (check_pinned payload_pins ~encode:Pasta.Ptrace.payload_to_string
+         ~decode:Pasta.Ptrace.payload_of_string)
+      payload_gens
+  in
+  Alcotest.(check (list string))
+    "the generators cover every payload kind"
+    (List.sort compare Pasta.Event.all_kinds)
+    (List.sort_uniq compare (List.map Pasta.Event.kind_name payloads));
   List.iter
-    (fun (name, gen) ->
-      for _ = 1 to 50 do
-        let p = QCheck.Gen.generate1 ~rand gen in
-        check_bool
-          (Printf.sprintf "%s round-trips" name)
-          true
-          (Pasta.Ptrace.payload_of_string (Pasta.Ptrace.payload_to_string p) = p)
-      done)
-    payload_gens;
-  check_int "every payload constructor has a generator" 19
-    (List.length payload_gens)
+    (fun g ->
+      ignore
+        (check_pinned op_pins g
+           ~encode:(fun (time_us, backend, op) ->
+             Pasta.Ptrace.op_to_string ~time_us ~backend op)
+           ~decode:Pasta.Ptrace.op_of_string))
+    op_gens
 
 (* ------------------------------------------------------------------ *)
 (* Corruption and truncation                                           *)
@@ -924,6 +1046,87 @@ let test_corrupt_descriptors () =
       check_int (what ^ ": and skips its chunk") 1 stats.Pasta.Ptrace.r_chunks_skipped)
     bad_descs;
   Sys.remove path
+
+(* A kernel defined in place: ids 0, no name, a 1x1x1 grid and block, no
+   shared memory, arguments or frames. *)
+let new_kernel = "\000\000\000\000\000\001\001\001\001\001\001\000\000\000\000"
+
+(* A [Device_summary] payload whose block list is one run of [n] pairs,
+   keys 1 to [n], each counting its own key. *)
+let one_run_summary n =
+  String.concat ""
+    [
+      "\010" (* payload tag *);
+      new_kernel;
+      "\000" (* no objects *);
+      leb128 n;
+      "\001" (* run-length form *);
+      leb128 n;
+      zigzag 1;
+      zigzag 0;
+      "\000" (* no regions *);
+      "\000\000\000" (* records, accesses, writes *);
+      "\000\000\000\000\000\000\240\063" (* rate 1.0 *);
+    ]
+
+(* A pair-list run builds its pairs without reading a byte apiece, so a
+   40-byte payload can declare 10^8 of them: the declared length is
+   charged to the chunk's decode budget before any pair is built. *)
+let test_pair_run_budget () =
+  let p = Pasta.Ptrace.payload_of_string (one_run_summary 3) in
+  (match p with
+  | Pasta.Event.Device_summary { summary; _ } ->
+      Alcotest.(check (list (pair int int)))
+        "three pairs in one run" [ (1, 1); (2, 2); (3, 3) ] summary.Pasta.Devagg.blocks
+  | _ -> Alcotest.fail "the crafted payload is a device summary");
+  Alcotest.(check string)
+    "the writer lays the run out as crafted" (one_run_summary 3)
+    (Pasta.Ptrace.payload_to_string p);
+  match Pasta.Ptrace.payload_of_string (one_run_summary 100_000_000) with
+  | exception Pasta.Ptrace.Corrupt _ -> ()
+  | _ -> Alcotest.fail "10^8 pairs decoded"
+
+(* A dense batch op of [len] records whose columns are all constant
+   (first value 0, step 0): a few bytes whatever [len] is. *)
+let constant_batch_op ~kernel len =
+  String.concat ""
+    [
+      "\002\000" (* batch op, backend 0 *);
+      String.make 8 '\000' (* time 0.0 *);
+      kernel;
+      "\000\000\000" (* region, chunk, pc *);
+      leb128 len;
+      "\000" (* dense *);
+      String.concat "" (List.init 4 (fun _ -> "\000\003\000"));
+      "\003\000" (* write flags: constant false *);
+    ]
+
+(* One 3 KB chunk of 100 ops that each declare 2^22 records would
+   decode to 11 GB of columns.  Its columns are charged to the chunk's
+   budget before they are allocated: the chunk is corruption, and the
+   reader allocates at most one batch of it. *)
+let test_dense_chunk_budget () =
+  let path = temp_trace () in
+  let chunk len =
+    one_chunk_trace path
+      (constant_batch_op ~kernel:new_kernel len
+      :: List.init 99 (fun _ -> constant_batch_op ~kernel:"\001" len))
+  in
+  chunk 4;
+  let n, _ = count_ops ~mode:Pasta.Ptrace.Strict path in
+  check_int "the chunk reads at 4 records an op" 100 n;
+  chunk (1 lsl 22);
+  (match count_ops ~mode:Pasta.Ptrace.Strict path with
+  | exception Pasta.Ptrace.Corrupt msg ->
+      check_bool ("strict names the chunk: " ^ msg) true
+        (String.starts_with ~prefix:"chunk 0: " msg)
+  | _ -> Alcotest.fail "strict mode read 11 GB of columns");
+  Gc.full_major ();
+  let n, stats = count_ops ~mode:Pasta.Ptrace.Tolerant path in
+  Gc.full_major ();
+  Sys.remove path;
+  check_int "tolerant mode reads no op" 0 n;
+  check_int "and skips the chunk" 1 stats.Pasta.Ptrace.r_chunks_skipped
 
 (* A trace holding tag-1 ops still replays: the two records of one
    launch, each decoded as a one-record batch, reach a per-record tool as
@@ -1458,6 +1661,10 @@ let suite =
       test_length_fields;
     Alcotest.test_case "corrupt descriptors are typed errors" `Quick
       test_corrupt_descriptors;
+    Alcotest.test_case "a pair run past the decode budget is corruption" `Quick
+      test_pair_run_budget;
+    Alcotest.test_case "a chunk past the decode budget is corruption" `Quick
+      test_dense_chunk_budget;
     Alcotest.test_case "tag-1 record ops decode and replay per record" `Quick
       test_tag1_replay;
     Alcotest.test_case "the mutated capture holds descriptors" `Quick

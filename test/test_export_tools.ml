@@ -81,14 +81,24 @@ let test_trace_export_structure () =
 
 let test_trace_export_escaping () =
   let tx = Pasta.Trace_export.create () in
+  let label = "quo\"te\\back\ttab\nline\x01" in
   Pasta.Trace_export.record tx
     {
       Pasta.Event.device = 0;
       time_us = 1.0;
-      payload = Pasta.Event.Annotation { label = "quo\"te\\back"; phase = `Start };
+      payload = Pasta.Event.Annotation { label; phase = `Start };
     };
   let json = Pasta.Trace_export.to_json tx in
-  check_bool "quotes escaped" true (Astring_contains.contains json {|quo\"te\\back|})
+  check_bool "quotes escaped" true (Astring_contains.contains json {|quo\"te\\back|});
+  check_bool "control characters escaped" true
+    (Astring_contains.contains json {|\ttab\nline\u0001|});
+  let open Pasta_util.Njson in
+  match mem "traceEvents" (of_string json) with
+  | Some (List [ ev ]) ->
+      Alcotest.(check (option string))
+        "the label reads back" (Some label)
+        (Option.bind (mem "args" ev) (str_field "label"))
+  | _ -> Alcotest.fail "one trace event"
 
 let test_trace_export_file () =
   let tx = Pasta.Trace_export.create () in
