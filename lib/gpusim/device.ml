@@ -33,7 +33,6 @@ type instrument = {
   on_kernel_entry : launch_info -> unit;
   on_region : launch_info -> Kernel.region -> unit;
   on_batch : (launch_info -> Warp.batch -> unit) option;
-  reduce_only : bool;
   on_kernel_exit : launch_info -> exec_stats -> unit;
 }
 
@@ -267,13 +266,12 @@ let launch t ?(stream = 0) kernel =
             | Some f -> (Faults.rates f).Faults.corrupt_access > 0.0
             | None -> false
           in
-          (* A consumer that only reduces records to tallies can take a
-             closed-form chunk as its descriptor, built here in O(1) —
-             unless thinning or corruption would change its records.  Only
-             the other chunks are filled, on the pool when there is one. *)
+          (* A closed-form chunk travels as its descriptor, built here in
+             O(1) — unless thinning or corruption would change its
+             records.  Only the other chunks are filled, on the pool when
+             there is one. *)
           let described =
-            if i.reduce_only && t.sample_rate >= 1.0 && not corrupts then Warp.closed_form
-            else fun _ -> false
+            if t.sample_rate >= 1.0 && not corrupts then Warp.closed_form else fun _ -> false
           in
           let dense = Array.of_seq (Seq.filter (fun s -> not (described s)) (Array.to_seq specs)) in
           let ndense = Array.length dense in

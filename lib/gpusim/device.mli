@@ -58,16 +58,12 @@ type instrument = {
           records are generated and arrive as {!Warp.batch}es, one per
           generation chunk, in deterministic (region, chunk) order, after
           every [on_region] of the launch; [None] generates no records,
-          so only region aggregates are reported *)
-  reduce_only : bool;
-      (** [on_batch] only reduces records to weighted tallies, reading
-          them through {!Warp.cols} or the descriptor walker
-          ({!Warp.walk}); both Sanitizer record channels (host and
-          parallel analysis) set it.  Then, at sample rate 1.0 and with
-          no injector corrupting records, each closed-form chunk
-          ({!Warp.closed_form}) arrives as a descriptor built in O(1)
-          instead of filled columns; every other chunk is filled,
-          thinned and corrupted as usual *)
+          so only region aggregates are reported.  At sample rate 1.0
+          and with no injector corrupting records, each closed-form
+          chunk ({!Warp.closed_form}) arrives as a descriptor built in
+          O(1), read through {!Warp.cursor}, {!Warp.walk},
+          {!Warp.split_weight} or {!Warp.cols}; every other chunk is
+          filled, thinned and corrupted as usual *)
   on_kernel_exit : launch_info -> exec_stats -> unit;
 }
 
@@ -137,7 +133,7 @@ val faults : t -> Faults.t option
 
     With a {!Pasta_util.Domain_pool} installed, materialized record
     generation (and fault corruption of those records) shards across the
-    pool by region-chunk; descriptors ([reduce_only]) are built inline.
+    pool by region-chunk; descriptors are built inline.
     Chunk layout and per-chunk RNG streams are independent of the pool
     size, so output is byte-identical with or without a pool. *)
 

@@ -86,11 +86,114 @@ let weight_range spec i j =
   let a = spec.cs_region.Kernel.accesses and n = spec.cs_n in
   weights ~bw:(a / n) ~extra:(a mod n) i j
 
-let fill_cols ?rng ~warp_size spec =
+(* ---- The record stepper ---------------------------------------------- *)
+
+(* The formulas evaluated once, at record [first], then stepped record by
+   record by exact integer arithmetic, so a stepper divides when it is
+   made, not per record.  [q] is record [i]'s address offset.  [Sequential]
+   keeps [span * i / n] as quotient [q] and remainder [rem]: each record
+   adds [span / n] to [q] and [span mod n] to [rem], carrying one into [q]
+   when [rem] reaches [n].  [Strided] keeps [s * i mod span]: both the
+   offset and [s mod span] are below [span], so one subtraction at
+   [wrap = span] wraps their sum.  A [Random] region's offsets are drawn,
+   not stepped, so its [q] stays 0.  Record [i]'s warp is [x / warp_size]
+   for [x = i * warp_size mod warp_wrap]: [x] grows by [warp_size <=
+   warp_wrap] per record, so one subtraction wraps it, and the warp [w]
+   grows by one; at a wrap the new [x] is below [warp_size], so the warp
+   restarts at 0.  Record [i] weighs [bw], plus one below [extra]. *)
+type stepper = {
+  mutable i : int;  (* the record the fields below describe *)
+  mutable q : int;
+  mutable rem : int;
+  mutable dq : int;
+  mutable dr : int;
+  mutable n : int;
+  mutable wrap : int;
+  mutable x : int;
+  mutable w : int;
+  mutable warp_size : int;
+  mutable warp_wrap : int;
+  mutable base : int;
+  mutable bw : int;
+  mutable extra : int;
+}
+
+let stepper () =
+  {
+    i = 0;
+    q = 0;
+    rem = 0;
+    dq = 0;
+    dr = 0;
+    n = 1;
+    wrap = max_int;
+    x = 0;
+    w = 0;
+    warp_size = 1;
+    warp_wrap = 1;
+    base = 0;
+    bw = 0;
+    extra = 0;
+  }
+
+(* Point [s] at record [first] of [spec]'s region. *)
+let seed s ~warp_size spec ~first =
   let r = spec.cs_region in
-  let n = spec.cs_n and len = spec.cs_len and start = spec.cs_start in
-  let base = r.Kernel.base and span = span r in
-  let base_weight = r.Kernel.accesses / n and extra = r.Kernel.accesses mod n in
+  let n = spec.cs_n and span = span r in
+  s.i <- first;
+  s.n <- n;
+  s.q <- 0;
+  s.rem <- 0;
+  s.dq <- 0;
+  s.dr <- 0;
+  s.wrap <- max_int;
+  (match r.Kernel.pattern with
+  | Kernel.Sequential ->
+      s.q <- span * first / n;
+      s.rem <- span * first mod n;
+      s.dq <- span / n;
+      s.dr <- span mod n
+  | Kernel.Strided stride ->
+      let st = step stride in
+      s.q <- st * first mod span;
+      s.dq <- st mod span;
+      s.wrap <- span
+  | Kernel.Random -> ());
+  let warp_wrap = Int.max warp_size (span / access_size) in
+  s.warp_size <- warp_size;
+  s.warp_wrap <- warp_wrap;
+  s.x <- first * warp_size mod warp_wrap;
+  s.w <- s.x / warp_size;
+  s.base <- r.Kernel.base;
+  s.bw <- r.Kernel.accesses / n;
+  s.extra <- r.Kernel.accesses mod n
+
+let step_addr s = s.base + s.q
+let step_weight s = s.bw + if s.i < s.extra then 1 else 0
+
+let advance s =
+  s.i <- s.i + 1;
+  s.q <- s.q + s.dq;
+  s.rem <- s.rem + s.dr;
+  if s.rem >= s.n then begin
+    s.q <- s.q + 1;
+    s.rem <- s.rem - s.n
+  end;
+  if s.q >= s.wrap then s.q <- s.q - s.wrap;
+  s.x <- s.x + s.warp_size;
+  if s.x >= s.warp_wrap then begin
+    s.x <- s.x - s.warp_wrap;
+    s.w <- 0
+  end
+  else s.w <- s.w + 1
+
+(* Records [pos] to [pos + len - 1] of the chunk as fresh columns.  A
+   [Random] chunk draws its addresses from the chunk-keyed stream, so the
+   values do not depend on which domain — or in which order — chunks
+   execute; it is only ever filled whole, from its first record.  Every
+   other column, and a closed form's addresses, come from the stepper. *)
+let fill_cols ?rng ~warp_size spec ~pos ~len =
+  let r = spec.cs_region in
   let addrs = alloc_int_col len
   and sizes = alloc_size_col len
   and warps = alloc_int_col len
@@ -98,72 +201,35 @@ let fill_cols ?rng ~warp_size spec =
   and writes = alloc_flag_col len in
   Bigarray.Array1.fill sizes access_size;
   Bigarray.Array1.fill writes (if r.Kernel.write then 1 else 0);
-  (* [Sequential] spreads records evenly over the extent, [Strided] walks
-     it in its step, wrapping; [Random] draws from the chunk-keyed stream,
-     so the values do not depend on which domain — or in which order —
-     chunks execute.  The closed forms are divided once, at the chunk's
-     first record; each later record steps from the one before by exact
-     integer arithmetic, so the columns equal the formulas record for
-     record with no division per record. *)
-  (match r.Kernel.pattern with
-  | Kernel.Sequential ->
-      (* [span * i / n] as quotient [q] and remainder [rem]: each record
-         adds [span / n] to [q] and [span mod n] to [rem], carrying one
-         into [q] when [rem] reaches [n]. *)
-      let dq = span / n and dr = span mod n in
-      let q = ref (span * start / n) and rem = ref (span * start mod n) in
-      for j = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set addrs j (base + !q);
-        q := !q + dq;
-        rem := !rem + dr;
-        if !rem >= n then begin
-          incr q;
-          rem := !rem - n
-        end
-      done
-  | Kernel.Strided stride ->
-      (* [s * i mod span]: both the offset and [s mod span] are below
-         [span], so one subtraction wraps their sum. *)
-      let ds = step stride mod span in
-      let off = ref (step stride * start mod span) in
-      for j = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set addrs j (base + !off);
-        off := !off + ds;
-        if !off >= span then off := !off - span
-      done
-  | Kernel.Random ->
-      let rng =
-        match rng with
-        | Some g -> g
-        | None -> invalid_arg "Warp: a Random region needs a fill stream"
-      in
-      for j = 0 to len - 1 do
-        Bigarray.Array1.unsafe_set addrs j (base + Pasta_util.Det_rng.int rng span)
-      done);
-  (* Record [i]'s warp is [x / warp_size] for [x = i * warp_size mod
-     warp_wrap].  [x] grows by [warp_size <= warp_wrap] per record, so
-     one subtraction wraps it, and the warp grows by one.  At a wrap the
-     new [x] is below [warp_size] (the old one was below [warp_wrap]), so
-     the warp restarts at 0. *)
-  let warp_wrap = Int.max warp_size (span / access_size) in
-  let x = ref (start * warp_size mod warp_wrap) in
-  let w = ref (!x / warp_size) in
+  let closed =
+    match r.Kernel.pattern with
+    | Kernel.Sequential | Kernel.Strided _ -> true
+    | Kernel.Random ->
+        let rng =
+          match rng with
+          | Some g -> g
+          | None -> invalid_arg "Warp: a Random region needs a fill stream"
+        in
+        let base = r.Kernel.base and span = span r in
+        for j = 0 to len - 1 do
+          Bigarray.Array1.unsafe_set addrs j (base + Pasta_util.Det_rng.int rng span)
+        done;
+        false
+  in
+  let s = stepper () in
+  seed s ~warp_size spec ~first:(spec.cs_start + pos);
   for j = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set warps j !w;
-    Bigarray.Array1.unsafe_set weights j (base_weight + if start + j < extra then 1 else 0);
-    x := !x + warp_size;
-    if !x >= warp_wrap then begin
-      x := !x - warp_wrap;
-      w := 0
-    end
-    else incr w
+    if closed then Bigarray.Array1.unsafe_set addrs j (step_addr s);
+    Bigarray.Array1.unsafe_set warps j s.w;
+    Bigarray.Array1.unsafe_set weights j (step_weight s);
+    advance s
   done;
   { addrs; sizes; warps; weights; writes }
 
 let cols b =
   match b.b_shape with
   | Dense c -> c
-  | Descriptor { spec; warp_size } -> fill_cols ~warp_size spec
+  | Descriptor { spec; warp_size } -> fill_cols ~warp_size spec ~pos:0 ~len:spec.cs_len
 
 let batch_weight b =
   match b.b_shape with
@@ -259,7 +325,8 @@ let header spec shape =
     b_shape = shape;
   }
 
-let fill_chunk ~rng ~warp_size spec = header spec (Dense (fill_cols ~rng ~warp_size spec))
+let fill_chunk ~rng ~warp_size spec =
+  header spec (Dense (fill_cols ~rng ~warp_size spec ~pos:0 ~len:spec.cs_len))
 
 (* ---- Descriptors ---------------------------------------------------- *)
 
@@ -372,28 +439,161 @@ let sub b ~pos ~len =
   check_range ~who:"Warp.sub" b ~pos ~len;
   if pos = 0 && len = b.b_len then b
   else
-    (* [Array1.sub] is a zero-copy view of the same buffer. *)
-    let c = cols b in
-    let view col = Bigarray.Array1.sub col pos len in
-    {
-      b with
-      b_len = len;
-      b_shape =
-        Dense
-          {
-            addrs = view c.addrs;
-            sizes = view c.sizes;
-            warps = view c.warps;
-            weights = view c.weights;
-            writes = view c.writes;
-          };
-    }
+    match b.b_shape with
+    | Descriptor { spec; warp_size } ->
+        { b with b_len = len; b_shape = Dense (fill_cols ~warp_size spec ~pos ~len) }
+    | Dense c ->
+        (* [Array1.sub] is a zero-copy view of the same buffer. *)
+        let view col = Bigarray.Array1.sub col pos len in
+        {
+          b with
+          b_len = len;
+          b_shape =
+            Dense
+              {
+                addrs = view c.addrs;
+                sizes = view c.sizes;
+                warps = view c.warps;
+                weights = view c.weights;
+                writes = view c.writes;
+              };
+        }
 
 type view = { v_batch : batch; v_pos : int; v_len : int; v_time_us : float }
 
 let view b ~pos ~len ~time_us =
   check_range ~who:"Warp.view" b ~pos ~len;
   { v_batch = b; v_pos = pos; v_len = len; v_time_us = time_us }
+
+(* ---- Reading a view's records one at a time -------------------------- *)
+
+(* Where the next record comes from: a dense view's columns at [at], or
+   a descriptor's stepper.  A cursor is re-pointed at view after view, so
+   reading a view allocates nothing. *)
+type source = {
+  mutable dense : bool;
+  mutable src_cols : cols;
+  mutable at : int;
+  mutable stepped : batch;  (* the descriptor [steps] was seeded for *)
+  steps : stepper;
+}
+
+type cursor = {
+  mutable c_addr : int;
+  mutable c_size : int;
+  mutable c_write : bool;
+  mutable c_warp : int;
+  mutable c_weight : int;
+  mutable c_pc : int;
+  mutable c_left : int;
+  c_src : source;
+}
+
+let no_cols =
+  {
+    addrs = alloc_int_col 0;
+    sizes = alloc_size_col 0;
+    warps = alloc_int_col 0;
+    weights = alloc_int_col 0;
+    writes = alloc_flag_col 0;
+  }
+
+let no_batch = { b_region = 0; b_chunk = 0; b_pc = 0; b_len = 0; b_shape = Dense no_cols }
+
+let cursor () =
+  {
+    c_addr = 0;
+    c_size = 0;
+    c_write = false;
+    c_warp = 0;
+    c_weight = 0;
+    c_pc = 0;
+    c_left = 0;
+    c_src = { dense = true; src_cols = no_cols; at = 0; stepped = no_batch; steps = stepper () };
+  }
+
+let seek c v =
+  let b = v.v_batch and src = c.c_src in
+  c.c_pc <- b.b_pc;
+  c.c_left <- v.v_len;
+  match b.b_shape with
+  | Dense cols ->
+      src.dense <- true;
+      src.src_cols <- cols;
+      src.at <- v.v_pos
+  | Descriptor { spec; warp_size } ->
+      src.dense <- false;
+      (* A channel's pieces of one chunk arrive in order: a view that
+         starts where the last one stopped continues its steps, and only
+         the chunk's first view pays the divisions of a seed. *)
+      let first = spec.cs_start + v.v_pos in
+      if not (src.stepped == b && src.steps.i = first) then begin
+        seed src.steps ~warp_size spec ~first;
+        src.stepped <- b
+      end;
+      c.c_size <- access_size;
+      c.c_write <- spec.cs_region.Kernel.write
+
+(* A view's bounds were checked when it was made, and [c_left] keeps the
+   reads inside them, so the columns are read unchecked. *)
+let next c =
+  if c.c_left <= 0 then invalid_arg "Warp.next: past the view's last record";
+  c.c_left <- c.c_left - 1;
+  let src = c.c_src in
+  if src.dense then begin
+    let i = src.at and cols = src.src_cols in
+    c.c_addr <- Bigarray.Array1.unsafe_get cols.addrs i;
+    c.c_size <- Bigarray.Array1.unsafe_get cols.sizes i;
+    c.c_write <- Bigarray.Array1.unsafe_get cols.writes i <> 0;
+    c.c_warp <- Bigarray.Array1.unsafe_get cols.warps i;
+    c.c_weight <- Bigarray.Array1.unsafe_get cols.weights i;
+    src.at <- i + 1
+  end
+  else begin
+    let s = src.steps in
+    c.c_addr <- step_addr s;
+    c.c_warp <- s.w;
+    c.c_weight <- step_weight s;
+    advance s
+  end
+
+(* ---- A channel's fill points ------------------------------------------- *)
+
+let split_weight b ~count ~cap ~full =
+  match b.b_shape with
+  | Dense c ->
+      let count = ref count in
+      for i = 0 to b.b_len - 1 do
+        count := !count + Bigarray.Array1.unsafe_get c.weights i;
+        if !count >= cap then begin
+          full (i + 1) !count;
+          count := 0
+        end
+      done;
+      !count
+  | Descriptor { spec; _ } ->
+      (* Records below [extra] weigh [bw + 1], the rest [bw >= 1] (a
+         descriptor has [n <= accesses]).  From record [i], the fewest
+         records that bring the count to [cap] take the heavy ones first,
+         then light ones, each count found by one division. *)
+      let a = spec.cs_region.Kernel.accesses and n = spec.cs_n in
+      let bw = a / n and extra = a mod n in
+      let first = spec.cs_start in
+      let stop = first + spec.cs_len in
+      let rec from i count =
+        let need = Int.max 1 (cap - count) in
+        let heavy = Int.max 0 (extra - i) in
+        let j =
+          if heavy * (bw + 1) >= need then i + ceil_div need (bw + 1)
+          else i + heavy + ceil_div (need - (heavy * (bw + 1))) bw
+        in
+        if j <= stop then begin
+          full (j - first) (count + weights ~bw ~extra i j);
+          from j 0
+        end
+        else count + weights ~bw ~extra i stop
+      in
+      from first count
 
 (* ---- Probabilistic thinning with inverse-probability reweighting ----- *)
 

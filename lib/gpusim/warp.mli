@@ -79,8 +79,9 @@ type shape = private
   | Descriptor of { spec : chunk_spec; warp_size : int }
       (** the chunk's records are exactly those {!fill_chunk} would
           generate for [spec], a whole {!plan} chunk in closed form
-          ({!closed_form}); its columns are built only when {!cols} is
-          asked for them *)
+          ({!closed_form}); its columns are built only when {!cols} or
+          {!sub} is asked for them, and {!cursor}, {!walk} and
+          {!split_weight} read it without any *)
 (** How a batch holds its records. *)
 
 type batch = private {
@@ -121,10 +122,10 @@ val batch_weight : batch -> int
 
 val sub : batch -> pos:int -> len:int -> batch
 (** [sub b ~pos ~len] is records [pos] to [pos + len - 1] of [b] ([b]
-    itself when that is all of it): a zero-copy view sharing [b]'s
-    columns ({!cols} of a descriptor), so every descriptor stays a whole
-    {!plan} chunk.  Raises [Invalid_argument] outside
-    [0, batch_len b). *)
+    itself when that is all of it): of a dense batch, a zero-copy view
+    sharing its columns; of a descriptor, fresh columns holding only
+    those records, so every descriptor stays a whole {!plan} chunk.
+    Raises [Invalid_argument] outside [0, batch_len b). *)
 
 type view = private { v_batch : batch; v_pos : int; v_len : int; v_time_us : float }
 (** Records [v_pos] to [v_pos + v_len - 1] of [v_batch], as a record
@@ -138,6 +139,52 @@ val view : batch -> pos:int -> len:int -> time_us:float -> view
     [b], stamped [time_us], in O(1).  Raises [Invalid_argument] outside
     [0, batch_len b), so a consumer may read the view's records from
     {!cols} unchecked. *)
+
+type source
+(** Where a {!cursor} reads its next record from: a dense batch's
+    columns, or a descriptor's formulas. *)
+
+type cursor = private {
+  mutable c_addr : int;
+  mutable c_size : int;
+  mutable c_write : bool;
+  mutable c_warp : int;
+  mutable c_weight : int;
+  mutable c_pc : int;  (** the batch's [b_pc] *)
+  mutable c_left : int;  (** records of the view not yet read *)
+  c_src : source;
+}
+(** A view's records, one at a time: after {!next}, the [c_] fields hold
+    the record it read.  A cursor is re-pointed from view to view with
+    {!seek}, so reading a view allocates nothing. *)
+
+val cursor : unit -> cursor
+(** A cursor with no records left. *)
+
+val seek : cursor -> view -> unit
+(** [seek c v] points [c] before the first record of [v], in O(1): a
+    descriptor's records are stepped from its formulas, never filled.
+    A descriptor view that starts where [c]'s last view of the same
+    batch stopped (a channel's next piece) continues the steps; any
+    other seeds them, with a few divisions. *)
+
+val next : cursor -> unit
+(** [next c] reads the view's next record into [c]'s fields: a dense
+    batch's from its columns, a descriptor's by stepping its formulas
+    with {!fill_chunk}'s arithmetic, so the fields equal the filled
+    columns record for record.  Raises [Invalid_argument] past the
+    view's last record. *)
+
+val split_weight : batch -> count:int -> cap:int -> full:(int -> int -> unit) -> int
+(** A channel buffer's fill points.  [split_weight b ~count ~cap ~full]
+    adds the weights of [b]'s records, in order, to a running count that
+    starts at [count].  Each time the count reaches [cap], after record
+    [k - 1], it calls [full k total], [total] being the count at that
+    point, and restarts the count at 0.  It returns the count after the
+    last record.  A dense batch walks its weight column; a descriptor
+    finds each point by arithmetic on its weights ([accesses / n], plus
+    one for the region's first [accesses mod n] records), in O(points),
+    at the same records. *)
 
 val batch_of_arrays :
   region:int ->
@@ -195,8 +242,9 @@ val fill_chunk : rng:Pasta_util.Det_rng.t -> warp_size:int -> chunk_spec -> batc
     domain.  Record [i]'s warp is [i * warp_size mod warp_wrap /
     warp_size], with [warp_wrap = max warp_size (span / 4)].  The fill
     evaluates the formulas above once, at the chunk's first record, and
-    steps each column from there by exact integer arithmetic, so it
-    divides per chunk, not per record. *)
+    steps each record from there by exact integer arithmetic, so it
+    divides per chunk, not per record.  That stepper is the one
+    {!cursor} reads a descriptor with. *)
 
 (** {2 Descriptors}
 

@@ -166,15 +166,17 @@ let overflow_policy () =
              (drop_newest, newest), block (stall)")
 
 let watchdog_us () =
-  match Option.bind (get "ACCEL_PROF_WATCHDOG_US") float_of_string_opt with
-  | Some v when v > 0.0 -> v
-  | _ -> 1_000_000.0
+  match get "ACCEL_PROF_WATCHDOG_US" with
+  | None | Some "" -> 1_000_000.0
+  | Some v -> (
+      match float_of_string_opt v with
+      | Some us when us > 0.0 && Float.is_finite us -> us
+      | _ -> invalid_knob "ACCEL_PROF_WATCHDOG_US" v "a positive finite number of microseconds")
 
 let domains () =
-  let cap = max 1 (min 8 (Domain.recommended_domain_count ())) in
-  match get_int "ACCEL_PROF_DOMAINS" with
-  | Some n when n > 0 -> min n 64
-  | _ -> cap
+  match strict_int_opt "ACCEL_PROF_DOMAINS" ~max:max_int "a positive integer" with
+  | Some n -> min n 64
+  | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
 
 (* --- Intra-kernel region profiling knob --- *)
 
@@ -276,6 +278,8 @@ let validate () =
     ignore (guard_cooldown_kernels ());
     ignore (buffer_capacity ());
     ignore (overflow_policy ());
+    ignore (watchdog_us ());
+    ignore (domains ());
     ignore (regions ());
     ignore (trace_chunk_bytes ());
     ignore (serve_capacity ());

@@ -96,13 +96,16 @@ val overflow_policy : unit -> Pasta_util.Ring_buffer.overflow
 val watchdog_us : unit -> float
 (** [ACCEL_PROF_WATCHDOG_US]: kernel duration above which the session
     watchdog flags a stuck kernel (default 1e6 us, also when the value is
-    not a positive number). *)
+    empty).  A value that is not a positive finite number raises
+    [Invalid_argument] naming the knob and the value. *)
 
 val domains : unit -> int
 (** [ACCEL_PROF_DOMAINS]: domain-pool size for parallel device-side
     preprocessing.  Defaults to [Domain.recommended_domain_count ()]
-    capped at 8; explicit values are honoured up to 64.  Size 1 means
-    fully serial (no domains spawned). *)
+    capped at 8 (also when the value is empty); explicit values are
+    honoured up to 64, and larger ones clamp to 64.  Size 1 means fully
+    serial (no domains spawned).  A value that is not a positive integer
+    raises [Invalid_argument] naming the knob and the value. *)
 
 val regions : unit -> Gpusim.Instrpass.granularity
 (** [ACCEL_PROF_REGIONS]: intra-kernel region instrumentation level.
@@ -117,8 +120,9 @@ val regions : unit -> Gpusim.Instrpass.granularity
 val validate : unit -> (unit, string) result
 (** Parse every knob that refuses bad values ({!sample_cap},
     {!guard_threshold}, {!guard_cooldown_kernels}, {!buffer_capacity},
-    {!overflow_policy}, {!regions}, {!trace_chunk_bytes} and the serve
-    daemon's three) as the calling thread resolves them.  [Error] carries
+    {!overflow_policy}, {!watchdog_us}, {!domains}, {!regions},
+    {!trace_chunk_bytes} and the serve daemon's three) as the calling
+    thread resolves them.  [Error] carries
     the refusal's message.  The CLI calls it before doing any work; the
     serve daemon calls it inside a job's overlay at submit time. *)
 

@@ -179,7 +179,7 @@ let failed t cb ~probe =
    here, whether or not it raises; its wall time goes to the enclosing
    tool frame. *)
 let run t cb f a b ~probe =
-  Telemetry.count_call t.slot;
+  Telemetry.count_calls t.slot 1;
   match f t.the_tool a b with
   | () ->
       if probe then
@@ -210,6 +210,32 @@ let call_in_frame t cb f a b =
     | None -> ()
     | Some probe -> run t cb f a b ~probe
 
+(* The closed breaker's run: one exception trap around a loop of calls
+   instead of one per call.  A raising call is settled as [run] settles
+   it, and the loop resumes with the next call under a new trap; once the
+   breaker is no longer closed it stops.  The calls, raising ones
+   included, are counted once, at the end. *)
+let rec run_closed t cb f a b n ran =
+  let i = ref ran in
+  match
+    while !i < n && Atomic.get t.closed do
+      incr i;
+      f t.the_tool a b
+    done
+  with
+  | () -> !i
+  | exception _ ->
+      failed t cb ~probe:false;
+      run_closed t cb f a b n !i
+
+let call_while_closed t cb f a b n =
+  if n <= 0 || not (Atomic.get t.closed) then 0
+  else begin
+    let ran = run_closed t cb f a b n 0 in
+    Telemetry.count_calls t.slot ran;
+    ran
+  end
+
 (* A raising callback still gets its wall time charged to the tool — that
    is exactly the time a misbehaving (soon-quarantined) tool cost the
    pipeline. *)
@@ -231,7 +257,7 @@ let call t cb f = framed t (fun () -> call_in_frame t cb (fun tool f () -> f too
 let guarded_report t ppf =
   Telemetry.begin_span Telemetry.Report "tool.report";
   Fun.protect ~finally:(fun () -> Telemetry.end_span Telemetry.Report) @@ fun () ->
-  Telemetry.count_call t.slot;
+  Telemetry.count_calls t.slot 1;
   match t.the_tool.Tool.report ppf with
   | () -> ()
   | exception e ->

@@ -81,8 +81,20 @@ val call_in_frame : t -> callback -> (Tool.t -> 'a -> 'b -> unit) -> 'a -> 'b ->
     static closure and a per-record call site allocates nothing for it.
     Quarantined: no-op (counted as suppressed).  Cooldown elapsed: the
     call is the half-open probe.  A callback that runs is counted with
-    {!Telemetry.count_call}; its exception is caught and counted, never
+    {!Telemetry.count_calls}; its exception is caught and counted, never
     re-raised. *)
+
+val call_while_closed :
+  t -> callback -> (Tool.t -> 'a -> 'b -> unit) -> 'a -> 'b -> int -> int
+(** [call_while_closed g cb f a b n] runs [f (tool g) a b] up to [n]
+    times, inside the caller's frame, for as long as the breaker stays
+    closed, and returns how many calls ran.  It is {!call_in_frame}'s
+    closed case, repeated: the loop sits inside one exception trap; a
+    call that raises is counted and may trip the breaker exactly as
+    there, and the loop resumes with the next call under a new trap.
+    All the calls that ran, raising ones included, are counted with one
+    {!Telemetry.count_calls}.  It returns 0 at once on a breaker that is
+    not closed, whose calls go through {!call_in_frame} one by one. *)
 
 val guarded_report : t -> Format.formatter -> unit
 (** The tool's report, exception-safe; always attempted (quarantine only

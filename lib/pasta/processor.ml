@@ -314,31 +314,42 @@ let in_range t payload =
 
 (* --- Bounded record buffer (paper Fig. 2a's device trace buffer) --- *)
 
-(* One record of the paper's CS-CPU/NVBit model: one [on_access] call,
-   counted as dispatched or suppressed.  Runs inside the caller's tool
-   frame.  The callback is a closed function that takes its arguments from
-   the guard, so a record allocates its [access] and nothing else. *)
+(* One record of the paper's CS-CPU/NVBit model is one [on_access] call.
+   The callbacks are closed functions that take their arguments from the
+   guard, so a record allocates its [access] and nothing else. *)
 let on_access tool info access = tool.Tool.on_access info access
 
-let deliver_access t g info access =
-  count_dispatch t g;
-  Guard.call_in_frame g Guard.On_access on_access info access
+let next_access (c : W.cursor) =
+  W.next c;
+  {
+    Event.addr = c.W.c_addr;
+    size = c.W.c_size;
+    write = c.W.c_write;
+    pc = c.W.c_pc;
+    warp = c.W.c_warp;
+    weight = c.W.c_weight;
+  }
+
+let on_next_access tool info c = tool.Tool.on_access info (next_access c)
 
 (* The per-record stream of one buffered view, inside the caller's tool
-   frame.  A view's columns are read unchecked: [W.view] and every batch
-   constructor check their bounds against the column dims. *)
-let deliver_records t g { b_info = info; b_view = v } =
-  let c = W.cols v.W.v_batch and pc = v.W.v_batch.W.b_pc in
-  for i = v.W.v_pos to v.W.v_pos + v.W.v_len - 1 do
-    deliver_access t g info
-      {
-        Event.addr = Bigarray.Array1.unsafe_get c.W.addrs i;
-        size = Bigarray.Array1.unsafe_get c.W.sizes i;
-        write = Bigarray.Array1.unsafe_get c.W.writes i <> 0;
-        pc;
-        warp = Bigarray.Array1.unsafe_get c.W.warps i;
-        weight = Bigarray.Array1.unsafe_get c.W.weights i;
-      }
+   frame, read through a cursor: a descriptor's records are stepped from
+   its formulas, never filled.  While the breaker is closed, the guard
+   runs the records in one run, counted in [events_dispatched] once; a
+   quarantined or half-open breaker takes one guarded call per record,
+   counted as dispatched or suppressed, on the same cursor. *)
+let deliver_records t g c { b_info = info; b_view = v } =
+  W.seek c v;
+  let left = ref v.W.v_len in
+  while !left > 0 do
+    let ran = Guard.call_while_closed g Guard.On_access on_next_access info c !left in
+    Metric.add t.ctr.c_events_dispatched ran;
+    left := !left - ran;
+    if !left > 0 then begin
+      count_dispatch t g;
+      Guard.call_in_frame g Guard.On_access on_access info (next_access c);
+      decr left
+    end
   done
 
 let on_columns tool info batch =
@@ -362,7 +373,9 @@ let deliver_items t items =
   | Some g, items ->
       if (Guard.tool g).Tool.on_access_columns <> None then
         Guard.framed g (fun () -> List.iter (deliver_columns t g) items)
-      else Guard.framed g (fun () -> List.iter (deliver_records t g) items)
+      else
+        let c = W.cursor () in
+        Guard.framed g (fun () -> List.iter (deliver_records t g c) items)
 
 let flush_records t =
   Telemetry.begin_span Telemetry.Ring "ring.drain";

@@ -151,8 +151,11 @@ val submit_access_views :
     kernel-end (or {!flush_records}).  At delivery a tool with
     [on_access_columns] receives each view's records as one batch
     (counted in [pasta_batches_delivered]); any other tool gets one
-    [on_access] call per record, in order, each counted in
-    [events_dispatched] (or [events_suppressed] while quarantined).  No
+    [on_access] call per record, in order, read through a
+    {!Gpusim.Warp.cursor} (a descriptor's records are stepped, never
+    filled), each counted in [events_dispatched] (or
+    [events_suppressed] while quarantined).  While the breaker is
+    closed a view's records run as one {!Guard.call_while_closed}.  No
     record reaches [on_event], and none reaches both callbacks.  Either
     way the tool gets each drain of the buffer inside one tool frame
     ({!Guard.framed}). *)

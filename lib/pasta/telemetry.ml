@@ -7,9 +7,9 @@ module Span_buf = Pasta_util.Span_buf
    1. Cheap enough to leave on.  The [basic] level does exactly two
       wall-clock reads per span and a handful of field writes into
       preallocated state — no allocation, no hashing, no locks on the
-      begin/end path.  A tool callback costs one counter increment
-      ([count_call]); the clock is read by the tool frame around it,
-      which a per-record site opens once per batch.
+      begin/end path.  Tool callbacks cost one counter addition per run
+      of them ([count_calls]); the clock is read by the tool frame
+      around them, which a per-record site opens once per batch.
    2. Exact attribution.  Self time is kept as a stack discipline: every
       wall-clock interval between two instrumentation points is charged to
       whichever span (or the simulate/workload root) was on top when it
@@ -114,7 +114,7 @@ let zero_clocks () = { wall = 0.0; minor = 0.0; major = 0.0 }
 type tool_slot = {
   ts_name : string;
   ts_used : clocks;  (* self time and words allocated while on top *)
-  mutable ts_calls : int;  (* callbacks run, from [count_call] *)
+  mutable ts_calls : int;  (* callbacks run, from [count_calls] *)
   ts_hist : Metric.histogram;  (* per-frame latency, observed in Full *)
 }
 
@@ -377,7 +377,7 @@ let end_tool slot =
 (* A callback is counted, not timed: its wall time goes to whichever tool
    frame encloses it, so a frame around a whole batch reads the clock
    twice however many callbacks run inside. *)
-let count_call slot = if !lvl > 0 then slot.ts_calls <- slot.ts_calls + 1
+let count_calls slot n = if !lvl > 0 then slot.ts_calls <- slot.ts_calls + n
 
 (* --- Test hooks --------------------------------------------------------- *)
 

@@ -12,7 +12,7 @@
     - [Off] — every instrumentation point is a single int load.
     - [Basic] (default) — self-time attribution only: two clock reads and a
       few field writes per span or tool frame, no allocation.  Tool
-      callbacks inside a frame are counted ({!count_call}), not timed, so a
+      callbacks inside a frame are counted ({!count_calls}), not timed, so a
       per-record delivery site that opens one frame per batch reads the
       clock twice per frame, not per callback.
     - [Full] — additionally records finished spans into a bounded cyclic
@@ -61,7 +61,7 @@ val end_span : cat -> unit
     callback inside a tool frame ({!Guard.framed}), which is what
     attributes quarantine-provoking (raising) callbacks to the tool that
     caused them.  A frame may hold many callbacks; each one that runs is
-    counted with {!count_call}. *)
+    counted with {!count_calls}. *)
 
 type tool_slot
 
@@ -73,10 +73,10 @@ val end_tool : tool_slot -> unit
 (** Open / close a tool frame: the wall time in between (less nested
     spans) is the tool's self time. *)
 
-val count_call : tool_slot -> unit
-(** Count one guarded callback run for the tool (no clock read).  This,
-    not the number of frames, is the tool row's {!row.row_count} and the
-    [pasta_tool_calls] counter. *)
+val count_calls : tool_slot -> int -> unit
+(** [count_calls slot n] counts [n] guarded callback runs for the tool
+    (no clock read).  This, not the number of frames, is the tool row's
+    {!row.row_count} and the [pasta_tool_calls] counter. *)
 
 val note_sim_us : float -> unit
 (** Mirror of the simulated clock, stamped onto spans; fed by the
@@ -106,7 +106,8 @@ type row = {
   row_self_us : float;
   row_count : int;
       (** completed spans (layer), or guarded callbacks run (tool) — one
-          per {!count_call}, however many tool frames enclosed them *)
+          per callback counted by {!count_calls}, however many tool
+          frames enclosed them *)
   row_minor_words : float;
       (** Gc minor words allocated while this row was the innermost open
           span — attributed under the same stack discipline as self time.

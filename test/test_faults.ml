@@ -249,6 +249,18 @@ let test_guard_knobs () =
   check_strict_knob "ACCEL_PROF_GUARD_COOLDOWN_KERNELS" Pasta.Config.guard_cooldown_kernels
     ~default:25 ~good:("7", 7) ~bad:[ "12x"; "0"; "-3" ]
 
+(* The domain-pool size and the watchdog limit used to run with their
+   defaults on a junk value.  A pool size above 64 still clamps to 64, and
+   the limit takes any positive finite number of microseconds. *)
+let test_domains_watchdog_knobs () =
+  check_strict_knob "ACCEL_PROF_DOMAINS" Pasta.Config.domains
+    ~default:(max 1 (min 8 (Domain.recommended_domain_count ())))
+    ~good:("100", 64) ~bad:[ "12x"; "0"; "-3" ];
+  check_strict_knob "ACCEL_PROF_WATCHDOG_US"
+    (fun () -> Float.to_int (Pasta.Config.watchdog_us ()))
+    ~default:1_000_000 ~good:("2500.5", 2500)
+    ~bad:[ "12x"; "0"; "-3"; "nan"; "inf" ]
+
 (* The chunk size is capped at 65536 KiB: a capture allocates its chunk
    buffer up front, and a larger count of KiB could overflow the byte
    budget to zero. *)
@@ -375,4 +387,5 @@ let suite =
     ("non-positive or junk buffer cap is refused", `Quick, test_buffer_cap_knob);
     ("non-positive or junk guard knobs are refused", `Quick, test_guard_knobs);
     ("junk or out-of-range trace chunk size is refused", `Quick, test_trace_chunk_knob);
+    ("junk pool size or watchdog limit is refused", `Quick, test_domains_watchdog_knobs);
   ]

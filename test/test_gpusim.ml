@@ -335,6 +335,75 @@ let prop_stepped_fill =
         expected;
       !ok)
 
+(* The per-record path reads a descriptor view through a cursor that steps
+   the fill's formulas.  For any sub-range [pos, pos + len) of a
+   closed-form chunk, the records it reads (address, size, write flag, pc,
+   warp, weight) must equal the filled chunk's at the same indices and the
+   per-record closed form, and [Warp.sub] of the descriptor must equal the
+   same sub-view of its filled columns.  The cursor reads one record of a
+   dense view first, then the rest of the chunk after the sub-range (the
+   steps continue), then the records before it (the steps restart), so
+   re-pointing a cursor is covered too. *)
+let prop_cursor_steps_fill =
+  QCheck.Test.make ~name:"cursor over a descriptor view equals the fill" ~count:1000
+    (QCheck.make
+       ~print:(fun (case, p, l) -> Printf.sprintf "%s pos=%d len=%d" (print_fill_case case) p l)
+       QCheck.Gen.(triple g_fill_case (int_range 0 1023) (int_range 0 1024)))
+    (fun ((bytes, pattern, accesses, cap, warp_size, chunk, base, write), p, l) ->
+      let pattern = match pattern with Kernel.Random -> Kernel.Sequential | p -> p in
+      let k =
+        mk_kernel ~regions:[ Kernel.region ~write ~pattern ~base ~bytes ~accesses () ] "cursor"
+      in
+      let specs = Warp.plan ~max_records_per_region:cap k in
+      let spec = specs.(chunk mod Array.length specs) in
+      let whole = spec.Warp.cs_len in
+      let pos = p mod whole in
+      let len = l mod (whole - pos + 1) in
+      let d = Warp.describe ~warp_size spec in
+      let dense = Warp.fill_chunk ~rng:(Pasta_util.Det_rng.create 1L) ~warp_size spec in
+      let f = Warp.cols dense in
+      let naive = reference_fill ~rng:(Pasta_util.Det_rng.create 1L) ~warp_size spec in
+      let c = Warp.cursor () in
+      Warp.seek c (Warp.view dense ~pos:0 ~len:whole ~time_us:0.0);
+      Warp.next c;
+      let ok = ref true in
+      let read ~pos ~len =
+        Warp.seek c (Warp.view d ~pos ~len ~time_us:0.0);
+        for j = pos to pos + len - 1 do
+          Warp.next c;
+          let addr, warp, weight = naive.(j) in
+          ok :=
+            !ok
+            && c.Warp.c_addr = f.Warp.addrs.{j}
+            && c.Warp.c_addr = addr
+            && c.Warp.c_size = f.Warp.sizes.{j}
+            && Bool.to_int c.Warp.c_write = f.Warp.writes.{j}
+            && c.Warp.c_pc = d.Warp.b_pc
+            && c.Warp.c_warp = f.Warp.warps.{j}
+            && c.Warp.c_warp = warp
+            && c.Warp.c_weight = f.Warp.weights.{j}
+            && c.Warp.c_weight = weight
+        done
+      in
+      read ~pos ~len;
+      let past_the_end =
+        match Warp.next c with () -> false | exception Invalid_argument _ -> true
+      in
+      read ~pos:(pos + len) ~len:(whole - pos - len);
+      read ~pos:0 ~len:pos;
+      let sub = Warp.sub d ~pos ~len in
+      let view col = Bigarray.Array1.sub col pos len in
+      !ok && past_the_end
+      && Warp.batch_len sub = len
+      && Warp.cols sub
+         = {
+             Warp.addrs = view f.Warp.addrs;
+             sizes = view f.Warp.sizes;
+             warps = view f.Warp.warps;
+             weights = view f.Warp.weights;
+             writes = view f.Warp.writes;
+           })
+
 (* ---- Costmodel ---- *)
 
 let test_cost_roofline () =
@@ -448,7 +517,6 @@ let test_device_sample_cap () =
           (fun _ b ->
             records := !records + Warp.batch_len b;
             weight := !weight + Warp.batch_weight b);
-      reduce_only = false;
       on_kernel_exit = (fun _ _ -> ());
     };
   let stats = Device.launch d k in
@@ -507,4 +575,5 @@ let suite =
     ("device managed registers uvm", `Quick, test_device_managed_registers_uvm);
     ("device clock advances", `Quick, test_device_clock_advances);
     qtest prop_stepped_fill;
+    qtest prop_cursor_steps_fill;
   ]

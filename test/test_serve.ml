@@ -427,6 +427,9 @@ let test_submit_validation () =
       ("ACCEL_PROF_GUARD_THRESHOLD", "0");
       ("ACCEL_PROF_GUARD_COOLDOWN_KERNELS", "-3");
       ("ACCEL_PROF_GUARD_COOLDOWN_KERNELS", "12x");
+      ("ACCEL_PROF_WATCHDOG_US", "12x");
+      ("ACCEL_PROF_WATCHDOG_US", "0");
+      ("ACCEL_PROF_WATCHDOG_US", "-3");
       (* retired knobs: no longer session-scoped, so refused by name *)
       ("ACCEL_PROF_COLUMNAR", "0");
       ("ACCEL_PROF_BATCH_DELIVERY", "0");

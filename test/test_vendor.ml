@@ -266,6 +266,192 @@ let test_nvbit_flush_split () =
   Alcotest.(check (list int))
     "views concatenate to the unsplit record stream" (records whole) (records split)
 
+(* The channel's flush points, walked over a batch's filled weight column
+   the way the channel found them before it took descriptors: every
+   piece, the count left pending after the batch, and each flush's total
+   in order. *)
+let reference_split b ~count ~cap =
+  let w = (Warp.cols b).Warp.weights in
+  let count = ref count and start = ref 0 and flushes = ref [] in
+  for i = 0 to Warp.batch_len b - 1 do
+    count := !count + w.{i};
+    if !count >= cap then begin
+      flushes := (i + 1 - !start, !count) :: !flushes;
+      start := i + 1;
+      count := 0
+    end
+  done;
+  (List.rev !flushes, !count)
+
+let ( let* ) = QCheck.Gen.( >>= )
+
+let g_closed_region =
+  let open QCheck.Gen in
+  let* bytes = oneof [ int_range 1 4096; int_range 4097 (16 lsl 20) ] in
+  let* pattern =
+    oneof
+      [
+        return Kernel.Sequential;
+        map (fun s -> Kernel.Strided s) (oneof [ int_range 0 7; int_range 8 (bytes + 8) ]);
+      ]
+  in
+  let* accesses = oneof [ int_range 1 3000; int_range 3001 400_000 ] in
+  return (bytes, pattern, accesses)
+
+let print_region (bytes, pattern, accesses) =
+  Printf.sprintf "(%d B, %s, %d)" bytes
+    (match pattern with
+    | Kernel.Sequential -> "seq"
+    | Kernel.Strided s -> Printf.sprintf "stride %d" s
+    | Kernel.Random -> "random")
+    accesses
+
+(* On a descriptor chunk (weights [bw] and [bw + 1], any chunk of the
+   region, any count pending and any capacity), [Warp.split_weight]'s
+   arithmetic finds the same flushes as the walk over its filled weight
+   column, and leaves the same count pending. *)
+let prop_split_weight =
+  QCheck.Test.make ~name:"descriptor flush points equal the weight walk" ~count:1000
+    (QCheck.make
+       ~print:(fun (r, cap, chunk, count, buffer) ->
+         Printf.sprintf "%s cap=%d chunk=%d count=%d buffer=%d" (print_region r) cap chunk
+           count buffer)
+       QCheck.Gen.(
+         let* r = g_closed_region in
+         let* cap = oneof [ int_range 1 64; int_range 65 5000 ] in
+         let* chunk = int_range 0 7 in
+         let* buffer = oneof [ int_range 1 16; int_range 17 5000; int_range 5001 2_000_000 ] in
+         let* count = int_range 0 (buffer - 1) in
+         return (r, cap, chunk, count, buffer)))
+    (fun ((bytes, pattern, accesses), cap, chunk, count, cap_records) ->
+      let k =
+        Kernel.make ~name:"split" ~grid:(Dim3.make 1) ~block:(Dim3.make 32)
+          ~regions:[ Kernel.region ~pattern ~base:0x10000 ~bytes ~accesses () ]
+          ()
+      in
+      let specs = Warp.plan ~max_records_per_region:cap k in
+      let d = Warp.describe ~warp_size:32 specs.(chunk mod Array.length specs) in
+      let flushes = ref [] in
+      let left =
+        Warp.split_weight d ~count ~cap:cap_records ~full:(fun upto total ->
+            flushes := (upto, total) :: !flushes)
+      in
+      (* [full] names where each piece ends; the reference, its length. *)
+      let pieces =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (start, acc) (upto, total) -> (upto, (upto - start, total) :: acc))
+                (0, []) (List.rev !flushes)))
+      in
+      (pieces, left) = reference_split d ~count ~cap:cap_records)
+
+(* The same through the NVBit channel itself: a kernel of closed-form
+   regions, launched at sample rate 1.0, reaches the channel as
+   descriptors, and its pieces and its Transfer and Analysis charges
+   equal those of a walk over each batch's filled weight column (the
+   count a chunk leaves pending carries into the next).  A thinned
+   kernel reaches it as dense batches, which keep the column walk. *)
+let nvbit_flush_points ?(rate = 1.0) ~cap ~buffer_records regions =
+  let d = mk_device () in
+  Device.set_sample_cap d cap;
+  Device.set_sample_rate d rate;
+  let nv = Vendor.Nvbit.attach d in
+  let views = ref [] in
+  Vendor.Nvbit.instrument_memory nv ~buffer_records
+    ~on_views:(fun _ vs -> views := !views @ vs)
+    ();
+  let regions =
+    List.map
+      (fun (bytes, pattern, accesses) ->
+        let a = Device.malloc d bytes in
+        Kernel.region ~pattern ~base:a.Device_mem.base ~bytes ~accesses ())
+      regions
+  in
+  let k =
+    Kernel.make ~name:"flush_points" ~grid:(Dim3.make 1) ~block:(Dim3.make 32) ~regions ()
+  in
+  ignore (Device.launch d k);
+  let ph = Vendor.Nvbit.phases nv in
+  (* Every record lies in a piece, so the pieces name every batch. *)
+  let batches =
+    List.fold_left
+      (fun acc (v : Warp.view) ->
+        match acc with b :: _ when b == v.Warp.v_batch -> acc | _ -> v.Warp.v_batch :: acc)
+      [] !views
+    |> List.rev
+  in
+  let transfer = ref 0.0 and analysis = ref 0.0 in
+  let charge records =
+    transfer :=
+      !transfer
+      +. (Costmodel.transfer_time_us Arch.a100 ~records +. Costmodel.flush_overhead_us);
+    analysis :=
+      !analysis
+      +. Costmodel.host_analysis_time_us ~records
+           ~per_record_us:Costmodel.nvbit_host_per_record_us
+  in
+  let pending, pieces =
+    List.fold_left
+      (fun (pending, pieces) b ->
+        let flushes, left = reference_split b ~count:pending ~cap:buffer_records in
+        let start = ref 0 and pieces = ref pieces in
+        List.iter
+          (fun (len, total) ->
+            pieces := (b, !start, len) :: !pieces;
+            start := !start + len;
+            charge total)
+          flushes;
+        if !start < Warp.batch_len b then
+          pieces := (b, !start, Warp.batch_len b - !start) :: !pieces;
+        (left, !pieces))
+      (0, []) batches
+  in
+  if pending > 0 then charge pending;
+  let pieces = List.rev pieces in
+  let same_pieces =
+    List.compare_lengths !views pieces = 0
+    && List.for_all2
+         (fun (v : Warp.view) (b, pos, len) ->
+           v.Warp.v_batch == b && v.Warp.v_pos = pos && v.Warp.v_len = len)
+         !views pieces
+  in
+  let shapes =
+    List.map
+      (fun b -> match b.Warp.b_shape with Warp.Dense _ -> `Dense | Warp.Descriptor _ -> `Desc)
+      batches
+  in
+  ( same_pieces
+    && Float.equal ph.Vendor.Phases.transfer_us !transfer
+    && Float.equal ph.Vendor.Phases.analysis_us !analysis,
+    shapes,
+    List.fold_left (fun acc (v : Warp.view) -> acc + Warp.batch_weight (view_batch v)) 0 !views )
+
+let prop_nvbit_flush_points =
+  QCheck.Test.make ~name:"nvbit flushes land on the same record" ~count:200
+    (QCheck.make
+       ~print:(fun (regions, cap, buffer) ->
+         Printf.sprintf "[%s] cap=%d buffer=%d"
+           (String.concat "; " (List.map print_region regions))
+           cap buffer)
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 1 3) g_closed_region)
+           (oneof [ int_range 1 64; int_range 65 3000 ])
+           (oneof [ int_range 1 64; int_range 65 5000; int_range 5001 500_000 ])))
+    (fun (regions, cap, buffer_records) ->
+      let same, shapes, weight = nvbit_flush_points ~cap ~buffer_records regions in
+      same
+      && List.for_all (( = ) `Desc) shapes
+      && weight = List.fold_left (fun acc (_, _, a) -> acc + a) 0 regions)
+
+let test_nvbit_flush_dense () =
+  let regions = [ (65536, Kernel.Sequential, 50_000); (8192, Kernel.Strided 12, 7_000) ] in
+  let same, shapes, _ = nvbit_flush_points ~rate:0.5 ~cap:2048 ~buffer_records:700 regions in
+  check_bool "thinned batches reach the channel dense" true
+    (shapes <> [] && List.for_all (( = ) `Dense) shapes);
+  check_bool "thinned batches flush where the weight walk does" true same
+
 let test_nvbit_costlier_than_sanitizer () =
   (* Same workload, both CPU-analysis models: NVBit must cost more
      (heavier trampoline, SASS parse, per-flush channel overhead). *)
@@ -419,6 +605,9 @@ let suite =
     ("nvbit instrument", `Quick, test_nvbit_instrument);
     ("sanitizer host hands off views once per kernel", `Quick, test_sanitizer_host_views);
     ("nvbit flush splits batches", `Quick, test_nvbit_flush_split);
+    QCheck_alcotest.to_alcotest prop_split_weight;
+    QCheck_alcotest.to_alcotest prop_nvbit_flush_points;
+    ("nvbit flushes in thinned batches", `Quick, test_nvbit_flush_dense);
     ("nvbit costlier than sanitizer", `Quick, test_nvbit_costlier_than_sanitizer);
     ("nvbit opcode counts", `Quick, test_nvbit_opcode_counts);
     ("nvbit events", `Quick, test_nvbit_events);
