@@ -505,7 +505,7 @@ let ablation () =
           (Vendor.Sanitizer.Host_analysis
              {
                buffer_records = buffer_bytes / Gpusim.Costmodel.record_bytes;
-               on_views = (fun _ _ -> ());
+               on_pieces = (fun _ _ -> ());
                per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
              });
         ignore (Runner.run_default ctx "BERT" ~mode:Runner.Inference);
@@ -522,7 +522,7 @@ let ablation () =
   let device = Gpusim.Device.create Gpusim.Arch.a100 in
   let ctx = Dlfw.Ctx.create device in
   let nv = Vendor.Nvbit.attach device in
-  Vendor.Nvbit.instrument_memory nv ~on_views:(fun _ _ -> ()) ();
+  Vendor.Nvbit.instrument_memory nv ~on_pieces:(fun _ _ -> ()) ();
   ignore (Runner.run_default ctx "RN-18" ~mode:Runner.Inference);
   let p = Vendor.Nvbit.phases nv in
   Format.fprintf ppf
@@ -604,11 +604,11 @@ let bechamel_benches () =
       (Vendor.Sanitizer.Host_analysis
          {
            buffer_records = Vendor.Sanitizer.default_buffer_records;
-           on_views =
-             (fun _ views ->
-               List.iter
-                 (fun v -> count := !count + Gpusim.Warp.batch_weight v.Gpusim.Warp.v_batch)
-                 views);
+           on_pieces =
+             (fun _ (p : Gpusim.Warp.pieces) ->
+               for i = 0 to p.Gpusim.Warp.p_count - 1 do
+                 count := !count + Gpusim.Warp.batch_weight p.Gpusim.Warp.p_batch.(i)
+               done);
            per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
          });
     fun () -> ignore (Gpusim.Device.launch device kernel)
@@ -666,7 +666,7 @@ let bechamel_benches () =
 (* One BERT-inference run under fine-grained hotness; its value is the
    records the tool saw and its report.  [`Serial] is the per-record
    path: a CS-CPU tool with only [on_access], so the processor unpacks
-   every buffered view into one dispatch and one [on_access] call per
+   every buffered piece into one dispatch and one [on_access] call per
    sampled record.  [`Parallel n] is the batched
    path: packed chunks, an [n]-domain device-side reduction, one merged
    summary per kernel. *)

@@ -459,22 +459,67 @@ let sub b ~pos ~len =
               };
         }
 
-type view = { v_batch : batch; v_pos : int; v_len : int; v_time_us : float }
+let no_cols =
+  {
+    addrs = alloc_int_col 0;
+    sizes = alloc_size_col 0;
+    warps = alloc_int_col 0;
+    weights = alloc_int_col 0;
+    writes = alloc_flag_col 0;
+  }
 
-let view b ~pos ~len ~time_us =
-  check_range ~who:"Warp.view" b ~pos ~len;
-  { v_batch = b; v_pos = pos; v_len = len; v_time_us = time_us }
+let empty = { b_region = 0; b_chunk = 0; b_pc = 0; b_len = 0; b_shape = Dense no_cols }
 
-(* ---- Reading a view's records one at a time -------------------------- *)
+(* ---- A kernel's pieces, as one flat table ----------------------------- *)
 
-(* Where the next record comes from: a dense view's columns at [at], or
-   a descriptor's stepper.  A cursor is re-pointed at view after view, so
-   reading a view allocates nothing. *)
+type pieces = {
+  mutable p_batch : batch array;
+  mutable p_pos : int array;
+  mutable p_len : int array;
+  mutable p_time : float array;
+  mutable p_count : int;
+  mutable p_stamped : int;
+}
+
+let pieces () =
+  { p_batch = [||]; p_pos = [||]; p_len = [||]; p_time = [||]; p_count = 0; p_stamped = 0 }
+
+let add_piece p b ~pos ~len =
+  check_range ~who:"Warp.add_piece" b ~pos ~len;
+  let i = p.p_count in
+  if i = Array.length p.p_batch then begin
+    let grow a fill = Array.append a (Array.make (Int.max 16 i) fill) in
+    p.p_batch <- grow p.p_batch empty;
+    p.p_pos <- grow p.p_pos 0;
+    p.p_len <- grow p.p_len 0;
+    p.p_time <- grow p.p_time 0.0
+  end;
+  Array.unsafe_set p.p_batch i b;
+  Array.unsafe_set p.p_pos i pos;
+  Array.unsafe_set p.p_len i len;
+  p.p_count <- i + 1
+
+let stamp_pieces p time_us =
+  Array.fill p.p_time p.p_stamped (p.p_count - p.p_stamped) time_us;
+  p.p_stamped <- p.p_count
+
+let clear_pieces p =
+  Array.fill p.p_batch 0 p.p_count empty;
+  p.p_count <- 0;
+  p.p_stamped <- 0
+
+let hand_off p f =
+  if p.p_count > 0 then Fun.protect ~finally:(fun () -> clear_pieces p) (fun () -> f p)
+
+(* ---- Reading a piece's records one at a time ------------------------- *)
+
+(* Where the next record comes from: a dense batch's columns at [at], or
+   a descriptor's stepper.  A cursor is re-pointed at piece after piece,
+   so reading one allocates nothing. *)
 type source = {
   mutable dense : bool;
   mutable src_cols : cols;
   mutable at : int;
-  mutable stepped : batch;  (* the descriptor [steps] was seeded for *)
   steps : stepper;
 }
 
@@ -489,17 +534,6 @@ type cursor = {
   c_src : source;
 }
 
-let no_cols =
-  {
-    addrs = alloc_int_col 0;
-    sizes = alloc_size_col 0;
-    warps = alloc_int_col 0;
-    weights = alloc_int_col 0;
-    writes = alloc_flag_col 0;
-  }
-
-let no_batch = { b_region = 0; b_chunk = 0; b_pc = 0; b_len = 0; b_shape = Dense no_cols }
-
 let cursor () =
   {
     c_addr = 0;
@@ -509,35 +543,29 @@ let cursor () =
     c_weight = 0;
     c_pc = 0;
     c_left = 0;
-    c_src = { dense = true; src_cols = no_cols; at = 0; stepped = no_batch; steps = stepper () };
+    c_src = { dense = true; src_cols = no_cols; at = 0; steps = stepper () };
   }
 
-let seek c v =
-  let b = v.v_batch and src = c.c_src in
+let seek c b ~pos ~len =
+  check_range ~who:"Warp.seek" b ~pos ~len;
+  let src = c.c_src in
   c.c_pc <- b.b_pc;
-  c.c_left <- v.v_len;
+  c.c_left <- len;
   match b.b_shape with
   | Dense cols ->
       src.dense <- true;
       src.src_cols <- cols;
-      src.at <- v.v_pos
+      src.at <- pos
   | Descriptor { spec; warp_size } ->
       src.dense <- false;
-      (* A channel's pieces of one chunk arrive in order: a view that
-         starts where the last one stopped continues its steps, and only
-         the chunk's first view pays the divisions of a seed. *)
-      let first = spec.cs_start + v.v_pos in
-      if not (src.stepped == b && src.steps.i = first) then begin
-        seed src.steps ~warp_size spec ~first;
-        src.stepped <- b
-      end;
+      seed src.steps ~warp_size spec ~first:(spec.cs_start + pos);
       c.c_size <- access_size;
       c.c_write <- spec.cs_region.Kernel.write
 
-(* A view's bounds were checked when it was made, and [c_left] keeps the
-   reads inside them, so the columns are read unchecked. *)
+(* [seek] checked the records' bounds, and [c_left] keeps the reads
+   inside them, so the columns are read unchecked. *)
 let next c =
-  if c.c_left <= 0 then invalid_arg "Warp.next: past the view's last record";
+  if c.c_left <= 0 then invalid_arg "Warp.next: past the sought records";
   c.c_left <- c.c_left - 1;
   let src = c.c_src in
   if src.dense then begin

@@ -127,18 +127,42 @@ val sub : batch -> pos:int -> len:int -> batch
     those records, so every descriptor stays a whole {!plan} chunk.
     Raises [Invalid_argument] outside [0, batch_len b). *)
 
-type view = private { v_batch : batch; v_pos : int; v_len : int; v_time_us : float }
-(** Records [v_pos] to [v_pos + v_len - 1] of [v_batch], as a record
-    channel handed them to the host at simulated time [v_time_us].  A
-    channel whose flush points split batches records each piece as a
-    view instead of building a {!sub} for it; all of a batch is the view
-    at [v_pos = 0] with [v_len = batch_len v_batch]. *)
+val empty : batch
+(** A batch of no records: the filler of the tables below. *)
 
-val view : batch -> pos:int -> len:int -> time_us:float -> view
-(** [view b ~pos ~len ~time_us] is records [pos] to [pos + len - 1] of
-    [b], stamped [time_us], in O(1).  Raises [Invalid_argument] outside
-    [0, batch_len b), so a consumer may read the view's records from
-    {!cols} unchecked. *)
+(** {2 A kernel's pieces}
+
+    A record channel hands the host a kernel's records as one table.
+    Piece [i] is records [p_pos.(i)] to [p_pos.(i) + p_len.(i) - 1] of
+    [p_batch.(i)], handed over at simulated time [p_time.(i)]: all of a
+    batch, or its part between two flush points.  A channel reuses its
+    table kernel after kernel, so a piece allocates nothing once the
+    table has grown. *)
+
+type pieces = private {
+  mutable p_batch : batch array;
+  mutable p_pos : int array;
+  mutable p_len : int array;
+  mutable p_time : float array;
+  mutable p_count : int;  (** pieces [0, p_count) are in the table *)
+  mutable p_stamped : int;  (** pieces [0, p_stamped) carry their stamp *)
+}
+
+val pieces : unit -> pieces
+val add_piece : pieces -> batch -> pos:int -> len:int -> unit
+(** [add_piece p b ~pos ~len] appends records [pos] to [pos + len - 1] of
+    [b], unstamped.  Raises [Invalid_argument] outside [0, batch_len b),
+    so a consumer may read a piece's records unchecked. *)
+
+val stamp_pieces : pieces -> float -> unit
+(** Stamp every unstamped piece: a flush, once its charges land. *)
+
+val clear_pieces : pieces -> unit
+(** Empty the table, dropping its references to the batches. *)
+
+val hand_off : pieces -> (pieces -> unit) -> unit
+(** [hand_off p f] calls [f p] unless [p] is empty, then empties [p]
+    (also when [f] raises): [f] must not keep the table. *)
 
 type source
 (** Where a {!cursor} reads its next record from: a dense batch's
@@ -151,29 +175,28 @@ type cursor = private {
   mutable c_warp : int;
   mutable c_weight : int;
   mutable c_pc : int;  (** the batch's [b_pc] *)
-  mutable c_left : int;  (** records of the view not yet read *)
+  mutable c_left : int;  (** records sought and not yet read *)
   c_src : source;
 }
-(** A view's records, one at a time: after {!next}, the [c_] fields hold
-    the record it read.  A cursor is re-pointed from view to view with
-    {!seek}, so reading a view allocates nothing. *)
+(** A batch's records, one at a time: after {!next}, the [c_] fields
+    hold the record it read.  A cursor is re-pointed from piece to piece
+    with {!seek}, so reading one allocates nothing. *)
 
 val cursor : unit -> cursor
 (** A cursor with no records left. *)
 
-val seek : cursor -> view -> unit
-(** [seek c v] points [c] before the first record of [v], in O(1): a
-    descriptor's records are stepped from its formulas, never filled.
-    A descriptor view that starts where [c]'s last view of the same
-    batch stopped (a channel's next piece) continues the steps; any
-    other seeds them, with a few divisions. *)
+val seek : cursor -> batch -> pos:int -> len:int -> unit
+(** [seek c b ~pos ~len] points [c] before record [pos] of [b], with
+    [len] records to read, in O(1): a descriptor's records are stepped
+    from its formulas, seeded with a few divisions, never filled.  Raises
+    [Invalid_argument] outside [0, batch_len b). *)
 
 val next : cursor -> unit
-(** [next c] reads the view's next record into [c]'s fields: a dense
+(** [next c] reads the next sought record into [c]'s fields: a dense
     batch's from its columns, a descriptor's by stepping its formulas
     with {!fill_chunk}'s arithmetic, so the fields equal the filled
-    columns record for record.  Raises [Invalid_argument] past the
-    view's last record. *)
+    columns record for record.  Raises [Invalid_argument] past the last
+    sought record. *)
 
 val split_weight : batch -> count:int -> cap:int -> full:(int -> int -> unit) -> int
 (** A channel buffer's fill points.  [split_weight b ~count ~cap ~full]

@@ -170,9 +170,9 @@ let mem_access (a : Gpusim.Warp.access) =
     weight = a.Gpusim.Warp.weight;
   }
 
-let views_feeder t (info : D.launch_info) views =
-  Telemetry.begin_span Telemetry.Handler "handler.views";
-  Processor.submit_access_views t.processor (Event.kernel_info_of_launch info) views;
+let pieces_feeder t (info : D.launch_info) pieces =
+  Telemetry.begin_span Telemetry.Handler "handler.pieces";
+  Processor.submit_pieces t.processor (Event.kernel_info_of_launch info) pieces;
   Telemetry.end_span Telemetry.Handler
 
 let parallel_completion_feeder t (info : D.launch_info) (_ : D.exec_stats) =
@@ -205,7 +205,7 @@ let enable_fine_grained t mode =
         (Vendor.Sanitizer.Parallel_analysis
            {
              map_bytes;
-             on_views = views_feeder t;
+             on_pieces = pieces_feeder t;
              on_kernel_complete = parallel_completion_feeder t;
            })
   | Tool.Cpu_sanitizer, S_sanitizer s ->
@@ -213,11 +213,11 @@ let enable_fine_grained t mode =
         (Vendor.Sanitizer.Host_analysis
            {
              buffer_records = Vendor.Sanitizer.default_buffer_records;
-             on_views = views_feeder t;
+             on_pieces = pieces_feeder t;
              per_record_us = Gpusim.Costmodel.sanitizer_host_per_record_us;
            })
   | Tool.Cpu_nvbit, S_nvbit s ->
-      Vendor.Nvbit.instrument_memory s ~on_views:(views_feeder t) ()
+      Vendor.Nvbit.instrument_memory s ~on_pieces:(pieces_feeder t) ()
   | Tool.Instruction_level, S_sanitizer s ->
       Vendor.Sanitizer.patch_module s
         (Vendor.Sanitizer.Instruction_analysis

@@ -46,8 +46,8 @@ val enable_fine_grained : t -> Tool.fine_grained -> unit
       {!Processor.submit_region} / {!Processor.flush_kernel_summary};
     - [Gpu_parallel] (Sanitizer parallel analysis), [Cpu_sanitizer]
       (Sanitizer host-buffer tracing) and [Cpu_nvbit] (NVBit memory
-      tracing, on an [Nvbit] backend): each hands a kernel's record views
-      to {!Processor.submit_access_views} once, at kernel exit;
+      tracing, on an [Nvbit] backend): each hands a kernel's table of
+      record pieces to {!Processor.submit_pieces} once, at kernel exit;
       [Gpu_parallel] then feeds
       {!Processor.flush_parallel_summary};
     - [No_fine_grained]: nothing.

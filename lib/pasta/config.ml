@@ -95,8 +95,6 @@ let snapshot () =
 let get_int k = Option.bind (get k) int_of_string_opt
 
 let tool_name () = get "PASTA_TOOL"
-let start_grid_id () = get_int "START_GRID_ID"
-let end_grid_id () = get_int "END_GRID_ID"
 
 (* --- Adaptive sampling knobs --- *)
 
@@ -141,6 +139,9 @@ let strict_int_opt key ~max expected =
 let strict_int key ~default ~max expected =
   Option.value (strict_int_opt key ~max expected) ~default
 
+let start_grid_id () = strict_int_opt "START_GRID_ID" ~max:max_int "a positive integer"
+let end_grid_id () = strict_int_opt "END_GRID_ID" ~max:max_int "a positive integer"
+
 let guard_threshold () =
   strict_int "ACCEL_PROF_GUARD_THRESHOLD" ~default:10 ~max:max_int "a positive integer"
 
@@ -154,13 +155,22 @@ let sample_cap () =
 let buffer_capacity () =
   strict_int "ACCEL_PROF_BUFFER_CAP" ~default:4096 ~max:max_int "a positive integer"
 
+type overflow = Drop_oldest | Drop_newest | Block
+
+let overflow_to_string = function
+  | Drop_oldest -> "drop-oldest"
+  | Drop_newest -> "drop-newest"
+  | Block -> "block"
+
 let overflow_policy () =
   match get "ACCEL_PROF_OVERFLOW_POLICY" with
-  | None | Some "" -> Pasta_util.Ring_buffer.Block
+  | None -> Block
   | Some v -> (
-      match Pasta_util.Ring_buffer.overflow_of_string v with
-      | Some p -> p
-      | None ->
+      match String.lowercase_ascii v with
+      | "" | "block" | "stall" -> Block
+      | "drop-oldest" | "drop_oldest" | "oldest" -> Drop_oldest
+      | "drop-newest" | "drop_newest" | "newest" -> Drop_newest
+      | _ ->
           invalid_knob "ACCEL_PROF_OVERFLOW_POLICY" v
             "one of: drop-oldest (drop_oldest, oldest), drop-newest \
              (drop_newest, newest), block (stall)")
@@ -273,6 +283,8 @@ let serve_workers () =
 
 let validate () =
   match
+    ignore (start_grid_id ());
+    ignore (end_grid_id ());
     ignore (sample_cap ());
     ignore (guard_threshold ());
     ignore (guard_cooldown_kernels ());

@@ -40,6 +40,9 @@ val tool_name : unit -> string option
 
 val start_grid_id : unit -> int option
 val end_grid_id : unit -> int option
+(** [START_GRID_ID] / [END_GRID_ID]: the launches the range filter lets
+    through.  [None] when unset or empty; a value that is not a positive
+    integer raises [Invalid_argument] naming the knob and the value. *)
 
 val sample_cap : unit -> int option
 (** [ACCEL_PROF_ENV_SAMPLE_RATE]: per-region cap on materialized records
@@ -79,17 +82,24 @@ val guard_cooldown_kernels : unit -> int
     [Invalid_argument] naming the knob and the value. *)
 
 val buffer_capacity : unit -> int
-(** [ACCEL_PROF_BUFFER_CAP]: bounded record-buffer capacity in items, a
-    packed batch (or a flushed view of one) being one item (default
-    4096, also when set to the empty string).  Any value that is not a
-    positive integer raises [Invalid_argument] naming the knob and the
-    value. *)
+(** [ACCEL_PROF_BUFFER_CAP]: bounded record-buffer capacity in items, one
+    piece of a channel's hand-off (a packed batch, or the part of one
+    between two flushes) being one item (default 4096, also when set to
+    the empty string).  Any value that is not a positive integer raises
+    [Invalid_argument] naming the knob and the value. *)
 
-val overflow_policy : unit -> Pasta_util.Ring_buffer.overflow
+type overflow = Drop_oldest | Drop_newest | Block
+(** What the bounded record buffer does when a producer outruns it:
+    evict the oldest item, reject the incoming one, or stall the
+    producer until the consumer drains ([Block] is lossless). *)
+
+val overflow_to_string : overflow -> string
+
+val overflow_policy : unit -> overflow
 (** [ACCEL_PROF_OVERFLOW_POLICY]: drop-oldest | drop-newest | block
     (default block, which is lossless; also when set to the empty
-    string).  A value outside that set (and the aliases
-    {!Pasta_util.Ring_buffer.overflow_of_string} accepts) raises
+    string).  A value outside that set and its aliases ([drop_oldest],
+    [oldest], [drop_newest], [newest], [stall], in any case) raises
     [Invalid_argument] naming the knob, the value and the accepted
     spellings: a misspelled policy must not silently run as [block]. *)
 
@@ -118,7 +128,8 @@ val regions : unit -> Gpusim.Instrpass.granularity
     accepted spellings. *)
 
 val validate : unit -> (unit, string) result
-(** Parse every knob that refuses bad values ({!sample_cap},
+(** Parse every knob that refuses bad values ({!start_grid_id},
+    {!end_grid_id}, {!sample_cap},
     {!guard_threshold}, {!guard_cooldown_kernels}, {!buffer_capacity},
     {!overflow_policy}, {!watchdog_us}, {!domains}, {!regions},
     {!trace_chunk_bytes} and the serve daemon's three) as the calling

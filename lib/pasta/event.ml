@@ -138,6 +138,13 @@ let all_kinds =
     "region_exit";
   ]
 
+let update_objmap m = function
+  | Memory_alloc { addr; bytes; managed } -> Objmap.on_alloc m ~addr ~bytes ~managed
+  | Memory_free { addr; _ } -> Objmap.on_free m ~addr
+  | Tensor_alloc { ptr; bytes; tag; _ } -> Objmap.on_tensor_alloc m ~ptr ~bytes ~tag
+  | Tensor_free { ptr; _ } -> Objmap.on_tensor_free m ~ptr
+  | _ -> ()
+
 let is_fine_grained = function
   | Device_summary _ | Shared_access _ | Kernel_region _ | Barrier _
   | Kernel_profile _ | Region_enter _ | Region_exit _ ->

@@ -116,6 +116,10 @@ val all_kinds : string list
     constructor, in declaration order.  The coverage suite checks this
     list against a sample of every constructor, so it cannot drift. *)
 
+val update_objmap : Objmap.t -> payload -> unit
+(** Apply an allocation, a tensor or a free to an object registry; any
+    other event leaves it alone. *)
+
 val is_fine_grained : payload -> bool
 val is_dl_framework : payload -> bool
 

@@ -84,6 +84,10 @@ let resolve t addr =
 
 let memo_stats t = (t.memo_hits, t.memo_misses)
 
+let next_base t addr =
+  let next m = Option.fold ~none:max_int ~some:fst (Imap.find_first_opt (fun b -> b > addr) m) in
+  Int.min (next t.tensors) (next t.allocs)
+
 (* Immutable snapshot for worker domains, flattened to sorted arrays with
    the [obj] values prebuilt: the aggregation hot loop calls
    {!resolve_view} on every memo miss, and the persistent-map lookup both

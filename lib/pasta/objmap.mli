@@ -35,10 +35,16 @@ val on_tensor_free : t -> ptr:int -> unit
 val resolve : t -> int -> obj
 (** Resolution keeps a single-entry memo of the last successful lookup —
     access streams are sequentially local, so most resolutions hit it.  Any
-    registry mutation invalidates the memo. *)
+    registry mutation invalidates the memo.  Every address in the memo's
+    object resolves to that object. *)
 
 val memo_stats : t -> int * int
 (** [(hits, misses)] of the resolve memo since [create]. *)
+
+val next_base : t -> int -> int
+(** The lowest base above the address of a live allocation or tensor
+    ([max_int] if none): past an [Unknown] address, every address up to
+    it resolves to [Unknown] too, until the registry changes. *)
 
 type view
 (** Immutable snapshot of the registry, safe to share across domains. *)

@@ -1,4 +1,3 @@
-module Ring_buffer = Pasta_util.Ring_buffer
 module Metric = Pasta_util.Metric
 
 (* Every processor owns one metrics registry; handles below are the hot
@@ -118,18 +117,9 @@ type sink_op =
 
 type pending_region = { p_base : int; p_extent : int; p_accesses : int; p_written : bool }
 
+type clock = { mutable last_time_us : float }  (* all floats: a stamp is stored unboxed *)
+
 module W = Gpusim.Warp
-
-(* The bounded buffer holds time-stamped views of packed batches (all of
-   a batch, or the piece of one that a channel flush handed over); all
-   drop/peak accounting below counts *records*, a view its length. *)
-type buffered = { b_info : Event.kernel_info; b_view : W.view }
-
-let buffered_count item = item.b_view.W.v_len
-
-(* A view's records as a batch of their own: the batch itself when the
-   view covers all of it, else a zero-copy [W.sub]. *)
-let view_batch (v : W.view) = W.sub v.W.v_batch ~pos:v.W.v_pos ~len:v.W.v_len
 
 type t = {
   device : int;
@@ -138,17 +128,27 @@ type t = {
   range : Range.t;
   mutable guard : Guard.t option;
   ctr : counters;
-  buf : buffered Ring_buffer.t;
-  policy : Ring_buffer.overflow;
+  (* The bounded buffer (paper Fig. 2a's device trace buffer): a ring of
+     parallel arrays, one piece of a hand-off per slot, grown by doubling
+     up to [r_cap] slots, so it takes the room its pieces need.  All
+     drop/peak accounting counts records, a piece its length. *)
+  mutable r_info : Event.kernel_info array;
+  mutable r_batch : W.batch array;
+  mutable r_pos : int array;
+  mutable r_len : int array;
+  mutable r_head : int;  (* the oldest piece's slot *)
+  mutable r_used : int;
+  r_cap : int;
+  policy : Config.overflow;
   mutable pool : Pasta_util.Domain_pool.t option;
   mutable dev_accums : Devagg.accum array;
       (* per-worker aggregation state, reused across kernels; sized to the
          pool on first parallel flush *)
   region_metrics : (string, Metric.counter * Metric.gauge) Hashtbl.t;
       (* region label -> its (slices, time) series handles *)
-  mutable buffered_records : int;  (* records currently in [buf] *)
+  mutable buffered_records : int;  (* records currently in the ring *)
   mutable incidents : Event.t list; (* most recent first *)
-  mutable last_time_us : float;
+  clock : clock;
   mutable pending : (int * pending_region list) option;
       (** (grid_id, regions) of the kernel currently being aggregated *)
   mutable cur_rate : float;
@@ -166,6 +166,7 @@ let create ?range ?buffer_capacity ?overflow_policy ?label ~device () =
   let policy =
     match overflow_policy with Some p -> p | None -> Config.overflow_policy ()
   in
+  if capacity <= 0 then invalid_arg "Processor.create: buffer capacity must be positive";
   {
     device;
     label;
@@ -173,14 +174,20 @@ let create ?range ?buffer_capacity ?overflow_policy ?label ~device () =
     range;
     guard = None;
     ctr = make_counters ~device ?label ();
-    buf = Ring_buffer.create ~capacity;
+    r_info = [||];
+    r_batch = [||];
+    r_pos = [||];
+    r_len = [||];
+    r_head = 0;
+    r_used = 0;
+    r_cap = capacity;
     policy;
     pool = None;
     dev_accums = [||];
     region_metrics = Hashtbl.create 16;
     buffered_records = 0;
     incidents = [];
-    last_time_us = 0.0;
+    clock = { last_time_us = 0.0 };
     pending = None;
     cur_rate = 1.0;
     sink = None;
@@ -216,7 +223,7 @@ let tap t ~time_us op =
 let guard t = t.guard
 let tool t = Option.map Guard.tool t.guard
 let incidents t = List.rev t.incidents
-let buffer_capacity t = Ring_buffer.capacity t.buf
+let buffer_capacity t = t.r_cap
 let overflow_policy t = t.policy
 
 let guard_call t cb f =
@@ -260,7 +267,7 @@ let quarantine_incident t ~failures =
   let ev =
     {
       Event.device = t.device;
-      time_us = t.last_time_us;
+      time_us = t.clock.last_time_us;
       payload = Event.Tool_quarantined { tool = tool_name; failures };
     }
   in
@@ -288,16 +295,6 @@ let set_tool t tool =
   t.guard <- Some guard
 
 let clear_tool t = t.guard <- None
-
-let update_registry t payload =
-  match payload with
-  | Event.Memory_alloc { addr; bytes; managed } ->
-      Objmap.on_alloc t.objmap ~addr ~bytes ~managed
-  | Event.Memory_free { addr; _ } -> Objmap.on_free t.objmap ~addr
-  | Event.Tensor_alloc { ptr; bytes; tag; _ } ->
-      Objmap.on_tensor_alloc t.objmap ~ptr ~bytes ~tag
-  | Event.Tensor_free { ptr; _ } -> Objmap.on_tensor_free t.objmap ~ptr
-  | _ -> ()
 
 let in_range t payload =
   match payload with
@@ -332,78 +329,141 @@ let next_access (c : W.cursor) =
 
 let on_next_access tool info c = tool.Tool.on_access info (next_access c)
 
-(* The per-record stream of one buffered view, inside the caller's tool
-   frame, read through a cursor: a descriptor's records are stepped from
-   its formulas, never filled.  While the breaker is closed, the guard
-   runs the records in one run, counted in [events_dispatched] once; a
+let slot t k = if k >= Array.length t.r_len then k - Array.length t.r_len else k
+let skipped skip (info : Event.kernel_info) = Option.equal Int.equal skip (Some info.grid_id)
+
+(* The per-record stream of the [n] buffered pieces from slot [head]
+   (those of kernel [skip] passed over), inside the caller's tool frame,
+   read through a cursor: a descriptor's records are stepped from its
+   formulas, never filled.  Consecutive pieces of one batch and kernel
+   that continue each other (a channel's flushes inside a batch) are one
+   run and one seek.  While the breaker is closed, the guard runs a run's
+   records in one loop, counted in [events_dispatched] once; a
    quarantined or half-open breaker takes one guarded call per record,
    counted as dispatched or suppressed, on the same cursor. *)
-let deliver_records t g c { b_info = info; b_view = v } =
-  W.seek c v;
-  let left = ref v.W.v_len in
-  while !left > 0 do
-    let ran = Guard.call_while_closed g Guard.On_access on_next_access info c !left in
-    Metric.add t.ctr.c_events_dispatched ran;
-    left := !left - ran;
-    if !left > 0 then begin
-      count_dispatch t g;
-      Guard.call_in_frame g Guard.On_access on_access info (next_access c);
-      decr left
+let deliver_records t g c ?skip head n =
+  let k = ref head in
+  while !k < head + n do
+    let i = slot t !k in
+    let info = t.r_info.(i) and b = t.r_batch.(i) and pos = t.r_pos.(i) in
+    let len = ref t.r_len.(i) and j = ref (slot t (!k + 1)) in
+    incr k;
+    while
+      !k < head + n && t.r_batch.(!j) == b && t.r_info.(!j) == info && t.r_pos.(!j) = pos + !len
+    do
+      len := !len + t.r_len.(!j);
+      incr k;
+      j := slot t !k
+    done;
+    if not (skipped skip info) then begin
+      W.seek c b ~pos ~len:!len;
+      let left = ref !len in
+      while !left > 0 do
+        let ran = Guard.call_while_closed g Guard.On_access on_next_access info c !left in
+        Metric.add t.ctr.c_events_dispatched ran;
+        left := !left - ran;
+        if !left > 0 then begin
+          count_dispatch t g;
+          Guard.call_in_frame g Guard.On_access on_access info (next_access c);
+          decr left
+        end
+      done
     end
   done
 
 let on_columns tool info batch =
   match tool.Tool.on_access_columns with Some f -> f info batch | None -> ()
 
-(* One buffered view for a columns tool, inside the caller's tool frame:
-   the tool reads the batch's Bigarray columns in place — no [Event.t]
-   wrapper, no per-record closures, nothing allocated per dispatch. *)
-let deliver_columns t g { b_info = info; b_view = v } =
-  Metric.incr t.ctr.c_batches_delivered;
-  Guard.call_in_frame g Guard.On_access_columns on_columns info (view_batch v)
+(* The same pieces for a columns tool, one call per piece: the tool reads
+   the batch's Bigarray columns in place (a zero-copy [W.sub] of a dense
+   batch's piece) — no [Event.t] wrapper, no per-record closures. *)
+let deliver_columns t g ?skip head n =
+  for k = head to head + n - 1 do
+    let i = slot t k in
+    let info = t.r_info.(i) in
+    if not (skipped skip info) then begin
+      Metric.incr t.ctr.c_batches_delivered;
+      Guard.call_in_frame g Guard.On_access_columns on_columns info
+        (W.sub t.r_batch.(i) ~pos:t.r_pos.(i) ~len:t.r_len.(i))
+    end
+  done
 
-(* Hand drained items to the tool in order, the whole drain inside one
-   tool frame, so the clock is read twice per drain, not per batch or per
-   record.  Each branch iterates its delivery function directly: picking
-   the function through a local closure measured slower on the
-   per-record path. *)
-let deliver_items t items =
-  match (t.guard, items) with
-  | None, _ | Some _, [] -> ()
-  | Some g, items ->
+(* Hand [n] drained pieces from slot [head] to the tool in order, the
+   whole drain inside one tool frame, so the clock is read twice per
+   drain, not per piece or per record. *)
+let deliver t ?skip head n =
+  match t.guard with
+  | Some g when n > 0 ->
       if (Guard.tool g).Tool.on_access_columns <> None then
-        Guard.framed g (fun () -> List.iter (deliver_columns t g) items)
+        Guard.framed g (fun () -> deliver_columns t g ?skip head n)
       else
         let c = W.cursor () in
-        Guard.framed g (fun () -> List.iter (deliver_records t g c) items)
+        Guard.framed g (fun () -> deliver_records t g c ?skip head n)
+  | _ -> ()
 
-let flush_records t =
+(* Empty the ring and run [f head n] over its [n] pieces from slot
+   [head], then clear their batches, so the ring keeps none alive. *)
+let drain t f =
+  let head = t.r_head and n = t.r_used in
   Telemetry.begin_span Telemetry.Ring "ring.drain";
-  let items = Ring_buffer.drain t.buf in
+  t.r_head <- 0;
+  t.r_used <- 0;
   t.buffered_records <- 0;
   Telemetry.sample_ring_occupancy 0;
   Telemetry.end_span Telemetry.Ring;
-  deliver_items t items
+  let x = f head n in
+  let wrapped = head + n - Array.length t.r_batch in
+  Array.fill t.r_batch head (n - Int.max 0 wrapped) W.empty;
+  if wrapped > 0 then Array.fill t.r_batch 0 wrapped W.empty;
+  x
+
+let flush_records t = drain t (fun head n -> deliver t head n)
+
+(* Double a full ring's arrays.  Only drop-oldest moves the head off
+   slot 0 without a drain, and only at full capacity, so the pieces of a
+   ring that can still grow start at slot 0. *)
+let grow t info =
+  let m = Int.min t.r_cap (Int.max 16 (2 * t.r_used)) - t.r_used in
+  t.r_info <- Array.append t.r_info (Array.make m info);
+  t.r_batch <- Array.append t.r_batch (Array.make m W.empty);
+  t.r_pos <- Array.append t.r_pos (Array.make m 0);
+  t.r_len <- Array.append t.r_len (Array.make m 0)
 
 (* One push with its drop/stall accounting, inside the caller's Ring
    span. *)
-let push_item t item =
-  (match Ring_buffer.push_overflow t.buf ~overflow:t.policy item with
-  | `Stored -> t.buffered_records <- t.buffered_records + buffered_count item
-  | `Evicted old ->
-      Metric.add t.ctr.c_records_dropped (buffered_count old);
-      t.buffered_records <-
-        t.buffered_records + buffered_count item - buffered_count old
-  | `Rejected -> Metric.add t.ctr.c_records_dropped (buffered_count item)
-  | `Full ->
-      (* Block: the producer stalls while the consumer drains, then the
-         record lands; nothing is lost. *)
-      Metric.incr t.ctr.c_buffer_stalls;
-      Telemetry.end_span Telemetry.Ring;
-      flush_records t;
-      Telemetry.begin_span Telemetry.Ring "ring.push";
-      let (_ : bool) = Ring_buffer.push t.buf item in
-      t.buffered_records <- buffered_count item);
+let push_piece t info b ~pos ~len =
+  if t.r_used = Array.length t.r_len && t.r_used < t.r_cap then grow t info;
+  let store =
+    t.r_used < Array.length t.r_len
+    ||
+    match t.policy with
+    | Config.Drop_newest ->
+        Metric.add t.ctr.c_records_dropped len;
+        false
+    | Config.Drop_oldest ->
+        Metric.add t.ctr.c_records_dropped t.r_len.(t.r_head);
+        t.buffered_records <- t.buffered_records - t.r_len.(t.r_head);
+        t.r_head <- slot t (t.r_head + 1);
+        t.r_used <- t.r_used - 1;
+        true
+    | Config.Block ->
+        (* The producer stalls while the consumer drains, then the piece
+           lands; nothing is lost. *)
+        Metric.incr t.ctr.c_buffer_stalls;
+        Telemetry.end_span Telemetry.Ring;
+        flush_records t;
+        Telemetry.begin_span Telemetry.Ring "ring.push";
+        true
+  in
+  if store then begin
+    let i = slot t (t.r_head + t.r_used) in
+    t.r_info.(i) <- info;
+    t.r_batch.(i) <- b;
+    t.r_pos.(i) <- pos;
+    t.r_len.(i) <- len;
+    t.r_used <- t.r_used + 1;
+    t.buffered_records <- t.buffered_records + len
+  end;
   Metric.max_gauge t.ctr.g_records_buffered_peak (float_of_int t.buffered_records);
   Telemetry.sample_ring_occupancy t.buffered_records
 
@@ -431,8 +491,8 @@ let region_metrics t label =
 let submit_one t ~time_us payload =
   tap t ~time_us (Sk_event payload);
   Metric.incr t.ctr.c_events_seen;
-  t.last_time_us <- time_us;
-  update_registry t payload;
+  t.clock.last_time_us <- time_us;
+  Event.update_objmap t.objmap payload;
   (match payload with
   | Event.Kernel_launch { phase = `Begin; _ } ->
       Metric.incr t.ctr.c_kernels_seen;
@@ -460,7 +520,7 @@ let submit_all t ~time_us payloads =
 let submit t ~time_us payload = submit_all t ~time_us [ payload ]
 
 let submit_region t (info : Event.kernel_info) ~base ~extent ~accesses ~written =
-  tap t ~time_us:t.last_time_us
+  tap t ~time_us:t.clock.last_time_us
     (Sk_region (info, { Event.base; extent; accesses; written }));
   let region = { p_base = base; p_extent = extent; p_accesses = accesses; p_written = written } in
   match t.pending with
@@ -474,7 +534,7 @@ let flush_kernel_summary t ~time_us (info : Event.kernel_info) =
   (match t.pending with
   | Some (gid, regions) when gid = info.Event.grid_id ->
       t.pending <- None;
-      t.last_time_us <- time_us;
+      t.clock.last_time_us <- time_us;
       Metric.incr t.ctr.c_summaries_flushed;
       if Range.active t.range ~grid_id:info.Event.grid_id then begin
         (* Emit one Kernel_region event per raw region... *)
@@ -521,32 +581,31 @@ let flush_kernel_summary t ~time_us (info : Event.kernel_info) =
   | _ -> ());
   Telemetry.end_span Telemetry.Dispatch
 
-(* One view of a hand-off, inside the caller's Dispatch and (in range)
-   Ring spans: it stamps the processor's clock, counts every record, and
-   is pushed whole or withheld by the range filter. *)
-let submit_view t ~active info (v : W.view) =
-  t.last_time_us <- v.W.v_time_us;
-  Metric.add t.ctr.c_events_seen v.W.v_len;
-  if active then push_item t { b_info = info; b_view = v }
-  else Metric.add t.ctr.c_accesses_filtered v.W.v_len
-
-(* A hand-off taps all of its views, each as its own [Sk_batch] op (whose
-   batch is built only for a sink), under one capture span before it
+(* A hand-off taps all of its pieces, each as its own [Sk_batch] op (a
+   [W.sub], built only for a sink), under one capture span before it
    pushes any of them; no delivery path taps, so the recorded op order is
-   the one per-view submission would give. *)
-let submit_access_views t (info : Event.kernel_info) views =
-  Telemetry.begin_span Telemetry.Dispatch "proc.submit_views";
+   the one per-piece submission would give. *)
+let submit_pieces t (info : Event.kernel_info) (p : W.pieces) =
+  if p.W.p_stamped < p.W.p_count then invalid_arg "Processor.submit_pieces: unstamped piece";
+  Telemetry.begin_span Telemetry.Dispatch "proc.submit_pieces";
   (match t.sink with
   | None -> ()
   | Some f ->
       Telemetry.begin_span Telemetry.Capture_io "capture.write_op";
-      List.iter
-        (fun (v : W.view) -> f ~time_us:v.W.v_time_us (Sk_batch (info, view_batch v)))
-        views;
+      for i = 0 to p.W.p_count - 1 do
+        f ~time_us:p.W.p_time.(i)
+          (Sk_batch (info, W.sub p.W.p_batch.(i) ~pos:p.W.p_pos.(i) ~len:p.W.p_len.(i)))
+      done;
       Telemetry.end_span Telemetry.Capture_io);
   let active = Range.active t.range ~grid_id:info.Event.grid_id in
   if active then Telemetry.begin_span Telemetry.Ring "ring.push";
-  List.iter (submit_view t ~active info) views;
+  for i = 0 to p.W.p_count - 1 do
+    let len = p.W.p_len.(i) in
+    t.clock.last_time_us <- p.W.p_time.(i);
+    Metric.add t.ctr.c_events_seen len;
+    if active then push_piece t info p.W.p_batch.(i) ~pos:p.W.p_pos.(i) ~len
+    else Metric.add t.ctr.c_accesses_filtered len
+  done;
   if active then Telemetry.end_span Telemetry.Ring;
   Telemetry.end_span Telemetry.Dispatch
 
@@ -559,7 +618,7 @@ let submit_access_views t (info : Event.kernel_info) views =
 let submit_device_summary t ~time_us (info : Event.kernel_info) summary =
   Telemetry.begin_span Telemetry.Dispatch "proc.device_summary";
   tap t ~time_us (Sk_event (Event.Device_summary { kernel = info; summary }));
-  t.last_time_us <- time_us;
+  t.clock.last_time_us <- time_us;
   if Range.active t.range ~grid_id:info.Event.grid_id then begin
     Metric.incr t.ctr.c_summaries_flushed;
     dispatch t
@@ -579,17 +638,17 @@ let submit_device_summary t ~time_us (info : Event.kernel_info) summary =
    summary instead). *)
 let drain_parallel t ~time_us (info : Event.kernel_info) =
   tap t ~time_us (Sk_flush_parallel info);
-  t.last_time_us <- time_us;
-  Telemetry.begin_span Telemetry.Ring "ring.drain";
-  let items = Ring_buffer.drain t.buf in
-  t.buffered_records <- 0;
-  Telemetry.sample_ring_occupancy 0;
-  Telemetry.end_span Telemetry.Ring;
-  let mine, others =
-    List.partition (fun item -> item.b_info.Event.grid_id = info.Event.grid_id) items
-  in
-  deliver_items t others;
-  Array.of_list (List.map (fun item -> view_batch item.b_view) mine)
+  t.clock.last_time_us <- time_us;
+  drain t (fun head n ->
+      let gid = info.Event.grid_id and mine = ref [] in
+      for k = head + n - 1 downto head do
+        let i = slot t k in
+        if t.r_info.(i).Event.grid_id = gid then
+          mine := W.sub t.r_batch.(i) ~pos:t.r_pos.(i) ~len:t.r_len.(i) :: !mine
+      done;
+      let mine = Array.of_list !mine in
+      if Array.length mine < n then deliver t ~skip:gid head n;
+      mine)
 
 (* Kernel-end reduction for [Gpu_parallel] tools: drain this kernel's
    batches, reduce them into one accumulator per worker slot (over the
@@ -658,7 +717,7 @@ let submit_profile t ~time_us (info : Event.kernel_info) profile =
   Telemetry.begin_span Telemetry.Dispatch "proc.submit_profile";
   tap t ~time_us (Sk_profile (info, profile));
   Metric.incr t.ctr.c_events_seen;
-  t.last_time_us <- time_us;
+  t.clock.last_time_us <- time_us;
   if Range.active t.range ~grid_id:info.Event.grid_id then begin
     dispatch t
       {
@@ -677,7 +736,7 @@ let submit_profile t ~time_us (info : Event.kernel_info) profile =
    reproduce the original rate schedule. *)
 let note_rate t ~time_us ~grid_id rate =
   tap t ~time_us (Sk_rate { sr_rate = rate; sr_grid_id = grid_id });
-  t.last_time_us <- time_us;
+  t.clock.last_time_us <- time_us;
   t.cur_rate <- rate;
   Metric.set_gauge t.ctr.g_sample_rate rate;
   Metric.incr t.ctr.c_rate_changes

@@ -10,9 +10,10 @@
 
     Every tool callback runs under a {!Guard} circuit breaker — a raising
     tool is counted, eventually quarantined, and never takes the workload
-    down.  Fine-grained access records flow through a bounded
-    {!Pasta_util.Ring_buffer} with a configurable overflow policy; drops
-    and stalls are accounted in the processor's metric registry.
+    down.  Fine-grained access records flow through a bounded ring, one
+    piece of a channel's hand-off per slot, with a configurable overflow
+    policy; drops and stalls are accounted in the processor's metric
+    registry.
 
     All pipeline counters live in a per-processor {!Pasta_util.Metric}
     registry ({!metrics}); health reports read them from there. *)
@@ -39,7 +40,7 @@ type t
 val create :
   ?range:Range.t ->
   ?buffer_capacity:int ->
-  ?overflow_policy:Pasta_util.Ring_buffer.overflow ->
+  ?overflow_policy:Config.overflow ->
   ?label:string ->
   device:int ->
   unit ->
@@ -102,7 +103,7 @@ val set_sink : t -> (time_us:float -> sink_op -> unit) -> unit
 (** Install a trace-capture tap.  At most one sink is active; the sink
     must not call back into the processor.  The processor runs it inside
     a capture telemetry span: one per submission, or per hand-off for
-    {!submit_access_views}. *)
+    {!submit_pieces}. *)
 
 val clear_sink : t -> unit
 
@@ -111,7 +112,7 @@ val incidents : t -> Event.t list
     order. *)
 
 val buffer_capacity : t -> int
-val overflow_policy : t -> Pasta_util.Ring_buffer.overflow
+val overflow_policy : t -> Config.overflow
 
 val submit : t -> time_us:float -> Event.payload -> unit
 (** Feed one normalized event.  Registry updates happen regardless of the
@@ -133,32 +134,31 @@ val flush_kernel_summary : t -> time_us:float -> Event.kernel_info -> unit
 (** Resolve the accumulated regions to objects, aggregate per object, emit
     [Kernel_region] events and call the tool's [on_mem_summary]. *)
 
-val submit_access_views :
-  t -> Event.kernel_info -> Gpusim.Warp.view list -> unit
-(** Feed one hand-off of a kernel's time-stamped record views, in order,
+val submit_pieces : t -> Event.kernel_info -> Gpusim.Warp.pieces -> unit
+(** Feed one hand-off of a kernel's stamped record pieces, in order,
     under one Dispatch span and (when in range) one Ring span.  This is
     the one way fine-grained records enter the processor: every record
-    channel hands over this way, once per kernel at its exit, and replay
-    hands over each run of recorded batch ops of one kernel.  Each view
-    is handled exactly as if submitted on its own at its stamp: it is
-    tapped to the sink as its own [Sk_batch] op (a {!Gpusim.Warp.sub},
-    built only for a sink; the whole hand-off is tapped, under one
-    capture span, before any view is pushed), moves the processor's
-    clock to [v_time_us], counts every record in [events_seen], and
-    enters the bounded buffer as one item with the overflow policy's
-    drop, peak and stall accounting — or, out of range, counts in
-    [accesses_filtered].  In-range views wait in the buffer for the next
-    kernel-end (or {!flush_records}).  At delivery a tool with
-    [on_access_columns] receives each view's records as one batch
-    (counted in [pasta_batches_delivered]); any other tool gets one
-    [on_access] call per record, in order, read through a
+    channel hands over its table this way, once per kernel at its exit,
+    and replay hands over each run of recorded batch ops of one kernel.
+    The processor keeps nothing of the table.  Raises [Invalid_argument]
+    on an unstamped piece.  Each piece is handled as if submitted on its
+    own at its stamp: tapped to the sink as its own [Sk_batch] op (a
+    {!Gpusim.Warp.sub}; the whole hand-off is tapped, under one capture
+    span, before any piece is pushed), it moves the processor's clock to
+    its stamp, counts its records in [events_seen], and takes one slot of
+    the bounded buffer, with the overflow policy's drop, peak and stall
+    accounting in records — or, out of range, counts in
+    [accesses_filtered].  Buffered pieces wait for the next kernel-end
+    (or {!flush_records}).  A tool with [on_access_columns] then gets each
+    piece as one batch (counted in [pasta_batches_delivered]); any other
+    tool gets one [on_access] call per record, in order, read through a
     {!Gpusim.Warp.cursor} (a descriptor's records are stepped, never
-    filled), each counted in [events_dispatched] (or
-    [events_suppressed] while quarantined).  While the breaker is
-    closed a view's records run as one {!Guard.call_while_closed}.  No
-    record reaches [on_event], and none reaches both callbacks.  Either
-    way the tool gets each drain of the buffer inside one tool frame
-    ({!Guard.framed}). *)
+    filled), each counted in [events_dispatched] (or [events_suppressed]
+    while quarantined).  Consecutive pieces of one batch and kernel that
+    continue each other are one seek, and while the breaker is closed
+    their records run as one {!Guard.call_while_closed}.  No record
+    reaches [on_event], and none reaches both callbacks.  Each drain of
+    the buffer runs inside one tool frame ({!Guard.framed}). *)
 
 val flush_parallel_summary : t -> time_us:float -> Event.kernel_info -> unit
 (** Kernel-end reduction for [Gpu_parallel] tools: drain the finishing

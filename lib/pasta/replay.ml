@@ -9,9 +9,9 @@ let decode_pool () =
   let dsize = Config.domains () in
   if dsize > 1 then Some (Pasta_util.Domain_pool.global ~size:dsize) else None
 
-let whole_view ~time_us b = Gpusim.Warp.view b ~pos:0 ~len:(Gpusim.Warp.batch_len b) ~time_us
+module W = Gpusim.Warp
 
-let apply proc ~time_us (op : Processor.sink_op) =
+let apply proc pieces ~time_us (op : Processor.sink_op) =
   match op with
   | Processor.Sk_event (Event.Annotation { label; phase = `Start }) ->
       Processor.annot_start proc ~time_us label
@@ -23,7 +23,10 @@ let apply proc ~time_us (op : Processor.sink_op) =
          [on_device_summary] the live run saw. *)
       Processor.submit_device_summary proc ~time_us kernel summary
   | Processor.Sk_event payload -> Processor.submit proc ~time_us payload
-  | Processor.Sk_batch (k, b) -> Processor.submit_access_views proc k [ whole_view ~time_us b ]
+  | Processor.Sk_batch (_, b) ->
+      (* A whole-batch piece of the run [read_into] hands over at once. *)
+      W.add_piece pieces b ~pos:0 ~len:(W.batch_len b);
+      W.stamp_pieces pieces time_us
   | Processor.Sk_region (k, r) ->
       Processor.submit_region proc k ~base:r.Event.base ~extent:r.Event.extent
         ~accesses:r.Event.accesses ~written:r.Event.written
@@ -44,39 +47,35 @@ let apply proc ~time_us (op : Processor.sink_op) =
    processor [route] picks for its backend id ([None]: an id missing from
    the table).  Each maximal run of consecutive batch ops of one kernel on
    one processor becomes one hand-off, as a record channel delivered them
-   live: each op a whole-batch view stamped with its recorded time.  Any
-   other op, and the end of the read, hands the pending run over first.
+   live: one table whose pieces are the ops' batches, whole, each stamped
+   with its recorded time.  Any other op, and the end of the read, hands
+   the pending run over first.
    The whole read is replay I/O; time spent re-driving ops through the
    processor nests into the dispatch/ring/devagg spans and is charged to
    those layers, leaving decode + disk time on the replay row.  A
    [Ptrace.Corrupt] in strict mode must still pop the span, after the ops
    read before it reach their processor. *)
 let read_into ~mode path procs ~route =
-  let last_us = ref 0.0 and run = ref None in
+  let last_us = ref 0.0 and run = ref None and pieces = W.pieces () in
   let flush () =
     match !run with
     | None -> ()
-    | Some (proc, info, views) ->
+    | Some (proc, info) ->
         run := None;
-        Processor.submit_access_views proc info (List.rev views)
+        W.hand_off pieces (Processor.submit_pieces proc info)
   in
   (* Each op first mirrors the recorded timeline where a live session
      mirrors the device clock, so exported telemetry spans carry sim
      stamps. *)
   let feed proc ~time_us (op : Processor.sink_op) =
-    match (op, !run) with
-    | Processor.Sk_batch (k, b), Some (p, info, views)
-      when p == proc && (k == info || k = info) ->
-        Telemetry.note_sim_us time_us;
-        run := Some (p, info, whole_view ~time_us b :: views)
-    | Processor.Sk_batch (k, b), _ ->
+    (match (op, !run) with
+    | Processor.Sk_batch (k, _), Some (p, info) when p == proc && (k == info || k = info) -> ()
+    | Processor.Sk_batch (k, _), _ ->
         flush ();
-        Telemetry.note_sim_us time_us;
-        run := Some (proc, k, [ whole_view ~time_us b ])
-    | op, _ ->
-        flush ();
-        Telemetry.note_sim_us time_us;
-        apply proc ~time_us op
+        run := Some (proc, k)
+    | _ -> flush ());
+    Telemetry.note_sim_us time_us;
+    apply proc pieces ~time_us op
   in
   Telemetry.begin_span Telemetry.Replay_io "replay.read";
   match

@@ -46,8 +46,8 @@ val run_multi :
     Ops are re-driven through the processors' entry points (annotations
     through [annot_start]/[annot_end], so range state is rebuilt); each
     maximal run of consecutive batch ops of one kernel on one backend is
-    one {!Processor.submit_access_views} hand-off, each op a whole-batch
-    view stamped with its recorded time.
+    one {!Processor.submit_pieces} hand-off: one table whose pieces are
+    the ops' batches, whole, each stamped with its recorded time.
 
     [mode] defaults to the {!Config.trace_strict} knob.  Strict replay
     raises {!Ptrace.Corrupt} on any damage.  Tolerant replay skips corrupt
@@ -60,7 +60,7 @@ val run_multi :
     [capture] re-records the replay to that path: the processors are
     tapped as a live session's are ({!Capture.start}, the header's meta
     kept), so each op is written as its processor re-drove it, batch ops
-    with the stamps of their hand-off views.  The processors' chunk
+    with the stamps of their hand-off's pieces.  The processors' chunk
     counters then report the replay's read. *)
 
 val run : ?mode:Ptrace.mode -> ?range:Range.t -> tool:Tool.t -> string -> outcome

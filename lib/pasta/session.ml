@@ -341,7 +341,7 @@ let health_of s =
       | None -> 1);
     buffer_capacity = Processor.buffer_capacity s.proc;
     overflow_policy =
-      Pasta_util.Ring_buffer.overflow_to_string (Processor.overflow_policy s.proc);
+      Config.overflow_to_string (Processor.overflow_policy s.proc);
     buffer_stalls = counter "pasta_buffer_stalls";
     watchdog_trips = List.rev s.dog.trips;
     fault_stats = Option.map Gpusim.Faults.stats (Gpusim.Device.faults s.device);

@@ -26,10 +26,11 @@ type t = {
   mutable peak_usage : int;
   mutable live_direct : int; (* non-pool runtime allocations *)
   current : (int, int) Hashtbl.t; (* obj_key -> obj_bytes for the running kernel *)
-  mutable last_key : int;
-  mutable last_bytes : int;
-      (* the pair last inserted into [current]; consecutive records nearly
-         always resolve to the same object, and re-inserting it is a no-op *)
+  mutable lo : int;
+  mutable hi : int;
+      (* the address range [lo, hi) the last slow lookup proved uniform,
+         its object already in [current]; empty after a registry change
+         and at kernel end *)
   mutable est_rate_min : float;
       (* lowest sampling rate behind any consumed summary; < 1.0 means the
          working sets are sample-based estimates *)
@@ -44,8 +45,8 @@ let create ?(variant = Gpu) () =
     peak_usage = 0;
     live_direct = 0;
     current = Hashtbl.create 32;
-    last_key = -1;
-    last_bytes = -1;
+    lo = max_int;
+    hi = min_int;
     est_rate_min = 1.0;
   }
 
@@ -53,12 +54,36 @@ let kernel_footprints t = Array.of_list (List.rev t.footprints)
 
 let push_footprint t bytes = t.footprints <- float_of_int bytes :: t.footprints
 
+let forget_range t =
+  t.lo <- max_int;
+  t.hi <- min_int
+
 let finish_kernel_cpu t =
   let total = Hashtbl.fold (fun _ bytes acc -> acc + bytes) t.current 0 in
   Hashtbl.reset t.current;
-  t.last_key <- -1;
-  t.last_bytes <- -1;
+  forget_range t;
   push_footprint t total
+
+(* A lookup past the cached range proves a new one: a known object's
+   extent, as the objmap memo has it, noting the object; or, for an
+   address no object covers, the gap up to the next object's base.  An
+   unknown object adds 0 bytes, so it is not noted. *)
+let lookup t addr =
+  (match Pasta.Objmap.resolve t.own_objmap addr with
+  | Pasta.Objmap.Unknown _ ->
+      t.lo <- addr;
+      t.hi <- Pasta.Objmap.next_base t.own_objmap addr
+  | obj ->
+      let key = Pasta.Objmap.obj_key obj in
+      Hashtbl.replace t.current key (Pasta.Objmap.obj_bytes obj);
+      t.lo <- key;
+      t.hi <- key + Pasta.Objmap.obj_bytes obj);
+  t.hi
+
+(* Note [addr]'s object as touched by the running kernel, and return the
+   first address past it that may resolve differently.  Inside the cached
+   range that costs two compares. *)
+let touch t addr = if addr >= t.lo && addr < t.hi then t.hi else lookup t addr
 
 let track_usage t (ev : Pasta.Event.t) =
   match ev.Pasta.Event.payload with
@@ -71,15 +96,11 @@ let track_usage t (ev : Pasta.Event.t) =
   | Pasta.Event.Memory_free { bytes; _ } -> t.live_direct <- t.live_direct - bytes
   | _ -> ()
 
+(* A registry change may split the cached range; every event forgets it,
+   which costs at most one lookup per event. *)
 let feed_own_objmap t (ev : Pasta.Event.t) =
-  match ev.Pasta.Event.payload with
-  | Pasta.Event.Memory_alloc { addr; bytes; managed } ->
-      Pasta.Objmap.on_alloc t.own_objmap ~addr ~bytes ~managed
-  | Pasta.Event.Memory_free { addr; _ } -> Pasta.Objmap.on_free t.own_objmap ~addr
-  | Pasta.Event.Tensor_alloc { ptr; bytes; tag; _ } ->
-      Pasta.Objmap.on_tensor_alloc t.own_objmap ~ptr ~bytes ~tag
-  | Pasta.Event.Tensor_free { ptr; _ } -> Pasta.Objmap.on_tensor_free t.own_objmap ~ptr
-  | _ -> ()
+  forget_range t;
+  Pasta.Event.update_objmap t.own_objmap ev.Pasta.Event.payload
 
 let result t =
   if t.kernels = 0 || t.footprints = [] then
@@ -162,47 +183,31 @@ let tool t =
         report = report t;
       }
   | Cpu_sanitizer | Cpu_nvbit ->
-      (* Note [addr]'s object as touched by the running kernel, and return
-         the extent of the resolve memo it leaves: every address from
-         [addr] up to the result resolves to the same object — the
-         object's end, or [addr + 1] for an unknown address, which leaves
-         the memo alone. *)
-      let touch addr =
-        let obj = Pasta.Objmap.resolve t.own_objmap addr in
-        let key = Pasta.Objmap.obj_key obj and bytes = Pasta.Objmap.obj_bytes obj in
-        if key <> t.last_key || bytes <> t.last_bytes then begin
-          Hashtbl.replace t.current key bytes;
-          t.last_key <- key;
-          t.last_bytes <- bytes
-        end;
-        if bytes > 0 then key + bytes else addr + 1
-      in
       {
         base with
         Pasta.Tool.on_event =
           (fun ev ->
             feed_own_objmap t ev;
             track_usage t ev);
-        on_access = (fun _info access -> ignore (touch access.Pasta.Event.addr));
+        on_access = (fun _info access -> ignore (touch t access.Pasta.Event.addr));
         on_access_columns =
           (* The sanitizer path hands records over as packed batches;
              working sets only need the addresses, so read the address
              column straight off the batch — no per-record callback or
              boxing at all.  A descriptor needs one [touch] per run of
-             records inside one memo extent: the record scan's other
-             calls would only hit the memo and re-note the same
-             object. *)
+             records inside one cached range: the record scan's other
+             calls would only hit it. *)
           (if t.var = Cpu_sanitizer then
              Some
                (fun _info batch ->
                  let module W = Gpusim.Warp in
                  match batch.W.b_shape with
                  | W.Descriptor { spec; _ } ->
-                     W.walk spec ~limit:touch ~run:(fun _ _ -> ())
+                     W.walk spec ~limit:(touch t) ~run:(fun _ _ -> ())
                  | W.Dense _ ->
                      let addrs = (W.cols batch).W.addrs in
                      for i = 0 to batch.W.b_len - 1 do
-                       ignore (touch (Bigarray.Array1.unsafe_get addrs i))
+                       ignore (touch t (Bigarray.Array1.unsafe_get addrs i))
                      done)
            else None);
         on_kernel_end =

@@ -52,16 +52,7 @@ let recorder_tool rec_ =
   {
     (Pasta.Tool.default ~fine_grained:Pasta.Tool.Gpu_accelerated "uvm_prefetch_recorder") with
     Pasta.Tool.on_event =
-      (fun ev ->
-        match ev.Pasta.Event.payload with
-        | Pasta.Event.Memory_alloc { addr; bytes; managed } ->
-            Pasta.Objmap.on_alloc rec_.own_objmap ~addr ~bytes ~managed
-        | Pasta.Event.Memory_free { addr; _ } -> Pasta.Objmap.on_free rec_.own_objmap ~addr
-        | Pasta.Event.Tensor_alloc { ptr; bytes; tag; _ } ->
-            Pasta.Objmap.on_tensor_alloc rec_.own_objmap ~ptr ~bytes ~tag
-        | Pasta.Event.Tensor_free { ptr; _ } ->
-            Pasta.Objmap.on_tensor_free rec_.own_objmap ~ptr
-        | _ -> ());
+      (fun ev -> Pasta.Event.update_objmap rec_.own_objmap ev.Pasta.Event.payload);
     on_mem_summary = record_summary rec_;
     report =
       (fun ppf ->

@@ -24,12 +24,15 @@ let mk_kernel_info ?(grid_id = 1) ?(name = "k") () =
     native_stack = [];
   }
 
-(* One record at [addr], handed over on its own: a one-record view. *)
+(* One record at [addr], handed over on its own: a one-piece table. *)
 let mk_record addr =
-  Gpusim.Warp.view
+  let p = Gpusim.Warp.pieces () in
+  Gpusim.Warp.add_piece p
     (Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:0 ~addrs:[| addr |] ~sizes:[| 4 |]
        ~warps:[| 0 |] ~weights:[| 1 |] ~writes:(Bytes.make 1 '\000'))
-    ~pos:0 ~len:1 ~time_us:0.0
+    ~pos:0 ~len:1;
+  Gpusim.Warp.stamp_pieces p 0.0;
+  p
 
 (* ---- Circuit breaker: a raising tool never aborts the workload ---- *)
 
@@ -157,7 +160,7 @@ let overflow_run policy =
     };
   let ki = mk_kernel_info () in
   for i = 1 to 10 do
-    Pasta.Processor.submit_access_views p ki [ mk_record i ]
+    Pasta.Processor.submit_pieces p ki (mk_record i)
   done;
   Pasta.Processor.flush_records p;
   (List.rev !seen, Proc_counter.get p "pasta_records_dropped",
@@ -165,7 +168,7 @@ let overflow_run policy =
 
 let test_drop_oldest_counts () =
   let delivered, dropped, stalls =
-    overflow_run Pasta_util.Ring_buffer.Drop_oldest
+    overflow_run Pasta.Config.Drop_oldest
   in
   (* 10 pushed into capacity 4: the six oldest are evicted. *)
   check_int "exactly 6 dropped" 6 dropped;
@@ -174,7 +177,7 @@ let test_drop_oldest_counts () =
 
 let test_drop_newest_counts () =
   let delivered, dropped, stalls =
-    overflow_run Pasta_util.Ring_buffer.Drop_newest
+    overflow_run Pasta.Config.Drop_newest
   in
   (* 10 pushed into capacity 4: the six newest are rejected at the door. *)
   check_int "exactly 6 dropped" 6 dropped;
@@ -182,7 +185,7 @@ let test_drop_newest_counts () =
   Alcotest.(check (list int)) "oldest 4 survive" [ 1; 2; 3; 4 ] delivered
 
 let test_block_is_lossless () =
-  let delivered, dropped, stalls = overflow_run Pasta_util.Ring_buffer.Block in
+  let delivered, dropped, stalls = overflow_run Pasta.Config.Block in
   check_int "nothing dropped" 0 dropped;
   check_bool "producer stalled to drain" true (stalls >= 1);
   Alcotest.(check (list int)) "all 10 delivered in order"
@@ -191,7 +194,7 @@ let test_block_is_lossless () =
 
 (* A misspelled policy used to run silently as [block]. *)
 let test_overflow_policy_knob () =
-  let module R = Pasta_util.Ring_buffer in
+  let module R = Pasta.Config in
   let parse v =
     Pasta.Config.set "ACCEL_PROF_OVERFLOW_POLICY" v;
     Fun.protect

@@ -335,15 +335,14 @@ let prop_stepped_fill =
         expected;
       !ok)
 
-(* The per-record path reads a descriptor view through a cursor that steps
-   the fill's formulas.  For any sub-range [pos, pos + len) of a
+(* The per-record path reads a descriptor's piece through a cursor that
+   steps the fill's formulas.  For any sub-range [pos, pos + len) of a
    closed-form chunk, the records it reads (address, size, write flag, pc,
    warp, weight) must equal the filled chunk's at the same indices and the
    per-record closed form, and [Warp.sub] of the descriptor must equal the
    same sub-view of its filled columns.  The cursor reads one record of a
-   dense view first, then the rest of the chunk after the sub-range (the
-   steps continue), then the records before it (the steps restart), so
-   re-pointing a cursor is covered too. *)
+   dense batch first, then the rest of the chunk after the sub-range,
+   then the records before it, so re-pointing a cursor is covered too. *)
 let prop_cursor_steps_fill =
   QCheck.Test.make ~name:"cursor over a descriptor view equals the fill" ~count:1000
     (QCheck.make
@@ -364,11 +363,11 @@ let prop_cursor_steps_fill =
       let f = Warp.cols dense in
       let naive = reference_fill ~rng:(Pasta_util.Det_rng.create 1L) ~warp_size spec in
       let c = Warp.cursor () in
-      Warp.seek c (Warp.view dense ~pos:0 ~len:whole ~time_us:0.0);
+      Warp.seek c dense ~pos:0 ~len:whole;
       Warp.next c;
       let ok = ref true in
       let read ~pos ~len =
-        Warp.seek c (Warp.view d ~pos ~len ~time_us:0.0);
+        Warp.seek c d ~pos ~len;
         for j = pos to pos + len - 1 do
           Warp.next c;
           let addr, warp, weight = naive.(j) in
@@ -540,6 +539,49 @@ let test_device_clock_advances () =
   Device.memcpy d ~dst:0 ~src:0 ~bytes:(1 lsl 20) ~kind:Device.Host_to_device ();
   check_bool "memcpy advances clock" true (Device.now_us d > t0)
 
+(* A channel's table: pieces keep their order and bounds as the table
+   grows past its first arrays, a stamp lands on the unstamped tail only,
+   and clearing empties it for the next kernel. *)
+let test_pieces_table () =
+  let b = Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:0 ~addrs:(Array.init 100 Fun.id)
+      ~sizes:(Array.make 100 4) ~warps:(Array.make 100 0) ~weights:(Array.make 100 1)
+      ~writes:(Bytes.make 100 '\000')
+  in
+  let p = Warp.pieces () in
+  for i = 0 to 39 do
+    Warp.add_piece p b ~pos:i ~len:(i mod 3);
+    if i = 9 then Warp.stamp_pieces p 1.0
+  done;
+  Warp.stamp_pieces p 2.0;
+  check_int "every piece kept" 40 p.Warp.p_count;
+  check_int "every piece stamped" 40 p.Warp.p_stamped;
+  check_bool "pieces in order" true
+    (List.for_all (fun i -> p.Warp.p_pos.(i) = i && p.Warp.p_len.(i) = i mod 3) (List.init 40 Fun.id));
+  check_bool "a flush stamps only the pieces it carried" true
+    (p.Warp.p_time.(9) = 1.0 && p.Warp.p_time.(10) = 2.0 && p.Warp.p_time.(39) = 2.0);
+  Alcotest.check_raises "a piece past the batch" (Invalid_argument "Warp.add_piece") (fun () ->
+      Warp.add_piece p b ~pos:99 ~len:2);
+  Warp.clear_pieces p;
+  check_int "cleared" 0 p.Warp.p_count;
+  check_bool "no batch kept" true (Array.for_all (fun b' -> b' != b) p.Warp.p_batch)
+
+(* [hand_off] calls once for a table with pieces, never for an empty one,
+   and empties the table even when the consumer raises. *)
+let test_pieces_hand_off () =
+  let b = Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:0 ~addrs:[| 0 |] ~sizes:[| 4 |]
+      ~warps:[| 0 |] ~weights:[| 1 |] ~writes:(Bytes.make 1 '\000')
+  in
+  let p = Warp.pieces () and calls = ref 0 in
+  Warp.hand_off p (fun _ -> incr calls);
+  check_int "no call for an empty table" 0 !calls;
+  Warp.add_piece p b ~pos:0 ~len:1;
+  Warp.hand_off p (fun q -> calls := !calls + q.Warp.p_count);
+  check_int "one call with the piece" 1 !calls;
+  check_int "empty after the hand-off" 0 p.Warp.p_count;
+  Warp.add_piece p b ~pos:0 ~len:1;
+  (try Warp.hand_off p (fun _ -> failwith "consumer") with Failure _ -> ());
+  check_int "empty after a raising consumer" 0 p.Warp.p_count
+
 let suite =
   [
     ("arch lanes", `Quick, test_arch_lanes);
@@ -576,4 +618,6 @@ let suite =
     ("device clock advances", `Quick, test_device_clock_advances);
     qtest prop_stepped_fill;
     qtest prop_cursor_steps_fill;
+    ("pieces table: append, stamp, clear", `Quick, test_pieces_table);
+    ("pieces table: one hand-off, then empty", `Quick, test_pieces_hand_off);
   ]

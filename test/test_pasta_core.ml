@@ -264,8 +264,10 @@ let test_processor_access_dispatch () =
       ~warps:[| 0 |] ~weights:[| 1 |] ~writes:(Bytes.make 1 '\000')
   in
   (* Records sit in the bounded buffer until a kernel-end or explicit flush. *)
-  Pasta.Processor.submit_access_views p (mk_kernel_info ())
-    [ Gpusim.Warp.view record ~pos:0 ~len:1 ~time_us:0.0 ];
+  let pieces = Gpusim.Warp.pieces () in
+  Gpusim.Warp.add_piece pieces record ~pos:0 ~len:1;
+  Gpusim.Warp.stamp_pieces pieces 0.0;
+  Pasta.Processor.submit_pieces p (mk_kernel_info ()) pieces;
   check_int "record buffered, not yet dispatched" 0 !accesses;
   Pasta.Processor.flush_records p;
   check_int "access dispatched on flush" 1 !accesses;

@@ -137,116 +137,206 @@ let prop_sass_static_counts =
       (* No shared-memory block: exactly one LDG/STG per region. *)
       List.length (Gpusim.Sass.memory_pcs (Gpusim.Sass.listing k)) = nregions)
 
-(* ---- Bounded ring buffer under overflow policies ---- *)
+(* ---- The processor's piece ring under overflow policies ---- *)
 
-let overflow_gen =
-  QCheck.make
-    ~print:(fun p -> Pasta_util.Ring_buffer.overflow_to_string p)
-    (QCheck.Gen.oneofl
-       Pasta_util.Ring_buffer.[ Drop_oldest; Drop_newest; Block ])
+(* A stream of hand-offs and kernel-end drains.  A hand-off holds
+   batches, each cut into pieces of the given lengths, as a channel that
+   flushes inside a batch cuts it; every record's address is unique, so
+   the delivered order names each record. *)
+type ring_op = Handoff of int list list | Drain
 
-let prop_ring_overflow_conservation =
-  QCheck.Test.make ~name:"ring overflow: stored + dropped + stalled = pushed"
-    ~count:300
-    QCheck.(
-      triple (int_range 1 16) (small_list small_nat) overflow_gen)
-    (fun (cap, xs, policy) ->
-      let rb = Pasta_util.Ring_buffer.create ~capacity:cap in
-      (* Per push: entered the buffer, rejected at the door, or stalled the
-         producer.  An eviction both enters the new and drops an old one. *)
-      let entered = ref 0 and evicted = ref 0 and rejected = ref 0 in
-      let stalled = ref 0 in
-      List.iter
-        (fun x ->
-          match Pasta_util.Ring_buffer.push_overflow rb ~overflow:policy x with
-          | `Stored -> incr entered
-          | `Evicted _ -> incr entered; incr evicted
-          | `Rejected -> incr rejected
-          | `Full -> incr stalled)
-        xs;
-      !entered + !rejected + !stalled = List.length xs
-      && Pasta_util.Ring_buffer.length rb = !entered - !evicted
-      && Pasta_util.Ring_buffer.length rb = min cap !entered)
+let g_ring_stream =
+  let open QCheck.Gen in
+  let handoff =
+    map (fun bs -> Handoff bs) (list_size (int_range 1 4) (list_size (int_range 1 3) (int_range 1 5)))
+  in
+  list_size (int_range 0 12) (frequency [ (1, return Drain); (3, handoff) ])
 
-let prop_ring_drop_oldest_keeps_newest =
-  QCheck.Test.make ~name:"drop-oldest keeps exactly the newest K" ~count:300
-    QCheck.(pair (int_range 1 16) (small_list small_nat))
-    (fun (cap, xs) ->
-      let rb = Pasta_util.Ring_buffer.create ~capacity:cap in
-      List.iter
-        (fun x ->
-          let (_ : [ `Stored | `Evicted of int | `Rejected | `Full ]) =
-            Pasta_util.Ring_buffer.push_overflow rb
-              ~overflow:Pasta_util.Ring_buffer.Drop_oldest x
-          in
-          ())
-        xs;
-      let rec drain acc =
-        match Pasta_util.Ring_buffer.pop rb with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
+let policies = Pasta.Config.[ Drop_oldest; Drop_newest; Block ]
+
+let print_ring (cap, policy, ops) =
+  Printf.sprintf "cap=%d %s [%s]" cap (Pasta.Config.overflow_to_string policy)
+    (String.concat "; "
+       (List.map
+          (function
+            | Drain -> "drain"
+            | Handoff bs ->
+                String.concat " | "
+                  (List.map (fun ls -> String.concat "," (List.map string_of_int ls)) bs))
+          ops))
+
+let g_ring_case =
+  QCheck.make ~print:print_ring
+    QCheck.Gen.(triple (int_range 1 16) (oneofl policies) g_ring_stream)
+
+(* Each hand-off's pieces as (first address, length), numbering records
+   from 0 across the stream. *)
+let ring_pieces ops =
+  let next = ref 0 in
+  List.map
+    (function
+      | Drain -> None
+      | Handoff bs ->
+          Some
+            (List.map
+               (fun lens ->
+                 List.map
+                   (fun len ->
+                     let a = !next in
+                     next := a + len;
+                     (a, len))
+                   lens)
+               bs))
+    ops
+
+(* The naive model: a list of pieces, the overflow policy applied to it
+   piece by piece.  It returns the delivered pieces in order, and the
+   records dropped, the stalls and the buffered peak, in records. *)
+let ring_model ~cap ~policy ops =
+  let queue = ref [] and out = ref [] and dropped = ref 0 and stalls = ref 0 and peak = ref 0 in
+  let buffered () = List.fold_left (fun n (_, l) -> n + l) 0 !queue in
+  let drain () =
+    out := List.rev_append !queue !out;
+    queue := []
+  in
+  let push ((_, len) as piece) =
+    (if List.length !queue < cap then queue := !queue @ [ piece ]
+     else
+       match policy with
+       | Pasta.Config.Drop_newest -> dropped := !dropped + len
+       | Pasta.Config.Drop_oldest -> (
+           match !queue with
+           | (_, old) :: rest ->
+               dropped := !dropped + old;
+               queue := rest @ [ piece ]
+           | [] -> assert false)
+       | Pasta.Config.Block ->
+           incr stalls;
+           drain ();
+           queue := [ piece ]);
+    peak := max !peak (buffered ())
+  in
+  List.iter
+    (function None -> drain () | Some bs -> List.iter (List.iter push) bs)
+    (ring_pieces ops);
+  drain ();
+  (List.rev !out, !dropped, !stalls, !peak)
+
+let ring_info =
+  {
+    Pasta.Event.device_id = 0;
+    grid_id = 0;
+    stream = 0;
+    name = "ring";
+    grid = Gpusim.Dim3.make 1;
+    block = Gpusim.Dim3.make 32;
+    shared_bytes = 0;
+    arg_ptrs = [];
+    py_stack = [];
+    native_stack = [];
+  }
+
+(* The same stream through a processor: each hand-off one table on its
+   own kernel, each batch one dense batch of its pieces' records.  The
+   tool logs every record's address, through [on_access] or, with
+   [~columns], through one [on_access_columns] call per piece. *)
+let ring_run ~columns ~cap ~policy ops =
+  let p =
+    Pasta.Processor.create ~range:(Pasta.Range.create ()) ~buffer_capacity:cap
+      ~overflow_policy:policy ~device:0 ()
+  in
+  let seen = ref [] and calls = ref 0 in
+  let base = Pasta.Tool.default "ring" in
+  Pasta.Processor.set_tool p
+    (if columns then
+       {
+         base with
+         Pasta.Tool.on_access_columns =
+           Some
+             (fun _ b ->
+               incr calls;
+               let addrs = (Gpusim.Warp.cols b).Gpusim.Warp.addrs in
+               for i = 0 to Gpusim.Warp.batch_len b - 1 do
+                 seen := addrs.{i} :: !seen
+               done);
+       }
+     else { base with Pasta.Tool.on_access = (fun _ a -> seen := a.Pasta.Event.addr :: !seen) });
+  let table = Gpusim.Warp.pieces () in
+  List.iteri
+    (fun grid_id -> function
+      | None -> Pasta.Processor.flush_records p
+      | Some bs ->
+          List.iter
+            (fun pieces ->
+              let first = fst (List.hd pieces) in
+              let n = List.fold_left (fun n (_, l) -> n + l) 0 pieces in
+              let b =
+                Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:0
+                  ~addrs:(Array.init n (fun i -> first + i))
+                  ~sizes:(Array.make n 4) ~warps:(Array.make n 0) ~weights:(Array.make n 1)
+                  ~writes:(Bytes.make n '\000')
+              in
+              List.iter
+                (fun (a, len) -> Gpusim.Warp.add_piece table b ~pos:(a - first) ~len)
+                pieces)
+            bs;
+          Gpusim.Warp.stamp_pieces table 0.0;
+          Pasta.Processor.submit_pieces p { ring_info with Pasta.Event.grid_id } table;
+          Gpusim.Warp.clear_pieces table)
+    (ring_pieces ops);
+  Pasta.Processor.flush_records p;
+  let peak =
+    Pasta_util.Metric.find_gauge (Pasta.Processor.metrics p)
+      ~labels:(Pasta.Processor.metric_labels p) "pasta_records_buffered_peak"
+  in
+  ( List.rev !seen,
+    !calls,
+    Proc_counter.get p "pasta_records_dropped",
+    Proc_counter.get p "pasta_buffer_stalls",
+    int_of_float (Option.get peak) )
+
+let records_of pieces = List.concat_map (fun (a, len) -> List.init len (fun i -> a + i)) pieces
+
+(* Per-record delivery: the records in the model's order (consecutive
+   pieces of a batch read as one run), and its drops, stalls and peak. *)
+let prop_ring_model =
+  QCheck.Test.make ~name:"piece ring: records, drops, stalls and peak equal the list model"
+    ~count:300 g_ring_case (fun (cap, policy, ops) ->
+      let out, dropped, stalls, peak = ring_model ~cap ~policy ops in
+      let seen, _, dropped', stalls', peak' = ring_run ~columns:false ~cap ~policy ops in
+      seen = records_of out && dropped = dropped' && stalls = stalls' && peak = peak')
+
+(* Columns delivery: one call per delivered piece, in the model's order. *)
+let prop_ring_columns =
+  QCheck.Test.make ~name:"piece ring: a columns tool gets one call per piece" ~count:300
+    g_ring_case (fun (cap, policy, ops) ->
+      let out, dropped, stalls, peak = ring_model ~cap ~policy ops in
+      let seen, calls, dropped', stalls', peak' = ring_run ~columns:true ~cap ~policy ops in
+      seen = records_of out
+      && calls = List.length out
+      && dropped = dropped' && stalls = stalls' && peak = peak')
+
+(* Without a drain, drop-oldest keeps exactly the newest K pieces and
+   drop-newest the oldest K. *)
+let prop_ring_lossy_keeps_k =
+  QCheck.Test.make ~name:"drop-oldest keeps the newest K pieces, drop-newest the oldest K"
+    ~count:300 g_ring_case (fun (cap, _, ops) ->
+      let ops = List.filter (fun op -> op <> Drain) ops in
+      let pieces = List.concat (List.filter_map (Option.map List.concat) (ring_pieces ops)) in
+      let n = List.length pieces in
+      let run policy =
+        let seen, _, _, _, _ = ring_run ~columns:false ~cap ~policy ops in
+        seen
       in
-      let n = List.length xs in
-      let expected =
-        List.filteri (fun i _ -> i >= n - min cap n) xs
-      in
-      drain [] = expected)
-
-let prop_ring_drop_newest_keeps_oldest =
-  QCheck.Test.make ~name:"drop-newest keeps exactly the oldest K" ~count:300
-    QCheck.(pair (int_range 1 16) (small_list small_nat))
-    (fun (cap, xs) ->
-      let rb = Pasta_util.Ring_buffer.create ~capacity:cap in
-      List.iter
-        (fun x ->
-          let (_ : [ `Stored | `Evicted of int | `Rejected | `Full ]) =
-            Pasta_util.Ring_buffer.push_overflow rb
-              ~overflow:Pasta_util.Ring_buffer.Drop_newest x
-          in
-          ())
-        xs;
-      let rec drain acc =
-        match Pasta_util.Ring_buffer.pop rb with
-        | None -> List.rev acc
-        | Some x -> drain (x :: acc)
-      in
-      let n = List.length xs in
-      let expected = List.filteri (fun i _ -> i < min cap n) xs in
-      drain [] = expected)
+      run Pasta.Config.Drop_oldest = records_of (List.filteri (fun i _ -> i >= n - min cap n) pieces)
+      && run Pasta.Config.Drop_newest = records_of (List.filteri (fun i _ -> i < min cap n) pieces))
 
 let prop_ring_block_never_loses =
-  QCheck.Test.make ~name:"block policy never loses a record" ~count:300
-    QCheck.(pair (int_range 1 8) (small_list small_nat))
-    (fun (cap, xs) ->
-      let rb = Pasta_util.Ring_buffer.create ~capacity:cap in
-      let out = ref [] in
-      let drain () =
-        let rec go () =
-          match Pasta_util.Ring_buffer.pop rb with
-          | None -> ()
-          | Some x -> out := x :: !out; go ()
-        in
-        go ()
-      in
-      List.iter
-        (fun x ->
-          match
-            Pasta_util.Ring_buffer.push_overflow rb
-              ~overflow:Pasta_util.Ring_buffer.Block x
-          with
-          | `Stored | `Evicted _ | `Rejected -> ()
-          | `Full ->
-              (* the producer stalls: drain, then the push must succeed *)
-              drain ();
-              (match
-                 Pasta_util.Ring_buffer.push_overflow rb
-                   ~overflow:Pasta_util.Ring_buffer.Block x
-               with
-              | `Stored -> ()
-              | _ -> failwith "push after drain must store"))
-        xs;
-      drain ();
-      List.rev !out = xs)
+  QCheck.Test.make ~name:"block policy never loses a record" ~count:300 g_ring_case
+    (fun (cap, _, ops) ->
+      let seen, _, dropped, _, _ = ring_run ~columns:false ~cap ~policy:Pasta.Config.Block ops in
+      let all = List.concat (List.filter_map (Option.map List.concat) (ring_pieces ops)) in
+      seen = records_of all && dropped = 0)
 
 let suite =
   [
@@ -258,8 +348,8 @@ let suite =
     qtest prop_objmap_tensor_shadows_alloc;
     qtest prop_stats_scale_invariance;
     qtest prop_sass_static_counts;
-    qtest prop_ring_overflow_conservation;
-    qtest prop_ring_drop_oldest_keeps_newest;
-    qtest prop_ring_drop_newest_keeps_oldest;
+    qtest prop_ring_model;
+    qtest prop_ring_columns;
+    qtest prop_ring_lossy_keeps_k;
     qtest prop_ring_block_never_loses;
   ]

@@ -430,6 +430,9 @@ let test_submit_validation () =
       ("ACCEL_PROF_WATCHDOG_US", "12x");
       ("ACCEL_PROF_WATCHDOG_US", "0");
       ("ACCEL_PROF_WATCHDOG_US", "-3");
+      ("START_GRID_ID", "12x");
+      ("START_GRID_ID", "0");
+      ("END_GRID_ID", "-3");
       (* retired knobs: no longer session-scoped, so refused by name *)
       ("ACCEL_PROF_COLUMNAR", "0");
       ("ACCEL_PROF_BATCH_DELIVERY", "0");

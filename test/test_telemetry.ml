@@ -471,7 +471,7 @@ let test_nvbit_layers_span_per_batch () =
             let frames = ref 0 and handoffs = ref 0 in
             Pasta_util.Span_buf.iter buf (fun sp ->
                 if sp.Pasta_util.Span_buf.sp_cat = "tool" then incr frames;
-                if sp.Pasta_util.Span_buf.sp_name = "handler.views" then incr handoffs);
+                if sp.Pasta_util.Span_buf.sp_name = "handler.pieces" then incr handoffs);
             if 4 * !frames >= !records then
               Alcotest.failf "the tool opened %d frames for %d records" !frames
                 !records;
@@ -486,7 +486,7 @@ let test_nvbit_layers_span_per_batch () =
    after almost every batch; the host takes a kernel's flushes at once,
    at its exit, and replay re-drives each kernel's run of recorded
    batches as one hand-off.  At [full], live and replayed, that is at
-   most one "handler.views" and one "proc.submit_views" span per kernel,
+   most one "handler.pieces" and one "proc.submit_pieces" span per kernel,
    and the columnar tool reads every delivered batch inside far fewer
    frames than there are batches. *)
 let test_cs_cpu_handoff_per_kernel () =
@@ -507,8 +507,8 @@ let test_cs_cpu_handoff_per_kernel () =
       (fun (name, want) ->
         if count name > want then
           Alcotest.failf "%s: %d %s spans for %d kernels" what (count name) name kernels)
-      [ ("handler.views", handler_views); ("proc.submit_views", kernels) ];
-    check_bool (what ^ ": batches were handed over") true (count "proc.submit_views" > 0);
+      [ ("handler.pieces", handler_views); ("proc.submit_pieces", kernels) ];
+    check_bool (what ^ ": batches were handed over") true (count "proc.submit_pieces" > 0);
     if 3 * count "tool frame" >= batches then
       Alcotest.failf "%s: the tool opened %d frames for %d batches" what
         (count "tool frame") batches

@@ -82,6 +82,228 @@ let test_mc_footprints_per_kernel () =
   let fp = MC.kernel_footprints mc in
   check_int "one footprint per kernel" result.Pasta.Session.kernels (Array.length fp)
 
+(* ---- The CS-CPU and NVBit working sets' range cache ---- *)
+
+(* [Objmap.next_base] gives an unknown address its gap: the lowest base
+   above it, of an allocation or a tensor, or [max_int] past the last. *)
+let test_objmap_next_base () =
+  let m = Pasta.Objmap.create () in
+  let next addr = Pasta.Objmap.next_base m addr in
+  check_int "no object" max_int (next 0);
+  Pasta.Objmap.on_alloc m ~addr:0x1000 ~bytes:0x100 ~managed:false;
+  Pasta.Objmap.on_tensor_alloc m ~ptr:0x1040 ~bytes:0x10 ~tag:"t";
+  Pasta.Objmap.on_alloc m ~addr:0x2000 ~bytes:0x100 ~managed:false;
+  check_int "below the first object" 0x1000 (next 0x800);
+  check_int "at a base, the next one above it" 0x1040 (next 0x1000);
+  check_int "inside an allocation, its nested tensor" 0x1040 (next 0x1010);
+  check_int "inside one, past its tensor" 0x2000 (next 0x1050);
+  check_int "between two" 0x2000 (next 0x1800);
+  check_int "past the last" max_int (next 0x2050);
+  Pasta.Objmap.on_free m ~addr:0x2000;
+  check_int "a freed object leaves its gap" max_int (next 0x1800)
+
+(* A random object layout driven by random address streams.  A kernel
+   first frees some objects, then runs items: new allocations and tensors
+   (nested in a live allocation, or anywhere), sequential walks and
+   strides, jumps anywhere (gaps included), the last address touched
+   again (as the next kernel reads what the last one wrote), and
+   closed-form chunks.  All offsets are from [mc_base]. *)
+let mc_base = 0x10000
+
+type mc_item =
+  | Alloc of int * int
+  | Tensor of int * int * int  (* live allocation (mod count), offset, bytes *)
+  | Walk of int * int * int  (* first address, step, records *)
+  | Jump of int list
+  | Last  (* the last address any item touched, again *)
+  | Chunks of int * int * Gpusim.Kernel.pattern * int * int
+      (* base, bytes, pattern, accesses, sample cap *)
+
+let ( let* ) = QCheck.Gen.( >>= )
+
+let g_mc_kernel =
+  let open QCheck.Gen in
+  let addr = int_range (-512) (8192 + 512) in
+  let item =
+    frequency
+      [
+        (2, map2 (fun a b -> Alloc (a, b)) (int_range 0 8191) (int_range 1 1024));
+        (2, map3 (fun i o b -> Tensor (i, o, b)) nat (int_range 0 1023) (int_range 1 512));
+        (3, map3 (fun a st n -> Walk (a, st, n)) addr (oneofl [ 1; 4; 12; 64; 256 ]) (int_range 1 64));
+        (2, map (fun l -> Jump l) (list_size (int_range 1 16) addr));
+        (1, return Last);
+        ( 1,
+          let* base = int_range (-256) 8192 in
+          let* bytes = int_range 1 9000 in
+          let* pattern =
+            oneof [ return Gpusim.Kernel.Sequential; map (fun s -> Gpusim.Kernel.Strided s) (int_range 0 600) ]
+          in
+          let* accesses = int_range 1 5000 in
+          let* cap = int_range 1 2048 in
+          return (Chunks (base, bytes, pattern, accesses, cap)) );
+      ]
+  in
+  pair
+    (frequency [ (2, return []); (1, list_size (int_range 1 3) nat) ])
+    (list_size (int_range 1 8) item)
+
+let print_mc_case kernels =
+  String.concat " / "
+    (List.map
+       (fun (frees, items) ->
+         Printf.sprintf "free %s: %s"
+           (String.concat "," (List.map string_of_int frees))
+           (String.concat "; "
+              (List.map
+                 (function
+                   | Alloc (a, b) -> Printf.sprintf "alloc %d:%d" a b
+                   | Tensor (i, o, b) -> Printf.sprintf "tensor #%d+%d:%d" i o b
+                   | Walk (a, st, n) -> Printf.sprintf "walk %d+%d*%d" a st n
+                   | Jump l -> "jump " ^ String.concat "," (List.map string_of_int l)
+                   | Last -> "last"
+                   | Chunks (a, b, p, acc, cap) ->
+                       Printf.sprintf "chunks %d:%d %s %d cap %d" a b
+                         (match p with Gpusim.Kernel.Strided s -> Printf.sprintf "stride %d" s | _ -> "seq")
+                         acc cap)
+                 items)))
+       kernels)
+
+let mc_info =
+  {
+    Pasta.Event.device_id = 0;
+    grid_id = 1;
+    stream = 0;
+    name = "ranges";
+    grid = Gpusim.Dim3.make 1;
+    block = Gpusim.Dim3.make 32;
+    shared_bytes = 0;
+    arg_ptrs = [];
+    py_stack = [];
+    native_stack = [];
+  }
+
+(* Per-kernel working sets of the NVBit tool (every record through
+   [on_access]), of the CS-CPU tool (a walk or jump as one dense batch,
+   a chunk as its descriptor, through [on_access_columns]) and of a
+   reference that resolves every record and notes every object it gets,
+   as the tools did before they cached ranges. *)
+let mc_footprints kernels =
+  let nv = MC.create ~variant:MC.Cpu_nvbit () and cs = MC.create ~variant:MC.Cpu_sanitizer () in
+  let tools = [ MC.tool nv; MC.tool cs ] in
+  let m = Pasta.Objmap.create () and current = Hashtbl.create 16 and reference = ref [] in
+  let allocs = ref [] and tensors = ref [] in
+  let event payload =
+    List.iter (fun tl -> tl.Pasta.Tool.on_event { Pasta.Event.device = 0; time_us = 0.0; payload }) tools;
+    match payload with
+    | Pasta.Event.Memory_alloc { addr; bytes; managed } ->
+        Pasta.Objmap.on_alloc m ~addr ~bytes ~managed;
+        allocs := (addr, bytes) :: !allocs
+    | Pasta.Event.Memory_free { addr; _ } ->
+        Pasta.Objmap.on_free m ~addr;
+        allocs := List.filter (fun (a, _) -> a <> addr) !allocs
+    | Pasta.Event.Tensor_alloc { ptr; bytes; tag; _ } ->
+        Pasta.Objmap.on_tensor_alloc m ~ptr ~bytes ~tag;
+        tensors := ptr :: !tensors
+    | Pasta.Event.Tensor_free { ptr; _ } ->
+        Pasta.Objmap.on_tensor_free m ~ptr;
+        tensors := List.filter (( <> ) ptr) !tensors
+    | _ -> ()
+  in
+  let last = ref mc_base in
+  let records addrs =
+    if Array.length addrs > 0 then last := addrs.(Array.length addrs - 1);
+    Array.iter
+      (fun addr ->
+        let obj = Pasta.Objmap.resolve m addr in
+        Hashtbl.replace current (Pasta.Objmap.obj_key obj) (Pasta.Objmap.obj_bytes obj);
+        (List.hd tools).Pasta.Tool.on_access mc_info
+          { Pasta.Event.addr; size = 4; write = false; pc = 0; warp = 0; weight = 1 })
+      addrs
+  in
+  let columns b = (Option.get (List.nth tools 1).Pasta.Tool.on_access_columns) mc_info b in
+  let dense addrs =
+    let n = Array.length addrs in
+    Gpusim.Warp.batch_of_arrays ~region:0 ~chunk:0 ~pc:0 ~addrs ~sizes:(Array.make n 4)
+      ~warps:(Array.make n 0) ~weights:(Array.make n 1) ~writes:(Bytes.make n '\000')
+  in
+  let nth l i = List.nth l (i mod List.length l) in
+  List.iter
+    (fun (frees, items) ->
+      List.iter
+        (fun i ->
+          match (!allocs, !tensors) with
+          | [], [] -> ()
+          | a, t when i mod 2 = 0 && a <> [] || t = [] ->
+              let addr, bytes = nth a i in
+              event (Pasta.Event.Memory_free { addr; bytes })
+          | _, t ->
+              event
+                (Pasta.Event.Tensor_free
+                   { ptr = nth t i; bytes = 0; pool_allocated = 0; pool_reserved = 0 }))
+        frees;
+      List.iter
+        (function
+          | Alloc (off, bytes) ->
+              event (Pasta.Event.Memory_alloc { addr = mc_base + off; bytes; managed = false })
+          | Tensor (i, off, bytes) ->
+              let ptr, bytes =
+                match !allocs with
+                | [] -> (mc_base + (8 * off), bytes)
+                | a ->
+                    let base, size = nth a i in
+                    (base + (off mod size), Int.min bytes (size - (off mod size)))
+              in
+              event
+                (Pasta.Event.Tensor_alloc
+                   { ptr; bytes; pool_allocated = 0; pool_reserved = 0; tag = "t" })
+          | Walk (first, step, n) ->
+              let addrs = Array.init n (fun j -> mc_base + first + (step * j)) in
+              records addrs;
+              columns (dense addrs)
+          | Jump offs ->
+              let addrs = Array.of_list (List.map (fun o -> mc_base + o) offs) in
+              records addrs;
+              columns (dense addrs)
+          | Last ->
+              let addrs = [| !last |] in
+              records addrs;
+              columns (dense addrs)
+          | Chunks (off, bytes, pattern, accesses, cap) ->
+              let k =
+                Gpusim.Kernel.make ~name:"chunks" ~grid:(Gpusim.Dim3.make 1)
+                  ~block:(Gpusim.Dim3.make 32)
+                  ~regions:[ Gpusim.Kernel.region ~pattern ~base:(mc_base + off) ~bytes ~accesses () ]
+                  ()
+              in
+              Array.iter
+                (fun spec ->
+                  let d = Gpusim.Warp.describe ~warp_size:32 spec in
+                  let addrs = (Gpusim.Warp.cols d).Gpusim.Warp.addrs in
+                  records (Array.init (Gpusim.Warp.batch_len d) (fun j -> addrs.{j}));
+                  columns d)
+                (Gpusim.Warp.plan ~max_records_per_region:cap k))
+        items;
+      List.iter
+        (fun tl ->
+          tl.Pasta.Tool.on_kernel_end mc_info
+            { Pasta.Event.duration_us = 0.0; true_accesses = 0; faulted_pages = 0 })
+        tools;
+      reference := float_of_int (Hashtbl.fold (fun _ b acc -> acc + b) current 0) :: !reference;
+      Hashtbl.reset current)
+    kernels;
+  (MC.kernel_footprints nv, MC.kernel_footprints cs, Array.of_list (List.rev !reference))
+
+(* The cached range answers as a lookup per record would: per kernel,
+   both tools' working sets equal the reference's.  Objects are only
+   freed between kernels, as a live run frees them, but allocated
+   anywhere, so a range cached before an allocation must be dropped. *)
+let prop_mc_range_cache =
+  QCheck.Test.make ~name:"working-set range cache equals a lookup per record" ~count:500
+    (QCheck.make ~print:print_mc_case QCheck.Gen.(list_size (int_range 1 6) g_mc_kernel))
+    (fun kernels ->
+      let nv, cs, reference = mc_footprints kernels in
+      nv = reference && cs = reference)
+
 (* ---- Mem_timeline ---- *)
 
 let test_mem_timeline () =
@@ -398,6 +620,8 @@ let suite =
     ("memory_charact ordering", `Quick, test_mc_ordering);
     ("memory_charact empty", `Quick, test_mc_empty);
     ("memory_charact per-kernel footprints", `Quick, test_mc_footprints_per_kernel);
+    ("objmap next base", `Quick, test_objmap_next_base);
+    QCheck_alcotest.to_alcotest prop_mc_range_cache;
     ("mem_timeline", `Quick, test_mem_timeline);
     ("hotness matrix", `Quick, test_hotness_matrix);
     ("hotness empty", `Quick, test_hotness_empty);

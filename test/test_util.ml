@@ -265,28 +265,6 @@ let prop_freelist_total_preserved =
       List.iter (fun (base, bytes) -> f := Freelist.insert !f ~base ~bytes) !taken;
       Freelist.total !f = 4096 && Freelist.holes !f = [ (0, 4096) ])
 
-(* ---- Ring_buffer ---- *)
-
-let test_ring_fifo () =
-  let r = Ring_buffer.create ~capacity:3 in
-  check_bool "push1" true (Ring_buffer.push r 1);
-  check_bool "push2" true (Ring_buffer.push r 2);
-  check_bool "push3" true (Ring_buffer.push r 3);
-  check_bool "full rejects" false (Ring_buffer.push r 4);
-  Alcotest.(check (option int)) "pop fifo" (Some 1) (Ring_buffer.pop r);
-  check_bool "can push after pop" true (Ring_buffer.push r 4);
-  Alcotest.(check (list int)) "drain order" [ 2; 3; 4 ] (Ring_buffer.drain r);
-  check_bool "empty" true (Ring_buffer.is_empty r)
-
-let test_ring_clear () =
-  let r = Ring_buffer.create ~capacity:2 in
-  ignore (Ring_buffer.push r 1);
-  Ring_buffer.clear r;
-  check_int "cleared" 0 (Ring_buffer.length r);
-  Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Ring_buffer.create: capacity must be positive") (fun () ->
-      ignore (Ring_buffer.create ~capacity:0))
-
 (* ---- Texttab / Heatmap ---- *)
 
 let test_texttab_render () =
@@ -342,8 +320,6 @@ let suite =
     ("freelist overlap", `Quick, test_freelist_overlap);
     ("freelist first fit", `Quick, test_freelist_first_fit);
     qtest prop_freelist_total_preserved;
-    ("ring buffer fifo", `Quick, test_ring_fifo);
-    ("ring buffer clear", `Quick, test_ring_clear);
     ("texttab render", `Quick, test_texttab_render);
     ("heatmap intensity", `Quick, test_heatmap_intensity);
   ]

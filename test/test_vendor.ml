@@ -7,6 +7,18 @@ let check_bool = Alcotest.(check bool)
 
 let mk_device ?(arch = Arch.a100) () = Device.create arch
 
+(* A hand-off's pieces as (batch, first record, length, stamp), copied
+   out of the channel's table, which the channel empties when the call
+   returns. *)
+let pieces_list (p : Warp.pieces) =
+  check_int "every piece is stamped" p.Warp.p_count p.Warp.p_stamped;
+  List.init p.Warp.p_count (fun i ->
+      (p.Warp.p_batch.(i), p.Warp.p_pos.(i), p.Warp.p_len.(i), p.Warp.p_time.(i)))
+
+(* A piece's records as a batch of their own. *)
+let piece_batch (b, pos, len, _) = Warp.sub b ~pos ~len
+let piece_stamp (_, _, _, time_us) = time_us
+
 let mk_kernel device ~bytes ~accesses =
   let a = Device.malloc device bytes in
   Kernel.make ~name:"vendor_test_kernel" ~grid:(Dim3.make 8) ~block:(Dim3.make 128)
@@ -82,9 +94,9 @@ let test_sanitizer_host_analysis () =
     (Vendor.Sanitizer.Host_analysis
        {
          buffer_records = 1000;
-         on_views =
-           (fun _ views ->
-             List.iter (fun v -> weight := !weight + Warp.batch_weight v.Warp.v_batch) views);
+         on_pieces =
+           (fun _ p ->
+             List.iter (fun pc -> weight := !weight + Warp.batch_weight (piece_batch pc)) (pieces_list p));
          per_record_us = 0.1;
        });
   let k = mk_kernel d ~bytes:8192 ~accesses:12345 in
@@ -110,9 +122,7 @@ let test_sanitizer_buffer_stall () =
       (Vendor.Sanitizer.Host_analysis
          {
            buffer_records;
-           on_views =
-             (fun _ views ->
-               List.iter (fun v -> stamps := v.Warp.v_time_us :: !stamps) views);
+           on_pieces = (fun _ p -> stamps := List.map piece_stamp (pieces_list p) @ !stamps);
            per_record_us = 0.1;
          });
     let k = mk_kernel d ~bytes:65536 ~accesses:100000 in
@@ -129,41 +139,52 @@ let test_sanitizer_buffer_stall () =
     (small_flushes > large_flushes)
 
 (* Each flush is charged where it lands and stamps its batches, whole,
-   with the device time after its charges;
-   the host takes the kernel's views in one call at its exit, in
-   generation order, and a kernel without records gets no call. *)
-let test_sanitizer_host_views () =
+   with the device time after its charges; the host takes the kernel's
+   table in one call at its exit, in generation order, and the channel
+   empties it then, so a second kernel's table carries nothing of the
+   first's.  A kernel without records gets no call. *)
+let test_sanitizer_host_table () =
   let d = mk_device () in
   Device.set_sample_cap d 4096;
   let s = Vendor.Sanitizer.attach d in
-  let handoffs = ref [] in
+  let handoffs = ref [] and table = ref None in
   Vendor.Sanitizer.patch_module s
     (Vendor.Sanitizer.Host_analysis
        {
          buffer_records = 30000;
-         on_views = (fun _ views -> handoffs := (views, Device.now_us d) :: !handoffs);
+         on_pieces =
+           (fun _ p ->
+             table := Some p;
+             handoffs := (pieces_list p, Device.now_us d) :: !handoffs);
          per_record_us = 0.1;
        });
-  ignore (Device.launch d (mk_kernel d ~bytes:65536 ~accesses:100000));
-  let views, handoff_at =
+  let launch accesses =
+    handoffs := [];
+    ignore (Device.launch d (mk_kernel d ~bytes:65536 ~accesses));
+    check_int "the table is empty after the hand-off" 0 (Option.get !table).Warp.p_count;
     match !handoffs with
     | [ h ] -> h
     | hs -> Alcotest.failf "%d hand-offs for one launch" (List.length hs)
   in
-  check_int "views cover all true records" 100000
-    (List.fold_left (fun n v -> n + Warp.batch_weight v.Warp.v_batch) 0 views);
-  check_bool "each view is a whole batch" true
-    (List.for_all (fun v -> v.Warp.v_pos = 0 && v.Warp.v_len = Warp.batch_len v.Warp.v_batch) views);
-  check_bool "views in generation order" true
-    (List.map (fun v -> v.Warp.v_batch.Warp.b_chunk) views
-    = List.init (List.length views) Fun.id);
-  let stamps = List.sort_uniq compare (List.map (fun v -> v.Warp.v_time_us) views) in
-  check_bool "several flushes stamped the views" true (List.length stamps > 1);
+  let pieces, handoff_at = launch 100000 in
+  check_int "pieces cover all true records" 100000
+    (List.fold_left (fun n pc -> n + Warp.batch_weight (piece_batch pc)) 0 pieces);
+  check_bool "each piece is a whole batch" true
+    (List.for_all (fun (b, pos, len, _) -> pos = 0 && len = Warp.batch_len b) pieces);
+  check_bool "pieces in generation order" true
+    (List.map (fun (b, _, _, _) -> b.Warp.b_chunk) pieces
+    = List.init (List.length pieces) Fun.id);
+  let stamps = List.sort_uniq compare (List.map piece_stamp pieces) in
+  check_bool "several flushes stamped the pieces" true (List.length stamps > 1);
   check_bool "stamps follow generation order" true
-    (List.map (fun v -> v.Warp.v_time_us) views
-    = List.sort compare (List.map (fun v -> v.Warp.v_time_us) views));
+    (List.map piece_stamp pieces = List.sort compare (List.map piece_stamp pieces));
   Alcotest.(check (float 0.0)) "the hand-off follows the last flush" handoff_at
     (List.nth stamps (List.length stamps - 1));
+  let second, _ = launch 5000 in
+  check_int "the second kernel's table holds its records only" 5000
+    (List.fold_left (fun n pc -> n + Warp.batch_weight (piece_batch pc)) 0 second);
+  check_bool "and none of the first's batches" true
+    (List.for_all (fun (b, _, _, _) -> List.for_all (fun (b', _, _, _) -> b != b') pieces) second);
   handoffs := [];
   ignore (Device.launch d (Kernel.make ~name:"no_records" ~grid:(Dim3.make 1) ~block:(Dim3.make 32) ()));
   check_int "no hand-off for a kernel without records" 0 (List.length !handoffs)
@@ -176,7 +197,7 @@ let test_sanitizer_invalid_buffer () =
     (fun () ->
       Vendor.Sanitizer.patch_module s
         (Vendor.Sanitizer.Host_analysis
-           { buffer_records = 0; on_views = (fun _ _ -> ()); per_record_us = 0.1 }))
+           { buffer_records = 0; on_pieces = (fun _ _ -> ()); per_record_us = 0.1 }))
 
 (* ---- NVBit ---- *)
 
@@ -192,17 +213,14 @@ let test_nvbit_parse_cache () =
     (Vendor.Nvbit.phases nv).Vendor.Phases.collect_us;
   check_int "one function parsed" 1 (Vendor.Nvbit.functions_parsed nv)
 
-(* A view's records as a batch of their own. *)
-let view_batch (v : Warp.view) = Warp.sub v.Warp.v_batch ~pos:v.Warp.v_pos ~len:v.Warp.v_len
-
 let test_nvbit_instrument () =
   let d = mk_device () in
   Device.set_sample_cap d 16;
   let nv = Vendor.Nvbit.attach d in
   let weight = ref 0 in
   Vendor.Nvbit.instrument_memory nv
-    ~on_views:(fun _ views ->
-      List.iter (fun v -> weight := !weight + Warp.batch_weight (view_batch v)) views)
+    ~on_pieces:(fun _ p ->
+      List.iter (fun pc -> weight := !weight + Warp.batch_weight (piece_batch pc)) (pieces_list p))
     ();
   let k = mk_kernel d ~bytes:8192 ~accesses:777 in
   ignore (Device.launch d k);
@@ -214,7 +232,7 @@ let test_nvbit_instrument () =
 (* 250 weight-1 records through a channel that holds 100 true accesses:
    flushes land right after records 100 and 200 and the kernel exit
    flushes the last 50.  Each flush charges the device clock, then stamps
-   its view; the host takes all three views in one hand-off at kernel
+   its piece; the host takes all three pieces in one hand-off at kernel
    exit, and they cover the batch in order. *)
 let test_nvbit_flush_split () =
   let run ?buffer_records () =
@@ -223,25 +241,25 @@ let test_nvbit_flush_split () =
     let nv = Vendor.Nvbit.attach d in
     let handoffs = ref [] in
     Vendor.Nvbit.instrument_memory nv ?buffer_records
-      ~on_views:(fun _ views -> handoffs := (views, Device.now_us d) :: !handoffs)
+      ~on_pieces:(fun _ p -> handoffs := (pieces_list p, Device.now_us d) :: !handoffs)
       ();
     let k = mk_kernel d ~bytes:8192 ~accesses:250 in
     let before = Device.now_us d in
     ignore (Device.launch d k);
     match !handoffs with
-    | [ (views, at) ] -> (before, views, at)
+    | [ (pieces, at) ] -> (before, pieces, at)
     | hs -> Alcotest.failf "%d hand-offs for one launch" (List.length hs)
   in
-  let records views =
+  let records pieces =
     List.concat_map
-      (fun v ->
-        let b = view_batch v in
+      (fun pc ->
+        let b = piece_batch pc in
         let addrs = (Warp.cols b).Warp.addrs in
         List.init (Warp.batch_len b) (fun i -> addrs.{i}))
-      views
+      pieces
   in
   let before, split, handoff_at = run ~buffer_records:100 () in
-  let weights = List.map (fun v -> Warp.batch_weight (view_batch v)) split in
+  let weights = List.map (fun pc -> Warp.batch_weight (piece_batch pc)) split in
   Alcotest.(check (list int))
     "flushes split the batch at records 100 and 200" [ 100; 100; 50 ] weights;
   (* Between two flushes the clock moves by exactly the later flush's
@@ -253,18 +271,18 @@ let test_nvbit_flush_split () =
     +. Costmodel.host_analysis_time_us ~records
          ~per_record_us:Costmodel.nvbit_host_per_record_us
   in
-  (match List.map (fun (v : Warp.view) -> v.Warp.v_time_us) split with
+  (match List.map piece_stamp split with
   | [ s0; s1; s2 ] ->
       check_bool "stamps increase strictly from the launch" true
         (before < s0 && s0 < s1 && s1 < s2);
       Alcotest.(check (float 0.0)) "the second flush's charge" (charged s0 100) s1;
       Alcotest.(check (float 0.0)) "the exit flush's charge" (charged s1 50) s2;
       Alcotest.(check (float 0.0)) "the hand-off follows the exit flush" s2 handoff_at
-  | stamps -> Alcotest.failf "%d stamped views" (List.length stamps));
+  | stamps -> Alcotest.failf "%d stamped pieces" (List.length stamps));
   let _, whole, _ = run () in
   check_int "a roomy channel hands over one piece" 1 (List.length whole);
   Alcotest.(check (list int))
-    "views concatenate to the unsplit record stream" (records whole) (records split)
+    "pieces concatenate to the unsplit record stream" (records whole) (records split)
 
 (* The channel's flush points, walked over a batch's filled weight column
    the way the channel found them before it took descriptors: every
@@ -348,18 +366,23 @@ let prop_split_weight =
 
 (* The same through the NVBit channel itself: a kernel of closed-form
    regions, launched at sample rate 1.0, reaches the channel as
-   descriptors, and its pieces and its Transfer and Analysis charges
-   equal those of a walk over each batch's filled weight column (the
-   count a chunk leaves pending carries into the next).  A thinned
-   kernel reaches it as dense batches, which keep the column walk. *)
+   descriptors, and its table's pieces and its Transfer and Analysis
+   charges equal those of a walk over each batch's filled weight column
+   (the count a chunk leaves pending carries into the next).  Each
+   piece's stamp is its flush's: ranked among the table's stamps, it is
+   the reference's flush number, and the last is the hand-off's time.
+   The table is empty once the hand-off returns.  A thinned kernel
+   reaches the channel as dense batches, which keep the column walk. *)
 let nvbit_flush_points ?(rate = 1.0) ~cap ~buffer_records regions =
   let d = mk_device () in
   Device.set_sample_cap d cap;
   Device.set_sample_rate d rate;
   let nv = Vendor.Nvbit.attach d in
-  let views = ref [] in
+  let handoffs = ref [] and table = ref None in
   Vendor.Nvbit.instrument_memory nv ~buffer_records
-    ~on_views:(fun _ vs -> views := !views @ vs)
+    ~on_pieces:(fun _ p ->
+      table := Some p;
+      handoffs := (pieces_list p, Device.now_us d) :: !handoffs)
     ();
   let regions =
     List.map
@@ -372,13 +395,17 @@ let nvbit_flush_points ?(rate = 1.0) ~cap ~buffer_records regions =
     Kernel.make ~name:"flush_points" ~grid:(Dim3.make 1) ~block:(Dim3.make 32) ~regions ()
   in
   ignore (Device.launch d k);
+  let got, handoff_at =
+    match !handoffs with
+    | [ h ] -> h
+    | hs -> Alcotest.failf "%d hand-offs for one launch" (List.length hs)
+  in
   let ph = Vendor.Nvbit.phases nv in
   (* Every record lies in a piece, so the pieces name every batch. *)
   let batches =
     List.fold_left
-      (fun acc (v : Warp.view) ->
-        match acc with b :: _ when b == v.Warp.v_batch -> acc | _ -> v.Warp.v_batch :: acc)
-      [] !views
+      (fun acc (b, _, _, _) -> match acc with b' :: _ when b' == b -> acc | _ -> b :: acc)
+      [] got
     |> List.rev
   in
   let transfer = ref 0.0 and analysis = ref 0.0 in
@@ -391,6 +418,8 @@ let nvbit_flush_points ?(rate = 1.0) ~cap ~buffer_records regions =
       +. Costmodel.host_analysis_time_us ~records
            ~per_record_us:Costmodel.nvbit_host_per_record_us
   in
+  (* Each reference piece carries the number of the flush that takes it. *)
+  let flushed = ref 0 in
   let pending, pieces =
     List.fold_left
       (fun (pending, pieces) b ->
@@ -398,23 +427,34 @@ let nvbit_flush_points ?(rate = 1.0) ~cap ~buffer_records regions =
         let start = ref 0 and pieces = ref pieces in
         List.iter
           (fun (len, total) ->
-            pieces := (b, !start, len) :: !pieces;
+            pieces := (b, !start, len, !flushed) :: !pieces;
             start := !start + len;
-            charge total)
+            charge total;
+            incr flushed)
           flushes;
         if !start < Warp.batch_len b then
-          pieces := (b, !start, Warp.batch_len b - !start) :: !pieces;
+          pieces := (b, !start, Warp.batch_len b - !start, !flushed) :: !pieces;
         (left, !pieces))
       (0, []) batches
   in
   if pending > 0 then charge pending;
   let pieces = List.rev pieces in
+  let stamps = List.sort_uniq Float.compare (List.map piece_stamp got) in
+  let rank time_us =
+    let rec find i = function
+      | s :: rest -> if Float.equal s time_us then i else find (i + 1) rest
+      | [] -> -1
+    in
+    find 0 stamps
+  in
   let same_pieces =
-    List.compare_lengths !views pieces = 0
+    List.compare_lengths got pieces = 0
     && List.for_all2
-         (fun (v : Warp.view) (b, pos, len) ->
-           v.Warp.v_batch == b && v.Warp.v_pos = pos && v.Warp.v_len = len)
-         !views pieces
+         (fun (b, pos, len, time_us) (b', pos', len', flush) ->
+           b == b' && pos = pos' && len = len' && rank time_us = flush)
+         got pieces
+    && Float.equal (List.nth stamps (List.length stamps - 1)) handoff_at
+    && (Option.get !table).Warp.p_count = 0
   in
   let shapes =
     List.map
@@ -425,7 +465,7 @@ let nvbit_flush_points ?(rate = 1.0) ~cap ~buffer_records regions =
     && Float.equal ph.Vendor.Phases.transfer_us !transfer
     && Float.equal ph.Vendor.Phases.analysis_us !analysis,
     shapes,
-    List.fold_left (fun acc (v : Warp.view) -> acc + Warp.batch_weight (view_batch v)) 0 !views )
+    List.fold_left (fun acc pc -> acc + Warp.batch_weight (piece_batch pc)) 0 got )
 
 let prop_nvbit_flush_points =
   QCheck.Test.make ~name:"nvbit flushes land on the same record" ~count:200
@@ -470,14 +510,14 @@ let test_nvbit_costlier_than_sanitizer () =
           (Vendor.Sanitizer.Host_analysis
              {
                buffer_records = Vendor.Sanitizer.default_buffer_records;
-               on_views = (fun _ _ -> ());
+               on_pieces = (fun _ _ -> ());
                per_record_us = Costmodel.sanitizer_host_per_record_us;
              }))
   in
   let t_nvbit =
     run (fun d ->
         let nv = Vendor.Nvbit.attach d in
-        Vendor.Nvbit.instrument_memory nv ~on_views:(fun _ _ -> ()) ())
+        Vendor.Nvbit.instrument_memory nv ~on_pieces:(fun _ _ -> ()) ())
   in
   check_bool "nvbit slower than sanitizer" true (t_nvbit > t_cs)
 
@@ -603,7 +643,7 @@ let suite =
     ("sanitizer invalid buffer", `Quick, test_sanitizer_invalid_buffer);
     ("nvbit parse cache", `Quick, test_nvbit_parse_cache);
     ("nvbit instrument", `Quick, test_nvbit_instrument);
-    ("sanitizer host hands off views once per kernel", `Quick, test_sanitizer_host_views);
+    ("sanitizer host hands off one table per kernel", `Quick, test_sanitizer_host_table);
     ("nvbit flush splits batches", `Quick, test_nvbit_flush_split);
     QCheck_alcotest.to_alcotest prop_split_weight;
     QCheck_alcotest.to_alcotest prop_nvbit_flush_points;
